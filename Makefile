@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test short race fuzz fuzz-smoke bench bench-smoke benchstat docs-check fsck-smoke kv-smoke detector-smoke soak soak-smoke check
+.PHONY: all build vet fmt-check test short race fuzz fuzz-smoke bench bench-smoke benchstat docs-check fsck-smoke kv-smoke detector-smoke soak soak-smoke check
 
 all: check
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to say about any file in the tree.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test: build
 	$(GO) test ./...
@@ -41,16 +45,17 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Transport data-path benchmarks with regression tracking: run the set,
-# save it as BENCH_new.txt, and compare against BENCH_baseline.txt with
+# Data-path benchmarks with regression tracking — the transport set plus the
+# end-point automaton's receive and send paths: run the set six times, save
+# it as BENCH_new.txt, and compare against BENCH_baseline.txt with
 # cmd/vsgm-benchstat (benchstat-style old/new/delta tables, JSON copy in
 # BENCH_transport.json). The first run seeds the baseline; refresh it by
 # deleting BENCH_baseline.txt.
-BENCH_PATTERN = BenchmarkFabricBroadcast|BenchmarkSendUnderBackpressure|BenchmarkWireMarshal|BenchmarkMsgBufGrowth|BenchmarkLinkScale
+BENCH_PATTERN = BenchmarkFabricBroadcast|BenchmarkSendUnderBackpressure|BenchmarkWireMarshal|BenchmarkMsgBufGrowth|BenchmarkLinkScale|BenchmarkEndpointReceivePath|BenchmarkEndpointSendPath
 BENCH_PKGS = ./internal/wire/ ./internal/live/ ./internal/core/
 
 benchstat:
-	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem -count=2 -run=^$$ $(BENCH_PKGS) | tee BENCH_new.txt
+	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem -count=6 -run=^$$ $(BENCH_PKGS) | tee BENCH_new.txt
 	@if [ -f BENCH_baseline.txt ]; then \
 		$(GO) run ./cmd/vsgm-benchstat -json BENCH_transport.json BENCH_baseline.txt BENCH_new.txt; \
 	else \
@@ -116,10 +121,10 @@ soak-smoke:
 	$(GO) run ./cmd/vsgm-soak -mode world -duration 5s -seed $(SOAK_SEED) -q
 	$(GO) run ./cmd/vsgm-soak -mode live -duration 15s -seed $(SOAK_SEED) -q
 
-# The pre-merge gate: vet, the full suite, the race detector on the
-# concurrency-heavy packages, a fuzz smoke pass over the decoders, the
+# The pre-merge gate: vet, the formatting check, the full suite, the race
+# detector on the concurrency-heavy packages, a fuzz smoke pass over the decoders, the
 # documentation gate, and a short soak.
-check: vet test
+check: vet fmt-check test
 	$(GO) test -race ./internal/live/ ./internal/membership/ ./cmd/vsgm-live/
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke

@@ -44,11 +44,11 @@ quit
 `)
 	for _, want := range []string{
 		`color = "blue"`,
-		"map epoch now 2",      // slot move bumps 1 -> 2
-		"map epoch now 3",      // group move bumps 2 -> 3
-		`after = "reshard"`,    // writes land after resharding
+		"map epoch now 2",   // slot move bumps 1 -> 2
+		"map epoch now 3",   // group move bumps 2 -> 3
+		`after = "reshard"`, // writes land after resharding
 		"recovered from its store (synced=true)",
-		"fruit is unset",       // delete observed
+		"fruit is unset", // delete observed
 		"all specification checkers pass",
 	} {
 		if !strings.Contains(out, want) {

@@ -6,6 +6,12 @@ import "vsgm/internal/types"
 // locally controlled action of the paper's automata is its own task; firing
 // eagerly after every input realizes the fairness assumption (an enabled
 // action that stays enabled eventually executes).
+//
+// In a stable view (no start_change pending, membership view installed) only
+// tryDeliverApp, trySendApp and tryAck can fire, and every guard decides
+// from scalar state — a dirty flag, a counter, a nil check — without touching
+// a map or the allocator, so an input on the data path costs O(1) guard work
+// however many members the view has.
 func (e *Endpoint) step() {
 	if e.crashed {
 		return
@@ -36,8 +42,15 @@ func (e *Endpoint) step() {
 // the current view's membership; VS_RFIFO+TS restricts the set to exactly
 // current_view.set, or current_view.set ∪ start_change.set while a change is
 // pending (Figure 10).
+//
+// The desired set is a function of the current view and the pending
+// start_change alone, so it is recomputed only after one of them changed.
 func (e *Endpoint) tryReliable() bool {
-	desired := e.currentView.Members.Clone()
+	if !e.reliableDirty {
+		return false
+	}
+	e.reliableDirty = false
+	desired := e.currentView.Members
 	if e.level >= LevelVS && e.startChange != nil {
 		desired = desired.Union(e.startChange.Set)
 	}
@@ -83,8 +96,8 @@ func (e *Endpoint) trySendSync() bool {
 	}
 
 	cut := make(types.Cut, len(e.curMembers))
-	for _, q := range e.curMembers {
-		cut[q] = e.curBuf(q).longestPrefix()
+	for k, q := range e.curMembers {
+		cut[q] = e.curBufs[k].longestPrefix()
 	}
 	cid := e.startChange.ID
 	trace := e.startChange.Trace
@@ -202,16 +215,16 @@ func (e *Endpoint) answerSyncProbe(from types.ProcID) {
 // trySendViewMsg is co_rfifo.send_p(set, view_msg, v) (Figure 9): before
 // sending application messages in a view, announce the view to the members.
 func (e *Endpoint) trySendViewMsg() bool {
-	if e.viewMsg[e.id].Key() == e.curKey {
+	if e.viewMsgSent {
 		return false
 	}
 	if !e.currentView.Members.SubsetOf(e.reliableSet) {
 		return false
 	}
 	if len(e.curOthers) > 0 {
-		e.transport.Send(e.curOthers, types.WireMsg{Kind: types.KindView, View: e.currentView.Clone()})
+		e.transport.Send(e.curOthers, types.WireMsg{Kind: types.KindView, View: e.currentView})
 	}
-	e.viewMsg[e.id] = e.currentView.Clone()
+	e.viewMsgSent = true
 	return true
 }
 
@@ -219,12 +232,11 @@ func (e *Endpoint) trySendViewMsg() bool {
 // next unsent application message of the current view, stamped with the
 // history tags of Section 6.1.1.
 func (e *Endpoint) trySendApp() bool {
-	if e.viewMsg[e.id].Key() != e.curKey {
+	if !e.viewMsgSent {
 		return false
 	}
-	own := e.msgs.peek(e.id, e.curKey)
 	next := e.lastSent + 1
-	m, ok := own.get(next)
+	m, ok := e.curBufs[e.self].get(next)
 	if !ok {
 		return false
 	}
@@ -232,11 +244,12 @@ func (e *Endpoint) trySendApp() bool {
 		e.transport.Send(e.curOthers, types.WireMsg{
 			Kind:      types.KindApp,
 			App:       m,
-			HistView:  e.currentView.Clone(),
+			HistView:  e.currentView,
 			HistIndex: next,
 		})
 	}
 	e.lastSent = next
+	e.markDeliverable(e.self) // sent, so now self-deliverable
 	return true
 }
 
@@ -244,28 +257,38 @@ func (e *Endpoint) trySendApp() bool {
 // each sender, deliver the next message of the current view, subject to the
 // VS restriction that, once this end-point has committed a cut, it delivers
 // no message beyond the cuts associated with the forthcoming view.
+//
+// Only the ranks in [dlvLo, dlvHi) are examined — every other member was
+// found to have nothing deliverable and nothing has been stored for it
+// since — in member order, so the delivery order is that of a full scan.
 func (e *Endpoint) tryDeliverApp() bool {
-	e.refreshLimits()
-	for _, q := range e.curMembers {
-		next := e.lastDlvrd[q] + 1
-		m, ok := e.curBuf(q).get(next)
+	if !e.limitsValid {
+		e.refreshLimits()
+		e.dlvLo, e.dlvHi = 0, len(e.curMembers)
+	}
+	for k := e.dlvLo; k < e.dlvHi; k++ {
+		next := e.lastDlvrd[k] + 1
+		m, ok := e.curBufs[k].get(next)
 		if !ok {
 			continue
 		}
-		if q == e.id && e.lastDlvrd[q] >= e.lastSent {
+		if k == e.self && next > e.lastSent {
 			// Own messages must be sent to the other members before they
 			// may be self-delivered (Figure 9).
 			continue
 		}
+		q := e.curMembers[k]
 		if e.limits != nil && next > e.limits[q] {
 			continue
 		}
-		e.lastDlvrd[q] = next
+		e.dlvLo = k // nothing below k was deliverable; k may have more
+		e.lastDlvrd[k] = next
 		e.msgsDelivered++
 		e.sinceAck++
-		e.emit(DeliverEvent{Sender: q, Msg: m, InView: e.currentView.Clone()})
+		e.emit(DeliverEvent{Sender: q, Msg: m, InView: e.currentView})
 		return true
 	}
+	e.dlvLo, e.dlvHi = len(e.curMembers), 0
 	return false
 }
 
@@ -275,9 +298,6 @@ func (e *Endpoint) tryDeliverApp() bool {
 // start_change is known, deliver up to the maximum cut among the candidate
 // transitional-set members. A nil limits cut means delivery is unrestricted.
 func (e *Endpoint) refreshLimits() {
-	if e.limitsValid {
-		return
-	}
 	e.limitsValid = true
 	e.limits = nil
 	if e.level < LevelVS || e.startChange == nil {
@@ -344,42 +364,38 @@ func (e *Endpoint) tryDeliverView() bool {
 			}
 		}
 		agreed := types.MaxCut(cuts)
-		for q := range e.currentView.Members {
-			if e.lastDlvrd[q] != agreed[q] {
+		for k, q := range e.curMembers {
+			if e.lastDlvrd[k] != agreed[q] {
 				return false
 			}
 		}
 		if e.level == LevelGCS {
 			// Self Delivery (Figure 7/11): all own messages of the current
 			// view must have been delivered.
-			if e.lastDlvrd[e.id] != e.curBuf(e.id).lastIndex() {
+			if e.lastDlvrd[e.self] != e.curBufs[e.self].lastIndex() {
 				return false
 			}
 		}
 	}
 
-	var transCopy types.ProcSet
-	if trans != nil {
-		transCopy = trans.Clone()
-	}
-	e.emit(ViewEvent{View: v.Clone(), TransitionalSet: transCopy})
+	// v is the end-point's own copy (HandleView cloned it) and views are
+	// immutable, so the event, the trace and the automaton share it.
+	e.emit(ViewEvent{View: v, TransitionalSet: trans})
 	if e.trace != nil {
-		e.trace.ViewInstalled(v.Clone())
+		e.trace.ViewInstalled(v)
 	}
-	e.setCurrentView(v.Clone())
-	e.lastSent = 0
-	e.lastDlvrd = make(map[types.ProcID]int)
+	e.setCurrentView(v)
 	e.startChange = nil
 	e.blockStatus = Unblocked
-	e.limitsValid = false
-	e.ackCounts = make(map[types.ProcID]types.Cut)
-	e.sinceAck = 0
 	e.hPending = nil
 	e.hSent = make(map[hEntryKey]struct{})
 	e.advanceBaseline(e.currentView)
 	e.viewsInstalled++
 	if !e.retainOld {
 		e.msgs.dropExcept(e.curKey)
+		for _, s := range e.streams {
+			s.buf = nil // may have been dropped; re-resolved on next use
+		}
 		e.forwarded = make(map[forwardKey]struct{})
 	}
 	return true
@@ -418,7 +434,7 @@ func (e *Endpoint) tryForward() bool {
 			Kind:   types.KindFwd,
 			App:    m,
 			Origin: f.Origin,
-			View:   e.currentView.Clone(),
+			View:   e.currentView,
 			Index:  f.Index,
 		})
 		e.forwardsPlanned += int64(len(dests))
@@ -431,40 +447,83 @@ func (e *Endpoint) tryForward() bool {
 // counts — once enough deliveries accumulated, and collects any message
 // slots that every view member has acknowledged (the garbage-collection
 // mechanism Section 5.1 notes real implementations employ).
+//
+// Acknowledgments are scoped to a view by the FIFO channel alone: one is
+// sent only after the own view_msg for the current view, and a receiver
+// counts one only while the sender's latest view_msg names the receiver's
+// current view (handleAck), so indices of one view never collect another's.
 func (e *Endpoint) tryAck() bool {
-	if e.ackInterval <= 0 || e.sinceAck < e.ackInterval {
+	if e.ackInterval <= 0 || e.sinceAck < e.ackInterval || !e.viewMsgSent {
 		return false
 	}
-	e.sinceAck = 0
-	cut := make(types.Cut, len(e.curMembers))
-	for _, q := range e.curMembers {
-		cut[q] = e.lastDlvrd[q]
-	}
-	if len(e.curOthers) > 0 {
-		e.transport.Send(e.curOthers, types.WireMsg{Kind: types.KindAck, Cut: cut.Clone()})
-	}
-	e.ackCounts[e.id] = cut
-	e.collectStable()
+	e.sendAck()
 	return true
+}
+
+// FlushAck acknowledges now whatever this end-point delivered since its last
+// stability acknowledgment, instead of waiting for AckInterval deliveries. A
+// runtime calls it periodically so that a group gone quiet still collects
+// the tail of its traffic; it is a no-op with acknowledgments disabled or
+// nothing new to report.
+func (e *Endpoint) FlushAck() {
+	if e.crashed || e.ackInterval <= 0 || e.sinceAck == 0 || !e.viewMsgSent {
+		return
+	}
+	e.sendAck()
+}
+
+func (e *Endpoint) sendAck() {
+	e.sinceAck = 0
+	if len(e.curOthers) > 0 {
+		cut := make(types.Cut, len(e.curMembers))
+		for k, q := range e.curMembers {
+			cut[q] = e.lastDlvrd[k]
+		}
+		e.transport.Send(e.curOthers, types.WireMsg{Kind: types.KindAck, Cut: cut})
+	}
+	copy(e.ackRow(e.self), e.lastDlvrd)
+	e.collectStable()
+}
+
+// handleAck records from's stability acknowledgment. One that was sent in
+// another view is ignored: from's view_msg for a view precedes every
+// acknowledgment it sends in that view on the same FIFO channel, so its
+// latest view_msg names the view the counts belong to.
+func (e *Endpoint) handleAck(from types.ProcID, cut types.Cut) {
+	r, member := e.rank[from]
+	if e.ackInterval <= 0 || !member || e.streamOf(from).view.Key() != e.curKey {
+		return
+	}
+	row := e.ackRow(r)
+	for q, c := range cut {
+		if k, ok := e.rank[q]; ok {
+			row[k] = c
+		}
+	}
+	e.collectStable()
+}
+
+// ackRow returns acked[r], allocating it on r's first acknowledgment.
+func (e *Endpoint) ackRow(r int) []int {
+	if e.acked[r] == nil {
+		e.acked[r] = make([]int, len(e.curMembers))
+		e.ackers++
+	}
+	return e.acked[r]
 }
 
 // collectStable garbage-collects every message slot acknowledged by the
 // whole current view.
 func (e *Endpoint) collectStable() {
-	for _, q := range e.curMembers {
-		stable := -1
-		for _, r := range e.curMembers {
-			ack, ok := e.ackCounts[r]
-			if !ok {
-				return // someone has not acked at all yet
-			}
-			if c := ack[q]; stable == -1 || c < stable {
-				stable = c
-			}
+	if e.ackers < len(e.curMembers) {
+		return // someone has not acked at all yet
+	}
+	for k, b := range e.curBufs {
+		stable := e.acked[0][k]
+		for _, row := range e.acked[1:] {
+			stable = min(stable, row[k])
 		}
-		if stable > 0 {
-			e.curBuf(q).collect(stable)
-		}
+		b.collect(stable)
 	}
 }
 

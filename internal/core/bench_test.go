@@ -11,51 +11,25 @@ import (
 // end-point's input handling plus delivery (buffering, FIFO bookkeeping,
 // step loop) in a stable two-member view.
 func BenchmarkEndpointReceivePath(b *testing.B) {
-	ep, err := NewEndpoint(Config{ID: "p", Transport: &fakeTransport{}, AutoBlock: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	members := types.NewProcSet("p", "q")
-	v := types.NewView(1, members, map[types.ProcID]types.StartChangeID{"p": 1, "q": 1})
-	ep.HandleStartChange(types.StartChange{ID: 1, Set: members})
-	ep.HandleView(v)
-	ep.HandleMessage("q", types.WireMsg{
-		Kind: types.KindSync, CID: 1, View: types.InitialView("q"), Cut: types.Cut{"q": 0},
-	})
-	ep.HandleMessage("q", types.WireMsg{Kind: types.KindView, View: v})
-	ep.TakeEvents()
-
+	ep, ids := stableEndpoint(b, 2, nil)
 	m := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{Payload: make([]byte, 64)}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.App.ID = int64(i)
-		ep.HandleMessage("q", m)
+		ep.HandleMessage(ids[1], m)
 		ep.TakeEvents()
 	}
 }
 
 // BenchmarkEndpointSendPath measures the application send path (buffering,
-// multicast fan-out through the transport, self-delivery).
+// multicast fan-out through a transport that discards, self-delivery).
 func BenchmarkEndpointSendPath(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			ep, err := NewEndpoint(Config{ID: "p00", Transport: &fakeTransport{}, AutoBlock: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			members := types.NewProcSet()
-			sid := make(map[types.ProcID]types.StartChangeID, n)
-			for i := 0; i < n; i++ {
-				q := types.ProcID(fmt.Sprintf("p%02d", i))
-				members.Add(q)
-				sid[q] = 1
-			}
-			ep.HandleStartChange(types.StartChange{ID: 1, Set: members})
-			ep.HandleView(types.NewView(1, members, sid))
-			if !ep.CurrentView().Members.Equal(members) {
-				b.Fatal("setup failed")
-			}
+			ep, _ := stableEndpoint(b, n, nil)
 			payload := make([]byte, 64)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ep.Send(payload); err != nil {

@@ -8,10 +8,26 @@ import "vsgm/internal/types"
 // base have become stable (acknowledged by every view member) and their
 // storage is garbage-collected; logically they still count as present for
 // prefix computations.
+//
+// Messages are stored by value in a sliding window: collect advances head
+// over the stable prefix and the slack it leaves is reclaimed lazily, when a
+// store runs out of room at the tail (the mailbox.compact idiom of
+// internal/live). Every slot outside items[head:] is zero.
 type msgBuf struct {
-	base  int             // indices 1..base are stable and collected
-	items []*types.AppMsg // items[i-1-base] holds index i
-	bytes int64           // payload bytes held live, maintained by set/collect
+	base  int    // indices 1..base are stable and collected
+	head  int    // items[:head] is zeroed slack left behind by collect
+	items []slot // items[head+i-1-base] holds index i
+	bytes int64  // payload bytes held live, maintained by set/collect
+
+	// cur is 1 + the owner's rank in the end-point's current view while this
+	// is that view's buffer, 0 for a buffer of any other view. It lets a
+	// store tell the delivery guard which member to look at.
+	cur int
+}
+
+type slot struct {
+	msg types.AppMsg
+	set bool
 }
 
 // set stores m at 1-based index i, growing the buffer as needed. Re-storing
@@ -23,40 +39,51 @@ type msgBuf struct {
 // zero-copy receive path delivers payloads aliasing pooled network buffers
 // that are recycled once the handler returns), and this is the single point
 // where bytes cross into state the protocol retains.
-//
-// Growth is one step, not an element-at-a-time nil append: a reslice when
-// the capacity already covers index i (the backing array beyond len is
-// all-nil — it is freshly allocated here or by collect, and nothing else
-// writes past len), otherwise a single doubling allocation.
 func (b *msgBuf) set(i int, m types.AppMsg) {
 	if i <= b.base {
 		return
 	}
-	if n := i - b.base; n > len(b.items) {
-		if n <= cap(b.items) {
-			b.items = b.items[:n]
-		} else {
-			grown := make([]*types.AppMsg, n, max(n, 2*cap(b.items)))
-			copy(grown, b.items)
-			b.items = grown
-		}
+	n := i - b.base
+	if n > len(b.items)-b.head {
+		b.grow(n)
 	}
-	if b.items[i-1-b.base] == nil {
-		cp := m
-		if len(m.Payload) > 0 {
-			cp.Payload = append([]byte(nil), m.Payload...)
-		}
-		b.items[i-1-b.base] = &cp
-		b.bytes += int64(len(m.Payload))
+	s := &b.items[b.head+n-1]
+	if s.set {
+		return
+	}
+	if len(m.Payload) > 0 {
+		m.Payload = append([]byte(nil), m.Payload...)
+	}
+	s.msg, s.set = m, true
+	b.bytes += int64(len(m.Payload))
+}
+
+// grow extends the live window to n slots in one step, never an element at a
+// time: a reslice while the tail has room, a slide of the window down over
+// the collected prefix once that prefix is at least half the array (so the
+// copy is paid for by the slots it frees), otherwise one doubling allocation.
+func (b *msgBuf) grow(n int) {
+	switch live := b.items[b.head:]; {
+	case b.head+n <= cap(b.items):
+		b.items = b.items[:b.head+n]
+	case n <= cap(b.items) && 2*b.head >= len(b.items):
+		copy(b.items, live)
+		clear(b.items[len(live):])
+		b.items, b.head = b.items[:n], 0
+	default:
+		grown := make([]slot, n, max(n, 2*cap(b.items)))
+		copy(grown, live)
+		b.items, b.head = grown, 0
 	}
 }
 
 // get returns the message at 1-based index i, if its storage is live.
 func (b *msgBuf) get(i int) (types.AppMsg, bool) {
-	if b == nil || i <= b.base || i > b.base+len(b.items) || b.items[i-1-b.base] == nil {
+	if b == nil || i <= b.base || i-b.base > len(b.items)-b.head {
 		return types.AppMsg{}, false
 	}
-	return *b.items[i-1-b.base], true
+	s := &b.items[b.head+i-1-b.base]
+	return s.msg, s.set
 }
 
 // longestPrefix returns the length of the gap-free prefix: the largest k such
@@ -66,12 +93,13 @@ func (b *msgBuf) longestPrefix() int {
 	if b == nil {
 		return 0
 	}
-	for i, m := range b.items {
-		if m == nil {
+	live := b.items[b.head:]
+	for i := range live {
+		if !live[i].set {
 			return b.base + i
 		}
 	}
-	return b.base + len(b.items)
+	return b.base + len(live)
 }
 
 // lastIndex returns the highest (logically) populated index (LastIndexOf in
@@ -81,8 +109,9 @@ func (b *msgBuf) lastIndex() int {
 	if b == nil {
 		return 0
 	}
-	for i := len(b.items); i > 0; i-- {
-		if b.items[i-1] != nil {
+	live := b.items[b.head:]
+	for i := len(live); i > 0; i-- {
+		if live[i-1].set {
 			return b.base + i
 		}
 	}
@@ -95,8 +124,8 @@ func (b *msgBuf) live() int {
 		return 0
 	}
 	n := 0
-	for _, m := range b.items {
-		if m != nil {
+	for _, s := range b.items[b.head:] {
+		if s.set {
 			n++
 		}
 	}
@@ -104,22 +133,24 @@ func (b *msgBuf) live() int {
 }
 
 // collect garbage-collects every index at or below stable. Stability implies
-// the prefix was delivered locally, so the dropped prefix is contiguous.
+// the prefix was delivered locally, so the dropped prefix is contiguous. The
+// live tail stays where it is: collect zeroes the dropped slots (releasing
+// their payloads) and advances head.
 func (b *msgBuf) collect(stable int) {
 	if b == nil || stable <= b.base {
 		return
 	}
-	drop := stable - b.base
-	if drop > len(b.items) {
-		drop = len(b.items)
+	drop := min(stable-b.base, len(b.items)-b.head)
+	dropped := b.items[b.head : b.head+drop]
+	for i := range dropped {
+		b.bytes -= int64(len(dropped[i].msg.Payload))
 	}
-	for _, m := range b.items[:drop] {
-		if m != nil {
-			b.bytes -= int64(len(m.Payload))
-		}
-	}
-	b.items = append(b.items[:0:0], b.items[drop:]...)
+	clear(dropped)
+	b.head += drop
 	b.base += drop
+	if b.head == len(b.items) {
+		b.items, b.head = b.items[:0], 0
+	}
 }
 
 // bufferMap holds msgs[q][v] for all senders q and views v, keyed by the

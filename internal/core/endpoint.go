@@ -185,32 +185,47 @@ type Endpoint struct {
 	onSend         func(types.AppMsg)
 	trace          ProtocolTrace
 
-	// WV_RFIFO state (Figure 9).
-	msgs      bufferMap
-	lastSent  int
-	lastRcvd  map[types.ProcID]int
-	lastDlvrd map[types.ProcID]int
+	// WV_RFIFO state (Figure 9). streams holds view_msg[q] and last_rcvd[q]
+	// for every peer heard from; the own entry view_msg[p] only ever equals
+	// the current view or lags it, which is viewMsgSent.
+	msgs     bufferMap
+	lastSent int
+	streams  map[types.ProcID]*stream
 
 	currentView types.View
 	mbrshpView  types.View
-	viewMsg     map[types.ProcID]types.View
+	viewMsgSent bool
 	reliableSet types.ProcSet
 
-	// Caches derived from currentView, refreshed whenever it changes:
-	// the canonical view key, the sorted member list, and the sorted
-	// members-without-self destination list.
+	// Caches derived from currentView, rebuilt by setCurrentView: the
+	// canonical view key, the sorted member list, the sorted
+	// members-without-self destination list, and — indexed by a member's
+	// rank in curMembers — msgs[q][currentView] and last_dlvrd[q]. The data
+	// path reads these slices and never a map keyed by process.
 	curKey     string
 	curMembers []types.ProcID
 	curOthers  []types.ProcID
-	curBufs    map[types.ProcID]*msgBuf
+	rank       map[types.ProcID]int
+	self       int
+	curBufs    []*msgBuf
+	lastDlvrd  []int
 
-	// limits caches the Figure 10 delivery restriction (nil when delivery
-	// is unrestricted); limitsValid is cleared by every input that can
-	// change it. fwdDirty marks that forwarding plans may have changed
-	// (they depend only on synchronization state, not on data traffic).
-	limits      types.Cut
-	limitsValid bool
-	fwdDirty    bool
+	// Dirty state for the guards of step(), so that one which cannot fire
+	// costs a comparison. [dlvLo, dlvHi) are the ranks whose next message
+	// may be deliverable: a store or a send widens the range to that member,
+	// anything that moves the delivery limits widens it to everyone, a scan
+	// that finds nothing empties it. limits caches the Figure 10 delivery
+	// restriction (nil when delivery is unrestricted); limitsValid is
+	// cleared by every input that can change it. reliableDirty is set when
+	// the current view or the pending start_change — the inputs of the
+	// desired reliable set — change. fwdDirty marks that forwarding plans
+	// may have changed (they depend only on synchronization state, not on
+	// data traffic).
+	dlvLo, dlvHi  int
+	limits        types.Cut
+	limitsValid   bool
+	reliableDirty bool
+	fwdDirty      bool
 
 	// VS_RFIFO+TS state extension (Figure 10).
 	startChange *types.StartChange
@@ -232,9 +247,13 @@ type Endpoint struct {
 	// GCS state extension (Figure 11).
 	blockStatus BlockStatus
 
-	// Stability tracking for within-view garbage collection.
-	ackCounts map[types.ProcID]types.Cut
-	sinceAck  int
+	// Stability tracking for within-view garbage collection, by rank:
+	// acked[r][q] is the count of q's messages that r last acknowledged
+	// having delivered in the current view (nil until r's first ack), ackers
+	// the number of non-nil rows.
+	acked    [][]int
+	ackers   int
+	sinceAck int
 
 	// Two-tier hierarchy aggregation state (leaders only). hBaseline
 	// snapshots, at each view installation, the highest sync cid seen per
@@ -252,6 +271,17 @@ type Endpoint struct {
 	viewsInstalled  int64
 	msgsDelivered   int64
 	forwardsPlanned int64
+}
+
+// stream is the receive side of one peer's FIFO channel: the view its latest
+// view_msg announced (view_msg[q], initially v_q), how many application
+// messages followed it (last_rcvd[q]), and the buffer those go to
+// (msgs[q][view], resolved on first use and again after a garbage
+// collection).
+type stream struct {
+	view     types.View
+	lastRcvd int
+	buf      *msgBuf
 }
 
 type forwardKey struct {
@@ -298,20 +328,16 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 // original identity).
 func (e *Endpoint) reset() {
 	e.msgs = make(bufferMap)
-	e.lastSent = 0
-	e.lastRcvd = make(map[types.ProcID]int)
-	e.lastDlvrd = make(map[types.ProcID]int)
-	e.setCurrentView(types.InitialView(e.id))
+	e.streams = make(map[types.ProcID]*stream)
 	e.mbrshpView = types.InitialView(e.id)
-	e.viewMsg = map[types.ProcID]types.View{e.id: types.InitialView(e.id)}
+	e.setCurrentView(e.mbrshpView)
+	e.viewMsgSent = true // view_msg[p] is initially v_p
 	e.reliableSet = types.NewProcSet(e.id)
 	e.startChange = nil
 	e.ownSync.valid = false
 	e.syncMsgs = make(map[types.ProcID]map[types.StartChangeID]*types.SyncMsg)
 	e.forwarded = make(map[forwardKey]struct{})
 	e.blockStatus = Unblocked
-	e.ackCounts = make(map[types.ProcID]types.Cut)
-	e.sinceAck = 0
 	e.hPending = nil
 	e.hSent = make(map[hEntryKey]struct{})
 	e.hBaseline = make(map[types.ProcID]types.StartChangeID)
@@ -357,14 +383,19 @@ func (e *Endpoint) ForwardsSent() int64 { return e.forwardsPlanned }
 
 // LastDelivered returns last_dlvrd[q]: the index of the last message from q
 // delivered to the application in the current view.
-func (e *Endpoint) LastDelivered(q types.ProcID) int { return e.lastDlvrd[q] }
+func (e *Endpoint) LastDelivered(q types.ProcID) int {
+	if k, ok := e.rank[q]; ok {
+		return e.lastDlvrd[k]
+	}
+	return 0
+}
 
 // BufferedMessages returns the number of application messages currently held
 // in the current view's buffers (after any garbage collection).
 func (e *Endpoint) BufferedMessages() int {
 	n := 0
-	for _, q := range e.curMembers {
-		n += e.curBuf(q).live()
+	for _, b := range e.curBufs {
+		n += b.live()
 	}
 	return n
 }
@@ -409,12 +440,10 @@ func (e *Endpoint) Send(payload []byte) (types.AppMsg, error) {
 	e.nextMsgID++
 	// set copies the payload on store; return (and report) the stored copy
 	// so the caller may immediately reuse its buffer.
-	m := types.AppMsg{ID: e.nextMsgID, Payload: payload}
-	buf := e.curBuf(e.id)
-	buf.set(buf.lastIndex()+1, m)
-	if stored, ok := buf.get(buf.lastIndex()); ok {
-		m = stored
-	}
+	own := e.curBufs[e.self]
+	i := own.lastIndex() + 1
+	own.set(i, types.AppMsg{ID: e.nextMsgID, Payload: payload})
+	m, _ := own.get(i)
 	if e.onSend != nil {
 		e.onSend(m)
 	}
@@ -440,6 +469,7 @@ func (e *Endpoint) HandleStartChange(sc types.StartChange) {
 	cp := sc.Clone()
 	e.startChange = &cp
 	e.limitsValid = false
+	e.reliableDirty = true
 	e.fwdDirty = true
 	if e.trace != nil {
 		e.trace.StartChange(cp)
@@ -467,22 +497,19 @@ func (e *Endpoint) HandleMessage(from types.ProcID, m types.WireMsg) {
 	}
 	switch m.Kind {
 	case types.KindView:
-		e.viewMsg[from] = m.View.Clone()
-		e.lastRcvd[from] = 0
+		s := e.streamOf(from)
+		s.view, s.lastRcvd, s.buf = m.View, 0, nil
 	case types.KindApp:
-		vm, ok := e.viewMsg[from]
-		if !ok {
-			vm = types.InitialView(from)
+		s := e.streamOf(from)
+		if s.buf == nil {
+			s.buf = e.msgs.buf(from, s.view.Key())
 		}
-		e.msgs.buf(from, vm.Key()).set(e.lastRcvd[from]+1, m.App)
-		e.lastRcvd[from]++
+		s.lastRcvd++
+		e.store(s.buf, s.lastRcvd, m.App)
 	case types.KindFwd:
-		e.msgs.buf(m.Origin, m.View.Key()).set(m.Index, m.App)
+		e.store(e.msgs.buf(m.Origin, m.View.Key()), m.Index, m.App)
 	case types.KindAck:
-		if e.ackInterval > 0 {
-			e.ackCounts[from] = m.Cut.Clone()
-			e.collectStable()
-		}
+		e.handleAck(from, m.Cut)
 	case types.KindSync:
 		if e.level == LevelWV {
 			return
@@ -491,11 +518,7 @@ func (e *Endpoint) HandleMessage(from types.ProcID, m types.WireMsg) {
 		if m.ElideView {
 			// Section 5.2.4 second optimization: the sender elided its view
 			// because its view_msg precedes this sync on our FIFO channel.
-			vm, ok := e.viewMsg[from]
-			if !ok {
-				vm = types.InitialView(from)
-			}
-			view = vm
+			view = e.streamOf(from).view
 		}
 		e.storeSyncEntry(from, m.CID, view, m.Cut, m.Small)
 		if e.trace != nil {
@@ -555,29 +578,75 @@ func (e *Endpoint) Recover() {
 
 func (e *Endpoint) emit(ev Event) { e.pending = append(e.pending, ev) }
 
-// setCurrentView installs v as the current view and refreshes the derived
+// setCurrentView installs v as the current view, restarts the per-view
+// counters (last_sent, last_dlvrd, stability acks) and rebuilds the derived
 // caches.
 func (e *Endpoint) setCurrentView(v types.View) {
+	for _, b := range e.curBufs {
+		b.cur = 0
+	}
 	e.currentView = v
 	e.curKey = v.Key()
 	e.curMembers = v.Members.Sorted()
-	others := e.curMembers[:0:0]
-	for _, q := range e.curMembers {
-		if q != e.id {
-			others = append(others, q)
+	n := len(e.curMembers)
+	e.curOthers = make([]types.ProcID, 0, n)
+	e.rank = make(map[types.ProcID]int, n)
+	e.curBufs = make([]*msgBuf, n)
+	for k, q := range e.curMembers {
+		if q == e.id {
+			e.self = k
+		} else {
+			e.curOthers = append(e.curOthers, q)
 		}
+		e.rank[q] = k
+		b := e.msgs.buf(q, e.curKey)
+		b.cur = k + 1
+		e.curBufs[k] = b
 	}
-	e.curOthers = others
-	e.curBufs = make(map[types.ProcID]*msgBuf, len(e.curMembers))
+	e.lastSent = 0
+	e.lastDlvrd = make([]int, n)
+	e.acked, e.ackers = nil, 0
+	if e.ackInterval > 0 {
+		e.acked = make([][]int, n)
+	}
+	e.sinceAck = 0
+	e.viewMsgSent = false
+	e.dlvLo, e.dlvHi = 0, n
 	e.limitsValid = false
+	e.reliableDirty = true
 }
 
-// curBuf returns msgs[q][currentView], memoized per view.
+// curBuf returns msgs[q][currentView], nil (an empty buffer to every reader)
+// when q is not a member of the current view.
 func (e *Endpoint) curBuf(q types.ProcID) *msgBuf {
-	if b, ok := e.curBufs[q]; ok {
-		return b
+	if k, ok := e.rank[q]; ok {
+		return e.curBufs[k]
 	}
-	b := e.msgs.buf(q, e.curKey)
-	e.curBufs[q] = b
-	return b
+	return nil
+}
+
+// streamOf returns q's receive-side channel state, created at view_msg[q] =
+// v_q on first contact.
+func (e *Endpoint) streamOf(q types.ProcID) *stream {
+	s := e.streams[q]
+	if s == nil {
+		s = &stream{view: types.InitialView(q)}
+		e.streams[q] = s
+	}
+	return s
+}
+
+// store puts m at index i of b and, when b belongs to the current view,
+// tells the delivery guard whose stream grew.
+func (e *Endpoint) store(b *msgBuf, i int, m types.AppMsg) {
+	b.set(i, m)
+	if b.cur > 0 {
+		e.markDeliverable(b.cur - 1)
+	}
+}
+
+// markDeliverable widens the delivery guard's range to the member at rank k.
+func (e *Endpoint) markDeliverable(k int) {
+	e.dlvLo = min(e.dlvLo, k)
+	e.dlvHi = max(e.dlvHi, k+1)
 }

@@ -17,7 +17,8 @@ type Event interface {
 // DeliverEvent is deliver_p(q, m): message Msg from Sender is delivered to
 // the application, in view InView (the delivering end-point's current view,
 // which — per the within-view property — is also the view the message was
-// sent in).
+// sent in). InView shares the end-point's view, which is immutable: read it,
+// Clone it before changing anything.
 type DeliverEvent struct {
 	Sender types.ProcID
 	Msg    types.AppMsg

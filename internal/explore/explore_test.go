@@ -260,6 +260,11 @@ func TestSwarmCrashDuringReconfiguration(t *testing.T) {
 	if _, err := Swarm(Config{Procs: procs}, scenario, runs, 13); err != nil {
 		t.Fatal(err)
 	}
+	// The same churn with within-view collection on: the survivors must
+	// still be able to forward what the crashed member's peers lack.
+	if _, err := Swarm(Config{Procs: procs, AckInterval: 1}, scenario, runs, 17); err != nil {
+		t.Fatalf("with stability acks: %v", err)
+	}
 }
 
 func TestSwarmRecoveryRejoin(t *testing.T) {

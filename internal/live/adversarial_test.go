@@ -333,10 +333,10 @@ func TestNodeNotifyFilterDropsRegressions(t *testing.T) {
 		{"start change from a non-home server", "srv1", sc(base + 1), false},
 		{"start change at the watermark", "srv0", sc(base), false},
 		{"fresh start change", "srv0", sc(base + 1), true},
-		{"view at the last view id", "srv0", view(9, base + 1), false},
+		{"view at the last view id", "srv0", view(9, base+1), false},
 		{"view built on an unaccepted start change", "srv0", view(10, base), false},
-		{"fresh view", "srv0", view(10, base + 1), true},
-		{"replay of the fresh view", "srv0", view(10, base + 1), false},
+		{"fresh view", "srv0", view(10, base+1), true},
+		{"replay of the fresh view", "srv0", view(10, base+1), false},
 	}
 	for _, tc := range cases {
 		if got := node.acceptNotify(tc.from, tc.ntf); got != tc.want {

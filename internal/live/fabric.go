@@ -451,6 +451,10 @@ type link struct {
 	peer    types.ProcID
 	mb      *mailbox[*wire.FrameBuf]
 	started bool
+	// held is the encoded bytes of frames the link's writer has taken out of
+	// mb and not yet put on the wire (the pending batch, waiting out a dial,
+	// a chaos delay or a flush): resident, so the memory budget counts them.
+	held atomic.Int64
 
 	mu        sync.Mutex
 	stats     LinkStats
@@ -889,8 +893,9 @@ func (f *fabric) slowPeers(grace time.Duration, now time.Time) []types.ProcID {
 	return out
 }
 
-// QueuedBytes sums the encoded bytes resident in every outbound queue —
-// the transport's share of the node's memory budget.
+// QueuedBytes sums the encoded bytes resident in every outbound queue and in
+// the batch each link's writer holds — the transport's share of the node's
+// memory budget.
 func (f *fabric) QueuedBytes() int64 {
 	f.mu.Lock()
 	links := make([]*link, 0, len(f.links))
@@ -900,7 +905,7 @@ func (f *fabric) QueuedBytes() int64 {
 	f.mu.Unlock()
 	var n int64
 	for _, l := range links {
-		n += l.mb.queuedBytes()
+		n += l.mb.queuedBytes() + l.held.Load()
 	}
 	return n
 }
@@ -1137,11 +1142,17 @@ func (f *fabric) writeLoop(l *link) {
 		}
 	}
 	defer dropConn()
-	defer func() { // fabric closing: drop the unsent tail
-		for _, fb := range pending {
+	hold := func(fb *wire.FrameBuf) {
+		pending = append(pending, fb)
+		l.held.Add(int64(len(fb.Bytes())))
+	}
+	unhold := func(fbs []*wire.FrameBuf) {
+		for _, fb := range fbs {
+			l.held.Add(-int64(len(fb.Bytes())))
 			fb.Release()
 		}
-	}()
+	}
+	defer func() { unhold(pending) }() // fabric closing: drop the unsent tail
 	for {
 		if len(pending) == 0 {
 			var ok bool
@@ -1165,11 +1176,11 @@ func (f *fabric) writeLoop(l *link) {
 					fb.Release()
 					continue
 				}
-				pending = append(pending, fb)
+				hold(fb)
 				if verdict.dup {
 					l.bump(func(s *LinkStats) { s.ChaosDups++ })
 					fb.Retain(1)
-					pending = append(pending, fb)
+					hold(fb)
 				}
 			}
 			if len(pending) == 0 {
@@ -1193,9 +1204,7 @@ func (f *fabric) writeLoop(l *link) {
 				s.Flushes += int64(flushes)
 			})
 		}
-		for _, fb := range pending[:sent] {
-			fb.Release()
-		}
+		unhold(pending[:sent])
 		pending = append(pending[:0], pending[sent:]...)
 		if sent > 0 {
 			f.flowBroadcast() // queue drained: budget waiters may proceed

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"vsgm/internal/core"
+	"vsgm/internal/obs"
 	"vsgm/internal/types"
 	"vsgm/internal/wire"
 )
@@ -350,6 +351,159 @@ func TestMemoryBudgetLatchesAndReleases(t *testing.T) {
 	}
 	if st := n.Stats(); st.Overloaded {
 		t.Fatalf("overload latch stuck after drain: %+v", st)
+	}
+}
+
+// waitGroupFormed blocks until every client has installed the view of all
+// clients, and returns that view's identifier.
+func (w *liveWorld) waitGroupFormed() types.ViewID {
+	w.t.Helper()
+	want := w.allClients()
+	w.waitFor("all clients to install the full view", func() bool {
+		for _, node := range w.clients {
+			if !node.CurrentView().Members.Equal(want) {
+				return false
+			}
+		}
+		return true
+	})
+	return w.clients["cli0"].CurrentView().ID
+}
+
+// TestLiveRetentionWithinViewIsBounded: live end-points acknowledge and
+// collect inside a view, so after 10 000 multicasts in one view every member's
+// vsgm_endpoint_buffered_messages is a small multiple of ackInterval ×
+// members — not the 10 000 it was when buffers were only reclaimed by a view
+// change.
+func TestLiveRetentionWithinViewIsBounded(t *testing.T) {
+	const (
+		members = 3
+		sends   = 10_000
+	)
+	reg := obs.NewRegistry()
+	w := newLiveWorldWith(t, 2, members, func(c *NodeConfig) { c.Obs = reg })
+	defer w.close()
+	w.boot()
+	vid := w.waitGroupFormed()
+
+	sender := w.clients["cli0"]
+	for i := 0; i < sends; i++ {
+		if _, err := sender.Send([]byte("retained?")); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	w.waitFor("every member to deliver every message", func() bool {
+		snap := w.deliveredSnapshot()
+		for cid := range w.clients {
+			if snap[cid] < sends {
+				return false
+			}
+		}
+		return true
+	})
+
+	buffered := func() map[string]float64 {
+		out := make(map[string]float64)
+		for _, s := range reg.Snapshot().Samples {
+			if s.Name == "vsgm_endpoint_buffered_messages" {
+				out[s.Labels[0].Value] = s.Value
+			}
+		}
+		return out
+	}
+	const bound = 2 * ackInterval * members
+	w.waitFor("buffered messages to fall under the retention bound", func() bool {
+		got := buffered()
+		if len(got) != members {
+			return false
+		}
+		for _, v := range got {
+			if v > bound {
+				return false
+			}
+		}
+		return true
+	})
+	t.Logf("buffered after %d sends: %v (bound %d)", sends, buffered(), bound)
+	for cid, node := range w.clients {
+		if got := node.CurrentView().ID; got != vid {
+			t.Fatalf("%s moved to view %d during the run; the bound must hold inside view %d", cid, got, vid)
+		}
+	}
+	if err := w.specErr(); err != nil {
+		t.Fatalf("spec violations:\n%v", err)
+	}
+}
+
+// TestMemoryBudgetReopensWithoutViewChange: a node latched over MemHighWater
+// by its end-point's message buffers (not by transport queues) reopens once
+// the view has acknowledged the messages, with no reconfiguration. The burst
+// is too short for any member to reach ackInterval deliveries; the manager
+// tick's FlushAck is what reports the tail.
+func TestMemoryBudgetReopensWithoutViewChange(t *testing.T) {
+	const high = 256 << 10
+	reg := obs.NewRegistry()
+	w := newLiveWorldWith(t, 2, 3, func(c *NodeConfig) {
+		if c.ID == "cli0" {
+			c.MemHighWater = high
+			c.Obs = reg
+		}
+	})
+	defer w.close()
+	w.boot()
+	vid := w.waitGroupFormed()
+
+	// 8 KiB payloads, each delivered everywhere before the next is sent, so
+	// the transport queues are empty and only the message buffers grow: the
+	// budget is crossed after 32 sends, half an ack interval.
+	n := w.clients["cli0"]
+	payload := make([]byte, 8<<10)
+	sent := 0
+	for {
+		_, err := n.TrySend(payload)
+		if err == ErrOverloaded {
+			break
+		}
+		if err != nil {
+			t.Fatalf("send %d: %v", sent, err)
+		}
+		if sent++; sent > 50*high/len(payload) {
+			t.Fatalf("%d sends of %d bytes never tripped a %d byte budget", sent, len(payload), high)
+		}
+		w.waitFor("the message to be delivered everywhere", func() bool {
+			snap := w.deliveredSnapshot()
+			for cid := range w.clients {
+				if snap[cid] < sent {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	var buffered float64
+	for _, s := range reg.Snapshot().Samples {
+		if s.Name == "vsgm_endpoint_buffered_bytes" {
+			buffered = s.Value
+		}
+	}
+	if !n.Stats().Overloaded || buffered < high {
+		t.Fatalf("latched = %v with %v bytes in the message buffers, want the buffers alone over %d", n.Stats().Overloaded, buffered, high)
+	}
+
+	w.waitFor("the budget to reopen inside the view", func() bool {
+		_, err := n.TrySend([]byte("probe"))
+		return err == nil
+	})
+	if st := n.Stats(); st.Overloaded || st.MemBytes > high/2 {
+		t.Fatalf("reopened with overloaded=%v mem=%d, want at or under the low watermark %d", st.Overloaded, st.MemBytes, high/2)
+	}
+	for cid, node := range w.clients {
+		if got := node.CurrentView().ID; got != vid {
+			t.Fatalf("%s moved to view %d; the budget must reopen inside view %d", cid, got, vid)
+		}
+	}
+	if err := w.specErr(); err != nil {
+		t.Fatalf("spec violations:\n%v", err)
 	}
 }
 

@@ -51,6 +51,13 @@ func testTransport() TransportConfig {
 
 func newLiveWorld(t *testing.T, nServers, nClients int) *liveWorld {
 	t.Helper()
+	return newLiveWorldWith(t, nServers, nClients, nil)
+}
+
+// newLiveWorldWith is newLiveWorld with a hook that adjusts each client's
+// configuration before the node starts.
+func newLiveWorldWith(t *testing.T, nServers, nClients int, tune func(*NodeConfig)) *liveWorld {
+	t.Helper()
 	w := &liveWorld{
 		t:       t,
 		clients: make(map[types.ProcID]*Node),
@@ -78,7 +85,7 @@ func newLiveWorld(t *testing.T, nServers, nClients int) *liveWorld {
 
 	for i := 0; i < nClients; i++ {
 		cid := types.ProcID(fmt.Sprintf("cli%d", i))
-		node, err := NewNode(NodeConfig{
+		cfg := NodeConfig{
 			ID:            cid,
 			Addr:          "127.0.0.1:0",
 			AutoBlock:     true,
@@ -87,7 +94,11 @@ func newLiveWorld(t *testing.T, nServers, nClients int) *liveWorld {
 			Observe:       func(ev core.Event) { w.onEvent(cid, ev) },
 			OnSend:        func(m types.AppMsg) { w.recordSend(cid, m.ID) },
 			ObserveNotify: func(n membership.Notification) { w.onNotify(cid, n) },
-		})
+		}
+		if tune != nil {
+			tune(&cfg)
+		}
+		node, err := NewNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -215,6 +215,12 @@ type rlink struct {
 	parked bool             // on the loop's delay-wait list
 }
 
+// hold appends a chaos survivor to pending and counts its bytes as resident.
+func (rl *rlink) hold(wf wframe) {
+	rl.pending = append(rl.pending, wf)
+	rl.l.held.Add(int64(len(wf.fb.Bytes())))
+}
+
 // buffered reports whether the link has anything to push to the wire.
 func (rl *rlink) buffered() bool {
 	return len(rl.pending) > 0 || rl.woff < len(rl.wbuf)
@@ -395,18 +401,24 @@ func (lp *evLoop) run() {
 	}
 }
 
-// drainWake empties the self-pipe and re-arms the wake flag.
+// drainWake empties the self-pipe and then re-arms the wake flag, in that
+// order: were the flag cleared first, a wake() landing before the read would
+// have its byte swallowed by it and leave woken set over an empty pipe — every
+// later wake() a no-op and the loop asleep in epoll_wait for good. A wake()
+// that finds the flag still set during the read needs no byte of its own:
+// the handoff it announces is queued already and processHandoffs runs later
+// in this same iteration.
 func (lp *evLoop) drainWake() {
-	lp.mu.Lock()
-	lp.woken = false
-	lp.mu.Unlock()
 	var buf [64]byte
 	for {
 		n, err := syscall.Read(lp.wakeR, buf[:])
 		if n < len(buf) || err != nil {
-			return
+			break
 		}
 	}
+	lp.mu.Lock()
+	lp.woken = false
+	lp.mu.Unlock()
 }
 
 // processHandoffs adopts queued connections and runs queued kicks.
@@ -738,12 +750,12 @@ func (lp *evLoop) refill(rl *rlink) {
 				}
 				rl.delayFront = rl.delayFront.Add(verdict.delay)
 			}
-			readyAt := rl.delayFront // zero (or past): immediately ready
-			rl.pending = append(rl.pending, wframe{fb: fb, readyAt: readyAt})
+			wf := wframe{fb: fb, readyAt: rl.delayFront} // zero (or past): immediately ready
+			rl.hold(wf)
 			if verdict.dup {
 				l.bump(func(s *LinkStats) { s.ChaosDups++ })
 				fb.Retain(1)
-				rl.pending = append(rl.pending, wframe{fb: fb, readyAt: readyAt})
+				rl.hold(wf)
 			}
 		}
 	}
@@ -763,6 +775,7 @@ func (lp *evLoop) stage(rl *rlink, now time.Time) {
 		rl.wbuf = append(rl.wbuf, byte(len(b)>>24), byte(len(b)>>16), byte(len(b)>>8), byte(len(b)))
 		rl.wbuf = append(rl.wbuf, b...)
 		rl.bounds = append(rl.bounds, len(rl.wbuf))
+		rl.l.held.Add(-int64(len(b)))
 		wf.fb.Release()
 		rl.pending[0] = wframe{}
 		rl.pending = rl.pending[1:]
@@ -964,6 +977,7 @@ func (lp *evLoop) teardown() {
 	}
 	for rl := range lp.links {
 		for _, wf := range rl.pending {
+			rl.l.held.Add(-int64(len(wf.fb.Bytes())))
 			wf.fb.Release()
 		}
 		rl.pending = nil

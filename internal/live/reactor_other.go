@@ -20,7 +20,7 @@ func newReactor(*fabric, int) (*reactor, error) {
 	return nil, errors.New("live: reactor requires linux epoll")
 }
 
-func (*reactor) startLoops()             {}
-func (*reactor) startLink(*link)         {}
-func (*reactor) acceptInbound(net.Conn)  {}
-func (*reactor) shutdown()               {}
+func (*reactor) startLoops()            {}
+func (*reactor) startLink(*link)        {}
+func (*reactor) acceptInbound(net.Conn) {}
+func (*reactor) shutdown()              {}

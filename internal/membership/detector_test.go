@@ -269,8 +269,8 @@ func TestDetectorGrayPairRule(t *testing.T) {
 	at := start
 	for i := 0; i < 5; i++ {
 		at = at.Add(20 * time.Millisecond)
-		d.OnHeartbeatInfo("A", at, peers)                            // A hears everyone
-		d.OnHeartbeatInfo("B", at, types.NewProcSet("B", "C"))       // B cannot hear A
+		d.OnHeartbeatInfo("A", at, peers)                      // A hears everyone
+		d.OnHeartbeatInfo("B", at, types.NewProcSet("B", "C")) // B cannot hear A
 		d.Tick(at)
 	}
 	reachable := d.Reachable()

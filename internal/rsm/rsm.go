@@ -90,7 +90,7 @@ type Replica struct {
 
 	view    types.View
 	synced  bool
-	syncing bool // view started with joiners; waiting for the first snapshot
+	syncing bool  // view started with joiners; waiting for the first snapshot
 	adopted int64 // leaving-view id of the snapshot adopted this view; -1 none
 	quorum  int
 	primary bool // current view has >= quorum members (always true at quorum 0)

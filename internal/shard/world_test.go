@@ -184,8 +184,8 @@ func TestStaleEpochSpanningTwoReshards(t *testing.T) {
 	w := newTestWorld(t, WorldConfig{Shards: 2, Seed: 109})
 	stale := NewRouter(w, 0)
 	initial := w.CommittedMap()
-	k01 := keyInSlotRange(t, initial, 0, 1)  // shard 0 → shard 1 (reshard A)
-	k89 := keyInSlotRange(t, initial, 8, 9)  // shard 1 → shard 0 (reshard B)
+	k01 := keyInSlotRange(t, initial, 0, 1) // shard 0 → shard 1 (reshard A)
+	k89 := keyInSlotRange(t, initial, 8, 9) // shard 1 → shard 0 (reshard B)
 	if err := stale.Set(k01, "one"); err != nil {
 		t.Fatal(err)
 	}

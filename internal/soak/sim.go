@@ -26,6 +26,10 @@ type SimConfig struct {
 	Procs int
 	// Scenario is the phase mix; default SimScenario().
 	Scenario *Scenario
+	// AckInterval turns on within-view stability acknowledgments and buffer
+	// collection (core.Config.AckInterval) so the soak hunts the collector
+	// under churn; 0 leaves buffers to the view changes.
+	AckInterval int
 	// ForceViolation injects a fabricated Local Monotonicity violation at
 	// the end of the run, to demonstrate the violation-report pipeline.
 	ForceViolation bool
@@ -93,6 +97,7 @@ func RunSim(cfg SimConfig) (*Report, error) {
 		Latency:         sim.UniformLatency{Base: 10 * time.Millisecond, Jitter: 8 * time.Millisecond},
 		MembershipRound: 8 * time.Millisecond,
 		Seed:            cfg.Seed*7 + 1,
+		AckInterval:     cfg.AckInterval,
 		Suite:           suite,
 		TraceFor:        func(p types.ProcID) core.ProtocolTrace { return tracer.ForEndpoint(p) },
 	})

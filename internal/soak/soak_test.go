@@ -92,6 +92,28 @@ func TestSimSoak(t *testing.T) {
 	}
 }
 
+// TestSimSoakWithStabilityAcks is the sim soak with within-view garbage
+// collection on, as every live end-point runs: partitions, crashes and view
+// races while members acknowledge every other delivery and drop the slots
+// the view has acknowledged. A collector that frees a slot some member still
+// needs forwarded, or counts an acknowledgment against the wrong view, ends
+// as a spec violation or a wedged view change here.
+func TestSimSoakWithStabilityAcks(t *testing.T) {
+	seed, _ := randseed.Pick(29)
+	logReplay(t, seed)
+	dur := time.Second // virtual time
+	if testing.Short() {
+		dur = 300 * time.Millisecond
+	}
+	rep, err := RunSim(SimConfig{Duration: dur, Seed: seed, AckInterval: 2, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("sim soak with stability acks violated the spec:\n%s", rep.Render())
+	}
+}
+
 // TestSimSoakForcedViolationReport forces a fabricated Local Monotonicity
 // violation and checks the report dumps everything a post-mortem needs:
 // the violation, the replay seed, the chaos schedule, and the

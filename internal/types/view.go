@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,6 +36,14 @@ const (
 // triples (Section 3.1, Section 9); use Key or Equal for identity, never the
 // ID alone — a partitionable membership service may issue distinct concurrent
 // views.
+//
+// A View is immutable once constructed. Copying the struct shares the member
+// set and the startId map, and every layer relies on that: the end-point
+// hands its current view to each delivery event and each outgoing message by
+// value, without cloning. Holders Clone before mutating, and because Clone
+// carries the cached key rather than recomputing it, a mutated clone is a
+// scratch triple, not a view: pass it through NewView before anything reads
+// its Key.
 type View struct {
 	ID      ViewID
 	Members ProcSet
@@ -70,10 +79,11 @@ func NewView(id ViewID, members ProcSet, startID map[ProcID]StartChangeID) View 
 	return v
 }
 
-// Clone returns a deep copy of v.
+// Clone returns a deep copy of v: a fresh member set and startId map that
+// the caller owns. The cached key is carried over, not re-sorted and
+// re-formatted (see the immutability contract on View).
 func (v View) Clone() View {
-	c := NewView(v.ID, v.Members, v.StartID)
-	return c
+	return View{ID: v.ID, Members: v.Members.Clone(), StartID: maps.Clone(v.StartID), key: v.key}
 }
 
 // Key returns a canonical string identifying the full view triple. Views are

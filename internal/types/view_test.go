@@ -63,6 +63,22 @@ func TestViewCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestViewCloneCarriesKey pins the immutability contract's corollary: Clone
+// copies the cached key instead of recomputing it, so a clone that has been
+// mutated is only a view again once it went through NewView.
+func TestViewCloneCarriesKey(t *testing.T) {
+	v := NewView(1, NewProcSet("a"), map[ProcID]StartChangeID{"a": 1})
+	w := v.Clone()
+	if w.Key() != v.Key() || !w.Equal(v) {
+		t.Fatalf("clone key %q / equality differ from the original %q", w.Key(), v.Key())
+	}
+	w.Members.Add("b")
+	w.StartID["b"] = 2
+	if rebuilt := NewView(w.ID, w.Members, w.StartID); rebuilt.Key() == v.Key() || rebuilt.Key() != computeViewKey(w) {
+		t.Fatalf("rebuilt key %q does not describe the mutated triple", rebuilt.Key())
+	}
+}
+
 func TestStartChangeClone(t *testing.T) {
 	sc := StartChange{ID: 3, Set: NewProcSet("a", "b")}
 	cp := sc.Clone()
