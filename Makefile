@@ -32,9 +32,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire/
 
 # Quick fuzz pass over every wire-facing decoder (frames, raw bodies, WAL
-# records): 5 seconds per target, run as part of the pre-merge gate.
+# records) and the encoder's view memo table: 5 seconds per target, run as
+# part of the pre-merge gate.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/wire/
+	$(GO) test -fuzz=FuzzViewEncodingCache -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzUnmarshalFrame -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeWALRecord -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzScanWAL -fuzztime=5s ./internal/wire/
@@ -121,10 +123,13 @@ soak-smoke:
 	$(GO) run ./cmd/vsgm-soak -mode world -duration 5s -seed $(SOAK_SEED) -q
 	$(GO) run ./cmd/vsgm-soak -mode live -duration 15s -seed $(SOAK_SEED) -q
 
-# The pre-merge gate: vet, the formatting check, the full suite, the race
-# detector on the concurrency-heavy packages, a fuzz smoke pass over the decoders, the
-# documentation gate, and a short soak.
+# The pre-merge gate: vet, the formatting check, the full suite (which runs
+# internal/live on the default goroutine-per-link engine), the same package
+# again on the epoll reactor, the race detector on the concurrency-heavy
+# packages, a fuzz smoke pass over the decoders, the documentation gate, and a
+# short soak.
 check: vet fmt-check test
+	VSGM_REACTOR=on $(GO) test -count=1 ./internal/live/
 	$(GO) test -race ./internal/live/ ./internal/membership/ ./cmd/vsgm-live/
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke

@@ -419,10 +419,16 @@ func (e *Endpoint) BufferedBytes() int64 {
 // modify it.
 func (e *Endpoint) CurrentOthers() []types.ProcID { return e.curOthers }
 
-// TakeEvents drains and returns the queued application events in order.
+// TakeEvents drains and returns the queued application events in order. The
+// queue continues in the unused tail of the same array (see emit), so a
+// delivery does not regrow a slice from nil; the returned slice is capped at
+// its length and its slots are never written again, so it stays valid however
+// long the caller holds it — including across nested calls into the end-point
+// made while iterating it.
 func (e *Endpoint) TakeEvents() []Event {
-	evs := e.pending
-	e.pending = nil
+	n := len(e.pending)
+	evs := e.pending[:n:n]
+	e.pending = e.pending[n:]
 	return evs
 }
 
@@ -576,7 +582,19 @@ func (e *Endpoint) Recover() {
 	e.step()
 }
 
-func (e *Endpoint) emit(ev Event) { e.pending = append(e.pending, ev) }
+// eventChunk is how many event slots one allocation of the pending queue
+// provides. Slots are handed out once (TakeEvents never reuses them), so this
+// is also how many delivered events the queue keeps reachable past their
+// hand-over; small enough that the payloads they pin are noise beside the
+// message buffers.
+const eventChunk = 32
+
+func (e *Endpoint) emit(ev Event) {
+	if cap(e.pending) == 0 {
+		e.pending = make([]Event, 0, eventChunk)
+	}
+	e.pending = append(e.pending, ev)
+}
 
 // setCurrentView installs v as the current view, restarts the per-view
 // counters (last_sent, last_dlvrd, stability acks) and rebuilds the derived

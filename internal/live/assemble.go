@@ -8,10 +8,23 @@ import (
 	"vsgm/internal/wire/pool"
 )
 
-// stagingSlabSize is the reactor's per-connection staging window: one
-// readiness wakeup reads up to this many bytes in one syscall, and every
-// frame that fits decodes in place inside the slab.
-const stagingSlabSize = 64 << 10
+// stagingSlabSize is the largest per-connection staging window: one socket
+// read lands up to this many bytes, and every frame whose body fits decodes in
+// place inside the slab (larger bodies take the fill path). 16 KiB is ~50
+// small frames per read, several times what a sender's flush carries.
+//
+// The goroutine engine holds a connection's window across its blocking read,
+// and most of a process's connections are idle or carry a heartbeat a second,
+// so a window is resident memory before it is batching: a connection starts at
+// minStagingSize and doubles its window each time a read fills it. Links that
+// carry bursts reach the full size within a few reads; the others never pay
+// for it. (A fixed 64 KiB across a benchmark process's ~30 connections showed
+// up as +20 % peak RSS, and a thousand idle links would hold 16 MB at a fixed
+// 16 KiB.)
+const (
+	stagingSlabSize = 16 << 10
+	minStagingSize  = 2 << 10
+)
 
 // frameAssembler turns a raw byte stream into decoded frames without
 // copying payloads: bytes land in pooled staging slabs, complete frames are
@@ -24,13 +37,15 @@ const stagingSlabSize = 64 << 10
 // The protocol is: writable() hands out the next window to read into,
 // advance(n) commits n bytes read, and next() drains decoded frames until it
 // reports done. It is not safe for concurrent use; one assembler belongs to
-// one connection on one event loop.
+// one connection, driven by its reader goroutine or its event loop — both
+// engines receive through this one path (fabric.drain).
 type frameAssembler struct {
 	pool *pool.Pool
 	st   *wire.DecodeState
 
 	slab       *pool.Buf // staging; assembler holds one reference
 	start, end int       // unparsed window within the slab
+	size       int       // staging size the next slab is taken at (see stagingSlabSize)
 
 	bodyLen int // current frame's body length; -1 while reading the header
 
@@ -38,17 +53,17 @@ type frameAssembler struct {
 	big   []byte    // grow-as-bytes-arrive fill for bodies > MaxSlab
 	fillN int       // bytes of body landed in fill/big so far
 
-	// frameStart stamps the first byte of the frame in progress, driving the
-	// reactor's mid-frame progress deadline (a trickled body must finish
-	// within the per-leg budget, it cannot re-arm per byte). Zero when no
-	// frame is in progress.
+	// frameStart stamps the frame in progress, driving the mid-frame progress
+	// deadline (a trickled body must finish within the per-leg budget, it
+	// cannot re-arm per byte). The clock is read only when a drain ends on a
+	// partial frame that has no stamp yet — once per read at most, never per
+	// decoded frame — so the stamp is the end of the read that brought the
+	// frame's first bytes. Zero when no frame is in progress.
 	frameStart time.Time
-
-	frames int64 // total frames emitted (reactor metrics)
 }
 
 func newFrameAssembler(p *pool.Pool) *frameAssembler {
-	return &frameAssembler{pool: p, st: wire.NewDecodeState(), bodyLen: -1}
+	return &frameAssembler{pool: p, st: wire.NewDecodeState(), bodyLen: -1, size: minStagingSize}
 }
 
 // close releases the assembler's buffer references. Frames already emitted
@@ -65,19 +80,35 @@ func (a *frameAssembler) close() {
 	a.big = nil
 }
 
-// midFrame reports whether a frame is partially assembled, and when its
-// first byte arrived.
+// midFrame reports whether the last drain left a frame partially assembled,
+// and since when.
 func (a *frameAssembler) midFrame() (time.Time, bool) {
 	return a.frameStart, !a.frameStart.IsZero()
 }
 
-// roll moves the unparsed residual into a fresh staging slab. Emitted frames
-// keep the old slab alive through their own references; the assembler drops
-// its one.
+// partial reports whether any byte of an incomplete frame is buffered.
+func (a *frameAssembler) partial() bool {
+	return a.fill != nil || a.big != nil || a.bodyLen >= 0 || a.end > a.start
+}
+
+// drained ends a drain (next is about to report done): a partial frame left
+// behind gets its progress stamp unless it carries one from an earlier drain,
+// and an empty assembler carries none.
+func (a *frameAssembler) drained() {
+	if !a.partial() {
+		a.frameStart = time.Time{}
+	} else if a.frameStart.IsZero() {
+		a.frameStart = time.Now()
+	}
+}
+
+// roll moves the unparsed residual into a fresh staging slab of the current
+// size. Emitted frames keep the old slab alive through their own references;
+// the assembler drops its one.
 func (a *frameAssembler) roll() {
 	old := a.slab
 	residual := a.end - a.start
-	a.slab = a.pool.Get(stagingSlabSize)
+	a.slab = a.pool.Get(a.size)
 	if residual > 0 {
 		copy(a.slab.B(), old.B()[a.start:a.end])
 	}
@@ -101,9 +132,23 @@ func (a *frameAssembler) writable() []byte {
 		return a.fill.B()[a.fillN:]
 	}
 	if a.slab == nil {
-		a.slab = a.pool.Get(stagingSlabSize)
+		a.slab = a.pool.Get(a.size)
 		a.start, a.end = 0, 0
-	} else if a.end == stagingSlabSize {
+	}
+	// Move the residual (less than one frame) to the top of a fresh slab when
+	// the frame in progress cannot complete inside this one — growing to hold
+	// it if need be — when the tail has become too short to be worth a read,
+	// or, with nothing buffered, when the window has grown since this slab
+	// was taken. With start at 0 and room for the frame there is nothing to
+	// gain: the slab already holds nothing else.
+	have, need := len(a.slab.B()), max(a.bodyLen, 0)
+	for a.size < need {
+		a.size *= 2
+	}
+	switch {
+	case a.start+need > have,
+		a.start > 0 && have-a.end < have/4,
+		a.start == a.end && a.size > have:
 		a.roll()
 	}
 	return a.slab.B()[a.end:]
@@ -119,8 +164,8 @@ func (a *frameAssembler) advance(n int) {
 		return
 	}
 	a.end += n
-	if a.frameStart.IsZero() {
-		a.frameStart = time.Now()
+	if a.end == len(a.slab.B()) && a.size < stagingSlabSize {
+		a.size *= 2 // the read filled its window: offer the next one more
 	}
 }
 
@@ -135,6 +180,7 @@ func (a *frameAssembler) next(fr *frame) (body *pool.Buf, done bool, err error) 
 		// Direct-fill modes: the body is accumulating outside the slab.
 		if a.fill != nil {
 			if a.fillN < a.bodyLen {
+				a.drained()
 				return nil, true, nil
 			}
 			f := a.fill
@@ -144,11 +190,11 @@ func (a *frameAssembler) next(fr *frame) (body *pool.Buf, done bool, err error) 
 				f.Release()
 				return nil, false, err
 			}
-			a.frames++
 			return f, false, nil
 		}
 		if a.big != nil {
 			if a.fillN < a.bodyLen {
+				a.drained()
 				return nil, true, nil
 			}
 			b := a.big[:a.bodyLen]
@@ -160,17 +206,13 @@ func (a *frameAssembler) next(fr *frame) (body *pool.Buf, done bool, err error) 
 			if err := wire.UnmarshalFrameBorrow(b, fr, a.st); err != nil {
 				return nil, false, err
 			}
-			a.frames++
 			return nil, false, nil
 		}
 
 		residual := a.end - a.start
 		if a.bodyLen < 0 {
-			if residual == 0 {
-				a.frameStart = time.Time{}
-				return nil, true, nil
-			}
 			if residual < 4 {
+				a.drained()
 				return nil, true, nil
 			}
 			h := a.slab.B()[a.start:]
@@ -199,23 +241,19 @@ func (a *frameAssembler) next(fr *frame) (body *pool.Buf, done bool, err error) 
 			}
 		}
 		if residual < a.bodyLen {
-			return nil, true, nil // in-slab frame still incomplete
+			a.drained() // in-slab frame still incomplete
+			return nil, true, nil
 		}
 		// A whole frame is contiguous in the slab: decode in place and hand
 		// the consumer a reference to the slab backing it.
 		win := a.slab.B()[a.start : a.start+a.bodyLen]
 		a.start += a.bodyLen
 		a.bodyLen = -1
-		if a.start == a.end {
-			a.frameStart = time.Time{}
-		} else {
-			a.frameStart = time.Now() // next frame's bytes already arrived
-		}
+		a.frameStart = time.Time{}
 		if err := wire.UnmarshalFrameBorrow(win, fr, a.st); err != nil {
 			return nil, false, err
 		}
 		a.slab.Retain(1)
-		a.frames++
 		return a.slab, false, nil
 	}
 }
@@ -224,7 +262,7 @@ func (a *frameAssembler) next(fr *frame) (body *pool.Buf, done bool, err error) 
 // largest slab class.
 const initialBigFill = 64 << 10
 
-// assemblerInvariant is a debug helper used by tests.
+// String renders the assembler's cursor state for test failures.
 func (a *frameAssembler) String() string {
 	return fmt.Sprintf("assembler{start=%d end=%d bodyLen=%d fillN=%d}", a.start, a.end, a.bodyLen, a.fillN)
 }

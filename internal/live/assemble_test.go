@@ -23,9 +23,7 @@ func encodedAppFrame(t *testing.T, id int64, payload []byte) []byte {
 		t.Fatal(err)
 	}
 	defer fb.Release()
-	b := fb.Bytes()
-	out := []byte{byte(len(b) >> 24), byte(len(b) >> 16), byte(len(b) >> 8), byte(len(b))}
-	return append(out, b...)
+	return append([]byte(nil), fb.Wire()...)
 }
 
 // feed pushes stream bytes into the assembler in chunks of at most max,
@@ -243,19 +241,22 @@ func TestPooledBodyCrossesGoroutines(t *testing.T) {
 	}
 }
 
+// engineModes names both transport engines for tests that must hold on each,
+// whichever one the environment makes the default.
+var engineModes = []struct {
+	name string
+	mode ReactorMode
+	on   bool
+}{
+	{"goroutine", ReactorOff, false},
+	{"reactor", ReactorOn, reactorSupported},
+}
+
 // TestReactorModeMatrix runs one round trip under each explicitly forced
 // engine, so a single test binary exercises both paths regardless of the
 // ambient VSGM_REACTOR regime.
 func TestReactorModeMatrix(t *testing.T) {
-	modes := []struct {
-		name string
-		mode ReactorMode
-		on   bool
-	}{
-		{"goroutine", ReactorOff, false},
-		{"reactor", ReactorOn, reactorSupported},
-	}
-	for _, m := range modes {
+	for _, m := range engineModes {
 		t.Run(m.name, func(t *testing.T) {
 			got := make(chan int64, 16)
 			cfg := TransportConfig{Reactor: m.mode}

@@ -192,7 +192,7 @@ func BenchmarkSendUnderBackpressure(b *testing.B) {
 	recv := func(from types.ProcID, fr frame) {
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			got.Add(1)
-			fb.consumedData(from)
+			fb.consumedData(from, 1)
 		}
 	}
 	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
@@ -320,9 +320,7 @@ func benchLinkScale(b *testing.B, links int, mode ReactorMode) {
 				conn.Close()
 				return
 			}
-			hb := hello.Bytes()
-			buf := append([]byte{byte(len(hb) >> 24), byte(len(hb) >> 16), byte(len(hb) >> 8), byte(len(hb))}, hb...)
-			_, err = conn.Write(buf)
+			_, err = conn.Write(hello.Wire())
 			hello.Release()
 			if err != nil {
 				dialErr <- err
@@ -352,8 +350,7 @@ func benchLinkScale(b *testing.B, links int, mode ReactorMode) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := fb.Bytes()
-	one := append([]byte{byte(len(body) >> 24), byte(len(body) >> 16), byte(len(body) >> 8), byte(len(body))}, body...)
+	one := append([]byte(nil), fb.Wire()...)
 	fb.Release()
 	const batchFrames = 64
 	batch := bytes.Repeat(one, batchFrames)

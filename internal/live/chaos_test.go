@@ -1066,10 +1066,16 @@ func TestLiveBatchCoalescingBacklogFlushesOnce(t *testing.T) {
 // the read-progress budget (a frame must complete within two
 // ReadIdleTimeouts of its first byte) must sever the connection instead.
 func TestSlowLorisSevered(t *testing.T) {
+	for _, m := range engineModes {
+		t.Run(m.name, func(t *testing.T) { slowLorisSevered(t, m.mode) })
+	}
+}
+
+func slowLorisSevered(t *testing.T, engine ReactorMode) {
 	idle := 300 * time.Millisecond
 	var downs atomic.Int64
 	var received atomic.Int64
-	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle},
+	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle, Reactor: engine},
 		func(types.ProcID, frame) { received.Add(1) },
 		func(types.ProcID, error) { downs.Add(1) })
 	if err != nil {
@@ -1093,8 +1099,7 @@ func TestSlowLorisSevered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer body.Release()
-	b := body.Bytes()
-	full := append([]byte{byte(len(b) >> 24), byte(len(b) >> 16), byte(len(b) >> 8), byte(len(b))}, b...)
+	full := body.Wire()
 
 	// Trickle well inside the idle window per byte: only the whole-frame
 	// budget can catch this. The victim must cut us off long before the
@@ -1138,9 +1143,15 @@ func isTimeout(err error) bool {
 // (rather than one deadline across the whole stream) is what makes both
 // properties hold at once.
 func TestTrickledSenderWithinBudgetSurvives(t *testing.T) {
+	for _, m := range engineModes {
+		t.Run(m.name, func(t *testing.T) { trickledSenderSurvives(t, m.mode) })
+	}
+}
+
+func trickledSenderSurvives(t *testing.T, engine ReactorMode) {
 	idle := 2 * time.Second
 	var received atomic.Int64
-	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle},
+	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle, Reactor: engine},
 		func(_ types.ProcID, fr frame) {
 			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 				received.Add(1)
@@ -1153,8 +1164,7 @@ func TestTrickledSenderWithinBudgetSurvives(t *testing.T) {
 	defer fb.Close()
 
 	// The sender runs the goroutine engine (its chaos trickle wraps the
-	// socket) regardless of the ambient reactor mode; the victim above runs
-	// whichever engine the regime selects.
+	// socket) whichever engine the victim above is pinned to.
 	sender, err := newFabric("loris", "127.0.0.1:0", TransportConfig{Reactor: ReactorOff, WriteTimeout: -1},
 		func(types.ProcID, frame) {},
 		func(types.ProcID, error) {})

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -22,10 +23,11 @@ import (
 type ReactorMode int
 
 const (
-	// ReactorAuto uses the shared epoll reactor where the platform supports
-	// it (linux) and the goroutine-per-link engine elsewhere. The
-	// VSGM_REACTOR environment variable ("1"/"on" or "0"/"off") overrides
-	// the automatic choice, which is how the test matrix forces each engine.
+	// ReactorAuto uses the goroutine-per-link engine — the engine the
+	// end-to-end benchmark measures and gates — unless the VSGM_REACTOR
+	// environment variable says otherwise ("1"/"on" selects the reactor,
+	// "0"/"off" the goroutine engine), which is how the test matrix runs the
+	// whole package against each engine.
 	ReactorAuto ReactorMode = iota
 	// ReactorOn forces the reactor (still subject to platform support).
 	ReactorOn
@@ -114,15 +116,10 @@ func (c TransportConfig) withDefaults() TransportConfig {
 // test that pins a mode explicitly keeps it).
 func (c TransportConfig) reactorEnabled() bool {
 	mode := c.Reactor
-	if mode == ReactorAuto {
-		switch os.Getenv("VSGM_REACTOR") {
-		case "0", "off":
-			mode = ReactorOff
-		case "1", "on":
-			mode = ReactorOn
-		}
+	if env := os.Getenv("VSGM_REACTOR"); mode == ReactorAuto && (env == "1" || env == "on") {
+		mode = ReactorOn
 	}
-	return mode != ReactorOff && reactorSupported
+	return mode == ReactorOn && reactorSupported
 }
 
 // reactorStats are the reactor's engine-level counters (all zero when the
@@ -178,6 +175,12 @@ type LinkStats struct {
 	// HeartbeatsCoalesced counts queued heartbeats superseded by a newer
 	// one before reaching the wire (not drops: the newest always flows).
 	HeartbeatsCoalesced int64
+	// Reads counts socket reads that brought bytes from the peer;
+	// FramesReceived the frames decoded out of them. FramesReceived/Reads is
+	// the receive-side mirror of FramesSent/Flushes: how many frames one
+	// read — the unit of work on the receive path — amortizes.
+	Reads          int64
+	FramesReceived int64
 }
 
 // Drops is the total of all dropped frames on the link.
@@ -185,10 +188,9 @@ func (s LinkStats) Drops() int64 { return s.QueueDrops + s.ChaosDrops }
 
 // mailbox is a FIFO queue: outbound sends and application events enqueue
 // here so the automaton's step loop never blocks on a slow consumer, and a
-// single goroutine drains in order (one entry at a time with take, or in
-// coalesced batches with takeBatch). With a positive cap the queue is
-// bounded: a full queue evicts an entry (counted) instead of blocking the
-// producer. onDrop, when set, observes every entry the mailbox discards —
+// single goroutine drains in order, in coalesced batches (takeBatch). With a
+// positive cap the queue is bounded: a full queue evicts an entry (counted)
+// instead of blocking the producer. onDrop, when set, observes every entry the mailbox discards —
 // evictions and anything still queued at close — so pooled entries can be
 // released; such a mailbox drops its backlog at close instead of handing it
 // out.
@@ -290,6 +292,23 @@ func (m *mailbox[T]) put(v T) bool {
 	return true
 }
 
+// putAll enqueues vs in order under one lock round trip and one wake, so a
+// producer's batch reaches the consumer as a batch. It serves unbounded,
+// unclassified mailboxes (the node's event ring: no cap, classifier, byte
+// accounting or ready hook to honor) and reports false, enqueueing nothing,
+// once the mailbox is closed.
+func (m *mailbox[T]) putAll(vs []T) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return false
+	}
+	m.compact()
+	m.queue = append(m.queue, vs...)
+	m.cond.Signal()
+	return true
+}
+
 // setOnReady installs the empty->nonempty notification hook (the reactor's
 // wakeup). Must be installed before the first put that should observe it.
 func (m *mailbox[T]) setOnReady(fn func()) {
@@ -354,28 +373,6 @@ func (m *mailbox[T]) removeAt(i int) {
 	if m.onDrop != nil {
 		m.onDrop(v)
 	}
-}
-
-// take blocks until a value is available or the mailbox closes.
-func (m *mailbox[T]) take() (T, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.head == len(m.queue) && !m.closed {
-		m.cond.Wait()
-	}
-	if m.head == len(m.queue) {
-		var zero T
-		return zero, false
-	}
-	v := m.queue[m.head]
-	var zero T
-	m.queue[m.head] = zero
-	m.head++
-	if m.sizeOf != nil {
-		m.bytes -= int64(m.sizeOf(v))
-	}
-	m.compact()
-	return v, true
 }
 
 // takeBatch blocks until at least one entry is available (or the mailbox
@@ -455,6 +452,9 @@ type link struct {
 	// mb and not yet put on the wire (the pending batch, waiting out a dial,
 	// a chaos delay or a flush): resident, so the memory budget counts them.
 	held atomic.Int64
+	// reads/framesIn back LinkStats.Reads/FramesReceived; atomics because
+	// the inbound reader bumps them once per read without the link lock.
+	reads, framesIn atomic.Int64
 
 	mu        sync.Mutex
 	stats     LinkStats
@@ -492,20 +492,22 @@ func (l *link) snapshot(window int64) LinkStats {
 	l.mu.Unlock()
 	s.QueueDrops += l.mb.evictions()
 	s.HeartbeatsCoalesced += l.mb.coalescedCount()
+	s.Reads = l.reads.Load()
+	s.FramesReceived = l.framesIn.Load()
 	return s
 }
 
 // windowOpen reports whether one more data frame fits the peer's window,
 // stamping the start of an exhaustion episode (for the slow-consumer grace
-// clock) when it does not.
-func (l *link) windowOpen(now time.Time) bool {
+// clock) when it does not — the only branch that reads the clock.
+func (l *link) windowOpen() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.used < l.granted {
 		return true
 	}
 	if l.exhaustedSince.IsZero() {
-		l.exhaustedSince = now
+		l.exhaustedSince = time.Now()
 		l.reported = false
 		l.stats.WindowExhausted++
 	}
@@ -535,8 +537,15 @@ type fabric struct {
 	// only the legacy receive is set, the fabric deep-copies frames before
 	// delivery so existing consumers keep fully-owned semantics.
 	receiveRef func(from types.ProcID, f frame, body *pool.Buf)
-	onDown     func(peer types.ProcID, err error)
-	chaos      *Chaos
+	// batchBegin/batchEnd (optional, set before start) bracket the receive
+	// callbacks of one drained socket read — all from one peer, on one
+	// goroutine — so the consumer can take its lock once and publish what
+	// the frames produced once, instead of per frame. batchBegin runs before
+	// the first frame that reaches the consumer (a read of only credit or
+	// chaos-dropped frames opens no batch), batchEnd after the last.
+	batchBegin, batchEnd func(from types.ProcID)
+	onDown               func(peer types.ProcID, err error)
+	chaos                *Chaos
 	// pool feeds the receive path's slab buffers on both engines; its
 	// outstanding count is the transport's buffer-leak detector.
 	pool *pool.Pool
@@ -757,13 +766,12 @@ func (f *fabric) waitFlowChange(gen uint64) bool {
 func (f *fabric) admitData(dests []types.ProcID, block bool) error {
 	for {
 		gen := f.flowGeneration()
-		now := time.Now()
 		open := true
 		for _, q := range dests {
 			if q == f.id {
 				continue
 			}
-			if !f.linkFor(q).windowOpen(now) {
+			if !f.linkFor(q).windowOpen() {
 				open = false
 				break
 			}
@@ -797,17 +805,17 @@ func (f *fabric) handleCredit(from types.ProcID, grant int64) {
 	f.flowBroadcast()
 }
 
-// consumedData records that the local application fully consumed one data
-// frame from peer. When the peer's remaining credit falls below half the
+// consumedData records that the local application fully consumed n data
+// frames from peer. When the peer's remaining credit falls below half the
 // window, the grant front advances to consumed+window and is shipped as a
 // standalone (idempotent) credit frame — so a steady consumer costs one
-// credit frame per window/2 data frames.
-func (f *fabric) consumedData(peer types.ProcID) {
+// credit frame per window/2 data frames, however its consumption is batched.
+func (f *fabric) consumedData(peer types.ProcID, n int) {
 	l := f.linkFor(peer)
 	w := f.windowSize()
 	var grant int64
 	l.mu.Lock()
-	l.consumed++
+	l.consumed += int64(n)
 	if w > 0 && l.grantedOut-l.consumed < (w+1)/2 {
 		if g := l.consumed + w; g > l.grantedOut {
 			l.grantedOut = g
@@ -1132,7 +1140,7 @@ func (f *fabric) writeLoop(l *link) {
 		retired chan struct{}
 		batch   []*wire.FrameBuf // frames drained from the mailbox this round
 		pending []*wire.FrameBuf // chaos survivors awaiting a flushed write
-		bufs    [][]byte         // scratch aliasing pending for EncodeBatch
+		bufs    [][]byte         // scratch aliasing pending for WriteBatch
 	)
 	dropConn := func() {
 		if conn != nil {
@@ -1195,9 +1203,9 @@ func (f *fabric) writeLoop(l *link) {
 		}
 		bufs = bufs[:0]
 		for _, fb := range pending {
-			bufs = append(bufs, fb.Bytes())
+			bufs = append(bufs, fb.Wire())
 		}
-		sent, flushes, err := enc.EncodeBatch(bufs, f.cfg.MaxBatchBytes)
+		sent, flushes, err := enc.WriteBatch(bufs, f.cfg.MaxBatchBytes)
 		if sent > 0 || flushes > 0 {
 			l.bump(func(s *LinkStats) {
 				s.FramesSent += int64(sent)
@@ -1245,57 +1253,142 @@ func (f *fabric) acceptLoop() {
 	}
 }
 
+// readHandshake consumes the hello frame (any first frame; only its sender
+// identity matters) using blocking reads on the net.Conn — deliberately
+// unbuffered, so no stream byte is stranded in a userspace buffer when the
+// assembler (or the reactor's raw fd) takes the stream over.
+func readHandshake(conn net.Conn, idle time.Duration) (types.ProcID, error) {
+	if idle > 0 {
+		conn.SetReadDeadline(time.Now().Add(idle))
+	}
+	var hdr [4]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return "", err
+	}
+	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
+	if n > wire.MaxFrameSize {
+		return "", wire.ErrFrameTooLarge
+	}
+	body := make([]byte, n)
+	if idle > 0 {
+		conn.SetReadDeadline(time.Now().Add(idle)) // re-arm per leg
+	}
+	if _, err := io.ReadFull(conn, body); err != nil {
+		return "", err
+	}
+	hello, err := wire.UnmarshalFrame(body)
+	if err != nil {
+		return "", err
+	}
+	conn.SetReadDeadline(time.Time{})
+	return hello.From, nil
+}
+
+// readLoop is the goroutine engine's inbound side: one blocking read into the
+// connection's assembler, then one drain of everything the read completed.
+// The read deadline follows the same read-progress budget the reactor's
+// scanDeadlines enforces: an idle connection may stay silent for
+// ReadIdleTimeout, a frame in progress must complete within two of them of
+// its stamp — an absolute deadline that trickled bytes cannot push out.
 func (f *fabric) readLoop(conn net.Conn) {
 	defer f.wg.Done()
 	defer conn.Close()
 	retired := make(chan struct{})
 	defer close(retired)
 	f.watchConn(conn, retired)
-	dec := wire.NewDecoder(conn)
-	dec.UsePool(f.pool)
-	dec.ArmReadDeadline(conn, f.cfg.ReadIdleTimeout)
-	var hello frame
-	if err := dec.Decode(&hello); err != nil {
+	idle := f.cfg.ReadIdleTimeout
+	from, err := readHandshake(conn, idle)
+	if err != nil {
 		return
 	}
-	from := hello.From
+	l := f.linkFor(from)
+	asm := newFrameAssembler(f.pool)
+	defer asm.close()
+	var fr frame
 	for {
-		var fr frame
-		body, err := dec.DecodeInto(&fr)
+		if idle > 0 {
+			deadline := time.Now().Add(idle)
+			if start, mid := asm.midFrame(); mid {
+				deadline = start.Add(2 * idle)
+			}
+			conn.SetReadDeadline(deadline)
+		}
+		n, err := conn.Read(asm.writable())
+		if n > 0 {
+			asm.advance(n)
+			if _, derr := f.drain(l, asm, &fr); derr != nil {
+				err = derr
+			}
+		}
 		if err != nil {
 			// A broken inbound stream is link-failure evidence too: the
 			// peer crashed, closed, or went idle past the read deadline.
 			f.linkDown(from, err)
 			return
 		}
-		if f.isClosing() {
-			if body != nil {
-				body.Release()
-			}
-			return
+	}
+}
+
+// errFabricClosing ends a drain that found the fabric shutting down.
+var errFabricClosing = errors.New("live: fabric closing")
+
+// drain decodes and delivers every frame the last socket read completed in
+// asm. It is the one receive path of both engines — readLoop and the
+// reactor's readReady end every read here — and the unit it works in is the
+// read, not the frame: the chaos verdict and the closing check are taken once,
+// the read/frame counters are bumped once, and the consumer's callbacks are
+// bracketed by batchBegin/batchEnd so it can lock and publish once. Credit
+// frames end here (they feed the outbound window, not the consumer). The
+// batch is closed before drain returns, so a caller that goes on to report
+// the link down does so behind the events of the frames already delivered.
+// It returns the number of frames decoded and the error that ends the
+// connection, if any (a parse error, or errFabricClosing).
+func (f *fabric) drain(l *link, asm *frameAssembler, fr *frame) (frames int, err error) {
+	if f.isClosing() {
+		return 0, errFabricClosing
+	}
+	from := l.peer
+	blocked := f.chaos.inboundBlocked(from)
+	open := false
+	for {
+		body, done, derr := asm.next(fr)
+		if derr != nil {
+			err = derr
+			break
 		}
-		if f.chaos.inboundBlocked(from) {
-			f.linkFor(from).bump(func(s *LinkStats) { s.ChaosDrops++ })
+		if done {
+			break
+		}
+		frames++
+		switch {
+		case blocked:
+			l.bump(func(s *LinkStats) { s.ChaosDrops++ })
 			// Chaos discards the frame above the flow-control layer, so a
 			// blocked data frame still counts as consumed: simulated loss
 			// must not starve the sender's window forever.
 			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
-				f.consumedData(from)
+				f.consumedData(from, 1)
 			}
-			if body != nil {
-				body.Release()
-			}
-			continue
-		}
-		if fr.Credit != nil {
+		case fr.Credit != nil:
 			f.handleCredit(from, int64(fr.Credit.Grant))
-			if body != nil {
-				body.Release()
+		default:
+			if !open && f.batchBegin != nil {
+				f.batchBegin(from)
+				open = true
 			}
-			continue
+			f.deliver(from, *fr, body)
+			continue // deliver owns body
 		}
-		f.deliver(from, fr, body)
+		if body != nil {
+			body.Release()
+		}
 	}
+	if open {
+		f.batchEnd(from)
+	}
+	l.reads.Add(1)
+	l.framesIn.Add(int64(frames))
+	return frames, err
 }
 
 // Close shuts the fabric down: the listener stops, outboxes close, and all

@@ -76,7 +76,7 @@ func TestMailboxControlExemptFromEviction(t *testing.T) {
 		t.Fatalf("queuedBytes = %d, want %d", got, wantBytes)
 	}
 	for i, want := range []*wire.FrameBuf{ctl1, ctl2, ctl3} {
-		got, ok := m.take()
+		got, ok := takeOne(m)
 		if !ok || got != want {
 			t.Fatalf("take %d: got %p ok=%v, want %p (FIFO of surviving control frames)", i, got, ok, want)
 		}
@@ -118,7 +118,7 @@ func TestMailboxHeartbeatCoalescing(t *testing.T) {
 		t.Fatalf("onDrop saw %v, want the two superseded heartbeats", dropped)
 	}
 	for i, want := range []*wire.FrameBuf{data, ctl, hb3} {
-		got, ok := m.take()
+		got, ok := takeOne(m)
 		if !ok || got != want {
 			t.Fatalf("take %d: wrong frame order after coalescing", i)
 		}
@@ -234,7 +234,7 @@ func TestCreditWindowBlocksSenderUntilConsumed(t *testing.T) {
 	// Three consumptions push remaining credit below half the window, so
 	// the receiver ships grant = consumed + window and the sender reopens.
 	for i := 0; i < 3; i++ {
-		fb.consumedData("a")
+		fb.consumedData("a", 1)
 	}
 	select {
 	case err := <-adm:

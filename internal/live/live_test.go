@@ -397,15 +397,32 @@ func TestLiveNodeCloseIsIdempotent(t *testing.T) {
 	node.Close() // second close must not panic or hang
 }
 
+// takeOne takes a single entry through takeBatch, the mailbox's blocking
+// consumer call.
+func takeOne[T any](m *mailbox[T]) (T, bool) {
+	got, ok := m.takeBatch(nil, 1)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return got[0], true
+}
+
 func TestMailboxOrderAndClose(t *testing.T) {
 	mb := newMailbox[int]()
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 50; i++ {
 		if !mb.put(i) {
 			t.Fatal("put on open mailbox failed")
 		}
 	}
+	if !mb.putAll([]int{50, 51, 52}) {
+		t.Fatal("putAll on open mailbox failed")
+	}
+	for i := 53; i < 100; i++ {
+		mb.put(i)
+	}
 	for i := 0; i < 100; i++ {
-		v, ok := mb.take()
+		v, ok := takeOne(mb)
 		if !ok || v != i {
 			t.Fatalf("take %d = (%d, %v)", i, v, ok)
 		}
@@ -413,7 +430,7 @@ func TestMailboxOrderAndClose(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, ok := mb.take(); ok {
+		if _, ok := takeOne(mb); ok {
 			t.Error("take on closed empty mailbox reported a value")
 		}
 	}()
@@ -423,7 +440,7 @@ func TestMailboxOrderAndClose(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("take did not unblock on close")
 	}
-	if mb.put(1) {
+	if mb.put(1) || mb.putAll([]int{1}) {
 		t.Fatal("put on closed mailbox succeeded")
 	}
 }

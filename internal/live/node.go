@@ -114,9 +114,11 @@ type NodeConfig struct {
 }
 
 // Node is a GCS end-point deployed as a concurrent process: inbound TCP
-// connections feed the automaton, outbound multicasts are encoded once and
-// fanned out through per-peer mailbox goroutines that batch their writes,
-// and application events are dispatched serially to the configured callback.
+// connections feed the automaton one socket read at a time (the node's lock is
+// taken once per read, see beginBatch), outbound multicasts are encoded once
+// and fanned out through per-peer mailbox goroutines that batch their writes,
+// and application events are dispatched serially to the configured callback
+// by a pump goroutine that is handed each read's events in one piece.
 type Node struct {
 	id     types.ProcID
 	fabric *fabric
@@ -140,9 +142,19 @@ type Node struct {
 
 	// ready gates inbound frames until the endpoint exists: the listener is
 	// live before NewNode finishes wiring.
-	ready  chan struct{}
-	events *mailbox[func()]
-	pump   sync.WaitGroup
+	ready chan struct{}
+	// events is the ring between the automaton and the pump goroutine. What
+	// the holder of mu produces is staged (in automaton order) and published
+	// before mu is released — one put, one pump wake, however many frames or
+	// events the lock section covered. batchData counts the data frames the
+	// open receive batch has handled; endBatch turns it into the batch's
+	// consumed marker.
+	events           *mailbox[pumpItem]
+	staged           []pumpItem
+	batchData        int
+	pump             sync.WaitGroup
+	pumpWakes        *obs.Counter
+	eventsDispatched *obs.Counter
 
 	onEvent    func(core.Event)
 	onNotify   func(membership.Notification)
@@ -180,6 +192,28 @@ type Node struct {
 	mgrStop        chan struct{}
 	mgrWG          sync.WaitGroup
 	closeOnce      sync.Once
+}
+
+// pumpKind tags an entry of the node's event ring.
+type pumpKind uint8
+
+const (
+	pumpEvent    pumpKind = iota // ev, for OnEvent
+	pumpNotify                   // ntf, for OnNotify
+	pumpConsumed                 // n data frames from peer are fully consumed: return their credit
+	pumpLinkDown                 // peer and err, for OnLinkDown
+)
+
+// pumpItem is one entry of the event ring: a tagged value, not a closure, so
+// staging an event allocates nothing and the pump dispatches on a byte. Only
+// the fields its kind names are set.
+type pumpItem struct {
+	kind pumpKind
+	n    int32
+	ev   core.Event
+	ntf  *membership.Notification
+	peer types.ProcID
+	err  error
 }
 
 // ackInterval is the core.Config.AckInterval of every live end-point: a
@@ -223,7 +257,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		id:             cfg.ID,
 		ready:          make(chan struct{}),
-		events:         newMailbox[func()](),
+		events:         newMailbox[pumpItem](),
 		onEvent:        cfg.OnEvent,
 		onNotify:       cfg.OnNotify,
 		observe:        cfg.Observe,
@@ -256,6 +290,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			"Non-blocking sends refused with ErrOverloaded.", nodeLabel),
 		slowReports: cfg.Obs.Counter("vsgm_node_slow_reports_total",
 			"Slow-consumer complaints filed with the membership servers.", nodeLabel),
+		pumpWakes: cfg.Obs.Counter("vsgm_node_pump_wakes_total",
+			"Times the event pump woke to a non-empty ring.", nodeLabel),
+		eventsDispatched: cfg.Obs.Counter("vsgm_node_events_dispatched_total",
+			"Ring entries the event pump handled: events, notifications, credit markers, link-down reports (dispatched/wakes is entries per pump wake).", nodeLabel),
 	}
 	n.unblocked = sync.NewCond(&n.mu)
 	if n.attachInterval <= 0 {
@@ -273,22 +311,16 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if len(n.homeList) > 0 {
 		n.epoch = 1
 	}
-	f, err := newFabricRef(cfg.ID, cfg.Addr, cfg.Transport, n.receiveRef, n.linkDown)
+	f, err := buildFabric(cfg.ID, cfg.Addr, cfg.Transport, n.linkDown)
 	if err != nil {
 		return nil, err
 	}
+	f.receiveRef = n.receiveRef
+	f.batchBegin, f.batchEnd = n.beginBatch, n.endBatch
+	f.start()
 	n.fabric = f
 	n.pump.Add(1)
-	go func() {
-		defer n.pump.Done()
-		for {
-			fn, ok := n.events.take()
-			if !ok {
-				return
-			}
-			fn()
-		}
-	}()
+	go n.pumpLoop()
 	coreCfg := core.Config{
 		ID:          cfg.ID,
 		Transport:   liveTransport{f: f},
@@ -398,6 +430,8 @@ func linkSamples(owner obs.Label, links map[types.ProcID]LinkStats) []obs.Sample
 		agg.CreditFrames += ls.CreditFrames
 		agg.WindowExhausted += ls.WindowExhausted
 		agg.HeartbeatsCoalesced += ls.HeartbeatsCoalesced
+		agg.Reads += ls.Reads
+		agg.FramesReceived += ls.FramesReceived
 	}
 	c := func(name string, v int64) obs.Sample {
 		return obs.Sample{Name: name, Kind: obs.KindCounter, Labels: []obs.Label{owner}, Value: float64(v)}
@@ -418,6 +452,8 @@ func linkSamples(owner obs.Label, links map[types.ProcID]LinkStats) []obs.Sample
 		c("vsgm_link_credit_frames_total", agg.CreditFrames),
 		c("vsgm_link_window_exhausted_total", agg.WindowExhausted),
 		c("vsgm_link_heartbeats_coalesced_total", agg.HeartbeatsCoalesced),
+		c("vsgm_link_reads_total", agg.Reads),
+		c("vsgm_link_frames_received_total", agg.FramesReceived),
 	}
 }
 
@@ -584,7 +620,7 @@ func (n *Node) probeTick(prevCID types.StartChangeID, prevTicks int) (types.Star
 	if n.ep.ResendSync() {
 		n.syncProbes.Inc()
 	}
-	n.dispatch(n.ep.TakeEvents())
+	n.dispatchNow()
 	return prevCID, 0
 }
 
@@ -618,7 +654,7 @@ func (n *Node) linkDown(peer types.ProcID, err error) {
 	if n.onLinkDown == nil {
 		return
 	}
-	n.events.put(func() { n.onLinkDown(peer, err) })
+	n.events.put(pumpItem{kind: pumpLinkDown, peer: peer, err: err})
 }
 
 // Send multicasts payload to the current view, stalling at the source
@@ -701,7 +737,7 @@ func (n *Node) send(payload []byte, block bool) (types.AppMsg, error) {
 			n.mu.Unlock()
 			continue
 		}
-		n.dispatch(n.ep.TakeEvents())
+		n.dispatchNow()
 		n.mu.Unlock()
 		return m, err
 	}
@@ -779,7 +815,7 @@ func (n *Node) overloadTick(now time.Time) {
 func (n *Node) BlockOK() {
 	n.mu.Lock()
 	n.ep.BlockOK()
-	n.dispatch(n.ep.TakeEvents())
+	n.dispatchNow()
 	n.unblocked.Broadcast()
 	n.mu.Unlock()
 }
@@ -791,10 +827,38 @@ func (n *Node) CurrentView() types.View {
 	return n.ep.CurrentView()
 }
 
-// receiveRef is the zero-copy receive entry point: fr's payloads may alias
-// body, a pooled network buffer this method owns. Processing is synchronous
-// — everything the protocol retains is copied at its single retention point
-// (msgBuf.set) — so the buffer is recycled as soon as receive returns.
+// beginBatch opens the lock section of one drained socket read: the fabric
+// calls it before the first frame of the read that reaches receiveRef, and
+// endBatch after the last, all on the connection's reader (or event-loop)
+// goroutine. One read — not one frame — is the unit that pays for the lock,
+// the ring put and the pump wake.
+func (n *Node) beginBatch(types.ProcID) {
+	<-n.ready
+	n.mu.Lock()
+}
+
+// endBatch closes the section beginBatch opened: the batch's consumed marker
+// is staged behind every event its frames caused, the staged entries are
+// published in one piece, and the lock is released.
+func (n *Node) endBatch(from types.ProcID) {
+	if n.batchData > 0 {
+		// The marker rides the serialized event ring behind the events these
+		// frames caused, so credit returns to the sender only after the local
+		// application has actually processed them — that ordering is what
+		// makes the backpressure end to end.
+		n.staged = append(n.staged, pumpItem{kind: pumpConsumed, peer: from, n: int32(n.batchData)})
+		n.batchData = 0
+	}
+	n.publish()
+	n.unblocked.Broadcast()
+	n.mu.Unlock()
+}
+
+// receiveRef handles one inbound frame inside an open batch (n.mu held). fr's
+// payloads may alias body, a pooled network buffer this method owns.
+// Processing is synchronous — everything the protocol retains is copied at its
+// single retention point (msgBuf.set) — so the buffer is recycled as soon as
+// the frame is handled.
 func (n *Node) receiveRef(from types.ProcID, fr frame, body *pool.Buf) {
 	n.receive(from, fr)
 	if body != nil {
@@ -802,9 +866,9 @@ func (n *Node) receiveRef(from types.ProcID, fr frame, body *pool.Buf) {
 	}
 }
 
-// receive handles one inbound frame from the fabric.
+// receive feeds one inbound frame to the end-point and stages what it
+// produced. Callers hold n.mu (amu, a leaf lock, is taken under it).
 func (n *Node) receive(from types.ProcID, fr frame) {
-	<-n.ready
 	if fr.Attach != nil {
 		n.handleAttach(from, *fr.Attach)
 		return
@@ -816,12 +880,9 @@ func (n *Node) receive(from types.ProcID, fr frame) {
 		// violate the per-client monotonicity the home hand-off preserved.
 		return
 	}
-	n.mu.Lock()
 	if n.ep == nil {
-		n.mu.Unlock()
 		return
 	}
-	var consumedFrom types.ProcID
 	switch {
 	case fr.Notify != nil:
 		if n.observeNtf != nil {
@@ -829,7 +890,7 @@ func (n *Node) receive(from types.ProcID, fr frame) {
 		}
 		if n.onNotify != nil {
 			cp := *fr.Notify
-			n.events.put(func() { n.onNotify(cp) })
+			n.staged = append(n.staged, pumpItem{kind: pumpNotify, ntf: &cp})
 		}
 		switch fr.Notify.Kind {
 		case membership.NotifyStartChange:
@@ -841,7 +902,7 @@ func (n *Node) receive(from types.ProcID, fr frame) {
 		n.ep.HandleMessage(from, *fr.Msg)
 		switch fr.Msg.Kind {
 		case types.KindApp:
-			consumedFrom = from
+			n.batchData++
 		case types.KindAck:
 			if n.overloaded.Load() {
 				// The ack may have collected enough buffered messages to
@@ -851,15 +912,6 @@ func (n *Node) receive(from types.ProcID, fr frame) {
 		}
 	}
 	n.dispatch(n.ep.TakeEvents())
-	if consumedFrom != "" {
-		// The consumed marker rides the serialized event mailbox behind
-		// the events this frame caused, so credit returns to the sender
-		// only after the local application has actually processed them —
-		// that ordering is what makes the backpressure end to end.
-		n.events.put(func() { n.fabric.consumedData(consumedFrom) })
-	}
-	n.unblocked.Broadcast()
-	n.mu.Unlock()
 }
 
 // acceptNotify decides whether a notification from the given server may
@@ -948,18 +1000,86 @@ func (n *Node) Home() types.ProcID {
 	return n.home
 }
 
-// dispatch hands events to the pump goroutine (and to the synchronous
-// observer first). It must be called while holding n.mu so that the global
-// event order matches the automaton's.
+// dispatch stages events for the pump goroutine (after handing each to the
+// synchronous observer). It must be called while holding n.mu so that the
+// global event order matches the automaton's; the caller publishes before it
+// releases the lock.
 func (n *Node) dispatch(evs []core.Event) {
 	for _, ev := range evs {
 		if n.observe != nil {
 			n.observe(ev)
 		}
 		if n.onEvent != nil {
-			ev := ev
-			n.events.put(func() { n.onEvent(ev) })
+			n.staged = append(n.staged, pumpItem{kind: pumpEvent, ev: ev})
 		}
+	}
+}
+
+// dispatchNow stages and publishes what the end-point has queued: the form
+// for lock sections that handle a single input (a send, a block_ok, a probe).
+func (n *Node) dispatchNow() {
+	n.dispatch(n.ep.TakeEvents())
+	n.publish()
+}
+
+// publish hands everything staged under this hold of n.mu to the pump: one
+// put, one wake. The staging slice is reused (its entries cleared, so it pins
+// no delivered payload).
+func (n *Node) publish() {
+	if len(n.staged) == 0 {
+		return
+	}
+	n.events.putAll(n.staged)
+	clear(n.staged)
+	n.staged = n.staged[:0]
+}
+
+// pumpBatch bounds how many ring entries the pump takes per wake. Credit for
+// the markers in a batch goes back when the batch is done, so the bound keeps
+// a backlog behind a slow OnEvent from turning into one window-sized credit
+// burst (a quarter of the default window refreshes the sender well before it
+// runs dry).
+const pumpBatch = 256
+
+// pumpLoop is the event pump: it takes what the ring holds, runs the
+// callbacks strictly in ring order, and returns credit for the consumed
+// markers it passed — one consumedData per run of markers from the same peer,
+// after the events queued ahead of them have been processed.
+func (n *Node) pumpLoop() {
+	defer n.pump.Done()
+	var batch []pumpItem
+	for {
+		var ok bool
+		if batch, ok = n.events.takeBatch(batch[:0], pumpBatch); !ok {
+			return
+		}
+		n.pumpWakes.Inc()
+		n.eventsDispatched.Add(int64(len(batch)))
+		var (
+			creditPeer types.ProcID
+			credit     int
+		)
+		for i := range batch {
+			switch it := &batch[i]; it.kind {
+			case pumpEvent:
+				n.onEvent(it.ev)
+			case pumpNotify:
+				n.onNotify(*it.ntf)
+			case pumpLinkDown:
+				n.onLinkDown(it.peer, it.err)
+			case pumpConsumed:
+				if it.peer != creditPeer && credit > 0 {
+					n.fabric.consumedData(creditPeer, credit)
+					credit = 0
+				}
+				creditPeer = it.peer
+				credit += int(it.n)
+			}
+		}
+		if credit > 0 {
+			n.fabric.consumedData(creditPeer, credit)
+		}
+		clear(batch)
 	}
 }
 

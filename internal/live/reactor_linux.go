@@ -16,7 +16,8 @@ import (
 
 // The linux reactor: a small fixed pool of event-loop goroutines drives all
 // established connections through epoll. Inbound connections are read-only
-// (batch receive through frameAssembler's pooled slabs); outbound
+// (each read goes through the frameAssembler and fabric.drain, the receive
+// path the goroutine engine shares); outbound
 // connections are write-only (mailbox-fed batched flushes). Handshakes and
 // dials still run in short-lived goroutines — blocking work never enters a
 // loop — and hand the raw fd to a loop once the connection is established.
@@ -103,40 +104,10 @@ func (r *reactor) acceptInbound(conn net.Conn) {
 		peer:     from,
 		retired:  retired,
 		asm:      newFrameAssembler(f.pool),
+		in:       f.linkFor(from),
 		lastRead: time.Now(),
 	}
 	r.pick().register(c)
-}
-
-// readHandshake consumes the hello frame (any first frame; only its sender
-// identity matters, matching the goroutine engine) using plocking reads on
-// the net.Conn — deliberately unbuffered, so no stream bytes are stranded in
-// a userspace buffer when the raw fd takes over.
-func readHandshake(conn net.Conn, idle time.Duration) (types.ProcID, error) {
-	if idle > 0 {
-		conn.SetReadDeadline(time.Now().Add(idle))
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return "", err
-	}
-	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	if n > wire.MaxFrameSize {
-		return "", wire.ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if idle > 0 {
-		conn.SetReadDeadline(time.Now().Add(idle)) // re-arm per leg
-	}
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return "", err
-	}
-	hello, err := wire.UnmarshalFrame(body)
-	if err != nil {
-		return "", err
-	}
-	conn.SetReadDeadline(time.Time{})
-	return hello.From, nil
 }
 
 // dupFD extracts a nonblocking raw fd from an established TCP connection.
@@ -171,6 +142,7 @@ type rconn struct {
 	retired chan struct{}
 
 	asm      *frameAssembler // inbound only
+	in       *link           // inbound only: the peer's link record (read counters)
 	lastRead time.Time
 
 	lnk *rlink // outbound only
@@ -598,8 +570,8 @@ func (lp *evLoop) scanWriteStalls() {
 // redelivers the remainder on the next wait.
 const readBudget = 1 << 20
 
-// readReady drains the socket into the assembler and delivers every
-// completed frame.
+// readReady drains the socket into the assembler, handing each read to the
+// fabric's shared drain.
 func (lp *evLoop) readReady(c *rconn, fr *frame) {
 	f := lp.r.f
 	budget := readBudget
@@ -611,8 +583,13 @@ func (lp *evLoop) readReady(c *rconn, fr *frame) {
 			c.lastRead = time.Now()
 			c.asm.advance(n)
 			f.rstats.bytesIn.Add(int64(n))
-			if lp.drainFrames(c, fr) {
-				return // torn down (parse error or fabric closing)
+			frames, err := f.drain(c.in, c.asm, fr)
+			f.rstats.framesIn.Add(int64(frames))
+			if err != nil { // parse error, or the fabric is closing
+				peer := c.peer
+				lp.closeConn(c)
+				f.linkDown(peer, err)
+				return
 			}
 			if n < len(buf) {
 				return // socket likely drained
@@ -633,49 +610,6 @@ func (lp *evLoop) readReady(c *rconn, fr *frame) {
 			f.linkDown(peer, err)
 			return
 		}
-	}
-}
-
-// drainFrames decodes and delivers every complete frame buffered in c's
-// assembler; true means the connection was torn down.
-func (lp *evLoop) drainFrames(c *rconn, fr *frame) bool {
-	f := lp.r.f
-	for {
-		body, done, err := c.asm.next(fr)
-		if err != nil {
-			peer := c.peer
-			lp.closeConn(c)
-			f.linkDown(peer, err)
-			return true
-		}
-		if done {
-			return false
-		}
-		f.rstats.framesIn.Add(1)
-		if f.isClosing() {
-			if body != nil {
-				body.Release()
-			}
-			return true
-		}
-		if f.chaos.inboundBlocked(c.peer) {
-			f.linkFor(c.peer).bump(func(s *LinkStats) { s.ChaosDrops++ })
-			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
-				f.consumedData(c.peer) // parity with readLoop: injected loss must not starve the window
-			}
-			if body != nil {
-				body.Release()
-			}
-			continue
-		}
-		if fr.Credit != nil {
-			f.handleCredit(c.peer, int64(fr.Credit.Grant))
-			if body != nil {
-				body.Release()
-			}
-			continue
-		}
-		f.deliver(c.peer, *fr, body)
 	}
 }
 
@@ -771,11 +705,9 @@ func (lp *evLoop) stage(rl *rlink, now time.Time) {
 		if wf.readyAt.After(now) {
 			return
 		}
-		b := wf.fb.Bytes()
-		rl.wbuf = append(rl.wbuf, byte(len(b)>>24), byte(len(b)>>16), byte(len(b)>>8), byte(len(b)))
-		rl.wbuf = append(rl.wbuf, b...)
+		rl.wbuf = append(rl.wbuf, wf.fb.Wire()...)
 		rl.bounds = append(rl.bounds, len(rl.wbuf))
-		rl.l.held.Add(-int64(len(b)))
+		rl.l.held.Add(-int64(len(wf.fb.Bytes())))
 		wf.fb.Release()
 		rl.pending[0] = wframe{}
 		rl.pending = rl.pending[1:]

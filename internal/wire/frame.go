@@ -3,17 +3,16 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vsgm/internal/membership"
 	"vsgm/internal/types"
-	"vsgm/internal/wire/pool"
 )
 
 // Frame is the live transport's unit: a sender identifier plus either a
@@ -201,9 +200,9 @@ func UnmarshalFrame(b []byte) (Frame, error) {
 // UnmarshalFrameBorrow decodes a frame body zero-copy: byte-slice fields of
 // f alias b, and with st non-nil the pointer fields are st's reusable
 // scratch. The caller owns b's lifetime and must treat f as invalid after
-// the next decode through the same state. This is the batch-receive entry
-// point for readers (the live reactor) that assemble frames from the stream
-// themselves instead of going through Decoder.
+// the next decode through the same state. This is the receive entry point of
+// the live transport, which assembles frames from the stream itself (one
+// socket read is many frames) and decodes each in place.
 func UnmarshalFrameBorrow(b []byte, f *Frame, st *DecodeState) error {
 	return unmarshalFrameInto(b, f, st, true)
 }
@@ -329,14 +328,21 @@ func readHandoffInto(r *reader, h *Handoff) error {
 // one holding a single reference; a fan-out sender calls Retain once per
 // additional consumer, and every consumer calls Release exactly once when it
 // is done (after the frame was written, dropped, or evicted). The final
-// Release returns the buffer to the pool, after which Bytes must no longer
-// be read. This is what lets a multicast marshal once and share the encoded
-// bytes across every destination queue without copies.
+// Release returns the buffer to the pool, after which Bytes and Wire must no
+// longer be read. This is what lets a multicast marshal once and share the
+// encoded bytes across every destination queue without copies.
+//
+// The buffer holds the frame as it goes on the stream — the 4-byte length
+// prefix, then the body — so a writer moves a frame with one copy (or hands a
+// large one to the socket as is) instead of framing it per destination.
 type FrameBuf struct {
-	b     []byte
+	b     []byte // length prefix + body
 	class FrameClass
 	refs  atomic.Int32
 }
+
+// prefixLen is the size of the stream's length prefix.
+const prefixLen = 4
 
 // FrameClass partitions encoded frames for the transport's queueing policy.
 // Only application data is credit-gated and sheddable; every control-plane
@@ -388,22 +394,27 @@ var framePool = sync.Pool{New: func() any { return new(FrameBuf) }}
 // any outbound queue, so writers never face an unsendable frame.
 func EncodeFrame(f Frame) (*FrameBuf, error) {
 	fb := framePool.Get().(*FrameBuf)
-	b, err := AppendFrame(fb.b[:0], f)
-	if err == nil && len(b) > maxFrameSize {
+	b, err := AppendFrame(append(fb.b[:0], 0, 0, 0, 0), f)
+	if err == nil && len(b)-prefixLen > maxFrameSize {
 		err = ErrFrameTooLarge
 	}
 	if err != nil {
 		framePool.Put(fb)
 		return nil, err
 	}
+	binary.BigEndian.PutUint32(b, uint32(len(b)-prefixLen))
 	fb.b = b
 	fb.class = classify(f)
 	fb.refs.Store(1)
 	return fb, nil
 }
 
-// Bytes returns the encoded frame. Valid until the final Release.
-func (fb *FrameBuf) Bytes() []byte { return fb.b }
+// Bytes returns the encoded frame body. Valid until the final Release.
+func (fb *FrameBuf) Bytes() []byte { return fb.b[prefixLen:] }
+
+// Wire returns the frame as it goes on the stream: length prefix, then body.
+// Valid until the final Release.
+func (fb *FrameBuf) Wire() []byte { return fb.b }
 
 // Class reports the frame's queueing class. Valid until the final Release.
 func (fb *FrameBuf) Class() FrameClass { return fb.class }
@@ -435,21 +446,30 @@ type ReadDeadliner interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// Encoder writes length-prefixed frames to a stream.
+// Encoder writes length-prefixed frames to a stream, coalescing them in its
+// own buffer: a batch of small frames reaches the stream in one write, a
+// large frame is handed to it directly.
 type Encoder struct {
-	w   *bufio.Writer
-	hdr [4]byte // length-prefix scratch; a local would escape through bufio
+	w   io.Writer
+	buf []byte // frames coalesced for the next write
 
 	dl        WriteDeadliner
 	dlTimeout time.Duration
 }
 
+// spillBytes is how much the coalescing buffer holds before it is written
+// out, and the size from which a frame bypasses it. It bounds what an encoder
+// keeps resident (a link that only ever carries small batches never grows its
+// buffer this far) while letting a full batch of small frames go out in one or
+// two writes.
+const spillBytes = 16 << 10
+
 // NewEncoder wraps w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w)}
+	return &Encoder{w: w}
 }
 
-// ArmWriteDeadline makes every subsequent Encode arm a write deadline of
+// ArmWriteDeadline makes every subsequent flush arm a write deadline of
 // timeout on c before writing, so a peer that stops draining its socket can
 // stall a writer for at most timeout instead of forever. A non-positive
 // timeout disarms.
@@ -465,20 +485,36 @@ func (e *Encoder) arm() error {
 	return nil
 }
 
-// writeFrame buffers one length-prefixed frame without flushing.
-func (e *Encoder) writeFrame(b []byte) error {
-	if len(b) > maxFrameSize || len(b) > math.MaxUint32 {
+// spill writes the coalescing buffer out. A failed write drops what was
+// buffered: the connection is dead and the caller retries on a fresh one.
+func (e *Encoder) spill() error {
+	if len(e.buf) == 0 {
+		return nil
+	}
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
+	return err
+}
+
+// writeWire queues one frame in stream form (prefix + body): small frames
+// join the coalescing buffer, spilling it when full; a large frame goes to the
+// stream as is, behind whatever was buffered ahead of it.
+func (e *Encoder) writeWire(w []byte) error {
+	if len(w)-prefixLen > maxFrameSize {
 		return ErrFrameTooLarge
 	}
-	e.hdr[0] = byte(len(b) >> 24)
-	e.hdr[1] = byte(len(b) >> 16)
-	e.hdr[2] = byte(len(b) >> 8)
-	e.hdr[3] = byte(len(b))
-	if _, err := e.w.Write(e.hdr[:]); err != nil {
+	if len(w) >= spillBytes {
+		if err := e.spill(); err != nil {
+			return err
+		}
+		_, err := e.w.Write(w)
 		return err
 	}
-	_, err := e.w.Write(b)
-	return err
+	e.buf = append(e.buf, w...)
+	if len(e.buf) >= spillBytes {
+		return e.spill()
+	}
+	return nil
 }
 
 // Encode writes one frame and flushes. The marshal buffer comes from the
@@ -489,65 +525,43 @@ func (e *Encoder) Encode(f Frame) error {
 		return err
 	}
 	defer fb.Release()
-	if err := e.arm(); err != nil {
-		return err
-	}
-	if err := e.writeFrame(fb.b); err != nil {
-		return err
-	}
-	return e.w.Flush()
+	_, _, err = e.WriteBatch([][]byte{fb.Wire()}, 0)
+	return err
 }
 
-// EncodeBytes buffers one pre-encoded frame without flushing; pair with
-// Flush (or use EncodeBatch) to put it on the wire.
-func (e *Encoder) EncodeBytes(b []byte) error {
-	if err := e.arm(); err != nil {
-		return err
-	}
-	return e.writeFrame(b)
-}
-
-// Flush arms the write deadline and drains the buffered bytes to the
-// underlying stream.
-func (e *Encoder) Flush() error {
-	if err := e.arm(); err != nil {
-		return err
-	}
-	return e.w.Flush()
-}
-
-// EncodeBatch writes a run of pre-encoded frames coalesced into as few
-// flushes as possible: frames accumulate in the write buffer and are flushed
-// whenever maxBytes (<=0: no cap) of frame data is pending and once at the
-// end. It returns how many leading frames are known flushed — on error a
-// caller retries frames[sent:] on a fresh connection — and how many flushes
-// reached the stream. Framing is untouched by coalescing: each frame keeps
-// its own length prefix, only the syscall boundaries move.
-func (e *Encoder) EncodeBatch(frames [][]byte, maxBytes int) (sent, flushes int, err error) {
+// WriteBatch writes a run of pre-encoded frames in stream form
+// (FrameBuf.Wire) coalesced into as few writes as possible: frames accumulate
+// in the encoder's buffer and are flushed whenever maxBytes (<=0: no cap) of
+// them is pending and once at the end. The write deadline is armed once per
+// flush — once for a batch that fits one. It returns how many leading frames
+// are known flushed — on error a caller retries frames[sent:] on a fresh
+// connection — and how many flushes reached the stream. Framing is untouched
+// by coalescing: each frame keeps its own length prefix, only the syscall
+// boundaries move.
+func (e *Encoder) WriteBatch(frames [][]byte, maxBytes int) (sent, flushes int, err error) {
 	if err := e.arm(); err != nil {
 		return 0, 0, err
 	}
-	buffered := 0
-	for i, b := range frames {
-		if err := e.writeFrame(b); err != nil {
+	pending := 0
+	for i, w := range frames {
+		if err := e.writeWire(w); err != nil {
 			return sent, flushes, err
 		}
-		buffered += len(b) + 4
-		if maxBytes > 0 && buffered >= maxBytes {
-			if err := e.Flush(); err != nil {
+		pending += len(w)
+		last := i == len(frames)-1
+		if last || (maxBytes > 0 && pending >= maxBytes) {
+			if err := e.spill(); err != nil {
 				return sent, flushes, err
 			}
 			flushes++
 			sent = i + 1
-			buffered = 0
+			pending = 0
+			if !last {
+				if err := e.arm(); err != nil {
+					return sent, flushes, err
+				}
+			}
 		}
-	}
-	if sent < len(frames) {
-		if err := e.Flush(); err != nil {
-			return sent, flushes, err
-		}
-		flushes++
-		sent = len(frames)
 	}
 	return sent, flushes, nil
 }
@@ -560,9 +574,6 @@ type Decoder struct {
 
 	dl        ReadDeadliner
 	dlTimeout time.Duration
-
-	pool *pool.Pool
-	st   *DecodeState
 }
 
 // NewDecoder wraps r.
@@ -586,15 +597,6 @@ func (d *Decoder) armLeg() error {
 		return d.dl.SetReadDeadline(time.Now().Add(d.dlTimeout))
 	}
 	return nil
-}
-
-// UsePool attaches a slab pool to the decoder and allocates the per-stream
-// DecodeState that makes DecodeInto zero-copy: frame bodies land in pooled
-// slabs, payloads alias them, and repeated identifiers/views decode through
-// intern tables.
-func (d *Decoder) UsePool(p *pool.Pool) {
-	d.pool = p
-	d.st = NewDecodeState()
 }
 
 // initialBodyAlloc caps the up-front buffer reservation per frame; larger
@@ -640,51 +642,4 @@ func (d *Decoder) readBodyCopy(n int) error {
 		return err
 	}
 	return nil
-}
-
-// DecodeInto reads one frame through the zero-copy path: the body lands in a
-// pooled slab, byte-slice fields of f alias it, and f's pointer fields are
-// the decoder's reusable scratch. The returned buffer backs the frame — the
-// caller must Release it (once per retained reference) when the frame's
-// payload is no longer in use, and must treat the frame as invalid after the
-// next DecodeInto on this decoder.
-//
-// A nil buffer with a nil error means the frame was decoded through the
-// copying path instead (no pool attached, or a body too large to pool) and f
-// is fully owned except for its scratch pointer fields.
-func (d *Decoder) DecodeInto(f *Frame) (*pool.Buf, error) {
-	if err := d.armLeg(); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(d.hdr[0])<<24 | int(d.hdr[1])<<16 | int(d.hdr[2])<<8 | int(d.hdr[3])
-	if n > maxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	if d.pool == nil || n > pool.MaxSlab {
-		// Copying fallback: oversized bodies grow as bytes arrive so a
-		// hostile length prefix cannot force a 16 MiB allocation up front.
-		if err := d.readBodyCopy(n); err != nil {
-			return nil, err
-		}
-		return nil, unmarshalFrameInto(d.buf.Bytes(), f, d.st, false)
-	}
-	if err := d.armLeg(); err != nil {
-		return nil, err
-	}
-	buf := d.pool.Get(n)
-	if _, err := io.ReadFull(d.r, buf.B()); err != nil {
-		buf.Release()
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if err := unmarshalFrameInto(buf.B(), f, d.st, true); err != nil {
-		buf.Release()
-		return nil, err
-	}
-	return buf, nil
 }

@@ -139,3 +139,87 @@ func FuzzUnmarshalFrame(f *testing.F) {
 		}
 	})
 }
+
+// appFrameWith marshals an application frame whose history view is v.
+func appFrameWith(t testing.TB, v types.View) []byte {
+	t.Helper()
+	m := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: []byte("p")}, HistView: v, HistIndex: 1}
+	b, err := MarshalFrame(Frame{From: "p", Msg: &m})
+	if err != nil {
+		t.Fatalf("MarshalFrame: %v", err)
+	}
+	return b
+}
+
+// checkViewEncoding marshals an application frame carrying v twice — the
+// first marshal may fill the view-encoding table, the second is served from it
+// — and requires both to carry exactly the bytes the uncached encoder
+// produces, and to decode back to v.
+func checkViewEncoding(t testing.TB, v types.View) {
+	t.Helper()
+	var plain buffer
+	if err := plain.view(v); err != nil {
+		t.Fatalf("view: %v", err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		b := appFrameWith(t, v)
+		if !bytes.Contains(b, plain.b) {
+			t.Fatalf("pass %d: frame does not carry the uncached encoding of %v", pass, v)
+		}
+		got, err := UnmarshalFrame(b)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if !got.Msg.HistView.Equal(v) {
+			t.Fatalf("pass %d: history view decoded as %v (startIds %v), sent %v (startIds %v)",
+				pass, got.Msg.HistView, got.Msg.HistView.StartID, v, v.StartID)
+		}
+	}
+}
+
+// TestViewEncodingCacheKeyedByTriple: the table is keyed by the whole view
+// triple, so two views with the same identifier and members but different
+// startIds never share an entry, and neither do views whose member
+// identifiers contain the key's own separators.
+func TestViewEncodingCacheKeyedByTriple(t *testing.T) {
+	members := types.NewProcSet("a", "b")
+	v1 := types.NewView(9, members, map[types.ProcID]types.StartChangeID{"a": 1, "b": 2})
+	v2 := types.NewView(9, members, map[types.ProcID]types.StartChangeID{"a": 1, "b": 3})
+	checkViewEncoding(t, v1)
+	checkViewEncoding(t, v2)
+	checkViewEncoding(t, v1)
+	if bytes.Equal(appFrameWith(t, v1), appFrameWith(t, v2)) {
+		t.Fatal("views differing only in startId encoded identically")
+	}
+	// "a=1,b"→2 and {"a"→1, "b"→2} render the same canonical key.
+	tricky := types.NewView(9, types.NewProcSet("a=1,b"), map[types.ProcID]types.StartChangeID{"a=1,b": 2})
+	if tricky.Key() != v1.Key() {
+		t.Fatalf("test premise: keys %q and %q should collide", tricky.Key(), v1.Key())
+	}
+	checkViewEncoding(t, tricky)
+	checkViewEncoding(t, v1)
+}
+
+// FuzzViewEncodingCache round-trips arbitrary small views — including
+// identifiers built from the key's separators — through the cached encoder.
+func FuzzViewEncodingCache(f *testing.F) {
+	f.Add(int64(3), "a", "b", "c", int64(1), int64(2), int64(3))
+	f.Add(int64(3), "a", "b", "c", int64(1), int64(2), int64(4))
+	f.Add(int64(3), "a=1,b", "", "c", int64(2), int64(0), int64(3))
+	f.Add(int64(-1), "x|y", "x", "y", int64(-5), int64(1<<40), int64(0))
+	f.Fuzz(func(t *testing.T, id int64, a, b, c string, ca, cb, cc int64) {
+		members := types.NewProcSet()
+		start := make(map[types.ProcID]types.StartChangeID)
+		for _, e := range []struct {
+			p   string
+			cid int64
+		}{{a, ca}, {b, cb}, {c, cc}} {
+			if e.p == "" || len(e.p) > 64 {
+				continue
+			}
+			members.Add(types.ProcID(e.p))
+			start[types.ProcID(e.p)] = types.StartChangeID(e.cid)
+		}
+		checkViewEncoding(t, types.NewView(types.ViewID(id), members, start))
+	})
+}

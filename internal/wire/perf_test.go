@@ -141,11 +141,28 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return c.Buffer.Write(p)
 }
 
-// TestEncodeBatchCoalescesFlushes writes a burst through EncodeBatch and
+// wireForm returns f in stream form (length prefix + body), as a detached
+// copy of what FrameBuf.Wire hands a writer.
+func wireForm(t testing.TB, f Frame) []byte {
+	t.Helper()
+	fb, err := EncodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Release()
+	if n := len(fb.Bytes()); !bytes.Equal(fb.Wire()[:4], []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}) ||
+		!bytes.Equal(fb.Wire()[4:], fb.Bytes()) {
+		t.Fatalf("Wire is not the length prefix of Bytes followed by Bytes")
+	}
+	return append([]byte(nil), fb.Wire()...)
+}
+
+// TestWriteBatchCoalescesFlushes writes a burst through WriteBatch and
 // asserts (a) a single uncapped batch reaches the stream in one write, (b)
 // every frame survives intact and in order, (c) a byte cap splits the batch
-// into multiple flushes without corrupting boundaries.
-func TestEncodeBatchCoalescesFlushes(t *testing.T) {
+// into multiple flushes without corrupting boundaries, (d) a frame at or past
+// the spill size goes out whole, in order, without being copied.
+func TestWriteBatchCoalescesFlushes(t *testing.T) {
 	mkFrames := func(n int) ([][]byte, []Frame) {
 		var encs [][]byte
 		var frames []Frame
@@ -153,11 +170,7 @@ func TestEncodeBatchCoalescesFlushes(t *testing.T) {
 			m := types.WireMsg{Kind: types.KindApp,
 				App: types.AppMsg{ID: int64(i), Payload: []byte(fmt.Sprintf("m-%03d", i))}}
 			f := Frame{From: "a", Msg: &m}
-			b, err := MarshalFrame(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			encs = append(encs, b)
+			encs = append(encs, wireForm(t, f))
 			frames = append(frames, f)
 		}
 		return encs, frames
@@ -181,9 +194,9 @@ func TestEncodeBatchCoalescesFlushes(t *testing.T) {
 	raw := &countingWriter{}
 	enc := NewEncoder(raw)
 	encs, frames := mkFrames(50)
-	sent, flushes, err := enc.EncodeBatch(encs, 0)
+	sent, flushes, err := enc.WriteBatch(encs, 0)
 	if err != nil || sent != 50 {
-		t.Fatalf("EncodeBatch = (%d, %d, %v), want all 50 sent", sent, flushes, err)
+		t.Fatalf("WriteBatch = (%d, %d, %v), want all 50 sent", sent, flushes, err)
 	}
 	if flushes != 1 || raw.writes != 1 {
 		t.Errorf("uncapped batch: flushes=%d writes=%d, want 1 and 1", flushes, raw.writes)
@@ -194,13 +207,28 @@ func TestEncodeBatchCoalescesFlushes(t *testing.T) {
 	raw = &countingWriter{}
 	enc = NewEncoder(raw)
 	encs, frames = mkFrames(50)
-	cap := 4 * (len(encs[0]) + 4)
-	sent, flushes, err = enc.EncodeBatch(encs, cap)
+	cap := 4 * len(encs[0])
+	sent, flushes, err = enc.WriteBatch(encs, cap)
 	if err != nil || sent != 50 {
-		t.Fatalf("capped EncodeBatch = (%d, %d, %v), want all 50 sent", sent, flushes, err)
+		t.Fatalf("capped WriteBatch = (%d, %d, %v), want all 50 sent", sent, flushes, err)
 	}
 	if flushes < 10 {
 		t.Errorf("capped batch: flushes=%d, want >=10 under a 4-frame cap", flushes)
+	}
+	decodeAll(raw, frames)
+
+	// A large frame between small ones: three writes (the small frames
+	// buffered ahead of it, the large frame as is, the tail), one flush.
+	raw = &countingWriter{}
+	enc = NewEncoder(raw)
+	encs, frames = mkFrames(2)
+	bigMsg := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 99, Payload: bytes.Repeat([]byte("B"), spillBytes)}}
+	big := Frame{From: "a", Msg: &bigMsg}
+	encs = [][]byte{encs[0], wireForm(t, big), encs[1]}
+	frames = []Frame{frames[0], big, frames[1]}
+	sent, flushes, err = enc.WriteBatch(encs, 0)
+	if err != nil || sent != 3 || flushes != 1 || raw.writes != 3 {
+		t.Fatalf("batch around a large frame = (%d, %d, %v) in %d writes, want 3 frames, 1 flush, 3 writes", sent, flushes, err, raw.writes)
 	}
 	decodeAll(raw, frames)
 }
@@ -219,25 +247,21 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestEncodeBatchPartialFailureReportsSent: an error mid-batch reports the
+// TestWriteBatchPartialFailureReportsSent: an error mid-batch reports the
 // frames already flushed, so the link supervisor retries exactly the suffix.
-func TestEncodeBatchPartialFailureReportsSent(t *testing.T) {
+func TestWriteBatchPartialFailureReportsSent(t *testing.T) {
 	enc := NewEncoder(&failAfterWriter{n: 2})
 	encs, _ := func() ([][]byte, []Frame) {
 		var e [][]byte
 		for i := 0; i < 10; i++ {
 			m := types.WireMsg{Kind: types.KindApp,
 				App: types.AppMsg{ID: int64(i), Payload: []byte("xxxx")}}
-			b, err := MarshalFrame(Frame{From: "a", Msg: &m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e = append(e, b)
+			e = append(e, wireForm(t, Frame{From: "a", Msg: &m}))
 		}
 		return e, nil
 	}()
-	perFrame := len(encs[0]) + 4
-	sent, flushes, err := enc.EncodeBatch(encs, perFrame) // flush every frame
+	perFrame := len(encs[0])
+	sent, flushes, err := enc.WriteBatch(encs, perFrame) // flush every frame
 	if err == nil {
 		t.Fatal("expected the injected write failure")
 	}

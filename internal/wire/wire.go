@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
+	"sync"
 
 	"vsgm/internal/types"
 )
@@ -46,7 +48,10 @@ func (w *buffer) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
 
 func (w *buffer) id(p types.ProcID) error {
 	if len(p) > math.MaxUint16 {
-		return fmt.Errorf("wire: identifier %q too long", p)
+		// A clipped copy, so the report holds no reference to p itself: p is a
+		// field of every frame encoded, and an argument that escapes here
+		// moves each caller's whole frame — message included — to the heap.
+		return fmt.Errorf("wire: identifier %q... too long (%d bytes)", strings.Clone(string(p[:32])), len(p))
 	}
 	w.u16(uint16(len(p)))
 	w.b = append(w.b, p...)
@@ -171,6 +176,55 @@ func (w *buffer) view(v types.View) error {
 		}
 		w.u64(uint64(v.StartID[p]))
 	}
+	return nil
+}
+
+// viewEncodings memoizes view(): a view is immutable and the same one rides
+// every application frame as its history view until the next reconfiguration,
+// so the steady-state data path appends cached bytes instead of sorting the
+// members and re-encoding them per message. The key is the view's canonical
+// full-triple key — identifier, members and every startId — never the
+// identifier alone (a partitionable membership service may issue distinct
+// concurrent views under one id). The table is process-wide because the
+// encoding is a pure function of the key; it is reset rather than grown once
+// it holds maxCachedViewEncodings entries.
+var viewEncodings struct {
+	sync.RWMutex
+	m map[string][]byte
+}
+
+const maxCachedViewEncodings = 64
+
+// viewCached appends v's encoding through the memo table. It reads v.Key(),
+// so it is for the views the end-point sends — built by the types
+// constructors, their key computed once — not for scratch triples. The key
+// joins "member=startId" entries with commas, which parses back to one triple
+// only while no member identifier contains either separator; a view whose key
+// has more of them than its member count accounts for bypasses the table, so
+// two different views can never share an entry.
+func (w *buffer) viewCached(v types.View) error {
+	key, n := v.Key(), v.Members.Len()
+	if strings.Count(key, "=") != n || strings.Count(key, ",") != max(n-1, 0) {
+		return w.view(v)
+	}
+	viewEncodings.RLock()
+	enc, ok := viewEncodings.m[key]
+	viewEncodings.RUnlock()
+	if ok {
+		w.b = append(w.b, enc...)
+		return nil
+	}
+	start := len(w.b)
+	if err := w.view(v); err != nil {
+		return err
+	}
+	enc = append([]byte(nil), w.b[start:]...)
+	viewEncodings.Lock()
+	if viewEncodings.m == nil || len(viewEncodings.m) >= maxCachedViewEncodings {
+		viewEncodings.m = make(map[string][]byte)
+	}
+	viewEncodings.m[key] = enc
+	viewEncodings.Unlock()
 	return nil
 }
 
@@ -337,7 +391,7 @@ func appendMsg(w *buffer, m types.WireMsg) error {
 		if err := w.appMsg(m.App); err != nil {
 			return err
 		}
-		if err := w.view(m.HistView); err != nil {
+		if err := w.viewCached(m.HistView); err != nil {
 			return err
 		}
 		w.u64(uint64(m.HistIndex))

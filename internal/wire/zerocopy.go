@@ -125,12 +125,13 @@ func (r *reader) viewCached() (types.View, error) {
 	return v, nil
 }
 
-// unmarshalFrameInto decodes one frame from b into f. With a DecodeState
-// attached the Frame's pointer fields are the state's reusable scratch
-// (borrowed until the next decode); with alias set, byte-slice fields of the
-// frame (application payloads) alias b instead of being copied — the caller
-// owns b's lifetime and must keep it alive for as long as the payload is in
-// use.
+// unmarshalFrameInto decodes one frame from b into f. The Frame's pointer
+// fields are a DecodeState's scratch: st's when one is attached (borrowed
+// until the next decode through it), a fresh state's otherwise, which the
+// frame then owns — either way no per-kind value is allocated only to be
+// thrown away. With alias set, byte-slice fields of the frame (application
+// payloads) alias b instead of being copied — the caller owns b's lifetime and
+// must keep it alive for as long as the payload is in use.
 func unmarshalFrameInto(b []byte, f *Frame, st *DecodeState, alias bool) error {
 	r := reader{b: b, st: st, alias: alias}
 	from, err := r.id()
@@ -142,62 +143,41 @@ func unmarshalFrameInto(b []byte, f *Frame, st *DecodeState, alias bool) error {
 	if err != nil {
 		return err
 	}
+	if tag == frameHandshake {
+		return nil
+	}
+	sc := st
+	if sc == nil {
+		sc = new(DecodeState)
+	}
 	switch tag {
-	case frameHandshake:
-		return nil
 	case frameMsg:
-		m := &types.WireMsg{}
-		if st != nil {
-			m = &st.msg
-		}
-		if err := readMsgInto(&r, m); err != nil {
+		if err := readMsgInto(&r, &sc.msg); err != nil {
 			return err
 		}
-		f.Msg = m
-		return nil
+		f.Msg = &sc.msg
 	case frameNotify:
-		ntf := &membership.Notification{}
-		if st != nil {
-			ntf = &st.notify
-		}
-		if err := readNotifyInto(&r, ntf); err != nil {
+		if err := readNotifyInto(&r, &sc.notify); err != nil {
 			return err
 		}
-		f.Notify = ntf
-		return nil
+		f.Notify = &sc.notify
 	case frameAttach:
-		a := &Attach{}
-		if st != nil {
-			a = &st.attach
-		}
-		if err := readAttachInto(&r, a); err != nil {
+		if err := readAttachInto(&r, &sc.attach); err != nil {
 			return err
 		}
-		f.Attach = a
-		return nil
+		f.Attach = &sc.attach
 	case frameCredit:
-		grant, err := r.u64()
-		if err != nil {
+		if sc.credit.Grant, err = r.u64(); err != nil {
 			return err
 		}
-		c := &Credit{}
-		if st != nil {
-			c = &st.credit
-		}
-		c.Grant = grant
-		f.Credit = c
-		return nil
+		f.Credit = &sc.credit
 	case frameHandoff:
-		h := &Handoff{}
-		if st != nil {
-			h = &st.handoff
-		}
-		if err := readHandoffInto(&r, h); err != nil {
+		if err := readHandoffInto(&r, &sc.handoff); err != nil {
 			return err
 		}
-		f.Handoff = h
-		return nil
+		f.Handoff = &sc.handoff
 	default:
 		return errUnknownFrameTag(tag)
 	}
+	return nil
 }

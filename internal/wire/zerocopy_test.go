@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"vsgm/internal/types"
-	"vsgm/internal/wire/pool"
 )
 
 func testAppFrame(t testing.TB, payload []byte) Frame {
@@ -62,89 +61,84 @@ func sliceWithin(sub, outer []byte) bool {
 	return false
 }
 
-// TestDecodeIntoAliasesPooledSlab pins the zero-copy contract: the decoded
-// application payload must be a window into the returned pooled slab, not a
-// copy, and releasing the slab must return it to the pool.
-func TestDecodeIntoAliasesPooledSlab(t *testing.T) {
-	p := pool.New()
+// TestBorrowAliasesInput pins the zero-copy contract: the decoded application
+// payload must be a window into the caller's buffer, not a copy.
+func TestBorrowAliasesInput(t *testing.T) {
 	payload := bytes.Repeat([]byte("zc"), 600)
 	f := testAppFrame(t, payload)
-	d := NewDecoder(bytes.NewReader(frameStream(t, f, 1)))
-	d.UsePool(p)
-
-	var got Frame
-	buf, err := d.DecodeInto(&got)
+	body, err := MarshalFrame(f)
 	if err != nil {
-		t.Fatalf("DecodeInto: %v", err)
+		t.Fatal(err)
 	}
-	if buf == nil {
-		t.Fatal("DecodeInto returned a nil Buf on the pooled path")
+	var got Frame
+	if err := UnmarshalFrameBorrow(body, &got, NewDecodeState()); err != nil {
+		t.Fatalf("UnmarshalFrameBorrow: %v", err)
 	}
 	if got.Msg == nil || !bytes.Equal(got.Msg.App.Payload, payload) {
 		t.Fatal("decoded payload mismatch")
 	}
-	if !sliceWithin(got.Msg.App.Payload, buf.B()) {
-		t.Fatal("payload does not alias the pooled slab: the receive path copied")
+	if !sliceWithin(got.Msg.App.Payload, body) {
+		t.Fatal("payload does not alias the input: the receive path copied")
 	}
 	if got.From != f.From || got.Msg.App.ID != 42 || got.Msg.HistView.ID != 7 {
 		t.Fatalf("frame fields mismatch: %+v", got)
 	}
-	buf.Release()
-	if p.Outstanding() != 0 {
-		t.Fatalf("outstanding after release = %d, want 0", p.Outstanding())
-	}
 }
 
-// TestDecodeIntoScratchReuse pins the borrow contract: successive DecodeInto
-// calls reuse the same scratch Msg, so receivers must copy what they keep —
-// and in exchange pay no per-frame allocation for the pointer fields.
-func TestDecodeIntoScratchReuse(t *testing.T) {
-	p := pool.New()
-	f := testAppFrame(t, []byte("hello"))
-	d := NewDecoder(bytes.NewReader(frameStream(t, f, 2)))
-	d.UsePool(p)
-
-	var a, b Frame
-	buf1, err := d.DecodeInto(&a)
+// TestBorrowScratchReuse pins the borrow contract: successive decodes through
+// one DecodeState reuse the same scratch Msg, so receivers must copy what they
+// keep — and in exchange pay no per-frame allocation for the pointer fields.
+// A decode without a state owns its pointer fields.
+func TestBorrowScratchReuse(t *testing.T) {
+	body, err := MarshalFrame(testAppFrame(t, []byte("hello")))
 	if err != nil {
-		t.Fatalf("first DecodeInto: %v", err)
+		t.Fatal(err)
+	}
+	st := NewDecodeState()
+	var a, b Frame
+	if err := UnmarshalFrameBorrow(body, &a, st); err != nil {
+		t.Fatalf("first decode: %v", err)
 	}
 	msg1 := a.Msg
-	buf1.Release()
-	buf2, err := d.DecodeInto(&b)
-	if err != nil {
-		t.Fatalf("second DecodeInto: %v", err)
+	if err := UnmarshalFrameBorrow(body, &b, st); err != nil {
+		t.Fatalf("second decode: %v", err)
 	}
-	defer buf2.Release()
 	if b.Msg != msg1 {
-		t.Fatal("Msg scratch not reused across decodes on one stream")
+		t.Fatal("Msg scratch not reused across decodes through one state")
 	}
 	if !bytes.Equal(b.Msg.App.Payload, []byte("hello")) {
 		t.Fatal("second decode corrupted")
 	}
+	own1, err := UnmarshalFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own2, err := UnmarshalFrame(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own1.Msg == own2.Msg || own1.Msg == msg1 {
+		t.Fatal("owned decodes share pointer fields")
+	}
 }
 
-// TestDecodeIntoInternsViews: the repeated history view on every data frame
-// must decode once and then be served from the intern table, sharing member
-// maps across frames.
-func TestDecodeIntoInternsViews(t *testing.T) {
-	p := pool.New()
-	f := testAppFrame(t, []byte("x"))
-	d := NewDecoder(bytes.NewReader(frameStream(t, f, 2)))
-	d.UsePool(p)
-
-	var a, b Frame
-	buf1, err := d.DecodeInto(&a)
+// TestBorrowInternsViews: the repeated history view on every data frame must
+// decode once and then be served from the intern table, sharing member maps
+// across frames.
+func TestBorrowInternsViews(t *testing.T) {
+	body, err := MarshalFrame(testAppFrame(t, []byte("x")))
 	if err != nil {
-		t.Fatalf("first DecodeInto: %v", err)
+		t.Fatal(err)
+	}
+	st := NewDecodeState()
+	var a, b Frame
+	if err := UnmarshalFrameBorrow(body, &a, st); err != nil {
+		t.Fatalf("first decode: %v", err)
 	}
 	v1 := a.Msg.HistView
-	buf1.Release()
-	buf2, err := d.DecodeInto(&b)
-	if err != nil {
-		t.Fatalf("second DecodeInto: %v", err)
+	if err := UnmarshalFrameBorrow(body, &b, st); err != nil {
+		t.Fatalf("second decode: %v", err)
 	}
-	defer buf2.Release()
 	if reflect.ValueOf(v1.StartID).Pointer() != reflect.ValueOf(b.Msg.HistView.StartID).Pointer() {
 		t.Fatal("second frame's history view was re-decoded instead of interned")
 	}
@@ -153,95 +147,26 @@ func TestDecodeIntoInternsViews(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoWithoutPoolCopies: without a pool the zero-copy entry point
-// degrades to the copying path and returns no buffer to manage.
-func TestDecodeIntoWithoutPoolCopies(t *testing.T) {
-	f := testAppFrame(t, []byte("plain"))
-	d := NewDecoder(bytes.NewReader(frameStream(t, f, 1)))
-	var got Frame
-	buf, err := d.DecodeInto(&got)
+// TestBorrowDecodeAllocs is the receive path's codec ceiling: steady-state
+// decode of a 256 B application frame through a DecodeState allocates nothing
+// (payload aliased, identifiers and views interned, scratch reused). The
+// throwaway WireMsg the decoder used to allocate before looking at the state
+// made this 1.
+func TestBorrowDecodeAllocs(t *testing.T) {
+	body, err := MarshalFrame(testAppFrame(t, bytes.Repeat([]byte("a"), 256)))
 	if err != nil {
-		t.Fatalf("DecodeInto: %v", err)
+		t.Fatal(err)
 	}
-	if buf != nil {
-		t.Fatal("DecodeInto without a pool returned a pooled buffer")
-	}
-	if !bytes.Equal(got.Msg.App.Payload, []byte("plain")) {
-		t.Fatal("payload mismatch on copying path")
-	}
-}
-
-// TestDecodeIntoOversizedBodyFallsBack: bodies beyond the largest slab class
-// take the incremental copying path (hostile length prefixes must pay as
-// bytes arrive), still returning a correct frame and no pooled buffer.
-func TestDecodeIntoOversizedBodyFallsBack(t *testing.T) {
-	p := pool.New()
-	payload := make([]byte, pool.MaxSlab+1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	f := testAppFrame(t, payload)
-	d := NewDecoder(bytes.NewReader(frameStream(t, f, 1)))
-	d.UsePool(p)
+	st := NewDecodeState()
 	var got Frame
-	buf, err := d.DecodeInto(&got)
-	if err != nil {
-		t.Fatalf("DecodeInto: %v", err)
-	}
-	if buf != nil {
-		t.Fatal("oversized body came back on the pooled path")
-	}
-	if !bytes.Equal(got.Msg.App.Payload, payload) {
-		t.Fatal("oversized payload mismatch")
-	}
-	if p.Outstanding() != 0 {
-		t.Fatalf("oversized fallback leaked pool buffers: %d", p.Outstanding())
-	}
-}
-
-// repeatReader replays one encoded frame forever.
-type repeatReader struct {
-	frame []byte
-	off   int
-}
-
-func (r *repeatReader) Read(p []byte) (int, error) {
-	if r.off == len(r.frame) {
-		r.off = 0
-	}
-	n := copy(p, r.frame[r.off:])
-	r.off += n
-	return n, nil
-}
-
-// TestZeroCopyReceiveAllocs enforces the acceptance ceiling: steady-state
-// decode of an application data frame through the pooled path allocates at
-// most once per frame (the target is zero: slab from the ring, payload
-// aliased, identifiers and views interned, scratch reused).
-func TestZeroCopyReceiveAllocs(t *testing.T) {
-	p := pool.New()
-	f := testAppFrame(t, bytes.Repeat([]byte("a"), 512))
-	d := NewDecoder(&repeatReader{frame: frameStream(t, f, 1)})
-	d.UsePool(p)
-
-	var got Frame
-	// Warm the intern tables and the slab ring.
-	for i := 0; i < 4; i++ {
-		buf, err := d.DecodeInto(&got)
-		if err != nil {
-			t.Fatalf("warmup DecodeInto: %v", err)
+	decode := func() {
+		if err := UnmarshalFrameBorrow(body, &got, st); err != nil {
+			t.Fatalf("UnmarshalFrameBorrow: %v", err)
 		}
-		buf.Release()
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		buf, err := d.DecodeInto(&got)
-		if err != nil {
-			t.Fatalf("DecodeInto: %v", err)
-		}
-		buf.Release()
-	})
-	if allocs > 1 {
-		t.Fatalf("zero-copy receive allocates %.1f/op, ceiling is 1", allocs)
+	decode() // warm the intern tables
+	if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
+		t.Fatalf("borrowed decode allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -302,34 +227,5 @@ func TestDecodeBodyStallStillTimesOut(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("stalled body took %v to time out", elapsed)
-	}
-}
-
-// TestDecodeIntoBodyStallTimesOut covers the same stall through the pooled
-// path, and checks the half-filled slab is returned to the pool on error.
-func TestDecodeIntoBodyStallTimesOut(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer cli.Close()
-	defer srv.Close()
-
-	p := pool.New()
-	f := testAppFrame(t, []byte("stall"))
-	stream := frameStream(t, f, 1)
-	go srv.Write(stream[:6])
-
-	d := NewDecoder(cli)
-	d.UsePool(p)
-	d.ArmReadDeadline(cli, 100*time.Millisecond)
-	var got Frame
-	buf, err := d.DecodeInto(&got)
-	if err == nil {
-		buf.Release()
-		t.Fatal("DecodeInto succeeded on a stalled body")
-	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("stalled body error = %v, want deadline exceeded", err)
-	}
-	if p.Outstanding() != 0 {
-		t.Fatalf("stalled decode leaked %d pool buffers", p.Outstanding())
 	}
 }
