@@ -32,8 +32,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire/
 
 # Quick fuzz pass over every wire-facing decoder (frames, raw bodies, WAL
-# records) and the encoder's view memo table: 5 seconds per target, run as
-# part of the pre-merge gate.
+# records), the encoder's view memo table, and the shard machine's command
+# and snapshot decoders: 5 seconds per target, run as part of the pre-merge
+# gate.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzViewEncodingCache -fuzztime=5s ./internal/wire/
@@ -41,6 +42,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeWALRecord -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzScanWAL -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeCreditFrame -fuzztime=5s ./internal/wire/
+	$(GO) test -fuzz=FuzzKVCommand -fuzztime=5s ./internal/shard/
+	$(GO) test -fuzz=FuzzMachineRestore -fuzztime=5s ./internal/shard/
 
 # Every benchmark in the tree, including the transport data-path set
 # (BenchmarkFabricBroadcast, BenchmarkWireMarshal, BenchmarkMsgBufGrowth).
@@ -126,11 +129,13 @@ soak-smoke:
 # The pre-merge gate: vet, the formatting check, the full suite (which runs
 # internal/live on the default goroutine-per-link engine), the same package
 # again on the epoll reactor, the race detector on the concurrency-heavy
-# packages, a fuzz smoke pass over the decoders, the documentation gate, and a
-# short soak.
+# packages and on the single-threaded replication stack (simulator, spec
+# checkers, total order, RSM, shard), a fuzz smoke pass over the decoders, the
+# documentation gate, and a short soak.
 check: vet fmt-check test
 	VSGM_REACTOR=on $(GO) test -count=1 ./internal/live/
-	$(GO) test -race ./internal/live/ ./internal/membership/ ./cmd/vsgm-live/
+	$(GO) test -race ./internal/live/ ./internal/membership/ ./cmd/vsgm-live/ \
+		./internal/totalorder/ ./internal/rsm/ ./internal/shard/ ./internal/sim/ ./internal/spec/
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) docs-check

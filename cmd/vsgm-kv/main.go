@@ -189,7 +189,7 @@ func (c *console) exec(line string) error {
 	case "stats":
 		fmt.Fprintf(c.out, "router: epoch %d, %d redirects, %d map refreshes\n",
 			c.router.Epoch(), c.router.Redirects(), c.router.Refreshes())
-		fmt.Fprintf(c.out, "acknowledged writes: %d\n", len(c.w.Acks()))
+		fmt.Fprintf(c.out, "acknowledged writes: %d\n", c.w.AckedWrites())
 		for _, s := range c.w.Registry().Snapshot().Samples {
 			if !strings.HasPrefix(s.Name, "vsgm_shard_") {
 				continue
@@ -287,7 +287,7 @@ func (c *console) exec(line string) error {
 		if err := c.w.VerifyAcked(); err != nil {
 			return err
 		}
-		fmt.Fprintf(c.out, "all specification checkers pass; %d acknowledged writes intact\n", len(c.w.Acks()))
+		fmt.Fprintf(c.out, "all specification checkers pass; %d acknowledged writes intact\n", c.w.AckedWrites())
 		return nil
 
 	default:

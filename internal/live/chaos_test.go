@@ -713,9 +713,11 @@ func TestLiveWriteDeadlineBreaksStuckPeer(t *testing.T) {
 		fa.Send([]types.ProcID{"stuck"}, big)
 		return fa.Stats()["stuck"].WriteErrors >= 1
 	})
-	if downs.Load() == 0 {
-		t.Error("link failure was not reported through onDown")
-	}
+	// The writer counts the error before it reports the link down, so the
+	// report may still be on its way when the counter flips.
+	waitUntil(t, "the link failure to be reported through onDown", 5*time.Second, func() bool {
+		return downs.Load() > 0
+	})
 
 	done := make(chan struct{})
 	go func() { fa.Close(); close(done) }()

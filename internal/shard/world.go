@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"time"
 
@@ -76,7 +77,9 @@ type World struct {
 	committed Map
 	migrating map[int]string // slot → reshard id currently moving it
 
-	acks   []spec.KVAck
+	// acks keeps the last acknowledgment of each key, which is all the
+	// no-lost-writes check reads; ackSeq counts every acknowledgment given.
+	acks   map[string]spec.KVAck
 	ackSeq int64
 
 	mWrong   *obs.Counter
@@ -143,6 +146,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		reg:       cfg.Registry,
 		groups:    make(map[int]*shardGroup, cfg.Shards),
 		migrating: make(map[int]string),
+		acks:      make(map[string]spec.KVAck),
 	}
 	w.mWrong = w.reg.Counter("vsgm_shard_wrong_shard_redirects_total",
 		"Requests bounced with ErrWrongShard because the key's slot lives elsewhere.")
@@ -353,8 +357,19 @@ func (w *World) GroupProcs(id int) []types.ProcID {
 // ShardIDs returns the shard ids.
 func (w *World) ShardIDs() []int { return w.committed.ShardIDs() }
 
-// Acks returns the acknowledgment ledger.
-func (w *World) Acks() []spec.KVAck { return append([]spec.KVAck(nil), w.acks...) }
+// Acks returns the acknowledgment ledger: for every key ever written, the
+// last acknowledgment it was given, in the order they were given.
+func (w *World) Acks() []spec.KVAck {
+	out := make([]spec.KVAck, 0, len(w.acks))
+	for _, a := range w.acks {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// AckedWrites returns how many writes have been acknowledged.
+func (w *World) AckedWrites() int64 { return w.ackSeq }
 
 // MetaMachineView returns the watcher meta machine (for outcome queries and
 // tests). All meta machines hold identical state.
@@ -487,7 +502,7 @@ func (w *World) Do(shardID int, epoch int64, op KVOp) (Result, error) {
 			return Result{}, fmt.Errorf("%w: write not applied before quiescence", ErrUnavailable)
 		}
 		w.ackSeq++
-		w.acks = append(w.acks, spec.KVAck{Key: op.Key, Value: op.Value, Seq: w.ackSeq, Deleted: op.Op == "del"})
+		w.acks[op.Key] = spec.KVAck{Key: op.Key, Value: op.Value, Seq: w.ackSeq, Deleted: op.Op == "del"}
 		g.ops.Inc()
 		return Result{Value: op.Value, Found: op.Op == "set"}, nil
 	default:
@@ -610,5 +625,5 @@ func (w *World) Lookup(key string) (string, bool) {
 // partitions first — a shard with no authoritative replica reads as data
 // loss, which is exactly what an operator would see).
 func (w *World) VerifyAcked() error {
-	return spec.CheckNoLostAckedWrites(w.acks, w.Lookup)
+	return spec.CheckNoLostAckedWrites(w.Acks(), w.Lookup)
 }

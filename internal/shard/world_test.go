@@ -3,6 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"vsgm/internal/types"
@@ -376,5 +378,70 @@ func TestCrashRecoverReplicaRejoins(t *testing.T) {
 	}
 	if v, ok := w.Machine(0, victim).Get(k); !ok || v != "v2" {
 		t.Fatalf("recovered replica reads %q ok=%v, want v2", v, ok)
+	}
+}
+
+// TestWorldWriteCostDoesNotGrowWithAge drives one World far past the point
+// where anything kept per write, or rewritten per fixed number of writes,
+// would show, and asserts by count, not by clock: the snapshot bytes a replica
+// writes per acknowledged write are no higher late than early, and never more
+// than twice the log that paid for them, while the state triples in between;
+// the acknowledgment ledger holds one entry per key, not per write.
+func TestWorldWriteCostDoesNotGrowWithAge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200k replicated writes")
+	}
+	w := newTestWorld(t, WorldConfig{Shards: 1, Seed: 131})
+	var stores []*countingStore
+	for _, p := range w.Group(0).Sorted() {
+		m := w.Machine(0, p)
+		cs := &countingStore{Store: m.store}
+		m.store = cs
+		stores = append(stores, cs)
+	}
+	const keys, early, late = 30_000, 20_000, 200_000
+	r := NewRouter(w, 0)
+	rng := rand.New(rand.NewSource(131))
+	value := strings.Repeat("v", 200)
+	snapshotBytesPerWrite := func(writes int) (float64, int) {
+		t.Helper()
+		for n := int(w.AckedWrites()); n < writes; n++ {
+			if err := r.Set(fmt.Sprintf("k%05d", rng.Intn(keys)), fmt.Sprintf("%s%d", value, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var snap, log int64
+		for _, cs := range stores {
+			if cs.appends != writes {
+				t.Fatalf("a replica logged %d commands for %d acknowledged writes", cs.appends, writes)
+			}
+			if cs.snaps < 3 {
+				t.Fatalf("only %d compactions after %d writes: too few to compare rates", cs.snaps, writes)
+			}
+			if cs.snapBytes > 2*cs.logBytes {
+				t.Errorf("after %d writes a replica has written %d bytes of snapshots for %d bytes of log", writes, cs.snapBytes, cs.logBytes)
+			}
+			snap += cs.snapBytes
+			log += cs.logBytes
+		}
+		return float64(snap) / float64(len(stores)) / float64(writes), w.Machine(0, w.Group(0).Min()).Len()
+	}
+	young, keysYoung := snapshotBytesPerWrite(early)
+	old, keysOld := snapshotBytesPerWrite(late)
+	t.Logf("snapshot bytes per write: %.0f after %d writes (%d keys), %.0f after %d (%d keys)", young, early, keysYoung, old, late, keysOld)
+	if keysOld < 2*keysYoung {
+		t.Fatalf("state grew from %d to %d keys; the test wants it at least doubled", keysYoung, keysOld)
+	}
+	if old > 2*young {
+		t.Errorf("a write costs %.0f snapshot bytes after %d writes, %.0f after %d: the cost grows with the World's age", old, late, young, early)
+	}
+	if got := w.AckedWrites(); got != late {
+		t.Errorf("AckedWrites() = %d, want %d", got, late)
+	}
+	if got := len(w.Acks()); got != keysOld {
+		t.Errorf("the ledger holds %d acknowledgments for %d keys after %d writes", got, keysOld, late)
+	}
+	if err := w.VerifyAcked(); err != nil {
+		t.Error(err)
 	}
 }

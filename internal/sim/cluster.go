@@ -131,6 +131,7 @@ type Cluster struct {
 	oracle   *membership.Oracle
 	eps      map[types.ProcID]Node
 	lastMemb map[types.ProcID]time.Duration
+	draining map[types.ProcID]bool // processes whose events drain is handing out
 	metrics  Metrics
 }
 
@@ -167,6 +168,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		eps:      make(map[types.ProcID]Node, len(cfg.Procs)),
 		lastMemb: make(map[types.ProcID]time.Duration),
+		draining: make(map[types.ProcID]bool),
 	}
 	c.metrics.installTimes = make(map[string]map[types.ProcID]time.Duration)
 	c.metrics.blockStart = make(map[types.ProcID]time.Duration)
@@ -374,42 +376,68 @@ func (c *Cluster) specEvent(ev spec.Event) {
 	}
 }
 
-// drain collects the application events an end-point produced, feeding the
-// spec suite, metrics, and the observer callback.
+// drain hands the application events an end-point produced to the spec suite,
+// the metrics and the observer callback, in the end-point's order. It does not
+// re-enter: a handler that calls back into the cluster for the same process
+// (Send, BlockOK) queues more events, and the nested drain returns at once,
+// leaving them to the outermost call, which keeps taking until the end-point
+// has none. So Send from inside a handler no longer sees its own self-delivery
+// on return; it sees it after the events that precede it. The suite is fed a
+// whole batch before the batch's first handler runs, because that is the order
+// of the end-point's external actions: everything in the batch happened before
+// any send a handler makes in response.
 func (c *Cluster) drain(p types.ProcID) {
-	for _, ev := range c.eps[p].TakeEvents() {
-		switch e := ev.(type) {
-		case core.DeliverEvent:
-			c.metrics.Delivered++
-			c.specEvent(spec.EDeliver{P: p, From: e.Sender, MsgID: e.Msg.ID})
-		case core.ViewEvent:
-			c.metrics.ViewInstalls++
-			row := c.metrics.installTimes[e.View.Key()]
-			if row == nil {
-				row = make(map[types.ProcID]time.Duration)
-				c.metrics.installTimes[e.View.Key()] = row
-			}
-			row[p] = c.now
-			if start, ok := c.metrics.blockStart[p]; ok {
-				c.metrics.BlockedTotal[p] += c.now - start
-				delete(c.metrics.blockStart, p)
-			}
-			c.specEvent(spec.EView{
-				P:        p,
-				View:     e.View,
-				Trans:    e.TransitionalSet,
-				HasTrans: e.TransitionalSet != nil,
-			})
-		case core.BlockEvent:
-			c.specEvent(spec.EBlock{P: p})
-			c.metrics.blockStart[p] = c.now
-			if !c.cfg.ManualBlock {
-				// The auto-blocking client acknowledged synchronously.
-				c.specEvent(spec.EBlockOK{P: p})
-			}
+	if c.draining[p] {
+		return
+	}
+	c.draining[p] = true
+	defer delete(c.draining, p)
+	for {
+		evs := c.eps[p].TakeEvents()
+		if len(evs) == 0 {
+			return
+		}
+		for _, ev := range evs {
+			c.observe(p, ev)
 		}
 		if c.cfg.OnAppEvent != nil {
-			c.cfg.OnAppEvent(p, ev)
+			for _, ev := range evs {
+				c.cfg.OnAppEvent(p, ev)
+			}
+		}
+	}
+}
+
+// observe feeds one application event to the spec suite and the metrics.
+func (c *Cluster) observe(p types.ProcID, ev core.Event) {
+	switch e := ev.(type) {
+	case core.DeliverEvent:
+		c.metrics.Delivered++
+		c.specEvent(spec.EDeliver{P: p, From: e.Sender, MsgID: e.Msg.ID})
+	case core.ViewEvent:
+		c.metrics.ViewInstalls++
+		row := c.metrics.installTimes[e.View.Key()]
+		if row == nil {
+			row = make(map[types.ProcID]time.Duration)
+			c.metrics.installTimes[e.View.Key()] = row
+		}
+		row[p] = c.now
+		if start, ok := c.metrics.blockStart[p]; ok {
+			c.metrics.BlockedTotal[p] += c.now - start
+			delete(c.metrics.blockStart, p)
+		}
+		c.specEvent(spec.EView{
+			P:        p,
+			View:     e.View,
+			Trans:    e.TransitionalSet,
+			HasTrans: e.TransitionalSet != nil,
+		})
+	case core.BlockEvent:
+		c.specEvent(spec.EBlock{P: p})
+		c.metrics.blockStart[p] = c.now
+		if !c.cfg.ManualBlock {
+			// The auto-blocking client acknowledged synchronously.
+			c.specEvent(spec.EBlockOK{P: p})
 		}
 	}
 }

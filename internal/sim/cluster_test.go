@@ -569,3 +569,61 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 }
+
+func TestSendFromHandlerDoesNotReenter(t *testing.T) {
+	// A handler that answers a delivery with a send of its own. The answer is
+	// self-delivered inside that Send call, but the handler must not be run
+	// for it until the current event — and every event queued before it — has
+	// been handled: an application sees its end-point's events one at a time,
+	// in the end-point's order.
+	var (
+		c       *Cluster
+		depth   int
+		handled []string
+	)
+	suite := spec.FullSuite()
+	cfg := Config{
+		Procs: ProcIDs(3),
+		Seed:  5,
+		Suite: suite,
+		OnAppEvent: func(p types.ProcID, ev core.Event) {
+			d, ok := ev.(core.DeliverEvent)
+			if !ok || p != "p00" {
+				return
+			}
+			if depth++; depth > 1 {
+				t.Errorf("handler re-entered for %s while handling another event", d)
+			}
+			handled = append(handled, string(d.Msg.Payload))
+			if string(d.Msg.Payload) == "ping" {
+				before := len(handled)
+				if _, err := c.Send("p00", []byte("pong")); err != nil {
+					t.Errorf("send from handler: %v", err)
+				}
+				if len(handled) != before {
+					t.Error("Send returned after the handler had run for its self-delivery")
+				}
+			}
+			depth--
+		},
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustReconfigure(t, c, types.NewProcSet(c.Procs()...))
+	for i := 0; i < 3; i++ {
+		if _, err := c.Send("p00", []byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(handled), "[ping pong ping pong ping pong]"; got != want {
+		t.Errorf("p00 handled %s, want %s", got, want)
+	}
+	if err := suite.Err(); err != nil {
+		t.Error(err)
+	}
+}

@@ -94,6 +94,53 @@ func TestWVRFIFODetectsUnknownMessage(t *testing.T) {
 	wantViolation(t, c, "never sent")
 }
 
+func TestWVRFIFOKeepsOnlyMessagesInFlight(t *testing.T) {
+	c := NewWVRFIFO()
+	v := view(1, "a", "b", "c")
+	for _, p := range v.Members.Sorted() {
+		c.OnEvent(EView{P: p, View: v})
+	}
+	const n = 1000
+	for id := int64(1); id <= n; id++ {
+		c.OnEvent(ESend{P: "a", MsgID: id})
+		c.OnEvent(EDeliver{P: "a", From: "a", MsgID: id})
+		c.OnEvent(EDeliver{P: "b", From: "a", MsgID: id})
+	}
+	if len(c.info) != n {
+		t.Fatalf("%d records for %d messages one member has yet to deliver", len(c.info), n)
+	}
+	for id := int64(1); id <= n; id++ {
+		c.OnEvent(EDeliver{P: "c", From: "a", MsgID: id})
+	}
+	wantClean(t, c)
+	if len(c.info) != 0 {
+		t.Fatalf("%d records kept after every member delivered every message", len(c.info))
+	}
+}
+
+func TestWVRFIFODetectsDuplicateDelivery(t *testing.T) {
+	// Once while the record is still held, once after every member has
+	// delivered the message and the record is gone.
+	for _, last := range []types.ProcID{"", "b"} {
+		c := NewWVRFIFO()
+		v := view(1, "a", "b")
+		c.OnEvent(EView{P: "a", View: v})
+		c.OnEvent(EView{P: "b", View: v})
+		c.OnEvent(ESend{P: "a", MsgID: 1})
+		c.OnEvent(EDeliver{P: "a", From: "a", MsgID: 1})
+		if last != "" {
+			c.OnEvent(EDeliver{P: last, From: "a", MsgID: 1})
+		}
+		wantClean(t, c)
+		c.OnEvent(EDeliver{P: "a", From: "a", MsgID: 1})
+		if last == "" {
+			wantViolation(t, c, "gap-free FIFO")
+		} else {
+			wantViolation(t, c, "never sent")
+		}
+	}
+}
+
 func TestWVRFIFODetectsWrongAttribution(t *testing.T) {
 	c := NewWVRFIFO()
 	v := view(1, "a", "b")

@@ -8,11 +8,15 @@ import (
 
 // msgInfo records, at send time, the association of a message with its
 // sender, the view it was sent in, and its FIFO index — the history tags Hv
-// and Hi of Section 6.1.1.
+// and Hi of Section 6.1.1 — and how many members of that view have yet to
+// deliver it. The record is dropped when none has: nobody can deliver the
+// message legally after that, and a checker attached to a long run keeps
+// only what is in flight.
 type msgInfo struct {
-	sender  types.ProcID
-	viewKey string
-	index   int
+	sender   types.ProcID
+	viewKey  string
+	index    int
+	awaiting int
 }
 
 // procView tracks one process's current view as the specification automaton
@@ -89,10 +93,12 @@ func (c *WVRFIFO) OnEvent(ev Event) {
 			return
 		}
 		c.seq[e.P]++
+		pv := c.viewOf(e.P)
 		c.info[e.MsgID] = msgInfo{
-			sender:  e.P,
-			viewKey: c.viewOf(e.P).key(),
-			index:   c.seq[e.P],
+			sender:   e.P,
+			viewKey:  pv.key(),
+			index:    c.seq[e.P],
+			awaiting: pv.view.Members.Len(),
 		}
 
 	case EDeliver:
@@ -102,7 +108,7 @@ func (c *WVRFIFO) OnEvent(ev Event) {
 		}
 		mi, ok := c.info[e.MsgID]
 		if !ok {
-			c.failf("%s delivered message #%d that was never sent", e.P, e.MsgID)
+			c.failf("%s delivered message #%d that was never sent, or that every member of its view had already delivered", e.P, e.MsgID)
 			return
 		}
 		if mi.sender != e.From {
@@ -123,6 +129,11 @@ func (c *WVRFIFO) OnEvent(ev Event) {
 			return
 		}
 		row[e.From]++
+		if mi.awaiting--; mi.awaiting <= 0 {
+			delete(c.info, e.MsgID)
+		} else {
+			c.info[e.MsgID] = mi
+		}
 
 	case EView:
 		if c.crashed[e.P] {

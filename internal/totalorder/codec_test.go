@@ -128,3 +128,75 @@ func TestViewFlushDeliversUnassignedDeterministically(t *testing.T) {
 		}
 	}
 }
+
+// bus is a synchronous stand-in for the GCS: one view, every payload delivered
+// to every session in the order it was sent. A send made from inside a
+// delivery is queued behind it, as an end-point would.
+type bus struct {
+	sessions map[types.ProcID]*Session
+	queue    []core.DeliverEvent
+	pumping  bool
+}
+
+func (b *bus) send(from types.ProcID, payload []byte) {
+	b.queue = append(b.queue, core.DeliverEvent{Sender: from, Msg: types.AppMsg{Payload: payload}})
+	if b.pumping {
+		return
+	}
+	b.pumping = true
+	for len(b.queue) > 0 {
+		ev := b.queue[0]
+		b.queue = b.queue[1:]
+		for _, s := range b.sessions {
+			if err := s.HandleEvent(ev); err != nil {
+				panic(err)
+			}
+		}
+	}
+	b.pumping = false
+}
+
+func TestSessionKeepsNothingPerMessage(t *testing.T) {
+	members := []types.ProcID{"a", "b", "c"}
+	b := &bus{sessions: make(map[types.ProcID]*Session)}
+	released := make(map[types.ProcID]int)
+	sid := make(map[types.ProcID]types.StartChangeID)
+	for _, p := range members {
+		p := p
+		s, err := New(p,
+			func(payload []byte) error { b.send(p, payload); return nil },
+			func(types.ProcID, []byte) { released[p]++ }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.sessions[p] = s
+		sid[p] = 1
+	}
+	v := types.NewView(1, types.NewProcSet(members...), sid)
+	for _, s := range b.sessions {
+		if err := s.HandleEvent(core.ViewEvent{View: v, TransitionalSet: types.NewProcSet(s.id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both ways into the order: the sequencer's own messages and, through its
+	// assignments, everyone else's.
+	const n = 10_000
+	for i := 0; i < n; i++ {
+		if err := b.sessions[members[i%len(members)]].Send([]byte("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range members {
+		s := b.sessions[p]
+		if released[p] != n {
+			t.Errorf("%s released %d of %d messages", p, released[p], n)
+		}
+		if kept := len(s.pending) + len(s.order) + cap(s.order); kept > 2*len(members) {
+			t.Errorf("%s keeps %d pending, %d slots (capacity %d) after %d messages in one view",
+				p, len(s.pending), len(s.order), cap(s.order), n)
+		}
+		if len(s.seen) > len(members) || len(s.assigned) > len(members) {
+			t.Errorf("%s keeps %d counters and %d marks for %d members", p, len(s.seen), len(s.assigned), len(members))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package totalorder_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,8 @@ type harness struct {
 	sessions map[types.ProcID]*totalorder.Session
 	orders   map[types.ProcID][]string
 	views    map[types.ProcID]int
+	data     map[types.ProcID]int // data messages the end-point delivered to the session
+	suite    *spec.Suite
 }
 
 func newHarness(t *testing.T, n int, seed int64) *harness {
@@ -26,15 +29,20 @@ func newHarness(t *testing.T, n int, seed int64) *harness {
 		sessions: make(map[types.ProcID]*totalorder.Session),
 		orders:   make(map[types.ProcID][]string),
 		views:    make(map[types.ProcID]int),
+		data:     make(map[types.ProcID]int),
+		suite:    spec.FullSuite(),
 	}
 	cfg := sim.Config{
 		Procs:           sim.ProcIDs(n),
 		Latency:         sim.UniformLatency{Base: 10 * time.Millisecond, Jitter: 8 * time.Millisecond},
 		MembershipRound: 10 * time.Millisecond,
 		Seed:            seed,
-		Suite:           spec.FullSuite(),
+		Suite:           h.suite,
 		OnAppEvent: func(p types.ProcID, ev core.Event) {
 			if s := h.sessions[p]; s != nil {
+				if d, ok := ev.(core.DeliverEvent); ok && d.Msg.Payload[0] == 1 {
+					h.data[p]++
+				}
 				if err := s.HandleEvent(ev); err != nil {
 					t.Errorf("session %s: %v", p, err)
 				}
@@ -184,17 +192,153 @@ func TestTotalOrderSequencerLeaves(t *testing.T) {
 	if _, _, err := h.c.ReconfigureTo(rest); err != nil {
 		t.Fatal(err)
 	}
-	// The new sequencer (p01) takes over.
-	if err := h.sessions[procs[1]].Send([]byte("after")); err != nil {
-		t.Fatal(err)
+	// The new sequencer (p01) takes over: its own message needs no
+	// assignment, p02's gets one from it.
+	for _, p := range rest.Sorted() {
+		if err := h.sessions[p].Send([]byte("after")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := h.c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	h.assertIdenticalOrders(t, rest)
 	for _, p := range rest.Sorted() {
-		if got, want := len(h.orders[p]), 5*3+1; got != want {
-			t.Errorf("%s delivered %d messages, want %d", p, got, want)
+		got := h.orders[p]
+		if want := 5*3 + 2; len(got) != want {
+			t.Fatalf("%s delivered %d messages, want %d", p, len(got), want)
 		}
+		if tail := fmt.Sprint(got[len(got)-2:]); !strings.Contains(tail, "p01:after") || !strings.Contains(tail, "p02:after") {
+			t.Errorf("%s: the new view's messages were not released last: %v", p, got)
+		}
+	}
+	if err := h.suite.Err(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTotalOrderBothSenderKinds covers the two ways a message gets its slot.
+// One from the sequencer is a single multicast and is released where it is
+// delivered; one from any other member costs a second multicast, the
+// sequencer's assignment. Whoever sends, every member releases the same order.
+func TestTotalOrderBothSenderKinds(t *testing.T) {
+	h := newHarness(t, 3, 31)
+	procs := h.c.Procs()
+	all := types.NewProcSet(procs...)
+	if _, _, err := h.c.ReconfigureTo(all); err != nil {
+		t.Fatal(err)
+	}
+	sendAll := func(p types.ProcID, n int) int64 {
+		t.Helper()
+		before := h.c.Metrics().Sent
+		for i := 0; i < n; i++ {
+			if err := h.sessions[p].Send([]byte(fmt.Sprintf("%s-%d", p, i))); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.c.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h.c.Metrics().Sent - before
+	}
+	if got := sendAll(procs[0], 10); got != 10 {
+		t.Errorf("10 messages from the sequencer took %d multicasts, want 10", got)
+	}
+	if got := sendAll(procs[2], 10); got != 20 {
+		t.Errorf("10 messages from another member took %d multicasts, want 20 (data and assignment)", got)
+	}
+	// Now racing: everyone at once, nothing run to quiescence in between.
+	for i := 0; i < 10; i++ {
+		for _, p := range procs {
+			if err := h.sessions[p].Send([]byte(fmt.Sprintf("race-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := h.c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h.assertIdenticalOrders(t, all)
+	for _, p := range procs {
+		if got, want := len(h.orders[p]), 10+10+30; got != want {
+			t.Errorf("%s released %d messages, want %d", p, got, want)
+		}
+	}
+	if err := h.suite.Err(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTotalOrderSeedSweep runs the view-change scenario over 300 seeds: the
+// group is loaded from every member, one member is removed while the load is
+// in flight, and every survivor then sends once in the new view. Two defects
+// needed many seeds to show: an assignment computed from an old-view delivery
+// but multicast in the next view (it named nothing there, and the total order
+// wedged behind it), and the sequencer handling the self-delivery of such a
+// send before the view event that precedes it in its end-point's order (the
+// survivors' boundary flushes then disagreed).
+func TestTotalOrderSeedSweep(t *testing.T) {
+	var diverged, wedged int
+	for seed := int64(1); seed <= 300; seed++ {
+		h := newHarness(t, 4, seed)
+		procs := h.c.Procs()
+		if _, _, err := h.c.ReconfigureTo(types.NewProcSet(procs...)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			for _, p := range procs {
+				if err := h.sessions[p].Send([]byte(fmt.Sprintf("m%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		survivors := procs[:3]
+		if _, _, err := h.c.ReconfigureTo(types.NewProcSet(survivors...)); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range survivors {
+			if err := h.sessions[p].Send([]byte("after")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.suite.Err(); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		ref := h.orders[survivors[0]]
+		var bad, stuck bool
+		for _, p := range survivors {
+			got := h.orders[p]
+			// Everything the end-point delivered must have been released: the
+			// old view's messages by its boundary flush at the latest, the
+			// three sent after the change by the new view's sequencer.
+			if len(got) != h.data[p] {
+				stuck = true
+				t.Errorf("seed %d: %s released %d of the %d data messages delivered to it", seed, p, len(got), h.data[p])
+			}
+			if after := strings.Count(fmt.Sprint(got), ":after"); after != 3 {
+				stuck = true
+				t.Errorf("seed %d: %s released %d of the 3 messages sent after the view change", seed, p, after)
+			}
+			n := len(got)
+			if len(ref) < n {
+				n = len(ref)
+			}
+			if fmt.Sprint(got[:n]) != fmt.Sprint(ref[:n]) {
+				bad = true
+				t.Errorf("seed %d: %s and %s disagree on the order:\n%v\n%v", seed, p, survivors[0], got, ref)
+			}
+		}
+		if bad {
+			diverged++
+		}
+		if stuck {
+			wedged++
+		}
+	}
+	if t.Failed() {
+		t.Logf("of 300 seeds, the survivors' orders diverged on %d and the total order wedged on %d", diverged, wedged)
 	}
 }
