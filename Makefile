@@ -46,7 +46,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMachineRestore -fuzztime=5s ./internal/shard/
 
 # Every benchmark in the tree, including the transport data-path set
-# (BenchmarkFabricBroadcast, BenchmarkWireMarshal, BenchmarkMsgBufGrowth).
+# (BenchmarkFabricBroadcast, BenchmarkWireMarshal, BenchmarkMsgBufGrowth,
+# BenchmarkAssemblerBulk).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
@@ -56,7 +57,7 @@ bench:
 # cmd/vsgm-benchstat (benchstat-style old/new/delta tables, JSON copy in
 # BENCH_transport.json). The first run seeds the baseline; refresh it by
 # deleting BENCH_baseline.txt.
-BENCH_PATTERN = BenchmarkFabricBroadcast|BenchmarkSendUnderBackpressure|BenchmarkWireMarshal|BenchmarkMsgBufGrowth|BenchmarkLinkScale|BenchmarkEndpointReceivePath|BenchmarkEndpointSendPath
+BENCH_PATTERN = BenchmarkFabricBroadcast|BenchmarkSendUnderBackpressure|BenchmarkWireMarshal|BenchmarkMsgBufGrowth|BenchmarkLinkScale|BenchmarkAssemblerBulk|BenchmarkEndpointReceivePath|BenchmarkEndpointSendPath
 BENCH_PKGS = ./internal/wire/ ./internal/live/ ./internal/core/
 
 benchstat:
@@ -129,12 +130,14 @@ soak-smoke:
 # The pre-merge gate: vet, the formatting check, the full suite (which runs
 # internal/live on the default goroutine-per-link engine), the same package
 # again on the epoll reactor, the race detector on the concurrency-heavy
-# packages and on the single-threaded replication stack (simulator, spec
-# checkers, total order, RSM, shard), a fuzz smoke pass over the decoders, the
-# documentation gate, and a short soak.
+# packages — with the end-point automaton and the wire packages, whose buffer
+# reference counts cross the node's lock — and on the single-threaded
+# replication stack (simulator, spec checkers, total order, RSM, shard), a
+# fuzz smoke pass over the decoders, the documentation gate, and a short soak.
 check: vet fmt-check test
 	VSGM_REACTOR=on $(GO) test -count=1 ./internal/live/
 	$(GO) test -race ./internal/live/ ./internal/membership/ ./cmd/vsgm-live/ \
+		./internal/core/ ./internal/wire/... \
 		./internal/totalorder/ ./internal/rsm/ ./internal/shard/ ./internal/sim/ ./internal/spec/
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke

@@ -60,6 +60,8 @@ func run() error {
 				defer mu.Unlock()
 				switch e := ev.(type) {
 				case vsgm.DeliverEvent:
+					// A payload is valid until this handler returns;
+					// formatting it makes the copy that is kept.
 					delivered[cid] = append(delivered[cid],
 						fmt.Sprintf("%s:%s", e.Sender, e.Msg.Payload))
 				case vsgm.ViewEvent:

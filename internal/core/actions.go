@@ -268,8 +268,8 @@ func (e *Endpoint) tryDeliverApp() bool {
 	}
 	for k := e.dlvLo; k < e.dlvHi; k++ {
 		next := e.lastDlvrd[k] + 1
-		m, ok := e.curBufs[k].get(next)
-		if !ok {
+		s := e.curBufs[k].at(next)
+		if s == nil {
 			continue
 		}
 		if k == e.self && next > e.lastSent {
@@ -285,7 +285,13 @@ func (e *Endpoint) tryDeliverApp() bool {
 		e.lastDlvrd[k] = next
 		e.msgsDelivered++
 		e.sinceAck++
-		e.emit(DeliverEvent{Sender: q, Msg: m, InView: e.currentView})
+		if s.hold != nil {
+			// The event outlives this step, the slot may not: the ack this
+			// very delivery triggers, or the view it completes, can collect
+			// it before anyone has taken the event.
+			s.hold.Retain(1)
+		}
+		e.emit(DeliverEvent{Sender: q, Msg: s.msg, InView: e.currentView, Hold: s.hold})
 		return true
 	}
 	e.dlvLo, e.dlvHi = len(e.curMembers), 0

@@ -1,6 +1,9 @@
 package core
 
-import "vsgm/internal/types"
+import (
+	"vsgm/internal/types"
+	"vsgm/internal/wire/pool"
+)
 
 // msgBuf is one msgs[q][v] sequence: a 1-indexed, possibly sparse buffer of
 // application messages. Original messages from the live FIFO stream arrive
@@ -17,7 +20,7 @@ type msgBuf struct {
 	base  int    // indices 1..base are stable and collected
 	head  int    // items[:head] is zeroed slack left behind by collect
 	items []slot // items[head+i-1-base] holds index i
-	bytes int64  // payload bytes held live, maintained by set/collect
+	bytes int64  // bytes the live slots pin (slot.pinned), maintained by set/collect
 
 	// cur is 1 + the owner's rank in the end-point's current view while this
 	// is that view's buffer, 0 for a buffer of any other view. It lets a
@@ -25,9 +28,23 @@ type msgBuf struct {
 	cur int
 }
 
+// slot is one stored message. It owns the memory its payload lives in: either
+// a private copy (hold nil), or one reference to the pooled buffer the payload
+// aliases. Wherever a slot dies — collect, and through it a dropped view's
+// buffers, Recover and Close — that reference is given back.
 type slot struct {
-	msg types.AppMsg
-	set bool
+	msg  types.AppMsg
+	hold *pool.Buf
+	set  bool
+}
+
+// pinned is what the slot keeps resident: the whole slab when it holds one (a
+// 16.4 KiB body in a 20 KiB slab pins 20 KiB), else its copy of the payload.
+func (s *slot) pinned() int64 {
+	if s.hold != nil {
+		return int64(s.hold.Cap())
+	}
+	return int64(len(s.msg.Payload))
 }
 
 // set stores m at 1-based index i, growing the buffer as needed. Re-storing
@@ -35,11 +52,14 @@ type slot struct {
 // original), so the existing value is kept; indices at or below base are
 // stable everywhere and dropped.
 //
-// The payload is copied on store: callers may hand in borrowed memory (the
-// zero-copy receive path delivers payloads aliasing pooled network buffers
-// that are recycled once the handler returns), and this is the single point
-// where bytes cross into state the protocol retains.
-func (b *msgBuf) set(i int, m types.AppMsg) {
+// This is the single point where bytes cross into state the protocol retains,
+// and retaining is all the algorithm asks for. With a holder — a pooled buffer
+// that m.Payload aliases and that holds nothing another frame will reuse — the
+// slot takes one reference and keeps the payload where the network put it.
+// Without one the payload is borrowed memory of unknown lifetime (a shared
+// staging slab, a caller's scratch) and is copied. A store that keeps nothing
+// (a stable or already filled index) takes no reference.
+func (b *msgBuf) set(i int, m types.AppMsg, hold *pool.Buf) {
 	if i <= b.base {
 		return
 	}
@@ -51,11 +71,13 @@ func (b *msgBuf) set(i int, m types.AppMsg) {
 	if s.set {
 		return
 	}
-	if len(m.Payload) > 0 {
+	if hold != nil {
+		hold.Retain(1)
+	} else if len(m.Payload) > 0 {
 		m.Payload = append([]byte(nil), m.Payload...)
 	}
-	s.msg, s.set = m, true
-	b.bytes += int64(len(m.Payload))
+	s.msg, s.hold, s.set = m, hold, true
+	b.bytes += s.pinned()
 }
 
 // grow extends the live window to n slots in one step, never an element at a
@@ -77,13 +99,24 @@ func (b *msgBuf) grow(n int) {
 	}
 }
 
+// at returns the slot stored at 1-based index i, nil when nothing live is
+// stored there. The pointer is good until the next set or collect.
+func (b *msgBuf) at(i int) *slot {
+	if b == nil || i <= b.base || i-b.base > len(b.items)-b.head {
+		return nil
+	}
+	if s := &b.items[b.head+i-1-b.base]; s.set {
+		return s
+	}
+	return nil
+}
+
 // get returns the message at 1-based index i, if its storage is live.
 func (b *msgBuf) get(i int) (types.AppMsg, bool) {
-	if b == nil || i <= b.base || i-b.base > len(b.items)-b.head {
-		return types.AppMsg{}, false
+	if s := b.at(i); s != nil {
+		return s.msg, true
 	}
-	s := &b.items[b.head+i-1-b.base]
-	return s.msg, s.set
+	return types.AppMsg{}, false
 }
 
 // longestPrefix returns the length of the gap-free prefix: the largest k such
@@ -135,7 +168,7 @@ func (b *msgBuf) live() int {
 // collect garbage-collects every index at or below stable. Stability implies
 // the prefix was delivered locally, so the dropped prefix is contiguous. The
 // live tail stays where it is: collect zeroes the dropped slots (releasing
-// their payloads) and advances head.
+// their payloads, to the pool where they were held) and advances head.
 func (b *msgBuf) collect(stable int) {
 	if b == nil || stable <= b.base {
 		return
@@ -143,7 +176,11 @@ func (b *msgBuf) collect(stable int) {
 	drop := min(stable-b.base, len(b.items)-b.head)
 	dropped := b.items[b.head : b.head+drop]
 	for i := range dropped {
-		b.bytes -= int64(len(dropped[i].msg.Payload))
+		s := &dropped[i]
+		b.bytes -= s.pinned()
+		if s.hold != nil {
+			s.hold.Release()
+		}
 	}
 	clear(dropped)
 	b.head += drop
@@ -176,18 +213,34 @@ func (m bufferMap) peek(q types.ProcID, viewKey string) *msgBuf {
 	return m[q][viewKey]
 }
 
+// discard empties the buffer as if everything in it had become stable.
+func (b *msgBuf) discard() {
+	b.collect(b.base + len(b.items) - b.head)
+}
+
 // dropExcept discards every buffer whose view key differs from keep; the
 // garbage-collection step an implementation performs when it installs a new
 // view (Section 5.1, closing remark).
 func (m bufferMap) dropExcept(keep string) {
 	for q, row := range m {
-		for k := range row {
+		for k, b := range row {
 			if k != keep {
+				b.discard()
 				delete(row, k)
 			}
 		}
 		if len(row) == 0 {
 			delete(m, q)
+		}
+	}
+}
+
+// release empties every buffer: the end-point is about to forget them all
+// (Recover, Close).
+func (m bufferMap) release() {
+	for _, row := range m {
+		for _, b := range row {
+			b.discard()
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 func TestMsgBufSetGet(t *testing.T) {
 	var b msgBuf
-	b.set(1, types.AppMsg{ID: 1})
-	b.set(3, types.AppMsg{ID: 3}) // hole at 2
+	b.set(1, types.AppMsg{ID: 1}, nil)
+	b.set(3, types.AppMsg{ID: 3}, nil) // hole at 2
 
 	if m, ok := b.get(1); !ok || m.ID != 1 {
 		t.Fatal("index 1 missing")
@@ -30,8 +30,8 @@ func TestMsgBufSetGet(t *testing.T) {
 
 func TestMsgBufSetIsIdempotent(t *testing.T) {
 	var b msgBuf
-	b.set(1, types.AppMsg{ID: 1})
-	b.set(1, types.AppMsg{ID: 99}) // re-store keeps the original (Invariant 6.6)
+	b.set(1, types.AppMsg{ID: 1}, nil)
+	b.set(1, types.AppMsg{ID: 99}, nil) // re-store keeps the original (Invariant 6.6)
 	if m, _ := b.get(1); m.ID != 1 {
 		t.Fatalf("re-store replaced the original: id = %d", m.ID)
 	}
@@ -42,16 +42,16 @@ func TestMsgBufLongestPrefixAndLastIndex(t *testing.T) {
 	if b.longestPrefix() != 0 || b.lastIndex() != 0 {
 		t.Fatal("empty buffer not zero")
 	}
-	b.set(1, types.AppMsg{ID: 1})
-	b.set(2, types.AppMsg{ID: 2})
-	b.set(4, types.AppMsg{ID: 4})
+	b.set(1, types.AppMsg{ID: 1}, nil)
+	b.set(2, types.AppMsg{ID: 2}, nil)
+	b.set(4, types.AppMsg{ID: 4}, nil)
 	if got := b.longestPrefix(); got != 2 {
 		t.Fatalf("longest prefix = %d, want 2", got)
 	}
 	if got := b.lastIndex(); got != 4 {
 		t.Fatalf("last index = %d, want 4", got)
 	}
-	b.set(3, types.AppMsg{ID: 3}) // a forwarded copy fills the hole
+	b.set(3, types.AppMsg{ID: 3}, nil) // a forwarded copy fills the hole
 	if got := b.longestPrefix(); got != 4 {
 		t.Fatalf("after filling the hole, longest prefix = %d, want 4", got)
 	}
@@ -69,9 +69,9 @@ func TestMsgBufNilReceiver(t *testing.T) {
 
 func TestBufferMapDropExcept(t *testing.T) {
 	m := make(bufferMap)
-	m.buf("a", "v1").set(1, types.AppMsg{ID: 1})
-	m.buf("a", "v2").set(1, types.AppMsg{ID: 2})
-	m.buf("b", "v1").set(1, types.AppMsg{ID: 3})
+	m.buf("a", "v1").set(1, types.AppMsg{ID: 1}, nil)
+	m.buf("a", "v2").set(1, types.AppMsg{ID: 2}, nil)
+	m.buf("b", "v1").set(1, types.AppMsg{ID: 3}, nil)
 
 	m.dropExcept("v2")
 	if m.peek("a", "v1") != nil || m.peek("b", "v1") != nil {
@@ -89,13 +89,13 @@ func TestBufferMapDropExcept(t *testing.T) {
 func TestMsgBufBytesAccounting(t *testing.T) {
 	b := &msgBuf{}
 	pay := func(n int) types.AppMsg { return types.AppMsg{ID: int64(n), Payload: make([]byte, n)} }
-	b.set(1, pay(10))
-	b.set(2, pay(20))
-	b.set(4, pay(40)) // hole at 3
+	b.set(1, pay(10), nil)
+	b.set(2, pay(20), nil)
+	b.set(4, pay(40), nil) // hole at 3
 	if b.bytes != 70 {
 		t.Fatalf("bytes = %d, want 70", b.bytes)
 	}
-	b.set(2, pay(999)) // idempotent re-store keeps the original
+	b.set(2, pay(999), nil) // idempotent re-store keeps the original
 	if b.bytes != 70 {
 		t.Fatalf("bytes after re-store = %d, want 70", b.bytes)
 	}
@@ -103,11 +103,11 @@ func TestMsgBufBytesAccounting(t *testing.T) {
 	if b.bytes != 40 {
 		t.Fatalf("bytes after collect(2) = %d, want 40", b.bytes)
 	}
-	b.set(1, pay(10)) // at or below base: dropped, not counted
+	b.set(1, pay(10), nil) // at or below base: dropped, not counted
 	if b.bytes != 40 {
 		t.Fatalf("bytes after below-base store = %d, want 40", b.bytes)
 	}
-	b.set(3, pay(30)) // forwarded copy fills the hole
+	b.set(3, pay(30), nil) // forwarded copy fills the hole
 	if b.bytes != 70 {
 		t.Fatalf("bytes after filling hole = %d, want 70", b.bytes)
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"vsgm/internal/types"
+	"vsgm/internal/wire/pool"
 )
 
 // Level selects which layer of the inheritance hierarchy the end-point runs.
@@ -327,6 +328,7 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 // semantics: recovered end-points restart from initial state under their
 // original identity).
 func (e *Endpoint) reset() {
+	e.msgs.release()
 	e.msgs = make(bufferMap)
 	e.streams = make(map[types.ProcID]*stream)
 	e.mbrshpView = types.InitialView(e.id)
@@ -400,9 +402,10 @@ func (e *Endpoint) BufferedMessages() int {
 	return n
 }
 
-// BufferedBytes returns the payload bytes resident across every message
-// buffer (all senders, all views awaiting garbage collection) — the
-// automaton's share of a node's memory budget.
+// BufferedBytes returns the bytes the message buffers keep resident (all
+// senders, all views awaiting garbage collection) — the automaton's share of
+// a node's memory budget. A copied payload counts its length; a payload held
+// in place counts the capacity of the pooled buffer it pins.
 func (e *Endpoint) BufferedBytes() int64 {
 	var n int64
 	for _, row := range e.msgs {
@@ -424,7 +427,8 @@ func (e *Endpoint) CurrentOthers() []types.ProcID { return e.curOthers }
 // delivery does not regrow a slice from nil; the returned slice is capped at
 // its length and its slots are never written again, so it stays valid however
 // long the caller holds it — including across nested calls into the end-point
-// made while iterating it.
+// made while iterating it. The caller also takes over the buffer reference of
+// every DeliverEvent that carries one (DeliverEvent.Hold).
 func (e *Endpoint) TakeEvents() []Event {
 	n := len(e.pending)
 	evs := e.pending[:n:n]
@@ -436,7 +440,18 @@ func (e *Endpoint) TakeEvents() []Event {
 // the members of the current view. The message is appended to the
 // end-point's own stream and will be self-delivered only after it has been
 // sent to the other view members.
+//
+// The end-point keeps its own copy of payload; the caller may reuse the slice
+// as soon as Send returns.
 func (e *Endpoint) Send(payload []byte) (types.AppMsg, error) {
+	return e.SendHeld(payload, nil)
+}
+
+// SendHeld is Send for a payload that already sits in a pooled buffer of its
+// own: the end-point takes a reference to hold for as long as it retains the
+// message instead of copying the bytes. The caller keeps its reference until
+// it has taken the events this call queued. A nil hold is plain Send.
+func (e *Endpoint) SendHeld(payload []byte, hold *pool.Buf) (types.AppMsg, error) {
 	if e.crashed {
 		return types.AppMsg{}, ErrCrashed
 	}
@@ -444,11 +459,11 @@ func (e *Endpoint) Send(payload []byte) (types.AppMsg, error) {
 		return types.AppMsg{}, ErrBlocked
 	}
 	e.nextMsgID++
-	// set copies the payload on store; return (and report) the stored copy
-	// so the caller may immediately reuse its buffer.
+	// Return (and report) the stored message: without a holder its payload
+	// is the end-point's copy, not the caller's slice.
 	own := e.curBufs[e.self]
 	i := own.lastIndex() + 1
-	own.set(i, types.AppMsg{ID: e.nextMsgID, Payload: payload})
+	own.set(i, types.AppMsg{ID: e.nextMsgID, Payload: payload}, hold)
 	m, _ := own.get(i)
 	if e.onSend != nil {
 		e.onSend(m)
@@ -497,7 +512,20 @@ func (e *Endpoint) HandleView(v types.View) {
 
 // HandleMessage is the input action co_rfifo.deliver_{q,p}(m), dispatching
 // on the message tag (Figures 9 and 10).
+//
+// Payloads are borrowed for the duration of the call: what the end-point
+// retains of an application message it copies.
 func (e *Endpoint) HandleMessage(from types.ProcID, m types.WireMsg) {
+	e.HandleMessageHeld(from, m, nil)
+}
+
+// HandleMessageHeld is HandleMessage for a message decoded in place in a
+// pooled buffer that holds this message alone: an application payload
+// (KindApp, KindFwd) that the end-point stores is kept where it lies, under a
+// reference the end-point takes to hold, instead of being copied. The caller
+// keeps its own reference until it has taken the events this call queued. A
+// nil hold is plain HandleMessage.
+func (e *Endpoint) HandleMessageHeld(from types.ProcID, m types.WireMsg, hold *pool.Buf) {
 	if e.crashed {
 		return
 	}
@@ -511,9 +539,9 @@ func (e *Endpoint) HandleMessage(from types.ProcID, m types.WireMsg) {
 			s.buf = e.msgs.buf(from, s.view.Key())
 		}
 		s.lastRcvd++
-		e.store(s.buf, s.lastRcvd, m.App)
+		e.store(s.buf, s.lastRcvd, m.App, hold)
 	case types.KindFwd:
-		e.store(e.msgs.buf(m.Origin, m.View.Key()), m.Index, m.App)
+		e.store(e.msgs.buf(m.Origin, m.View.Key()), m.Index, m.App, hold)
 	case types.KindAck:
 		e.handleAck(from, m.Cut)
 	case types.KindSync:
@@ -566,7 +594,20 @@ func (e *Endpoint) HandleMessage(from types.ProcID, m types.WireMsg) {
 // input effects are disabled until Recover.
 func (e *Endpoint) Crash() {
 	e.crashed = true
+	for _, ev := range e.pending {
+		if d, ok := ev.(DeliverEvent); ok && d.Hold != nil {
+			d.Hold.Release()
+		}
+	}
 	e.pending = nil
+}
+
+// Close ends the end-point's life: it is crashed for good, and every buffer
+// reference it holds — the message slots of every view, the events nobody
+// took — goes back to its pool.
+func (e *Endpoint) Close() {
+	e.Crash()
+	e.msgs.release()
 }
 
 // Recover models recover_p() (Section 8): the end-point restarts with all
@@ -656,8 +697,8 @@ func (e *Endpoint) streamOf(q types.ProcID) *stream {
 
 // store puts m at index i of b and, when b belongs to the current view,
 // tells the delivery guard whose stream grew.
-func (e *Endpoint) store(b *msgBuf, i int, m types.AppMsg) {
-	b.set(i, m)
+func (e *Endpoint) store(b *msgBuf, i int, m types.AppMsg, hold *pool.Buf) {
+	b.set(i, m, hold)
 	if b.cur > 0 {
 		e.markDeliverable(b.cur - 1)
 	}

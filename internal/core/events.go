@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vsgm/internal/types"
+	"vsgm/internal/wire/pool"
 )
 
 // Event is an output action of the GCS end-point directed at its application
@@ -19,10 +20,20 @@ type Event interface {
 // which — per the within-view property — is also the view the message was
 // sent in). InView shares the end-point's view, which is immutable: read it,
 // Clone it before changing anything.
+//
+// Msg.Payload is the application's to read while it handles the event; a
+// handler that keeps the bytes copies them. Hold is the runtime's business:
+// when the end-point was handed the message in a pooled buffer (SendHeld,
+// HandleMessageHeld) the payload still lies there, Hold is that buffer, and
+// the event owns one reference to it. Whoever takes the event from the
+// end-point releases it once the application is done — a live Node after
+// OnEvent returns. It is nil for every message the end-point copied, which is
+// all of them unless the runtime passes holders.
 type DeliverEvent struct {
 	Sender types.ProcID
 	Msg    types.AppMsg
 	InView types.View
+	Hold   *pool.Buf
 }
 
 func (DeliverEvent) isEvent() {}

@@ -10,7 +10,7 @@ import (
 func TestMsgBufCollect(t *testing.T) {
 	var b msgBuf
 	for i := 1; i <= 5; i++ {
-		b.set(i, types.AppMsg{ID: int64(i)})
+		b.set(i, types.AppMsg{ID: int64(i)}, nil)
 	}
 	b.collect(3)
 	if b.live() != 2 {
@@ -27,13 +27,13 @@ func TestMsgBufCollect(t *testing.T) {
 		t.Fatalf("prefix/last = %d/%d, want 5/5", b.longestPrefix(), b.lastIndex())
 	}
 	// New arrivals keep their logical index.
-	b.set(6, types.AppMsg{ID: 6})
+	b.set(6, types.AppMsg{ID: 6}, nil)
 	if m, ok := b.get(6); !ok || m.ID != 6 {
 		t.Fatal("post-collection set/get broken")
 	}
 	// Collecting backwards is a no-op; re-setting a collected index too.
 	b.collect(1)
-	b.set(2, types.AppMsg{ID: 99})
+	b.set(2, types.AppMsg{ID: 99}, nil)
 	if _, ok := b.get(2); ok {
 		t.Fatal("collected slot resurrected")
 	}

@@ -26,6 +26,24 @@ const (
 	minStagingSize  = 2 << 10
 )
 
+// fillSlack is how far past the end of a body a direct fill lets the kernel
+// write when the fill buffer has the room: enough for the next frame's length
+// prefix and its first bytes, so that a stream of back-to-back large frames
+// costs one read per frame — the next fill starts knowing its size — instead
+// of a staging-sized read whose contents then have to be moved. The surplus is
+// copied twice (out of this buffer, into the next), which is why it is a few
+// dozen bytes and not whatever the slab could take.
+const fillSlack = 64
+
+// dedicated reports whether body, a reference next handed out with a frame,
+// is a buffer that holds that frame alone — the direct-fill path, always
+// longer than any staging window — as opposed to a staging slab other frames
+// share. A consumer may keep a dedicated buffer as long as it likes at the cost
+// of the buffer itself; keeping a shared one pins every neighbour's bytes.
+func dedicated(body *pool.Buf) bool {
+	return body != nil && len(body.B()) > stagingSlabSize
+}
+
 // frameAssembler turns a raw byte stream into decoded frames without
 // copying payloads: bytes land in pooled staging slabs, complete frames are
 // decoded in place (payloads alias the slab, which is reference-counted per
@@ -51,7 +69,9 @@ type frameAssembler struct {
 
 	fill  *pool.Buf // direct-fill target for bodies > staging but <= MaxSlab
 	big   []byte    // grow-as-bytes-arrive fill for bodies > MaxSlab
-	fillN int       // bytes of body landed in fill/big so far
+	fillN int       // bytes landed in fill/big so far; in fill, up to fillSlack past the body
+
+	copied int64 // bytes this assembler has moved from one buffer to another
 
 	// frameStart stamps the frame in progress, driving the mid-frame progress
 	// deadline (a trickled body must finish within the per-leg budget, it
@@ -110,10 +130,23 @@ func (a *frameAssembler) roll() {
 	residual := a.end - a.start
 	a.slab = a.pool.Get(a.size)
 	if residual > 0 {
-		copy(a.slab.B(), old.B()[a.start:a.end])
+		a.copied += int64(copy(a.slab.B(), old.B()[a.start:a.end]))
 	}
 	a.start, a.end = 0, residual
 	old.Release()
+}
+
+// stash appends surplus — what a direct fill read past the end of its body —
+// to staging's unparsed window, which is empty whenever there is a surplus (a
+// fill reads from the socket only after it has swallowed all of staging).
+// Bytes below the window may still back frames already emitted, so the
+// surplus goes behind them, or into a fresh slab when the tail has no room.
+func (a *frameAssembler) stash(surplus []byte) {
+	if len(a.slab.B())-a.end < len(surplus) {
+		a.roll()
+	}
+	a.copied += int64(copy(a.slab.B()[a.end:], surplus))
+	a.end += len(surplus)
 }
 
 // writable returns the window the caller should read stream bytes into.
@@ -123,7 +156,7 @@ func (a *frameAssembler) writable() []byte {
 		if a.fillN == len(a.big) {
 			// Grow only as bytes arrive: double up to the claimed size.
 			grown := make([]byte, min(2*len(a.big), a.bodyLen))
-			copy(grown, a.big[:a.fillN])
+			a.copied += int64(copy(grown, a.big[:a.fillN]))
 			a.big = grown
 		}
 		return a.big[a.fillN:]
@@ -184,6 +217,8 @@ func (a *frameAssembler) next(fr *frame) (body *pool.Buf, done bool, err error) 
 				return nil, true, nil
 			}
 			f := a.fill
+			a.stash(f.B()[a.bodyLen:a.fillN])
+			f.Resize(a.bodyLen)
 			a.fill, a.fillN, a.bodyLen = nil, 0, -1
 			a.frameStart = time.Time{}
 			if err := wire.UnmarshalFrameBorrow(f.B(), fr, a.st); err != nil {
@@ -230,11 +265,13 @@ func (a *frameAssembler) next(fr *frame) (body *pool.Buf, done bool, err error) 
 				seed := a.slab.B()[a.start : a.start+take]
 				if a.bodyLen <= pool.MaxSlab {
 					a.fill = a.pool.Get(a.bodyLen)
+					a.fill.Resize(min(a.fill.Cap(), a.bodyLen+fillSlack))
 					copy(a.fill.B(), seed)
 				} else {
 					a.big = make([]byte, max(len(seed), initialBigFill))
 					copy(a.big, seed)
 				}
+				a.copied += int64(take)
 				a.fillN = take
 				a.start += take
 				continue

@@ -123,6 +123,105 @@ func TestAssemblerLargeFrameTakesFillPath(t *testing.T) {
 	}
 }
 
+// TestAssemblerBulkStreamOneReadPerFrame feeds a stream whose every byte is
+// already "in the socket" — each read gets as much as the assembler offers —
+// and counts what a run of back-to-back large frames costs. The first of a
+// run is discovered inside a staging read and its landed bytes are moved once;
+// every one after it starts its fill from the few surplus bytes of its
+// predecessor's read, so it takes exactly one read and moves no more than the
+// slack (once out of the predecessor's buffer, once into its own). Small
+// frames around and between the runs are decoded in staging as ever, and the
+// references a consumer keeps to them stay good while the large ones go by.
+func TestAssemblerBulkStreamOneReadPerFrame(t *testing.T) {
+	p := pool.New()
+	a := newFrameAssembler(p)
+	const large = 16 << 10 // the payload; the body is a frame header more
+	var (
+		stream []byte
+		sizes  []int // payload sizes
+		bodies []int // frame body lengths
+	)
+	add := func(size int) {
+		enc := encodedAppFrame(t, int64(len(sizes)), bytes.Repeat([]byte{byte(len(sizes) + 1)}, size))
+		stream = append(stream, enc...)
+		sizes = append(sizes, size)
+		bodies = append(bodies, len(enc)-4)
+	}
+	for _, size := range []int{40, large, large + 999, large, 300, 17, large, stagingSlabSize + 1, 2 * large, 5} {
+		add(size)
+	}
+
+	type kept struct {
+		id      int
+		payload []byte
+		body    *pool.Buf
+	}
+	var (
+		small    []kept
+		fr       frame
+		got      int
+		advances int
+		copied   int64
+	)
+	for len(stream) > 0 {
+		w := a.writable()
+		n := copy(w, stream)
+		stream = stream[n:]
+		a.advance(n)
+		advances++
+		for {
+			body, done, err := a.next(&fr)
+			if err != nil {
+				t.Fatalf("assembler error: %v", err)
+			}
+			if done {
+				break
+			}
+			size := sizes[got]
+			if len(fr.Msg.App.Payload) != size || sum(fr.Msg.App.Payload) != sum(bytes.Repeat([]byte{byte(got + 1)}, size)) {
+				t.Fatalf("frame %d decoded wrong", got)
+			}
+			if dedicated(body) != (size >= large) {
+				t.Fatalf("frame %d (%d bytes): dedicated = %v", got, size, dedicated(body))
+			}
+			if size >= large && got > 0 && sizes[got-1] >= large {
+				// Directly behind another large frame: the steady state.
+				if advances != 1 {
+					t.Errorf("frame %d took %d reads, want 1", got, advances)
+				}
+				if moved := a.copied - copied; moved > 2*fillSlack {
+					t.Errorf("frame %d: the assembler moved %d bytes, want at most the slack twice (%d)", got, moved, 2*fillSlack)
+				}
+			}
+			if size >= large {
+				if n := len(body.B()); n != bodies[got] || body.Cap()-n >= n/4 {
+					t.Errorf("frame %d: a %d-byte body came in a buffer %d long with a %d slab", got, bodies[got], n, body.Cap())
+				}
+				body.Release()
+				advances, copied = 0, a.copied
+			} else {
+				small = append(small, kept{got, fr.Msg.App.Payload, body})
+			}
+			got++
+		}
+	}
+	if got != len(sizes) {
+		t.Fatalf("decoded %d frames, want %d", got, len(sizes))
+	}
+	for _, k := range small {
+		for _, b := range k.payload {
+			if b != byte(k.id+1) {
+				t.Fatalf("small frame %d, held across the large ones, was overwritten", k.id)
+			}
+		}
+		k.body.Release()
+	}
+	a.close()
+	if n := p.Stats().Outstanding; n != 0 {
+		t.Fatalf("%d buffers outstanding after close", n)
+	}
+}
+
 func TestAssemblerOversizedFrameIsPlainMemory(t *testing.T) {
 	p := pool.New()
 	a := newFrameAssembler(p)
@@ -159,6 +258,35 @@ func TestAssemblerRejectsHostileLengthPrefix(t *testing.T) {
 	if _, _, err := a.next(&fr); err != wire.ErrFrameTooLarge {
 		t.Fatalf("hostile length prefix: got err %v, want ErrFrameTooLarge", err)
 	}
+
+	// The same prefixes arriving as the surplus of a direct fill, behind a
+	// large frame in one read: the bound is enforced all the same, and a
+	// claim the bound admits still buys only the initial grow-as-bytes-arrive
+	// buffer, not its size up front.
+	for _, claim := range []int{huge, wire.MaxFrameSize} {
+		b := newFrameAssembler(pool.New())
+		stream := encodedAppFrame(t, 1, bytes.Repeat([]byte("L"), stagingSlabSize))
+		stream = append(stream, byte(claim>>24), byte(claim>>16), byte(claim>>8), byte(claim), 0xEE)
+		var err error
+		for len(stream) > 0 && err == nil {
+			n := copy(b.writable(), stream)
+			stream = stream[n:]
+			b.advance(n)
+			for done := false; !done && err == nil; {
+				var body *pool.Buf
+				if body, done, err = b.next(&fr); body != nil {
+					body.Release()
+				}
+			}
+		}
+		switch {
+		case claim > wire.MaxFrameSize && err != wire.ErrFrameTooLarge:
+			t.Fatalf("hostile prefix behind a large frame: got err %v, want ErrFrameTooLarge", err)
+		case claim <= wire.MaxFrameSize && (err != nil || len(b.big) != initialBigFill):
+			t.Fatalf("maximal prefix behind a large frame: err %v, %d bytes allocated up front, want %d", err, len(b.big), initialBigFill)
+		}
+		b.close()
+	}
 }
 
 func TestAssemblerMidFrameStamp(t *testing.T) {
@@ -188,6 +316,31 @@ func TestAssemblerMidFrameStamp(t *testing.T) {
 	}
 	if _, mid := a.midFrame(); mid {
 		t.Fatal("stamp not cleared after the stream drained")
+	}
+
+	// A frame whose first bytes arrive as the surplus of a direct fill — in
+	// the same read as the end of a large frame — is in progress from that
+	// read on, whether the surplus holds part of its prefix or more.
+	large := encodedAppFrame(t, 2, bytes.Repeat([]byte("L"), stagingSlabSize))
+	stream = append(large, encodedAppFrame(t, 3, []byte("hello again"))...)
+	for _, lead := range []int{2, 4, 9} {
+		cut := len(large) + lead
+		frames := 0
+		before := time.Now()
+		feed(t, a, stream[:cut], 1<<20, func(_ *frame, body *pool.Buf) {
+			frames++
+			body.Release()
+		})
+		if start, mid := a.midFrame(); frames != 1 || !mid || start.Before(before) {
+			t.Fatalf("lead %d: %d frames decoded, in progress = %v since %v; want the large frame and a fresh stamp", lead, frames, mid, start)
+		}
+		feed(t, a, stream[cut:], 1<<20, func(_ *frame, body *pool.Buf) {
+			frames++
+			body.Release()
+		})
+		if _, mid := a.midFrame(); frames != 2 || mid {
+			t.Fatalf("lead %d: %d frames decoded, in progress = %v after the stream drained", lead, frames, mid)
+		}
 	}
 }
 

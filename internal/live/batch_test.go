@@ -127,8 +127,10 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 }
 
 // recordedStream is a mixed stream in wire form — every frame kind the
-// receive path distinguishes, a body larger than the staging window and one
-// larger than the biggest pool slab — together with its per-frame boundaries.
+// receive path distinguishes, a body larger than the staging window, one
+// larger than the biggest pool slab, and a run of three large bodies back to
+// back with small frames on either side — together with its per-frame
+// boundaries.
 func recordedStream(t *testing.T) (stream []byte, bounds []int) {
 	t.Helper()
 	v := types.NewView(3, types.NewProcSet("a", "b"), map[types.ProcID]types.StartChangeID{"a": 1, "b": 2})
@@ -149,6 +151,10 @@ func recordedStream(t *testing.T) (stream []byte, bounds []int) {
 		app(5, pool.MaxSlab+100),
 		{From: "src", Notify: &membership.Notification{Kind: membership.NotifyStartChange, StartChange: types.StartChange{ID: 9, Set: types.NewProcSet("a", "b")}}},
 		app(6, 17),
+		app(7, stagingSlabSize+100),
+		app(8, 20_000),
+		app(9, stagingSlabSize+1),
+		app(10, 33),
 	} {
 		fb, err := wire.EncodeFrame(fr)
 		if err != nil {
@@ -190,8 +196,11 @@ func sum(b []byte) (s uint32) {
 // its small-frame head and at a spread of offsets through (and right around
 // the edges of) its large frames, and requires the same frame sequence the
 // reference stream decoder produces — credit frames excepted, which end in
-// the fabric and are checked through the window they grant. Every pooled
-// buffer must be back when the fabric closes.
+// the fabric and are checked through the window they grant. The consumer
+// keeps every pooled body it is handed until the whole stream is through, so
+// a later frame written over bytes an earlier one still aliases — the surplus
+// of a direct fill landing in the wrong part of staging, say — shows as a
+// changed payload. Every pooled buffer must be back when the fabric closes.
 func TestGoroutineEngineByteSplitDelivery(t *testing.T) {
 	stream, bounds := recordedStream(t)
 
@@ -207,14 +216,27 @@ func TestGoroutineEngineByteSplitDelivery(t *testing.T) {
 		}
 	}
 
+	type keptBody struct {
+		body    *pool.Buf
+		payload []byte
+		sum     uint32
+	}
 	var (
-		mu  sync.Mutex
-		got []string
+		mu   sync.Mutex
+		got  []string
+		kept []keptBody
 	)
-	rx, err := newFabric("rx", "127.0.0.1:0", TransportConfig{Reactor: ReactorOff},
-		func(_ types.ProcID, fr frame) {
+	rx, err := newFabricRef("rx", "127.0.0.1:0", TransportConfig{Reactor: ReactorOff},
+		func(_ types.ProcID, fr frame, body *pool.Buf) {
 			mu.Lock()
 			got = append(got, frameDigest(fr))
+			if body != nil {
+				k := keptBody{body: body}
+				if fr.Msg != nil {
+					k.payload, k.sum = fr.Msg.App.Payload, sum(fr.Msg.App.Payload)
+				}
+				kept = append(kept, k)
+			}
 			mu.Unlock()
 		}, func(types.ProcID, error) {})
 	if err != nil {
@@ -286,6 +308,15 @@ func TestGoroutineEngineByteSplitDelivery(t *testing.T) {
 				t.Fatalf("split %d: frame %d delivered as %q, want %q", k, i, seen[i], want[i])
 			}
 		}
+		mu.Lock()
+		for _, kb := range kept {
+			if sum(kb.payload) != kb.sum {
+				t.Errorf("split %d: a %d-byte payload changed while its buffer was held", k, len(kb.payload))
+			}
+			kb.body.Release()
+		}
+		kept = kept[:0]
+		mu.Unlock()
 	}
 	if l := rx.linkFor("tx"); l.granted != 1<<20 {
 		t.Errorf("credit frame did not reach the outbound window: granted = %d", l.granted)
@@ -309,52 +340,9 @@ func TestLiveReceivePathAllocCeiling(t *testing.T) {
 		msgs    = 20_000
 		ceiling = 2.9 // measured 2.2–2.3 on both engines (6.3 before the batched path), plus 25 %
 	)
-	var delivered [2]atomic.Int64
-	dir := make(map[types.ProcID]string)
-	srv, err := NewServerNode(ServerConfig{ID: "srv0", Addr: "127.0.0.1:0", Servers: types.NewProcSet("srv0")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	dir["srv0"] = srv.Addr()
-	var nodes []*Node
-	for i := 0; i < 2; i++ {
-		id := types.ProcID(fmt.Sprintf("cli%d", i))
-		node, err := NewNode(NodeConfig{ID: id, Addr: "127.0.0.1:0", AutoBlock: true, MsgIDBase: int64(i+1) * 1_000_000,
-			OnEvent: func(ev core.Event) {
-				if _, ok := ev.(core.DeliverEvent); ok {
-					delivered[i].Add(1)
-				}
-			}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close()
-		nodes = append(nodes, node)
-		dir[id] = node.Addr()
-	}
-	srv.SetPeers(dir)
-	for _, n := range nodes {
-		n.SetPeers(dir)
-		srv.AddClient(n.ID())
-	}
-	srv.SetReachable(types.NewProcSet("srv0"))
-	waitUntil(t, "both members to install the pair view", 10*time.Second, func() bool {
-		return nodes[0].CurrentView().Members.Len() == 2 && nodes[1].CurrentView().Members.Len() == 2
-	})
-
+	g := newPairGroup(t, TransportConfig{})
 	payload := make([]byte, 256)
-	stream := func(n int) {
-		target := delivered[0].Load() + int64(n)
-		for i := 0; i < n; i++ {
-			if _, err := nodes[0].Send(payload); err != nil {
-				t.Fatalf("send: %v", err)
-			}
-		}
-		waitUntil(t, "both members to deliver the stream", 30*time.Second, func() bool {
-			return delivered[0].Load() >= target && delivered[1].Load() >= target
-		})
-	}
+	stream := func(n int) { g.stream(t, payload, n, n) }
 	stream(warm)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -1067,13 +1067,19 @@ func TestLiveBatchCoalescingBacklogFlushesOnce(t *testing.T) {
 // window. Per-byte deadline re-arming would keep such a parser open forever;
 // the read-progress budget (a frame must complete within two
 // ReadIdleTimeouts of its first byte) must sever the connection instead.
+//
+// The after-bulk variant opens with one honest large frame and, in the same
+// write, the first bytes of the trickled one: they reach the victim as the
+// surplus of the large frame's direct fill, and the frame they start is on the
+// clock from that read like any other.
 func TestSlowLorisSevered(t *testing.T) {
 	for _, m := range engineModes {
-		t.Run(m.name, func(t *testing.T) { slowLorisSevered(t, m.mode) })
+		t.Run(m.name, func(t *testing.T) { slowLorisSevered(t, m.mode, false) })
+		t.Run(m.name+"-after-bulk", func(t *testing.T) { slowLorisSevered(t, m.mode, true) })
 	}
 }
 
-func slowLorisSevered(t *testing.T, engine ReactorMode) {
+func slowLorisSevered(t *testing.T, engine ReactorMode, afterBulk bool) {
 	idle := 300 * time.Millisecond
 	var downs atomic.Int64
 	var received atomic.Int64
@@ -1103,6 +1109,25 @@ func slowLorisSevered(t *testing.T, engine ReactorMode) {
 	defer body.Release()
 	full := body.Wire()
 
+	honest := int64(0)
+	if afterBulk {
+		bulk := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 0, Payload: bytes.Repeat([]byte("b"), stagingSlabSize)}}
+		lead, err := wire.EncodeFrame(frame{From: "loris", Msg: &bulk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const head = 9 // the trickled frame's length prefix and a little more
+		_, err = conn.Write(append(append([]byte(nil), lead.Wire()...), full[:head]...))
+		lead.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, honest = full[head:], 1
+		waitUntil(t, "the victim to deliver the honest large frame", 5*time.Second, func() bool {
+			return received.Load() == honest
+		})
+	}
+
 	// Trickle well inside the idle window per byte: only the whole-frame
 	// budget can catch this. The victim must cut us off long before the
 	// frame completes (256+ bytes at 60ms each would take ~15s).
@@ -1129,8 +1154,8 @@ func slowLorisSevered(t *testing.T, engine ReactorMode) {
 	waitUntil(t, "the victim to report the severed link", 5*time.Second, func() bool {
 		return downs.Load() >= 1
 	})
-	if got := received.Load(); got != 0 {
-		t.Errorf("victim delivered %d frames from a trickled stream that never completed one", got)
+	if got := received.Load(); got != honest {
+		t.Errorf("victim delivered %d frames, want %d: the trickled frame never completed", got, honest)
 	}
 }
 

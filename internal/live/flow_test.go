@@ -374,12 +374,16 @@ func (w *liveWorld) waitGroupFormed() types.ViewID {
 // collect inside a view, so after 10 000 multicasts in one view every member's
 // vsgm_endpoint_buffered_messages is a small multiple of ackInterval ×
 // members — not the 10 000 it was when buffers were only reclaimed by a view
-// change.
+// change. With 16 KiB payloads, which a member holds in the pooled buffers they
+// arrived in, the same bound holds in bytes at a slab per message, and the
+// pool has no more buffers out than the messages account for.
 func TestLiveRetentionWithinViewIsBounded(t *testing.T) {
-	const (
-		members = 3
-		sends   = 10_000
-	)
+	t.Run("payload=9", func(t *testing.T) { retentionWithinViewIsBounded(t, []byte("retained?"), 10_000) })
+	t.Run("payload=16K", func(t *testing.T) { retentionWithinViewIsBounded(t, make([]byte, 16<<10), 3_000) })
+}
+
+func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
+	const members = 3
 	reg := obs.NewRegistry()
 	w := newLiveWorldWith(t, 2, members, func(c *NodeConfig) { c.Obs = reg })
 	defer w.close()
@@ -388,7 +392,7 @@ func TestLiveRetentionWithinViewIsBounded(t *testing.T) {
 
 	sender := w.clients["cli0"]
 	for i := 0; i < sends; i++ {
-		if _, err := sender.Send([]byte("retained?")); err != nil {
+		if _, err := sender.Send(payload); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -402,15 +406,16 @@ func TestLiveRetentionWithinViewIsBounded(t *testing.T) {
 		return true
 	})
 
-	buffered := func() map[string]float64 {
+	gauge := func(name string) map[string]float64 {
 		out := make(map[string]float64)
 		for _, s := range reg.Snapshot().Samples {
-			if s.Name == "vsgm_endpoint_buffered_messages" {
+			if s.Name == name {
 				out[s.Labels[0].Value] = s.Value
 			}
 		}
 		return out
 	}
+	buffered := func() map[string]float64 { return gauge("vsgm_endpoint_buffered_messages") }
 	const bound = 2 * ackInterval * members
 	w.waitFor("buffered messages to fall under the retention bound", func() bool {
 		got := buffered()
@@ -425,6 +430,22 @@ func TestLiveRetentionWithinViewIsBounded(t *testing.T) {
 		return true
 	})
 	t.Logf("buffered after %d sends: %v (bound %d)", sends, buffered(), bound)
+	if len(payload) >= stagingSlabSize {
+		// A slab per held message: the frame's quarter-step class at a
+		// receiver, the payload's own at the sender.
+		const slab = 20 << 10
+		for node, b := range gauge("vsgm_endpoint_buffered_bytes") {
+			if b > bound*slab {
+				t.Errorf("%s pins %v bytes in its message buffers, bound %d", node, b, bound*slab)
+			}
+		}
+		for node, out := range gauge("vsgm_pool_outstanding") {
+			// Besides the held messages: a staging slab per inbound link.
+			if limit := buffered()[node] + 2*(members+2); out > limit {
+				t.Errorf("%s has %v pooled buffers out with %v messages buffered", node, out, buffered()[node])
+			}
+		}
+	}
 	for cid, node := range w.clients {
 		if got := node.CurrentView().ID; got != vid {
 			t.Fatalf("%s moved to view %d during the run; the bound must hold inside view %d", cid, got, vid)
@@ -439,8 +460,16 @@ func TestLiveRetentionWithinViewIsBounded(t *testing.T) {
 // by its end-point's message buffers (not by transport queues) reopens once
 // the view has acknowledged the messages, with no reconfiguration. The burst
 // is too short for any member to reach ackInterval deliveries; the manager
-// tick's FlushAck is what reports the tail.
+// tick's FlushAck is what reports the tail. The 16 KiB case runs the same
+// budget over payloads that are held in pooled buffers rather than copied: the
+// budget counts the slab a held message pins, so it still bounds what is
+// resident.
 func TestMemoryBudgetReopensWithoutViewChange(t *testing.T) {
+	t.Run("payload=8K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 8<<10) })
+	t.Run("payload=16K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 16<<10) })
+}
+
+func memoryBudgetReopensWithoutViewChange(t *testing.T, size int) {
 	const high = 256 << 10
 	reg := obs.NewRegistry()
 	w := newLiveWorldWith(t, 2, 3, func(c *NodeConfig) {
@@ -453,11 +482,11 @@ func TestMemoryBudgetReopensWithoutViewChange(t *testing.T) {
 	w.boot()
 	vid := w.waitGroupFormed()
 
-	// 8 KiB payloads, each delivered everywhere before the next is sent, so
-	// the transport queues are empty and only the message buffers grow: the
-	// budget is crossed after 32 sends, half an ack interval.
+	// Each payload is delivered everywhere before the next is sent, so the
+	// transport queues are empty and only the message buffers grow: the budget
+	// is crossed after 32 sends of 8 KiB, half an ack interval, or 16 of 16.
 	n := w.clients["cli0"]
-	payload := make([]byte, 8<<10)
+	payload := make([]byte, size)
 	sent := 0
 	for {
 		_, err := n.TrySend(payload)
@@ -488,6 +517,18 @@ func TestMemoryBudgetReopensWithoutViewChange(t *testing.T) {
 	}
 	if !n.Stats().Overloaded || buffered < high {
 		t.Fatalf("latched = %v with %v bytes in the message buffers, want the buffers alone over %d", n.Stats().Overloaded, buffered, high)
+	}
+	if size >= stagingSlabSize {
+		// A receiver holds each message in the slab its frame arrived in —
+		// the 20 KiB class for a 16 KiB payload behind its header — and is
+		// charged for all of it.
+		peer := w.clients["cli1"]
+		peer.mu.Lock()
+		msgs, pinned := peer.ep.BufferedMessages(), peer.ep.BufferedBytes()
+		peer.mu.Unlock()
+		if msgs == 0 || pinned != int64(msgs)*(20<<10) {
+			t.Fatalf("a receiver holding %d messages of %d bytes accounts for %d bytes, want %d a message", msgs, size, pinned, 20<<10)
+		}
 	}
 
 	w.waitFor("the budget to reopen inside the view", func() bool {

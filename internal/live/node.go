@@ -38,7 +38,10 @@ type NodeConfig struct {
 	// MsgIDBase offsets diagnostic message identifiers.
 	MsgIDBase int64
 	// OnEvent receives the end-point's application events, serialized (one
-	// at a time, in order).
+	// at a time, in order). A delivered payload (DeliverEvent.Msg.Payload) is
+	// valid until the handler returns — a large one is the network buffer it
+	// arrived in, recycled afterwards; copy what you keep. The same holds for
+	// Observe and for the message OnSend sees.
 	OnEvent func(core.Event)
 	// OnSend observes successful sends synchronously at the send point,
 	// before the message reaches the wire — so a send is reported before
@@ -206,11 +209,16 @@ const (
 
 // pumpItem is one entry of the event ring: a tagged value, not a closure, so
 // staging an event allocates nothing and the pump dispatches on a byte. Only
-// the fields its kind names are set.
+// the fields its kind names are set. hold, on a delivery whose payload lies in
+// a pooled buffer, is the event's own reference to it (core.DeliverEvent.Hold):
+// the slot it was delivered from can be collected by an ack round while the
+// event still waits in the ring, so the entry keeps the buffer alive until
+// OnEvent has returned.
 type pumpItem struct {
 	kind pumpKind
 	n    int32
 	ev   core.Event
+	hold *pool.Buf
 	ntf  *membership.Notification
 	peer types.ProcID
 	err  error
@@ -222,18 +230,21 @@ type pumpItem struct {
 // node retains O(ackInterval × members) messages, not everything sent in the
 // view. The manager tick flushes the remainder (Endpoint.FlushAck), so a
 // group gone quiet drains to empty. It is a constant, not a knob, chosen on
-// bench/ (8 s runs, 4 members; mcast_stream 256 B, mcast_bulk 16 KiB):
+// bench/ (8 s runs, 4 members; mcast_stream 256 B, mcast_bulk 16 KiB — the
+// mcast_bulk column measured again since large payloads are held in their
+// pooled buffers rather than copied, two to four runs a row on a busy host):
 //
 //	interval   mcast_stream          mcast_bulk
-//	(no acks)   82 k/s  222 MB       15 k/s  342 MB
-//	16         111 k/s   14 MB
-//	64         140-150 k/s 14 MB     15.6 k/s  30 MB
-//	256        144-168 k/s 14 MB     17.6 k/s  50 MB
+//	(no acks)   82 k/s  222 MB       (15 k/s 342 MB when payloads were copied)
+//	16         111 k/s   14 MB       21-29 k/s  24-28 MB
+//	64         140-150 k/s 14 MB     20-34 k/s  25-30 MB
+//	256        144-168 k/s 14 MB     22-39 k/s  37-41 MB
 //	1024       158-166 k/s 17 MB
 //
 // Below 64 the ack frames cost throughput; above it the rate gains at most a
 // tenth, inside the run-to-run spread, while the resident tail of large
-// payloads grows in proportion.
+// payloads grows in proportion — a whole slab per retained message now, which
+// is also why the no-acks row was not run again.
 const ackInterval = 64
 
 // liveTransport adapts the fabric to core.Transport.
@@ -396,8 +407,8 @@ func (n *Node) registerObs() {
 	n.obs.SetHelp("vsgm_endpoint_msgs_delivered_total", "Application messages delivered.")
 	n.obs.SetHelp("vsgm_endpoint_forwards_total", "Forwarded message copies sent during reconfigurations.")
 	n.obs.SetHelp("vsgm_endpoint_buffered_messages", "Application messages resident in the endpoint's buffers.")
-	n.obs.SetHelp("vsgm_endpoint_buffered_bytes", "Payload bytes resident across the endpoint's message buffers.")
-	n.obs.SetHelp("vsgm_node_mem_bytes", "Bytes governed by the memory budget: transport queues plus message buffers.")
+	n.obs.SetHelp("vsgm_endpoint_buffered_bytes", "Bytes the endpoint's message buffers keep resident: a copied payload's length, a held payload's whole pooled buffer.")
+	n.obs.SetHelp("vsgm_node_mem_bytes", "Bytes governed by the memory budget: transport queues plus what the message buffers pin.")
 	n.obs.SetHelp("vsgm_node_overloaded", "1 while the memory-budget hysteresis latch is shut.")
 	n.obs.SetHelp("vsgm_reactor_enabled", "1 when the epoll reactor drives this process's transport, 0 on the goroutine-per-link engine.")
 	n.obs.SetHelp("vsgm_reactor_wakeups_total", "Event-loop wakeups with at least one ready descriptor.")
@@ -408,7 +419,7 @@ func (n *Node) registerObs() {
 	n.obs.SetHelp("vsgm_pool_gets_total", "Buffer requests served by the transport slab pool.")
 	n.obs.SetHelp("vsgm_pool_hits_total", "Pool requests satisfied from a free ring (hits/gets is the recycle ratio).")
 	n.obs.SetHelp("vsgm_pool_misses_total", "Pool requests that had to allocate fresh slabs.")
-	n.obs.SetHelp("vsgm_pool_outstanding", "Pooled buffers currently on loan; must return to zero at rest.")
+	n.obs.SetHelp("vsgm_pool_outstanding", "Pooled buffers currently on loan: read windows, and large messages held until stable; zero after Close.")
 }
 
 // linkSamples aggregates per-peer LinkStats into process-level counters.
@@ -460,8 +471,9 @@ func linkSamples(owner obs.Label, links map[types.ProcID]LinkStats) []obs.Sample
 // reactorSamples exposes the transport engine's receive-path health: which
 // engine is running, how busy the event loops are (frames per wakeup is
 // frames_in/wakeups), and how the slab pool is performing (hit ratio is
-// hits/gets; outstanding counts buffers currently on loan, which must drain
-// to zero at rest — a plateau is a leak).
+// hits/gets; outstanding counts buffers currently on loan — read windows, and
+// large messages held until the view has acknowledged them — which is zero
+// after Close; growth without traffic is a leak).
 func reactorSamples(owner obs.Label, f *fabric) []obs.Sample {
 	c := func(name string, kind obs.MetricKind, v float64) obs.Sample {
 		return obs.Sample{Name: name, Kind: kind, Labels: []obs.Label{owner}, Value: v}
@@ -663,7 +675,8 @@ func (n *Node) linkDown(peer types.ProcID, err error) {
 // end-point's blocked phase during reconfiguration (retrying under the new
 // view, so Self Delivery is preserved — an admitted send is enqueued in the
 // automaton before Send returns). It returns ErrOverloaded only when the
-// node closes underneath a parked sender.
+// node closes underneath a parked sender. The node keeps its own copy of
+// payload: the caller may reuse the slice as soon as Send returns.
 func (n *Node) Send(payload []byte) (types.AppMsg, error) {
 	return n.send(payload, true)
 }
@@ -675,7 +688,29 @@ func (n *Node) TrySend(payload []byte) (types.AppMsg, error) {
 	return n.send(payload, false)
 }
 
+// send makes the node's one copy of a large payload — into a pooled buffer,
+// before any lock is taken — and lets the end-point hold that buffer for as
+// long as it retains the message; the caller's slice is free again on return
+// either way. Large means what it means to a receiver: too long to share a
+// staging slab, so it arrives in (and is held as) a buffer of its own. A
+// smaller payload is copied by the end-point as it stores it.
 func (n *Node) send(payload []byte, block bool) (types.AppMsg, error) {
+	if len(payload) < stagingSlabSize {
+		return n.admit(payload, nil, block)
+	}
+	hold := n.fabric.pool.Get(len(payload))
+	copy(hold.B(), payload)
+	m, err := n.admit(hold.B(), hold, block)
+	hold.Release()
+	if err == nil {
+		m.Payload = payload // not the pooled bytes, which the caller holds no reference to
+	}
+	return m, err
+}
+
+// admit takes payload through the three send gates and into the automaton.
+// hold, when non-nil, is the pooled buffer payload lies in.
+func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, error) {
 	waited := false
 	stall := func() {
 		if !waited {
@@ -730,7 +765,7 @@ func (n *Node) send(payload []byte, block bool) (types.AppMsg, error) {
 		// sender until endpoint state advances, then every gate re-runs
 		// against the (possibly new) view.
 		n.mu.Lock()
-		m, err := n.ep.Send(payload)
+		m, err := n.ep.SendHeld(payload, hold)
 		if err == core.ErrBlocked && block && !n.closed {
 			stall()
 			n.unblocked.Wait()
@@ -765,8 +800,9 @@ func (n *Node) budgetOpen() bool {
 }
 
 // MemUsage returns the bytes governed by the memory budget: encoded frames
-// resident in outbound transport queues plus application payload bytes held
-// in the endpoint's message buffers.
+// resident in outbound transport queues plus what the endpoint's message
+// buffers pin — the payload's length where it was copied, the whole pooled
+// buffer where it is held in place.
 func (n *Node) MemUsage() int64 {
 	n.mu.Lock()
 	var buffered int64
@@ -855,20 +891,28 @@ func (n *Node) endBatch(from types.ProcID) {
 }
 
 // receiveRef handles one inbound frame inside an open batch (n.mu held). fr's
-// payloads may alias body, a pooled network buffer this method owns.
-// Processing is synchronous — everything the protocol retains is copied at its
-// single retention point (msgBuf.set) — so the buffer is recycled as soon as
-// the frame is handled.
+// payloads may alias body, a pooled network buffer this method owns a
+// reference to. Processing is synchronous, and whatever outlives it has taken
+// a reference of its own by the time it ends — the message slot that keeps a
+// dedicated buffer instead of copying out of it (msgBuf.set), the delivery
+// events staged for the pump — so this reference is dropped as soon as the
+// frame is handled. A body shared with other frames is offered to nobody: the
+// end-point copies what it retains out of it, as it always did.
 func (n *Node) receiveRef(from types.ProcID, fr frame, body *pool.Buf) {
-	n.receive(from, fr)
+	var hold *pool.Buf
+	if dedicated(body) {
+		hold = body
+	}
+	n.receive(from, fr, hold)
 	if body != nil {
 		body.Release()
 	}
 }
 
 // receive feeds one inbound frame to the end-point and stages what it
-// produced. Callers hold n.mu (amu, a leaf lock, is taken under it).
-func (n *Node) receive(from types.ProcID, fr frame) {
+// produced; hold is the buffer the frame has to itself, if it has one. Callers
+// hold n.mu (amu, a leaf lock, is taken under it).
+func (n *Node) receive(from types.ProcID, fr frame, hold *pool.Buf) {
 	if fr.Attach != nil {
 		n.handleAttach(from, *fr.Attach)
 		return
@@ -899,7 +943,7 @@ func (n *Node) receive(from types.ProcID, fr frame) {
 			n.ep.HandleView(fr.Notify.View)
 		}
 	case fr.Msg != nil:
-		n.ep.HandleMessage(from, *fr.Msg)
+		n.ep.HandleMessageHeld(from, *fr.Msg, hold)
 		switch fr.Msg.Kind {
 		case types.KindApp:
 			n.batchData++
@@ -1003,14 +1047,23 @@ func (n *Node) Home() types.ProcID {
 // dispatch stages events for the pump goroutine (after handing each to the
 // synchronous observer). It must be called while holding n.mu so that the
 // global event order matches the automaton's; the caller publishes before it
-// releases the lock.
+// releases the lock. A delivery's buffer reference travels with its ring entry
+// and is dropped here when there is no OnEvent to wait for.
 func (n *Node) dispatch(evs []core.Event) {
 	for _, ev := range evs {
 		if n.observe != nil {
 			n.observe(ev)
 		}
-		if n.onEvent != nil {
-			n.staged = append(n.staged, pumpItem{kind: pumpEvent, ev: ev})
+		var hold *pool.Buf
+		switch de := ev.(type) { // not a comma-ok assertion, which copies the event twice
+		case core.DeliverEvent:
+			hold = de.Hold
+		}
+		switch {
+		case n.onEvent != nil:
+			n.staged = append(n.staged, pumpItem{kind: pumpEvent, ev: ev, hold: hold})
+		case hold != nil:
+			hold.Release()
 		}
 	}
 }
@@ -1024,12 +1077,19 @@ func (n *Node) dispatchNow() {
 
 // publish hands everything staged under this hold of n.mu to the pump: one
 // put, one wake. The staging slice is reused (its entries cleared, so it pins
-// no delivered payload).
+// no delivered payload). A ring already closed takes nothing, and what was
+// staged for it gives its buffers back here.
 func (n *Node) publish() {
 	if len(n.staged) == 0 {
 		return
 	}
-	n.events.putAll(n.staged)
+	if !n.events.putAll(n.staged) {
+		for i := range n.staged {
+			if h := n.staged[i].hold; h != nil {
+				h.Release()
+			}
+		}
+	}
 	clear(n.staged)
 	n.staged = n.staged[:0]
 }
@@ -1063,6 +1123,9 @@ func (n *Node) pumpLoop() {
 			switch it := &batch[i]; it.kind {
 			case pumpEvent:
 				n.onEvent(it.ev)
+				if it.hold != nil {
+					it.hold.Release()
+				}
 			case pumpNotify:
 				n.onNotify(*it.ntf)
 			case pumpLinkDown:
@@ -1138,7 +1201,9 @@ func (n *Node) Stats() NodeStats {
 
 // Close shuts the node down and joins its goroutines. Senders parked on
 // any flow-control gate are released (with ErrOverloaded or ErrBlocked)
-// before the transport and event pump join. The node's registry sections are
+// before the transport and event pump join; the end-point is then closed, which
+// gives back every pooled buffer its message slots still hold (a Send after
+// Close fails with core.ErrCrashed). The node's registry sections are
 // frozen last, so post-close scrapes (and the deployment's final stats
 // print) read the shutdown-complete values without touching the node again.
 func (n *Node) Close() {
@@ -1151,7 +1216,10 @@ func (n *Node) Close() {
 		n.mu.Unlock()
 		n.fabric.Close()
 		n.events.close()
-		n.pump.Wait()
+		n.pump.Wait() // the ring's backlog has been handed to OnEvent, and released
+		n.mu.Lock()
+		n.ep.Close() // every pooled buffer a message slot still holds
+		n.mu.Unlock()
 		n.obs.Detach("node/" + string(n.id))
 	})
 }

@@ -1,27 +1,36 @@
 // Package pool provides the transport's receive-side memory: a size-classed
-// slab allocator handing out reference-counted byte buffers through small
-// rings of reusable slabs. The reactor (and the fallback per-link reader)
-// read many frames per wakeup into one pooled slab; every decoded frame that
-// aliases the slab holds a reference, and the final release returns the slab
+// slab allocator handing out reference-counted byte buffers through rings of
+// reusable slabs. Either engine's reader lands many frames per read in one
+// pooled slab, and a frame too large for that gets a slab to itself; every
+// consumer of the bytes — a decoded frame being handled, a message slot that
+// holds a large payload until it is stable, an event waiting for the
+// application — holds a reference, and the final release returns the slab
 // to its ring instead of the garbage collector. Misuse is loud: releasing a
-// buffer more often than it was retained panics with a diagnostic, and the
-// pool keeps an outstanding count so tests can assert that every buffer
-// checked out during a run came back.
+// buffer more often than it was retained panics with a diagnostic, the pool
+// keeps an outstanding count so tests can assert that every buffer checked
+// out during a run came back, and it can be told to overwrite released slabs
+// so that a read after the final release cannot go unnoticed.
 package pool
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// Size classes are powers of two from minClass to maxClass. A Get larger
-// than the top class is served by a plain allocation that is never pooled
-// (occasional giant frames must not pin huge arrays in the rings).
+// Size classes run from 512 B to 128 KiB in quarter steps between powers of
+// two (… 16, 20, 24, 28, 32 KiB …), so a slab is at most a quarter larger
+// than what it holds: a 16 KiB payload behind its frame header takes 20 KiB,
+// not 32, which matters once the protocol holds slabs instead of copying out
+// of them. Every power of two — the staging-window sizes — is a class of its
+// own. A Get larger than the top class is served by a plain allocation that
+// is never pooled (occasional giant frames must not pin huge arrays in the
+// rings).
 const (
 	minClassBits = 9  // 512 B
 	maxClassBits = 17 // 128 KiB
-	numClasses   = maxClassBits - minClassBits + 1
+	numClasses   = 4*(maxClassBits-minClassBits) + 1
 )
 
 // MaxSlab is the largest pooled buffer size; Gets beyond it are exact,
@@ -30,9 +39,13 @@ const (
 // above this bound.
 const MaxSlab = 1 << maxClassBits
 
-// ringCap bounds each class's ring: at most this many free slabs are
-// retained per class; further releases fall through to the GC.
-const ringCap = 64
+// ringBytes bounds each class's ring by what it pins, not by a count: at most
+// this many bytes of free slabs are retained per class and further releases
+// fall through to the GC. A stability round hands back every slab the view
+// has acknowledged at once, dozens per sender, and a ring that drops part of
+// such a release makes the next burst allocate (and zero) fresh slabs. The
+// top class keeps the 64 slabs it always did; smaller classes keep more.
+const ringBytes = 64 * MaxSlab
 
 // Buf is one reference-counted pooled buffer. A Get returns a Buf holding a
 // single reference; every additional consumer Retains before use and every
@@ -79,6 +92,14 @@ func (b *Buf) Release() {
 	case n == 0:
 		p := b.pool
 		p.outstanding.Add(-1)
+		if p.poison.Load() {
+			// Over the whole slab, not the visible length: a holder's
+			// payload may lie anywhere in it.
+			full := b.b[:cap(b.b)]
+			for i := range full {
+				full[i] = poisonByte
+			}
+		}
 		if b.class >= 0 {
 			p.rings[b.class].put(b)
 		}
@@ -93,6 +114,7 @@ func (b *Buf) Release() {
 type ring struct {
 	mu   sync.Mutex
 	free []*Buf
+	max  int // free slabs retained: ringBytes worth of this class
 }
 
 func (r *ring) get() *Buf {
@@ -110,7 +132,7 @@ func (r *ring) get() *Buf {
 func (r *ring) put(b *Buf) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.free) < ringCap {
+	if len(r.free) < r.max {
 		r.free = append(r.free, b)
 	}
 	// Overflow: drop to the GC; the slab's backing array is simply garbage.
@@ -136,29 +158,48 @@ type Pool struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	outstanding atomic.Int64
+	poison      atomic.Bool
 }
+
+// poisonByte is what PoisonOnRelease fills a released slab with.
+const poisonByte = 0xDB
+
+// PoisonOnRelease makes every final Release overwrite the slab, so that a
+// consumer still reading a buffer it no longer holds a reference to sees
+// garbage at once instead of whatever the next connection happens to write
+// there. It is a debugging aid for tests of code that holds pooled buffers
+// across goroutines; it costs a full write of the slab per release.
+func (p *Pool) PoisonOnRelease(on bool) { p.poison.Store(on) }
 
 // New returns an empty pool; slabs are allocated on demand and recycled
 // through per-class rings.
 func New() *Pool {
 	p := &Pool{}
 	for i := range p.rings {
-		p.rings[i] = &ring{}
+		p.rings[i] = &ring{max: ringBytes / classSize(i)}
 	}
 	return p
 }
 
 // classFor returns the smallest class index whose slab holds n bytes, or -1
-// when n exceeds the largest class.
+// when n exceeds the largest class. Class 4k is 2^(minClassBits+k); the three
+// after it add a quarter of that each.
 func classFor(n int) int {
-	if n > 1<<maxClassBits {
+	switch {
+	case n > MaxSlab:
 		return -1
+	case n <= 1<<minClassBits:
+		return 0
 	}
-	c := 0
-	for n > 1<<(minClassBits+c) {
-		c++
-	}
-	return c
+	k := bits.Len(uint(n-1)) - 1 // 2^k < n <= 2^(k+1)
+	base, quarter := 1<<k, 1<<(k-2)
+	return 4*(k-minClassBits) + (n-base+quarter-1)/quarter
+}
+
+// classSize is the slab capacity of class c.
+func classSize(c int) int {
+	base := 1 << (minClassBits + c/4)
+	return base + c%4*(base/4)
 }
 
 // Get returns a buffer of length n (capacity rounded up to the size class),
@@ -181,7 +222,7 @@ func (p *Pool) Get(n int) *Buf {
 		return b
 	}
 	p.misses.Add(1)
-	b := &Buf{b: make([]byte, n, 1<<(minClassBits+class)), pool: p, class: int8(class)}
+	b := &Buf{b: make([]byte, n, classSize(class)), pool: p, class: int8(class)}
 	b.refs.Store(1)
 	return b
 }

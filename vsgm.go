@@ -92,7 +92,8 @@ type (
 	Level = core.Level
 	// Event is an end-point output to its application.
 	Event = core.Event
-	// DeliverEvent delivers an application message.
+	// DeliverEvent delivers an application message. Its payload is valid
+	// until the handler returns; copy what you keep.
 	DeliverEvent = core.DeliverEvent
 	// ViewEvent delivers a view with its transitional set.
 	ViewEvent = core.ViewEvent
