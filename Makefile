@@ -71,12 +71,12 @@ benchstat:
 	fi
 
 # Zero-copy regression guard for the pre-merge gate: one steady-state run of
-# the link-scale receive benchmark per engine. benchLinkScale fails the run
-# if the receive path exceeds its allocs/op ceiling — a payload copy (or a
-# dropped buffer release) sneaking back into the hot path fails `make check`
-# here rather than surfacing as a benchstat regression later.
+# the link-scale receive benchmark. benchLinkScale fails the run if the
+# receive path exceeds its allocs/op ceiling — a payload copy (or a dropped
+# buffer release) sneaking back into the hot path fails `make check` here
+# rather than surfacing as a benchstat regression later.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkLinkScale/links=1000' -benchtime 100000x ./internal/live/
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkScale/links=1000$$' -benchtime 100000x ./internal/live/
 
 # Documentation gate: every intra-repo markdown link must resolve, every
 # public flag of the operator-facing binaries must appear in
@@ -127,15 +127,17 @@ soak-smoke:
 	$(GO) run ./cmd/vsgm-soak -mode world -duration 5s -seed $(SOAK_SEED) -q
 	$(GO) run ./cmd/vsgm-soak -mode live -duration 15s -seed $(SOAK_SEED) -q
 
-# The pre-merge gate: vet, the formatting check, the full suite (which runs
-# internal/live on the default goroutine-per-link engine), the same package
-# again on the epoll reactor, the race detector on the concurrency-heavy
-# packages — with the end-point automaton and the wire packages, whose buffer
-# reference counts cross the node's lock — and on the single-threaded
-# replication stack (simulator, spec checkers, total order, RSM, shard), a
-# fuzz smoke pass over the decoders, the documentation gate, and a short soak.
+# The pre-merge gate: vet, the formatting check, the full suite, the
+# benchmark module's own vet and tests (bench/ is a separate module outside
+# tier-1, so nothing else compiles it against this tree: a symbol it uses
+# going missing would otherwise surface only when the benchmark is run), the
+# race detector on the concurrency-heavy packages — with the end-point
+# automaton and the wire packages, whose buffer reference counts cross the
+# node's lock — and on the single-threaded replication stack (simulator, spec
+# checkers, total order, RSM, shard), a fuzz smoke pass over the decoders, the
+# documentation gate, and a short soak.
 check: vet fmt-check test
-	VSGM_REACTOR=on $(GO) test -count=1 ./internal/live/
+	cd bench && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test -count=1 .
 	$(GO) test -race ./internal/live/ ./internal/membership/ ./cmd/vsgm-live/ \
 		./internal/core/ ./internal/wire/... \
 		./internal/totalorder/ ./internal/rsm/ ./internal/shard/ ./internal/sim/ ./internal/spec/

@@ -13,7 +13,7 @@ import (
 // place inside the slab (larger bodies take the fill path). 16 KiB is ~50
 // small frames per read, several times what a sender's flush carries.
 //
-// The goroutine engine holds a connection's window across its blocking read,
+// A reader holds its connection's window across the blocking read,
 // and most of a process's connections are idle or carry a heartbeat a second,
 // so a window is resident memory before it is batching: a connection starts at
 // minStagingSize and doubles its window each time a read fills it. Links that
@@ -55,8 +55,8 @@ func dedicated(body *pool.Buf) bool {
 // The protocol is: writable() hands out the next window to read into,
 // advance(n) commits n bytes read, and next() drains decoded frames until it
 // reports done. It is not safe for concurrent use; one assembler belongs to
-// one connection, driven by its reader goroutine or its event loop — both
-// engines receive through this one path (fabric.drain).
+// one connection, driven by its reader goroutine (fabric.readLoop, which
+// drains it through fabric.drain).
 type frameAssembler struct {
 	pool *pool.Pool
 	st   *wire.DecodeState

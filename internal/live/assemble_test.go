@@ -393,59 +393,3 @@ func TestPooledBodyCrossesGoroutines(t *testing.T) {
 		t.Fatalf("%d buffers outstanding after all consumers released", n)
 	}
 }
-
-// engineModes names both transport engines for tests that must hold on each,
-// whichever one the environment makes the default.
-var engineModes = []struct {
-	name string
-	mode ReactorMode
-	on   bool
-}{
-	{"goroutine", ReactorOff, false},
-	{"reactor", ReactorOn, reactorSupported},
-}
-
-// TestReactorModeMatrix runs one round trip under each explicitly forced
-// engine, so a single test binary exercises both paths regardless of the
-// ambient VSGM_REACTOR regime.
-func TestReactorModeMatrix(t *testing.T) {
-	for _, m := range engineModes {
-		t.Run(m.name, func(t *testing.T) {
-			got := make(chan int64, 16)
-			cfg := TransportConfig{Reactor: m.mode}
-			fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, func(types.ProcID, error) {})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fa.Close()
-			fb, err := newFabric("b", "127.0.0.1:0", cfg,
-				func(_ types.ProcID, fr frame) {
-					if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
-						got <- fr.Msg.App.ID
-					}
-				},
-				func(types.ProcID, error) {})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fb.Close()
-			if fa.ReactorOn() != m.on || fb.ReactorOn() != m.on {
-				t.Fatalf("engine mismatch: ReactorOn=%v/%v, want %v", fa.ReactorOn(), fb.ReactorOn(), m.on)
-			}
-			fa.SetPeers(map[types.ProcID]string{"b": fb.Addr()})
-			for i := int64(0); i < 5; i++ {
-				fa.Send([]types.ProcID{"b"}, types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: i, Payload: []byte("ping")}})
-			}
-			for i := int64(0); i < 5; i++ {
-				select {
-				case id := <-got:
-					if id != i {
-						t.Fatalf("frame %d arrived with ID %d", i, id)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatalf("frame %d never arrived under %s engine", i, m.name)
-				}
-			}
-		})
-	}
-}

@@ -191,17 +191,17 @@ func sum(b []byte) (s uint32) {
 	return s
 }
 
-// TestGoroutineEngineByteSplitDelivery writes the recorded stream to a
-// goroutine-engine fabric over real sockets, split in two at every offset of
-// its small-frame head and at a spread of offsets through (and right around
-// the edges of) its large frames, and requires the same frame sequence the
-// reference stream decoder produces — credit frames excepted, which end in
-// the fabric and are checked through the window they grant. The consumer
+// TestFabricByteSplitDelivery writes the recorded stream to a fabric over
+// real sockets, split in two at every offset of its small-frame head and at a
+// spread of offsets through (and right around the edges of) its large
+// frames, and requires the same frame sequence the reference stream decoder
+// produces — credit frames excepted, which end in the fabric and are checked
+// through the window they grant. The consumer
 // keeps every pooled body it is handed until the whole stream is through, so
 // a later frame written over bytes an earlier one still aliases — the surplus
 // of a direct fill landing in the wrong part of staging, say — shows as a
 // changed payload. Every pooled buffer must be back when the fabric closes.
-func TestGoroutineEngineByteSplitDelivery(t *testing.T) {
+func TestFabricByteSplitDelivery(t *testing.T) {
 	stream, bounds := recordedStream(t)
 
 	var want []string
@@ -226,7 +226,7 @@ func TestGoroutineEngineByteSplitDelivery(t *testing.T) {
 		got  []string
 		kept []keptBody
 	)
-	rx, err := newFabricRef("rx", "127.0.0.1:0", TransportConfig{Reactor: ReactorOff},
+	rx, err := newFabricRef("rx", "127.0.0.1:0", TransportConfig{},
 		func(_ types.ProcID, fr frame, body *pool.Buf) {
 			mu.Lock()
 			got = append(got, frameDigest(fr))
@@ -338,9 +338,9 @@ func TestLiveReceivePathAllocCeiling(t *testing.T) {
 	const (
 		warm    = 2_000
 		msgs    = 20_000
-		ceiling = 2.9 // measured 2.2–2.3 on both engines (6.3 before the batched path), plus 25 %
+		ceiling = 2.9 // measured 2.2–2.3 (6.3 before the batched path), plus 25 %
 	)
-	g := newPairGroup(t, TransportConfig{})
+	g := newPairGroup(t)
 	payload := make([]byte, 256)
 	stream := func(n int) { g.stream(t, payload, n, n) }
 	stream(warm)

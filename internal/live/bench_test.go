@@ -3,10 +3,7 @@ package live
 // Transport data-path benchmarks. BenchmarkFabricBroadcast measures one
 // multicast through the real fabric — encode, fan-out across per-peer
 // queues, supervised writers, TCP sockets — against raw discard sinks, so
-// the numbers isolate the sender path. Each fan-out runs twice: the
-// encode-once coalescing path the fabric ships, and a baseline replicating
-// the pre-change design (one marshal per destination, one flush per frame)
-// for BENCH_*.json tracking of the win.
+// the numbers isolate the sender path.
 
 import (
 	"bytes"
@@ -54,30 +51,11 @@ func startSink(b *testing.B) (addr string, closeFn func()) {
 	return ln.Addr().String(), func() { close(done); ln.Close() }
 }
 
-// sendEncodePerLink replicates the pre-coalescing transmit path: one
-// marshal per destination instead of one shared encoding.
-func sendEncodePerLink(f *fabric, dests []types.ProcID, m types.WireMsg) {
-	for _, q := range dests {
-		fb, err := wire.EncodeFrame(frame{From: f.id, Msg: &m})
-		if err != nil {
-			return
-		}
-		if !f.outbox(q).mb.put(fb) {
-			fb.Release()
-		}
-	}
-}
-
-func benchBroadcast(b *testing.B, fanout int, perLink bool) {
+func benchBroadcast(b *testing.B, fanout int) {
 	cfg := TransportConfig{
 		DialTimeout: 2 * time.Second, WriteTimeout: 5 * time.Second,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
 		QueueCap: 1 << 16,
-	}
-	if perLink {
-		// The legacy shape also flushed after every frame.
-		cfg.MaxBatchFrames = 1
-		cfg.MaxBatchBytes = 1
 	}
 	dests := make([]types.ProcID, fanout)
 	dir := make(map[types.ProcID]string, fanout)
@@ -135,11 +113,7 @@ func benchBroadcast(b *testing.B, fanout int, perLink bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		msg.App.ID = int64(i + 1)
-		if perLink {
-			sendEncodePerLink(fa, dests, msg)
-		} else {
-			fa.Send(dests, msg)
-		}
+		fa.Send(dests, msg)
 		if i%window == window-1 {
 			if !drained(int64(i+2-window), 30*time.Second) {
 				b.Fatal("writers fell too far behind")
@@ -154,16 +128,11 @@ func benchBroadcast(b *testing.B, fanout int, perLink bool) {
 }
 
 // BenchmarkFabricBroadcast: one multicast to N destinations through the
-// live transport. "encode-once" is the shipping path (single marshal,
-// shared pooled buffer, coalesced flushes); "encode-per-link" replicates
-// the pre-change path (marshal per destination, flush per frame).
+// live transport (single marshal, shared pooled buffer, coalesced flushes).
 func BenchmarkFabricBroadcast(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {
 		b.Run(fmt.Sprintf("fanout-%d/encode-once", n), func(b *testing.B) {
-			benchBroadcast(b, n, false)
-		})
-		b.Run(fmt.Sprintf("fanout-%d/encode-per-link", n), func(b *testing.B) {
-			benchBroadcast(b, n, true)
+			benchBroadcast(b, n)
 		})
 	}
 }
@@ -260,11 +229,9 @@ func BenchmarkSendUnderBackpressure(b *testing.B) {
 // TCP peers complete handshakes against one fabric and stay attached, then a
 // small band of hot senders blasts pre-encoded frames while the rest sit
 // idle — the many-idle/few-hot shape of a large group. The op is one frame
-// received. Run with -bench LinkScale under both engines (the engine is
-// pinned per sub-benchmark, not by VSGM_REACTOR) to compare frames/sec and
-// resident goroutines: the goroutine engine pays one reader goroutine per
-// link; the reactor drives them all from a fixed loop pool.
-func benchLinkScale(b *testing.B, links int, mode ReactorMode) {
+// received; the run also reports resident goroutines (one reader per link)
+// and the slab pool's hit ratio.
+func benchLinkScale(b *testing.B, links int) {
 	var rl syscall.Rlimit
 	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err == nil && rl.Cur < rl.Max {
 		rl.Cur = rl.Max
@@ -274,13 +241,10 @@ func benchLinkScale(b *testing.B, links int, mode ReactorMode) {
 	if need := uint64(2*links + 256); rl.Cur < need {
 		b.Skipf("%d links need ~%d fds, RLIMIT_NOFILE allows %d", links, need, rl.Cur)
 	}
-	if mode == ReactorOn && !reactorSupported {
-		b.Skip("no reactor on this platform")
-	}
 
 	var frames atomic.Int64
 	rx, err := newFabricRef("rx", "127.0.0.1:0",
-		TransportConfig{Reactor: mode, QueueCap: 1 << 16},
+		TransportConfig{QueueCap: 1 << 16},
 		func(_ types.ProcID, fr frame, body *pool.Buf) {
 			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 				frames.Add(1)
@@ -293,9 +257,6 @@ func benchLinkScale(b *testing.B, links int, mode ReactorMode) {
 		b.Fatal(err)
 	}
 	defer rx.Close()
-	if on := rx.ReactorOn(); on != (mode == ReactorOn) {
-		b.Fatalf("engine not pinned: ReactorOn=%v for mode %v", on, mode)
-	}
 
 	// Attach every link: dial and handshake concurrently, then leave the
 	// connection open (and silent) for the duration.
@@ -424,19 +385,13 @@ func benchLinkScale(b *testing.B, links int, mode ReactorMode) {
 }
 
 // BenchmarkLinkScale: frames received per second with 1k and 10k attached
-// links, goroutine-per-link engine vs epoll reactor. The 10k point needs
-// ~20k file descriptors and skips (with the required rlimit in the message)
-// on hosts that cannot hold both socket ends.
+// links. The 10k point needs ~20k file descriptors and skips (with the
+// required rlimit in the message) on hosts that cannot hold both socket ends.
 func BenchmarkLinkScale(b *testing.B) {
 	for _, links := range []int{1000, 10000} {
-		for _, eng := range []struct {
-			name string
-			mode ReactorMode
-		}{{"goroutine", ReactorOff}, {"reactor", ReactorOn}} {
-			b.Run(fmt.Sprintf("links=%d/%s", links, eng.name), func(b *testing.B) {
-				benchLinkScale(b, links, eng.mode)
-			})
-		}
+		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
+			benchLinkScale(b, links)
+		})
 	}
 }
 

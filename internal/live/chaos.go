@@ -101,9 +101,7 @@ func (c *Chaos) SetPartialWrites(on bool) {
 // stretched to one byte per gap, the classic slow-loris shape. Receivers
 // with a read-progress budget (ReadIdleTimeout) must sever such a peer
 // rather than hold a parser open forever; receivers without one will see
-// frames arrive, just very slowly. Zero turns the fault off. Trickling is
-// honored by the goroutine-per-link engine's socket writes (the reactor's
-// raw-fd flush path is not wrapped).
+// frames arrive, just very slowly. Zero turns the fault off.
 func (c *Chaos) SetTrickle(gap time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

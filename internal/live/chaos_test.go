@@ -1073,17 +1073,15 @@ func TestLiveBatchCoalescingBacklogFlushesOnce(t *testing.T) {
 // surplus of the large frame's direct fill, and the frame they start is on the
 // clock from that read like any other.
 func TestSlowLorisSevered(t *testing.T) {
-	for _, m := range engineModes {
-		t.Run(m.name, func(t *testing.T) { slowLorisSevered(t, m.mode, false) })
-		t.Run(m.name+"-after-bulk", func(t *testing.T) { slowLorisSevered(t, m.mode, true) })
-	}
+	t.Run("goroutine", func(t *testing.T) { slowLorisSevered(t, false) })
+	t.Run("goroutine-after-bulk", func(t *testing.T) { slowLorisSevered(t, true) })
 }
 
-func slowLorisSevered(t *testing.T, engine ReactorMode, afterBulk bool) {
+func slowLorisSevered(t *testing.T, afterBulk bool) {
 	idle := 300 * time.Millisecond
 	var downs atomic.Int64
 	var received atomic.Int64
-	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle, Reactor: engine},
+	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle},
 		func(types.ProcID, frame) { received.Add(1) },
 		func(types.ProcID, error) { downs.Add(1) })
 	if err != nil {
@@ -1170,15 +1168,13 @@ func isTimeout(err error) bool {
 // (rather than one deadline across the whole stream) is what makes both
 // properties hold at once.
 func TestTrickledSenderWithinBudgetSurvives(t *testing.T) {
-	for _, m := range engineModes {
-		t.Run(m.name, func(t *testing.T) { trickledSenderSurvives(t, m.mode) })
-	}
+	t.Run("goroutine", trickledSenderSurvives)
 }
 
-func trickledSenderSurvives(t *testing.T, engine ReactorMode) {
+func trickledSenderSurvives(t *testing.T) {
 	idle := 2 * time.Second
 	var received atomic.Int64
-	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle, Reactor: engine},
+	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle},
 		func(_ types.ProcID, fr frame) {
 			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 				received.Add(1)
@@ -1190,9 +1186,7 @@ func trickledSenderSurvives(t *testing.T, engine ReactorMode) {
 	}
 	defer fb.Close()
 
-	// The sender runs the goroutine engine (its chaos trickle wraps the
-	// socket) whichever engine the victim above is pinned to.
-	sender, err := newFabric("loris", "127.0.0.1:0", TransportConfig{Reactor: ReactorOff, WriteTimeout: -1},
+	sender, err := newFabric("loris", "127.0.0.1:0", TransportConfig{WriteTimeout: -1},
 		func(types.ProcID, frame) {},
 		func(types.ProcID, error) {})
 	if err != nil {

@@ -1,13 +1,13 @@
 package live
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,29 +18,13 @@ import (
 	"vsgm/internal/wire/pool"
 )
 
-// ReactorMode selects the engine that drives a fabric's established
-// connections.
-type ReactorMode int
-
-const (
-	// ReactorAuto uses the goroutine-per-link engine — the engine the
-	// end-to-end benchmark measures and gates — unless the VSGM_REACTOR
-	// environment variable says otherwise ("1"/"on" selects the reactor,
-	// "0"/"off" the goroutine engine), which is how the test matrix runs the
-	// whole package against each engine.
-	ReactorAuto ReactorMode = iota
-	// ReactorOn forces the reactor (still subject to platform support).
-	ReactorOn
-	// ReactorOff forces the portable goroutine-per-link engine.
-	ReactorOff
-)
-
 // TransportConfig tunes the supervised transport underneath a live node.
 // The zero value selects production defaults; tests shrink the timeouts to
 // keep fault-injection runs fast.
 type TransportConfig struct {
 	// DialTimeout bounds one connection attempt; a dead peer can never
-	// block connection setup past it. Default 3s.
+	// block connection setup past it. It is also how long an accepted
+	// connection has to say hello when ReadIdleTimeout is off. Default 3s.
 	DialTimeout time.Duration
 	// WriteTimeout bounds each frame write, so a peer that stops draining
 	// its socket stalls a sender for at most this long before the link is
@@ -58,26 +42,12 @@ type TransportConfig struct {
 	// long enough to fill it, the oldest frames are evicted (and counted)
 	// so senders never block. Default 4096.
 	QueueCap int
-	// MaxBatchFrames bounds how many queued frames the link writer drains
-	// in one batch: a burst of k<=MaxBatchFrames frames costs one flush
-	// instead of k. Default 64.
-	MaxBatchFrames int
-	// MaxBatchBytes caps the bytes coalesced into a single flush, so a
-	// batch of large frames cannot defer the write (and the armed write
-	// deadline) arbitrarily. Default 128 KiB.
-	MaxBatchBytes int
 	// Window is the per-link credit window: how many application data
 	// frames may be outstanding (sent but not yet consumed by the peer's
 	// application) before Node.Send stalls. Control-plane frames are never
 	// gated. Default 1024; negative starts links with zero credit, so
 	// every data send waits for an explicit grant (used by tests).
 	Window int
-	// Reactor selects the connection-driving engine; see ReactorMode.
-	Reactor ReactorMode
-	// ReactorLoops is the number of shared event-loop goroutines the
-	// reactor runs (each drives a share of all established links). Default
-	// min(4, GOMAXPROCS).
-	ReactorLoops int
 }
 
 func (c TransportConfig) withDefaults() TransportConfig {
@@ -96,41 +66,10 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4096
 	}
-	if c.MaxBatchFrames <= 0 {
-		c.MaxBatchFrames = 64
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 128 << 10
-	}
 	if c.Window == 0 {
 		c.Window = 1024
 	}
-	if c.ReactorLoops <= 0 {
-		c.ReactorLoops = min(4, runtime.GOMAXPROCS(0))
-	}
 	return c
-}
-
-// reactorEnabled resolves the configured mode against platform support and
-// the VSGM_REACTOR environment override (which applies only to Auto, so a
-// test that pins a mode explicitly keeps it).
-func (c TransportConfig) reactorEnabled() bool {
-	mode := c.Reactor
-	if env := os.Getenv("VSGM_REACTOR"); mode == ReactorAuto && (env == "1" || env == "on") {
-		mode = ReactorOn
-	}
-	return mode == ReactorOn && reactorSupported
-}
-
-// reactorStats are the reactor's engine-level counters (all zero when the
-// fabric runs the goroutine-per-link engine).
-type reactorStats struct {
-	// wakeups counts epoll_wait returns with at least one event; events the
-	// readiness events handled; framesIn the frames decoded by the batch
-	// receive path; bytesIn the raw bytes read; writes the flush syscall
-	// rounds on the writer side. framesIn/wakeups is the batch-amortization
-	// factor the reactor exists to maximize.
-	wakeups, events, framesIn, bytesIn, writes atomic.Int64
 }
 
 // LinkStats are the per-peer transport counters a fabric accumulates; they
@@ -207,7 +146,6 @@ type mailbox[T any] struct {
 	head      int
 	cap       int
 	onDrop    func(T)
-	onReady   func() // fires (outside the lock) on empty->nonempty transitions
 	classOf   func(T) wire.FrameClass
 	sizeOf    func(T) int
 	bytes     int64
@@ -276,27 +214,21 @@ func (m *mailbox[T]) put(v T) bool {
 			m.removeAt(i)
 		}
 	}
-	wasEmpty := m.head == len(m.queue)
 	m.compact()
 	m.queue = append(m.queue, v)
 	if m.sizeOf != nil {
 		m.bytes += int64(m.sizeOf(v))
 	}
 	m.cond.Signal()
-	notify := wasEmpty && m.onReady != nil
-	ready := m.onReady
 	m.mu.Unlock()
-	if notify {
-		ready()
-	}
 	return true
 }
 
 // putAll enqueues vs in order under one lock round trip and one wake, so a
 // producer's batch reaches the consumer as a batch. It serves unbounded,
-// unclassified mailboxes (the node's event ring: no cap, classifier, byte
-// accounting or ready hook to honor) and reports false, enqueueing nothing,
-// once the mailbox is closed.
+// unclassified mailboxes (the node's event ring: no cap, classifier or byte
+// accounting to honor) and reports false, enqueueing nothing, once the
+// mailbox is closed.
 func (m *mailbox[T]) putAll(vs []T) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -307,40 +239,6 @@ func (m *mailbox[T]) putAll(vs []T) bool {
 	m.queue = append(m.queue, vs...)
 	m.cond.Signal()
 	return true
-}
-
-// setOnReady installs the empty->nonempty notification hook (the reactor's
-// wakeup). Must be installed before the first put that should observe it.
-func (m *mailbox[T]) setOnReady(fn func()) {
-	m.mu.Lock()
-	m.onReady = fn
-	m.mu.Unlock()
-}
-
-// tryTakeBatch drains up to max entries without blocking; ok=false means the
-// queue was empty (or closed). This is the reactor's drain: the event loop
-// must never park on a mailbox condvar.
-func (m *mailbox[T]) tryTakeBatch(dst []T, max int) ([]T, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := len(m.queue) - m.head
-	if n == 0 {
-		return dst, false
-	}
-	if max > 0 && n > max {
-		n = max
-	}
-	dst = append(dst, m.queue[m.head:m.head+n]...)
-	var zero T
-	for i := 0; i < n; i++ {
-		if m.sizeOf != nil {
-			m.bytes -= int64(m.sizeOf(m.queue[m.head+i]))
-		}
-		m.queue[m.head+i] = zero
-	}
-	m.head += n
-	m.compact()
-	return dst, true
 }
 
 // findClass returns the index of the oldest queued entry of class c, or -1.
@@ -546,13 +444,9 @@ type fabric struct {
 	batchBegin, batchEnd func(from types.ProcID)
 	onDown               func(peer types.ProcID, err error)
 	chaos                *Chaos
-	// pool feeds the receive path's slab buffers on both engines; its
-	// outstanding count is the transport's buffer-leak detector.
+	// pool feeds the receive path's slab buffers; its outstanding count is
+	// the transport's buffer-leak detector.
 	pool *pool.Pool
-	// reactor drives established connections from shared epoll loops; nil
-	// means the portable goroutine-per-link engine is in charge.
-	reactor *reactor
-	rstats  reactorStats
 
 	mu     sync.Mutex
 	peers  map[types.ProcID]string
@@ -619,26 +513,13 @@ func buildFabric(id types.ProcID, addr string, cfg TransportConfig,
 		closing: make(chan struct{}),
 	}
 	f.flowCond = sync.NewCond(&f.flowMu)
-	if f.cfg.reactorEnabled() {
-		// A reactor that cannot come up (fd limits, exotic kernels) is not
-		// fatal: the goroutine-per-link engine carries the fabric instead.
-		if r, rerr := newReactor(f, f.cfg.ReactorLoops); rerr == nil {
-			f.reactor = r
-		}
-	}
 	return f, nil
 }
 
 func (f *fabric) start() {
 	f.wg.Add(1)
 	go f.acceptLoop()
-	if f.reactor != nil {
-		f.reactor.startLoops()
-	}
 }
-
-// ReactorOn reports which engine drives this fabric's connections.
-func (f *fabric) ReactorOn() bool { return f.reactor != nil }
 
 // PoolStats snapshots the receive-slab pool counters.
 func (f *fabric) PoolStats() pool.Stats { return f.pool.Stats() }
@@ -1007,21 +888,15 @@ func (f *fabric) linkLocked(q types.ProcID) *link {
 	return l
 }
 
-// outbox returns q's link with its writer engine running: a dedicated
-// writeLoop goroutine on the portable engine, or a reactor-owned rlink whose
-// mailbox wakes the owning event loop.
+// outbox returns q's link with its writeLoop goroutine running.
 func (f *fabric) outbox(q types.ProcID) *link {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	l := f.linkLocked(q)
 	if !l.started && !f.closed {
 		l.started = true
-		if f.reactor != nil {
-			f.reactor.startLink(l)
-		} else {
-			f.wg.Add(1)
-			go f.writeLoop(l)
-		}
+		f.wg.Add(1)
+		go f.writeLoop(l)
 	}
 	return l
 }
@@ -1129,7 +1004,7 @@ func jitter(d time.Duration) time.Duration {
 // batches, applies outbound chaos frame by frame (so per-frame drop, dup,
 // and latency verdicts — and their counters — are unchanged by coalescing),
 // dials (and redials) the peer with backoff, and writes each surviving batch
-// through the encoder with as few flushes as MaxBatchBytes allows. Frames
+// through the encoder with as few flushes as maxBatchBytes allows. Frames
 // not yet known flushed are retained across reconnects, so a transient
 // failure loses at most the bytes the kernel had already accepted.
 func (f *fabric) writeLoop(l *link) {
@@ -1164,7 +1039,7 @@ func (f *fabric) writeLoop(l *link) {
 	for {
 		if len(pending) == 0 {
 			var ok bool
-			batch, ok = l.mb.takeBatch(batch[:0], f.cfg.MaxBatchFrames)
+			batch, ok = l.mb.takeBatch(batch[:0], maxBatchFrames)
 			if !ok {
 				return
 			}
@@ -1205,7 +1080,7 @@ func (f *fabric) writeLoop(l *link) {
 		for _, fb := range pending {
 			bufs = append(bufs, fb.Wire())
 		}
-		sent, flushes, err := enc.WriteBatch(bufs, f.cfg.MaxBatchBytes)
+		sent, flushes, err := enc.WriteBatch(bufs, maxBatchBytes)
 		if sent > 0 || flushes > 0 {
 			l.bump(func(s *LinkStats) {
 				s.FramesSent += int64(sent)
@@ -1226,53 +1101,54 @@ func (f *fabric) writeLoop(l *link) {
 	}
 }
 
+// acceptLoop hands each inbound connection to its own readLoop. An Accept
+// error other than the listener closing is usually descriptor exhaustion
+// (EMFILE/ENFILE), which lasts until something else closes: retry behind a
+// delay that doubles from 5 ms to 1 s and resets on the next success
+// (net/http.Server's rule) instead of spinning a core on it.
 func (f *fabric) acceptLoop() {
 	defer f.wg.Done()
+	var delay time.Duration
 	for {
 		conn, err := f.ln.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			select {
-			case <-f.closing:
+			delay = max(5*time.Millisecond, min(2*delay, time.Second))
+			if !f.sleep(delay) {
 				return
-			default:
-				continue
 			}
+			continue
 		}
+		delay = 0
 		f.wg.Add(1)
-		if f.reactor != nil {
-			// The reactor takes inbound connections after a short transient
-			// goroutine has read the handshake; established traffic is then
-			// driven entirely by the shared event loops.
-			go f.reactor.acceptInbound(conn)
-		} else {
-			go f.readLoop(conn)
-		}
+		go f.readLoop(conn)
 	}
 }
 
-// readHandshake consumes the hello frame (any first frame; only its sender
-// identity matters) using blocking reads on the net.Conn — deliberately
-// unbuffered, so no stream byte is stranded in a userspace buffer when the
-// assembler (or the reactor's raw fd) takes the stream over.
-func readHandshake(conn net.Conn, idle time.Duration) (types.ProcID, error) {
-	if idle > 0 {
-		conn.SetReadDeadline(time.Now().Add(idle))
-	}
+// maxHelloSize is the largest body connect can send as a hello: a bare frame
+// is a u16-length sender identifier and the handshake tag.
+const maxHelloSize = 2 + math.MaxUint16 + 1
+
+// readHandshake consumes the hello frame (only its sender identity matters)
+// using blocking reads on the net.Conn — deliberately unbuffered, so no
+// stream byte is stranded in a userspace buffer when the assembler takes the
+// stream over. The peer has not named itself yet, so it gets no more than the
+// protocol needs: wait to deliver the whole hello, and a body of at most
+// maxHelloSize — a hostile length prefix is refused before anything is
+// allocated for it.
+func readHandshake(conn net.Conn, wait time.Duration) (types.ProcID, error) {
+	conn.SetReadDeadline(time.Now().Add(wait))
 	var hdr [4]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return "", err
 	}
-	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	if n > wire.MaxFrameSize {
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > maxHelloSize {
 		return "", wire.ErrFrameTooLarge
 	}
 	body := make([]byte, n)
-	if idle > 0 {
-		conn.SetReadDeadline(time.Now().Add(idle)) // re-arm per leg
-	}
 	if _, err := io.ReadFull(conn, body); err != nil {
 		return "", err
 	}
@@ -1284,12 +1160,14 @@ func readHandshake(conn net.Conn, idle time.Duration) (types.ProcID, error) {
 	return hello.From, nil
 }
 
-// readLoop is the goroutine engine's inbound side: one blocking read into the
+// readLoop is a connection's inbound side: one blocking read into the
 // connection's assembler, then one drain of everything the read completed.
-// The read deadline follows the same read-progress budget the reactor's
-// scanDeadlines enforces: an idle connection may stay silent for
-// ReadIdleTimeout, a frame in progress must complete within two of them of
-// its stamp — an absolute deadline that trickled bytes cannot push out.
+// The read deadline is a read-progress budget: an idle connection may stay
+// silent for ReadIdleTimeout, a frame in progress must complete within two of
+// them of its stamp — an absolute deadline that trickled bytes cannot push
+// out. Before the hello there is no idle state to respect, so with
+// ReadIdleTimeout off the peer still has only DialTimeout to name itself (the
+// clock its dialer works to).
 func (f *fabric) readLoop(conn net.Conn) {
 	defer f.wg.Done()
 	defer conn.Close()
@@ -1297,7 +1175,11 @@ func (f *fabric) readLoop(conn net.Conn) {
 	defer close(retired)
 	f.watchConn(conn, retired)
 	idle := f.cfg.ReadIdleTimeout
-	from, err := readHandshake(conn, idle)
+	helloWait := idle
+	if helloWait <= 0 {
+		helloWait = f.cfg.DialTimeout
+	}
+	from, err := readHandshake(conn, helloWait)
 	if err != nil {
 		return
 	}
@@ -1316,7 +1198,7 @@ func (f *fabric) readLoop(conn net.Conn) {
 		n, err := conn.Read(asm.writable())
 		if n > 0 {
 			asm.advance(n)
-			if _, derr := f.drain(l, asm, &fr); derr != nil {
+			if derr := f.drain(l, asm, &fr); derr != nil {
 				err = derr
 			}
 		}
@@ -1333,23 +1215,23 @@ func (f *fabric) readLoop(conn net.Conn) {
 var errFabricClosing = errors.New("live: fabric closing")
 
 // drain decodes and delivers every frame the last socket read completed in
-// asm. It is the one receive path of both engines — readLoop and the
-// reactor's readReady end every read here — and the unit it works in is the
-// read, not the frame: the chaos verdict and the closing check are taken once,
+// asm. readLoop ends every read here, and the unit it works in is the read,
+// not the frame: the chaos verdict and the closing check are taken once,
 // the read/frame counters are bumped once, and the consumer's callbacks are
 // bracketed by batchBegin/batchEnd so it can lock and publish once. Credit
 // frames end here (they feed the outbound window, not the consumer). The
 // batch is closed before drain returns, so a caller that goes on to report
 // the link down does so behind the events of the frames already delivered.
-// It returns the number of frames decoded and the error that ends the
-// connection, if any (a parse error, or errFabricClosing).
-func (f *fabric) drain(l *link, asm *frameAssembler, fr *frame) (frames int, err error) {
+// It returns the error that ends the connection, if any (a parse error, or
+// errFabricClosing).
+func (f *fabric) drain(l *link, asm *frameAssembler, fr *frame) (err error) {
 	if f.isClosing() {
-		return 0, errFabricClosing
+		return errFabricClosing
 	}
 	from := l.peer
 	blocked := f.chaos.inboundBlocked(from)
 	open := false
+	var frames int64
 	for {
 		body, done, derr := asm.next(fr)
 		if derr != nil {
@@ -1387,8 +1269,8 @@ func (f *fabric) drain(l *link, asm *frameAssembler, fr *frame) (frames int, err
 		f.batchEnd(from)
 	}
 	l.reads.Add(1)
-	l.framesIn.Add(int64(frames))
-	return frames, err
+	l.framesIn.Add(frames)
+	return err
 }
 
 // Close shuts the fabric down: the listener stops, outboxes close, and all
@@ -1404,9 +1286,6 @@ func (f *fabric) Close() {
 		}
 		f.mu.Unlock()
 		f.flowBroadcast() // release senders parked on credit or budget
-		if f.reactor != nil {
-			f.reactor.shutdown() // wake every event loop so it can exit
-		}
 	})
 	f.wg.Wait()
 }

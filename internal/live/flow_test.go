@@ -134,7 +134,6 @@ func TestMailboxHeartbeatCoalescing(t *testing.T) {
 func TestChaosPressureNeverDropsSync(t *testing.T) {
 	cfg := testTransport()
 	cfg.QueueCap = 8
-	cfg.MaxBatchFrames = 1
 
 	var (
 		mu       sync.Mutex

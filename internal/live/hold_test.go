@@ -23,7 +23,7 @@ type pairGroup struct {
 	delivered [2]atomic.Int64
 }
 
-func newPairGroup(t *testing.T, transport TransportConfig) *pairGroup {
+func newPairGroup(t *testing.T) *pairGroup {
 	t.Helper()
 	g := &pairGroup{}
 	dir := make(map[types.ProcID]string)
@@ -36,7 +36,6 @@ func newPairGroup(t *testing.T, transport TransportConfig) *pairGroup {
 	for i := 0; i < 2; i++ {
 		id := types.ProcID(fmt.Sprintf("cli%d", i))
 		node, err := NewNode(NodeConfig{ID: id, Addr: "127.0.0.1:0", AutoBlock: true, MsgIDBase: int64(i+1) * 1_000_000,
-			Transport: transport,
 			OnEvent: func(ev core.Event) {
 				if _, ok := ev.(core.DeliverEvent); ok {
 					g.delivered[i].Add(1)
@@ -87,7 +86,7 @@ func (g *pairGroup) stream(t *testing.T, payload []byte, n, burst int) {
 // — and held there, so what is left to allocate per delivery is the boxed
 // event and amortized bookkeeping: a few hundred bytes. One copy of the
 // payload into fresh memory anywhere on the path is 16 KiB per delivery (8 KiB
-// if only one side makes it) and fails here on either engine.
+// if only one side makes it) and fails here.
 func TestLiveBulkReceiveAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volume is not meaningful under the race detector")
@@ -98,22 +97,20 @@ func TestLiveBulkReceiveAllocBytes(t *testing.T) {
 		burst   = 100 // what the sender runs ahead by; the pool's working set is sized by it
 		ceiling = 2 << 10
 	)
-	for _, m := range engineModes {
-		t.Run(m.name, func(t *testing.T) {
-			g := newPairGroup(t, TransportConfig{Reactor: m.mode})
-			payload := make([]byte, 16<<10)
-			g.stream(t, payload, warm, burst) // fills the pool's rings and every lazily grown queue
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			g.stream(t, payload, msgs, burst)
-			runtime.ReadMemStats(&after)
-			perDelivery := float64(after.TotalAlloc-before.TotalAlloc) / float64(2*msgs)
-			t.Logf("%.0f bytes allocated per delivered 16 KiB message", perDelivery)
-			if perDelivery > ceiling {
-				t.Errorf("%.0f bytes allocated per delivered 16 KiB message, ceiling %d", perDelivery, ceiling)
-			}
-		})
-	}
+	t.Run("goroutine", func(t *testing.T) {
+		g := newPairGroup(t)
+		payload := make([]byte, 16<<10)
+		g.stream(t, payload, warm, burst) // fills the pool's rings and every lazily grown queue
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g.stream(t, payload, msgs, burst)
+		runtime.ReadMemStats(&after)
+		perDelivery := float64(after.TotalAlloc-before.TotalAlloc) / float64(2*msgs)
+		t.Logf("%.0f bytes allocated per delivered 16 KiB message", perDelivery)
+		if perDelivery > ceiling {
+			t.Errorf("%.0f bytes allocated per delivered 16 KiB message, ceiling %d", perDelivery, ceiling)
+		}
+	})
 }
 
 // integrityTable is the source of every payload in TestHeldPayloadIntegrity: a
@@ -167,12 +164,10 @@ func integrityCheck(p []byte) string {
 // again), a view change under traffic, and an end-point crash and recovery.
 // It ends with every pooled buffer back on every node.
 func TestHeldPayloadIntegrity(t *testing.T) {
-	for _, m := range engineModes {
-		t.Run(m.name, func(t *testing.T) { heldPayloadIntegrity(t, m.mode) })
-	}
+	t.Run("goroutine", heldPayloadIntegrity)
 }
 
-func heldPayloadIntegrity(t *testing.T, engine ReactorMode) {
+func heldPayloadIntegrity(t *testing.T) {
 	total := 20_000
 	if raceEnabled || testing.Short() {
 		total = 3_000
@@ -184,7 +179,6 @@ func heldPayloadIntegrity(t *testing.T, engine ReactorMode) {
 		parked        atomic.Bool
 	)
 	w := newLiveWorldWith(t, 2, members, func(c *NodeConfig) {
-		c.Transport.Reactor = engine
 		id := c.ID
 		c.OnEvent = func(ev core.Event) {
 			de, ok := ev.(core.DeliverEvent)

@@ -247,6 +247,18 @@ type pumpItem struct {
 // is also why the no-acks row was not run again.
 const ackInterval = 64
 
+// maxBatchFrames and maxBatchBytes bound the link writer's coalescing: how
+// many queued frames one takeBatch drains (a burst of k <= maxBatchFrames
+// frames costs one flush instead of k), and how many bytes may pile up
+// before a flush, so a batch of large frames cannot defer the write — and the
+// write deadline armed for it — arbitrarily. Constants, not knobs: the only
+// code that ever set other values was the pre-batching benchmark foil, and
+// every number bench/ gates was measured at these.
+const (
+	maxBatchFrames = 64
+	maxBatchBytes  = 128 << 10
+)
+
 // liveTransport adapts the fabric to core.Transport.
 type liveTransport struct {
 	f *fabric
@@ -400,7 +412,7 @@ func (n *Node) registerObs() {
 			{Name: "vsgm_node_overloaded", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: overloaded},
 		}
 		samples = append(samples, linkSamples(nodeLabel, n.fabric.Stats())...)
-		return append(samples, reactorSamples(nodeLabel, n.fabric)...)
+		return append(samples, poolSamples(nodeLabel, n.fabric.PoolStats())...)
 	})
 	n.obs.RegisterStatus("node/"+string(n.id), func() any { return n.Stats() })
 	n.obs.SetHelp("vsgm_endpoint_views_installed_total", "Views delivered to the application.")
@@ -410,12 +422,6 @@ func (n *Node) registerObs() {
 	n.obs.SetHelp("vsgm_endpoint_buffered_bytes", "Bytes the endpoint's message buffers keep resident: a copied payload's length, a held payload's whole pooled buffer.")
 	n.obs.SetHelp("vsgm_node_mem_bytes", "Bytes governed by the memory budget: transport queues plus what the message buffers pin.")
 	n.obs.SetHelp("vsgm_node_overloaded", "1 while the memory-budget hysteresis latch is shut.")
-	n.obs.SetHelp("vsgm_reactor_enabled", "1 when the epoll reactor drives this process's transport, 0 on the goroutine-per-link engine.")
-	n.obs.SetHelp("vsgm_reactor_wakeups_total", "Event-loop wakeups with at least one ready descriptor.")
-	n.obs.SetHelp("vsgm_reactor_events_total", "Readiness events dispatched across all event loops (events/wakeups is the loop batching depth).")
-	n.obs.SetHelp("vsgm_reactor_frames_in_total", "Frames decoded by the reactor receive path (frames/wakeups is frames per wakeup).")
-	n.obs.SetHelp("vsgm_reactor_bytes_in_total", "Stream bytes read by the reactor receive path.")
-	n.obs.SetHelp("vsgm_reactor_writes_total", "Coalesced write syscalls issued by the reactor.")
 	n.obs.SetHelp("vsgm_pool_gets_total", "Buffer requests served by the transport slab pool.")
 	n.obs.SetHelp("vsgm_pool_hits_total", "Pool requests satisfied from a free ring (hits/gets is the recycle ratio).")
 	n.obs.SetHelp("vsgm_pool_misses_total", "Pool requests that had to allocate fresh slabs.")
@@ -468,33 +474,19 @@ func linkSamples(owner obs.Label, links map[types.ProcID]LinkStats) []obs.Sample
 	}
 }
 
-// reactorSamples exposes the transport engine's receive-path health: which
-// engine is running, how busy the event loops are (frames per wakeup is
-// frames_in/wakeups), and how the slab pool is performing (hit ratio is
+// poolSamples exposes the receive-slab pool's health: hit ratio is
 // hits/gets; outstanding counts buffers currently on loan — read windows, and
 // large messages held until the view has acknowledged them — which is zero
-// after Close; growth without traffic is a leak).
-func reactorSamples(owner obs.Label, f *fabric) []obs.Sample {
-	c := func(name string, kind obs.MetricKind, v float64) obs.Sample {
-		return obs.Sample{Name: name, Kind: kind, Labels: []obs.Label{owner}, Value: v}
+// after Close; growth without traffic is a leak.
+func poolSamples(owner obs.Label, ps pool.Stats) []obs.Sample {
+	c := func(name string, kind obs.MetricKind, v int64) obs.Sample {
+		return obs.Sample{Name: name, Kind: kind, Labels: []obs.Label{owner}, Value: float64(v)}
 	}
-	enabled := float64(0)
-	if f.ReactorOn() {
-		enabled = 1
-	}
-	ps := f.PoolStats()
-	rs := &f.rstats
 	return []obs.Sample{
-		c("vsgm_reactor_enabled", obs.KindGauge, enabled),
-		c("vsgm_reactor_wakeups_total", obs.KindCounter, float64(rs.wakeups.Load())),
-		c("vsgm_reactor_events_total", obs.KindCounter, float64(rs.events.Load())),
-		c("vsgm_reactor_frames_in_total", obs.KindCounter, float64(rs.framesIn.Load())),
-		c("vsgm_reactor_bytes_in_total", obs.KindCounter, float64(rs.bytesIn.Load())),
-		c("vsgm_reactor_writes_total", obs.KindCounter, float64(rs.writes.Load())),
-		c("vsgm_pool_gets_total", obs.KindCounter, float64(ps.Gets)),
-		c("vsgm_pool_hits_total", obs.KindCounter, float64(ps.Hits)),
-		c("vsgm_pool_misses_total", obs.KindCounter, float64(ps.Misses)),
-		c("vsgm_pool_outstanding", obs.KindGauge, float64(ps.Outstanding)),
+		c("vsgm_pool_gets_total", obs.KindCounter, ps.Gets),
+		c("vsgm_pool_hits_total", obs.KindCounter, ps.Hits),
+		c("vsgm_pool_misses_total", obs.KindCounter, ps.Misses),
+		c("vsgm_pool_outstanding", obs.KindGauge, ps.Outstanding),
 	}
 }
 

@@ -323,7 +323,7 @@ func (n *ServerNode) registerObs() {
 			)
 		}
 		samples = append(samples, linkSamples(serverLabel, n.fabric.Stats())...)
-		return append(samples, reactorSamples(serverLabel, n.fabric)...)
+		return append(samples, poolSamples(serverLabel, n.fabric.PoolStats())...)
 	})
 	n.obs.RegisterStatus("server/"+string(n.id), func() any { return n.Stats() })
 	n.obs.SetHelp("vsgm_server_clients", "Local clients currently registered.")

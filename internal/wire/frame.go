@@ -110,7 +110,8 @@ const (
 )
 
 // MaxFrameSize is the transport's frame size bound, exported for readers
-// that parse the length-prefixed stream themselves (the live reactor).
+// that parse the length-prefixed stream themselves (the live transport's
+// frame assembler).
 const MaxFrameSize = maxFrameSize
 
 // ErrFrameTooLarge reports a frame exceeding the transport bound.
