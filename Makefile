@@ -32,15 +32,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire/
 
 # Quick fuzz pass over every wire-facing decoder (frames, raw bodies, WAL
-# records), the encoder's view memo table, and the shard machine's command
-# and snapshot decoders: 5 seconds per target, run as part of the pre-merge
-# gate.
+# record bodies), the encoder's view memo table, the durable log's record
+# scanner, and the shard machine's command and snapshot decoders: 5 seconds
+# per target, run as part of the pre-merge gate.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzViewEncodingCache -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzUnmarshalFrame -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeWALRecord -fuzztime=5s ./internal/wire/
-	$(GO) test -fuzz=FuzzScanWAL -fuzztime=5s ./internal/wire/
+	$(GO) test -fuzz=FuzzScanWAL -fuzztime=5s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeCreditFrame -fuzztime=5s ./internal/wire/
 	$(GO) test -fuzz=FuzzKVCommand -fuzztime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzMachineRestore -fuzztime=5s ./internal/shard/
@@ -85,8 +85,9 @@ bench-smoke:
 docs-check:
 	$(GO) run ./cmd/vsgm-docscheck
 
-# WAL fsck/repair smoke: build a state directory, corrupt it, and drive
-# cmd/vsgm-fsck through dry-run, repair, and a clean re-open.
+# WAL fsck/repair smoke: build a state directory — a membership server's,
+# then a shard replica's — corrupt it, and drive cmd/vsgm-fsck through
+# dry-run, repair, and a clean re-open.
 fsck-smoke:
 	$(GO) test -run TestFsckCLI -count=1 ./cmd/vsgm-fsck/
 
@@ -138,7 +139,7 @@ soak-smoke:
 # documentation gate, and a short soak.
 check: vet fmt-check test
 	cd bench && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test -count=1 .
-	$(GO) test -race ./internal/live/ ./internal/membership/ ./cmd/vsgm-live/ \
+	$(GO) test -race ./internal/live/ ./internal/wal/ ./internal/membership/ ./cmd/vsgm-live/ \
 		./internal/core/ ./internal/wire/... \
 		./internal/totalorder/ ./internal/rsm/ ./internal/shard/ ./internal/sim/ ./internal/spec/
 	$(MAKE) fuzz-smoke

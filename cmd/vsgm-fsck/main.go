@@ -1,7 +1,9 @@
-// Command vsgm-fsck scans and repairs a membership server's durable state
-// directory (wal.log + snapshot.bin) with the same engine NewFileStore runs
-// at every open — exposed standalone so an operator can inspect a suspect
-// directory without starting a server, or repair one ahead of a restart.
+// Command vsgm-fsck scans and repairs a durable state directory (wal.log +
+// snapshot.bin) with the same engine wal.Open runs at every open — exposed
+// standalone so an operator can inspect a suspect directory without starting
+// anything, or repair one ahead of a restart. A membership server's
+// directory and a shard replica's hold the same files in the same framing,
+// so it serves either with no flag.
 //
 //	vsgm-fsck -dir state/srv0               # dry-run scan; exit 1 if damaged
 //	vsgm-fsck -dir state/srv0 -mode repair  # quarantine damage, rewrite files
@@ -9,10 +11,10 @@
 //
 // Dry-run never touches the directory. Repair quarantines every damaged
 // byte range to wal.quarantine, rewrites both files from their intact
-// records (migrating legacy v1 records to checksummed v2), and sweeps stale
-// snapshot temp files. Run repair only while no server has the directory
-// open. Exit status: 0 clean (or repaired), 1 damage found in dry-run, 2
-// usage or I/O error.
+// records, and sweeps stale temp files. Run repair only while nothing has
+// the directory open. Exit status: 0 clean (or repaired), 1 damage found in
+// dry-run, 2 usage or I/O error — which includes a -dir that does not exist
+// or is not a directory.
 package main
 
 import (
@@ -23,7 +25,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"vsgm/internal/live"
+	"vsgm/internal/wal"
 	"vsgm/internal/wire"
 )
 
@@ -38,7 +40,7 @@ func main() {
 
 func run(args []string, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("vsgm-fsck", flag.ContinueOnError)
-	dir := fs.String("dir", "", "server state directory to scan (required)")
+	dir := fs.String("dir", "", "state directory to scan (required)")
 	mode := fs.String("mode", "dry-run", "dry-run (scan and report), repair (quarantine and rewrite), or dump (print every decodable record)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
@@ -47,13 +49,19 @@ func run(args []string, out io.Writer) (int, error) {
 	if *dir == "" {
 		return 2, fmt.Errorf("-dir is required")
 	}
+	// A mistyped path must not read as a clean bill of health.
+	if fi, err := os.Stat(*dir); err != nil {
+		return 2, err
+	} else if !fi.IsDir() {
+		return 2, fmt.Errorf("%s is not a directory", *dir)
+	}
 	switch *mode {
 	case "dry-run", "repair":
-		m := live.FsckDryRun
+		m := wal.DryRun
 		if *mode == "repair" {
-			m = live.FsckRepair
+			m = wal.Repair
 		}
-		report, err := live.Fsck(*dir, m)
+		report, err := wal.Fsck(*dir, m)
 		if err != nil {
 			return 2, err
 		}
@@ -66,7 +74,7 @@ func run(args []string, out io.Writer) (int, error) {
 		} else {
 			fmt.Fprintln(out, report.String())
 		}
-		if m == live.FsckDryRun && report.Damaged() {
+		if m == wal.DryRun && report.Damaged() {
 			fmt.Fprintln(out, "damage found; run with -mode repair to quarantine and rewrite")
 			return 1, nil
 		}
@@ -79,10 +87,12 @@ func run(args []string, out io.Writer) (int, error) {
 }
 
 // dump prints every record the skip-and-resync scan decodes from each state
-// file, with its byte offset, interleaved with the damaged ranges.
+// file, with its byte offset, interleaved with the damaged ranges. A body
+// that is a membership record prints as one; any other (a shard replica's
+// command or snapshot) prints its length and first bytes.
 func dump(dir string, out io.Writer) error {
 	found := false
-	for _, name := range []string{"snapshot.bin", "wal.log"} {
+	for _, name := range []string{wal.SnapshotName, wal.LogName} {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if os.IsNotExist(err) {
 			continue
@@ -91,17 +101,20 @@ func dump(dir string, out io.Writer) error {
 			return err
 		}
 		found = true
-		scan := wire.ScanWAL(b)
-		fmt.Fprintf(out, "%s: %d bytes, %d records (%d v1), %d damaged ranges\n",
-			name, len(b), len(scan.Records), scan.V1Records, len(scan.Damaged))
+		scan := wal.ScanRecords(b)
+		fmt.Fprintf(out, "%s: %d bytes, %d records, %d damaged ranges\n",
+			name, len(b), len(scan.Records), len(scan.Damaged))
 		di := 0
-		for i, rec := range scan.Records {
-			for di < len(scan.Damaged) && scan.Damaged[di].Off < scan.Offsets[i] {
+		for i, body := range scan.Records {
+			for ; di < len(scan.Damaged) && scan.Damaged[di].Off < scan.Offsets[i]; di++ {
 				fmt.Fprintf(out, "  %8d  DAMAGED %d bytes\n", scan.Damaged[di].Off, scan.Damaged[di].Len)
-				di++
 			}
-			fmt.Fprintf(out, "  %8d  client=%s cid=%d vid=%d epoch=%d\n",
-				scan.Offsets[i], rec.Client, rec.CID, rec.Vid, rec.Epoch)
+			if rec, err := wire.DecodeWALBody(body); err == nil {
+				fmt.Fprintf(out, "  %8d  client=%s cid=%d vid=%d epoch=%d\n",
+					scan.Offsets[i], rec.Client, rec.CID, rec.Vid, rec.Epoch)
+			} else {
+				fmt.Fprintf(out, "  %8d  %d bytes %x\n", scan.Offsets[i], len(body), body[:min(len(body), 16)])
+			}
 		}
 		for ; di < len(scan.Damaged); di++ {
 			fmt.Fprintf(out, "  %8d  DAMAGED %d bytes\n", scan.Damaged[di].Off, scan.Damaged[di].Len)

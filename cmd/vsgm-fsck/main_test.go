@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"vsgm/internal/live"
+	"vsgm/internal/shard"
 	"vsgm/internal/types"
 	"vsgm/internal/wire"
 )
@@ -113,5 +116,90 @@ func TestFsckCLI(t *testing.T) {
 	}
 	if _, err := run([]string{"-dir", dir, "-mode", "bogus"}, &out); err == nil {
 		t.Fatal("bogus mode accepted")
+	}
+
+	// A mistyped -dir is an error in every mode, not a clean bill of health;
+	// a directory that exists and is empty is clean.
+	for _, mode := range []string{"dry-run", "repair", "dump"} {
+		for _, typo := range []string{filepath.Join(dir, "no-such-dir"), walPath} {
+			if code, err := run([]string{"-dir", typo, "-mode", mode}, &out); err == nil || code != 2 {
+				t.Fatalf("-dir %s -mode %s: code=%d err=%v, want exit 2", typo, mode, code, err)
+			}
+		}
+	}
+	if code, err := run([]string{"-dir", t.TempDir()}, &out); err != nil || code != 0 {
+		t.Fatalf("empty directory: code=%d err=%v", code, err)
+	}
+}
+
+// TestFsckCLIShardReplica drives the same CLI, with no flag saying so, over a
+// shard replica's state directory: a flipped byte is found by dry-run (exit
+// 1, directory untouched), dumped as opaque records around the damage,
+// repaired, and the replica reloads as it was minus the one command.
+func TestFsckCLIShardReplica(t *testing.T) {
+	dir := t.TempDir()
+	build := func(dir string, skip int) string {
+		st, err := shard.NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		m := shard.NewMachine(st)
+		for i := 0; i < 10; i++ {
+			if i != skip {
+				m.Apply("p", shard.EncodeSet(fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i)))
+			}
+		}
+		return m.Fingerprint()
+	}
+	build(dir, -1)
+	const hit = 4
+	walPath := filepath.Join(dir, "wal.log")
+	b, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[bytes.Index(b, []byte("value-4"))] ^= 0x20
+	if err := os.WriteFile(walPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if code, err := run([]string{"-dir", dir}, &out); err != nil || code != 1 {
+		t.Fatalf("dry-run on damaged replica dir: code=%d err=%v\n%s", code, err, out.String())
+	}
+	if after, _ := os.ReadFile(walPath); !bytes.Equal(after, b) {
+		t.Fatal("dry-run modified the log")
+	}
+	out.Reset()
+	if code, err := run([]string{"-dir", dir, "-mode", "dump"}, &out); err != nil || code != 0 {
+		t.Fatalf("dump: code=%d err=%v", code, err)
+	}
+	if got := out.String(); !strings.Contains(got, "9 records, 1 damaged ranges") ||
+		!strings.Contains(got, "DAMAGED") || strings.Contains(got, "client=") {
+		t.Fatalf("dump of a replica directory:\n%s", got)
+	}
+	out.Reset()
+	if code, err := run([]string{"-dir", dir, "-mode", "repair"}, &out); err != nil || code != 0 {
+		t.Fatalf("repair: code=%d err=%v\n%s", code, err, out.String())
+	}
+	if code, err := run([]string{"-dir", dir}, &out); err != nil || code != 0 {
+		t.Fatalf("dry-run after repair: code=%d err=%v\n%s", code, err, out.String())
+	}
+
+	st, err := shard.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rep := st.RepairReport(); rep.Damaged() {
+		t.Fatalf("the repaired directory re-opens damaged:\n%s", rep)
+	}
+	m, err := shard.LoadMachine(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := build(t.TempDir(), hit); m.Fingerprint() != want {
+		t.Fatalf("reloaded replica is not the original minus command %d:\n%s\n%s", hit, m.Fingerprint(), want)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"vsgm/internal/core"
 	"vsgm/internal/membership"
 	"vsgm/internal/types"
+	"vsgm/internal/wal"
 	"vsgm/internal/wire"
 )
 
@@ -139,7 +140,7 @@ func TestLiveStaleWALResurrection(t *testing.T) {
 
 	// Freeze the backup while the deployment keeps moving.
 	staleDir := filepath.Join(t.TempDir(), "stale")
-	if err := CloneStateDir(liveDir, staleDir); err != nil {
+	if err := wal.CloneDir(liveDir, staleDir); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,12 +2,15 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"vsgm/internal/types"
+	"vsgm/internal/wal"
 	"vsgm/internal/wire"
 )
 
@@ -35,11 +38,11 @@ func fsckFixture(t *testing.T, dir string, n int) ([]wire.WALRecord, []int) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, walFileName))
+	b, err := os.ReadFile(filepath.Join(dir, wal.LogName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	offsets := wire.ScanWAL(b).Offsets
+	offsets := wal.ScanRecords(b).Offsets
 	if len(offsets) != n {
 		t.Fatalf("fixture scan found %d records, want %d", len(offsets), n)
 	}
@@ -63,7 +66,7 @@ func TestFsckCorruptionMatrix(t *testing.T) {
 		{
 			name: "flipped byte mid-record",
 			corrupt: func(b []byte, off []int) ([]byte, []int) {
-				b[off[2]+9] ^= 0x80 // inside record 2's body
+				b[off[2]+wal.HeaderSize+2] ^= 0x80 // inside record 2's body
 				return b, []int{0, 1, 3, 4}
 			},
 			damaged: true,
@@ -106,7 +109,7 @@ func TestFsckCorruptionMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			recs, offsets := fsckFixture(t, dir, n)
-			walPath := filepath.Join(dir, walFileName)
+			walPath := filepath.Join(dir, wal.LogName)
 			b, err := os.ReadFile(walPath)
 			if err != nil {
 				t.Fatal(err)
@@ -117,7 +120,7 @@ func TestFsckCorruptionMatrix(t *testing.T) {
 			}
 
 			// Dry-run sees the damage and changes nothing.
-			dry, err := Fsck(dir, FsckDryRun)
+			dry, err := wal.Fsck(dir, wal.DryRun)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,17 +156,17 @@ func TestFsckCorruptionMatrix(t *testing.T) {
 				}
 			}
 			if tc.damaged {
-				q, err := os.ReadFile(filepath.Join(dir, quarantineFileName))
+				q, err := os.ReadFile(filepath.Join(dir, wal.QuarantineName))
 				if err != nil {
 					t.Fatalf("damage not quarantined: %v", err)
 				}
-				if !strings.Contains(string(q), "-- vsgm quarantine file="+walFileName) {
+				if !strings.Contains(string(q), "-- vsgm quarantine file="+wal.LogName) {
 					t.Fatalf("quarantine missing header:\n%s", q)
 				}
 			}
 
 			// The repaired file is clean: a second fsck finds nothing.
-			again, err := Fsck(dir, FsckDryRun)
+			again, err := wal.Fsck(dir, wal.DryRun)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,26 +177,27 @@ func TestFsckCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestFsckMigratesV1Records pins the migration path: a WAL written in the
-// legacy unchecksummed v1 format is rewritten as v2 on open, with every
-// record preserved.
-func TestFsckMigratesV1Records(t *testing.T) {
-	dir := t.TempDir()
-	var log []byte
-	recs := []wire.WALRecord{
-		{Client: "a", CID: 5, Vid: 2, Epoch: 1},
-		{Client: "b", CID: 1<<32 + 3, Vid: 9, Epoch: 1},
-	}
-	for _, rec := range recs {
-		var err error
-		if log, err = wire.AppendWALRecordV1(log, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// TestOldFormatDirectoryIsQuarantinedWhole pins what happens to a directory
+// an earlier build wrote (0xA8 | u16 len | crc32c | body, and the bare 0xA7
+// record before it): there is no legacy reader, so nothing in it decodes. The
+// store opens without error and loads empty, the report shows one damaged
+// range covering the file, and the bytes are in wal.quarantine exactly as
+// they were — the server starts from empty state and attach claims re-float
+// every identifier a client actually observed.
+func TestOldFormatDirectoryIsQuarantinedWhole(t *testing.T) {
+	body, err := wire.AppendWALBody(nil, wire.WALRecord{Client: "a", CID: 5, Vid: 2, Epoch: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, walFileName), log, 0o644); err != nil {
+	var old []byte
+	for i := 0; i < 3; i++ {
+		old = append(old, 0xA8, 0, byte(len(body)))
+		old = binary.BigEndian.AppendUint32(old, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		old = append(old, body...)
+		old = append(append(old, 0xA7), body...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, wal.LogName), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store, err := NewFileStore(dir)
@@ -201,26 +205,21 @@ func TestFsckMigratesV1Records(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if rep := store.RepairReport(); rep.V1Records() != len(recs) {
-		t.Fatalf("report counted %d v1 records, want %d\n%s", rep.V1Records(), len(recs), rep)
+	rep := store.RepairReport()
+	if len(rep.Files) != 1 || rep.Files[0] != (wal.FileReport{
+		Name: wal.LogName, Bytes: len(old), DamagedRanges: 1, DamagedBytes: len(old), Rewritten: true,
+	}) {
+		t.Fatalf("report does not show one damaged range covering the file:\n%s", rep)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, walFileName))
+	if state, err := store.Load(); err != nil || len(state) != 0 {
+		t.Fatalf("old-format directory loaded as %v (err %v), want empty", state, err)
+	}
+	q, err := os.ReadFile(filepath.Join(dir, wal.QuarantineName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := wire.ScanWAL(b)
-	if scan.V1Records != 0 || len(scan.Damaged) != 0 || len(scan.Records) != len(recs) {
-		t.Fatalf("migrated WAL not pure v2: v1=%d damaged=%d records=%d", scan.V1Records, len(scan.Damaged), len(scan.Records))
-	}
-	state, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		got := state[rec.Client]
-		if got.CID != rec.CID || got.Vid != rec.Vid || got.Epoch != rec.Epoch {
-			t.Fatalf("record %s mangled by migration: %+v vs %+v", rec.Client, got, rec)
-		}
+	if !bytes.Contains(q, old) {
+		t.Fatalf("quarantine does not hold the old file byte for byte:\n%q", q)
 	}
 }
 
@@ -229,7 +228,7 @@ func TestFsckMigratesV1Records(t *testing.T) {
 // the store re-opens, and counted in the report.
 func TestFsckSweepsStaleSnapshotTemps(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{snapFileName + ".tmp-42", snapFileName + ".tmp-43", walFileName + ".fsck-7"} {
+	for _, name := range []string{wal.SnapshotName + ".tmp-42", wal.SnapshotName + ".tmp-43", wal.LogName + ".fsck-7"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("stale"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -248,20 +247,19 @@ func TestFsckSweepsStaleSnapshotTemps(t *testing.T) {
 	}
 }
 
-// TestFileStoreFsyncPolicies exercises the durability knob: every policy
+// TestFileStoreFsyncPolicies exercises the durability knob: every setting
 // must keep Append working and the data durable across a reopen (the
-// policies differ in crash semantics this test cannot observe, so it pins
+// settings differ in crash semantics this test cannot observe, so it pins
 // the API contract and the data path).
 func TestFileStoreFsyncPolicies(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		policy FsyncPolicy
-		every  int
+		name  string
+		every int
 	}{
-		{"never", FsyncNever, 0},
-		{"every-3", FsyncEveryN, 3},
-		{"every-clamped", FsyncEveryN, -5},
-		{"always", FsyncAlways, 0},
+		{"never", 0},
+		{"every-3", 3},
+		{"every-clamped", -5}, // negative disables, like every other interval in the tree
+		{"always", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -269,7 +267,7 @@ func TestFileStoreFsyncPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			store.SetFsyncPolicy(tc.policy, tc.every)
+			store.SetSyncEvery(tc.every)
 			for i := 0; i < 7; i++ {
 				if err := store.Append(wire.WALRecord{Client: "c", CID: types.StartChangeID(i + 1)}); err != nil {
 					t.Fatalf("append %d under %s: %v", i, tc.name, err)

@@ -50,12 +50,11 @@ type ServerConfig struct {
 	// registered out of band (AddClient) hold no lease and are never
 	// swept. 0 selects the default (10s); negative disables leases.
 	AttachLease time.Duration
-	// WALFsync selects when WAL appends are flushed to stable storage, for
-	// stores that support a policy (FileStore). The zero value keeps the
-	// historical OS-buffered behavior; see FsyncPolicy.
-	WALFsync FsyncPolicy
-	// WALFsyncEvery is the N of FsyncEveryN (ignored by other policies);
-	// values < 1 are treated as 1.
+	// WALFsyncEvery makes a FileStore fsync its log on every Nth append (1
+	// syncs each one), bounding what a machine crash can lose to N-1
+	// identifier mutations. 0 (the default) and negative values never sync:
+	// appends are OS-buffered, which the protocol tolerates — attach claims
+	// re-float any identifier a client actually observed.
 	WALFsyncEvery int
 	// Detector tunes the heartbeat failure detector StartHeartbeats runs:
 	// the accrual window size, the suspect/restore hysteresis thresholds,
@@ -102,6 +101,7 @@ type ServerNode struct {
 	sinceSnapshot int
 	walAppends    *obs.Counter
 	walSnapshots  *obs.Counter
+	walErrors     *obs.Counter
 
 	attachesServed *obs.Counter
 	detaches       *obs.Counter
@@ -169,6 +169,8 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 			"Identifier mutations appended to the write-ahead log.", serverLabel),
 		walSnapshots: cfg.Obs.Counter("vsgm_server_wal_snapshots_total",
 			"WAL compactions into a snapshot.", serverLabel),
+		walErrors: cfg.Obs.Counter("vsgm_server_wal_errors_total",
+			"Appends and snapshots the store refused; identifiers issued since are not durable.", serverLabel),
 		attachesServed: cfg.Obs.Counter("vsgm_server_attaches_served_total",
 			"Attach requests acknowledged (registrations and keepalives).", serverLabel),
 		detaches: cfg.Obs.Counter("vsgm_server_detaches_total",
@@ -189,12 +191,9 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 	}
 	var restored map[types.ProcID]membership.ClientRecord
 	if n.store != nil {
-		if cfg.WALFsync != FsyncNever {
-			if fs, ok := n.store.(interface {
-				SetFsyncPolicy(FsyncPolicy, int)
-			}); ok {
-				fs.SetFsyncPolicy(cfg.WALFsync, cfg.WALFsyncEvery)
-			}
+		if fs, ok := n.store.(*FileStore); ok {
+			fs.SetSyncEvery(cfg.WALFsyncEvery)
+			cfg.Obs.PublishWALRepair(fs.RepairReport(), serverLabel)
 		}
 		var err error
 		if restored, err = n.store.Load(); err != nil {
@@ -237,18 +236,24 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 // onRecord is the membership recorder hook: it appends every identifier
 // mutation to the WAL and periodically compacts it into a snapshot. It runs
 // with n.mu held (the server invokes it from within its handlers), so the
-// snapshot can read the server's state directly.
+// snapshot can read the server's state directly. A store that refuses a
+// write (a full disk) does not stop the server — the identifier is issued
+// and is simply not durable — so each refusal is counted: walErrors moving
+// is the only sign that restarts have stopped being safe.
 func (n *ServerNode) onRecord(p types.ProcID, rec membership.ClientRecord) {
 	if n.store.Append(wire.WALRecord{Client: p, CID: rec.CID, Vid: rec.Vid, Epoch: rec.Epoch}) != nil {
+		n.walErrors.Inc()
 		return
 	}
 	n.walAppends.Inc()
 	n.sinceSnapshot++
 	if n.snapshotEvery > 0 && n.sinceSnapshot >= n.snapshotEvery {
-		if n.store.WriteSnapshot(n.srv.ClientRecords()) == nil {
-			n.walSnapshots.Inc()
-			n.sinceSnapshot = 0
+		if n.store.WriteSnapshot(n.srv.ClientRecords()) != nil {
+			n.walErrors.Inc()
+			return
 		}
+		n.walSnapshots.Inc()
+		n.sinceSnapshot = 0
 	}
 }
 
@@ -260,11 +265,6 @@ func (n *ServerNode) registerObs() {
 		return
 	}
 	serverLabel := obs.L("server", string(n.id))
-	// The fsck outcome is fixed at store-open time; snapshot it once.
-	var repair *RepairReport
-	if fs, ok := n.store.(*FileStore); ok {
-		repair = fs.RepairReport()
-	}
 	n.obs.RegisterCollector("server/"+string(n.id), func() []obs.Sample {
 		n.mu.Lock()
 		var evictions, reproposals, attempts, views int64
@@ -313,15 +313,6 @@ func (n *ServerNode) registerObs() {
 				Labels: []obs.Label{serverLabel, obs.L("rule", rs.rule)}, Value: float64(rs.v),
 			})
 		}
-		if repair != nil {
-			samples = append(samples,
-				obs.Sample{Name: "vsgm_wal_repair_damaged_ranges_total", Kind: obs.KindCounter, Labels: []obs.Label{serverLabel}, Value: float64(repair.DamagedRanges())},
-				obs.Sample{Name: "vsgm_wal_repair_damaged_bytes_total", Kind: obs.KindCounter, Labels: []obs.Label{serverLabel}, Value: float64(repair.DamagedBytes())},
-				obs.Sample{Name: "vsgm_wal_repair_records_recovered", Kind: obs.KindGauge, Labels: []obs.Label{serverLabel}, Value: float64(repair.RecordsRecovered())},
-				obs.Sample{Name: "vsgm_wal_repair_v1_migrated_total", Kind: obs.KindCounter, Labels: []obs.Label{serverLabel}, Value: float64(repair.V1Records())},
-				obs.Sample{Name: "vsgm_wal_repair_temps_swept_total", Kind: obs.KindCounter, Labels: []obs.Label{serverLabel}, Value: float64(repair.TempsSwept)},
-			)
-		}
 		samples = append(samples, linkSamples(serverLabel, n.fabric.Stats())...)
 		return append(samples, poolSamples(serverLabel, n.fabric.PoolStats())...)
 	})
@@ -339,11 +330,6 @@ func (n *ServerNode) registerObs() {
 	n.obs.SetHelp("vsgm_detector_gray_excluded", "Peer servers currently excluded by bitmap reconciliation.")
 	n.obs.SetHelp("vsgm_view_churn_total", "Failure-detector verdict changes — each one triggers a reconfiguration attempt.")
 	n.obs.SetHelp("vsgm_sanitize_clamps_total", "Impossible identifier values clamped out of restored state and attach claims, by rule.")
-	n.obs.SetHelp("vsgm_wal_repair_damaged_ranges_total", "Undecodable byte ranges quarantined by the fsck pass at store open.")
-	n.obs.SetHelp("vsgm_wal_repair_damaged_bytes_total", "Bytes those quarantined ranges covered.")
-	n.obs.SetHelp("vsgm_wal_repair_records_recovered", "Records the fsck pass at store open decoded across WAL and snapshot.")
-	n.obs.SetHelp("vsgm_wal_repair_v1_migrated_total", "Legacy v1 records found (and, when damaged or mixed, migrated to v2) at store open.")
-	n.obs.SetHelp("vsgm_wal_repair_temps_swept_total", "Stale snapshot temp files removed at store open.")
 }
 
 // startWatchdog re-proposes the current attempt whenever it stays stalled
@@ -668,6 +654,7 @@ type ServerStats struct {
 	ViewsDelivered    int64                      `json:"views_delivered"`
 	WALAppends        int64                      `json:"wal_appends"`
 	WALSnapshots      int64                      `json:"wal_snapshots"`
+	WALErrors         int64                      `json:"wal_errors"`
 	SanitizeClamps    int64                      `json:"sanitize_clamps"`
 	Links             map[types.ProcID]LinkStats `json:"links"`
 }
@@ -689,6 +676,7 @@ func (n *ServerNode) Stats() ServerStats {
 		ViewsDelivered:    n.srv.ViewsDelivered(),
 		WALAppends:        n.walAppends.Value(),
 		WALSnapshots:      n.walSnapshots.Value(),
+		WALErrors:         n.walErrors.Value(),
 		SanitizeClamps:    n.srv.Sanitized().Total(),
 	}
 	n.mu.Unlock()

@@ -1,13 +1,11 @@
 package live
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"vsgm/internal/membership"
 	"vsgm/internal/types"
+	"vsgm/internal/wal"
 	"vsgm/internal/wire"
 )
 
@@ -41,18 +39,6 @@ func mergeRecord(state map[types.ProcID]membership.ClientRecord, rec wire.WALRec
 		cur.Epoch = rec.Epoch
 	}
 	state[rec.Client] = cur
-}
-
-// replay decodes a concatenation of WAL records into state with
-// skip-and-resync: damage (a torn tail from a crash mid-append, a flipped
-// byte mid-log) costs only the bytes it covers, never the records after it.
-// NewFileStore repairs the files before any replay, so in the normal path
-// the scan finds nothing to skip; this is the second line of defense for a
-// Load on an un-repaired directory.
-func replay(b []byte, state map[types.ProcID]membership.ClientRecord) {
-	for _, rec := range wire.ScanWAL(b).Records {
-		mergeRecord(state, rec)
-	}
 }
 
 // MemStore is an in-memory Store for tests and ephemeral deployments. It
@@ -106,213 +92,65 @@ func (s *MemStore) Load() (map[types.ProcID]membership.ClientRecord, error) {
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
 
-// FsyncPolicy selects when a FileStore flushes WAL appends to stable
-// storage. The default (FsyncNever) keeps the historical behavior: appends
-// are buffered by the OS, surviving a process crash but not a power cut.
-type FsyncPolicy int
-
-const (
-	// FsyncNever leaves appends OS-buffered (the default).
-	FsyncNever FsyncPolicy = iota
-	// FsyncEveryN syncs after every N appends (N from SetFsyncPolicy), so at
-	// most N-1 acknowledged mutations can be lost to a power cut.
-	FsyncEveryN
-	// FsyncAlways syncs after every append — full durability, one disk
-	// flush per identifier mutation.
-	FsyncAlways
-)
-
-// FileStore is a file-backed Store: an append-only WAL (`wal.log`) plus a
-// compacted snapshot (`snapshot.bin`), both living in one directory per
-// server. Snapshots are written to a temporary file and renamed into place,
-// then the WAL is truncated, so a crash at any point leaves a recoverable
-// pair: at worst the WAL still holds records the snapshot already covers,
-// and Load's max-merge makes that harmless. Append durability is governed
-// by the FsyncPolicy (OS-buffered by default); the snapshot path always
-// fsyncs. Opening a store runs the fsck engine in repair mode first, so
-// Load never sees a WAL or snapshot with undecodable bytes in it.
+// FileStore is the file-backed Store: a wal.Log whose records are WALRecord
+// bodies. The snapshot is one record per client and the log one record per
+// mutation; Load max-merges every record that survives, so a log that still
+// holds what the snapshot covers, a duplicate, or a record lost to damage
+// each cost nothing worse than the lost record. Everything about the files —
+// framing, repair on open, snapshot replacement, the fsync rule — is the
+// Log's, whose methods (SetSyncEvery, RepairReport, Close) show through.
 type FileStore struct {
+	*wal.Log
+
 	mu   sync.Mutex
-	dir  string
-	wal  *os.File
-	buf  []byte
-	done bool
-
-	fsync      FsyncPolicy
-	fsyncEvery int
-	sinceSync  int
-
-	repair *RepairReport
+	body []byte
 }
 
-const (
-	walFileName  = "wal.log"
-	snapFileName = "snapshot.bin"
-)
-
-// CloneStateDir copies a file store's on-disk state (WAL and snapshot)
-// from src into dst, creating dst if needed and replacing its previous
-// contents — a point-in-time backup/restore primitive for stale-WAL
-// resurrection tests and the soak harness. Clone from a closed or
-// quiescent store, and restore only while no store handle is open on dst.
-func CloneStateDir(src, dst string) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return fmt.Errorf("live: clone state dir: %w", err)
-	}
-	for _, name := range []string{walFileName, snapFileName} {
-		b, err := os.ReadFile(filepath.Join(src, name))
-		if os.IsNotExist(err) {
-			// Absent in the source generation: remove any newer leftover so
-			// the destination matches the source exactly.
-			if err := os.Remove(filepath.Join(dst, name)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("live: clone state dir: %w", err)
-			}
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("live: clone state dir: %w", err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), b, 0o644); err != nil {
-			return fmt.Errorf("live: clone state dir: %w", err)
-		}
-	}
-	return nil
-}
-
-// NewFileStore opens (creating if needed) a file-backed store rooted at
-// dir. Before the WAL is opened for appending, the fsck engine runs in
-// repair mode: stale snapshot temp files are swept, damaged byte ranges in
-// wal.log and snapshot.bin are quarantined to wal.quarantine, and the files
-// are rewritten from their intact records (legacy v1 records migrating to
-// checksummed v2 in passing). The outcome is retained — see RepairReport.
+// NewFileStore opens (creating if needed) a file-backed store rooted at dir.
 func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("live: store dir: %w", err)
-	}
-	report, err := Fsck(dir, FsckRepair)
+	l, err := wal.Open(dir)
 	if err != nil {
-		return nil, fmt.Errorf("live: fsck on open: %w", err)
+		return nil, err
 	}
-	wal, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("live: open wal: %w", err)
-	}
-	return &FileStore{dir: dir, wal: wal, repair: report}, nil
-}
-
-// Dir returns the store's root directory.
-func (s *FileStore) Dir() string { return s.dir }
-
-// RepairReport returns the fsck outcome from when this store was opened.
-func (s *FileStore) RepairReport() *RepairReport { return s.repair }
-
-// SetFsyncPolicy selects the WAL append durability policy. every is the N
-// of FsyncEveryN (values < 1 are treated as 1) and is ignored by the other
-// policies. Safe to call at any time; the next Append applies it.
-func (s *FileStore) SetFsyncPolicy(p FsyncPolicy, every int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if every < 1 {
-		every = 1
-	}
-	s.fsync, s.fsyncEvery, s.sinceSync = p, every, 0
+	return &FileStore{Log: l}, nil
 }
 
 // Append implements Store.
 func (s *FileStore) Append(rec wire.WALRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done {
-		return fmt.Errorf("live: store closed")
-	}
-	b, err := wire.AppendWALRecord(s.buf[:0], rec)
+	body, err := wire.AppendWALBody(s.body[:0], rec)
 	if err != nil {
 		return err
 	}
-	s.buf = b
-	if _, err := s.wal.Write(b); err != nil {
-		return err
-	}
-	switch s.fsync {
-	case FsyncAlways:
-		return s.wal.Sync()
-	case FsyncEveryN:
-		s.sinceSync++
-		if s.sinceSync >= s.fsyncEvery {
-			s.sinceSync = 0
-			return s.wal.Sync()
-		}
-	}
-	return nil
+	s.body = body
+	return s.Log.Append(body)
 }
 
 // WriteSnapshot implements Store.
 func (s *FileStore) WriteSnapshot(state map[types.ProcID]membership.ClientRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return fmt.Errorf("live: store closed")
-	}
-	var b []byte
+	bodies := make([][]byte, 0, len(state))
 	for p, rec := range state {
-		var err error
-		b, err = wire.AppendWALRecord(b, wire.WALRecord{Client: p, CID: rec.CID, Vid: rec.Vid, Epoch: rec.Epoch})
+		body, err := wire.AppendWALBody(nil, wire.WALRecord{Client: p, CID: rec.CID, Vid: rec.Vid, Epoch: rec.Epoch})
 		if err != nil {
 			return err
 		}
+		bodies = append(bodies, body)
 	}
-	tmp, err := os.CreateTemp(s.dir, snapFileName+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, snapFileName)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	// The snapshot covers everything the WAL held; truncating is safe even
-	// if we crash before it happens (max-merge deduplicates on Load).
-	return os.Truncate(filepath.Join(s.dir, walFileName), 0)
+	return s.Log.WriteSnapshot(bodies...)
 }
 
-// Load implements Store.
+// Load implements Store. A body that is not exactly a WALRecord is skipped.
 func (s *FileStore) Load() (map[types.ProcID]membership.ClientRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	state := make(map[types.ProcID]membership.ClientRecord)
-	if b, err := os.ReadFile(filepath.Join(s.dir, snapFileName)); err == nil {
-		replay(b, state)
-	} else if !os.IsNotExist(err) {
+	snapshot, log, err := s.Log.Load()
+	if err != nil {
 		return nil, err
 	}
-	if b, err := os.ReadFile(filepath.Join(s.dir, walFileName)); err == nil {
-		replay(b, state)
-	} else if !os.IsNotExist(err) {
-		return nil, err
+	state := make(map[types.ProcID]membership.ClientRecord)
+	for _, body := range append(snapshot, log...) {
+		if rec, err := wire.DecodeWALBody(body); err == nil {
+			mergeRecord(state, rec)
+		}
 	}
 	return state, nil
-}
-
-// Close implements Store.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return nil
-	}
-	s.done = true
-	return s.wal.Close()
 }

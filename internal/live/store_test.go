@@ -1,12 +1,16 @@
 package live
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"vsgm/internal/membership"
+	"vsgm/internal/obs"
 	"vsgm/internal/types"
+	"vsgm/internal/wal"
 	"vsgm/internal/wire"
 )
 
@@ -112,7 +116,7 @@ func TestFileStoreSnapshotCompactsWAL(t *testing.T) {
 	}
 
 	// The snapshot subsumed the log, so the log must be empty now.
-	fi, err := os.Stat(filepath.Join(dir, walFileName))
+	fi, err := os.Stat(filepath.Join(dir, wal.LogName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +149,13 @@ func TestFileStoreToleratesTornTail(t *testing.T) {
 
 	// Simulate a crash mid-append: a full record followed by a torn prefix
 	// of another. Replay must keep everything before the tear.
-	full, err := wire.AppendWALRecord(nil, wire.WALRecord{Client: "c", CID: 9, Vid: 4, Epoch: 2})
+	body, err := wire.AppendWALBody(nil, wire.WALRecord{Client: "c", CID: 9, Vid: 4, Epoch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := wal.AppendRecord(nil, body)
 	torn := append(full, full[:len(full)/2]...)
-	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, wal.LogName), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,4 +199,75 @@ func TestMemStoreBacksServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRecord(t, state, "a", 4, 2, 1)
+}
+
+// refusingStore is a Store whose disk fills: the first okAppends appends
+// succeed, every later one and every snapshot is refused.
+type refusingStore struct {
+	Store
+	mu        sync.Mutex
+	okAppends int
+}
+
+var errDiskFull = errors.New("no space left on device")
+
+func (s *refusingStore) Append(rec wire.WALRecord) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.okAppends == 0 {
+		return errDiskFull
+	}
+	s.okAppends--
+	return s.Store.Append(rec)
+}
+
+func (s *refusingStore) WriteSnapshot(map[types.ProcID]membership.ClientRecord) error {
+	return errDiskFull
+}
+
+// TestServerCountsStoreFailures: a membership server whose store starts
+// refusing writes keeps serving views — the identifiers it issues are simply
+// not durable — and says so: vsgm_server_wal_errors_total counts every
+// refused append and snapshot while the append counter stops where the disk
+// filled.
+func TestServerCountsStoreFailures(t *testing.T) {
+	const okAppends = 2
+	reg := obs.NewRegistry()
+	w := newAttachWorld(t, 1, 2, attachOptions{
+		stores: map[types.ProcID]Store{"srv0": &refusingStore{Store: NewMemStore(), okAppends: okAppends}},
+		tuneServer: func(_ types.ProcID, cfg *ServerConfig) {
+			cfg.Obs = reg
+			cfg.SnapshotEvery = 1
+		},
+	})
+	defer w.close()
+	w.boot()
+	w.waitFullView("clients attached and in the full view", 0)
+	for round := 0; round < 2; round++ {
+		floor := w.maxViewID()
+		w.servers[0].Reconfigure()
+		w.waitFullView("a view from a server whose store refuses writes", floor)
+	}
+
+	st := w.servers[0].Stats()
+	if st.WALAppends != okAppends || st.WALSnapshots != 0 {
+		t.Fatalf("%d appends and %d snapshots counted, want %d and 0", st.WALAppends, st.WALSnapshots, okAppends)
+	}
+	// Every good append was followed by a refused snapshot; each view since
+	// recorded identifiers for two clients into a full disk.
+	if st.WALErrors < okAppends+4 {
+		t.Fatalf("%d store errors counted, want at least %d", st.WALErrors, okAppends+4)
+	}
+	var scraped float64
+	for _, s := range reg.Snapshot().Samples {
+		if s.Name == "vsgm_server_wal_errors_total" {
+			scraped = s.Value
+		}
+	}
+	if int64(scraped) < st.WALErrors {
+		t.Fatalf("vsgm_server_wal_errors_total scrapes as %v, the server counted %d", scraped, st.WALErrors)
+	}
+	if err := w.specErr(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -3,11 +3,11 @@ package membership
 import "vsgm/internal/types"
 
 // State sanitization: the semantic half of self-stabilizing recovery.
-// Checksummed WAL records (internal/wire) and fsck (internal/live) guarantee
+// Checksummed records and the repair pass at open (internal/wal) guarantee
 // a restarted server replays only records that were once genuinely written —
 // but say nothing about whether the *values* in a record are possible. A
-// stale generation resurrected by an operator, an unchecksummed v1 record
-// reassembled out of damage, or a client restored from arbitrary state can
+// stale generation resurrected by an operator, a record some other program
+// wrote in the same frame, or a client restored from arbitrary state can
 // all present identifier triples no correct execution produces: attach
 // epochs so large their cid floor (epoch << cidEpochShift) wraps int64,
 // start-change identifiers claiming an epoch range above any plausible

@@ -9,6 +9,7 @@ import (
 
 	"vsgm/internal/rsm"
 	"vsgm/internal/types"
+	"vsgm/internal/wal"
 )
 
 // KVOp is the command vocabulary of a shard group's state machine. Besides
@@ -259,7 +260,7 @@ func LoadMachine(store Store) (*Machine, error) {
 }
 
 // logSize is the room one command takes in the log.
-func logSize(cmd []byte) int64 { return int64(recordHeader + len(cmd)) }
+func logSize(cmd []byte) int64 { return int64(wal.HeaderSize + len(cmd)) }
 
 // Get reads a key from the local state.
 func (m *Machine) Get(key string) (string, bool) {

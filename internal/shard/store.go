@@ -1,19 +1,14 @@
 package shard
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"vsgm/internal/wal"
 )
 
-// Store is the durable backing of one shard replica, following the PR-3
-// Store design (append-only WAL plus compacted snapshot, temp/fsync/rename
-// snapshot replacement, torn-tail-tolerant replay): every applied command
+// Store is the durable backing of one shard replica: every applied command
 // is appended, and Restore/compaction rewrites the snapshot and truncates
-// the log. A replica restarted cold replays snapshot + WAL and holds every
+// the log. A replica restarted cold replays snapshot + log and holds every
 // state mutation it applied before the crash.
 type Store interface {
 	// AppendCommand durably logs one applied command.
@@ -72,158 +67,36 @@ func (s *MemStore) Load() ([]byte, [][]byte, error) {
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
 
-// Record framing for the shard store files: magic 0xA9 | u32 bodyLen |
-// u32 crc32c(body) | body. The magic differs from the membership WAL's
-// (0xA7/0xA8) so a shard log can never be mistaken for an identifier log.
-const recordMagic byte = 0xA9
-
-const recordHeader = 1 + 4 + 4
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendRecord frames one body onto dst.
-func appendRecord(dst, body []byte) []byte {
-	var hdr [recordHeader]byte
-	hdr[0] = recordMagic
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.Checksum(body, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
-}
-
-// scanRecords decodes a concatenation of framed records, stopping at the
-// first damage (a torn tail from a crash mid-append costs only the bytes it
-// covers — everything before it replays).
-func scanRecords(b []byte) [][]byte {
-	var out [][]byte
-	for len(b) >= recordHeader {
-		if b[0] != recordMagic {
-			break
-		}
-		n := int(binary.BigEndian.Uint32(b[1:5]))
-		if n < 0 || recordHeader+n > len(b) {
-			break
-		}
-		body := b[recordHeader : recordHeader+n]
-		if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(b[5:9]) {
-			break
-		}
-		out = append(out, body)
-		b = b[recordHeader+n:]
-	}
-	return out
-}
-
-// FileStore is the file-backed Store: kv.wal (checksummed command records)
-// plus kv.snapshot (one checksummed record holding the machine snapshot) in
-// one directory per replica.
-type FileStore struct {
-	mu   sync.Mutex
-	dir  string
-	wal  *os.File
-	buf  []byte
-	done bool
-}
-
-const (
-	kvWALName  = "kv.wal"
-	kvSnapName = "kv.snapshot"
-)
+// FileStore is the file-backed Store: a wal.Log whose log records are the
+// applied commands and whose snapshot is one record holding the machine
+// snapshot. Unlike the membership log's records these are ordered, and the
+// Log reads them back with the same resync rule: a damaged record costs that
+// one command and the commands after it still replay, so the keys left wrong
+// are those whose last write was the damaged command — a subset of what
+// stopping at the damage would leave wrong.
+type FileStore struct{ *wal.Log }
 
 // NewFileStore opens (creating if needed) a file-backed shard store rooted
 // at dir.
 func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("shard: store dir: %w", err)
-	}
-	wal, err := os.OpenFile(filepath.Join(dir, kvWALName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := wal.Open(dir)
 	if err != nil {
-		return nil, fmt.Errorf("shard: open wal: %w", err)
+		return nil, err
 	}
-	return &FileStore{dir: dir, wal: wal}, nil
+	return &FileStore{l}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *FileStore) Dir() string { return s.dir }
 
 // AppendCommand implements Store.
-func (s *FileStore) AppendCommand(cmd []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return fmt.Errorf("shard: store closed")
-	}
-	s.buf = appendRecord(s.buf[:0], cmd)
-	_, err := s.wal.Write(s.buf)
-	return err
-}
+func (s *FileStore) AppendCommand(cmd []byte) error { return s.Append(cmd) }
 
 // WriteSnapshot implements Store.
-func (s *FileStore) WriteSnapshot(snap []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return fmt.Errorf("shard: store closed")
-	}
-	tmp, err := os.CreateTemp(s.dir, kvSnapName+".tmp-*")
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(appendRecord(nil, snap)); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, kvSnapName)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	// The snapshot covers everything the WAL held; replay after a crash
-	// before this truncate merely re-applies commands the snapshot already
-	// contains, which the deterministic machine tolerates.
-	return os.Truncate(filepath.Join(s.dir, kvWALName), 0)
-}
+func (s *FileStore) WriteSnapshot(snap []byte) error { return s.Log.WriteSnapshot(snap) }
 
 // Load implements Store.
 func (s *FileStore) Load() ([]byte, [][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var snap []byte
-	if b, err := os.ReadFile(filepath.Join(s.dir, kvSnapName)); err == nil {
-		if recs := scanRecords(b); len(recs) > 0 {
-			snap = append([]byte(nil), recs[0]...)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, err
+	snaps, cmds, err := s.Log.Load()
+	if err != nil || len(snaps) == 0 {
+		return nil, cmds, err
 	}
-	var cmds [][]byte
-	if b, err := os.ReadFile(filepath.Join(s.dir, kvWALName)); err == nil {
-		for _, rec := range scanRecords(b) {
-			cmds = append(cmds, append([]byte(nil), rec...))
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	return snap, cmds, nil
-}
-
-// Close implements Store.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return nil
-	}
-	s.done = true
-	return s.wal.Close()
+	return snaps[0], cmds, nil
 }

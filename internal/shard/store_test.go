@@ -1,10 +1,16 @@
 package shard
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vsgm/internal/obs"
+	"vsgm/internal/spec"
+	"vsgm/internal/wal"
 )
 
 func TestMachineColdRestartFromFileStore(t *testing.T) {
@@ -84,8 +90,8 @@ func TestMachineRestartAfterSnapshotCompaction(t *testing.T) {
 		if wrote > 2*compactMinLog {
 			t.Fatalf("no compaction after %d bytes of log", wrote)
 		}
-		if wrote > 0 && wrote <= compactMinLog && fileSize(t, filepath.Join(dir, kvWALName)) != wrote {
-			t.Fatalf("the machine counts %d bytes of log, the file has %d", wrote, fileSize(t, filepath.Join(dir, kvWALName)))
+		if wrote > 0 && wrote <= compactMinLog && fileSize(t, filepath.Join(dir, wal.LogName)) != wrote {
+			t.Fatalf("the machine counts %d bytes of log, the file has %d", wrote, fileSize(t, filepath.Join(dir, wal.LogName)))
 		}
 		cmd := EncodeSet(key(i%50), value+key(i))
 		m.Apply("p", cmd)
@@ -94,7 +100,7 @@ func TestMachineRestartAfterSnapshotCompaction(t *testing.T) {
 	if wrote <= compactMinLog {
 		t.Fatalf("compacted after %d bytes of log, before the %d-byte threshold", wrote, compactMinLog)
 	}
-	if got := fileSize(t, filepath.Join(dir, kvWALName)); got != 0 {
+	if got := fileSize(t, filepath.Join(dir, wal.LogName)); got != 0 {
 		t.Fatalf("log holds %d bytes after compaction", got)
 	}
 	for i := 0; i < 10; i++ {
@@ -120,9 +126,9 @@ func TestMachineRestartAfterSnapshotCompaction(t *testing.T) {
 	}
 	// The restarted replica compacts on the same rule: it knows how large the
 	// snapshot it loaded is and how much log it replayed on top of it.
-	if m2.snapBytes != fileSize(t, filepath.Join(dir, kvSnapName))-recordHeader || m2.logBytes != fileSize(t, filepath.Join(dir, kvWALName)) {
+	if m2.snapBytes != fileSize(t, filepath.Join(dir, wal.SnapshotName))-wal.HeaderSize || m2.logBytes != fileSize(t, filepath.Join(dir, wal.LogName)) {
 		t.Fatalf("reloaded accounting: snapshot %d, log %d; files: %d, %d", m2.snapBytes, m2.logBytes,
-			fileSize(t, filepath.Join(dir, kvSnapName))-recordHeader, fileSize(t, filepath.Join(dir, kvWALName)))
+			fileSize(t, filepath.Join(dir, wal.SnapshotName))-wal.HeaderSize, fileSize(t, filepath.Join(dir, wal.LogName)))
 	}
 }
 
@@ -218,7 +224,7 @@ func TestReplayOverSnapshotThatCoversIt(t *testing.T) {
 		m.Apply("p", cmd)
 	}
 	fp := m.Fingerprint()
-	walPath := filepath.Join(dir, kvWALName)
+	walPath := filepath.Join(dir, wal.LogName)
 	wal, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +263,7 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	st.Close()
 
 	// Simulate a crash mid-append: chop bytes off the WAL tail.
-	walPath := filepath.Join(dir, kvWALName)
+	walPath := filepath.Join(dir, wal.LogName)
 	b, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -280,6 +286,235 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	}
 	if _, ok := m2.Get("b"); ok {
 		t.Fatal("torn record should not replay")
+	}
+}
+
+// TestStoreMidLogFlipCostsOneCommand: one flipped byte a tenth of the way
+// into a replica's log costs the command it sits in, not every command after
+// it, and the loss is reported and kept: one damaged range inside that
+// record's bounds, its bytes in wal.quarantine.
+func TestStoreMidLogFlipCostsOneCommand(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(st)
+	const n = 100
+	for i := 0; i < n; i++ {
+		m.Apply("p", EncodeSet(key(i), fmt.Sprintf("value-%d", i)))
+	}
+	st.Close()
+
+	walPath := filepath.Join(dir, wal.LogName)
+	b, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(b) / 10
+	offsets := wal.ScanRecords(b).Offsets
+	hit := 0 // the record the flipped byte sits in
+	for hit+1 < len(offsets) && offsets[hit+1] <= at {
+		hit++
+	}
+	lo, hi := offsets[hit], offsets[hit+1]
+	b[at] ^= 0x01
+	if err := os.WriteFile(walPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	m2, err := LoadMachine(st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		v, ok := m2.Get(key(i))
+		if i == hit && ok {
+			t.Fatalf("the damaged command replayed: %s=%q", key(i), v)
+		}
+		if i != hit && (!ok || v != fmt.Sprintf("value-%d", i)) {
+			t.Fatalf("%s=%q (found %v), lost to damage in command %d", key(i), v, ok, hit)
+		}
+	}
+	rep := st2.RepairReport()
+	if rep.DamagedRanges() != 1 || rep.DamagedBytes() > hi-lo || rep.RecordsRecovered() != n-1 {
+		t.Fatalf("report does not show one damaged range inside record %d:\n%s", hit, rep)
+	}
+	q, err := os.ReadFile(filepath.Join(dir, wal.QuarantineName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(q, b[lo:hi]) {
+		t.Fatalf("quarantine does not hold the damaged record's bytes as they were on disk:\n%q", q)
+	}
+}
+
+// TestDamagedSnapshotIsQuarantinedAndCounted: a replica's snapshot is one
+// record, so one flipped byte loses it whole and the replica boots from its
+// log tail alone — the group's survivors repair it by state transfer. What
+// must not happen is that this passes silently: the repair report names
+// snapshot.bin, the original bytes are kept, and a World opened over the
+// state directory scrapes the damage under that replica's labels and zero
+// under everyone else's.
+func TestDamagedSnapshotIsQuarantinedAndCounted(t *testing.T) {
+	root := t.TempDir()
+	const victim = "s0-p01"
+	dir := filepath.Join(root, "s0", victim)
+	st, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(st)
+	for i := 0; i < 20; i++ {
+		m.Apply("p", EncodeSet(key(i), "v"))
+	}
+	if err := st.WriteSnapshot(m.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	m.Apply("p", EncodeSet("tail", "kept"))
+	st.Close()
+
+	snapPath := filepath.Join(dir, wal.SnapshotName)
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := append([]byte(nil), snap...)
+	damaged[len(damaged)/2] ^= 0x10
+	if err := os.WriteFile(snapPath, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := NewWorld(WorldConfig{Shards: 2, Seed: 1, StateDir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := w.groups[0].stores[victim].(*FileStore).RepairReport()
+	if len(rep.Files) != 2 || rep.Files[0].Name != wal.SnapshotName || rep.Files[0].DamagedRanges != 1 ||
+		!rep.Files[0].Rewritten || rep.Files[1].DamagedRanges != 0 {
+		t.Fatalf("report does not name snapshot.bin as the damaged file:\n%s", rep)
+	}
+	q, err := os.ReadFile(filepath.Join(dir, wal.QuarantineName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(q, damaged) {
+		t.Fatal("quarantine does not hold the damaged snapshot's bytes")
+	}
+	replicas := 0
+	for _, s := range w.Registry().Snapshot().Samples {
+		if s.Name != "vsgm_wal_repair_damaged_ranges_total" {
+			continue
+		}
+		replicas++
+		want := 0.0
+		if labelValue(s.Labels, "shard") == "0" && labelValue(s.Labels, "replica") == victim {
+			want = 1
+		}
+		if s.Value != want {
+			t.Errorf("vsgm_wal_repair_damaged_ranges_total%v = %v, want %v", s.Labels, s.Value, want)
+		}
+	}
+	if want := 2 * len(w.GroupProcs(0)); replicas != want {
+		t.Fatalf("%d replicas publish a repair outcome, want %d", replicas, want)
+	}
+}
+
+func labelValue(labels []obs.Label, key string) string {
+	for _, l := range labels {
+		if l.Key == key {
+			return l.Value
+		}
+	}
+	return ""
+}
+
+// TestCrashPointsNeverLoseAnAckedWrite enumerates every crash a replica's
+// recorded write sequence can end in — every byte-length prefix of its final
+// log, which is every torn final record — through open → repair → LoadMachine,
+// with each write acknowledged when its append returned. No acknowledged
+// write whose record lies wholly inside the surviving prefix may be missing.
+func TestCrashPointsNeverLoseAnAckedWrite(t *testing.T) {
+	src := t.TempDir()
+	st, err := NewFileStore(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(st)
+	type write struct {
+		ack spec.KVAck
+		end int64 // log size once this write's record is whole; 0 = in the snapshot
+	}
+	var writes []write
+	var logEnd int64
+	apply := func(k, v string) {
+		cmd := EncodeSet(k, v)
+		deleted := v == ""
+		if deleted {
+			cmd = EncodeDel(k)
+		}
+		m.Apply("p", cmd)
+		logEnd += logSize(cmd)
+		writes = append(writes, write{spec.KVAck{Key: k, Value: v, Seq: int64(len(writes) + 1), Deleted: deleted}, logEnd})
+	}
+	for i := 0; i < 6; i++ {
+		apply(key(i%4), fmt.Sprintf("before-%d", i))
+	}
+	if err := st.WriteSnapshot(m.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for i := range writes {
+		writes[i].end = 0
+	}
+	logEnd = 0
+	for i := 0; i < 10; i++ {
+		apply(key(i%5), fmt.Sprintf("after-%d", i))
+	}
+	apply(key(1), "") // a delete
+	apply(key(2), "last")
+	if m.StoreErr() != nil {
+		t.Fatal(m.StoreErr())
+	}
+	st.Close()
+	final, err := os.ReadFile(filepath.Join(src, wal.LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(final)) != logEnd {
+		t.Fatalf("the log holds %d bytes, the writes account for %d", len(final), logEnd)
+	}
+
+	for cut := 0; cut <= len(final); cut++ {
+		dir := filepath.Join(t.TempDir(), "crashed")
+		if err := wal.CloneDir(src, dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, wal.LogName), final[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewFileStore(dir)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		got, err := LoadMachine(st)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		var acked []spec.KVAck
+		for _, w := range writes {
+			if w.end <= int64(cut) {
+				acked = append(acked, w.ack)
+			}
+		}
+		if err := spec.CheckNoLostAckedWrites(acked, got.Get); err != nil {
+			t.Fatalf("cut %d of %d: %v", cut, len(final), err)
+		}
+		st.Close()
 	}
 }
 

@@ -297,6 +297,7 @@ func (w *World) attachReplica(g *shardGroup, p types.ProcID, bootstrap, fromDisk
 			if err != nil {
 				return err
 			}
+			w.reg.PublishWALRepair(fs.RepairReport(), obs.L("shard", strconv.Itoa(g.id)), obs.L("replica", string(p)))
 			store = fs
 		} else {
 			store = NewMemStore()

@@ -16,6 +16,7 @@ import (
 	"vsgm/internal/obs"
 	"vsgm/internal/spec"
 	"vsgm/internal/types"
+	"vsgm/internal/wal"
 	"vsgm/internal/wire"
 )
 
@@ -872,7 +873,7 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		r.sched.Note(at, kind, "snapshot %s's store, advance identifiers, resurrect it from the stale generation", sid)
 		r.transitions += 3 // the advance, the kill, the resurrection
 		// Point-in-time backup of the current (soon to be stale) generation.
-		if err := live.CloneStateDir(r.stateDirs[sid], backup); err != nil {
+		if err := wal.CloneDir(r.stateDirs[sid], backup); err != nil {
 			return err
 		}
 		// Advance identifier state past the backup. The reconfiguring server
@@ -888,7 +889,7 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		}
 		// Kill, roll the store back to the stale generation, restart.
 		r.retire(sn)
-		if err := live.CloneStateDir(backup, r.stateDirs[sid]); err != nil {
+		if err := wal.CloneDir(backup, r.stateDirs[sid]); err != nil {
 			return err
 		}
 		if err := r.restartServer(sid, addr); err != nil {
@@ -1144,7 +1145,7 @@ func (r *liveRun) phase(kind PhaseKind) error {
 // returned description goes on the chaos schedule.
 func (r *liveRun) scrambleStateDir(dir string) (string, error) {
 	var targets []string
-	for _, name := range []string{"wal.log", "snapshot.bin"} {
+	for _, name := range []string{wal.LogName, wal.SnapshotName} {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil && fi.Size() > 0 {
 			targets = append(targets, name)
 		}
@@ -1160,7 +1161,7 @@ func (r *liveRun) scrambleStateDir(dir string) (string, error) {
 	}
 	mode := r.rng.Intn(4)
 	if mode == 0 {
-		if scan := wire.ScanWAL(b); len(scan.Offsets) > 0 {
+		if scan := wal.ScanRecords(b); len(scan.Offsets) > 0 {
 			i := r.rng.Intn(len(scan.Offsets))
 			start := scan.Offsets[i]
 			end := len(b)

@@ -1,38 +1,26 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
-	"hash/crc32"
 
 	"vsgm/internal/types"
 )
 
-// errBadWALMagic reports a WAL stream whose record tag is neither WAL magic.
-var errBadWALMagic = errors.New("wire: bad WAL record magic")
+// errWALBodyLength reports a WAL record body shorter or longer than its fields.
+var errWALBodyLength = errors.New("wire: WAL record body has the wrong length")
 
-// errBadWALChecksum reports a v2 record whose body does not match its CRC.
-var errBadWALChecksum = errors.New("wire: WAL record checksum mismatch")
-
-// errBadWALLength reports a v2 record whose length field is impossible.
-var errBadWALLength = errors.New("wire: WAL record length out of range")
-
-// WALRecord is one append-only log entry of a membership server's durable
-// per-client identifier state: the last start-change identifier issued to
-// the client, the last view identifier delivered to it, and the attach
-// epoch its registration is held under. A server replays its WAL on restart
-// so a bounced server rejoins the static server set without regressing any
+// WALRecord is one entry of a membership server's durable per-client
+// identifier state: the last start-change identifier issued to the client,
+// the last view identifier delivered to it, and the attach epoch its
+// registration is held under. A server replays its records on restart so a
+// bounced server rejoins the static server set without regressing any
 // identifier it handed out before the crash (Local Monotonicity, Section 8
 // extended to server failures).
 //
-// Two encodings exist on disk. The v1 record (magic 0xA7) is a bare
-// length-prefixed identifier followed by three fixed-width integers — fully
-// self-delimiting but unable to distinguish a flipped byte from a valid
-// record. The v2 record (magic 0xA8) frames the same body behind an
-// explicit body length and a CRC32C, so corruption is detected at record
-// granularity and a scanner can skip damage and resynchronize on the next
-// intact record instead of discarding the rest of the log. AppendWALRecord
-// emits v2; DecodeWALRecord accepts both, which is the whole migration
-// story — old logs replay as-is and compact into v2 snapshots over time.
+// This file is the record's body codec — u16-length-prefixed identifier,
+// then three u64s. Framing, checksums and everything else about the file the
+// bodies are kept in belong to internal/wal.
 type WALRecord struct {
 	Client types.ProcID
 	CID    types.StartChangeID
@@ -40,29 +28,9 @@ type WALRecord struct {
 	Epoch  int64
 }
 
-const (
-	// walMagicV1 tags the legacy unchecksummed record.
-	walMagicV1 uint8 = 0xA7
-	// walMagicV2 tags the checksummed, length-framed record.
-	walMagicV2 uint8 = 0xA8
-
-	// walV2FixedBody is the body size beyond the identifier bytes: the u16
-	// identifier length prefix plus three u64 fields.
-	walV2FixedBody = 2 + 8 + 8 + 8
-	// walV2MaxBody bounds a plausible v2 body: the longest encodable
-	// identifier plus the fixed fields. A claimed length above this is
-	// corruption, not a record.
-	walV2MaxBody = walV2FixedBody + 0xFFFF
-	// walV2Header is magic + u16 body length + u32 CRC32C.
-	walV2Header = 1 + 2 + 4
-)
-
-// castagnoli is the CRC32C polynomial table (the iSCSI/ext4 choice —
-// hardware-accelerated on amd64 and arm64 via hash/crc32).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// appendWALBody encodes the version-independent record body onto dst.
-func appendWALBody(dst []byte, rec WALRecord) ([]byte, error) {
+// AppendWALBody encodes rec onto dst as one record body and returns the
+// extended slice.
+func AppendWALBody(dst []byte, rec WALRecord) ([]byte, error) {
 	w := buffer{b: dst}
 	if err := w.id(rec.Client); err != nil {
 		return nil, err
@@ -73,187 +41,22 @@ func appendWALBody(dst []byte, rec WALRecord) ([]byte, error) {
 	return w.b, nil
 }
 
-// AppendWALRecord encodes rec onto dst as a v2 (checksummed) record and
-// returns the extended slice.
-func AppendWALRecord(dst []byte, rec WALRecord) ([]byte, error) {
-	w := buffer{b: dst}
-	w.u8(walMagicV2)
-	// Reserve the length and CRC slots, then encode the body in place.
-	start := len(w.b)
-	w.u16(0)
-	w.u32(0)
-	bodyStart := len(w.b)
-	b, err := appendWALBody(w.b, rec)
-	if err != nil {
-		return nil, err
-	}
-	w.b = b
-	body := w.b[bodyStart:]
-	w.b[start] = byte(len(body) >> 8)
-	w.b[start+1] = byte(len(body))
-	crc := crc32.Checksum(body, castagnoli)
-	w.b[start+2] = byte(crc >> 24)
-	w.b[start+3] = byte(crc >> 16)
-	w.b[start+4] = byte(crc >> 8)
-	w.b[start+5] = byte(crc)
-	return w.b, nil
-}
-
-// AppendWALRecordV1 encodes rec in the legacy unchecksummed v1 format. It
-// exists for migration fixtures and tests; new logs are always v2.
-func AppendWALRecordV1(dst []byte, rec WALRecord) ([]byte, error) {
-	w := buffer{b: dst}
-	w.u8(walMagicV1)
-	return appendWALBody(w.b, rec)
-}
-
-// decodeWALBody decodes the version-independent record body.
-func decodeWALBody(r *reader) (WALRecord, error) {
+// DecodeWALBody decodes b as exactly one record body: the identifier and
+// then 24 bytes, no fewer and no more. A body that checksums but is not a
+// WALRecord — a record of some other log, say — is refused, not half-read.
+func DecodeWALBody(b []byte) (WALRecord, error) {
+	r := &reader{b: b}
 	client, err := r.id()
 	if err != nil {
 		return WALRecord{}, err
 	}
-	cid, err := r.u64()
-	if err != nil {
-		return WALRecord{}, err
-	}
-	vid, err := r.u64()
-	if err != nil {
-		return WALRecord{}, err
-	}
-	epoch, err := r.u64()
-	if err != nil {
-		return WALRecord{}, err
+	if len(r.b) != 3*8 {
+		return WALRecord{}, errWALBodyLength
 	}
 	return WALRecord{
 		Client: client,
-		CID:    types.StartChangeID(cid),
-		Vid:    types.ViewID(vid),
-		Epoch:  int64(epoch),
+		CID:    types.StartChangeID(binary.BigEndian.Uint64(r.b)),
+		Vid:    types.ViewID(binary.BigEndian.Uint64(r.b[8:])),
+		Epoch:  int64(binary.BigEndian.Uint64(r.b[16:])),
 	}, nil
-}
-
-// DecodeWALRecord decodes one record (either version) from the front of b,
-// returning the record and the remaining bytes. A short or corrupt input
-// yields ErrTruncated, a tag error, or a checksum error; naive callers
-// replaying a log stop at the first failure (tolerating a torn tail from a
-// crash mid-append), while ScanWAL resynchronizes past the damage instead.
-func DecodeWALRecord(b []byte) (WALRecord, []byte, error) {
-	r := &reader{b: b}
-	magic, err := r.u8()
-	if err != nil {
-		return WALRecord{}, nil, err
-	}
-	switch magic {
-	case walMagicV1:
-		rec, err := decodeWALBody(r)
-		if err != nil {
-			return WALRecord{}, nil, err
-		}
-		return rec, r.b, nil
-	case walMagicV2:
-		n, err := r.u16()
-		if err != nil {
-			return WALRecord{}, nil, err
-		}
-		if int(n) < walV2FixedBody || int(n) > walV2MaxBody {
-			return WALRecord{}, nil, errBadWALLength
-		}
-		crc, err := r.u32()
-		if err != nil {
-			return WALRecord{}, nil, err
-		}
-		body, err := r.take(int(n))
-		if err != nil {
-			return WALRecord{}, nil, err
-		}
-		if crc32.Checksum(body, castagnoli) != crc {
-			return WALRecord{}, nil, errBadWALChecksum
-		}
-		br := &reader{b: body}
-		rec, err := decodeWALBody(br)
-		if err != nil {
-			return WALRecord{}, nil, err
-		}
-		if len(br.b) != 0 {
-			// A body longer than its own fields claims means the length and
-			// CRC were computed over trailing garbage — corrupt framing.
-			return WALRecord{}, nil, errBadWALLength
-		}
-		return rec, r.b, nil
-	default:
-		return WALRecord{}, nil, errBadWALMagic
-	}
-}
-
-// DamagedRange is one contiguous span of undecodable bytes a WAL scan
-// skipped: offsets are relative to the start of the scanned input.
-type DamagedRange struct {
-	Off int
-	Len int
-}
-
-// End returns the offset one past the damaged span.
-func (d DamagedRange) End() int { return d.Off + d.Len }
-
-// WALScan is the result of scanning a (possibly corrupt) WAL or snapshot
-// byte stream with skip-and-resync: every record that decoded, where each
-// sat, and every byte range that did not decode as any record.
-type WALScan struct {
-	// Records lists the decoded records in stream order.
-	Records []WALRecord
-	// Offsets holds the starting offset of each decoded record (parallel to
-	// Records), so a repair pass can tell intact bytes from damage exactly.
-	Offsets []int
-	// V1Records counts how many of Records were legacy v1 encodings — the
-	// migration signal: a repair rewrite re-encodes them as v2.
-	V1Records int
-	// Damaged lists the skipped byte ranges in stream order.
-	Damaged []DamagedRange
-}
-
-// Clean reports whether the scan decoded the entire input as v2 records.
-func (s *WALScan) Clean() bool { return len(s.Damaged) == 0 && s.V1Records == 0 }
-
-// ScanWAL decodes a concatenation of WAL records with skip-and-resync: on a
-// decode failure it advances byte by byte until a record decodes again,
-// recording the skipped span as damage. One flipped byte therefore costs at
-// most the record it sits in (plus any misparse it induces), never the tail
-// of the log — the failure mode the v1 replay loop had.
-//
-// Resynchronization trusts a v2 record wherever its CRC validates (a false
-// positive needs a magic byte, a plausible length, and a 1-in-2^32 checksum
-// collision). A v1 record has no checksum, so mid-damage bytes that happen
-// to parse as v1 can resurrect a bogus record; the membership sanitizer
-// exists to defang exactly such records, and new logs are pure v2.
-func ScanWAL(b []byte) *WALScan {
-	s := &WALScan{}
-	off := 0
-	damageStart := -1
-	for off < len(b) {
-		if b[off] == walMagicV1 || b[off] == walMagicV2 {
-			rec, rest, err := DecodeWALRecord(b[off:])
-			if err == nil {
-				if damageStart >= 0 {
-					s.Damaged = append(s.Damaged, DamagedRange{Off: damageStart, Len: off - damageStart})
-					damageStart = -1
-				}
-				if b[off] == walMagicV1 {
-					s.V1Records++
-				}
-				s.Records = append(s.Records, rec)
-				s.Offsets = append(s.Offsets, off)
-				off = len(b) - len(rest)
-				continue
-			}
-		}
-		if damageStart < 0 {
-			damageStart = off
-		}
-		off++
-	}
-	if damageStart >= 0 {
-		s.Damaged = append(s.Damaged, DamagedRange{Off: damageStart, Len: len(b) - damageStart})
-	}
-	return s
 }

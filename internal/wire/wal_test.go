@@ -16,240 +16,81 @@ func walCorpus() []WALRecord {
 }
 
 func TestWALRecordRoundTrip(t *testing.T) {
-	var log []byte
-	recs := walCorpus()
-	for _, rec := range recs {
-		var err error
-		if log, err = AppendWALRecord(log, rec); err != nil {
-			t.Fatalf("append %+v: %v", rec, err)
+	for i, want := range walCorpus() {
+		body, err := AppendWALBody([]byte("kept"), want)
+		if err != nil {
+			t.Fatalf("append %+v: %v", want, err)
 		}
-	}
-	// A log is the concatenation of self-delimiting records.
-	rest := log
-	for i, want := range recs {
-		got, r, err := DecodeWALRecord(rest)
+		if !bytes.HasPrefix(body, []byte("kept")) {
+			t.Fatalf("record %d: append overwrote the destination's contents", i)
+		}
+		got, err := DecodeWALBody(body[len("kept"):])
 		if err != nil {
 			t.Fatalf("decode record %d: %v", i, err)
 		}
 		if got != want {
 			t.Fatalf("record %d = %+v, want %+v", i, got, want)
 		}
-		rest = r
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes after full replay", len(rest))
 	}
 }
 
-// TestWALRecordV1Migration pins the migration contract: a log written in the
-// legacy v1 format still decodes, record for record, through the same entry
-// point that handles v2.
-func TestWALRecordV1Migration(t *testing.T) {
-	var log []byte
-	recs := walCorpus()
-	for _, rec := range recs {
-		var err error
-		if log, err = AppendWALRecordV1(log, rec); err != nil {
-			t.Fatalf("append v1 %+v: %v", rec, err)
-		}
-	}
-	rest := log
-	for i, want := range recs {
-		got, r, err := DecodeWALRecord(rest)
-		if err != nil {
-			t.Fatalf("decode v1 record %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("v1 record %d = %+v, want %+v", i, got, want)
-		}
-		rest = r
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes after v1 replay", len(rest))
-	}
-	// The scanner reports the v1 records so a repair pass knows to migrate.
-	scan := ScanWAL(log)
-	if scan.V1Records != len(recs) || len(scan.Damaged) != 0 {
-		t.Fatalf("scan of pure v1 log: v1=%d damaged=%v", scan.V1Records, scan.Damaged)
-	}
-}
-
+// TestDecodeWALRecordRejectsCorruption: a body is exactly one record. What a
+// flipped bit does is the frame's business (internal/wal checksums it); what
+// the body decoder must refuse is every other length — any truncation, and
+// any trailing byte, which is how a checksummed record of some other log is
+// told from a WALRecord.
 func TestDecodeWALRecordRejectsCorruption(t *testing.T) {
-	full, err := AppendWALRecord(nil, WALRecord{Client: "abc", CID: 7, Vid: 2, Epoch: 1})
+	full, err := AppendWALBody(nil, WALRecord{Client: "abc", CID: 7, Vid: 2, Epoch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every truncation must error, never panic or fabricate a record.
 	for i := 0; i < len(full); i++ {
-		if _, _, err := DecodeWALRecord(full[:i]); err == nil {
-			t.Fatalf("truncation at %d accepted", i)
+		if rec, err := DecodeWALBody(full[:i]); err == nil {
+			t.Fatalf("truncation at %d accepted as %+v", i, rec)
 		}
 	}
-	// A wrong magic byte is corruption, not a record.
+	if rec, err := DecodeWALBody(append(full, 0)); err == nil {
+		t.Fatalf("trailing byte accepted as %+v", rec)
+	}
+	// An identifier length that claims more than the body holds.
 	bad := append([]byte(nil), full...)
-	bad[0] ^= 0xFF
-	if _, _, err := DecodeWALRecord(bad); err == nil {
-		t.Fatal("corrupt magic accepted")
-	}
-	// Any single flipped bit in a v2 record must fail the checksum (or the
-	// framing) — this is the property v1 records cannot offer.
-	for i := 0; i < len(full); i++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), full...)
-			mut[i] ^= 1 << bit
-			if rec, _, err := DecodeWALRecord(mut); err == nil {
-				t.Fatalf("flipped bit %d of byte %d accepted as %+v", bit, i, rec)
-			}
-		}
+	bad[0] = 0xFF
+	if rec, err := DecodeWALBody(bad); err == nil {
+		t.Fatalf("oversized identifier length accepted as %+v", rec)
 	}
 }
 
-// TestScanWALResyncsPastDamage pins the skip-and-resync contract: damage in
-// the middle of a log costs only the bytes it covers, and every record
-// outside the damaged span is recovered with its offset.
-func TestScanWALResyncsPastDamage(t *testing.T) {
-	recs := []WALRecord{
-		{Client: "a", CID: 1, Vid: 1, Epoch: 1},
-		{Client: "b", CID: 2, Vid: 2, Epoch: 1},
-		{Client: "c", CID: 3, Vid: 3, Epoch: 2},
-	}
-	var log []byte
-	var bounds []int
-	for _, rec := range recs {
-		bounds = append(bounds, len(log))
-		var err error
-		if log, err = AppendWALRecord(log, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Flip one byte inside the middle record: the scan must lose exactly
-	// that record and keep the first and last.
-	mut := append([]byte(nil), log...)
-	mut[bounds[1]+walV2Header+3] ^= 0x5A
-	scan := ScanWAL(mut)
-	if len(scan.Records) != 2 || scan.Records[0] != recs[0] || scan.Records[1] != recs[2] {
-		t.Fatalf("records after mid-log flip: %+v", scan.Records)
-	}
-	if len(scan.Damaged) != 1 {
-		t.Fatalf("damaged ranges after mid-log flip: %+v", scan.Damaged)
-	}
-	d := scan.Damaged[0]
-	if d.Off < bounds[1] || d.End() > bounds[2] {
-		t.Fatalf("damage %+v escapes the corrupted record [%d,%d)", d, bounds[1], bounds[2])
-	}
-
-	// Garbage prefix: all three records survive, damage covers the prefix.
-	pre := append(bytes.Repeat([]byte{0xEE}, 13), log...)
-	scan = ScanWAL(pre)
-	if len(scan.Records) != 3 || len(scan.Damaged) != 1 || scan.Damaged[0].Off != 0 || scan.Damaged[0].Len != 13 {
-		t.Fatalf("garbage prefix scan: records=%d damaged=%+v", len(scan.Records), scan.Damaged)
-	}
-
-	// Torn tail: the partial record is damage, everything before survives.
-	torn := append(append([]byte(nil), log...), log[:walV2Header+4]...)
-	scan = ScanWAL(torn)
-	if len(scan.Records) != 3 || len(scan.Damaged) != 1 || scan.Damaged[0].Off != len(log) {
-		t.Fatalf("torn tail scan: records=%d damaged=%+v", len(scan.Records), scan.Damaged)
-	}
-
-	// Empty input is trivially clean.
-	if scan := ScanWAL(nil); len(scan.Records) != 0 || len(scan.Damaged) != 0 {
-		t.Fatalf("empty scan: %+v", scan)
-	}
-}
-
-// FuzzDecodeWALRecord feeds arbitrary bytes through the WAL replay loop:
-// whatever a crash or disk corruption leaves behind, decoding must stop with
-// an error — never panic, hang, or over-allocate — and every record that
-// does decode must survive a semantic re-encode/decode round trip (v1
-// decodes re-encode as v2, so byte equality only binds v2 inputs).
+// FuzzDecodeWALRecord feeds arbitrary bytes to the body decoder: it must stop
+// with an error — never panic or over-allocate — on anything that is not
+// exactly one record, and whatever it accepts must re-encode to the very
+// bytes it was decoded from and decode again to the same record.
 func FuzzDecodeWALRecord(f *testing.F) {
-	var log []byte
+	var all []byte
 	for _, rec := range walCorpus() {
-		b, err := AppendWALRecord(nil, rec)
+		b, err := AppendWALBody(nil, rec)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
 		f.Add(b[:len(b)/2])
-		log = append(log, b...)
-		if b, err = AppendWALRecordV1(nil, rec); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-		log = append(log, b...)
+		f.Add(append(b[:len(b):len(b)], 0xA9))
+		all = append(all, b...)
 	}
-	f.Add(log)
+	f.Add(all)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rest := data
-		for len(rest) > 0 {
-			wasV2 := rest[0] == walMagicV2
-			rec, r, err := DecodeWALRecord(rest)
-			if err != nil {
-				return
-			}
-			re, err := AppendWALRecord(nil, rec)
-			if err != nil {
-				t.Fatalf("decoded record does not re-encode: %v (%+v)", err, rec)
-			}
-			if wasV2 && !bytes.Equal(re, rest[:len(rest)-len(r)]) {
-				t.Fatalf("v2 re-encoding differs from input for %+v", rec)
-			}
-			back, rem, err := DecodeWALRecord(re)
-			if err != nil || len(rem) != 0 || back != rec {
-				t.Fatalf("re-encoded record does not round-trip: %+v vs %+v (err %v)", back, rec, err)
-			}
-			rest = r
-		}
-	})
-}
-
-// FuzzScanWAL drives the fsck skip-and-resync path with arbitrary bytes: the
-// scan must terminate, account for every input byte exactly once (records
-// plus damage partition the input), and every decoded record must decode
-// again from its reported offset.
-func FuzzScanWAL(f *testing.F) {
-	var log []byte
-	for _, rec := range walCorpus() {
-		b, err := AppendWALRecord(nil, rec)
+		rec, err := DecodeWALBody(data)
 		if err != nil {
-			f.Fatal(err)
+			return
 		}
-		log = append(log, b...)
-	}
-	f.Add(log)
-	f.Add(log[3:])
-	mut := append([]byte(nil), log...)
-	mut[len(mut)/2] ^= 0xFF
-	f.Add(mut)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		scan := ScanWAL(data)
-		covered := 0
-		di := 0
-		for i, off := range scan.Offsets {
-			for di < len(scan.Damaged) && scan.Damaged[di].Off < off {
-				covered += scan.Damaged[di].Len
-				di++
-			}
-			rec, rest, err := DecodeWALRecord(data[off:])
-			if err != nil {
-				t.Fatalf("record %d at offset %d does not re-decode: %v", i, off, err)
-			}
-			if rec != scan.Records[i] {
-				t.Fatalf("record %d at offset %d decodes differently: %+v vs %+v", i, off, rec, scan.Records[i])
-			}
-			if off != covered {
-				t.Fatalf("record %d claims offset %d but %d bytes are accounted for", i, off, covered)
-			}
-			covered = len(data) - len(rest)
+		re, err := AppendWALBody(nil, rec)
+		if err != nil {
+			t.Fatalf("decoded record does not re-encode: %v (%+v)", err, rec)
 		}
-		for di < len(scan.Damaged) {
-			covered += scan.Damaged[di].Len
-			di++
+		if !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding of %+v differs from the %d bytes it was decoded from", rec, len(data))
 		}
-		if covered != len(data) {
-			t.Fatalf("scan accounted for %d of %d bytes", covered, len(data))
+		if back, err := DecodeWALBody(re); err != nil || back != rec {
+			t.Fatalf("re-encoded record does not round-trip: %+v vs %+v (err %v)", back, rec, err)
 		}
 	})
 }
@@ -258,10 +99,7 @@ func FuzzScanWAL(f *testing.F) {
 // than the u16 length prefix can carry must be rejected at append time.
 func TestWALRecordIDLengthBound(t *testing.T) {
 	huge := types.ProcID(bytes.Repeat([]byte("x"), 1<<16))
-	if _, err := AppendWALRecord(nil, WALRecord{Client: huge}); err == nil {
-		t.Fatal("oversized v2 client id accepted")
-	}
-	if _, err := AppendWALRecordV1(nil, WALRecord{Client: huge}); err == nil {
-		t.Fatal("oversized v1 client id accepted")
+	if _, err := AppendWALBody(nil, WALRecord{Client: huge}); err == nil {
+		t.Fatal("oversized client id accepted")
 	}
 }
