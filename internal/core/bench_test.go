@@ -11,17 +11,20 @@ import (
 // BenchmarkEndpointReceivePath measures the per-message cost of the
 // end-point's input handling plus delivery (buffering, FIFO bookkeeping,
 // step loop, stability collection every 64 messages) in a stable two-member
-// view. The 16 KiB cases are the same message retained both ways: copied out
-// of borrowed memory, and held in the pooled buffer it arrived in.
+// view. The 64-byte cases are the same borrowed message retained both ways: as
+// a heap copy, and packed into a pooled chunk (what a live node's end-point
+// does). The 16 KiB cases likewise: copied out of borrowed memory, and held in
+// the pooled buffer it arrived in.
 func BenchmarkEndpointReceivePath(b *testing.B) {
-	b.Run("payload=64", func(b *testing.B) { benchReceivePath(b, 64, false) })
-	b.Run("payload=16K/copied", func(b *testing.B) { benchReceivePath(b, 16<<10, false) })
-	b.Run("payload=16K/held", func(b *testing.B) { benchReceivePath(b, 16<<10, true) })
+	b.Run("payload=64", func(b *testing.B) { benchReceivePath(b, 64, false, nil) })
+	b.Run("payload=64/pooled", func(b *testing.B) { benchReceivePath(b, 64, false, pool.New()) })
+	b.Run("payload=16K/copied", func(b *testing.B) { benchReceivePath(b, 16<<10, false, nil) })
+	b.Run("payload=16K/held", func(b *testing.B) { benchReceivePath(b, 16<<10, true, nil) })
 }
 
-func benchReceivePath(b *testing.B, size int, held bool) {
+func benchReceivePath(b *testing.B, size int, held bool, own *pool.Pool) {
 	const ackEvery = 64
-	ep, ids := stableEndpoint(b, 2, func(c *Config) { c.AckInterval = ackEvery })
+	ep, ids := stableEndpoint(b, 2, func(c *Config) { c.AckInterval, c.Pool = ackEvery, own })
 	p := pool.New()
 	borrowed := make([]byte, size)
 	m := types.WireMsg{Kind: types.KindApp}
@@ -53,21 +56,25 @@ func benchReceivePath(b *testing.B, size int, held bool) {
 }
 
 // BenchmarkEndpointSendPath measures the application send path (buffering,
-// multicast fan-out through a transport that discards, self-delivery).
+// multicast fan-out through a transport that discards, self-delivery); the
+// pooled case stores the payload in a pooled chunk instead of a heap copy.
 func BenchmarkEndpointSendPath(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			ep, _ := stableEndpoint(b, n, nil)
-			payload := make([]byte, 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ep.Send(payload); err != nil {
-					b.Fatal(err)
-				}
-				ep.TakeEvents()
-			}
-		})
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { benchSendPath(b, n, nil) })
+	}
+	b.Run("N=8/pooled", func(b *testing.B) { benchSendPath(b, 8, pool.New()) })
+}
+
+func benchSendPath(b *testing.B, n int, own *pool.Pool) {
+	ep, _ := stableEndpoint(b, n, func(c *Config) { c.Pool = own })
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ep.Send(payload); err != nil {
+			b.Fatal(err)
+		}
+		releaseHolds(ep.TakeEvents())
 	}
 }
 

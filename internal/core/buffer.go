@@ -20,7 +20,18 @@ type msgBuf struct {
 	base  int    // indices 1..base are stable and collected
 	head  int    // items[:head] is zeroed slack left behind by collect
 	items []slot // items[head+i-1-base] holds index i
-	bytes int64  // bytes the live slots pin (slot.pinned), maintained by set/collect
+	bytes int64  // bytes the live slots pin (slot.pinned) plus the open chunk's slack
+
+	// The arena for payloads that arrive without a holder. With a pool, set
+	// packs them into chunk — a pooled buffer the msgBuf itself holds one
+	// reference to while it is the one being filled, and every slot packed
+	// into it one more — so that from there on a small payload is held exactly
+	// like a large one. Slots die in index order, so beyond its payload bytes
+	// a stream pins at most one draining chunk and the one filling. A nil
+	// pool (the simulator, the enumerator, a shard World) means heap copies.
+	pool  *pool.Pool
+	chunk *pool.Buf
+	used  int // bytes of chunk already handed to slots
 
 	// cur is 1 + the owner's rank in the end-point's current view while this
 	// is that view's buffer, 0 for a buffer of any other view. It lets a
@@ -28,20 +39,34 @@ type msgBuf struct {
 	cur int
 }
 
-// slot is one stored message. It owns the memory its payload lives in: either
-// a private copy (hold nil), or one reference to the pooled buffer the payload
-// aliases. Wherever a slot dies — collect, and through it a dropped view's
+// chunkSize is the pooled buffer small payloads are packed into, packLimit the
+// largest payload that is packed: one over a quarter of a chunk would strand
+// too much of the chunk behind it and takes a buffer of its own, which the
+// pool's quarter-step classes fit to within a quarter of its length.
+const (
+	chunkSize = 4 << 10
+	packLimit = chunkSize / 4
+)
+
+// slot is one stored message. It owns the memory its payload lives in: a
+// private heap copy (hold nil, an end-point without a pool), or one reference
+// to the pooled buffer the payload lies in — the buffer it arrived in, a
+// buffer it was copied into, or (packed) a chunk it shares with its
+// neighbours. Wherever a slot dies — collect, and through it a dropped view's
 // buffers, Recover and Close — that reference is given back.
 type slot struct {
-	msg  types.AppMsg
-	hold *pool.Buf
-	set  bool
+	msg    types.AppMsg
+	hold   *pool.Buf
+	set    bool
+	packed bool
 }
 
-// pinned is what the slot keeps resident: the whole slab when it holds one (a
-// 16.4 KiB body in a 20 KiB slab pins 20 KiB), else its copy of the payload.
+// pinned is what the slot keeps resident: the whole buffer when it holds one
+// to itself (a 16.4 KiB body in a 20 KiB slab pins 20 KiB), else the payload's
+// length — its heap copy, or its share of a chunk (the rest of the chunk is
+// its neighbours' and the msgBuf's slack).
 func (s *slot) pinned() int64 {
-	if s.hold != nil {
+	if s.hold != nil && !s.packed {
 		return int64(s.hold.Cap())
 	}
 	return int64(len(s.msg.Payload))
@@ -53,12 +78,13 @@ func (s *slot) pinned() int64 {
 // stable everywhere and dropped.
 //
 // This is the single point where bytes cross into state the protocol retains,
-// and retaining is all the algorithm asks for. With a holder — a pooled buffer
-// that m.Payload aliases and that holds nothing another frame will reuse — the
-// slot takes one reference and keeps the payload where the network put it.
-// Without one the payload is borrowed memory of unknown lifetime (a shared
-// staging slab, a caller's scratch) and is copied. A store that keeps nothing
-// (a stable or already filled index) takes no reference.
+// and retaining is all the algorithm asks for. A retained payload lives in
+// pooled memory the slot holds: held in place if it arrived with a buffer to
+// itself — a holder that m.Payload aliases and that holds nothing another
+// frame will reuse — and copied in if it arrived sharing one (a staging slab,
+// a caller's scratch: borrowed memory of unknown lifetime). Only an end-point
+// without a pool copies to the heap instead. A store that keeps nothing (a
+// stable or already filled index) takes no reference and copies nothing.
 func (b *msgBuf) set(i int, m types.AppMsg, hold *pool.Buf) {
 	if i <= b.base {
 		return
@@ -71,13 +97,52 @@ func (b *msgBuf) set(i int, m types.AppMsg, hold *pool.Buf) {
 	if s.set {
 		return
 	}
-	if hold != nil {
+	packed := false
+	switch n := len(m.Payload); {
+	case hold != nil:
 		hold.Retain(1)
-	} else if len(m.Payload) > 0 {
+	case n == 0:
+	case b.pool == nil:
 		m.Payload = append([]byte(nil), m.Payload...)
+	case n > packLimit:
+		hold = b.pool.Get(n) // the slot's reference
+		copy(hold.B(), m.Payload)
+		m.Payload = hold.B()
+	default:
+		m.Payload, hold, packed = b.pack(m.Payload), b.chunk, true
 	}
-	s.msg, s.hold, s.set = m, hold, true
+	s.msg, s.hold, s.set, s.packed = m, hold, true, packed
 	b.bytes += s.pinned()
+}
+
+// pack copies p into the open chunk, opening a fresh one when p does not fit
+// what is left, and takes the new slot's reference to it. The bytes p takes
+// stop being slack: the slot counts them from here on.
+func (b *msgBuf) pack(p []byte) []byte {
+	if b.chunk == nil || len(p) > chunkSize-b.used {
+		b.closeChunk()
+		b.chunk, b.used = b.pool.Get(chunkSize), 0
+		b.bytes += chunkSize
+	}
+	end := b.used + len(p)
+	stored := b.chunk.B()[b.used:end:end]
+	copy(stored, p)
+	b.used = end
+	b.bytes -= int64(len(p))
+	b.chunk.Retain(1)
+	return stored
+}
+
+// closeChunk gives up the msgBuf's own reference to the open chunk, leaving it
+// to the slots packed into it (and the events delivered from them): its slack
+// is written off, and it goes back to the pool with the last of them.
+func (b *msgBuf) closeChunk() {
+	if b.chunk == nil {
+		return
+	}
+	b.bytes -= int64(chunkSize - b.used)
+	b.chunk.Release()
+	b.chunk = nil
 }
 
 // grow extends the live window to n slots in one step, never an element at a
@@ -187,6 +252,9 @@ func (b *msgBuf) collect(stable int) {
 	b.base += drop
 	if b.head == len(b.items) {
 		b.items, b.head = b.items[:0], 0
+		// Nothing is stored: an idle stream pins no chunk, and the next
+		// store starts a fresh one instead of filling behind dead bytes.
+		b.closeChunk()
 	}
 }
 
@@ -194,7 +262,9 @@ func (b *msgBuf) collect(stable int) {
 // canonical view key (views are equal only as whole triples).
 type bufferMap map[types.ProcID]map[string]*msgBuf
 
-func (m bufferMap) buf(q types.ProcID, viewKey string) *msgBuf {
+// buf returns msgs[q][viewKey], created on first use with p (which may be nil)
+// as the pool it retains borrowed payloads in.
+func (m bufferMap) buf(q types.ProcID, viewKey string, p *pool.Pool) *msgBuf {
 	row := m[q]
 	if row == nil {
 		row = make(map[string]*msgBuf)
@@ -202,7 +272,7 @@ func (m bufferMap) buf(q types.ProcID, viewKey string) *msgBuf {
 	}
 	b := row[viewKey]
 	if b == nil {
-		b = &msgBuf{}
+		b = &msgBuf{pool: p}
 		row[viewKey] = b
 	}
 	return b

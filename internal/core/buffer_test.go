@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vsgm/internal/types"
+	"vsgm/internal/wire/pool"
 )
 
 func TestMsgBufSetGet(t *testing.T) {
@@ -69,9 +70,9 @@ func TestMsgBufNilReceiver(t *testing.T) {
 
 func TestBufferMapDropExcept(t *testing.T) {
 	m := make(bufferMap)
-	m.buf("a", "v1").set(1, types.AppMsg{ID: 1}, nil)
-	m.buf("a", "v2").set(1, types.AppMsg{ID: 2}, nil)
-	m.buf("b", "v1").set(1, types.AppMsg{ID: 3}, nil)
+	m.buf("a", "v1", nil).set(1, types.AppMsg{ID: 1}, nil)
+	m.buf("a", "v2", nil).set(1, types.AppMsg{ID: 2}, nil)
+	m.buf("b", "v1", nil).set(1, types.AppMsg{ID: 3}, nil)
 
 	m.dropExcept("v2")
 	if m.peek("a", "v1") != nil || m.peek("b", "v1") != nil {
@@ -115,4 +116,52 @@ func TestMsgBufBytesAccounting(t *testing.T) {
 	if b.bytes != 0 {
 		t.Fatalf("bytes after full collect = %d, want 0", b.bytes)
 	}
+}
+
+// TestMsgBufPackedBytesAccounting pins what the memory budget reads of a
+// buffer with a pool: a packed payload counts its length, not its chunk's
+// capacity (which would count a 256-byte message sixteen times over); the
+// open chunk's unfilled rest counts once; the tail a payload did not fit
+// behind is written off when the next chunk opens; a payload past packLimit
+// counts the whole buffer it has to itself; and a chunk goes back to the pool
+// with the last slot packed into it, the open one when the buffer empties.
+func TestMsgBufPackedBytesAccounting(t *testing.T) {
+	p := pool.New()
+	b := &msgBuf{pool: p}
+	const size = 300 // 13 to a chunk, 196 bytes over
+	perChunk := chunkSize / size
+	pay := func(n int) types.AppMsg { return types.AppMsg{Payload: make([]byte, n)} }
+	check := func(bytes int64, outstanding int64, when string) {
+		t.Helper()
+		if b.bytes != bytes || p.Outstanding() != outstanding {
+			t.Fatalf("%s: bytes = %d with %d buffers checked out, want %d with %d", when, b.bytes, p.Outstanding(), bytes, outstanding)
+		}
+	}
+	for i := 1; i <= perChunk; i++ {
+		b.set(i, pay(size), nil)
+		check(chunkSize, 1, "filling the first chunk")
+	}
+	first := b.at(1).hold
+	if b.at(perChunk).hold != first || first.Refs() != int32(perChunk)+1 {
+		t.Fatalf("the first chunk has %d references, want one per slot and the buffer's own", first.Refs())
+	}
+	b.set(perChunk+1, pay(size), nil)
+	if b.at(perChunk+1).hold == first {
+		t.Fatal("a payload that did not fit the chunk's rest was packed into it")
+	}
+	check(int64(perChunk*size)+chunkSize, 2, "second chunk opened")
+	b.set(perChunk+2, pay(packLimit+1), nil)
+	own := b.at(perChunk + 2).hold
+	check(int64(perChunk*size)+chunkSize+int64(own.Cap()), 3, "a payload with a buffer of its own")
+
+	b.collect(perChunk - 1)
+	check(size+chunkSize+int64(own.Cap()), 3, "all but one slot of the first chunk stable")
+	b.collect(perChunk)
+	check(chunkSize+int64(own.Cap()), 2, "first chunk drained")
+	b.collect(perChunk + 2)
+	check(0, 0, "everything stable")
+	b.set(perChunk+3, pay(size), nil)
+	check(chunkSize, 1, "a store after the buffer emptied")
+	b.discard()
+	check(0, 0, "discarded")
 }

@@ -168,6 +168,15 @@ type Config struct {
 	// callbacks run synchronously inside the automaton and must not call
 	// back into the Endpoint.
 	Trace ProtocolTrace
+
+	// Pool is where the message buffers keep payloads handed in without a
+	// holder (Send, HandleMessage): copied into pooled memory and delivered
+	// with DeliverEvent.Hold set, so whoever takes the events must release
+	// them and nobody may read a payload past that. A live Node passes its
+	// transport's pool. Nil — the simulator, the enumerator, anything whose
+	// application keeps delivered payloads — means plain heap copies that
+	// the garbage collector owns.
+	Pool *pool.Pool
 }
 
 // Endpoint is the GCS end-point automaton state (Figures 9-11). It is not
@@ -185,6 +194,7 @@ type Endpoint struct {
 	hierarchyGroup int
 	onSend         func(types.AppMsg)
 	trace          ProtocolTrace
+	pool           *pool.Pool
 
 	// WV_RFIFO state (Figure 9). streams holds view_msg[q] and last_rcvd[q]
 	// for every peer heard from; the own entry view_msg[p] only ever equals
@@ -318,6 +328,7 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		hierarchyGroup: cfg.HierarchyGroupSize,
 		onSend:         cfg.OnSend,
 		trace:          cfg.Trace,
+		pool:           cfg.Pool,
 		nextMsgID:      cfg.MsgIDBase,
 	}
 	e.reset()
@@ -404,8 +415,9 @@ func (e *Endpoint) BufferedMessages() int {
 
 // BufferedBytes returns the bytes the message buffers keep resident (all
 // senders, all views awaiting garbage collection) — the automaton's share of
-// a node's memory budget. A copied payload counts its length; a payload held
-// in place counts the capacity of the pooled buffer it pins.
+// a node's memory budget. A payload with a pooled buffer to itself counts that
+// buffer's capacity; one packed into a shared chunk, or copied to the heap,
+// counts its length, and each buffer's open chunk counts its unfilled rest.
 func (e *Endpoint) BufferedBytes() int64 {
 	var n int64
 	for _, row := range e.msgs {
@@ -442,7 +454,9 @@ func (e *Endpoint) TakeEvents() []Event {
 // sent to the other view members.
 //
 // The end-point keeps its own copy of payload; the caller may reuse the slice
-// as soon as Send returns.
+// as soon as Send returns. With Config.Pool that copy is pooled memory,
+// recycled once the message is stable: the returned message's payload is then
+// good only until the end-point's next input.
 func (e *Endpoint) Send(payload []byte) (types.AppMsg, error) {
 	return e.SendHeld(payload, nil)
 }
@@ -460,7 +474,8 @@ func (e *Endpoint) SendHeld(payload []byte, hold *pool.Buf) (types.AppMsg, error
 	}
 	e.nextMsgID++
 	// Return (and report) the stored message: without a holder its payload
-	// is the end-point's copy, not the caller's slice.
+	// is the end-point's copy (on the heap or in its pool), not the caller's
+	// slice.
 	own := e.curBufs[e.self]
 	i := own.lastIndex() + 1
 	own.set(i, types.AppMsg{ID: e.nextMsgID, Payload: payload}, hold)
@@ -536,12 +551,12 @@ func (e *Endpoint) HandleMessageHeld(from types.ProcID, m types.WireMsg, hold *p
 	case types.KindApp:
 		s := e.streamOf(from)
 		if s.buf == nil {
-			s.buf = e.msgs.buf(from, s.view.Key())
+			s.buf = e.msgs.buf(from, s.view.Key(), e.pool)
 		}
 		s.lastRcvd++
 		e.store(s.buf, s.lastRcvd, m.App, hold)
 	case types.KindFwd:
-		e.store(e.msgs.buf(m.Origin, m.View.Key()), m.Index, m.App, hold)
+		e.store(e.msgs.buf(m.Origin, m.View.Key(), e.pool), m.Index, m.App, hold)
 	case types.KindAck:
 		e.handleAck(from, m.Cut)
 	case types.KindSync:
@@ -658,7 +673,7 @@ func (e *Endpoint) setCurrentView(v types.View) {
 			e.curOthers = append(e.curOthers, q)
 		}
 		e.rank[q] = k
-		b := e.msgs.buf(q, e.curKey)
+		b := e.msgs.buf(q, e.curKey, e.pool)
 		b.cur = k + 1
 		e.curBufs[k] = b
 	}

@@ -23,12 +23,13 @@ type Event interface {
 //
 // Msg.Payload is the application's to read while it handles the event; a
 // handler that keeps the bytes copies them. Hold is the runtime's business:
-// when the end-point was handed the message in a pooled buffer (SendHeld,
-// HandleMessageHeld) the payload still lies there, Hold is that buffer, and
-// the event owns one reference to it. Whoever takes the event from the
-// end-point releases it once the application is done — a live Node after
-// OnEvent returns. It is nil for every message the end-point copied, which is
-// all of them unless the runtime passes holders.
+// when the payload lies in pooled memory — the buffer the end-point was handed
+// it in (SendHeld, HandleMessageHeld), or the one it copied it into
+// (Config.Pool) — Hold is that buffer, and the event owns one reference to it.
+// Whoever takes the event from the end-point releases it once the application
+// is done — a live Node after OnEvent returns. It is nil for an empty payload
+// and for every message an end-point without a pool copied to the heap, which
+// is all of them unless the runtime passes holders.
 type DeliverEvent struct {
 	Sender types.ProcID
 	Msg    types.AppMsg

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vsgm/internal/types"
+	"vsgm/internal/wire/pool"
 )
 
 func TestMsgBufCollect(t *testing.T) {
@@ -204,37 +205,51 @@ func stableEndpoint(t testing.TB, n int, mutate func(*Config)) (*Endpoint, []typ
 // TestDataPathAllocCeilings pins the steady-state cost of one data-path input
 // in a stable 4-member view, so that a per-message clone of the view (or of
 // anything else sized by the membership) fails here and not in a later
-// benchmark. Receive: the stored payload and the boxed DeliverEvent — the
-// event queue hands out slots of a chunk, not a slice regrown per delivery.
-// Send adds nothing to those over a transport that allocates nothing.
-// Acknowledgments every 64 deliveries must not lift the average by one.
+// benchmark. Receive, without a pool: the stored payload and the boxed
+// DeliverEvent — the event queue hands out slots of a chunk, not a slice
+// regrown per delivery. With a pool the payload is packed into a pooled chunk
+// and the boxed event is all that is left. Send adds nothing to those over a
+// transport that allocates nothing. Acknowledgments every 64 deliveries must
+// not lift the average by one.
 func TestDataPathAllocCeilings(t *testing.T) {
-	for _, ack := range []int{0, 64} {
-		ep, ids := stableEndpoint(t, 4, func(c *Config) { c.AckInterval = ack })
-		in := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{Payload: make([]byte, 256)}}
-		recv := testing.AllocsPerRun(2000, func() {
-			in.App.ID++
-			ep.HandleMessage(ids[1], in)
-			if len(ep.TakeEvents()) != 1 {
-				t.Fatal("receive did not deliver")
+	for _, pooled := range []bool{false, true} {
+		for _, ack := range []int{0, 64} {
+			ceiling := 2.0
+			cfg := func(c *Config) { c.AckInterval = ack }
+			if pooled {
+				ceiling = 1
+				p := pool.New()
+				cfg = func(c *Config) { c.AckInterval, c.Pool = ack, p }
 			}
-		})
-		if recv > 2 {
-			t.Errorf("AckInterval %d: receive path allocates %.0f per message, ceiling 2", ack, recv)
-		}
+			ep, ids := stableEndpoint(t, 4, cfg)
+			in := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{Payload: make([]byte, 256)}}
+			take := func(what string) {
+				evs := ep.TakeEvents()
+				if len(evs) != 1 {
+					t.Fatalf("%s did not deliver", what)
+				}
+				releaseHolds(evs)
+			}
+			recv := testing.AllocsPerRun(2000, func() {
+				in.App.ID++
+				ep.HandleMessage(ids[1], in)
+				take("receive")
+			})
+			if recv > ceiling {
+				t.Errorf("pooled %v, AckInterval %d: receive path allocates %.0f per message, ceiling %.0f", pooled, ack, recv, ceiling)
+			}
 
-		ep, _ = stableEndpoint(t, 4, func(c *Config) { c.AckInterval = ack })
-		payload := make([]byte, 256)
-		send := testing.AllocsPerRun(2000, func() {
-			if _, err := ep.Send(payload); err != nil {
-				t.Fatal(err)
+			ep, _ = stableEndpoint(t, 4, cfg)
+			payload := make([]byte, 256)
+			send := testing.AllocsPerRun(2000, func() {
+				if _, err := ep.Send(payload); err != nil {
+					t.Fatal(err)
+				}
+				take("send")
+			})
+			if send > ceiling {
+				t.Errorf("pooled %v, AckInterval %d: send path allocates %.0f per message, ceiling %.0f", pooled, ack, send, ceiling)
 			}
-			if len(ep.TakeEvents()) != 1 {
-				t.Fatal("send did not self-deliver")
-			}
-		})
-		if send > 2 {
-			t.Errorf("AckInterval %d: send path allocates %.0f per message, ceiling 2", ack, send)
 		}
 	}
 }

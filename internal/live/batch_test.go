@@ -325,20 +325,23 @@ func TestFabricByteSplitDelivery(t *testing.T) {
 
 // TestLiveReceivePathAllocCeiling streams 20 000 multicasts through a
 // two-member loopback group and bounds the whole process's allocations per
-// delivered message. What a multicast legitimately allocates end to end: the
-// stored payload and the boxed DeliverEvent at each of the two members, plus
-// amortized acknowledgments, credit frames and timers. A per-frame closure,
-// scratch message or regrown event slice anywhere between read() and OnEvent
-// adds at least half an allocation per delivery and fails here, in tier-1,
-// not only in the benchmark.
+// delivered message, by count and by bytes. What a multicast legitimately
+// allocates end to end: the boxed DeliverEvent at each of the two members, plus
+// amortized acknowledgments, credit frames and timers — the stored payload is
+// packed into a pooled chunk, not allocated. A heap copy of the payload coming
+// back at either member adds half an allocation and 128 bytes per delivery; a
+// per-frame closure, scratch message or regrown event slice anywhere between
+// read() and OnEvent at least as much. Either fails here, in tier-1, not only
+// in the benchmark.
 func TestLiveReceivePathAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const (
-		warm    = 2_000
-		msgs    = 20_000
-		ceiling = 2.9 // measured 2.2–2.3 (6.3 before the batched path), plus 25 %
+		warm         = 2_000
+		msgs         = 20_000
+		ceiling      = 1.45 // measured 1.12–1.18 (2.2–2.3 while small payloads were heap copies), plus 25 %
+		bytesCeiling = 175  // measured 135–142 (396–416 with the heap copy), plus 25 %
 	)
 	g := newPairGroup(t)
 	payload := make([]byte, 256)
@@ -349,8 +352,12 @@ func TestLiveReceivePathAllocCeiling(t *testing.T) {
 	stream(msgs)
 	runtime.ReadMemStats(&after)
 	perDelivery := float64(after.Mallocs-before.Mallocs) / float64(2*msgs)
-	t.Logf("%.2f allocations per delivered message", perDelivery)
+	bytesPerDelivery := float64(after.TotalAlloc-before.TotalAlloc) / float64(2*msgs)
+	t.Logf("%.2f allocations, %.0f bytes allocated per delivered message", perDelivery, bytesPerDelivery)
 	if perDelivery > ceiling {
-		t.Errorf("%.2f allocations per delivered message, ceiling %.1f", perDelivery, ceiling)
+		t.Errorf("%.2f allocations per delivered message, ceiling %.2f", perDelivery, ceiling)
+	}
+	if bytesPerDelivery > bytesCeiling {
+		t.Errorf("%.0f bytes allocated per delivered message, ceiling %d", bytesPerDelivery, bytesCeiling)
 	}
 }

@@ -460,16 +460,18 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 // the view has acknowledged the messages, with no reconfiguration. The burst
 // is too short for any member to reach ackInterval deliveries; the manager
 // tick's FlushAck is what reports the tail. The 16 KiB case runs the same
-// budget over payloads that are held in pooled buffers rather than copied: the
-// budget counts the slab a held message pins, so it still bounds what is
-// resident.
+// budget over payloads that are held in pooled buffers of their own rather than
+// copied into one: the budget counts the slab a held message pins, so it still
+// bounds what is resident. The 1 KiB case runs a smaller budget over payloads
+// packed four to a chunk: each counts its length and the open chunk its
+// unfilled rest, so the budget trips within a chunk of the payload total.
 func TestMemoryBudgetReopensWithoutViewChange(t *testing.T) {
-	t.Run("payload=8K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 8<<10) })
-	t.Run("payload=16K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 16<<10) })
+	t.Run("payload=1K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 1<<10, 32<<10) })
+	t.Run("payload=8K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 8<<10, 256<<10) })
+	t.Run("payload=16K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 16<<10, 256<<10) })
 }
 
-func memoryBudgetReopensWithoutViewChange(t *testing.T, size int) {
-	const high = 256 << 10
+func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 	reg := obs.NewRegistry()
 	w := newLiveWorldWith(t, 2, 3, func(c *NodeConfig) {
 		if c.ID == "cli0" {
@@ -483,7 +485,8 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int) {
 
 	// Each payload is delivered everywhere before the next is sent, so the
 	// transport queues are empty and only the message buffers grow: the budget
-	// is crossed after 32 sends of 8 KiB, half an ack interval, or 16 of 16.
+	// is crossed after 32 sends of 8 KiB, half an ack interval, 16 of 16, or at
+	// most 32 of 1 KiB and no fewer than a chunk's worth short of that.
 	n := w.clients["cli0"]
 	payload := make([]byte, size)
 	sent := 0
@@ -495,8 +498,8 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int) {
 		if err != nil {
 			t.Fatalf("send %d: %v", sent, err)
 		}
-		if sent++; sent > 50*high/len(payload) {
-			t.Fatalf("%d sends of %d bytes never tripped a %d byte budget", sent, len(payload), high)
+		if sent++; int64(sent) > high/int64(size) {
+			t.Fatalf("%d sends of %d bytes have not tripped a %d byte budget", sent, size, high)
 		}
 		w.waitFor("the message to be delivered everywhere", func() bool {
 			snap := w.deliveredSnapshot()
@@ -514,8 +517,11 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int) {
 			buffered = s.Value
 		}
 	}
-	if !n.Stats().Overloaded || buffered < high {
+	if !n.Stats().Overloaded || int64(buffered) < high {
 		t.Fatalf("latched = %v with %v bytes in the message buffers, want the buffers alone over %d", n.Stats().Overloaded, buffered, high)
+	}
+	if short := high - int64(sent*size); short >= 4<<10 {
+		t.Fatalf("the budget tripped after %d sends of %d bytes, %d short of %d: more than a chunk", sent, size, short, high)
 	}
 	if size >= stagingSlabSize {
 		// A receiver holds each message in the slab its frame arrived in —

@@ -39,9 +39,9 @@ type NodeConfig struct {
 	MsgIDBase int64
 	// OnEvent receives the end-point's application events, serialized (one
 	// at a time, in order). A delivered payload (DeliverEvent.Msg.Payload) is
-	// valid until the handler returns — a large one is the network buffer it
-	// arrived in, recycled afterwards; copy what you keep. The same holds for
-	// Observe and for the message OnSend sees.
+	// valid until the handler returns — it lies in pooled memory (a large one
+	// in the network buffer it arrived in), recycled afterwards; copy what you
+	// keep. The same holds for Observe and for the message OnSend sees.
 	OnEvent func(core.Event)
 	// OnSend observes successful sends synchronously at the send point,
 	// before the message reaches the wire — so a send is reported before
@@ -210,7 +210,8 @@ const (
 // pumpItem is one entry of the event ring: a tagged value, not a closure, so
 // staging an event allocates nothing and the pump dispatches on a byte. Only
 // the fields its kind names are set. hold, on a delivery whose payload lies in
-// a pooled buffer, is the event's own reference to it (core.DeliverEvent.Hold):
+// a pooled buffer (every one that is not empty), is the event's own reference
+// to it (core.DeliverEvent.Hold):
 // the slot it was delivered from can be collected by an ack round while the
 // event still waits in the ring, so the entry keeps the buffer alive until
 // OnEvent has returned.
@@ -230,21 +231,12 @@ type pumpItem struct {
 // node retains O(ackInterval × members) messages, not everything sent in the
 // view. The manager tick flushes the remainder (Endpoint.FlushAck), so a
 // group gone quiet drains to empty. It is a constant, not a knob, chosen on
-// bench/ (8 s runs, 4 members; mcast_stream 256 B, mcast_bulk 16 KiB — the
-// mcast_bulk column measured again since large payloads are held in their
-// pooled buffers rather than copied, two to four runs a row on a busy host):
-//
-//	interval   mcast_stream          mcast_bulk
-//	(no acks)   82 k/s  222 MB       (15 k/s 342 MB when payloads were copied)
-//	16         111 k/s   14 MB       21-29 k/s  24-28 MB
-//	64         140-150 k/s 14 MB     20-34 k/s  25-30 MB
-//	256        144-168 k/s 14 MB     22-39 k/s  37-41 MB
-//	1024       158-166 k/s 17 MB
-//
-// Below 64 the ack frames cost throughput; above it the rate gains at most a
-// tenth, inside the run-to-run spread, while the resident tail of large
-// payloads grows in proportion — a whole slab per retained message now, which
-// is also why the no-acks row was not run again.
+// bench/ (mcast_stream 256 B, mcast_bulk 16 KiB; the sweep over 16, 64, 256
+// and 1024 is tabulated in CHANGES.md under PR 24): below 64 the ack frames
+// cost a quarter of the small-message rate; above it that rate gains about a
+// tenth, but the resident tail grows in proportion — its share of a chunk per
+// retained small message, a whole slab per large one, which at 256 is a third
+// more peak memory on mcast_bulk and at 1024 outgrows the pool's rings.
 const ackInterval = 64
 
 // maxBatchFrames and maxBatchBytes bound the link writer's coalescing: how
@@ -354,6 +346,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		MsgIDBase:   cfg.MsgIDBase,
 		OnSend:      cfg.OnSend,
 		AckInterval: ackInterval,
+		Pool:        f.pool,
 	}
 	if cfg.Tracer != nil {
 		coreCfg.Trace = cfg.Tracer.ForEndpoint(cfg.ID)
@@ -419,13 +412,13 @@ func (n *Node) registerObs() {
 	n.obs.SetHelp("vsgm_endpoint_msgs_delivered_total", "Application messages delivered.")
 	n.obs.SetHelp("vsgm_endpoint_forwards_total", "Forwarded message copies sent during reconfigurations.")
 	n.obs.SetHelp("vsgm_endpoint_buffered_messages", "Application messages resident in the endpoint's buffers.")
-	n.obs.SetHelp("vsgm_endpoint_buffered_bytes", "Bytes the endpoint's message buffers keep resident: a copied payload's length, a held payload's whole pooled buffer.")
+	n.obs.SetHelp("vsgm_endpoint_buffered_bytes", "Bytes the endpoint's message buffers keep resident: a payload's whole pooled buffer when it has one to itself, its length when it is packed into a shared chunk, plus each open chunk's unfilled rest.")
 	n.obs.SetHelp("vsgm_node_mem_bytes", "Bytes governed by the memory budget: transport queues plus what the message buffers pin.")
 	n.obs.SetHelp("vsgm_node_overloaded", "1 while the memory-budget hysteresis latch is shut.")
 	n.obs.SetHelp("vsgm_pool_gets_total", "Buffer requests served by the transport slab pool.")
 	n.obs.SetHelp("vsgm_pool_hits_total", "Pool requests satisfied from a free ring (hits/gets is the recycle ratio).")
 	n.obs.SetHelp("vsgm_pool_misses_total", "Pool requests that had to allocate fresh slabs.")
-	n.obs.SetHelp("vsgm_pool_outstanding", "Pooled buffers currently on loan: read windows, and large messages held until stable; zero after Close.")
+	n.obs.SetHelp("vsgm_pool_outstanding", "Pooled buffers currently on loan: read windows, and the buffers and chunks retained messages lie in until stable; zero after Close.")
 }
 
 // linkSamples aggregates per-peer LinkStats into process-level counters.
@@ -682,20 +675,27 @@ func (n *Node) TrySend(payload []byte) (types.AppMsg, error) {
 
 // send makes the node's one copy of a large payload — into a pooled buffer,
 // before any lock is taken — and lets the end-point hold that buffer for as
-// long as it retains the message; the caller's slice is free again on return
-// either way. Large means what it means to a receiver: too long to share a
-// staging slab, so it arrives in (and is held as) a buffer of its own. A
-// smaller payload is copied by the end-point as it stores it.
+// long as it retains the message. Large means what it means to a receiver: too
+// long to share a staging slab, so it arrives in (and is held as) a buffer of
+// its own. A smaller payload the end-point copies into its message buffer's
+// pooled chunk as it stores it. Either way the caller's slice is free again on
+// return, and it is what the returned message carries: the stored bytes are
+// pooled memory the caller holds no reference to, recycled once the message is
+// stable.
 func (n *Node) send(payload []byte, block bool) (types.AppMsg, error) {
-	if len(payload) < stagingSlabSize {
-		return n.admit(payload, nil, block)
+	var hold *pool.Buf
+	stored := payload
+	if len(payload) >= stagingSlabSize {
+		hold = n.fabric.pool.Get(len(payload))
+		copy(hold.B(), payload)
+		stored = hold.B()
 	}
-	hold := n.fabric.pool.Get(len(payload))
-	copy(hold.B(), payload)
-	m, err := n.admit(hold.B(), hold, block)
-	hold.Release()
+	m, err := n.admit(stored, hold, block)
+	if hold != nil {
+		hold.Release()
+	}
 	if err == nil {
-		m.Payload = payload // not the pooled bytes, which the caller holds no reference to
+		m.Payload = payload
 	}
 	return m, err
 }
@@ -793,8 +793,9 @@ func (n *Node) budgetOpen() bool {
 
 // MemUsage returns the bytes governed by the memory budget: encoded frames
 // resident in outbound transport queues plus what the endpoint's message
-// buffers pin — the payload's length where it was copied, the whole pooled
-// buffer where it is held in place.
+// buffers pin (core.Endpoint.BufferedBytes) — the whole pooled buffer where a
+// payload has one to itself, its length where it is packed into a shared chunk,
+// and each buffer's open chunk's unfilled rest.
 func (n *Node) MemUsage() int64 {
 	n.mu.Lock()
 	var buffered int64
@@ -889,7 +890,7 @@ func (n *Node) endBatch(from types.ProcID) {
 // dedicated buffer instead of copying out of it (msgBuf.set), the delivery
 // events staged for the pump — so this reference is dropped as soon as the
 // frame is handled. A body shared with other frames is offered to nobody: the
-// end-point copies what it retains out of it, as it always did.
+// end-point copies what it retains out of it, into its own pooled chunks.
 func (n *Node) receiveRef(from types.ProcID, fr frame, body *pool.Buf) {
 	var hold *pool.Buf
 	if dedicated(body) {
