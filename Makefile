@@ -134,13 +134,15 @@ soak-smoke:
 # going missing would otherwise surface only when the benchmark is run), the
 # race detector on the concurrency-heavy packages — with the end-point
 # automaton and the wire packages, whose buffer reference counts cross the
-# node's lock — and on the single-threaded replication stack (simulator, spec
-# checkers, total order, RSM, shard), a fuzz smoke pass over the decoders, the
+# node's lock, and the metrics registry, whose counters and collectors are the
+# only path from the transport's goroutines to every reader — and on the
+# single-threaded replication stack (simulator, spec checkers, total order,
+# RSM, shard), a fuzz smoke pass over the decoders, the
 # documentation gate, and a short soak.
 check: vet fmt-check test
 	cd bench && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test -count=1 .
 	$(GO) test -race ./internal/live/ ./internal/wal/ ./internal/membership/ ./cmd/vsgm-live/ \
-		./internal/core/ ./internal/wire/... \
+		./internal/core/ ./internal/wire/... ./internal/obs/ \
 		./internal/totalorder/ ./internal/rsm/ ./internal/shard/ ./internal/sim/ ./internal/spec/
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke

@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"vsgm/internal/experiments"
@@ -74,24 +73,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The debug listener is chiefly a pprof surface for profiling the
-	// simulator under experiment load; the registry adds coarse progress so
-	// a long sweep can be watched from outside.
-	var (
-		progMu   sync.Mutex
-		progress = map[string]string{}
-		reg      *obs.Registry // stays nil without -debug-addr; nil handles still work
-	)
+	// simulator under experiment load; the registry's completion counter
+	// lets a long sweep be watched from outside.
+	var reg *obs.Registry // stays nil without -debug-addr; nil handles still work
 	if *debugAddr != "" {
 		reg = obs.NewRegistry()
-		reg.RegisterStatus("bench", func() any {
-			progMu.Lock()
-			defer progMu.Unlock()
-			cp := make(map[string]string, len(progress))
-			for k, v := range progress {
-				cp[k] = v
-			}
-			return cp
-		})
 		dbg, err := obs.ServeDebug(*debugAddr, reg, nil)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
@@ -131,17 +117,11 @@ func run(args []string, out io.Writer) error {
 
 	for i, s := range specs {
 		start := time.Now()
-		progMu.Lock()
-		progress[s.ID] = "running"
-		progMu.Unlock()
 		table, err := s.Run(p)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.ID, err)
 		}
 		expsDone.Inc()
-		progMu.Lock()
-		progress[s.ID] = "done in " + time.Since(start).Round(time.Millisecond).String()
-		progMu.Unlock()
 		if *markdown {
 			fmt.Fprint(out, table.Markdown())
 		} else {

@@ -23,7 +23,7 @@
 // mid-deployment — its clients fail over down their home lists and traffic
 // resumes. Adding -restart-server then brings the dead server back on the
 // same address, recovering its records from the WAL and rejoining the
-// group. Every run ends with per-node stats snapshots in JSON.
+// group.
 //
 // With -slow-client N the deployment exercises end-to-end flow control:
 // client N throttles its event consumption by -slow-delay per event, the
@@ -35,12 +35,13 @@
 // sends blocked, overload evictions).
 //
 // Every run shares one observability registry and reconfiguration tracer
-// (internal/obs): the final report is scraped from the registry (so a killed
-// server's frozen stats print without racing its shutdown) and ends with the
-// per-endpoint reconfiguration timelines. With -debug-addr the same registry
-// is served live over HTTP — Prometheus text on /metrics, JSON on /statusz,
-// timelines on /tracez, and the standard pprof handlers — for the run's
-// duration. See docs/OPERATIONS.md for the full metric catalogue.
+// (internal/obs): every number the run reports is scraped from the registry
+// (so a killed server's frozen counters print without racing its shutdown),
+// and the report ends with the per-endpoint reconfiguration timelines. With
+// -debug-addr the same registry is served live over HTTP — Prometheus text on
+// /metrics, JSON on /statusz, timelines on /tracez, and the standard pprof
+// handlers — for the run's duration. See docs/OPERATIONS.md for the full
+// metric catalogue.
 package main
 
 import (
@@ -51,7 +52,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -87,13 +87,12 @@ func run(args []string, out io.Writer) error {
 		timeout    = fs.Duration("timeout", 10*time.Second, "per-phase convergence timeout")
 		debugAddr  = fs.String("debug-addr", "", "serve Prometheus /metrics, JSON /statusz, /tracez and pprof on this address for the run's duration (e.g. 127.0.0.1:8080; empty disables)")
 
-		detMode    = fs.String("detector-mode", "adaptive", "server failure detector: adaptive (phi accrual + flap damping + gray reconciliation) or fixed (binary heartbeat timeout)")
-		detWindow  = fs.Int("detector-window", 0, "adaptive detector: inter-arrival sliding window size (0 = default)")
-		phiSuspect = fs.Float64("phi-suspect", 0, "adaptive detector: phi threshold that suspects a peer (0 = default)")
-		phiRestore = fs.Float64("phi-restore", 0, "adaptive detector: phi threshold that restores a suspected peer (0 = default; must be below -phi-suspect)")
-		quarBase   = fs.Duration("quarantine-base", 0, "adaptive detector: first rejoin quarantine a flapping peer earns (0 = default, negative disables damping)")
-		quarCap    = fs.Duration("quarantine-cap", 0, "adaptive detector: upper bound on the exponentially growing rejoin quarantine (0 = default)")
-		flapHalf   = fs.Duration("flap-half-life", 0, "adaptive detector: half-life of the decaying flap score (0 = default)")
+		detWindow  = fs.Int("detector-window", 0, "server failure detector: inter-arrival sliding window size (0 = default)")
+		phiSuspect = fs.Float64("phi-suspect", 0, "server failure detector: phi threshold that suspects a peer (0 = default)")
+		phiRestore = fs.Float64("phi-restore", 0, "server failure detector: phi threshold that restores a suspected peer (0 = default; must be below -phi-suspect)")
+		quarBase   = fs.Duration("quarantine-base", 0, "server failure detector: first rejoin quarantine a flapping peer earns (0 = default, negative disables damping)")
+		quarCap    = fs.Duration("quarantine-cap", 0, "server failure detector: upper bound on the exponentially growing rejoin quarantine (0 = default)")
+		flapHalf   = fs.Duration("flap-half-life", 0, "server failure detector: half-life of the decaying flap score (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,14 +104,6 @@ func run(args []string, out io.Writer) error {
 		QuarantineBase: *quarBase,
 		QuarantineCap:  *quarCap,
 		FlapHalfLife:   *flapHalf,
-	}
-	switch *detMode {
-	case "adaptive":
-		det.Mode = membership.DetectorAdaptive
-	case "fixed":
-		det.Mode = membership.DetectorFixed
-	default:
-		return fmt.Errorf("-detector-mode %q (want adaptive or fixed)", *detMode)
 	}
 	if *nServers < 1 || *nClients < 1 {
 		return fmt.Errorf("need at least one server and one client")
@@ -161,9 +152,9 @@ func run(args []string, out io.Writer) error {
 		stateRoot = tmp
 	}
 
-	// Every node shares one registry and one reconfiguration tracer; the
-	// final report reads these (not the live structs), so printing stats for
-	// a killed server never races its shutdown.
+	// Every node shares one registry and one reconfiguration tracer; every
+	// number the run prints is read from these (not the live structs), so
+	// reporting on a killed server never races its shutdown.
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg)
 	if *debugAddr != "" {
@@ -382,9 +373,10 @@ func run(args []string, out io.Writer) error {
 	if slowMode {
 		rest := all.Minus(types.NewProcSet(laggard))
 		if err := waitFor(*timeout, func() bool {
-			var evicted int64
-			for _, sn := range servers {
-				evicted += sn.Stats().OverloadEvictions
+			counts := scrape(reg)
+			var evicted float64
+			for _, sid := range serverIDs {
+				evicted += counts[string(sid)]["vsgm_server_overload_evictions_total"]
 			}
 			if evicted == 0 {
 				return false
@@ -398,9 +390,10 @@ func run(args []string, out io.Writer) error {
 		}); err != nil {
 			return fmt.Errorf("overload eviction phase: %w", err)
 		}
+		counts := scrape(reg)
 		var blocked int64
 		for _, cid := range senders {
-			blocked += clients[cid].Stats().SendsBlocked
+			blocked += int64(counts[string(cid)]["vsgm_node_sends_blocked_total"])
 		}
 		fmt.Fprintf(out, "slow consumer %s evicted for overload; survivors installed %s (%d sends blocked en route)\n",
 			laggard, clients[senders[0]].CurrentView(), blocked)
@@ -428,8 +421,10 @@ func run(args []string, out io.Writer) error {
 		}); err != nil {
 			return fmt.Errorf("failover phase: %w", err)
 		}
+		counts := scrape(reg)
 		for _, cid := range clientIDs {
-			fmt.Fprintf(out, "  %s failed over to %s\n", cid, clients[cid].Home())
+			fmt.Fprintf(out, "  %s failed over to %s (failovers=%d)\n", cid, clients[cid].Home(),
+				int64(counts[string(cid)]["vsgm_node_failovers_total"]))
 		}
 		fmt.Fprintf(out, "failover complete: %s\n", clients[clientIDs[0]].CurrentView())
 
@@ -591,25 +586,12 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The report below is scraped from the observability registry rather than
-	// from the node structs: a killed server's collector and status section
-	// were frozen at Close, so these reads never race a shutdown.
-	snap := reg.Snapshot()
-	linkTotals := make(map[string]map[string]int64) // node id -> metric name -> value
-	for _, s := range snap.Samples {
-		if !strings.HasPrefix(s.Name, "vsgm_link_") || len(s.Labels) == 0 {
-			continue
-		}
-		m := linkTotals[s.Labels[0].Value]
-		if m == nil {
-			m = make(map[string]int64)
-			linkTotals[s.Labels[0].Value] = m
-		}
-		m[s.Name] += int64(s.Value)
-	}
+	// from the node structs: a killed server's collector was frozen at Close,
+	// so these reads never race a shutdown. A node's links sum over its peers.
+	counts := scrape(reg)
 	fmt.Fprintln(out, "transport counters:")
 	printStats := func(id types.ProcID) {
-		m := linkTotals[string(id)]
-		g := func(name string) int64 { return m["vsgm_link_"+name+"_total"] }
+		g := func(name string) int64 { return int64(counts[string(id)]["vsgm_link_"+name+"_total"]) }
 		fmt.Fprintf(out, "  %s: dials=%d failures=%d retries=%d reconnects=%d frames=%d flushes=%d writeErrs=%d drops=%d creditsGranted=%d creditsConsumed=%d windowExhausted=%d\n",
 			id, g("dials"), g("dial_failures"), g("retries"), g("reconnects"), g("frames_sent"), g("flushes"),
 			g("write_errors"), g("queue_drops")+g("chaos_drops"),
@@ -622,30 +604,33 @@ func run(args []string, out io.Writer) error {
 		printStats(cid)
 	}
 
-	// Full per-node snapshots, one JSON object per line, for scraping.
-	status, _ := reg.StatusSnapshot()
-	fmt.Fprintln(out, "node stats:")
-	for _, sid := range serverIDs {
-		if st, ok := status["server/"+string(sid)]; ok {
-			if b, err := json.Marshal(st); err == nil {
-				fmt.Fprintf(out, "  %s\n", b)
-			}
-		}
-	}
-	for _, cid := range ids {
-		if st, ok := status["node/"+string(cid)]; ok {
-			if b, err := json.Marshal(st); err == nil {
-				fmt.Fprintf(out, "  %s\n", b)
-			}
-		}
-	}
-
 	// Per-endpoint reconfiguration timelines, stamped with the trace ids the
 	// servers gossiped through their proposals.
 	fmt.Fprintln(out, "reconfiguration trace:")
 	tracer.RenderTimeline(out)
 	fmt.Fprintln(out, "done")
 	return nil
+}
+
+// scrape reads one registry snapshot into owner -> metric -> value, where the
+// owner is the value of a series' node or server label and a metric's series
+// under one owner (one per peer, for links) are summed.
+func scrape(reg *obs.Registry) map[string]map[string]float64 {
+	out := make(map[string]map[string]float64)
+	for _, s := range reg.Snapshot().Samples {
+		for _, l := range s.Labels {
+			if l.Key != "node" && l.Key != "server" {
+				continue
+			}
+			m := out[l.Value]
+			if m == nil {
+				m = make(map[string]float64)
+				out[l.Value] = m
+			}
+			m[s.Name] += s.Value
+		}
+	}
+	return out
 }
 
 // maxViewID returns the highest view identifier any client has installed.

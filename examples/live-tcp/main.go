@@ -14,6 +14,7 @@ import (
 
 	"vsgm"
 	"vsgm/internal/live"
+	"vsgm/internal/obs"
 )
 
 func main() {
@@ -45,7 +46,9 @@ func run() error {
 		dir[sid] = sn.Addr()
 	}
 
-	// Three clients, each with a GCS end-point on its own TCP listener.
+	// Three clients, each with a GCS end-point on its own TCP listener,
+	// publishing its numbers into one metrics registry.
+	reg := obs.NewRegistry()
 	clientIDs := []vsgm.ProcID{"alice", "bob", "carol"}
 	clients := make(map[vsgm.ProcID]*live.Node, len(clientIDs))
 	for i, cid := range clientIDs {
@@ -55,6 +58,7 @@ func run() error {
 			Addr:      "127.0.0.1:0",
 			AutoBlock: true,
 			MsgIDBase: int64(i+1) * 1_000_000,
+			Obs:       reg,
 			OnEvent: func(ev vsgm.Event) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -145,18 +149,22 @@ func run() error {
 	}
 	mu.Unlock()
 
-	// The supervised transport keeps per-link counters; a healthy run shows
-	// one dial per active link and no retries or drops.
+	// The supervised transport counts per link, one registry series per
+	// peer; a healthy run shows one dial per active link and no retries or
+	// drops.
 	fmt.Println("\ntransport counters:")
-	for _, cid := range clientIDs {
-		var dials, retries, drops, frames int64
-		for _, s := range clients[cid].LinkStats() {
-			dials += s.Dials
-			retries += s.Retries
-			frames += s.FramesSent
-			drops += s.Drops()
+	totals := make(map[string]float64) // "<node> <metric>", summed over peers
+	for _, s := range reg.Snapshot().Samples {
+		for _, l := range s.Labels {
+			if l.Key == "node" {
+				totals[l.Value+" "+s.Name] += s.Value
+			}
 		}
-		fmt.Printf("  %s: dials=%d retries=%d frames=%d drops=%d\n", cid, dials, retries, frames, drops)
+	}
+	for _, cid := range clientIDs {
+		count := func(name string) int64 { return int64(totals[string(cid)+" vsgm_link_"+name+"_total"]) }
+		fmt.Printf("  %s: dials=%d retries=%d frames=%d drops=%d\n", cid,
+			count("dials"), count("retries"), count("frames_sent"), count("queue_drops")+count("chaos_drops"))
 	}
 
 	fmt.Println("\nvirtually synchronous multicast over real sockets ✓")

@@ -273,7 +273,7 @@ func TestLiveAttachLeaseEvictsSilentClient(t *testing.T) {
 		}
 		return true
 	})
-	if got := w.servers[0].Stats().LeaseEvictions; got < 1 {
+	if got := w.servers[0].leaseEvictions.Value(); got < 1 {
 		t.Fatalf("lease evictions = %d, want at least 1", got)
 	}
 	w.roundOfTraffic("post-ghost")
@@ -344,8 +344,8 @@ func TestNodeNotifyFilterDropsRegressions(t *testing.T) {
 			t.Fatalf("%s: acceptNotify = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	if st := node.Stats(); st.StaleNotifies != 5 {
-		t.Fatalf("stale-notification counter = %d, want 5", st.StaleNotifies)
+	if got := node.staleNotifies.Value(); got != 5 {
+		t.Fatalf("stale-notification counter = %d, want 5", got)
 	}
 
 	// Legacy mode (no HomeServers) has no attach protocol and no filter:

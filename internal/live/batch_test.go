@@ -94,8 +94,8 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 	if got := count(&handled); got != 0 {
 		t.Fatalf("OnEvent returned for %d messages while gated", got)
 	}
-	if s := w.clients["cli1"].LinkStats()["cli0"]; s.CreditFrames != 0 || s.CreditsGranted != 0 {
-		t.Fatalf("receiver returned credit before OnEvent ran: %d credit frames, %d granted", s.CreditFrames, s.CreditsGranted)
+	if s := linkCounts(w.clients["cli1"].fabric, "cli0"); s["credit_frames"] != 0 || s["credits_granted"] != 0 {
+		t.Fatalf("receiver returned credit before OnEvent ran: %d credit frames, %d granted", s["credit_frames"], s["credits_granted"])
 	}
 	if _, err := sender.TrySend([]byte("overflow")); err != ErrOverloaded {
 		t.Fatalf("send past the unconsumed window: err = %v, want ErrOverloaded", err)
@@ -104,7 +104,7 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 	close(gate)
 	w.waitFor("OnEvent to receive the whole window", func() bool { return count(&handled) == window })
 	w.waitFor("credit to return once the application consumed the window", func() bool {
-		return w.clients["cli1"].LinkStats()["cli0"].CreditFrames > 0
+		return linkCounts(w.clients["cli1"].fabric, "cli0")["credit_frames"] > 0
 	})
 	w.waitFor("the sender's window to reopen", func() bool {
 		_, err := sender.TrySend([]byte("after"))

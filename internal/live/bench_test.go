@@ -86,11 +86,12 @@ func benchBroadcast(b *testing.B, fanout int) {
 		limit := time.Now().Add(deadline)
 		for time.Now().Before(limit) {
 			ok := true
-			for _, s := range fa.Stats() {
-				if s.QueueDrops > 0 {
-					b.Fatalf("bounded queue shed load mid-benchmark: %+v", s)
+			for _, q := range dests {
+				s := linkCounts(fa, q)
+				if s["queue_drops"] > 0 {
+					b.Fatalf("bounded queue shed load mid-benchmark: %v", s)
 				}
-				if s.FramesSent < target {
+				if s["frames_sent"] < target {
 					ok = false
 				}
 			}
@@ -217,8 +218,8 @@ func BenchmarkSendUnderBackpressure(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.SetBytes(int64(len(msg.App.Payload)))
 
-	if s := fa.Stats()["b"]; s.QueueDrops > 0 || s.ChaosDrops > 0 {
-		b.Fatalf("backpressured sender shed frames: %+v", s)
+	if s := linkCounts(fa, "b"); s["queue_drops"] > 0 || s["chaos_drops"] > 0 {
+		b.Fatalf("backpressured sender shed frames: %v", s)
 	}
 	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); perOp > allocCeiling {
 		b.Fatalf("allocation ceiling breached: %.1f allocs/op > %d", perOp, allocCeiling)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,22 @@ func waitUntil(t *testing.T, what string, timeout time.Duration, cond func() boo
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// linkCounts is the raw-fabric tests' per-peer reader: what the owner's
+// collector scrapes as vsgm_link_<name>_total{peer=...} for every name in
+// linkSeries, keyed by <name> — summed over every peer when peer is "".
+func linkCounts(f *fabric, peer types.ProcID) map[string]int64 {
+	out := make(map[string]int64, len(linkSeries))
+	for _, l := range f.linkList() {
+		if peer != "" && l.peer != peer {
+			continue
+		}
+		for _, s := range linkSeries {
+			out[strings.TrimSuffix(strings.TrimPrefix(s.name, "vsgm_link_"), "_total")] += s.read(l)
+		}
+	}
+	return out
 }
 
 // deliveredSnapshot copies the per-client delivery counters.
@@ -217,14 +234,10 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 	// The degradation was observable: the partition blocks counted drops.
 	var chaosDrops int64
 	for _, sn := range w.servers {
-		for _, s := range sn.LinkStats() {
-			chaosDrops += s.ChaosDrops
-		}
+		chaosDrops += linkCounts(sn.fabric, "")["chaos_drops"]
 	}
 	for _, node := range w.clients {
-		for _, s := range node.LinkStats() {
-			chaosDrops += s.ChaosDrops
-		}
+		chaosDrops += linkCounts(node.fabric, "")["chaos_drops"]
 	}
 	if chaosDrops == 0 {
 		t.Error("partition dropped no frames — chaos blocks never engaged")
@@ -422,8 +435,8 @@ func TestLiveReconnectBackoffAndResume(t *testing.T) {
 	waitUntil(t, "the break to be noticed", 5*time.Second, func() bool {
 		send(fmt.Sprintf("probe-%d", probe), int64(500+probe))
 		probe++
-		s := fa.Stats()["b"]
-		return s.DialFailures >= 1 || s.WriteErrors >= 1
+		s := linkCounts(fa, "b")
+		return s["dial_failures"] >= 1 || s["write_errors"] >= 1
 	})
 
 	g0 := runtime.NumGoroutine()
@@ -432,13 +445,13 @@ func TestLiveReconnectBackoffAndResume(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitUntil(t, "backoff retries to accumulate", 5*time.Second, func() bool {
-		return fa.Stats()["b"].Retries >= 3
+		return linkCounts(fa, "b")["retries"] >= 3
 	})
 	if g1 := runtime.NumGoroutine(); g1 > g0+10 {
 		t.Fatalf("goroutines grew while the peer was down: %d -> %d (per-attempt leak?)", g0, g1)
 	}
-	if s := fa.Stats()["b"]; s.DialFailures < 1 {
-		t.Fatalf("expected dial failures while the listener was down, got %+v", s)
+	if s := linkCounts(fa, "b"); s["dial_failures"] < 1 {
+		t.Fatalf("expected dial failures while the listener was down, got %v", s)
 	}
 
 	// Restart the listener on the same address; delivery must resume. The
@@ -454,12 +467,12 @@ func TestLiveReconnectBackoffAndResume(t *testing.T) {
 		return has("after-restart")
 	})
 
-	s := fa.Stats()["b"]
-	if s.Reconnects < 1 {
-		t.Errorf("expected >=1 reconnect, got %+v", s)
+	s := linkCounts(fa, "b")
+	if s["reconnects"] < 1 {
+		t.Errorf("expected >=1 reconnect, got %v", s)
 	}
-	if s.Retries < 3 {
-		t.Errorf("expected >=3 retries, got %+v", s)
+	if s["retries"] < 3 {
+		t.Errorf("expected >=3 retries, got %v", s)
 	}
 
 	fa.Close()
@@ -504,16 +517,16 @@ func TestLiveDeadPeerNeverWedgesSend(t *testing.T) {
 	}
 
 	waitUntil(t, "supervised dial failures", 5*time.Second, func() bool {
-		s := fa.Stats()["ghost"]
-		return s.DialFailures >= 2 && s.Retries >= 2
+		s := linkCounts(fa, "ghost")
+		return s["dial_failures"] >= 2 && s["retries"] >= 2
 	})
 	// The bounded queue degrades by class: data frames are shed once the
 	// cap is hit, while heartbeats coalesce in place (a newer one replaces
 	// the queued older one) so they never contribute to queue growth.
-	if s := fa.Stats()["ghost"]; s.QueueDrops == 0 {
-		t.Errorf("expected the bounded queue to shed data load (500 sends, cap 64): %+v", s)
-	} else if s.HeartbeatsCoalesced == 0 {
-		t.Errorf("expected queued heartbeats to coalesce: %+v", s)
+	if s := linkCounts(fa, "ghost"); s["queue_drops"] == 0 {
+		t.Errorf("expected the bounded queue to shed data load (500 sends, cap 64): %v", s)
+	} else if s["heartbeats_coalesced"] == 0 {
+		t.Errorf("expected queued heartbeats to coalesce: %v", s)
 	}
 
 	done := make(chan struct{})
@@ -578,8 +591,8 @@ func TestLiveChaosPartialWritesAndLatency(t *testing.T) {
 			t.Fatalf("frame %d out of order or corrupted: got %q, want %q", i, s, want)
 		}
 	}
-	if s := fa.Stats()["b"]; s.FramesSent != n {
-		t.Errorf("FramesSent = %d, want %d", s.FramesSent, n)
+	if s := linkCounts(fa, "b"); s["frames_sent"] != n {
+		t.Errorf("FramesSent = %d, want %d", s["frames_sent"], n)
 	}
 }
 
@@ -630,8 +643,8 @@ func TestLiveChaosDropAndDuplicate(t *testing.T) {
 	waitUntil(t, "every frame to arrive twice", 10*time.Second, func() bool {
 		return received.Load() == 2*n
 	})
-	if s := fa.Stats()["b"]; s.ChaosDups != n {
-		t.Errorf("ChaosDups = %d, want %d", s.ChaosDups, n)
+	if s := linkCounts(fa, "b"); s["chaos_dups"] != n {
+		t.Errorf("ChaosDups = %d, want %d", s["chaos_dups"], n)
 	}
 
 	fa.Chaos().Heal()
@@ -640,7 +653,7 @@ func TestLiveChaosDropAndDuplicate(t *testing.T) {
 		send(fmt.Sprintf("drop-%d", i), int64(100+i))
 	}
 	waitUntil(t, "every frame to be dropped", 10*time.Second, func() bool {
-		return fa.Stats()["b"].ChaosDrops >= n
+		return linkCounts(fa, "b")["chaos_drops"] >= n
 	})
 	if got := dropped.Load(); got != 0 {
 		t.Errorf("%d frames leaked through a 1.0 drop probability", got)
@@ -711,7 +724,7 @@ func TestLiveWriteDeadlineBreaksStuckPeer(t *testing.T) {
 	big := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: payload}}
 	waitUntil(t, "the write deadline to break the stuck link", 15*time.Second, func() bool {
 		fa.Send([]types.ProcID{"stuck"}, big)
-		return fa.Stats()["stuck"].WriteErrors >= 1
+		return linkCounts(fa, "stuck")["write_errors"] >= 1
 	})
 	// The writer counts the error before it reports the link down, so the
 	// report may still be on its way when the counter flips.
@@ -878,17 +891,17 @@ func TestLiveChaosMidBatchDropsKeepFrameBoundaries(t *testing.T) {
 
 	// Every frame resolved: sent or dropped, duplicates on top.
 	waitUntil(t, "per-frame accounting to close", 15*time.Second, func() bool {
-		s := fa.Stats()["b"]
-		return s.FramesSent+s.ChaosDrops == n+s.ChaosDups && s.QueueDrops == 0
+		s := linkCounts(fa, "b")
+		return s["frames_sent"]+s["chaos_drops"] == n+s["chaos_dups"] && s["queue_drops"] == 0
 	})
-	s := fa.Stats()["b"]
-	if s.ChaosDrops == 0 || s.ChaosDups == 0 {
-		t.Fatalf("probabilistic faults never engaged mid-batch: %+v", s)
+	s := linkCounts(fa, "b")
+	if s["chaos_drops"] == 0 || s["chaos_dups"] == 0 {
+		t.Fatalf("probabilistic faults never engaged mid-batch: %v", s)
 	}
 	waitUntil(t, "every sent frame to arrive", 15*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return int64(len(got)) == s.FramesSent
+		return int64(len(got)) == s["frames_sent"]
 	})
 
 	mu.Lock()
@@ -954,7 +967,7 @@ func TestLiveChaosOneWayPartitionMidBatch(t *testing.T) {
 
 	send(fa, "b", 0, 100)
 	waitUntil(t, "first burst sent", 10*time.Second, func() bool {
-		return fa.Stats()["b"].FramesSent == 100
+		return linkCounts(fa, "b")["frames_sent"] == 100
 	})
 
 	// One-way: a→b blocked, b→a untouched.
@@ -962,7 +975,7 @@ func TestLiveChaosOneWayPartitionMidBatch(t *testing.T) {
 	send(fa, "b", 100, 200)
 	send(fb, "a", 0, 100)
 	waitUntil(t, "blocked window to be dropped and counted", 10*time.Second, func() bool {
-		return fa.Stats()["b"].ChaosDrops == 100
+		return linkCounts(fa, "b")["chaos_drops"] == 100
 	})
 	waitUntil(t, "reverse direction to stay open", 10*time.Second, func() bool {
 		return rev.Load() == 100
@@ -971,7 +984,7 @@ func TestLiveChaosOneWayPartitionMidBatch(t *testing.T) {
 	fa.Chaos().Unblock("b")
 	send(fa, "b", 200, 300)
 	waitUntil(t, "post-heal burst sent", 10*time.Second, func() bool {
-		return fa.Stats()["b"].FramesSent == 200
+		return linkCounts(fa, "b")["frames_sent"] == 200
 	})
 	waitUntil(t, "post-heal burst delivered", 10*time.Second, func() bool {
 		mu.Lock()
@@ -990,8 +1003,8 @@ func TestLiveChaosOneWayPartitionMidBatch(t *testing.T) {
 			t.Fatalf("frame %d: got id %d, want %d (partition must not reorder or corrupt)", i, id, want)
 		}
 	}
-	if s := fa.Stats()["b"]; s.FramesSent+s.ChaosDrops != 300 {
-		t.Errorf("accounting: FramesSent=%d + ChaosDrops=%d != 300", s.FramesSent, s.ChaosDrops)
+	if s := linkCounts(fa, "b"); s["frames_sent"]+s["chaos_drops"] != 300 {
+		t.Errorf("accounting: FramesSent=%d + ChaosDrops=%d != 300", s["frames_sent"], s["chaos_drops"])
 	}
 }
 
@@ -1052,12 +1065,12 @@ func TestLiveBatchCoalescingBacklogFlushesOnce(t *testing.T) {
 	}
 	mu.Unlock()
 
-	s := fa.Stats()["b"]
-	if s.FramesSent != n {
-		t.Fatalf("FramesSent = %d, want %d", s.FramesSent, n)
+	s := linkCounts(fa, "b")
+	if s["frames_sent"] != n {
+		t.Fatalf("FramesSent = %d, want %d", s["frames_sent"], n)
 	}
-	if s.Flushes == 0 || s.Flushes > n/5 {
-		t.Errorf("Flushes = %d for %d frames — coalescing should need far fewer flushes than frames", s.Flushes, n)
+	if s["flushes"] == 0 || s["flushes"] > n/5 {
+		t.Errorf("Flushes = %d for %d frames — coalescing should need far fewer flushes than frames", s["flushes"], n)
 	}
 }
 

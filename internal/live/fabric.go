@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vsgm/internal/membership"
+	"vsgm/internal/obs"
 	"vsgm/internal/types"
 	"vsgm/internal/wire"
 	"vsgm/internal/wire/pool"
@@ -71,59 +72,6 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	}
 	return c
 }
-
-// LinkStats are the per-peer transport counters a fabric accumulates; they
-// make degradation observable (tests assert on them, cmd/vsgm-live prints
-// them).
-type LinkStats struct {
-	// Dials counts connection attempts; DialFailures the ones that errored.
-	Dials        int64
-	DialFailures int64
-	// Reconnects counts successful connections after the first.
-	Reconnects int64
-	// Retries counts backoff sleeps taken while the link was down.
-	Retries int64
-	// FramesSent counts frames written to the socket.
-	FramesSent int64
-	// Flushes counts socket flushes; the coalescing writer keeps it well
-	// below FramesSent under bursts (one flush per drained batch).
-	Flushes int64
-	// WriteErrors counts frame writes that failed (each tears the
-	// connection down for a supervised redial).
-	WriteErrors int64
-	// QueueDrops counts frames evicted from the bounded outbound queue.
-	QueueDrops int64
-	// ChaosDrops / ChaosDups count frames dropped or duplicated by the
-	// chaos controller (including one-way partition drops).
-	ChaosDrops int64
-	ChaosDups  int64
-	// CreditsConsumed counts outbound window credit consumed: data frames
-	// charged against the peer's cumulative grant (net of refunds for
-	// frames that never reached the socket).
-	CreditsConsumed int64
-	// CreditsGranted counts inbound credit granted to the peer beyond its
-	// initial window, i.e. how far the local application's consumption has
-	// advanced the peer's permission to send.
-	CreditsGranted int64
-	// CreditFrames counts standalone credit frames sent to the peer
-	// (including idempotent keepalive re-grants).
-	CreditFrames int64
-	// WindowExhausted counts exhaustion episodes: transitions of the
-	// outbound window from open to shut with a sender waiting.
-	WindowExhausted int64
-	// HeartbeatsCoalesced counts queued heartbeats superseded by a newer
-	// one before reaching the wire (not drops: the newest always flows).
-	HeartbeatsCoalesced int64
-	// Reads counts socket reads that brought bytes from the peer;
-	// FramesReceived the frames decoded out of them. FramesReceived/Reads is
-	// the receive-side mirror of FramesSent/Flushes: how many frames one
-	// read — the unit of work on the receive path — amortizes.
-	Reads          int64
-	FramesReceived int64
-}
-
-// Drops is the total of all dropped frames on the link.
-func (s LinkStats) Drops() int64 { return s.QueueDrops + s.ChaosDrops }
 
 // mailbox is a FIFO queue: outbound sends and application events enqueue
 // here so the automaton's step loop never blocks on a slow consumer, and a
@@ -350,12 +298,17 @@ type link struct {
 	// mb and not yet put on the wire (the pending batch, waiting out a dial,
 	// a chaos delay or a flush): resident, so the memory budget counts them.
 	held atomic.Int64
-	// reads/framesIn back LinkStats.Reads/FramesReceived; atomics because
-	// the inbound reader bumps them once per read without the link lock.
-	reads, framesIn atomic.Int64
+
+	// Counters, scraped through linkSeries (which says what each counts).
+	// Atomics: the writer, the inbound reader and senders bump them without
+	// the link lock.
+	dials, dialFailures, reconnects, retries      atomic.Int64
+	framesSent, flushes, writeErrors              atomic.Int64
+	chaosDrops, chaosDups                         atomic.Int64
+	creditsGranted, creditFrames, windowExhausted atomic.Int64
+	reads, framesIn                               atomic.Int64
 
 	mu        sync.Mutex
-	stats     LinkStats
 	connected bool // ever connected (distinguishes connects from reconnects)
 
 	// Outbound credit (sender role): used counts data frames charged
@@ -376,23 +329,51 @@ type link struct {
 	reported       bool
 }
 
-func (l *link) bump(f func(*LinkStats)) {
-	l.mu.Lock()
-	f(&l.stats)
-	l.mu.Unlock()
-}
-
-func (l *link) snapshot(window int64) LinkStats {
-	l.mu.Lock()
-	s := l.stats
-	s.CreditsConsumed = l.used
-	s.CreditsGranted = l.grantedOut - window
-	l.mu.Unlock()
-	s.QueueDrops += l.mb.evictions()
-	s.HeartbeatsCoalesced += l.mb.coalescedCount()
-	s.Reads = l.reads.Load()
-	s.FramesReceived = l.framesIn.Load()
-	return s
+// linkSeries is every counter a link reports: the metric it is scraped as,
+// one series per (owner, peer) (see fabric.linkSamples), its help text, and
+// how to read it off the link.
+var linkSeries = []struct {
+	name, help string
+	read       func(*link) int64
+}{
+	{"vsgm_link_dials_total", "Connection attempts.",
+		func(l *link) int64 { return l.dials.Load() }},
+	{"vsgm_link_dial_failures_total", "Connection attempts that errored.",
+		func(l *link) int64 { return l.dialFailures.Load() }},
+	{"vsgm_link_reconnects_total", "Successful connections after the first.",
+		func(l *link) int64 { return l.reconnects.Load() }},
+	{"vsgm_link_retries_total", "Backoff sleeps taken while the link was down.",
+		func(l *link) int64 { return l.retries.Load() }},
+	{"vsgm_link_frames_sent_total", "Frames written to the socket.",
+		func(l *link) int64 { return l.framesSent.Load() }},
+	{"vsgm_link_flushes_total", "Socket flushes; the coalescing writer keeps it well below frames sent under bursts (one flush per drained batch).",
+		func(l *link) int64 { return l.flushes.Load() }},
+	{"vsgm_link_write_errors_total", "Frame writes that failed; each tears the connection down for a supervised redial.",
+		func(l *link) int64 { return l.writeErrors.Load() }},
+	{"vsgm_link_queue_drops_total", "Data frames evicted from the bounded outbound queue.",
+		func(l *link) int64 { return l.mb.evictions() }},
+	{"vsgm_link_chaos_drops_total", "Frames dropped by the chaos controller, one-way partition blocks included.",
+		func(l *link) int64 { return l.chaosDrops.Load() }},
+	{"vsgm_link_chaos_dups_total", "Frames duplicated by the chaos controller.",
+		func(l *link) int64 { return l.chaosDups.Load() }},
+	{"vsgm_link_credits_consumed_total", "Outbound credit consumed: data frames charged against the peer's grant, net of refunds for frames that never reached the socket.",
+		func(l *link) int64 {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return l.used
+		}},
+	{"vsgm_link_credits_granted_total", "Credit granted to the peer beyond its initial window as the local application consumed its frames.",
+		func(l *link) int64 { return l.creditsGranted.Load() }},
+	{"vsgm_link_credit_frames_total", "Standalone credit frames sent to the peer, keepalive re-grants included.",
+		func(l *link) int64 { return l.creditFrames.Load() }},
+	{"vsgm_link_window_exhausted_total", "Exhaustion episodes: the outbound credit window shut with a sender waiting.",
+		func(l *link) int64 { return l.windowExhausted.Load() }},
+	{"vsgm_link_heartbeats_coalesced_total", "Queued heartbeats superseded by a newer one before reaching the wire (not drops: the newest always flows).",
+		func(l *link) int64 { return l.mb.coalescedCount() }},
+	{"vsgm_link_reads_total", "Socket reads that brought bytes from the peer: the receive path's unit of work.",
+		func(l *link) int64 { return l.reads.Load() }},
+	{"vsgm_link_frames_received_total", "Frames decoded out of those reads; frames_received/reads is frames per read.",
+		func(l *link) int64 { return l.framesIn.Load() }},
 }
 
 // windowOpen reports whether one more data frame fits the peer's window,
@@ -407,7 +388,7 @@ func (l *link) windowOpen() bool {
 	if l.exhaustedSince.IsZero() {
 		l.exhaustedSince = time.Now()
 		l.reported = false
-		l.stats.WindowExhausted++
+		l.windowExhausted.Add(1)
 	}
 	return false
 }
@@ -587,20 +568,57 @@ func (f *fabric) addrOf(q types.ProcID) string {
 	return f.peers[q]
 }
 
-// Stats snapshots the per-link transport counters, keyed by peer.
-func (f *fabric) Stats() map[types.ProcID]LinkStats {
+// linkList snapshots the fabric's links.
+func (f *fabric) linkList() []*link {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	links := make([]*link, 0, len(f.links))
 	for _, l := range f.links {
 		links = append(links, l)
 	}
-	f.mu.Unlock()
-	out := make(map[types.ProcID]LinkStats, len(links))
-	w := f.windowSize()
+	return links
+}
+
+// setFabricHelp registers the help text of the series a fabric owner's
+// collector emits for its links and its pool.
+func setFabricHelp(reg *obs.Registry) {
+	for _, s := range linkSeries {
+		reg.SetHelp(s.name, s.help)
+	}
+	reg.SetHelp("vsgm_pool_gets_total", "Buffer requests served by the transport slab pool.")
+	reg.SetHelp("vsgm_pool_hits_total", "Pool requests satisfied from a free ring (hits/gets is the recycle ratio).")
+	reg.SetHelp("vsgm_pool_misses_total", "Pool requests that had to allocate fresh slabs.")
+	reg.SetHelp("vsgm_pool_outstanding", "Pooled buffers currently on loan: read windows, and the buffers and chunks retained messages lie in until stable; zero after Close.")
+}
+
+// linkSamples reads every link's counters for the owner's collector: one
+// series per linkSeries entry and peer, labeled with owner and the peer.
+func (f *fabric) linkSamples(owner obs.Label) []obs.Sample {
+	links := f.linkList()
+	out := make([]obs.Sample, 0, len(links)*len(linkSeries))
 	for _, l := range links {
-		out[l.peer] = l.snapshot(w)
+		labels := []obs.Label{owner, obs.L("peer", string(l.peer))}
+		for _, s := range linkSeries {
+			out = append(out, obs.Sample{Name: s.name, Kind: obs.KindCounter, Labels: labels, Value: float64(s.read(l))})
+		}
 	}
 	return out
+}
+
+// poolSamples exposes the receive-slab pool's health: hit ratio is
+// hits/gets; outstanding counts buffers currently on loan — read windows, and
+// large messages held until the view has acknowledged them — which is zero
+// after Close; growth without traffic is a leak.
+func poolSamples(owner obs.Label, ps pool.Stats) []obs.Sample {
+	c := func(name string, kind obs.MetricKind, v int64) obs.Sample {
+		return obs.Sample{Name: name, Kind: kind, Labels: []obs.Label{owner}, Value: float64(v)}
+	}
+	return []obs.Sample{
+		c("vsgm_pool_gets_total", obs.KindCounter, ps.Gets),
+		c("vsgm_pool_hits_total", obs.KindCounter, ps.Hits),
+		c("vsgm_pool_misses_total", obs.KindCounter, ps.Misses),
+		c("vsgm_pool_outstanding", obs.KindGauge, ps.Outstanding),
+	}
 }
 
 // windowSize is the effective initial credit window (negative config means
@@ -699,6 +717,7 @@ func (f *fabric) consumedData(peer types.ProcID, n int) {
 	l.consumed += int64(n)
 	if w > 0 && l.grantedOut-l.consumed < (w+1)/2 {
 		if g := l.consumed + w; g > l.grantedOut {
+			l.creditsGranted.Add(g - l.grantedOut)
 			l.grantedOut = g
 			grant = g
 		}
@@ -718,7 +737,7 @@ func (f *fabric) sendCredit(peer types.ProcID, grant int64) {
 	if err != nil {
 		return
 	}
-	f.linkFor(peer).bump(func(s *LinkStats) { s.CreditFrames++ })
+	f.linkFor(peer).creditFrames.Add(1)
 	f.fanOut(fb, []types.ProcID{peer})
 }
 
@@ -740,13 +759,7 @@ func (f *fabric) refundData(l *link) {
 // carried inbound data. Grants are idempotent, so this periodic keepalive
 // cheaply repairs credit frames lost to reconnects or injected faults.
 func (f *fabric) regrant() {
-	f.mu.Lock()
-	links := make([]*link, 0, len(f.links))
-	for _, l := range f.links {
-		links = append(links, l)
-	}
-	f.mu.Unlock()
-	for _, l := range links {
+	for _, l := range f.linkList() {
 		var grant int64
 		l.mu.Lock()
 		if l.consumed > 0 {
@@ -763,14 +776,8 @@ func (f *fabric) regrant() {
 // least grace with a sender still waiting, marking each so one exhaustion
 // episode yields exactly one complaint.
 func (f *fabric) slowPeers(grace time.Duration, now time.Time) []types.ProcID {
-	f.mu.Lock()
-	links := make([]*link, 0, len(f.links))
-	for _, l := range f.links {
-		links = append(links, l)
-	}
-	f.mu.Unlock()
 	var out []types.ProcID
-	for _, l := range links {
+	for _, l := range f.linkList() {
 		l.mu.Lock()
 		if !l.reported && !l.exhaustedSince.IsZero() && l.used >= l.granted &&
 			now.Sub(l.exhaustedSince) >= grace {
@@ -786,14 +793,8 @@ func (f *fabric) slowPeers(grace time.Duration, now time.Time) []types.ProcID {
 // the batch each link's writer holds — the transport's share of the node's
 // memory budget.
 func (f *fabric) QueuedBytes() int64 {
-	f.mu.Lock()
-	links := make([]*link, 0, len(f.links))
-	for _, l := range f.links {
-		links = append(links, l)
-	}
-	f.mu.Unlock()
 	var n int64
-	for _, l := range links {
+	for _, l := range f.linkList() {
 		n += l.mb.queuedBytes() + l.held.Load()
 	}
 	return n
@@ -859,7 +860,7 @@ func (f *fabric) fanOut(fb *wire.FrameBuf, dests []types.ProcID) {
 }
 
 // linkFor returns (creating if needed) the link record for q without
-// starting its writer — inbound chaos accounting needs stats-only access.
+// starting its writer — inbound chaos accounting needs counter-only access.
 func (f *fabric) linkFor(q types.ProcID) *link {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -960,7 +961,7 @@ func (f *fabric) connect(l *link) (net.Conn, *wire.Encoder, chan struct{}) {
 			return nil, nil, nil
 		}
 		if addr := f.addrOf(l.peer); addr != "" {
-			l.bump(func(s *LinkStats) { s.Dials++ })
+			l.dials.Add(1)
 			d := net.Dialer{Timeout: f.cfg.DialTimeout}
 			conn, err := d.Dial("tcp", addr)
 			if err == nil {
@@ -969,7 +970,7 @@ func (f *fabric) connect(l *link) (net.Conn, *wire.Encoder, chan struct{}) {
 				if err = enc.Encode(frame{From: f.id}); err == nil {
 					l.mu.Lock()
 					if l.connected {
-						l.stats.Reconnects++
+						l.reconnects.Add(1)
 					}
 					l.connected = true
 					l.mu.Unlock()
@@ -979,10 +980,10 @@ func (f *fabric) connect(l *link) (net.Conn, *wire.Encoder, chan struct{}) {
 				}
 				conn.Close()
 			}
-			l.bump(func(s *LinkStats) { s.DialFailures++ })
+			l.dialFailures.Add(1)
 			f.linkDown(l.peer, err)
 		}
-		l.bump(func(s *LinkStats) { s.Retries++ })
+		l.retries.Add(1)
 		if !f.sleep(jitter(backoff)) {
 			return nil, nil, nil
 		}
@@ -1052,7 +1053,7 @@ func (f *fabric) writeLoop(l *link) {
 					return
 				}
 				if verdict.drop {
-					l.bump(func(s *LinkStats) { s.ChaosDrops++ })
+					l.chaosDrops.Add(1)
 					if fb.Class() == wire.ClassData {
 						f.refundData(l) // injected loss must not leak the window
 					}
@@ -1061,7 +1062,7 @@ func (f *fabric) writeLoop(l *link) {
 				}
 				hold(fb)
 				if verdict.dup {
-					l.bump(func(s *LinkStats) { s.ChaosDups++ })
+					l.chaosDups.Add(1)
 					fb.Retain(1)
 					hold(fb)
 				}
@@ -1081,19 +1082,15 @@ func (f *fabric) writeLoop(l *link) {
 			bufs = append(bufs, fb.Wire())
 		}
 		sent, flushes, err := enc.WriteBatch(bufs, maxBatchBytes)
-		if sent > 0 || flushes > 0 {
-			l.bump(func(s *LinkStats) {
-				s.FramesSent += int64(sent)
-				s.Flushes += int64(flushes)
-			})
-		}
+		l.framesSent.Add(int64(sent))
+		l.flushes.Add(int64(flushes))
 		unhold(pending[:sent])
 		pending = append(pending[:0], pending[sent:]...)
 		if sent > 0 {
 			f.flowBroadcast() // queue drained: budget waiters may proceed
 		}
 		if err != nil {
-			l.bump(func(s *LinkStats) { s.WriteErrors++ })
+			l.writeErrors.Add(1)
 			dropConn()
 			f.linkDown(l.peer, err)
 			// pending retained; resent after reconnect
@@ -1244,7 +1241,7 @@ func (f *fabric) drain(l *link, asm *frameAssembler, fr *frame) (err error) {
 		frames++
 		switch {
 		case blocked:
-			l.bump(func(s *LinkStats) { s.ChaosDrops++ })
+			l.chaosDrops.Add(1)
 			// Chaos discards the frame above the flow-control layer, so a
 			// blocked data frame still counts as consumed: simulated loss
 			// must not starve the sender's window forever.

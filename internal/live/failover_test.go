@@ -134,6 +134,14 @@ func newAttachWorld(t *testing.T, nServers, nClients int, opt attachOptions) *li
 	return w
 }
 
+// serverCount reads one of the membership core's counters under the
+// server's lock.
+func serverCount(sn *ServerNode, read func(*membership.Server) int64) int64 {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	return read(sn.srv)
+}
+
 // directory rebuilds the address book (needed when a server restarts).
 func (w *liveWorld) directory() map[types.ProcID]string {
 	dir := make(map[types.ProcID]string)
@@ -230,8 +238,11 @@ func TestLiveServerCrashFailover(t *testing.T) {
 		if w.homes[cid] != dead.ID() {
 			continue
 		}
-		if st := node.Stats(); st.Failovers == 0 || st.Epoch < 2 {
-			t.Errorf("%s: expected a failover under a fresh epoch, got %+v", cid, st)
+		node.amu.Lock()
+		epoch := node.epoch
+		node.amu.Unlock()
+		if failovers := node.failovers.Value(); failovers == 0 || epoch < 2 {
+			t.Errorf("%s: expected a failover under a fresh epoch, got %d failovers at epoch %d", cid, failovers, epoch)
 		}
 	}
 	if err := w.specErr(); err != nil {
@@ -338,7 +349,7 @@ func TestLiveWatchdogRecoversDroppedProposals(t *testing.T) {
 	srv0.Chaos().Heal()
 	srv1.Chaos().Heal()
 
-	if rp := srv0.Stats().Reproposals + srv1.Stats().Reproposals; rp == 0 {
+	if rp := serverCount(srv0, (*membership.Server).Reproposals) + serverCount(srv1, (*membership.Server).Reproposals); rp == 0 {
 		t.Fatal("attempts completed over an 85%-lossy trunk without any reproposal — watchdog never fired")
 	}
 	if err := w.specErr(); err != nil {
@@ -393,7 +404,7 @@ func TestLivePartitionedHomeEvictsStaleClients(t *testing.T) {
 	w.waitFor("stale server evicts its superseded registrations", func() bool {
 		return stale.Clients().Len() == 0
 	})
-	if ev := stale.Stats().Evictions; ev == 0 {
+	if ev := serverCount(stale, (*membership.Server).Evictions); ev == 0 {
 		t.Fatal("stale server dropped its clients without recording an eviction")
 	}
 

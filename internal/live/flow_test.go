@@ -178,7 +178,7 @@ func TestChaosPressureNeverDropsSync(t *testing.T) {
 		defer mu.Unlock()
 		return len(syncSeen) == rounds
 	})
-	if drops := fa.Stats()["b"].QueueDrops; drops == 0 {
+	if drops := linkCounts(fa, "b")["queue_drops"]; drops == 0 {
 		t.Fatalf("queue never overflowed (drops = 0) — the test applied no pressure")
 	}
 }
@@ -244,11 +244,11 @@ func TestCreditWindowBlocksSenderUntilConsumed(t *testing.T) {
 		t.Fatal("sender stayed parked after the receiver granted credit")
 	}
 
-	if s := fa.Stats()["b"]; s.WindowExhausted < 1 || s.CreditsConsumed != 4 {
-		t.Fatalf("sender-side flow stats off: %+v", s)
+	if s := linkCounts(fa, "b"); s["window_exhausted"] < 1 || s["credits_consumed"] != 4 {
+		t.Fatalf("sender-side flow stats off: %v", s)
 	}
-	if s := fb.Stats()["a"]; s.CreditFrames < 1 || s.CreditsGranted < 3 {
-		t.Fatalf("receiver-side flow stats off: %+v", s)
+	if s := linkCounts(fb, "a"); s["credit_frames"] < 1 || s["credits_granted"] < 3 {
+		t.Fatalf("receiver-side flow stats off: %v", s)
 	}
 }
 
@@ -329,9 +329,8 @@ func TestMemoryBudgetLatchesAndReleases(t *testing.T) {
 	if _, err := n.TrySend([]byte("probe")); err != ErrOverloaded {
 		t.Fatalf("TrySend over budget = %v, want ErrOverloaded", err)
 	}
-	st := n.Stats()
-	if !st.Overloaded || st.MemBytes <= 4<<10 || st.SendsOverloaded < 1 {
-		t.Fatalf("overload not reflected in stats: %+v", st)
+	if latched, mem, refused := n.overloaded.Load(), n.MemUsage(), n.sendsOverloaded.Value(); !latched || mem <= 4<<10 || refused < 1 {
+		t.Fatalf("overload not reflected: latched=%v mem=%d refused=%d", latched, mem, refused)
 	}
 
 	// Bring the ghost up; the writer drains, usage falls to zero (below
@@ -348,8 +347,8 @@ func TestMemoryBudgetLatchesAndReleases(t *testing.T) {
 	if _, err := n.TrySend([]byte("probe")); err != nil {
 		t.Fatalf("TrySend after drain = %v, want nil (budget reopened)", err)
 	}
-	if st := n.Stats(); st.Overloaded {
-		t.Fatalf("overload latch stuck after drain: %+v", st)
+	if n.overloaded.Load() {
+		t.Fatalf("overload latch stuck after drain: mem=%d", n.MemUsage())
 	}
 }
 
@@ -405,16 +404,21 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 		return true
 	})
 
-	gauge := func(name string) map[string]float64 {
-		out := make(map[string]float64)
-		for _, s := range reg.Snapshot().Samples {
-			if s.Name == name {
-				out[s.Labels[0].Value] = s.Value
+	// gauges reads node -> value for each named gauge, all from one snapshot.
+	gauges := func(names ...string) []map[string]float64 {
+		snap := reg.Snapshot()
+		out := make([]map[string]float64, len(names))
+		for i, name := range names {
+			out[i] = make(map[string]float64)
+			for _, s := range snap.Samples {
+				if s.Name == name {
+					out[i][s.Labels[0].Value] = s.Value
+				}
 			}
 		}
 		return out
 	}
-	buffered := func() map[string]float64 { return gauge("vsgm_endpoint_buffered_messages") }
+	buffered := func() map[string]float64 { return gauges("vsgm_endpoint_buffered_messages")[0] }
 	const bound = 2 * ackInterval * members
 	w.waitFor("buffered messages to fall under the retention bound", func() bool {
 		got := buffered()
@@ -432,16 +436,23 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 	if len(payload) >= stagingSlabSize {
 		// A slab per held message: the frame's quarter-step class at a
 		// receiver, the payload's own at the sender.
+		//
+		// The pool is read against the messages in one snapshot. Each node's
+		// collector reads its end-point gauges before its pool stats, so an
+		// ack collecting slots between the two reads can only lower the
+		// buffers out, never leave more out than the messages counted.
 		const slab = 20 << 10
-		for node, b := range gauge("vsgm_endpoint_buffered_bytes") {
+		g := gauges("vsgm_endpoint_buffered_messages", "vsgm_endpoint_buffered_bytes", "vsgm_pool_outstanding")
+		msgs, pinned, outstanding := g[0], g[1], g[2]
+		for node, b := range pinned {
 			if b > bound*slab {
 				t.Errorf("%s pins %v bytes in its message buffers, bound %d", node, b, bound*slab)
 			}
 		}
-		for node, out := range gauge("vsgm_pool_outstanding") {
+		for node, out := range outstanding {
 			// Besides the held messages: a staging slab per inbound link.
-			if limit := buffered()[node] + 2*(members+2); out > limit {
-				t.Errorf("%s has %v pooled buffers out with %v messages buffered", node, out, buffered()[node])
+			if limit := msgs[node] + 2*(members+2); out > limit {
+				t.Errorf("%s has %v pooled buffers out with %v messages buffered", node, out, msgs[node])
 			}
 		}
 	}
@@ -517,8 +528,8 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 			buffered = s.Value
 		}
 	}
-	if !n.Stats().Overloaded || int64(buffered) < high {
-		t.Fatalf("latched = %v with %v bytes in the message buffers, want the buffers alone over %d", n.Stats().Overloaded, buffered, high)
+	if latched := n.overloaded.Load(); !latched || int64(buffered) < high {
+		t.Fatalf("latched = %v with %v bytes in the message buffers, want the buffers alone over %d", latched, buffered, high)
 	}
 	if short := high - int64(sent*size); short >= 4<<10 {
 		t.Fatalf("the budget tripped after %d sends of %d bytes, %d short of %d: more than a chunk", sent, size, short, high)
@@ -540,8 +551,8 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 		_, err := n.TrySend([]byte("probe"))
 		return err == nil
 	})
-	if st := n.Stats(); st.Overloaded || st.MemBytes > high/2 {
-		t.Fatalf("reopened with overloaded=%v mem=%d, want at or under the low watermark %d", st.Overloaded, st.MemBytes, high/2)
+	if latched, mem := n.overloaded.Load(), n.MemUsage(); latched || mem > high/2 {
+		t.Fatalf("reopened with overloaded=%v mem=%d, want at or under the low watermark %d", latched, mem, high/2)
 	}
 	for cid, node := range w.clients {
 		if got := node.CurrentView().ID; got != vid {
@@ -639,7 +650,7 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 	w.waitFor("laggard evicted and survivors reconfigured", func() bool {
 		var evictions int64
 		for _, sn := range w.servers {
-			evictions += sn.Stats().OverloadEvictions
+			evictions += sn.overloadEvictions.Value()
 		}
 		if evictions == 0 {
 			return false
@@ -666,23 +677,19 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 
 	var blocked, reports, evictions, drops int64
 	for _, cid := range senders {
-		st := w.clients[cid].Stats()
-		blocked += st.SendsBlocked
-		reports += st.SlowReports
-		if st.MemBytes > budget {
-			t.Errorf("%s resident bytes %d exceed the %d budget", cid, st.MemBytes, budget)
+		node := w.clients[cid]
+		blocked += node.sendsBlocked.Value()
+		reports += node.slowReports.Value()
+		if mem := node.MemUsage(); mem > budget {
+			t.Errorf("%s resident bytes %d exceed the %d budget", cid, mem, budget)
 		}
-		for peer, ls := range st.Links {
-			drops += ls.QueueDrops + ls.ChaosDrops
-			_ = peer
-		}
+		links := linkCounts(node.fabric, "")
+		drops += links["queue_drops"] + links["chaos_drops"]
 	}
 	for _, sn := range w.servers {
-		st := sn.Stats()
-		evictions += st.OverloadEvictions
-		for _, ls := range st.Links {
-			drops += ls.QueueDrops + ls.ChaosDrops
-		}
+		evictions += sn.overloadEvictions.Value()
+		links := linkCounts(sn.fabric, "")
+		drops += links["queue_drops"] + links["chaos_drops"]
 	}
 	if blocked == 0 {
 		t.Error("no send ever blocked — the credit window applied no backpressure")

@@ -104,12 +104,13 @@ type NodeConfig struct {
 	// (default MemHighWater/2). Zero disables the budget.
 	MemHighWater int64
 	MemLowWater  int64
-	// Obs, when set, is the metrics registry the node publishes into: its
-	// counters become registered series labeled with the node id, and a
-	// scrape-time collector contributes endpoint gauges and aggregated link
-	// counters. On Close the node's sections are frozen in the registry
+	// Obs, when set, is the metrics registry the node publishes into — the
+	// only place its numbers are read from: its counters become registered
+	// series labeled with the node id, and a scrape-time collector
+	// contributes the attach state, endpoint gauges, and link counters (one
+	// series per peer). On Close the collector is frozen in the registry
 	// (Detach), so a scrape after shutdown still sees the final values. Nil
-	// keeps the counters node-local (Stats still works).
+	// keeps the counters node-local and unscraped.
 	Obs *obs.Registry
 	// Tracer, when set, records this end-point's reconfiguration timeline
 	// (start_change → sync → view) via a core.ProtocolTrace hook.
@@ -139,7 +140,7 @@ type Node struct {
 	sendsOverloaded *obs.Counter
 	slowReports     *obs.Counter
 
-	// obs is the registry the node's sections are registered in (nil when
+	// obs is the registry the node's collector is registered in (nil when
 	// unconfigured; the counters above still work as unregistered handles).
 	obs *obs.Registry
 
@@ -368,17 +369,25 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// registerObs publishes the node's scrape-time sections into the registry:
-// endpoint gauges and aggregated link counters as a collector, the full
-// NodeStats snapshot as a status section. Both run only at scrape time; on
-// Close the registry freezes their final evaluation (Detach), which is what
-// lets a late stats print read a killed node safely.
+// registerObs publishes the node's scrape-time collector into the registry:
+// attach state, endpoint gauges, link and pool counters. It runs only at
+// scrape time; on Close the registry freezes its final evaluation (Detach),
+// which is what lets a late report read a killed node safely.
 func (n *Node) registerObs() {
 	if n.obs == nil {
 		return
 	}
 	nodeLabel := obs.L("node", string(n.id))
 	n.obs.RegisterCollector("node/"+string(n.id), func() []obs.Sample {
+		n.amu.Lock()
+		home, epoch, lastCID, lastVid := n.home, n.epoch, n.lastCID, n.lastVid
+		n.amu.Unlock()
+		attached := float64(0)
+		if home != "" {
+			attached = 1
+		}
+		// The end-point gauges are read before the pool's: an ack landing
+		// between the two reads can only lower what the pool reports out.
 		n.mu.Lock()
 		var views, delivered, forwards int64
 		var bufMsgs int
@@ -396,6 +405,10 @@ func (n *Node) registerObs() {
 			overloaded = 1
 		}
 		samples := []obs.Sample{
+			{Name: "vsgm_node_home", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel, obs.L("home", string(home))}, Value: attached},
+			{Name: "vsgm_node_epoch", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(epoch)},
+			{Name: "vsgm_node_last_cid", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(lastCID)},
+			{Name: "vsgm_node_last_vid", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(lastVid)},
 			{Name: "vsgm_endpoint_views_installed_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(views)},
 			{Name: "vsgm_endpoint_msgs_delivered_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(delivered)},
 			{Name: "vsgm_endpoint_forwards_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(forwards)},
@@ -404,10 +417,14 @@ func (n *Node) registerObs() {
 			{Name: "vsgm_node_mem_bytes", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(bufBytes + n.fabric.QueuedBytes())},
 			{Name: "vsgm_node_overloaded", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: overloaded},
 		}
-		samples = append(samples, linkSamples(nodeLabel, n.fabric.Stats())...)
+		samples = append(samples, n.fabric.linkSamples(nodeLabel)...)
 		return append(samples, poolSamples(nodeLabel, n.fabric.PoolStats())...)
 	})
-	n.obs.RegisterStatus("node/"+string(n.id), func() any { return n.Stats() })
+	setFabricHelp(n.obs)
+	n.obs.SetHelp("vsgm_node_home", "1 under the label of the home server the node is attached to; 0, with an empty home, while it is detached or registered out of band.")
+	n.obs.SetHelp("vsgm_node_epoch", "Attach epoch; it increments on every failover.")
+	n.obs.SetHelp("vsgm_node_last_cid", "Highest start-change identifier the node has accepted.")
+	n.obs.SetHelp("vsgm_node_last_vid", "Highest view identifier the node has accepted.")
 	n.obs.SetHelp("vsgm_endpoint_views_installed_total", "Views delivered to the application.")
 	n.obs.SetHelp("vsgm_endpoint_msgs_delivered_total", "Application messages delivered.")
 	n.obs.SetHelp("vsgm_endpoint_forwards_total", "Forwarded message copies sent during reconfigurations.")
@@ -415,72 +432,6 @@ func (n *Node) registerObs() {
 	n.obs.SetHelp("vsgm_endpoint_buffered_bytes", "Bytes the endpoint's message buffers keep resident: a payload's whole pooled buffer when it has one to itself, its length when it is packed into a shared chunk, plus each open chunk's unfilled rest.")
 	n.obs.SetHelp("vsgm_node_mem_bytes", "Bytes governed by the memory budget: transport queues plus what the message buffers pin.")
 	n.obs.SetHelp("vsgm_node_overloaded", "1 while the memory-budget hysteresis latch is shut.")
-	n.obs.SetHelp("vsgm_pool_gets_total", "Buffer requests served by the transport slab pool.")
-	n.obs.SetHelp("vsgm_pool_hits_total", "Pool requests satisfied from a free ring (hits/gets is the recycle ratio).")
-	n.obs.SetHelp("vsgm_pool_misses_total", "Pool requests that had to allocate fresh slabs.")
-	n.obs.SetHelp("vsgm_pool_outstanding", "Pooled buffers currently on loan: read windows, and the buffers and chunks retained messages lie in until stable; zero after Close.")
-}
-
-// linkSamples aggregates per-peer LinkStats into process-level counters.
-func linkSamples(owner obs.Label, links map[types.ProcID]LinkStats) []obs.Sample {
-	var agg LinkStats
-	for _, ls := range links {
-		agg.Dials += ls.Dials
-		agg.DialFailures += ls.DialFailures
-		agg.Reconnects += ls.Reconnects
-		agg.Retries += ls.Retries
-		agg.FramesSent += ls.FramesSent
-		agg.Flushes += ls.Flushes
-		agg.WriteErrors += ls.WriteErrors
-		agg.QueueDrops += ls.QueueDrops
-		agg.ChaosDrops += ls.ChaosDrops
-		agg.ChaosDups += ls.ChaosDups
-		agg.CreditsConsumed += ls.CreditsConsumed
-		agg.CreditsGranted += ls.CreditsGranted
-		agg.CreditFrames += ls.CreditFrames
-		agg.WindowExhausted += ls.WindowExhausted
-		agg.HeartbeatsCoalesced += ls.HeartbeatsCoalesced
-		agg.Reads += ls.Reads
-		agg.FramesReceived += ls.FramesReceived
-	}
-	c := func(name string, v int64) obs.Sample {
-		return obs.Sample{Name: name, Kind: obs.KindCounter, Labels: []obs.Label{owner}, Value: float64(v)}
-	}
-	return []obs.Sample{
-		c("vsgm_link_dials_total", agg.Dials),
-		c("vsgm_link_dial_failures_total", agg.DialFailures),
-		c("vsgm_link_reconnects_total", agg.Reconnects),
-		c("vsgm_link_retries_total", agg.Retries),
-		c("vsgm_link_frames_sent_total", agg.FramesSent),
-		c("vsgm_link_flushes_total", agg.Flushes),
-		c("vsgm_link_write_errors_total", agg.WriteErrors),
-		c("vsgm_link_queue_drops_total", agg.QueueDrops),
-		c("vsgm_link_chaos_drops_total", agg.ChaosDrops),
-		c("vsgm_link_chaos_dups_total", agg.ChaosDups),
-		c("vsgm_link_credits_consumed_total", agg.CreditsConsumed),
-		c("vsgm_link_credits_granted_total", agg.CreditsGranted),
-		c("vsgm_link_credit_frames_total", agg.CreditFrames),
-		c("vsgm_link_window_exhausted_total", agg.WindowExhausted),
-		c("vsgm_link_heartbeats_coalesced_total", agg.HeartbeatsCoalesced),
-		c("vsgm_link_reads_total", agg.Reads),
-		c("vsgm_link_frames_received_total", agg.FramesReceived),
-	}
-}
-
-// poolSamples exposes the receive-slab pool's health: hit ratio is
-// hits/gets; outstanding counts buffers currently on loan — read windows, and
-// large messages held until the view has acknowledged them — which is zero
-// after Close; growth without traffic is a leak.
-func poolSamples(owner obs.Label, ps pool.Stats) []obs.Sample {
-	c := func(name string, kind obs.MetricKind, v int64) obs.Sample {
-		return obs.Sample{Name: name, Kind: kind, Labels: []obs.Label{owner}, Value: float64(v)}
-	}
-	return []obs.Sample{
-		c("vsgm_pool_gets_total", obs.KindCounter, ps.Gets),
-		c("vsgm_pool_hits_total", obs.KindCounter, ps.Hits),
-		c("vsgm_pool_misses_total", obs.KindCounter, ps.Misses),
-		c("vsgm_pool_outstanding", obs.KindGauge, ps.Outstanding),
-	}
 }
 
 // startManager runs the node's periodic maintenance loop: attach requests
@@ -630,9 +581,6 @@ func (n *Node) ID() types.ProcID { return n.id }
 // SetPeers installs the address directory (other clients and the
 // membership servers).
 func (n *Node) SetPeers(peers map[types.ProcID]string) { n.fabric.SetPeers(peers) }
-
-// LinkStats snapshots the node's per-peer transport counters.
-func (n *Node) LinkStats() map[types.ProcID]LinkStats { return n.fabric.Stats() }
 
 // Chaos returns the node's fault-injection controller.
 func (n *Node) Chaos() *Chaos { return n.fabric.Chaos() }
@@ -1139,66 +1087,13 @@ func (n *Node) pumpLoop() {
 	}
 }
 
-// NodeStats is a JSON-able snapshot of a node's counters.
-type NodeStats struct {
-	ID            types.ProcID               `json:"id"`
-	Home          types.ProcID               `json:"home"`
-	Epoch         int64                      `json:"epoch"`
-	LastCID       types.StartChangeID        `json:"last_cid"`
-	LastVid       types.ViewID               `json:"last_vid"`
-	Attaches      int64                      `json:"attaches"`
-	Failovers     int64                      `json:"failovers"`
-	AttachRetries int64                      `json:"attach_retries"`
-	StaleNotifies int64                      `json:"stale_notifies"`
-	SyncProbes    int64                      `json:"sync_probes"`
-	SelfClamps    int64                      `json:"self_clamps"`
-	Links         map[types.ProcID]LinkStats `json:"links"`
-
-	// Flow-control counters: sends that stalled on any gate, non-blocking
-	// sends refused, slow-consumer complaints filed, current budgeted
-	// bytes (transport queues + message buffers), and whether the memory
-	// budget is latched shut.
-	SendsBlocked    int64 `json:"sends_blocked"`
-	SendsOverloaded int64 `json:"sends_overloaded"`
-	SlowReports     int64 `json:"slow_reports"`
-	MemBytes        int64 `json:"mem_bytes"`
-	Overloaded      bool  `json:"overloaded"`
-}
-
-// Stats snapshots the node's attach, failover, probe, and per-link
-// transport counters.
-func (n *Node) Stats() NodeStats {
-	n.amu.Lock()
-	s := NodeStats{
-		ID:            n.id,
-		Home:          n.home,
-		Epoch:         n.epoch,
-		LastCID:       n.lastCID,
-		LastVid:       n.lastVid,
-		Attaches:      n.attaches.Value(),
-		Failovers:     n.failovers.Value(),
-		AttachRetries: n.attachRetries.Value(),
-		StaleNotifies: n.staleNotifies.Value(),
-		SyncProbes:    n.syncProbes.Value(),
-		SelfClamps:    n.selfClamps.Value(),
-	}
-	n.amu.Unlock()
-	s.Links = n.fabric.Stats()
-	s.SendsBlocked = n.sendsBlocked.Value()
-	s.SendsOverloaded = n.sendsOverloaded.Value()
-	s.SlowReports = n.slowReports.Value()
-	s.MemBytes = n.MemUsage()
-	s.Overloaded = n.overloaded.Load()
-	return s
-}
-
 // Close shuts the node down and joins its goroutines. Senders parked on
 // any flow-control gate are released (with ErrOverloaded or ErrBlocked)
 // before the transport and event pump join; the end-point is then closed, which
 // gives back every pooled buffer its message slots still hold (a Send after
-// Close fails with core.ErrCrashed). The node's registry sections are
-// frozen last, so post-close scrapes (and the deployment's final stats
-// print) read the shutdown-complete values without touching the node again.
+// Close fails with core.ErrCrashed). The node's collector is frozen last,
+// so post-close scrapes (and the deployment's final report) read the
+// shutdown-complete values without touching the node again.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		close(n.mgrStop)

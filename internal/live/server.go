@@ -59,14 +59,13 @@ type ServerConfig struct {
 	// Detector tunes the heartbeat failure detector StartHeartbeats runs:
 	// the accrual window size, the suspect/restore hysteresis thresholds,
 	// the flap-damping quarantine base/cap, and the gray grace. The zero
-	// value selects the adaptive engine with its defaults; set
-	// Detector.Mode to membership.DetectorFixed for the legacy binary
-	// last-seen timeout.
+	// value selects the defaults.
 	Detector membership.DetectorConfig
-	// Obs, when set, is the metrics registry the server publishes into
-	// (counters labeled with the server id, a scrape-time collector for the
-	// membership core's counters and aggregated link stats, and the full
-	// ServerStats snapshot as a status section, frozen on Close).
+	// Obs, when set, is the metrics registry the server publishes into — the
+	// only place its numbers are read from: counters labeled with the server
+	// id, and a scrape-time collector for the membership core's and the
+	// detector's counters and the link counters (one series per peer),
+	// frozen on Close.
 	Obs *obs.Registry
 }
 
@@ -121,7 +120,7 @@ type ServerNode struct {
 	leases         map[types.ProcID]time.Time
 	leaseEvictions *obs.Counter
 
-	// obs is the registry the server's sections live in (nil when
+	// obs is the registry the server's collector lives in (nil when
 	// unconfigured; the counters still work as unregistered handles).
 	obs *obs.Registry
 
@@ -257,9 +256,9 @@ func (n *ServerNode) onRecord(p types.ProcID, rec membership.ClientRecord) {
 	}
 }
 
-// registerObs publishes the server's scrape-time sections into the registry:
-// the membership core's counters and aggregated link stats as a collector,
-// the full ServerStats snapshot as a status section. Frozen on Close.
+// registerObs publishes the server's scrape-time collector into the
+// registry: the membership core's and the detector's counters, link and pool
+// counters. Frozen on Close.
 func (n *ServerNode) registerObs() {
 	if n.obs == nil {
 		return
@@ -313,10 +312,10 @@ func (n *ServerNode) registerObs() {
 				Labels: []obs.Label{serverLabel, obs.L("rule", rs.rule)}, Value: float64(rs.v),
 			})
 		}
-		samples = append(samples, linkSamples(serverLabel, n.fabric.Stats())...)
+		samples = append(samples, n.fabric.linkSamples(serverLabel)...)
 		return append(samples, poolSamples(serverLabel, n.fabric.PoolStats())...)
 	})
-	n.obs.RegisterStatus("server/"+string(n.id), func() any { return n.Stats() })
+	setFabricHelp(n.obs)
 	n.obs.SetHelp("vsgm_server_clients", "Local clients currently registered.")
 	n.obs.SetHelp("vsgm_server_evictions_total", "Registrations dropped because a peer claimed the client under a higher epoch.")
 	n.obs.SetHelp("vsgm_server_reproposals_total", "Watchdog-triggered proposal re-sends.")
@@ -377,9 +376,6 @@ func (n *ServerNode) ID() types.ProcID { return n.id }
 
 // SetPeers installs the address directory (peer servers and local clients).
 func (n *ServerNode) SetPeers(peers map[types.ProcID]string) { n.fabric.SetPeers(peers) }
-
-// LinkStats snapshots the server's per-peer transport counters.
-func (n *ServerNode) LinkStats() map[types.ProcID]LinkStats { return n.fabric.Stats() }
 
 // Chaos returns the server's fault-injection controller.
 func (n *ServerNode) Chaos() *Chaos { return n.fabric.Chaos() }
@@ -640,55 +636,11 @@ func (n *ServerNode) handleSuspectLocked(laggard types.ProcID) {
 	}
 }
 
-// ServerStats is a JSON-able snapshot of a server node's counters.
-type ServerStats struct {
-	ID                types.ProcID               `json:"id"`
-	Clients           []types.ProcID             `json:"clients"`
-	AttachesServed    int64                      `json:"attaches_served"`
-	Detaches          int64                      `json:"detaches"`
-	Evictions         int64                      `json:"evictions"`
-	OverloadEvictions int64                      `json:"overload_evictions"`
-	LeaseEvictions    int64                      `json:"lease_evictions"`
-	Reproposals       int64                      `json:"reproposals"`
-	AttemptsRun       int64                      `json:"attempts_run"`
-	ViewsDelivered    int64                      `json:"views_delivered"`
-	WALAppends        int64                      `json:"wal_appends"`
-	WALSnapshots      int64                      `json:"wal_snapshots"`
-	WALErrors         int64                      `json:"wal_errors"`
-	SanitizeClamps    int64                      `json:"sanitize_clamps"`
-	Links             map[types.ProcID]LinkStats `json:"links"`
-}
-
-// Stats snapshots the server node's attach, membership, durability, and
-// per-link transport counters.
-func (n *ServerNode) Stats() ServerStats {
-	n.mu.Lock()
-	s := ServerStats{
-		ID:                n.id,
-		Clients:           n.srv.LocalClients().Sorted(),
-		AttachesServed:    n.attachesServed.Value(),
-		Detaches:          n.detaches.Value(),
-		Evictions:         n.srv.Evictions(),
-		OverloadEvictions: n.overloadEvictions.Value(),
-		LeaseEvictions:    n.leaseEvictions.Value(),
-		Reproposals:       n.srv.Reproposals(),
-		AttemptsRun:       n.srv.AttemptsRun(),
-		ViewsDelivered:    n.srv.ViewsDelivered(),
-		WALAppends:        n.walAppends.Value(),
-		WALSnapshots:      n.walSnapshots.Value(),
-		WALErrors:         n.walErrors.Value(),
-		SanitizeClamps:    n.srv.Sanitized().Total(),
-	}
-	n.mu.Unlock()
-	s.Links = n.fabric.Stats()
-	return s
-}
-
 // Close shuts the server down, joins its goroutines, and closes its store.
 // Idempotent: a kill-path Close followed by a deferred Close must not close
-// the fabric or store twice. The registry sections are frozen last, so a
-// stats print after the kill reads the final values without touching the
-// closed node.
+// the fabric or store twice. The registry collector is frozen last, so a
+// report after the kill reads the final values without touching the closed
+// node.
 func (n *ServerNode) Close() {
 	n.closeOnce.Do(func() {
 		n.mu.Lock()

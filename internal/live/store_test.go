@@ -249,14 +249,15 @@ func TestServerCountsStoreFailures(t *testing.T) {
 		w.waitFullView("a view from a server whose store refuses writes", floor)
 	}
 
-	st := w.servers[0].Stats()
-	if st.WALAppends != okAppends || st.WALSnapshots != 0 {
-		t.Fatalf("%d appends and %d snapshots counted, want %d and 0", st.WALAppends, st.WALSnapshots, okAppends)
+	sn := w.servers[0]
+	if appends, snapshots := sn.walAppends.Value(), sn.walSnapshots.Value(); appends != okAppends || snapshots != 0 {
+		t.Fatalf("%d appends and %d snapshots counted, want %d and 0", appends, snapshots, okAppends)
 	}
 	// Every good append was followed by a refused snapshot; each view since
 	// recorded identifiers for two clients into a full disk.
-	if st.WALErrors < okAppends+4 {
-		t.Fatalf("%d store errors counted, want at least %d", st.WALErrors, okAppends+4)
+	walErrors := sn.walErrors.Value()
+	if walErrors < okAppends+4 {
+		t.Fatalf("%d store errors counted, want at least %d", walErrors, okAppends+4)
 	}
 	var scraped float64
 	for _, s := range reg.Snapshot().Samples {
@@ -264,8 +265,8 @@ func TestServerCountsStoreFailures(t *testing.T) {
 			scraped = s.Value
 		}
 	}
-	if int64(scraped) < st.WALErrors {
-		t.Fatalf("vsgm_server_wal_errors_total scrapes as %v, the server counted %d", scraped, st.WALErrors)
+	if int64(scraped) < walErrors {
+		t.Fatalf("vsgm_server_wal_errors_total scrapes as %v, the server counted %d", scraped, walErrors)
 	}
 	if err := w.specErr(); err != nil {
 		t.Fatal(err)

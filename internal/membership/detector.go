@@ -7,23 +7,6 @@ import (
 	"vsgm/internal/types"
 )
 
-// DetectorMode selects the suspicion engine of the failure detector.
-type DetectorMode int
-
-const (
-	// DetectorAdaptive is the default engine: phi-accrual suspicion over a
-	// sliding window of heartbeat inter-arrival times, with a hysteresis
-	// band between the suspect and restore thresholds, exponential rejoin
-	// quarantine for flapping peers, and gray-failure reconciliation from
-	// the reachability bitmaps peers piggyback on their heartbeats.
-	DetectorAdaptive DetectorMode = iota
-	// DetectorFixed is the compatibility engine: the original binary
-	// last-seen timeout. No accrual scoring, no damping, no bitmap
-	// reconciliation — a peer is reachable iff a heartbeat arrived within
-	// the timeout.
-	DetectorFixed
-)
-
 // Defaults for the zero DetectorConfig. Exported so the operator docs and
 // the CLI flag defaults cannot drift from the implementation.
 const (
@@ -52,17 +35,14 @@ const (
 	// cycles (a restart, one genuine partition) rejoin immediately.
 	flapThreshold = 3
 	// minPhiSamples is how many inter-arrival samples the window needs
-	// before accrual scoring engages; until then the fixed timeout decides,
-	// so a freshly booted detector behaves exactly like the legacy one.
+	// before accrual scoring engages; until then the timeout decides, so a
+	// freshly booted detector suspects exactly at the heartbeat timeout.
 	minPhiSamples = 3
 )
 
-// DetectorConfig tunes the adaptive failure detector. The zero value
-// selects DetectorAdaptive with the defaults above; set Mode to
-// DetectorFixed for the legacy binary-timeout behavior.
+// DetectorConfig tunes the failure detector. The zero value selects the
+// defaults above.
 type DetectorConfig struct {
-	// Mode selects the suspicion engine.
-	Mode DetectorMode
 	// Window is the sliding-window length for heartbeat inter-arrival
 	// samples; 0 selects DefaultDetectorWindow.
 	Window int
@@ -88,7 +68,7 @@ type DetectorConfig struct {
 }
 
 // normalize fills zero fields with defaults; timeout is the constructor's
-// fixed-timeout fallback used while the window is cold.
+// binary-timeout fallback used while the window is cold.
 func (c DetectorConfig) normalize(timeout time.Duration) DetectorConfig {
 	if c.Window <= 0 {
 		c.Window = DefaultDetectorWindow
@@ -124,7 +104,6 @@ func (c DetectorConfig) normalize(timeout time.Duration) DetectorConfig {
 // observability surface. Totals are monotone; Quarantined and GrayExcluded
 // are current-state gauges.
 type DetectorStats struct {
-	Mode           DetectorMode
 	Suspects       int64 // verdict crossings into suspicion
 	Flaps          int64 // suspect-to-restore crossings (the damped signal)
 	Quarantines    int64 // rejoin quarantines imposed
@@ -143,8 +122,13 @@ type peerState struct {
 	intervals []time.Duration
 	ringIdx   int
 
-	// Hysteresis latch and flap damping.
+	// Hysteresis latch and flap damping. evidence is the instant of the
+	// latest external suspicion (Suspect) no heartbeat has answered yet, zero
+	// when there is none: while it is set the latch holds whatever the score
+	// says, because the score only measures silence and link evidence
+	// arrives long before silence does.
 	suspected       bool
+	evidence        time.Time
 	flapScore       float64
 	lastFlap        time.Time
 	quarantineUntil time.Time
@@ -171,8 +155,7 @@ type peerState struct {
 // changes. This keeps it usable under both the simulated clock and real
 // time.
 //
-// In the adaptive mode the verdict is shaped by three mechanisms beyond
-// the raw timeout:
+// The verdict is shaped by three mechanisms beyond the raw timeout:
 //
 //   - Accrual suspicion: the score phi = log10(e) * elapsed/(mean+stddev)
 //     over a sliding window of inter-arrival times (an exponential-tail
@@ -209,17 +192,10 @@ type Detector struct {
 	stats     DetectorStats
 }
 
-// NewDetector builds a detector for server self among the given peer set
-// (which includes self), in the legacy fixed-timeout compatibility mode: a
-// peer is suspected after timeout without a heartbeat, nothing else.
-// Initially every peer is unsuspected, anchored at start.
-func NewDetector(self types.ProcID, peers types.ProcSet, timeout time.Duration, start time.Time) *Detector {
-	return NewDetectorWith(self, peers, timeout, start, DetectorConfig{Mode: DetectorFixed})
-}
-
-// NewDetectorWith builds a detector with an explicit configuration. The
-// timeout remains meaningful in the adaptive mode: it decides while the
-// inter-arrival window is cold and defaults the gray grace.
+// NewDetectorWith builds a detector for server self among the given peer
+// set (which includes self), every peer unsuspected and anchored at start.
+// The timeout decides while a peer's inter-arrival window is cold and
+// defaults the gray grace.
 func NewDetectorWith(self types.ProcID, peers types.ProcSet, timeout time.Duration, start time.Time, cfg DetectorConfig) *Detector {
 	d := &Detector{
 		self:    self,
@@ -228,7 +204,6 @@ func NewDetectorWith(self types.ProcID, peers types.ProcSet, timeout time.Durati
 		cfg:     cfg.normalize(timeout),
 		state:   make(map[types.ProcID]*peerState, peers.Len()),
 	}
-	d.stats.Mode = d.cfg.Mode
 	for p := range peers {
 		d.state[p] = &peerState{lastSeen: start}
 	}
@@ -266,6 +241,9 @@ func (d *Detector) OnHeartbeatInfo(from types.ProcID, at time.Time, reach types.
 		}
 		st.lastSeen = at
 		st.heard = true
+		if !at.Before(st.evidence) { // answers the evidence; a tie goes to the heartbeat
+			st.evidence = time.Time{}
+		}
 	}
 	if reach == nil {
 		return
@@ -306,9 +284,11 @@ func (d *Detector) sample(st *peerState, dt time.Duration) {
 // Suspect records external evidence (as of instant at) that peer p is
 // unreachable — typically a broken or repeatedly undialable transport
 // link — so the next Tick excludes it immediately instead of waiting out
-// the heartbeat horizon. A subsequent heartbeat from p restores trust as
-// usual. Evidence not after the last heartbeat is stale and ignored: on an
-// exact tie the heartbeat wins (see OnHeartbeatInfo).
+// the heartbeat horizon. The suspicion holds until a heartbeat from p not
+// older than the evidence arrives; the restore that follows is an ordinary
+// one, flap damping included. Evidence not after the last heartbeat is
+// stale and ignored: on an exact tie the heartbeat wins (see
+// OnHeartbeatInfo).
 func (d *Detector) Suspect(p types.ProcID, at time.Time) {
 	if p == d.self {
 		return
@@ -320,10 +300,8 @@ func (d *Detector) Suspect(p types.ProcID, at time.Time) {
 	if !at.After(st.lastSeen) {
 		return // stale or tied evidence: a heartbeat arrived at or after it
 	}
-	if d.cfg.Mode == DetectorFixed {
-		// Legacy mechanism: push the last-seen time past the timeout horizon.
-		st.lastSeen = at.Add(-d.timeout - time.Nanosecond)
-		return
+	if at.After(st.evidence) {
+		st.evidence = at
 	}
 	if !st.suspected {
 		st.suspected = true
@@ -332,11 +310,11 @@ func (d *Detector) Suspect(p types.ProcID, at time.Time) {
 }
 
 // Phi returns the current accrual suspicion score for peer p at the given
-// instant (0 while the window is cold or in fixed mode) — the value the
-// deployment surfaces as the vsgm_detector_phi histogram.
+// instant — the value the deployment surfaces as the vsgm_detector_phi
+// histogram.
 func (d *Detector) Phi(p types.ProcID, now time.Time) float64 {
 	st, ok := d.state[p]
-	if !ok || p == d.self || d.cfg.Mode == DetectorFixed {
+	if !ok || p == d.self {
 		return 0
 	}
 	return d.phi(st, now.Sub(st.lastSeen))
@@ -409,34 +387,11 @@ func (st *peerState) brokenSustained(q types.ProcID, now time.Time, grace time.D
 	return ok && now.Sub(since) > grace
 }
 
-// Tick re-evaluates suspicions at the given instant. It returns the
-// reachable set and whether it changed since the last verdict.
+// Tick re-evaluates suspicions at the given instant — the accrual, damping
+// and reconciliation verdict. It returns the reachable set and whether it
+// changed since the last verdict.
 func (d *Detector) Tick(now time.Time) (types.ProcSet, bool) {
 	next := types.NewProcSet(d.self)
-	if d.cfg.Mode == DetectorFixed {
-		for p, st := range d.state {
-			if p == d.self {
-				continue
-			}
-			if now.Sub(st.lastSeen) <= d.timeout {
-				next.Add(p)
-			}
-		}
-		d.hearing = next.Clone()
-	} else {
-		d.tickAdaptive(now, next)
-	}
-	changed := !next.Equal(d.reachable)
-	if changed {
-		d.stats.VerdictChanges++
-	}
-	d.reachable = next
-	return next.Clone(), changed
-}
-
-// tickAdaptive runs the accrual/damping/reconciliation verdict, adding the
-// trusted peers to next.
-func (d *Detector) tickAdaptive(now time.Time, next types.ProcSet) {
 	d.stats.Quarantined = 0
 	for p, st := range d.state {
 		if p == d.self {
@@ -446,7 +401,7 @@ func (d *Detector) tickAdaptive(now time.Time, next types.ProcSet) {
 		if !st.suspected && score >= d.cfg.SuspectPhi {
 			st.suspected = true
 			d.stats.Suspects++
-		} else if st.suspected && score <= d.cfg.RestorePhi {
+		} else if st.suspected && score <= d.cfg.RestorePhi && st.evidence.IsZero() {
 			st.suspected = false
 			d.noteFlap(st, now)
 		}
@@ -518,6 +473,13 @@ func (d *Detector) tickAdaptive(now time.Time, next types.ProcSet) {
 		}
 	}
 	d.stats.GrayExcluded = grayExcluded
+
+	changed := !next.Equal(d.reachable)
+	if changed {
+		d.stats.VerdictChanges++
+	}
+	d.reachable = next
+	return next.Clone(), changed
 }
 
 // Reachable returns the current verdict.
@@ -525,9 +487,8 @@ func (d *Detector) Reachable() types.ProcSet { return d.reachable.Clone() }
 
 // Bitmap returns the reachability bitmap to piggyback on outgoing
 // heartbeats: the hearing set as of the last Tick — suspicion and
-// quarantine applied, gray reconciliation NOT applied (see tickAdaptive
-// for why echoing the reconciled verdict would deadlock heals). In fixed
-// mode it coincides with Reachable.
+// quarantine applied, gray reconciliation NOT applied (see Tick for why
+// echoing the reconciled verdict would deadlock heals).
 func (d *Detector) Bitmap() types.ProcSet { return d.hearing.Clone() }
 
 // Stats snapshots the detector's counters.

@@ -21,27 +21,21 @@ func warmDetector(d *Detector, p types.ProcID, start time.Time, beats int) time.
 
 // TestDetectorHeartbeatSuspectTieBreak pins the equal-timestamp semantics:
 // a heartbeat and a suspicion carrying the same instant must resolve to
-// "trusted" regardless of which call lands first and in both engines — a
-// heartbeat is direct evidence of liveness, a suspicion only inference.
-// Before the tie-break was made explicit, the fixed engine resolved the
-// race by call order: Suspect-then-heartbeat trusted, heartbeat-then-
-// Suspect suspected a peer that had just proven itself alive.
+// "trusted" regardless of which call lands first — a heartbeat is direct
+// evidence of liveness, a suspicion only inference.
 func TestDetectorHeartbeatSuspectTieBreak(t *testing.T) {
 	start := time.Unix(0, 0)
 	peers := types.NewProcSet("A", "B")
 	cases := []struct {
 		name    string
-		mode    DetectorMode
 		hbFirst bool
 	}{
-		{"fixed heartbeat-then-suspect", DetectorFixed, true},
-		{"fixed suspect-then-heartbeat", DetectorFixed, false},
-		{"adaptive heartbeat-then-suspect", DetectorAdaptive, true},
-		{"adaptive suspect-then-heartbeat", DetectorAdaptive, false},
+		{"adaptive heartbeat-then-suspect", true},
+		{"adaptive suspect-then-heartbeat", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewDetectorWith("A", peers, 50*time.Millisecond, start, DetectorConfig{Mode: tc.mode})
+			d := NewDetectorWith("A", peers, 50*time.Millisecond, start, DetectorConfig{})
 			d.Tick(start)
 			at := start.Add(30 * time.Millisecond)
 			if tc.hbFirst {
@@ -287,28 +281,5 @@ func TestDetectorGrayPairRule(t *testing.T) {
 	d.OnHeartbeatInfo("B", at, peers)
 	if reachable, _ := d.Tick(at); !reachable.Equal(peers) {
 		t.Fatalf("healed pair not re-admitted: %s", reachable)
-	}
-}
-
-// TestDetectorLegacyConstructorIsFixedMode pins the compatibility contract:
-// NewDetector (the signature every pre-adaptive call site uses) selects the
-// fixed engine, whose verdict is the plain binary timeout.
-func TestDetectorLegacyConstructorIsFixedMode(t *testing.T) {
-	start := time.Unix(0, 0)
-	d := NewDetector("A", types.NewProcSet("A", "B"), 50*time.Millisecond, start)
-	if st := d.Stats(); st.Mode != DetectorFixed {
-		t.Fatalf("NewDetector mode = %v, want DetectorFixed", st.Mode)
-	}
-	d.Tick(start)
-	if phi := d.Phi("B", start.Add(time.Hour)); phi != 0 {
-		t.Fatalf("fixed mode reports phi %v, want 0", phi)
-	}
-	// One nanosecond inside the timeout: trusted. One past: suspected.
-	d.OnHeartbeat("B", start.Add(10*time.Millisecond))
-	if reachable, _ := d.Tick(start.Add(60 * time.Millisecond)); !reachable.Contains("B") {
-		t.Fatal("fixed mode suspected inside the timeout")
-	}
-	if reachable, _ := d.Tick(start.Add(60*time.Millisecond + time.Nanosecond)); reachable.Contains("B") {
-		t.Fatal("fixed mode trusted past the timeout")
 	}
 }

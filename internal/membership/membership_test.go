@@ -207,7 +207,7 @@ func TestNotificationString(t *testing.T) {
 func TestDetectorSuspectsAndTrustsAgain(t *testing.T) {
 	start := time.Unix(0, 0)
 	peers := types.NewProcSet("A", "B", "C")
-	d := NewDetector("A", peers, 50*time.Millisecond, start)
+	d := NewDetectorWith("A", peers, 50*time.Millisecond, start, DetectorConfig{})
 
 	// Bootstrap: the first tick reports full reachability as a change.
 	reachable, changed := d.Tick(start)
@@ -245,7 +245,7 @@ func TestDetectorSuspectsAndTrustsAgain(t *testing.T) {
 
 func TestDetectorIgnoresStrangersAndStaleBeats(t *testing.T) {
 	start := time.Unix(0, 0)
-	d := NewDetector("A", types.NewProcSet("A", "B"), 50*time.Millisecond, start)
+	d := NewDetectorWith("A", types.NewProcSet("A", "B"), 50*time.Millisecond, start, DetectorConfig{})
 	d.Tick(start)
 
 	d.OnHeartbeat("ghost", start.Add(10*time.Millisecond))
@@ -264,7 +264,7 @@ func TestDetectorIgnoresStrangersAndStaleBeats(t *testing.T) {
 func TestDetectorSuspectIsImmediateAndRecoverable(t *testing.T) {
 	start := time.Unix(0, 0)
 	peers := types.NewProcSet("A", "B", "C")
-	d := NewDetector("A", peers, 50*time.Millisecond, start)
+	d := NewDetectorWith("A", peers, 50*time.Millisecond, start, DetectorConfig{})
 	d.Tick(start)
 
 	// External link-failure evidence removes B well before the heartbeat

@@ -130,8 +130,7 @@ type jsonHistogram struct {
 // WriteJSON renders the registry as one JSON object:
 //
 //	{"metrics": {"name{labels}": value, ...},
-//	 "histograms": {"name{labels}": {count, sum, p50, p95, p99}, ...},
-//	 "status": {"owner": <section>, ...}}
+//	 "histograms": {"name{labels}": {count, sum, p50, p95, p99}, ...}}
 func (r *Registry) WriteJSON(w io.Writer) error {
 	snap := r.Snapshot()
 	metrics := make(map[string]float64, len(snap.Samples))
@@ -148,12 +147,10 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			P99:   h.Snap.Quantile(0.99),
 		}
 	}
-	status, _ := r.StatusSnapshot()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(map[string]any{
 		"metrics":    metrics,
 		"histograms": hists,
-		"status":     status,
 	})
 }

@@ -11,7 +11,7 @@ import (
 // DebugServer is the opt-in observability HTTP listener:
 //
 //	/metrics        Prometheus text exposition of the registry
-//	/statusz        JSON: metrics, histogram quantiles, status sections
+//	/statusz        JSON: metrics and histogram quantiles
 //	/tracez         plain-text reconfiguration timelines (when a Tracer is attached)
 //	/debug/pprof/*  the standard pprof handlers
 //

@@ -2,17 +2,18 @@
 // registry (counters, gauges, bounded histograms with quantile snapshots), a
 // protocol trace layer that timestamps every reconfiguration's
 // start_change → sync-send → sync-recv → view-install timeline per
-// end-point, and an exposition surface (Prometheus text format, JSON
-// status, pprof) served by an opt-in debug HTTP listener.
+// end-point, and an exposition surface (Prometheus text format, a JSON
+// rendering of the same series, pprof) served by an opt-in debug HTTP
+// listener.
 //
-// The registry absorbs the per-layer counters that previously lived as
-// scattered struct fields in internal/live and internal/core: layers either
-// allocate their counters directly from a Registry (the storage *is* the
-// metric) or register a collector that snapshots an existing stats struct at
-// scrape time. A collector can be frozen when its owner shuts down
-// (Registry.Detach), so a closed node's final numbers remain scrapeable
-// without touching the closed structs — which is what lets vsgm-live print
-// stats after killing a server without racing its shutdown.
+// The registry is the one place a live node's numbers are read from. Layers
+// either allocate their counters directly from a Registry (the storage *is*
+// the metric) or register a collector that reads state the layer keeps
+// anyway — atomics, automaton gauges — at scrape time. A collector can be
+// frozen when its owner shuts down (Registry.Detach), so a closed node's
+// final numbers remain scrapeable without touching the closed structs —
+// which is what lets vsgm-live report on a killed server without racing its
+// shutdown.
 package obs
 
 import (
@@ -212,7 +213,7 @@ type series struct {
 }
 
 // Registry holds the process's metrics. Registration (Counter, Gauge,
-// Histogram, RegisterCollector, RegisterStatus) takes the registry lock;
+// Histogram, RegisterCollector) takes the registry lock;
 // updates through the returned handles are lock-free atomics. A nil
 // *Registry is valid everywhere and returns working (but unregistered)
 // handles, so instrumented code never needs nil checks on its hot paths.
@@ -223,9 +224,6 @@ type Registry struct {
 	help       map[string]string  // metric name -> help (first registration wins)
 	collectors map[string]func() []Sample
 	frozen     map[string][]Sample
-	status     map[string]func() any
-	frozenStat map[string]any
-	statOrder  []string
 }
 
 // NewRegistry returns an empty registry.
@@ -235,8 +233,6 @@ func NewRegistry() *Registry {
 		help:       make(map[string]string),
 		collectors: make(map[string]func() []Sample),
 		frozen:     make(map[string][]Sample),
-		status:     make(map[string]func() any),
-		frozenStat: make(map[string]any),
 	}
 }
 
@@ -337,7 +333,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // RegisterCollector installs a scrape-time sample source under an owner key.
 // The function is called on every snapshot/exposition; it should read its
-// stats structs under their own locks and return quickly. Re-registering an
+// component's state under the component's own locks and return quickly. Re-registering an
 // owner replaces its collector (and clears any frozen samples).
 func (r *Registry) RegisterCollector(owner string, fn func() []Sample) {
 	if r == nil {
@@ -349,55 +345,27 @@ func (r *Registry) RegisterCollector(owner string, fn func() []Sample) {
 	delete(r.frozen, owner)
 }
 
-// RegisterStatus installs a JSON-able status section (served under /statusz)
-// under an owner key. Like collectors, status functions are evaluated at
-// scrape time and can be frozen by Detach.
-func (r *Registry) RegisterStatus(owner string, fn func() any) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, seen := r.status[owner]; !seen {
-		if _, frozenSeen := r.frozenStat[owner]; !frozenSeen {
-			r.statOrder = append(r.statOrder, owner)
-		}
-	}
-	r.status[owner] = fn
-	delete(r.frozenStat, owner)
-}
-
-// Detach freezes an owner's collector and status section: each is evaluated
-// one final time and the cached result is served from then on. Call it when
-// the owning component shuts down, before its internals become unsafe to
-// read; scrapes after that never touch the closed component. Detach is
-// idempotent.
+// Detach freezes an owner's collector: it is evaluated one final time and
+// the cached samples are served from then on. Call it when the owning
+// component shuts down, before its internals become unsafe to read; scrapes
+// after that never touch the closed component. Detach is idempotent.
 func (r *Registry) Detach(owner string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	fn := r.collectors[owner]
-	sfn := r.status[owner]
 	r.mu.Unlock()
+	if fn == nil {
+		return
+	}
 	// Evaluate outside the registry lock: collectors take component locks.
-	var samples []Sample
-	if fn != nil {
-		samples = fn()
-	}
-	var stat any
-	if sfn != nil {
-		stat = sfn()
-	}
+	samples := fn()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if fn != nil && r.collectors[owner] != nil {
+	if r.collectors[owner] != nil {
 		r.frozen[owner] = samples
 		delete(r.collectors, owner)
-	}
-	if sfn != nil && r.status[owner] != nil {
-		r.frozenStat[owner] = stat
-		delete(r.status, owner)
 	}
 }
 
@@ -488,27 +456,4 @@ func (r *Registry) Help(name string) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.help[name]
-}
-
-// StatusSnapshot evaluates every status section (live or frozen) and
-// returns owner -> value, plus the registration order of owners.
-func (r *Registry) StatusSnapshot() (map[string]any, []string) {
-	if r == nil {
-		return nil, nil
-	}
-	r.mu.RLock()
-	fns := make(map[string]func() any, len(r.status))
-	for k, fn := range r.status {
-		fns[k] = fn
-	}
-	out := make(map[string]any, len(r.status)+len(r.frozenStat))
-	for k, v := range r.frozenStat {
-		out[k] = v
-	}
-	order := append([]string(nil), r.statOrder...)
-	r.mu.RUnlock()
-	for k, fn := range fns {
-		out[k] = fn()
-	}
-	return out, order
 }

@@ -79,7 +79,6 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 	reg.RegisterCollector("side", func() []Sample {
 		return []Sample{{Name: "vsgm_side_gauge", Kind: KindGauge, Value: 1}}
 	})
-	reg.RegisterStatus("side", func() any { return map[string]int{"x": 1} })
 	const workers = 8
 	const iters = 2000
 	var wg sync.WaitGroup
@@ -123,7 +122,7 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 	}
 }
 
-func TestDetachFreezesCollectorAndStatus(t *testing.T) {
+func TestDetachFreezesCollector(t *testing.T) {
 	reg := NewRegistry()
 	live := int64(1)
 	var mu sync.Mutex
@@ -131,11 +130,6 @@ func TestDetachFreezesCollectorAndStatus(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return []Sample{{Name: "vsgm_live_value", Kind: KindGauge, Value: float64(live)}}
-	})
-	reg.RegisterStatus("node/p00", func() any {
-		mu.Lock()
-		defer mu.Unlock()
-		return live
 	})
 	mu.Lock()
 	live = 42
@@ -156,10 +150,6 @@ func TestDetachFreezesCollectorAndStatus(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("frozen collector sample missing from snapshot")
-	}
-	status, _ := reg.StatusSnapshot()
-	if status["node/p00"] != int64(42) {
-		t.Fatalf("frozen status = %v, want 42", status["node/p00"])
 	}
 	reg.Detach("node/p00") // idempotent
 }
@@ -224,8 +214,8 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if out := get("/metrics"); !strings.Contains(out, "vsgm_x_total 1") {
 		t.Errorf("/metrics missing counter:\n%s", out)
 	}
-	if out := get("/statusz"); !strings.Contains(out, `"metrics"`) {
-		t.Errorf("/statusz not JSON-shaped:\n%s", out)
+	if out := get("/statusz"); !strings.Contains(out, `"metrics"`) || strings.Contains(out, `"status"`) {
+		t.Errorf("/statusz is not metrics and histograms alone:\n%s", out)
 	}
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Error("/debug/pprof/cmdline empty")

@@ -340,7 +340,7 @@ func (w *ServerWorld) RunWithHeartbeats(window, interval, timeout time.Duration)
 	serverSet := types.NewProcSet(w.serverIDs...)
 	for _, sid := range w.serverIDs {
 		if w.detectors[sid] == nil {
-			w.detectors[sid] = membership.NewDetector(sid, serverSet, timeout, virtualTime(w.Now()))
+			w.detectors[sid] = membership.NewDetectorWith(sid, serverSet, timeout, virtualTime(w.Now()), membership.DetectorConfig{})
 		}
 	}
 	deadline := w.Now() + window

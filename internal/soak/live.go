@@ -41,8 +41,7 @@ type LiveConfig struct {
 	// Scenario is the phase mix; default LiveScenario().
 	Scenario *Scenario
 	// Detector tunes the servers' failure detectors. The zero value selects
-	// the adaptive engine with its defaults; set Mode to
-	// membership.DetectorFixed for the legacy binary timeout.
+	// the defaults.
 	Detector membership.DetectorConfig
 	// ChurnBudget bounds how many membership views one client may install
 	// per chaos transition over the whole run (spec.CheckChurn; every block,
@@ -128,6 +127,7 @@ type liveRun struct {
 	servers   map[types.ProcID]*live.ServerNode
 	clients   map[types.ProcID]*live.Node
 	stateDirs map[types.ProcID]string
+	reg       *obs.Registry // every node's numbers, and the tracer's
 	tracer    *obs.Tracer
 	crowdSeq  int
 	clientSeq int // distinct MsgIDBase per node ever created, survivors and crowds alike
@@ -193,10 +193,11 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 		servers:   make(map[types.ProcID]*live.ServerNode),
 		clients:   make(map[types.ProcID]*live.Node),
 		stateDirs: make(map[types.ProcID]string),
-		tracer:    obs.NewTracer(obs.NewRegistry()),
 		suite:     spec.FullSuite(spec.WithTrace()),
 		dlvrs:     make(map[types.ProcID]int),
 	}
+	r.reg = obs.NewRegistry()
+	r.tracer = obs.NewTracer(r.reg)
 	report := &Report{Mode: "live", Seed: cfg.Seed, Schedule: r.sched, SampleEvery: 1}
 	defer r.closeAll()
 
@@ -234,7 +235,7 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 		r.mu.Lock()
 		mark := len(r.suite.Trace())
 		r.mu.Unlock()
-		if err := r.waitFullView("final full view", 0); err != nil {
+		if err := r.settle("final full view"); err != nil {
 			phaseErr = err
 		} else if err := r.trafficRound("final"); err != nil {
 			phaseErr = err
@@ -336,6 +337,7 @@ func (r *liveRun) newServer(sid types.ProcID, addr, stateDir string) (*live.Serv
 		AttachLease: liveAttachLease,
 		Transport:   soakTransport(),
 		Detector:    r.cfg.Detector,
+		Obs:         r.reg,
 	})
 	if err != nil {
 		store.Close()
@@ -359,6 +361,7 @@ func (r *liveRun) newClient(cid types.ProcID, rotate int) (*live.Node, error) {
 		AttachInterval: liveAttachInterval,
 		AttachTimeout:  liveAttachTimeout,
 		Transport:      soakTransport(),
+		Obs:            r.reg,
 		Tracer:         r.tracer,
 		Observe:        func(ev core.Event) { r.onEvent(cid, ev) },
 		OnSend:         func(m types.AppMsg) { r.onSend(cid, m.ID) },
@@ -495,11 +498,19 @@ func (r *liveRun) waitFullView(what string, floor types.ViewID) error {
 			v := node.CurrentView()
 			fmt.Fprintf(&b, " %s[home=%s vid=%d members=%d]", cid, node.Home(), v.ID, v.Members.Len())
 		}
+		scraped := make(map[string]float64) // "<server> <metric>"
+		for _, s := range r.reg.Snapshot().Samples {
+			for _, l := range s.Labels {
+				if l.Key == "server" {
+					scraped[l.Value+" "+s.Name] = s.Value
+				}
+			}
+		}
 		for _, sid := range r.serverIDs {
 			sn := r.servers[sid]
-			st := sn.Stats()
-			fmt.Fprintf(&b, " %s[reach=%s clients=%d attempts=%d views=%d repro=%d evict=%d]",
-				sid, sn.Reachable(), len(st.Clients), st.AttemptsRun, st.ViewsDelivered, st.Reproposals, st.Evictions)
+			count := func(name string) float64 { return scraped[string(sid)+" vsgm_server_"+name+"_total"] }
+			fmt.Fprintf(&b, " %s[reach=%s clients=%d attempts=%v views=%v repro=%v evict=%v]",
+				sid, sn.Reachable(), sn.Clients().Len(), count("attempts"), count("views_delivered"), count("reproposals"), count("evictions"))
 		}
 		return violationf("%v (floor %d, want %d members);%s", err, floor, all.Len(), b.String())
 	}
@@ -687,6 +698,23 @@ func (r *liveRun) waitServersIntegrated() error {
 		}
 		return true
 	})
+}
+
+// settle waits for a cluster with nothing left in flight: servers mutually
+// re-admitted, and every client in a full view newer than any installed so
+// far, which a forced reconfiguration owes them. Only a client attached to a
+// live home takes part in that view, so one still homed at a server a phase
+// killed and restarted under it — its dead link not yet noticed — holds the
+// wait until it has failed over and re-attached; a floor-0 wait passes on its
+// stale view. The forced reconfiguration counts as a transition.
+func (r *liveRun) settle(what string) error {
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	r.transitions++
+	floor := r.maxViewID()
+	r.servers[r.serverIDs[0]].Reconfigure()
+	return r.waitFullView(what, floor)
 }
 
 // retire banks a server's detector counters and closes it, so end-of-run
@@ -1040,15 +1068,21 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		r.sched.Note(at, kind, "scramble %s's in-memory identifiers with %s values (cid=%d vid=%d sc=%d)",
 			victim, flavour, cid, vid, sc)
 		r.transitions += 2 // the scramble and the forced reconfiguration
-		node.ScrambleIdentifiers(cid, vid, sc)
-		// A reconfiguration observing the poisoned watermarks reaches every
-		// client only through mutually re-admitted servers; the sleep gives
-		// the victim's next attach ticks time to self-clamp (impossible
-		// flavour) or land the scrambled claim (huge flavour) before the
-		// attempt that must out-bid it.
-		if err := r.waitServersIntegrated(); err != nil {
+		// The scramble lands on a settled cluster (servers mutually
+		// re-admitted, so the reconfiguration observing the poisoned
+		// watermarks reaches every client) with the victim attached to a live
+		// home that holds the watermark the scramble erases. A victim caught
+		// mid-failover carries its watermark only in the claim of its next
+		// attach; erasing it there, before a home whose records an earlier
+		// phase destroyed, loses the client's history outright — no protocol
+		// can mint above identifiers that nobody remembers.
+		if err := r.settle("cluster settled before the client scramble"); err != nil {
 			return err
 		}
+		node.ScrambleIdentifiers(cid, vid, sc)
+		// The sleep gives the victim's next attach ticks time to self-clamp
+		// (impossible flavour) or land the scrambled claim (huge flavour)
+		// before the attempt that must out-bid it.
 		time.Sleep(4 * liveAttachInterval)
 		home := node.Home()
 		sn, ok := r.servers[home]
