@@ -1,8 +1,6 @@
 // Command vsgm-bench runs the reproduction experiments E1-E12 (see DESIGN.md
 // Section 4) and prints their result tables. It regenerates the measured
-// numbers recorded in EXPERIMENTS.md. With -kv it instead runs the sharded
-// KV YCSB-style workload sweep (see docs/SHARDING.md) and reports aggregate
-// throughput versus shard count.
+// numbers recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -10,7 +8,6 @@
 //	vsgm-bench -exp E1,E4      # run selected experiments
 //	vsgm-bench -markdown       # emit GitHub-flavored markdown tables
 //	vsgm-bench -seed 7 -reps 3 # change the environment
-//	vsgm-bench -kv -kv-shards 1,2,4 -kv-dist zipfian
 package main
 
 import (
@@ -44,32 +41,9 @@ func run(args []string, out io.Writer) error {
 		jitter    = fs.Duration("jitter", 5*time.Millisecond, "link latency jitter (±)")
 		mRound    = fs.Duration("membership-round", 10*time.Millisecond, "membership agreement round duration")
 		debugAddr = fs.String("debug-addr", "", "serve run progress on /metrics and /statusz plus pprof on this address while the experiments run")
-		kv        = fs.Bool("kv", false, "run the sharded KV YCSB workload sweep instead of the experiments")
-		kvShards  = fs.String("kv-shards", "1,2,4", "kv: comma-separated shard counts to sweep")
-		kvOps     = fs.Int("kv-ops", 400, "kv: operations per deployment")
-		kvKeys    = fs.Int("kv-keys", 256, "kv: key-space size")
-		kvRead    = fs.Float64("kv-read", 0.5, "kv: fraction of operations that are reads")
-		kvDist    = fs.String("kv-dist", "zipfian", "kv: key distribution, zipfian or uniform")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *kv {
-		counts, err := parseShardCounts(*kvShards)
-		if err != nil {
-			return err
-		}
-		if *kvDist != "zipfian" && *kvDist != "uniform" {
-			return fmt.Errorf("unknown -kv-dist %q (want zipfian or uniform)", *kvDist)
-		}
-		if *kvKeys < 2 || *kvOps < 1 {
-			return fmt.Errorf("-kv-keys must be >= 2 and -kv-ops >= 1")
-		}
-		return runKVBench(kvBenchConfig{
-			shardCounts: counts, ops: *kvOps, keys: *kvKeys,
-			readFrac: *kvRead, dist: *kvDist, seed: *seed,
-		}, out, *markdown)
 	}
 
 	// The debug listener is chiefly a pprof surface for profiling the

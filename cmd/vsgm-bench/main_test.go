@@ -43,44 +43,3 @@ func TestRunList(t *testing.T) {
 		}
 	}
 }
-
-// TestKVBenchScalesWithShards is the sharding acceptance measurement: the
-// YCSB-style mixed workload must show at least 2x aggregate virtual-time
-// throughput going from 1 shard to 4 on the sim fabric (the run is fully
-// deterministic at a fixed seed).
-func TestKVBenchScalesWithShards(t *testing.T) {
-	cfg := kvBenchConfig{shardCounts: []int{1, 4}, ops: 300, keys: 256,
-		readFrac: 0.5, dist: "zipfian", seed: 42}
-	one, err := kvBenchOne(1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := kvBenchOne(4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.opsSec <= 0 || four.opsSec <= 0 {
-		t.Fatalf("no throughput measured: 1 shard %v, 4 shards %v", one, four)
-	}
-	speedup := four.opsSec / one.opsSec
-	t.Logf("1 shard: %.1f ops/s; 4 shards: %.1f ops/s; speedup %.2fx", one.opsSec, four.opsSec, speedup)
-	if speedup < 2.0 {
-		t.Errorf("aggregate throughput speedup 1->4 shards = %.2fx, want >= 2x", speedup)
-	}
-}
-
-func TestKVBenchTableAndFlagValidation(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-kv", "-kv-shards", "1,2", "-kv-ops", "60", "-kv-dist", "uniform"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(out.String(), "Sharded KV") || !strings.Contains(out.String(), "speedup") {
-		t.Errorf("kv table malformed:\n%s", out.String())
-	}
-	if err := run([]string{"-kv", "-kv-dist", "bogus"}, new(bytes.Buffer)); err == nil {
-		t.Fatal("bad -kv-dist accepted")
-	}
-	if err := run([]string{"-kv", "-kv-shards", "0,2"}, new(bytes.Buffer)); err == nil {
-		t.Fatal("bad -kv-shards accepted")
-	}
-}

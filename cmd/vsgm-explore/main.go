@@ -17,7 +17,6 @@ import (
 	"os"
 	"time"
 
-	"vsgm/internal/explore"
 	"vsgm/internal/sim"
 	"vsgm/internal/types"
 )
@@ -52,53 +51,53 @@ func run(args []string, out io.Writer) error {
 		survivors.Remove(procs[*n-1])
 	}
 
-	scenario := func(w *explore.World) error {
-		if err := w.StartChange(members); err != nil {
+	scenario := func(c *sim.Cluster) error {
+		if err := c.StartChange(members); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(members); err != nil {
+		if _, err := c.DeliverView(members); err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
 		for _, p := range members.Sorted() {
-			if _, err := w.Send(p, []byte("m-"+string(p))); err != nil {
+			if _, err := c.Send(p, []byte("m-"+string(p))); err != nil {
 				return err
 			}
 		}
-		if err := w.StartChange(survivors); err != nil {
+		if err := c.StartChange(survivors); err != nil {
 			return err
 		}
-		v, err := w.DeliverView(survivors)
+		v, err := c.DeliverView(survivors)
 		if err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
 		for _, p := range survivors.Sorted() {
-			if got := w.Endpoint(p).CurrentView(); !got.Equal(v) {
+			if got := c.Endpoint(p).CurrentView(); !got.Equal(v) {
 				return fmt.Errorf("%s stabilized in %s, want %s", p, got, v)
 			}
 		}
 		return nil
 	}
 
-	cfg := explore.Config{Procs: procs}
+	cfg := sim.Config{Procs: procs}
 	start := time.Now()
 	var (
-		res explore.Result
+		res sim.ExploreResult
 		err error
 	)
 	if *swarm > 0 {
 		fmt.Fprintf(out, "swarming %d random schedules over %d end-points (leave=%v, seed=%d)\n",
 			*swarm, *n, *leave, *seed)
-		res, err = explore.Swarm(cfg, scenario, *swarm, *seed)
+		res, err = sim.Swarm(cfg, scenario, *swarm, *seed)
 	} else {
 		fmt.Fprintf(out, "exploring schedules depth-first over %d end-points (leave=%v, budget %d)\n",
 			*n, *leave, *max)
-		res, err = explore.Exhaustive(cfg, scenario, *max)
+		res, err = sim.Exhaustive(cfg, scenario, *max)
 	}
 	if err != nil {
 		return fmt.Errorf("VIOLATION after %d schedules:\n%w", res.Schedules, err)

@@ -57,7 +57,6 @@ import (
 
 	"vsgm/internal/core"
 	"vsgm/internal/live"
-	"vsgm/internal/membership"
 	"vsgm/internal/obs"
 	"vsgm/internal/sim"
 	"vsgm/internal/types"
@@ -86,24 +85,9 @@ func run(args []string, out io.Writer) error {
 		window     = fs.Int("window", 4, "with -slow-client: per-sender credit window in frames")
 		timeout    = fs.Duration("timeout", 10*time.Second, "per-phase convergence timeout")
 		debugAddr  = fs.String("debug-addr", "", "serve Prometheus /metrics, JSON /statusz, /tracez and pprof on this address for the run's duration (e.g. 127.0.0.1:8080; empty disables)")
-
-		detWindow  = fs.Int("detector-window", 0, "server failure detector: inter-arrival sliding window size (0 = default)")
-		phiSuspect = fs.Float64("phi-suspect", 0, "server failure detector: phi threshold that suspects a peer (0 = default)")
-		phiRestore = fs.Float64("phi-restore", 0, "server failure detector: phi threshold that restores a suspected peer (0 = default; must be below -phi-suspect)")
-		quarBase   = fs.Duration("quarantine-base", 0, "server failure detector: first rejoin quarantine a flapping peer earns (0 = default, negative disables damping)")
-		quarCap    = fs.Duration("quarantine-cap", 0, "server failure detector: upper bound on the exponentially growing rejoin quarantine (0 = default)")
-		flapHalf   = fs.Duration("flap-half-life", 0, "server failure detector: half-life of the decaying flap score (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	det := membership.DetectorConfig{
-		Window:         *detWindow,
-		SuspectPhi:     *phiSuspect,
-		RestorePhi:     *phiRestore,
-		QuarantineBase: *quarBase,
-		QuarantineCap:  *quarCap,
-		FlapHalfLife:   *flapHalf,
 	}
 	if *nServers < 1 || *nClients < 1 {
 		return fmt.Errorf("need at least one server and one client")
@@ -177,7 +161,7 @@ func run(args []string, out io.Writer) error {
 
 	var servers []*live.ServerNode
 	for _, sid := range serverIDs {
-		cfg := live.ServerConfig{ID: sid, Addr: "127.0.0.1:0", Servers: serverSet, Obs: reg, Detector: det}
+		cfg := live.ServerConfig{ID: sid, Addr: "127.0.0.1:0", Servers: serverSet, Obs: reg}
 		if attachMode {
 			// Crash-recovery mode: durable identifier state plus a fast
 			// watchdog, so a restarted server resumes above everything it
@@ -456,7 +440,6 @@ func run(args []string, out io.Writer) error {
 				Store:    store,
 				Watchdog: 25 * time.Millisecond,
 				Obs:      reg,
-				Detector: det,
 			})
 			if err != nil {
 				return fmt.Errorf("restart %s: %w", killedID, err)

@@ -366,10 +366,6 @@ func (e *Endpoint) Level() Level { return e.level }
 // (or the initial singleton view).
 func (e *Endpoint) CurrentView() types.View { return e.currentView.Clone() }
 
-// MembershipView returns the latest view received from the membership
-// service (which may not have been delivered to the application yet).
-func (e *Endpoint) MembershipView() types.View { return e.mbrshpView.Clone() }
-
 // PendingStartChange returns the outstanding start_change, if any.
 func (e *Endpoint) PendingStartChange() (types.StartChange, bool) {
 	if e.startChange == nil {
@@ -393,15 +389,6 @@ func (e *Endpoint) MessagesDelivered() int64 { return e.msgsDelivered }
 // ForwardsSent returns the number of forwarded message copies this end-point
 // has sent (one per destination).
 func (e *Endpoint) ForwardsSent() int64 { return e.forwardsPlanned }
-
-// LastDelivered returns last_dlvrd[q]: the index of the last message from q
-// delivered to the application in the current view.
-func (e *Endpoint) LastDelivered(q types.ProcID) int {
-	if k, ok := e.rank[q]; ok {
-		return e.lastDlvrd[k]
-	}
-	return 0
-}
 
 // BufferedMessages returns the number of application messages currently held
 // in the current view's buffers (after any garbage collection).

@@ -56,10 +56,6 @@ type NodeConfig struct {
 	// stream as OnEvent — a notification is reported before any event it
 	// caused. Spec harnesses feed EMStartChange/EMView from here.
 	OnNotify func(membership.Notification)
-	// OnLinkDown observes transport-link failures (broken connections and
-	// failed dials), serialized on the event stream. The supervised
-	// transport keeps retrying regardless; this is observability only.
-	OnLinkDown func(peer types.ProcID, err error)
 	// Observe, when set, receives every endpoint event synchronously under
 	// the node's state lock, in exact automaton order, at the moment it is
 	// produced. Together with OnSend's pre-wire report this gives trace
@@ -100,10 +96,9 @@ type NodeConfig struct {
 	SlowConsumerGrace time.Duration
 	// MemHighWater, when positive, is the node's memory budget in bytes
 	// over resident transport queues plus endpoint message buffers: above
-	// it Send stalls (TrySend fails) until usage falls to MemLowWater
-	// (default MemHighWater/2). Zero disables the budget.
+	// it Send stalls (TrySend fails) until usage falls to half of it. Zero
+	// disables the budget.
 	MemHighWater int64
-	MemLowWater  int64
 	// Obs, when set, is the metrics registry the node publishes into — the
 	// only place its numbers are read from: its counters become registered
 	// series labeled with the node id, and a scrape-time collector
@@ -134,7 +129,7 @@ type Node struct {
 
 	// Flow-control policy and counters.
 	slowGrace       time.Duration
-	memHigh, memLow int64
+	memHigh         int64
 	overloaded      atomic.Bool // budget hysteresis latch
 	sendsBlocked    *obs.Counter
 	sendsOverloaded *obs.Counter
@@ -164,7 +159,6 @@ type Node struct {
 	onNotify   func(membership.Notification)
 	observe    func(core.Event)
 	observeNtf func(membership.Notification)
-	onLinkDown func(types.ProcID, error)
 
 	// Attach/failover state, guarded by amu (a leaf lock: it may be taken
 	// while holding mu, and no code path acquires mu while holding amu).
@@ -205,7 +199,6 @@ const (
 	pumpEvent    pumpKind = iota // ev, for OnEvent
 	pumpNotify                   // ntf, for OnNotify
 	pumpConsumed                 // n data frames from peer are fully consumed: return their credit
-	pumpLinkDown                 // peer and err, for OnLinkDown
 )
 
 // pumpItem is one entry of the event ring: a tagged value, not a closure, so
@@ -223,7 +216,6 @@ type pumpItem struct {
 	hold *pool.Buf
 	ntf  *membership.Notification
 	peer types.ProcID
-	err  error
 }
 
 // ackInterval is the core.Config.AckInterval of every live end-point: a
@@ -278,14 +270,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		onNotify:       cfg.OnNotify,
 		observe:        cfg.Observe,
 		observeNtf:     cfg.ObserveNotify,
-		onLinkDown:     cfg.OnLinkDown,
 		homeList:       append([]types.ProcID(nil), cfg.HomeServers...),
 		attachInterval: cfg.AttachInterval,
 		attachTimeout:  cfg.AttachTimeout,
 		mgrStop:        make(chan struct{}),
 		slowGrace:      cfg.SlowConsumerGrace,
 		memHigh:        cfg.MemHighWater,
-		memLow:         cfg.MemLowWater,
 		obs:            cfg.Obs,
 
 		attaches: cfg.Obs.Counter("vsgm_node_attaches_total",
@@ -309,7 +299,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		pumpWakes: cfg.Obs.Counter("vsgm_node_pump_wakes_total",
 			"Times the event pump woke to a non-empty ring.", nodeLabel),
 		eventsDispatched: cfg.Obs.Counter("vsgm_node_events_dispatched_total",
-			"Ring entries the event pump handled: events, notifications, credit markers, link-down reports (dispatched/wakes is entries per pump wake).", nodeLabel),
+			"Ring entries the event pump handled: events, notifications, credit markers (dispatched/wakes is entries per pump wake).", nodeLabel),
 	}
 	n.unblocked = sync.NewCond(&n.mu)
 	if n.attachInterval <= 0 {
@@ -320,9 +310,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if n.slowGrace == 0 {
 		n.slowGrace = 10 * time.Second
-	}
-	if n.memHigh > 0 && n.memLow <= 0 {
-		n.memLow = n.memHigh / 2
 	}
 	if len(n.homeList) > 0 {
 		n.epoch = 1
@@ -585,21 +572,16 @@ func (n *Node) SetPeers(peers map[types.ProcID]string) { n.fabric.SetPeers(peers
 // Chaos returns the node's fault-injection controller.
 func (n *Node) Chaos() *Chaos { return n.fabric.Chaos() }
 
-// linkDown relays a transport-link failure onto the serialized event
-// stream, and — when the failed link is the home server's — fails over
-// immediately instead of waiting out the silent-home timeout: a broken
-// connection is positive evidence, so the next manager tick courts the next
-// server in the list.
-func (n *Node) linkDown(peer types.ProcID, err error) {
+// linkDown handles a transport-link failure: when the failed link is the
+// home server's, the node fails over immediately instead of waiting out the
+// silent-home timeout — a broken connection is positive evidence, so the next
+// manager tick courts the next server in the list.
+func (n *Node) linkDown(peer types.ProcID, _ error) {
 	n.amu.Lock()
+	defer n.amu.Unlock()
 	if len(n.homeList) > 0 && peer == n.home && n.home != "" {
 		n.failoverLocked(time.Now())
 	}
-	n.amu.Unlock()
-	if n.onLinkDown == nil {
-		return
-	}
-	n.events.put(pumpItem{kind: pumpLinkDown, peer: peer, err: err})
 }
 
 // Send multicasts payload to the current view, stalling at the source
@@ -719,14 +701,14 @@ func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, 
 }
 
 // budgetOpen evaluates the watermark hysteresis: above MemHighWater the
-// budget latches shut and reopens only at or below MemLowWater.
+// budget latches shut and reopens only at or below half of it.
 func (n *Node) budgetOpen() bool {
 	if n.memHigh <= 0 {
 		return true
 	}
 	usage := n.MemUsage()
 	if n.overloaded.Load() {
-		if usage > n.memLow {
+		if usage > n.memHigh/2 {
 			return false
 		}
 		n.overloaded.Store(false)
@@ -1069,8 +1051,6 @@ func (n *Node) pumpLoop() {
 				}
 			case pumpNotify:
 				n.onNotify(*it.ntf)
-			case pumpLinkDown:
-				n.onLinkDown(it.peer, it.err)
 			case pumpConsumed:
 				if it.peer != creditPeer && credit > 0 {
 					n.fabric.consumedData(creditPeer, credit)

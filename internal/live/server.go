@@ -56,11 +56,6 @@ type ServerConfig struct {
 	// appends are OS-buffered, which the protocol tolerates — attach claims
 	// re-float any identifier a client actually observed.
 	WALFsyncEvery int
-	// Detector tunes the heartbeat failure detector StartHeartbeats runs:
-	// the accrual window size, the suspect/restore hysteresis thresholds,
-	// the flap-damping quarantine base/cap, and the gray grace. The zero
-	// value selects the defaults.
-	Detector membership.DetectorConfig
 	// Obs, when set, is the metrics registry the server publishes into — the
 	// only place its numbers are read from: counters labeled with the server
 	// id, and a scrape-time collector for the membership core's and the
@@ -85,11 +80,10 @@ type ServerNode struct {
 	id     types.ProcID
 	fabric *fabric
 
-	mu          sync.Mutex
-	srv         *membership.Server
-	detector    *membership.Detector
-	detectorCfg membership.DetectorConfig
-	ready       chan struct{}
+	mu       sync.Mutex
+	srv      *membership.Server
+	detector *membership.Detector
+	ready    chan struct{}
 
 	// phiHist distributes the detector's accrual scores, observed for every
 	// peer on every heartbeat tick.
@@ -158,7 +152,6 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 		attachLease:   cfg.AttachLease,
 		leases:        make(map[types.ProcID]time.Time),
 		obs:           cfg.Obs,
-		detectorCfg:   cfg.Detector,
 
 		phiHist: cfg.Obs.Histogram("vsgm_detector_phi",
 			"Accrual suspicion scores observed per peer per heartbeat tick.",
@@ -672,7 +665,7 @@ func (n *ServerNode) Close() {
 func (n *ServerNode) StartHeartbeats(peers types.ProcSet, interval, timeout time.Duration) {
 	n.mu.Lock()
 	if n.detector == nil {
-		n.detector = membership.NewDetectorWith(n.id, peers, timeout, time.Now(), n.detectorCfg)
+		n.detector = membership.NewDetectorWith(n.id, peers, timeout, time.Now(), membership.DetectorConfig{})
 	}
 	if n.hbStop != nil {
 		n.mu.Unlock()

@@ -7,8 +7,9 @@ import (
 	"vsgm/internal/types"
 )
 
-// Defaults for the zero DetectorConfig. Exported so the operator docs and
-// the CLI flag defaults cannot drift from the implementation.
+// Defaults for the zero DetectorConfig, the thresholds every deployed
+// detector runs with. Exported so the operator docs cannot drift from the
+// implementation.
 const (
 	// DefaultDetectorWindow is the inter-arrival sliding-window length.
 	DefaultDetectorWindow = 32
@@ -59,17 +60,10 @@ type DetectorConfig struct {
 	// FlapHalfLife is the decay half-life of the flap score; 0 selects the
 	// default.
 	FlapHalfLife time.Duration
-	// GrayGrace is how long a peer's heartbeat bitmap must exclude a
-	// server before the one-way evidence acts on the verdict; 0 selects
-	// the heartbeat timeout. The grace absorbs bootstrap transients (the
-	// first heartbeat legitimately carries a singleton bitmap) and
-	// heal-time re-admission skew.
-	GrayGrace time.Duration
 }
 
-// normalize fills zero fields with defaults; timeout is the constructor's
-// binary-timeout fallback used while the window is cold.
-func (c DetectorConfig) normalize(timeout time.Duration) DetectorConfig {
+// normalize fills zero fields with defaults.
+func (c DetectorConfig) normalize() DetectorConfig {
 	if c.Window <= 0 {
 		c.Window = DefaultDetectorWindow
 	}
@@ -93,9 +87,6 @@ func (c DetectorConfig) normalize(timeout time.Duration) DetectorConfig {
 	}
 	if c.FlapHalfLife <= 0 {
 		c.FlapHalfLife = DefaultFlapHalfLife
-	}
-	if c.GrayGrace <= 0 {
-		c.GrayGrace = timeout
 	}
 	return c
 }
@@ -173,8 +164,8 @@ type peerState struct {
 //
 //   - Gray-failure reconciliation: heartbeats carry the sender's current
 //     reachable set. A peer we hear from whose bitmap has excluded us for
-//     longer than GrayGrace cannot hear us — a one-way link — and is
-//     downgraded, so both sides converge on symmetric verdicts instead of
+//     longer than the heartbeat timeout cannot hear us — a one-way link —
+//     and is downgraded, so both sides converge on symmetric verdicts instead of
 //     livelocking the one-round membership protocol (which requires all
 //     proposals to agree on the server set). Bitmaps about third parties
 //     feed the same rule: if p's bitmap says the p-q link is broken, every
@@ -194,14 +185,17 @@ type Detector struct {
 
 // NewDetectorWith builds a detector for server self among the given peer
 // set (which includes self), every peer unsuspected and anchored at start.
-// The timeout decides while a peer's inter-arrival window is cold and
-// defaults the gray grace.
+// The timeout decides while a peer's inter-arrival window is cold and is
+// the gray grace: how long a peer's bitmap must exclude a server before the
+// one-way evidence acts on the verdict, which absorbs bootstrap transients
+// (the first heartbeat legitimately carries a singleton bitmap) and heal-time
+// re-admission skew.
 func NewDetectorWith(self types.ProcID, peers types.ProcSet, timeout time.Duration, start time.Time, cfg DetectorConfig) *Detector {
 	d := &Detector{
 		self:    self,
 		peers:   peers.Clone(),
 		timeout: timeout,
-		cfg:     cfg.normalize(timeout),
+		cfg:     cfg.normalize(),
 		state:   make(map[types.ProcID]*peerState, peers.Len()),
 	}
 	for p := range peers {
@@ -437,7 +431,7 @@ func (d *Detector) Tick(now time.Time) (types.ProcSet, bool) {
 			continue
 		}
 		st := d.state[p]
-		if st.brokenSustained(d.self, now, d.cfg.GrayGrace) {
+		if st.brokenSustained(d.self, now, d.timeout) {
 			drop = append(drop, p)
 			continue
 		}
@@ -445,7 +439,7 @@ func (d *Detector) Tick(now time.Time) (types.ProcSet, bool) {
 			if q == d.self || q == p {
 				continue
 			}
-			if st.brokenSustained(q, now, d.cfg.GrayGrace) {
+			if st.brokenSustained(q, now, d.timeout) {
 				loser := p
 				if q > p {
 					loser = q

@@ -82,7 +82,7 @@ type Server struct {
 	evictions      int64
 
 	// sanitize accumulates the clamps applied to impossible identifier
-	// state arriving through RestoreRecords, AdoptClient, or attach claims
+	// state arriving through RestoreRecords or attach claims
 	// — the self-stabilization counters surfaced as vsgm_sanitize_*.
 	sanitize SanitizeStats
 }
@@ -295,31 +295,6 @@ func (s *Server) RemoveClient(p types.ProcID) {
 		s.records[p] = s.records[p].merge(ClientRecord{CID: c.cid, Vid: c.vid, Epoch: c.epoch})
 		delete(s.clients, p)
 	}
-}
-
-// ExportClient deregisters a local client and returns its durable record,
-// for handing the registration to another server.
-func (s *Server) ExportClient(p types.ProcID) (ClientRecord, bool) {
-	c, ok := s.clients[p]
-	if !ok {
-		return ClientRecord{}, false
-	}
-	s.RemoveClient(p)
-	return ClientRecord{CID: c.cid, Vid: c.vid, Epoch: c.epoch}, true
-}
-
-// AdoptClient registers a local client with explicit identifier state (the
-// counterpart of ExportClient). The caller triggers a reconfiguration to
-// admit it into a view. The record is sanitized first: a migration source
-// resurrected from arbitrary state must not hand impossible identifiers to
-// a healthy adopter.
-func (s *Server) AdoptClient(p types.ProcID, rec ClientRecord) {
-	clean, st := SanitizeRecord(rec)
-	s.sanitize.add(st)
-	rec = clean
-	s.records[p] = s.records[p].merge(rec)
-	c, _ := s.register(p, rec.Epoch)
-	s.record(p, c)
 }
 
 // RecordOf returns the durable record this server holds for p — from the

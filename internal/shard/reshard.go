@@ -124,14 +124,6 @@ func (rs *Resharder) Run() error {
 	}
 }
 
-// Abort aborts an in-flight reshard (no-op when done or not yet begun).
-func (rs *Resharder) Abort() {
-	if !rs.Done() {
-		rs.abort()
-		rs.next = len(rs.steps)
-	}
-}
-
 func (rs *Resharder) abort() {
 	rs.clearMigrating()
 	if rs.begun {

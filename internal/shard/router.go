@@ -65,13 +65,6 @@ func (r *Router) Redirects() int64 { return r.redirects }
 // Refreshes returns how many times the map was (re)fetched.
 func (r *Router) Refreshes() int64 { return r.refreshes }
 
-// InvalidateMap drops the cached map; the next operation re-fetches. Tests
-// use it to model a client whose cache went arbitrarily stale.
-func (r *Router) InvalidateMap() { r.haveMap = false }
-
-// CachedMap returns the cached map and whether one is held.
-func (r *Router) CachedMap() (Map, bool) { return r.cached, r.haveMap }
-
 func (r *Router) ensureMap() error {
 	if r.haveMap {
 		return nil

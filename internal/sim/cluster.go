@@ -130,7 +130,6 @@ type Cluster struct {
 	cfg      Config
 	oracle   *membership.Oracle
 	eps      map[types.ProcID]Node
-	lastMemb map[types.ProcID]time.Duration
 	draining map[types.ProcID]bool // processes whose events drain is handing out
 	metrics  Metrics
 }
@@ -167,7 +166,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		engine:   newEngine(cfg.Procs, cfg.Latency, cfg.Seed),
 		cfg:      cfg,
 		eps:      make(map[types.ProcID]Node, len(cfg.Procs)),
-		lastMemb: make(map[types.ProcID]time.Duration),
 		draining: make(map[types.ProcID]bool),
 	}
 	c.metrics.installTimes = make(map[string]map[types.ProcID]time.Duration)
@@ -241,12 +239,7 @@ func (c *Cluster) Procs() []types.ProcID {
 // after the membership latency, preserving per-client FIFO order. The
 // MBRSHP outputs are linked to CO_RFIFO.live_p as in Figure 8.
 func (c *Cluster) onMembership(p types.ProcID, n membership.Notification) {
-	arrival := c.now + c.cfg.MembershipLatency.Sample(p, p, c.rng)
-	if arrival < c.lastMemb[p] {
-		arrival = c.lastMemb[p]
-	}
-	c.lastMemb[p] = arrival
-	c.queue.push(arrival, func() {
+	c.schedule(channel{chanNotify, pair{p, p}}, 0, c.cfg.MembershipLatency, func() {
 		ep := c.eps[p]
 		switch n.Kind {
 		case membership.NotifyStartChange:

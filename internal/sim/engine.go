@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"vsgm/internal/corfifo"
@@ -14,6 +17,11 @@ import (
 // connectivity relation. Cluster (GCS end-points under the oracle
 // membership) and ServerWorld (clients under the distributed membership
 // servers) both build on it.
+//
+// Every step enters through schedule, on one FIFO channel. In time mode the
+// channel's steps fire on the virtual clock. With choose set (the explorer's
+// mode, see explore.go) there is no clock: each channel is a queue, and Run
+// lets choose pick which non-empty channel's head runs next.
 type engine struct {
 	rng     *rand.Rand
 	now     time.Duration
@@ -24,8 +32,33 @@ type engine struct {
 	procs       []types.ProcID
 	comp        map[types.ProcID]int
 	blockedLink map[pair]bool
-	lastArrival map[pair]time.Duration
+	last        map[channel]time.Duration // latest arrival per channel (time mode)
 	scheduled   map[pair]int
+
+	choose  func(n int) int
+	pending map[channel][]func() // queued steps per channel (chooser mode)
+	ready   []channel            // the non-empty channels, sorted
+}
+
+// chanKind is the kind of a FIFO channel of steps; it orders first when the
+// chooser's options are listed.
+type chanKind uint8
+
+const (
+	chanDeliver chanKind = iota // CO_RFIFO deliveries on the link from -> to
+	chanNotify                  // membership notifications to client from (= to)
+	chanTimer                   // every At callback
+)
+
+// channel names one FIFO stream of steps: the steps of a channel run in the
+// order they were scheduled, in either mode.
+type channel struct {
+	kind chanKind
+	pair
+}
+
+func (a channel) compare(b channel) int {
+	return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
 }
 
 func newEngine(procs []types.ProcID, latency LatencyModel, seed int64) *engine {
@@ -36,8 +69,9 @@ func newEngine(procs []types.ProcID, latency LatencyModel, seed int64) *engine {
 		procs:       append([]types.ProcID(nil), procs...),
 		comp:        make(map[types.ProcID]int, len(procs)),
 		blockedLink: make(map[pair]bool),
-		lastArrival: make(map[pair]time.Duration),
+		last:        make(map[channel]time.Duration),
 		scheduled:   make(map[pair]int),
+		pending:     make(map[channel][]func()),
 	}
 	for _, p := range procs {
 		e.comp[p] = 0
@@ -61,7 +95,50 @@ func (e *engine) addProcs(ids ...types.ProcID) {
 
 // At schedules fn to run after the given delay of virtual time.
 func (e *engine) At(delay time.Duration, fn func()) {
-	e.queue.push(e.now+delay, fn)
+	e.schedule(channel{kind: chanTimer}, delay, nil, fn)
+}
+
+// schedule is the one way a step enters the world. Under the chooser, fn
+// joins the tail of ch's queue, and no latency is drawn. In time mode it fires
+// after delay plus, when lat is set, a latency drawn from lat, but never before
+// the step scheduled ahead of it on ch; a timer (lat nil) fires after exactly
+// delay.
+func (e *engine) schedule(ch channel, delay time.Duration, lat LatencyModel, fn func()) {
+	if e.choose != nil {
+		q, ok := e.pending[ch]
+		if !ok {
+			i, _ := slices.BinarySearchFunc(e.ready, ch, channel.compare)
+			e.ready = slices.Insert(e.ready, i, ch)
+		}
+		e.pending[ch] = append(q, fn)
+		return
+	}
+	at := e.now + delay
+	if lat != nil {
+		at += lat.Sample(ch.from, ch.to, e.rng)
+		if last := e.last[ch]; at < last {
+			at = last
+		}
+		e.last[ch] = at
+	}
+	e.queue.push(at, fn)
+}
+
+// stepChosen runs the head of the channel the chooser picks among the
+// non-empty ones, listed in channel order.
+func (e *engine) stepChosen() {
+	i := e.choose(len(e.ready))
+	ch := e.ready[i]
+	q := e.pending[ch]
+	fn := q[0]
+	if len(q) == 1 {
+		delete(e.pending, ch)
+		e.ready = slices.Delete(e.ready, i, i+1)
+	} else {
+		q[0] = nil
+		e.pending[ch] = q[1:]
+	}
+	fn()
 }
 
 // Now returns the current virtual time.
@@ -70,13 +147,21 @@ func (e *engine) Now() time.Duration { return e.now }
 // Network exposes the substrate (for traffic statistics).
 func (e *engine) Network() *corfifo.Network { return e.net }
 
-// Run processes events until the queue is empty. It guards against runaway
-// executions with a large step bound.
+// Run processes events until the queue is empty — under the chooser, until
+// every channel is empty. It guards against runaway executions with a large
+// step bound.
 func (e *engine) Run() error {
 	const maxSteps = 50_000_000
 	for steps := 0; ; steps++ {
 		if steps > maxSteps {
 			return fmt.Errorf("sim: exceeded %d steps; likely livelock", maxSteps)
+		}
+		if e.choose != nil {
+			if len(e.ready) == 0 {
+				return nil
+			}
+			e.stepChosen()
+			continue
 		}
 		ev, ok := e.queue.pop()
 		if !ok {
@@ -90,8 +175,13 @@ func (e *engine) Run() error {
 }
 
 // RunFor processes all events scheduled within the next d of virtual time
-// and advances the clock to exactly now+d.
+// and advances the clock to exactly now+d. Under the chooser it runs nothing
+// and returns an error: a window of virtual time does not exist there, and
+// self-rescheduling timers (heartbeats) would never let Run reach quiescence.
 func (e *engine) RunFor(d time.Duration) error {
+	if e.choose != nil {
+		return errors.New("sim: RunFor needs the virtual clock, which the explorer's chooser replaces; use Run")
+	}
 	deadline := e.now + d
 	const maxSteps = 50_000_000
 	for steps := 0; ; steps++ {
@@ -177,13 +267,8 @@ func (e *engine) flushConnected() {
 
 func (e *engine) scheduleDelivery(from, to types.ProcID) {
 	pr := pair{from, to}
-	arrival := e.now + e.latency.Sample(from, to, e.rng)
-	if arrival < e.lastArrival[pr] {
-		arrival = e.lastArrival[pr]
-	}
-	e.lastArrival[pr] = arrival
 	e.scheduled[pr]++
-	e.queue.push(arrival, func() {
+	e.schedule(channel{chanDeliver, pr}, 0, e.latency, func() {
 		e.scheduled[pr]--
 		e.net.DeliverNext(from, to)
 	})

@@ -1,10 +1,12 @@
-package explore
+package sim
 
 import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"vsgm/internal/spec"
 	"vsgm/internal/types"
 )
 
@@ -14,34 +16,34 @@ import (
 // interleaving of app messages, view messages, synchronization messages,
 // and membership notifications must satisfy all specifications and converge.
 func reconfigScenario(members, survivors types.ProcSet) Scenario {
-	return func(w *World) error {
-		if err := w.StartChange(members); err != nil {
+	return func(c *Cluster) error {
+		if err := c.StartChange(members); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(members); err != nil {
+		if _, err := c.DeliverView(members); err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
 		for _, p := range members.Sorted() {
-			if _, err := w.Send(p, []byte("m-"+string(p))); err != nil {
+			if _, err := c.Send(p, []byte("m-"+string(p))); err != nil {
 				return err
 			}
 		}
 		// Without draining: the change races the application traffic.
-		if err := w.StartChange(survivors); err != nil {
+		if err := c.StartChange(survivors); err != nil {
 			return err
 		}
-		v, err := w.DeliverView(survivors)
+		v, err := c.DeliverView(survivors)
 		if err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
 		for _, p := range survivors.Sorted() {
-			if got := w.Endpoint(p).CurrentView(); !got.Equal(v) {
+			if got := c.Endpoint(p).CurrentView(); !got.Equal(v) {
 				return fmt.Errorf("%s stabilized in %s, want %s", p, got, v)
 			}
 		}
@@ -100,38 +102,38 @@ func TestSwarmCascadingChange(t *testing.T) {
 	procs := []types.ProcID{"a", "b", "c"}
 	all := types.NewProcSet(procs...)
 	pair := types.NewProcSet("a", "b")
-	scenario := func(w *World) error {
-		if err := w.StartChange(pair); err != nil {
+	scenario := func(c *Cluster) error {
+		if err := c.StartChange(pair); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(pair); err != nil {
+		if _, err := c.DeliverView(pair); err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
-		if _, err := w.Send("a", []byte("x")); err != nil {
+		if _, err := c.Send("a", []byte("x")); err != nil {
 			return err
 		}
-		if err := w.StartChange(all); err != nil {
+		if err := c.StartChange(all); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(all); err != nil {
+		if _, err := c.DeliverView(all); err != nil {
 			return err
 		}
 		// Cascade before anyone can settle.
-		if err := w.StartChange(all); err != nil {
+		if err := c.StartChange(all); err != nil {
 			return err
 		}
-		v, err := w.DeliverView(all)
+		v, err := c.DeliverView(all)
 		if err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
 		for _, p := range procs {
-			if got := w.Endpoint(p).CurrentView(); !got.Equal(v) {
+			if got := c.Endpoint(p).CurrentView(); !got.Equal(v) {
 				return fmt.Errorf("%s stabilized in %s, want %s", p, got, v)
 			}
 		}
@@ -150,14 +152,14 @@ func TestExplorerDetectsInjectedViolation(t *testing.T) {
 	// Sanity: the explorer actually fails when the scenario's assertions
 	// fail — a scenario that claims a wrong final view must be reported.
 	members := types.NewProcSet("a", "b")
-	scenario := func(w *World) error {
-		if err := w.StartChange(members); err != nil {
+	scenario := func(c *Cluster) error {
+		if err := c.StartChange(members); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(members); err != nil {
+		if _, err := c.DeliverView(members); err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
 		return fmt.Errorf("injected failure")
@@ -213,41 +215,41 @@ func TestSwarmCrashDuringReconfiguration(t *testing.T) {
 	procs := []types.ProcID{"a", "b", "c"}
 	all := types.NewProcSet(procs...)
 	survivors := types.NewProcSet("a", "b")
-	scenario := func(w *World) error {
-		if err := w.StartChange(all); err != nil {
+	scenario := func(c *Cluster) error {
+		if err := c.StartChange(all); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(all); err != nil {
+		if _, err := c.DeliverView(all); err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
-		if _, err := w.Send("a", []byte("x")); err != nil {
+		if _, err := c.Send("a", []byte("x")); err != nil {
 			return err
 		}
-		if _, err := w.Send("c", []byte("doomed")); err != nil {
+		if _, err := c.Send("c", []byte("doomed")); err != nil {
 			return err
 		}
-		if err := w.StartChange(all); err != nil {
+		if err := c.StartChange(all); err != nil {
 			return err
 		}
 		// c dies mid-change; the membership corrects to the survivors.
-		if err := w.Crash("c"); err != nil {
+		if err := c.Crash("c"); err != nil {
 			return err
 		}
-		if err := w.StartChange(survivors); err != nil {
+		if err := c.StartChange(survivors); err != nil {
 			return err
 		}
-		v, err := w.DeliverView(survivors)
+		v, err := c.DeliverView(survivors)
 		if err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
 		for _, p := range survivors.Sorted() {
-			if got := w.Endpoint(p).CurrentView(); !got.Equal(v) {
+			if got := c.Endpoint(p).CurrentView(); !got.Equal(v) {
 				return fmt.Errorf("%s stabilized in %s, want %s", p, got, v)
 			}
 		}
@@ -270,43 +272,43 @@ func TestSwarmCrashDuringReconfiguration(t *testing.T) {
 func TestSwarmRecoveryRejoin(t *testing.T) {
 	procs := []types.ProcID{"a", "b"}
 	all := types.NewProcSet(procs...)
-	scenario := func(w *World) error {
-		if err := w.StartChange(all); err != nil {
+	scenario := func(c *Cluster) error {
+		if err := c.StartChange(all); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(all); err != nil {
+		if _, err := c.DeliverView(all); err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
-		if err := w.Crash("b"); err != nil {
+		if err := c.Crash("b"); err != nil {
 			return err
 		}
-		if err := w.StartChange(types.NewProcSet("a")); err != nil {
+		if err := c.StartChange(types.NewProcSet("a")); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(types.NewProcSet("a")); err != nil {
+		if _, err := c.DeliverView(types.NewProcSet("a")); err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
-		if err := w.Recover("b"); err != nil {
+		if err := c.Recover("b"); err != nil {
 			return err
 		}
-		if err := w.StartChange(all); err != nil {
+		if err := c.StartChange(all); err != nil {
 			return err
 		}
-		v, err := w.DeliverView(all)
+		v, err := c.DeliverView(all)
 		if err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
 		for _, p := range procs {
-			if got := w.Endpoint(p).CurrentView(); !got.Equal(v) {
+			if got := c.Endpoint(p).CurrentView(); !got.Equal(v) {
 				return fmt.Errorf("%s stabilized in %s, want %s", p, got, v)
 			}
 		}
@@ -317,4 +319,117 @@ func TestSwarmRecoveryRejoin(t *testing.T) {
 		t.Fatalf("after %d schedules: %v", res.Schedules, err)
 	}
 	t.Logf("explored %d crash/recovery schedules (exhausted=%v)", res.Schedules, res.Exhausted)
+}
+
+// TestExhaustiveFormationTreeSize pins the size of the smallest complete
+// schedule tree: two members forming one view. The count depends only on the
+// channels the engine lists and the order they fill in, so a scheduler change
+// that drops, merges, or adds a choice shows up here first.
+func TestExhaustiveFormationTreeSize(t *testing.T) {
+	members := types.NewProcSet("a", "b")
+	res, err := Exhaustive(Config{Procs: []types.ProcID{"a", "b"}}, func(c *Cluster) error {
+		if err := c.StartChange(members); err != nil {
+			return err
+		}
+		if _, err := c.DeliverView(members); err != nil {
+			return err
+		}
+		return c.Run()
+	}, 100_000)
+	if err != nil {
+		t.Fatalf("after %d schedules: %v", res.Schedules, err)
+	}
+	if !res.Exhausted || res.Schedules != 280 {
+		t.Fatalf("explored %d schedules (exhausted=%v), want exactly 280, exhausted", res.Schedules, res.Exhausted)
+	}
+}
+
+// serverWorldSchedule runs one schedule of a server-world script: a fresh
+// two-server deployment with one end-point client per server and a fresh
+// full suite, its engine handed the chooser before the script starts.
+func serverWorldSchedule(script func(w *ServerWorld) error) func(choose func(int) int) error {
+	return func(choose func(int) int) error {
+		suite := spec.FullSuite(spec.WithTrace())
+		w, err := NewServerWorld(ServerWorldConfig{
+			Servers:          2,
+			ClientsPerServer: 1,
+			Suite:            suite,
+			WithEndpoints:    true,
+		})
+		if err != nil {
+			return err
+		}
+		w.choose = choose
+		if err := script(w); err != nil {
+			return err
+		}
+		return suite.Err()
+	}
+}
+
+// TestSwarmServerWorld explores the membership servers' own protocol with
+// the end-points above it: server-to-server proposals, server-to-client
+// notifications and client traffic interleave freely through a boot, a view
+// change with multicasts in flight, a partition and a heal. Every schedule
+// must satisfy the full suite and end in one shared view of both clients.
+func TestSwarmServerWorld(t *testing.T) {
+	runs := 200
+	if testing.Short() {
+		runs = 40
+	}
+	res, err := swarm(serverWorldSchedule(func(w *ServerWorld) error {
+		if err := w.Boot(); err != nil {
+			return err
+		}
+		for _, cid := range w.Clients() {
+			if _, err := w.Send(cid, []byte("m-"+string(cid))); err != nil {
+				return err
+			}
+		}
+		if err := w.TriggerChange(); err != nil {
+			return err
+		}
+		s := w.Servers()
+		if err := w.PartitionServers(types.NewProcSet(s[0]), types.NewProcSet(s[1])); err != nil {
+			return err
+		}
+		if err := w.HealServers(); err != nil {
+			return err
+		}
+		all := types.NewProcSet(w.Clients()...)
+		first := w.Endpoint(w.Clients()[0]).CurrentView()
+		for _, cid := range w.Clients() {
+			if got := w.Endpoint(cid).CurrentView(); !got.Members.Equal(all) || !got.Equal(first) {
+				return fmt.Errorf("%s stabilized in %s, want one shared view of %s", cid, got, all)
+			}
+		}
+		return nil
+	}), runs, 3)
+	if err != nil {
+		t.Fatalf("after %d schedules: %v", res.Schedules, err)
+	}
+}
+
+// TestRunForUnderChooser pins RunFor's answer when the chooser has replaced
+// the clock: an error, with nothing run, so the steps still wait for Run.
+func TestRunForUnderChooser(t *testing.T) {
+	c, err := NewCluster(Config{Procs: []types.ProcID{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.choose = (&chooser{}).choose
+	ran := false
+	c.At(0, func() { ran = true })
+	if err := c.RunFor(time.Second); err == nil {
+		t.Fatal("RunFor under the chooser returned no error")
+	}
+	if ran || c.Now() != 0 {
+		t.Fatalf("RunFor under the chooser ran steps (ran=%v) or moved the clock (now=%v)", ran, c.Now())
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("Run left the timer step queued")
+	}
 }

@@ -4,7 +4,9 @@
 // as in the composition of Section 5 (Figure 8). A seeded virtual clock,
 // configurable link-latency models, partitions, churn, and crash/recovery
 // make whole-system executions reproducible, and every external event is fed
-// to the specification checkers of internal/spec.
+// to the specification checkers of internal/spec. The same worlds run under a
+// stateless model checker (Exhaustive, Swarm): a chooser replaces the clock
+// and enumerates the interleavings the clock would only sample.
 package sim
 
 import (

@@ -46,7 +46,6 @@ type ServerWorld struct {
 	clients   []types.ProcID
 	home      map[types.ProcID]types.ProcID
 	eps       map[types.ProcID]*core.Endpoint
-	lastNotif map[types.ProcID]time.Duration
 	detectors map[types.ProcID]*membership.Detector
 
 	// epSeq numbers every end-point ever created, so message-id bases stay
@@ -100,7 +99,6 @@ func NewServerWorld(cfg ServerWorldConfig) (*ServerWorld, error) {
 		clients:   clients,
 		home:      make(map[types.ProcID]types.ProcID, len(clients)),
 		eps:       make(map[types.ProcID]*core.Endpoint),
-		lastNotif: make(map[types.ProcID]time.Duration),
 		detectors: make(map[types.ProcID]*membership.Detector),
 	}
 
@@ -275,12 +273,7 @@ func (w *ServerWorld) Send(p types.ProcID, payload []byte) (types.AppMsg, error)
 // latency, preserving per-client order.
 func (w *ServerWorld) notify(p types.ProcID, n membership.Notification) {
 	w.Notifications++
-	arrival := w.now + w.cfg.NotifyLatency.Sample(p, p, w.rng)
-	if arrival < w.lastNotif[p] {
-		arrival = w.lastNotif[p]
-	}
-	w.lastNotif[p] = arrival
-	w.queue.push(arrival, func() {
+	w.schedule(channel{chanNotify, pair{p, p}}, 0, w.cfg.NotifyLatency, func() {
 		switch n.Kind {
 		case membership.NotifyStartChange:
 			w.specEvent(spec.EMStartChange{P: p, SC: n.StartChange})

@@ -40,9 +40,6 @@ type LiveConfig struct {
 	ConvergeTimeout time.Duration
 	// Scenario is the phase mix; default LiveScenario().
 	Scenario *Scenario
-	// Detector tunes the servers' failure detectors. The zero value selects
-	// the defaults.
-	Detector membership.DetectorConfig
 	// ChurnBudget bounds how many membership views one client may install
 	// per chaos transition over the whole run (spec.CheckChurn; every block,
 	// heal, kill, restart, or injection is one transition). 0 selects
@@ -336,7 +333,6 @@ func (r *liveRun) newServer(sid types.ProcID, addr, stateDir string) (*live.Serv
 		Watchdog:    liveWatchdog,
 		AttachLease: liveAttachLease,
 		Transport:   soakTransport(),
-		Detector:    r.cfg.Detector,
 		Obs:         r.reg,
 	})
 	if err != nil {

@@ -33,6 +33,12 @@
 //	cluster.Send("p00", []byte("hello"))
 //	cluster.Run()
 //
+// The same cluster is what the model checker explores: Exhaustive and Swarm
+// run a Scenario over fresh clusters whose clock is replaced by a chooser, so
+// Run drains by enumerated (or random) interleavings of deliveries and
+// membership notifications, each validated against the full specification
+// suite.
+//
 // Higher layers build on the service exactly as the paper motivates:
 // NewTotalOrder provides totally ordered multicast over the FIFO service,
 // and NewReplica provides replicated state machines whose state transfer is
@@ -44,7 +50,6 @@ import (
 	"vsgm/internal/causal"
 	"vsgm/internal/core"
 	"vsgm/internal/corfifo"
-	"vsgm/internal/explore"
 	"vsgm/internal/membership"
 	"vsgm/internal/rsm"
 	"vsgm/internal/sim"
@@ -260,27 +265,25 @@ func EncodeSet(key, value string) []byte { return rsm.EncodeSet(key, value) }
 // EncodeDel returns the KV command that deletes key.
 func EncodeDel(key string) []byte { return rsm.EncodeDel(key) }
 
-// The stateless model checker (see internal/explore).
+// The stateless model checker: the simulator's engine with a chooser in
+// place of its clock (see internal/sim).
 type (
-	// ExploreConfig parameterizes a schedule exploration.
-	ExploreConfig = explore.Config
-	// ExploreWorld is one instantiation of the system under exploration.
-	ExploreWorld = explore.World
-	// Scenario drives an exploration world through a fixed script.
-	Scenario = explore.Scenario
+	// Scenario drives a cluster through a fixed script; the explorer varies
+	// the schedule within it, and the cluster's Run drains by its choices.
+	Scenario = sim.Scenario
 	// ExploreResult summarizes an exploration.
-	ExploreResult = explore.Result
+	ExploreResult = sim.ExploreResult
 )
 
 // Exhaustive explores a scenario's schedule tree depth-first (replaying from
-// the initial state per branch) until exhaustion or maxSchedules.
-func Exhaustive(cfg ExploreConfig, scenario Scenario, maxSchedules int) (ExploreResult, error) {
-	return explore.Exhaustive(cfg, scenario, maxSchedules)
+// a fresh cluster per branch) until exhaustion or maxSchedules.
+func Exhaustive(cfg ClusterConfig, scenario Scenario, maxSchedules int) (ExploreResult, error) {
+	return sim.Exhaustive(cfg, scenario, maxSchedules)
 }
 
 // Swarm explores `runs` random schedules of a scenario from the given seed.
-func Swarm(cfg ExploreConfig, scenario Scenario, runs int, seed int64) (ExploreResult, error) {
-	return explore.Swarm(cfg, scenario, runs, seed)
+func Swarm(cfg ClusterConfig, scenario Scenario, runs int, seed int64) (ExploreResult, error) {
+	return sim.Swarm(cfg, scenario, runs, seed)
 }
 
 // Baseline algorithms for comparison (see internal/baseline).

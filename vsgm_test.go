@@ -206,22 +206,22 @@ func TestPublicAPIModelChecking(t *testing.T) {
 	// The explorer through the facade: every interleaving of a two-member
 	// formation plus multicast satisfies the specifications.
 	members := vsgm.NewProcSet("a", "b")
-	scenario := func(w *vsgm.ExploreWorld) error {
-		if err := w.StartChange(members); err != nil {
+	scenario := func(c *vsgm.Cluster) error {
+		if err := c.StartChange(members); err != nil {
 			return err
 		}
-		if _, err := w.DeliverView(members); err != nil {
+		if _, err := c.DeliverView(members); err != nil {
 			return err
 		}
-		if err := w.Drain(); err != nil {
+		if err := c.Run(); err != nil {
 			return err
 		}
-		if _, err := w.Send("a", []byte("checked")); err != nil {
+		if _, err := c.Send("a", []byte("checked")); err != nil {
 			return err
 		}
-		return w.Drain()
+		return c.Run()
 	}
-	res, err := vsgm.Exhaustive(vsgm.ExploreConfig{Procs: []vsgm.ProcID{"a", "b"}}, scenario, 2000)
+	res, err := vsgm.Exhaustive(vsgm.ClusterConfig{Procs: []vsgm.ProcID{"a", "b"}}, scenario, 2000)
 	if err != nil {
 		t.Fatalf("after %d schedules: %v", res.Schedules, err)
 	}
