@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"runtime"
@@ -194,8 +195,8 @@ func sum(b []byte) (s uint32) {
 // TestFabricByteSplitDelivery writes the recorded stream to a fabric over
 // real sockets, split in two at every offset of its small-frame head and at a
 // spread of offsets through (and right around the edges of) its large
-// frames, and requires the same frame sequence the reference stream decoder
-// produces — credit frames excepted, which end in the fabric and are checked
+// frames, and requires the same frame sequence as decoding each frame of the
+// whole stream on its own — credit frames excepted, which end in the fabric and are checked
 // through the window they grant. The consumer
 // keeps every pooled body it is handed until the whole stream is through, so
 // a later frame written over bytes an earlier one still aliases — the surplus
@@ -204,16 +205,22 @@ func sum(b []byte) (s uint32) {
 func TestFabricByteSplitDelivery(t *testing.T) {
 	stream, bounds := recordedStream(t)
 
+	// The reference: split the stream at its length prefixes and decode each
+	// body into storage of its own.
 	var want []string
-	dec := wire.NewDecoder(bytes.NewReader(stream))
-	for range bounds {
-		var fr frame
-		if err := dec.Decode(&fr); err != nil {
-			t.Fatalf("reference decode: %v", err)
+	for i, off := 0, 0; off < len(stream); i++ {
+		end := off + 4 + int(binary.BigEndian.Uint32(stream[off:]))
+		if i >= len(bounds) || end != bounds[i] {
+			t.Fatalf("reference split: frame %d ends at %d, want boundary %v", i, end, bounds)
+		}
+		fr, err := wire.UnmarshalFrame(stream[off+4 : end])
+		if err != nil {
+			t.Fatalf("reference decode of frame %d: %v", i, err)
 		}
 		if fr.Credit == nil {
 			want = append(want, frameDigest(fr))
 		}
+		off = end
 	}
 
 	type keptBody struct {

@@ -51,7 +51,7 @@ func startSink(b *testing.B) (addr string, closeFn func()) {
 	return ln.Addr().String(), func() { close(done); ln.Close() }
 }
 
-func benchBroadcast(b *testing.B, fanout int) {
+func benchBroadcast(b *testing.B, fanout, payload int) {
 	cfg := TransportConfig{
 		DialTimeout: 2 * time.Second, WriteTimeout: 5 * time.Second,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
@@ -75,7 +75,7 @@ func benchBroadcast(b *testing.B, fanout int) {
 
 	msg := types.WireMsg{
 		Kind: types.KindApp,
-		App:  types.AppMsg{ID: 0, Payload: make([]byte, 64)},
+		App:  types.AppMsg{ID: 0, Payload: make([]byte, payload)},
 		HistView: types.NewView(3, types.NewProcSet("p0", "p1", "p2", "p3"),
 			map[types.ProcID]types.StartChangeID{"p0": 1, "p1": 1, "p2": 1, "p3": 1}),
 		HistIndex: 7,
@@ -109,7 +109,9 @@ func benchBroadcast(b *testing.B, fanout int) {
 		b.Fatal("links never came up")
 	}
 
-	const window = 1 << 14 // backpressure: bound the in-flight backlog
+	// Backpressure: bound the in-flight backlog to 16 Ki multicasts or 16 MiB
+	// of payload, whichever is less.
+	window := min(1<<14, (16<<20)/payload)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -129,13 +131,18 @@ func benchBroadcast(b *testing.B, fanout int) {
 }
 
 // BenchmarkFabricBroadcast: one multicast to N destinations through the
-// live transport (single marshal, shared pooled buffer, coalesced flushes).
+// live transport (single marshal, shared pooled buffer, one vectored write per
+// batch run). The 64-byte cases put many frames in a run; payload=16K puts a
+// few large ones in each, the shape of mcast_bulk.
 func BenchmarkFabricBroadcast(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {
 		b.Run(fmt.Sprintf("fanout-%d/encode-once", n), func(b *testing.B) {
-			benchBroadcast(b, n)
+			benchBroadcast(b, n, 64)
 		})
 	}
+	b.Run("fanout-3/payload=16K", func(b *testing.B) {
+		benchBroadcast(b, 3, 16<<10)
+	})
 }
 
 // BenchmarkSendUnderBackpressure drives the full credit cycle: a sender

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vsgm/internal/types"
+	"vsgm/internal/wire"
 )
 
 // Chaos is a fabric's fault-injection controller: it degrades the node's
@@ -197,6 +198,14 @@ func (c *Chaos) partialWritesOn() bool {
 	return c.partialWrites
 }
 
+// shapesWrites reports whether a write-shaping fault (partial writes or
+// trickle) is on.
+func (c *Chaos) shapesWrites() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.partialWrites || c.trickleGap > 0
+}
+
 func (c *Chaos) trickle() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -214,6 +223,18 @@ func (c *Chaos) wrap(conn net.Conn) net.Conn {
 type chaosConn struct {
 	net.Conn
 	chaos *Chaos
+}
+
+var _ wire.BuffersWriter = (*chaosConn)(nil)
+
+// WriteBuffers is the link writer's vectored write: with no write-shaping
+// fault on, a run of frames reaches the socket as one writev; with partial
+// writes or trickle on, each frame goes through Write, which shapes it.
+func (cc *chaosConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
+	if cc.chaos.shapesWrites() {
+		return bufs.WriteTo(cc) // one Write per frame: cc has no writev of its own
+	}
+	return bufs.WriteTo(cc.Conn)
 }
 
 const partialWriteChunk = 7

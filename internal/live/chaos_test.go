@@ -10,8 +10,12 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1215,4 +1219,104 @@ func trickledSenderSurvives(t *testing.T) {
 	waitUntil(t, "all trickled frames to arrive intact", 15*time.Second, func() bool {
 		return received.Load() == 3
 	})
+}
+
+// countingConn records the length of every Write a chaosConn makes. It embeds
+// a loopback *net.TCPConn, so a vectored write passed through to it reaches
+// the socket's own writev without calling Write.
+type countingConn struct {
+	*net.TCPConn
+	writes []int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, len(p))
+	return c.TCPConn.Write(p)
+}
+
+// threadWriteSyscalls is the calling OS thread's count of write system calls
+// (write, writev, ...), or -1 where the kernel keeps no per-thread I/O
+// accounting.
+func threadWriteSyscalls() int64 {
+	b, err := os.ReadFile("/proc/thread-self/io")
+	if err != nil {
+		return -1
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return -1
+			}
+			return n
+		}
+	}
+	return -1
+}
+
+// TestChaosConnShapesVectoredWrites pins the link writer's socket path under
+// each write-shaping setting: with partial writes on, a run of two 20-byte
+// frames goes out as 7-byte writes, frame by frame; with trickle on, one byte
+// per write; with neither, as a single writev that never touches Write. The
+// peer must read the same 40 bytes every time.
+func TestChaosConnShapesVectoredWrites(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	tx, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	rx, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+
+	chaos := newChaos()
+	fake := &countingConn{TCPConn: tx.(*net.TCPConn)}
+	cc := chaos.wrap(fake).(*chaosConn)
+	frames := [][]byte{bytes.Repeat([]byte("a"), 20), bytes.Repeat([]byte("b"), 20)}
+	want := bytes.Join(frames, nil)
+	ones := make([]int, len(want))
+	for i := range ones {
+		ones[i] = 1
+	}
+
+	for _, tc := range []struct {
+		name     string
+		set      func()
+		writes   []int
+		syscalls int64 // -1: not asserted (a sleeping writer may wake the poller)
+	}{
+		{"partial writes", func() { chaos.SetPartialWrites(true) }, []int{7, 7, 6, 7, 7, 6}, 6},
+		{"trickle", func() { chaos.Heal(); chaos.SetTrickle(time.Microsecond) }, ones, -1},
+		{"neither", chaos.Heal, nil, 1},
+	} {
+		tc.set()
+		fake.writes = nil
+		bufs := net.Buffers(append([][]byte(nil), frames...))
+		runtime.LockOSThread()
+		before := threadWriteSyscalls()
+		n, err := cc.WriteBuffers(&bufs)
+		after := threadWriteSyscalls()
+		runtime.UnlockOSThread()
+		if err != nil || n != int64(len(want)) || len(bufs) != 0 {
+			t.Fatalf("%s: WriteBuffers = (%d, %v) with %d buffers left, want all %d bytes consumed", tc.name, n, err, len(bufs), len(want))
+		}
+		if !slices.Equal(fake.writes, tc.writes) {
+			t.Errorf("%s: Write calls of %v bytes, want %v", tc.name, fake.writes, tc.writes)
+		}
+		if tc.syscalls >= 0 && before >= 0 && after-before != tc.syscalls {
+			t.Errorf("%s: %d write system calls, want %d", tc.name, after-before, tc.syscalls)
+		}
+		got := make([]byte, len(want))
+		rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadFull(rx, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: peer read %q (%v), want %q", tc.name, got, err, want)
+		}
+	}
 }

@@ -346,7 +346,7 @@ var linkSeries = []struct {
 		func(l *link) int64 { return l.retries.Load() }},
 	{"vsgm_link_frames_sent_total", "Frames written to the socket.",
 		func(l *link) int64 { return l.framesSent.Load() }},
-	{"vsgm_link_flushes_total", "Socket flushes; the coalescing writer keeps it well below frames sent under bursts (one flush per drained batch).",
+	{"vsgm_link_flushes_total", "Socket flushes: one vectored write per run of queued frames (a run closes once it holds 128 KiB), so it stays well below frames sent under bursts; equals write syscalls on a link with no write-shaping fault.",
 		func(l *link) int64 { return l.flushes.Load() }},
 	{"vsgm_link_write_errors_total", "Frame writes that failed; each tears the connection down for a supervised redial.",
 		func(l *link) int64 { return l.writeErrors.Load() }},
@@ -1005,8 +1005,9 @@ func jitter(d time.Duration) time.Duration {
 // batches, applies outbound chaos frame by frame (so per-frame drop, dup,
 // and latency verdicts — and their counters — are unchanged by coalescing),
 // dials (and redials) the peer with backoff, and writes each surviving batch
-// through the encoder with as few flushes as maxBatchBytes allows. Frames
-// not yet known flushed are retained across reconnects, so a transient
+// through the encoder, one vectored write per run (a run closes once it holds
+// maxBatchBytes).
+// Frames not yet known flushed are retained across reconnects, so a transient
 // failure loses at most the bytes the kernel had already accepted.
 func (f *fabric) writeLoop(l *link) {
 	defer f.wg.Done()

@@ -14,8 +14,9 @@
 //
 // Data path: a multicast is marshaled exactly once and the pooled encoding
 // is shared (reference-counted) across every destination's bounded queue;
-// each link writer drains its queue in batches and coalesces a batch into
-// as few socket flushes as the configured byte cap allows. See DESIGN.md
+// each link writer drains its queue in batches and hands a batch to the
+// socket as one vectored write per run, a run closing once it holds
+// maxBatchBytes. See DESIGN.md
 // "Transport performance".
 package live
 

@@ -232,12 +232,12 @@ type pumpItem struct {
 // more peak memory on mcast_bulk and at 1024 outgrows the pool's rings.
 const ackInterval = 64
 
-// maxBatchFrames and maxBatchBytes bound the link writer's coalescing: how
-// many queued frames one takeBatch drains (a burst of k <= maxBatchFrames
-// frames costs one flush instead of k), and how many bytes may pile up
-// before a flush, so a batch of large frames cannot defer the write — and the
-// write deadline armed for it — arbitrarily. Constants, not knobs: the only
-// code that ever set other values was the pre-batching benchmark foil, and
+// maxBatchFrames and maxBatchBytes bound the link writer's batches: how many
+// queued frames one takeBatch drains (a burst of k <= maxBatchFrames frames
+// costs one vectored write instead of k), and the size at which a run of them
+// closes and goes out, so a batch of large frames is split over several writes
+// and no one write — nor the write deadline armed for it — covers all of it.
+// Constants, not knobs: the only code that ever set other values was the pre-batching benchmark foil, and
 // every number bench/ gates was measured at these.
 const (
 	maxBatchFrames = 64

@@ -1,12 +1,11 @@
 package wire
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -334,8 +333,8 @@ func readHandoffInto(r *reader, h *Handoff) error {
 // encoded bytes across every destination queue without copies.
 //
 // The buffer holds the frame as it goes on the stream — the 4-byte length
-// prefix, then the body — so a writer moves a frame with one copy (or hands a
-// large one to the socket as is) instead of framing it per destination.
+// prefix, then the body — so a writer hands the frame to the socket as is
+// instead of framing it per destination.
 type FrameBuf struct {
 	b     []byte // length prefix + body
 	class FrameClass
@@ -442,32 +441,34 @@ type WriteDeadliner interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// ReadDeadliner is the subset of net.Conn needed to arm read deadlines.
-type ReadDeadliner interface {
-	SetReadDeadline(t time.Time) error
+// BuffersWriter is a stream that takes several buffers in one call — on a
+// socket, one writev(2). Like net.Buffers.WriteTo it consumes what it wrote
+// from *bufs. The live transport's socket wrapper is the one implementation;
+// the encoder hands any other writer the buffers one Write at a time.
+type BuffersWriter interface {
+	WriteBuffers(bufs *net.Buffers) (int64, error)
 }
 
-// Encoder writes length-prefixed frames to a stream, coalescing them in its
-// own buffer: a batch of small frames reaches the stream in one write, a
-// large frame is handed to it directly.
+// Encoder writes length-prefixed frames to a stream. It copies nothing: each
+// run of frames goes to the stream straight from the caller's buffers, as one
+// vectored write when the stream is a BuffersWriter.
 type Encoder struct {
-	w   io.Writer
-	buf []byte // frames coalesced for the next write
+	w  io.Writer
+	bw BuffersWriter // w, when it takes a run in one call
+
+	// iov is the run being written and bufs its header as handed to the
+	// stream, which consumes it. Both live here so a write allocates nothing.
+	iov  [][]byte
+	bufs net.Buffers
 
 	dl        WriteDeadliner
 	dlTimeout time.Duration
 }
 
-// spillBytes is how much the coalescing buffer holds before it is written
-// out, and the size from which a frame bypasses it. It bounds what an encoder
-// keeps resident (a link that only ever carries small batches never grows its
-// buffer this far) while letting a full batch of small frames go out in one or
-// two writes.
-const spillBytes = 16 << 10
-
 // NewEncoder wraps w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: w}
+	bw, _ := w.(BuffersWriter)
+	return &Encoder{w: w, bw: bw}
 }
 
 // ArmWriteDeadline makes every subsequent flush arm a write deadline of
@@ -476,46 +477,6 @@ func NewEncoder(w io.Writer) *Encoder {
 // timeout disarms.
 func (e *Encoder) ArmWriteDeadline(c WriteDeadliner, timeout time.Duration) {
 	e.dl, e.dlTimeout = c, timeout
-}
-
-// arm sets the write deadline, if one is configured.
-func (e *Encoder) arm() error {
-	if e.dl != nil && e.dlTimeout > 0 {
-		return e.dl.SetWriteDeadline(time.Now().Add(e.dlTimeout))
-	}
-	return nil
-}
-
-// spill writes the coalescing buffer out. A failed write drops what was
-// buffered: the connection is dead and the caller retries on a fresh one.
-func (e *Encoder) spill() error {
-	if len(e.buf) == 0 {
-		return nil
-	}
-	_, err := e.w.Write(e.buf)
-	e.buf = e.buf[:0]
-	return err
-}
-
-// writeWire queues one frame in stream form (prefix + body): small frames
-// join the coalescing buffer, spilling it when full; a large frame goes to the
-// stream as is, behind whatever was buffered ahead of it.
-func (e *Encoder) writeWire(w []byte) error {
-	if len(w)-prefixLen > maxFrameSize {
-		return ErrFrameTooLarge
-	}
-	if len(w) >= spillBytes {
-		if err := e.spill(); err != nil {
-			return err
-		}
-		_, err := e.w.Write(w)
-		return err
-	}
-	e.buf = append(e.buf, w...)
-	if len(e.buf) >= spillBytes {
-		return e.spill()
-	}
-	return nil
 }
 
 // Encode writes one frame and flushes. The marshal buffer comes from the
@@ -530,117 +491,52 @@ func (e *Encoder) Encode(f Frame) error {
 	return err
 }
 
-// WriteBatch writes a run of pre-encoded frames in stream form
-// (FrameBuf.Wire) coalesced into as few writes as possible: frames accumulate
-// in the encoder's buffer and are flushed whenever maxBytes (<=0: no cap) of
-// them is pending and once at the end. The write deadline is armed once per
-// flush — once for a batch that fits one. It returns how many leading frames
-// are known flushed — on error a caller retries frames[sent:] on a fresh
-// connection — and how many flushes reached the stream. Framing is untouched
-// by coalescing: each frame keeps its own length prefix, only the syscall
+// WriteBatch writes pre-encoded frames in stream form (FrameBuf.Wire), one
+// flush per run: a run takes frames until it holds maxBytes (<=0: no cap) or
+// the batch ends, and goes to the stream in one write — whatever the frame
+// sizes — behind a write deadline armed for it alone. A frame over the
+// transport bound fails the batch before anything is written. It returns how
+// many leading frames went out in complete runs — on error a caller retries
+// frames[sent:] on a fresh connection — and how many runs did. Framing is
+// untouched: each frame keeps its own length prefix, only the syscall
 // boundaries move.
 func (e *Encoder) WriteBatch(frames [][]byte, maxBytes int) (sent, flushes int, err error) {
-	if err := e.arm(); err != nil {
-		return 0, 0, err
+	for _, w := range frames {
+		if len(w)-prefixLen > maxFrameSize {
+			return 0, 0, ErrFrameTooLarge
+		}
 	}
-	pending := 0
-	for i, w := range frames {
-		if err := e.writeWire(w); err != nil {
+	for sent < len(frames) {
+		end, n := sent, 0
+		for end < len(frames) && (maxBytes <= 0 || n < maxBytes) {
+			n += len(frames[end])
+			end++
+		}
+		if err := e.writeRun(frames[sent:end]); err != nil {
 			return sent, flushes, err
 		}
-		pending += len(w)
-		last := i == len(frames)-1
-		if last || (maxBytes > 0 && pending >= maxBytes) {
-			if err := e.spill(); err != nil {
-				return sent, flushes, err
-			}
-			flushes++
-			sent = i + 1
-			pending = 0
-			if !last {
-				if err := e.arm(); err != nil {
-					return sent, flushes, err
-				}
-			}
-		}
+		sent = end
+		flushes++
 	}
 	return sent, flushes, nil
 }
 
-// Decoder reads length-prefixed frames from a stream.
-type Decoder struct {
-	r   *bufio.Reader
-	buf bytes.Buffer
-	hdr [4]byte // length-prefix scratch; a local would escape through io.ReadFull
-
-	dl        ReadDeadliner
-	dlTimeout time.Duration
-}
-
-// NewDecoder wraps r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r)}
-}
-
-// ArmReadDeadline makes every subsequent Decode arm a read deadline of
-// timeout on c before blocking, turning a silent peer into a timeout error
-// after at most timeout of idleness. The deadline is re-armed per read leg
-// (header, then body), so each leg must individually make progress to
-// completion within timeout; a peer trickling a frame body cannot stretch
-// one frame past two timeouts. A non-positive timeout disarms.
-func (d *Decoder) ArmReadDeadline(c ReadDeadliner, timeout time.Duration) {
-	d.dl, d.dlTimeout = c, timeout
-}
-
-// armLeg (re-)arms the read deadline ahead of one read leg.
-func (d *Decoder) armLeg() error {
-	if d.dl != nil && d.dlTimeout > 0 {
-		return d.dl.SetReadDeadline(time.Now().Add(d.dlTimeout))
-	}
-	return nil
-}
-
-// initialBodyAlloc caps the up-front buffer reservation per frame; larger
-// bodies grow as their bytes actually arrive, so a corrupt or hostile length
-// prefix cannot force a large allocation on its own.
-const initialBodyAlloc = 64 << 10
-
-// Decode reads one frame into fully owned storage.
-func (d *Decoder) Decode(f *Frame) error {
-	if err := d.armLeg(); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
-		return err
-	}
-	n := int(d.hdr[0])<<24 | int(d.hdr[1])<<16 | int(d.hdr[2])<<8 | int(d.hdr[3])
-	if n > maxFrameSize {
-		return ErrFrameTooLarge
-	}
-	if err := d.readBodyCopy(n); err != nil {
-		return err
-	}
-	got, err := UnmarshalFrame(d.buf.Bytes())
-	if err != nil {
-		return err
-	}
-	*f = got
-	return nil
-}
-
-// readBodyCopy reads an n-byte frame body into the decoder's own buffer,
-// growing it only as bytes actually arrive.
-func (d *Decoder) readBodyCopy(n int) error {
-	if err := d.armLeg(); err != nil {
-		return err
-	}
-	d.buf.Reset()
-	d.buf.Grow(min(n, initialBodyAlloc))
-	if _, err := io.CopyN(&d.buf, d.r, int64(n)); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
+// writeRun arms the write deadline and puts one run on the stream.
+func (e *Encoder) writeRun(run [][]byte) error {
+	if e.dl != nil && e.dlTimeout > 0 {
+		if err := e.dl.SetWriteDeadline(time.Now().Add(e.dlTimeout)); err != nil {
+			return err
 		}
-		return err
 	}
-	return nil
+	// Rebuilt every time: a write consumes the header and nils out what it
+	// wrote, so the backing array pins no frame once the run is out.
+	e.iov = append(e.iov[:0], run...)
+	e.bufs = e.iov
+	var err error
+	if e.bw != nil {
+		_, err = e.bw.WriteBuffers(&e.bufs)
+	} else {
+		_, err = e.bufs.WriteTo(e.w)
+	}
+	return err
 }
