@@ -4,8 +4,9 @@
 //     that exists (http/https/mailto links and pure #anchors are skipped);
 //   - every public flag of cmd/vsgm-live, cmd/vsgm-soak, cmd/vsgm-fsck,
 //     cmd/vsgm-kv, and cmd/vsgm-bench must be documented in
-//     docs/OPERATIONS.md (as `-flagname`), so the operator's handbook
-//     cannot silently fall behind the binaries;
+//     docs/OPERATIONS.md (as `-flagname`), and every flag-table row there
+//     must name a flag one of those binaries defines, so the operator's
+//     handbook can neither fall behind the binaries nor outlive a flag;
 //   - the vsgm_* metric catalogue in docs/OPERATIONS.md and the metric
 //     names registered in code must agree in BOTH directions: every metric
 //     literal in non-test Go code must be documented (verbatim, or covered
@@ -57,6 +58,9 @@ var metricLit = regexp.MustCompile(`"(vsgm_[a-z0-9_]+)"`)
 // metricTok matches vsgm_* tokens in markdown, including family prefixes.
 var metricTok = regexp.MustCompile(`vsgm_[a-z0-9_]*`)
 
+// flagRow matches a markdown table row whose first cell is one `-flag`.
+var flagRow = regexp.MustCompile("(?m)^\\|\\s*`-([a-z0-9-]+)`\\s*\\|")
+
 // opsBinaries are the binaries whose public flags docs/OPERATIONS.md must
 // cover.
 var opsBinaries = []string{"vsgm-live", "vsgm-soak", "vsgm-fsck", "vsgm-kv", "vsgm-bench"}
@@ -100,12 +104,13 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The operator's handbook must cover every public flag of the operator-
-	// facing binaries.
+	// facing binaries, and its flag tables must name no other.
 	opsPath := filepath.Join(*root, "docs", "OPERATIONS.md")
 	ops, err := os.ReadFile(opsPath)
 	if err != nil {
 		return fmt.Errorf("operator's handbook: %w", err)
 	}
+	defined := map[string]bool{}
 	for _, bin := range opsBinaries {
 		binMain, err := os.ReadFile(filepath.Join(*root, "cmd", bin, "main.go"))
 		if err != nil {
@@ -113,10 +118,18 @@ func run(args []string, out io.Writer) error {
 		}
 		for _, m := range flagDef.FindAllStringSubmatch(string(binMain), -1) {
 			name := m[1]
+			defined[name] = true
 			if !strings.Contains(string(ops), "`-"+name+"`") {
 				violations = append(violations,
 					fmt.Sprintf("docs/OPERATIONS.md: %s flag -%s is undocumented", bin, name))
 			}
+		}
+	}
+
+	for _, m := range flagRow.FindAllStringSubmatch(string(ops), -1) {
+		if !defined[m[1]] {
+			violations = append(violations,
+				fmt.Sprintf("docs/OPERATIONS.md: flag -%s is documented but no binary defines it", m[1]))
 		}
 	}
 
@@ -131,7 +144,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return fmt.Errorf("%d documentation violation(s)", len(violations))
 	}
-	fmt.Fprintf(out, "docs-check: %d markdown files, all links resolve, all %s flags documented, metric catalogue bidirectionally consistent, architecture map complete\n",
+	fmt.Fprintf(out, "docs-check: %d markdown files, all links resolve, all %s flags documented both ways, metric catalogue bidirectionally consistent, architecture map complete\n",
 		len(mds), strings.Join(opsBinaries, ", "))
 	return nil
 }

@@ -134,6 +134,25 @@ func TestDocsCheckFlagsUndocumentedFlag(t *testing.T) {
 	}
 }
 
+// TestDocsCheckFlagsStaleFlag documents a flag no binary defines any more in a
+// flag table: the handbook must not outlive the flag.
+func TestDocsCheckFlagsStaleFlag(t *testing.T) {
+	tree := goodTree()
+	tree["docs/OPERATIONS.md"] += "\n| Flag | Meaning |\n|---|---|\n| `-servers` | number of servers |\n| `-leave` | remove one member |\n"
+	root := writeTree(t, tree)
+	var out bytes.Buffer
+	err := run([]string{"-root", root}, &out)
+	if err == nil {
+		t.Fatalf("stale flag row accepted:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "flag -leave is documented but no binary defines it") {
+		t.Errorf("missing stale-flag violation:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "flag -servers is documented but") {
+		t.Errorf("defined flag reported stale:\n%s", out.String())
+	}
+}
+
 func TestDocsCheckMetricUndocumented(t *testing.T) {
 	tree := goodTree()
 	tree["internal/obs/metrics.go"] = strings.Replace(fakeMetrics,

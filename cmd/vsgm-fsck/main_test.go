@@ -14,7 +14,7 @@ import (
 	"vsgm/internal/wire"
 )
 
-// TestFsckCLI is the fsck smoke test `make fsck-smoke` runs: build a state
+// TestFsckCLI is the fsck smoke test: build a state
 // directory, corrupt it, and drive the CLI through dry-run, repair, and a
 // clean re-open — the full operator runbook in one test.
 func TestFsckCLI(t *testing.T) {

@@ -15,7 +15,7 @@ func runScript(t *testing.T, args []string, script string) string {
 	return out.String()
 }
 
-// TestKVSmoke is the `make kv-smoke` target: one scripted pass over every
+// TestKVSmoke is the console smoke test: one scripted pass over every
 // command family — routed writes and reads, both reshard kinds, crash and
 // recovery, partition and heal — ending in the full verification pass.
 func TestKVSmoke(t *testing.T) {

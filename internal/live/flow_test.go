@@ -586,8 +586,7 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 	done := make(chan struct{}) // collapses the laggard's throttle at teardown
 
 	w := newAttachWorld(t, 2, 4, attachOptions{
-		transport:  &tr,
-		tuneServer: func(_ types.ProcID, cfg *ServerConfig) { cfg.SlowBan = time.Minute },
+		transport: &tr,
 		tuneNode: func(i int, cfg *NodeConfig) {
 			cfg.SlowConsumerGrace = grace
 			cfg.MemHighWater = budget

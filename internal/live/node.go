@@ -27,14 +27,8 @@ type NodeConfig struct {
 	// Addr is the TCP listen address; "127.0.0.1:0" picks an ephemeral
 	// port (read it back with Addr).
 	Addr string
-	// Level selects the automaton layer; defaults to core.LevelGCS.
-	Level core.Level
-	// Forwarding selects the forwarding strategy; defaults to simple.
-	Forwarding core.ForwardingStrategy
 	// AutoBlock makes the end-point acknowledge block requests itself.
 	AutoBlock bool
-	// SmallSync enables the Section 5.2.4 optimization.
-	SmallSync bool
 	// MsgIDBase offsets diagnostic message identifiers.
 	MsgIDBase int64
 	// OnEvent receives the end-point's application events, serialized (one
@@ -51,11 +45,6 @@ type NodeConfig struct {
 	// shared with OnEvent must do their own locking, and the callback must
 	// not call back into the Node.
 	OnSend func(types.AppMsg)
-	// OnNotify observes membership notifications (start_change and view)
-	// as they arrive from the node's server, serialized on the same ordered
-	// stream as OnEvent — a notification is reported before any event it
-	// caused. Spec harnesses feed EMStartChange/EMView from here.
-	OnNotify func(membership.Notification)
 	// Observe, when set, receives every endpoint event synchronously under
 	// the node's state lock, in exact automaton order, at the moment it is
 	// produced. Together with OnSend's pre-wire report this gives trace
@@ -156,7 +145,6 @@ type Node struct {
 	eventsDispatched *obs.Counter
 
 	onEvent    func(core.Event)
-	onNotify   func(membership.Notification)
 	observe    func(core.Event)
 	observeNtf func(membership.Notification)
 
@@ -197,7 +185,6 @@ type pumpKind uint8
 
 const (
 	pumpEvent    pumpKind = iota // ev, for OnEvent
-	pumpNotify                   // ntf, for OnNotify
 	pumpConsumed                 // n data frames from peer are fully consumed: return their credit
 )
 
@@ -214,7 +201,6 @@ type pumpItem struct {
 	n    int32
 	ev   core.Event
 	hold *pool.Buf
-	ntf  *membership.Notification
 	peer types.ProcID
 }
 
@@ -267,7 +253,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		ready:          make(chan struct{}),
 		events:         newMailbox[pumpItem](),
 		onEvent:        cfg.OnEvent,
-		onNotify:       cfg.OnNotify,
 		observe:        cfg.Observe,
 		observeNtf:     cfg.ObserveNotify,
 		homeList:       append([]types.ProcID(nil), cfg.HomeServers...),
@@ -299,7 +284,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		pumpWakes: cfg.Obs.Counter("vsgm_node_pump_wakes_total",
 			"Times the event pump woke to a non-empty ring.", nodeLabel),
 		eventsDispatched: cfg.Obs.Counter("vsgm_node_events_dispatched_total",
-			"Ring entries the event pump handled: events, notifications, credit markers (dispatched/wakes is entries per pump wake).", nodeLabel),
+			"Ring entries the event pump handled: events and credit markers (dispatched/wakes is entries per pump wake).", nodeLabel),
 	}
 	n.unblocked = sync.NewCond(&n.mu)
 	if n.attachInterval <= 0 {
@@ -327,10 +312,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	coreCfg := core.Config{
 		ID:          cfg.ID,
 		Transport:   liveTransport{f: f},
-		Level:       cfg.Level,
-		Forwarding:  cfg.Forwarding,
 		AutoBlock:   cfg.AutoBlock,
-		SmallSync:   cfg.SmallSync,
 		MsgIDBase:   cfg.MsgIDBase,
 		OnSend:      cfg.OnSend,
 		AckInterval: ackInterval,
@@ -855,10 +837,6 @@ func (n *Node) receive(from types.ProcID, fr frame, hold *pool.Buf) {
 		if n.observeNtf != nil {
 			n.observeNtf(*fr.Notify)
 		}
-		if n.onNotify != nil {
-			cp := *fr.Notify
-			n.staged = append(n.staged, pumpItem{kind: pumpNotify, ntf: &cp})
-		}
 		switch fr.Notify.Kind {
 		case membership.NotifyStartChange:
 			n.ep.HandleStartChange(fr.Notify.StartChange)
@@ -1049,8 +1027,6 @@ func (n *Node) pumpLoop() {
 				if it.hold != nil {
 					it.hold.Release()
 				}
-			case pumpNotify:
-				n.onNotify(*it.ntf)
 			case pumpConsumed:
 				if it.peer != creditPeer && credit > 0 {
 					n.fabric.consumedData(creditPeer, credit)

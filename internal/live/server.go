@@ -35,11 +35,6 @@ type ServerConfig struct {
 	// Transport tunes the supervised transport (timeouts, backoff, queue
 	// bounds); the zero value selects production defaults.
 	Transport TransportConfig
-	// SlowBan is how long a client evicted for slow consumption is barred
-	// from re-attaching, so a laggard cannot flap the view by immediately
-	// re-registering. 0 selects the default (30s); negative disables the
-	// ban (suspects are still evicted).
-	SlowBan time.Duration
 	// AttachLease is the server-side failure detector for clients: an
 	// in-band registration whose keepalives stop for a full lease is
 	// presumed dead and deregistered (a dead member would otherwise stall
@@ -67,9 +62,13 @@ type ServerConfig struct {
 const (
 	defaultSnapshotEvery = 64
 	defaultWatchdog      = 500 * time.Millisecond
-	defaultSlowBan       = 30 * time.Second
 	defaultAttachLease   = 10 * time.Second
 )
+
+// slowBan is how long a client evicted for slow consumption is barred from
+// re-attaching, so a laggard cannot flap the view by immediately
+// re-registering.
+const slowBan = 30 * time.Second
 
 // ServerNode is one dedicated membership server deployed as a concurrent
 // process: the one-round membership algorithm (internal/membership) runs
@@ -103,7 +102,6 @@ type ServerNode struct {
 	// server into the detector), ban expiries for evicted laggards, and
 	// the eviction counter. Guarded by mu.
 	servers           types.ProcSet
-	slowBan           time.Duration
 	banned            map[types.ProcID]time.Time
 	overloadEvictions *obs.Counter
 
@@ -147,7 +145,6 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 		store:         cfg.Store,
 		snapshotEvery: cfg.SnapshotEvery,
 		servers:       cfg.Servers,
-		slowBan:       cfg.SlowBan,
 		banned:        make(map[types.ProcID]time.Time),
 		attachLease:   cfg.AttachLease,
 		leases:        make(map[types.ProcID]time.Time),
@@ -174,9 +171,6 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 	}
 	if n.snapshotEvery == 0 {
 		n.snapshotEvery = defaultSnapshotEvery
-	}
-	if n.slowBan == 0 {
-		n.slowBan = defaultSlowBan
 	}
 	if n.attachLease == 0 {
 		n.attachLease = defaultAttachLease
@@ -614,9 +608,7 @@ func (n *ServerNode) handleSuspectLocked(laggard types.ProcID) {
 		}
 		return
 	}
-	if n.slowBan > 0 {
-		n.banned[laggard] = now.Add(n.slowBan)
-	}
+	n.banned[laggard] = now.Add(slowBan)
 	if n.srv.HasClient(laggard) {
 		n.srv.RemoveClient(laggard)
 		delete(n.leases, laggard)

@@ -12,8 +12,7 @@
 // anyway — atomics, automaton gauges — at scrape time. A collector can be
 // frozen when its owner shuts down (Registry.Detach), so a closed node's
 // final numbers remain scrapeable without touching the closed structs —
-// which is what lets vsgm-live report on a killed server without racing its
-// shutdown.
+// which is what lets a report on a killed server avoid racing its shutdown.
 package obs
 
 import (

@@ -7,8 +7,7 @@ import (
 	"vsgm/internal/randseed"
 )
 
-// TestDetectorSmokeFlappingLink is the seeded flapping-link slice run by
-// `make detector-smoke`: a live soak whose every chaos phase flaps one
+// TestDetectorSmokeFlappingLink is the seeded flapping-link slice: a live soak whose every chaos phase flaps one
 // server-server link faster than an undamped detector stabilizes. The run
 // must stay within the bounded-churn budget (spec.CheckChurn over the
 // whole trace) AND the damping machinery must actually engage — flap
@@ -17,7 +16,7 @@ import (
 // cluster happens to survive.
 func TestDetectorSmokeFlappingLink(t *testing.T) {
 	if testing.Short() {
-		t.Skip("live soak: skipped under -short (run make detector-smoke)")
+		t.Skip("live soak: skipped under -short")
 	}
 	seed, _ := randseed.Pick(67)
 	logReplay(t, seed)
@@ -59,7 +58,7 @@ func TestDetectorSmokeFlappingLink(t *testing.T) {
 // show the gray downgrade machinery fired.
 func TestDetectorSmokeGrayFailure(t *testing.T) {
 	if testing.Short() {
-		t.Skip("live soak: skipped under -short (run make detector-smoke)")
+		t.Skip("live soak: skipped under -short")
 	}
 	seed, _ := randseed.Pick(71)
 	logReplay(t, seed)
@@ -95,7 +94,7 @@ func TestDetectorSmokeGrayFailure(t *testing.T) {
 // injection gap left open by the server-side scramble phases.
 func TestLiveSoakClientScramble(t *testing.T) {
 	if testing.Short() {
-		t.Skip("live soak: skipped under -short (run make detector-smoke)")
+		t.Skip("live soak: skipped under -short")
 	}
 	seed, _ := randseed.Pick(73)
 	logReplay(t, seed)
