@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test short race fuzz fuzz-smoke bench bench-smoke benchstat docs-check experiments-check soak soak-smoke check
+.PHONY: all build vet fmt-check test short race flake fuzz fuzz-smoke bench bench-smoke benchstat docs-check experiments-check soak soak-smoke check
 
 all: check
 
@@ -26,6 +26,16 @@ short:
 # are the main customers, but nothing is exempt).
 race:
 	$(GO) test -race ./...
+
+# Flake hunt, kept out of `check`: the live soak and chaos tests, whose
+# schedules the kernel and the Go scheduler choose, FLAKE_COUNT times each at
+# GOMAXPROCS 1 and 2. Any failure fails the target; "green" means every run
+# passed, not that a rerun did.
+FLAKE_COUNT ?= 10
+FLAKE_TESTS = TestLiveSoak|TestLiveChaos
+
+flake:
+	$(GO) test -count=$(FLAKE_COUNT) -cpu 1,2 -timeout 0 -run '$(FLAKE_TESTS)' ./internal/live/ ./internal/soak/
 
 # Native fuzzing of the wire codec: malformed length prefixes and truncated
 # payloads must error, never panic or over-allocate.

@@ -285,6 +285,7 @@ func (e *Endpoint) tryDeliverApp() bool {
 		e.lastDlvrd[k] = next
 		e.msgsDelivered++
 		e.sinceAck++
+		e.sinceAckBytes += len(s.msg.Payload)
 		if s.hold != nil {
 			// The event outlives this step, the slot may not: the ack this
 			// very delivery triggers, or the view it completes, can collect
@@ -449,17 +450,25 @@ func (e *Endpoint) tryForward() bool {
 	return fired
 }
 
+// ackBytes is the payload an end-point delivers before it acknowledges even
+// short of AckInterval deliveries. It counts payload length, not the slab a
+// held message pins: a sender and a receiver of the same message pin
+// different slabs but must ack at the same cadence.
+const ackBytes = 1 << 20
+
 // tryAck multicasts a stability acknowledgment — the per-sender delivered
 // counts — once enough deliveries accumulated, and collects any message
 // slots that every view member has acknowledged (the garbage-collection
-// mechanism Section 5.1 notes real implementations employ).
+// mechanism Section 5.1 notes real implementations employ). Enough is
+// AckInterval deliveries or ackBytes of delivered payload, whichever comes
+// first: small messages ack by count, large ones by bytes.
 //
 // Acknowledgments are scoped to a view by the FIFO channel alone: one is
 // sent only after the own view_msg for the current view, and a receiver
 // counts one only while the sender's latest view_msg names the receiver's
 // current view (handleAck), so indices of one view never collect another's.
 func (e *Endpoint) tryAck() bool {
-	if e.ackInterval <= 0 || e.sinceAck < e.ackInterval || !e.viewMsgSent {
+	if e.ackInterval <= 0 || !e.viewMsgSent || (e.sinceAck < e.ackInterval && e.sinceAckBytes < ackBytes) {
 		return false
 	}
 	e.sendAck()
@@ -479,8 +488,9 @@ func (e *Endpoint) FlushAck() {
 }
 
 func (e *Endpoint) sendAck() {
-	e.sinceAck = 0
+	e.sinceAck, e.sinceAckBytes = 0, 0
 	if len(e.curOthers) > 0 {
+		e.acksSent++
 		cut := make(types.Cut, len(e.curMembers))
 		for k, q := range e.curMembers {
 			cut[q] = e.lastDlvrd[k]

@@ -150,10 +150,12 @@ type Config struct {
 	OnSend func(types.AppMsg)
 
 	// AckInterval enables within-view garbage collection: after every
-	// AckInterval deliveries the end-point multicasts a stability
-	// acknowledgment (its per-sender delivered counts), and message slots
-	// acknowledged by every view member are collected. 0 disables acks;
-	// buffers are then only reclaimed at view changes (Section 5.1).
+	// AckInterval deliveries, or sooner once the deliveries since the last
+	// acknowledgment carry 1 MiB of payload, the end-point multicasts a
+	// stability acknowledgment (its per-sender delivered counts), and
+	// message slots acknowledged by every view member are collected. 0
+	// disables acks; buffers are then only reclaimed at view changes
+	// (Section 5.1).
 	AckInterval int
 
 	// HierarchyGroupSize enables the two-tier synchronization hierarchy of
@@ -262,9 +264,10 @@ type Endpoint struct {
 	// acked[r][q] is the count of q's messages that r last acknowledged
 	// having delivered in the current view (nil until r's first ack), ackers
 	// the number of non-nil rows.
-	acked    [][]int
-	ackers   int
-	sinceAck int
+	acked         [][]int
+	ackers        int
+	sinceAck      int
+	sinceAckBytes int
 
 	// Two-tier hierarchy aggregation state (leaders only). hBaseline
 	// snapshots, at each view installation, the highest sync cid seen per
@@ -282,6 +285,7 @@ type Endpoint struct {
 	viewsInstalled  int64
 	msgsDelivered   int64
 	forwardsPlanned int64
+	acksSent        int64
 }
 
 // stream is the receive side of one peer's FIFO channel: the view its latest
@@ -389,6 +393,10 @@ func (e *Endpoint) MessagesDelivered() int64 { return e.msgsDelivered }
 // ForwardsSent returns the number of forwarded message copies this end-point
 // has sent (one per destination).
 func (e *Endpoint) ForwardsSent() int64 { return e.forwardsPlanned }
+
+// AcksSent returns the number of stability acknowledgments this end-point has
+// sent (one per acknowledgment, however many members it went to).
+func (e *Endpoint) AcksSent() int64 { return e.acksSent }
 
 // BufferedMessages returns the number of application messages currently held
 // in the current view's buffers (after any garbage collection).
@@ -670,7 +678,7 @@ func (e *Endpoint) setCurrentView(v types.View) {
 	if e.ackInterval > 0 {
 		e.acked = make([][]int, n)
 	}
-	e.sinceAck = 0
+	e.sinceAck, e.sinceAckBytes = 0, 0
 	e.viewMsgSent = false
 	e.dlvLo, e.dlvHi = 0, n
 	e.limitsValid = false

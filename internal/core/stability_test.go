@@ -163,6 +163,77 @@ func TestFlushAckReportsTheQuietTail(t *testing.T) {
 	}
 }
 
+// TestAckFiresOnCountOrBytes: an end-point acknowledges after AckInterval
+// deliveries or after ackBytes of delivered payload, whichever comes first,
+// and both counters restart at every acknowledgment and view installation.
+func TestAckFiresOnCountOrBytes(t *testing.T) {
+	const interval = 1000
+	ep, tr := newTestEndpoint(t, "p", func(c *Config) { c.AckInterval = interval })
+	v1 := joinShared(t, ep)
+	ep.HandleMessage("q", types.WireMsg{Kind: types.KindView, View: v1})
+
+	// acksAt has q send n payloads of size bytes and returns the deliveries,
+	// counted from 1 within the call, right after which p acknowledged.
+	sent := int64(0)
+	acksAt := func(n, size int) []int {
+		t.Helper()
+		payload := make([]byte, size)
+		var at []int
+		for i := 1; i <= n; i++ {
+			before := ep.AcksSent()
+			sent++
+			ep.HandleMessage("q", types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: sent, Payload: payload}})
+			if ep.AcksSent() != before {
+				at = append(at, i)
+			}
+		}
+		ep.TakeEvents()
+		return at
+	}
+	expect := func(what string, got []int, want ...int) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: acknowledged after deliveries %v, want %v", what, got, want)
+		}
+	}
+	// short leaves both counters just below their triggers: 963 deliveries
+	// carrying 1 040 292 bytes, 8 284 short of ackBytes.
+	short := func() {
+		t.Helper()
+		expect("63 of 16 KiB", acksAt(63, 16<<10))
+		expect("then 900 of 9 B", acksAt(900, 9))
+	}
+
+	expect("16 KiB payloads", acksAt(128, 16<<10), ackBytes/(16<<10), 2*ackBytes/(16<<10))
+	expect("9 B payloads", acksAt(interval, 9), interval)
+	expect("2 MiB payloads", acksAt(2, 2<<20), 1, 2)
+
+	short()
+	before := ep.AcksSent()
+	ep.FlushAck()
+	if got := ep.AcksSent() - before; got != 1 {
+		t.Fatalf("FlushAck sent %d acks, want 1", got)
+	}
+	expect("16 KiB after FlushAck", acksAt(64, 16<<10), 64)
+	expect("9 B after that", acksAt(interval, 9), interval)
+
+	short()
+	ep.HandleStartChange(types.StartChange{ID: 2, Set: types.NewProcSet("p", "q")})
+	ep.HandleMessage("q", types.WireMsg{Kind: types.KindSync, CID: 2, View: v1, Cut: types.Cut{"p": 0, "q": int(sent)}})
+	v2 := twoMemberView(2, "p", "q", 2, 2)
+	ep.HandleView(v2)
+	if !ep.CurrentView().Equal(v2) {
+		t.Fatalf("setup: v2 not installed, current = %s", ep.CurrentView())
+	}
+	ep.HandleMessage("q", types.WireMsg{Kind: types.KindView, View: v2})
+	sent = 0
+	expect("16 KiB after a view installation", acksAt(64, 16<<10), 64)
+	expect("9 B after that", acksAt(interval, 9), interval)
+	if got := len(tr.byKind(types.KindAck)); int64(got) != ep.AcksSent() {
+		t.Fatalf("AcksSent = %d, transport saw %d", ep.AcksSent(), got)
+	}
+}
+
 // discard is a transport that costs nothing, so AllocsPerRun sees the
 // automaton alone.
 type discard struct{}

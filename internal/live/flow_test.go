@@ -369,19 +369,37 @@ func (w *liveWorld) waitGroupFormed() types.ViewID {
 }
 
 // TestLiveRetentionWithinViewIsBounded: live end-points acknowledge and
-// collect inside a view, so after 10 000 multicasts in one view every member's
-// vsgm_endpoint_buffered_messages is a small multiple of ackInterval ×
-// members — not the 10 000 it was when buffers were only reclaimed by a view
-// change. With 16 KiB payloads, which a member holds in the pooled buffers they
-// arrived in, the same bound holds in bytes at a slab per message, and the
-// pool has no more buffers out than the messages account for.
+// collect inside a view, so after thousands of multicasts in one view every
+// member's vsgm_endpoint_buffered_messages is a small multiple of the ack
+// interval × members — not everything sent, as when buffers were only
+// reclaimed by a view change. The interval is whichever trigger fires first
+// for the payload: ackInterval deliveries for 9 B, 1 MiB / 16 KiB = 64 for
+// 16 KiB, and vsgm_endpoint_acks_sent_total shows that cadence. With 16 KiB
+// payloads, which a member holds in the pooled buffers they arrived in, the
+// same bound holds in bytes at a slab per message, and the pool has no more
+// buffers out than the messages account for.
 func TestLiveRetentionWithinViewIsBounded(t *testing.T) {
 	t.Run("payload=9", func(t *testing.T) { retentionWithinViewIsBounded(t, []byte("retained?"), 10_000) })
 	t.Run("payload=16K", func(t *testing.T) { retentionWithinViewIsBounded(t, make([]byte, 16<<10), 3_000) })
 }
 
+// ackBytes mirrors the end-point's byte trigger (core's unexported constant
+// of the same name): an ack once the deliveries since the last one carry this
+// much payload, however few they are.
+const ackBytes = 1 << 20
+
 func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 	const members = 3
+	interval := ackInterval
+	if n := ackBytes / len(payload); n < interval {
+		interval = n
+	}
+	// A bound as large as the traffic would pass with no collection at all.
+	bound := 2 * interval * members
+	if bound >= sends {
+		t.Fatalf("retention bound %d messages is not below the %d sent: the test cannot fail", bound, sends)
+	}
+
 	reg := obs.NewRegistry()
 	w := newLiveWorldWith(t, 2, members, func(c *NodeConfig) { c.Obs = reg })
 	defer w.close()
@@ -389,6 +407,7 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 	vid := w.waitGroupFormed()
 
 	sender := w.clients["cli0"]
+	start := time.Now()
 	for i := 0; i < sends; i++ {
 		if _, err := sender.Send(payload); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -418,15 +437,28 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 		}
 		return out
 	}
+
+	// Every ack covers at most interval deliveries, so a node sent at least
+	// delivered/interval of them; the manager tick's flushes, at most one per
+	// half attach interval, are all it may send beyond that.
+	counts := gauges("vsgm_endpoint_acks_sent_total", "vsgm_endpoint_msgs_delivered_total")
+	flushes := int(time.Since(start)/(sender.attachInterval/2)) + 1
+	for node, acks := range counts[0] {
+		delivered := int(counts[1][node])
+		if lo, hi := delivered/interval, delivered/interval+flushes; int(acks) < lo || int(acks) > hi {
+			t.Errorf("%s sent %v acks for %d deliveries, want %d to %d (one per %d, plus up to %d tick flushes)", node, acks, delivered, lo, hi, interval, flushes)
+		}
+	}
+	t.Logf("acks sent for %d deliveries: %v", sends, counts[0])
+
 	buffered := func() map[string]float64 { return gauges("vsgm_endpoint_buffered_messages")[0] }
-	const bound = 2 * ackInterval * members
 	w.waitFor("buffered messages to fall under the retention bound", func() bool {
 		got := buffered()
 		if len(got) != members {
 			return false
 		}
 		for _, v := range got {
-			if v > bound {
+			if v > float64(bound) {
 				return false
 			}
 		}
@@ -445,7 +477,7 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 		g := gauges("vsgm_endpoint_buffered_messages", "vsgm_endpoint_buffered_bytes", "vsgm_pool_outstanding")
 		msgs, pinned, outstanding := g[0], g[1], g[2]
 		for node, b := range pinned {
-			if b > bound*slab {
+			if b > float64(bound*slab) {
 				t.Errorf("%s pins %v bytes in its message buffers, bound %d", node, b, bound*slab)
 			}
 		}
@@ -469,8 +501,9 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 // TestMemoryBudgetReopensWithoutViewChange: a node latched over MemHighWater
 // by its end-point's message buffers (not by transport queues) reopens once
 // the view has acknowledged the messages, with no reconfiguration. The burst
-// is too short for any member to reach ackInterval deliveries; the manager
-// tick's FlushAck is what reports the tail. The 16 KiB case runs the same
+// is too short for any member to reach either ack trigger (ackInterval
+// deliveries or 1 MiB of delivered payload); the manager tick's FlushAck is
+// what reports the tail. The 16 KiB case runs the same
 // budget over payloads that are held in pooled buffers of their own rather than
 // copied into one: the budget counts the slab a held message pins, so it still
 // bounds what is resident. The 1 KiB case runs a smaller budget over payloads
@@ -496,8 +529,9 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 
 	// Each payload is delivered everywhere before the next is sent, so the
 	// transport queues are empty and only the message buffers grow: the budget
-	// is crossed after 32 sends of 8 KiB, half an ack interval, 16 of 16, or at
-	// most 32 of 1 KiB and no fewer than a chunk's worth short of that.
+	// is crossed after 32 sends of 8 KiB (256 KiB, a quarter of the byte
+	// trigger), 16 of 16, or at most 32 of 1 KiB and no fewer than a chunk's
+	// worth short of that — every case far short of either ack trigger.
 	n := w.clients["cli0"]
 	payload := make([]byte, size)
 	sent := 0

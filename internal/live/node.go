@@ -205,18 +205,31 @@ type pumpItem struct {
 }
 
 // ackInterval is the core.Config.AckInterval of every live end-point: a
-// stability acknowledgment per this many deliveries, so members collect the
-// slots the whole view has acknowledged (Section 5.1's closing remark) and a
-// node retains O(ackInterval × members) messages, not everything sent in the
-// view. The manager tick flushes the remainder (Endpoint.FlushAck), so a
-// group gone quiet drains to empty. It is a constant, not a knob, chosen on
-// bench/ (mcast_stream 256 B, mcast_bulk 16 KiB; the sweep over 16, 64, 256
-// and 1024 is tabulated in CHANGES.md under PR 24): below 64 the ack frames
-// cost a quarter of the small-message rate; above it that rate gains about a
-// tenth, but the resident tail grows in proportion — its share of a chunk per
-// retained small message, a whole slab per large one, which at 256 is a third
-// more peak memory on mcast_bulk and at 1024 outgrows the pool's rings.
-const ackInterval = 64
+// stability acknowledgment per this many deliveries, or sooner once they carry
+// the end-point's 1 MiB byte trigger, so members collect the slots the whole
+// view has acknowledged (Section 5.1's closing remark) and a node retains
+// O(ackInterval × members) messages and O(1 MiB × members) of payload, not
+// everything sent in the view. The manager tick flushes the remainder
+// (Endpoint.FlushAck), so a group gone quiet drains to empty. It is a
+// constant, not a knob. The byte trigger sets the cadence of large messages
+// (every 64 at 16 KiB) whatever this is, so it only decides how often small
+// ones are acknowledged: a member with nothing else to send pays a write per
+// ack, and each peer a read and a wake-up. Swept on bench/ with the byte
+// trigger on (medians of three 10 s runs, 2-core host, loopback; ops/s, p50,
+// peak RSS):
+//
+//	interval  mcast_stream (256 B)      mcast_bulk (16 KiB)
+//	      64  134 k/s  154 µs  15.7 MB  30.8 k/s  208 µs  29.3 MB
+//	     256  154 k/s  131 µs  16.1 MB  30.6 k/s  211 µs  28.6 MB
+//	     512  151 k/s  130 µs  16.6 MB  30.6 k/s  207 µs  28.8 MB
+//	    1024  151 k/s  124 µs  19.2 MB  31.4 k/s  209 µs  28.3 MB
+//
+// mcast_bulk does not move: it acks every 64 deliveries at every setting.
+// 256 and 512 are within run-to-run noise of each other, and 512 sends half
+// the ack frames; past it the small-message rate stops rising while the
+// resident tail keeps growing with the interval (1024: +16 % peak memory for
+// −4 % p50).
+const ackInterval = 512
 
 // maxBatchFrames and maxBatchBytes bound the link writer's batches: how many
 // queued frames one takeBatch drains (a burst of k <= maxBatchFrames frames
@@ -358,13 +371,14 @@ func (n *Node) registerObs() {
 		// The end-point gauges are read before the pool's: an ack landing
 		// between the two reads can only lower what the pool reports out.
 		n.mu.Lock()
-		var views, delivered, forwards int64
+		var views, delivered, forwards, acks int64
 		var bufMsgs int
 		var bufBytes int64
 		if n.ep != nil {
 			views = n.ep.ViewsInstalled()
 			delivered = n.ep.MessagesDelivered()
 			forwards = n.ep.ForwardsSent()
+			acks = n.ep.AcksSent()
 			bufMsgs = n.ep.BufferedMessages()
 			bufBytes = n.ep.BufferedBytes()
 		}
@@ -381,6 +395,7 @@ func (n *Node) registerObs() {
 			{Name: "vsgm_endpoint_views_installed_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(views)},
 			{Name: "vsgm_endpoint_msgs_delivered_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(delivered)},
 			{Name: "vsgm_endpoint_forwards_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(forwards)},
+			{Name: "vsgm_endpoint_acks_sent_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(acks)},
 			{Name: "vsgm_endpoint_buffered_messages", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(bufMsgs)},
 			{Name: "vsgm_endpoint_buffered_bytes", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(bufBytes)},
 			{Name: "vsgm_node_mem_bytes", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(bufBytes + n.fabric.QueuedBytes())},
@@ -397,6 +412,7 @@ func (n *Node) registerObs() {
 	n.obs.SetHelp("vsgm_endpoint_views_installed_total", "Views delivered to the application.")
 	n.obs.SetHelp("vsgm_endpoint_msgs_delivered_total", "Application messages delivered.")
 	n.obs.SetHelp("vsgm_endpoint_forwards_total", "Forwarded message copies sent during reconfigurations.")
+	n.obs.SetHelp("vsgm_endpoint_acks_sent_total", "Stability acknowledgments multicast to the view, one per ack round.")
 	n.obs.SetHelp("vsgm_endpoint_buffered_messages", "Application messages resident in the endpoint's buffers.")
 	n.obs.SetHelp("vsgm_endpoint_buffered_bytes", "Bytes the endpoint's message buffers keep resident: a payload's whole pooled buffer when it has one to itself, its length when it is packed into a shared chunk, plus each open chunk's unfilled rest.")
 	n.obs.SetHelp("vsgm_node_mem_bytes", "Bytes governed by the memory budget: transport queues plus what the message buffers pin.")

@@ -287,12 +287,10 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return new(Counter)
 	}
 	s := r.register(name, help, KindCounter, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if s.c == nil {
-		r.mu.Lock()
-		if s.c == nil {
-			s.c = new(Counter)
-		}
-		r.mu.Unlock()
+		s.c = new(Counter)
 	}
 	return s.c
 }
@@ -303,12 +301,10 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 		return new(Gauge)
 	}
 	s := r.register(name, help, KindGauge, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if s.g == nil {
-		r.mu.Lock()
-		if s.g == nil {
-			s.g = new(Gauge)
-		}
-		r.mu.Unlock()
+		s.g = new(Gauge)
 	}
 	return s.g
 }
@@ -320,12 +316,10 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 		return newHistogram(bounds)
 	}
 	s := r.register(name, help, KindHistogram, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if s.h == nil {
-		r.mu.Lock()
-		if s.h == nil {
-			s.h = newHistogram(bounds)
-		}
-		r.mu.Unlock()
+		s.h = newHistogram(bounds)
 	}
 	return s.h
 }
@@ -403,24 +397,34 @@ func (r *Registry) Snapshot() Snapshot {
 
 	var snap Snapshot
 	for _, key := range keys {
+		// A series' handles are set under the write lock (Counter, Gauge,
+		// Histogram), so they are read under the read lock too.
 		r.mu.RLock()
 		s := r.series[key]
+		var (
+			c *Counter
+			g *Gauge
+			h *Histogram
+		)
+		if s != nil {
+			c, g, h = s.c, s.g, s.h
+		}
 		r.mu.RUnlock()
 		if s == nil {
 			continue
 		}
 		switch s.kind {
 		case KindCounter:
-			if s.c != nil {
-				snap.Samples = append(snap.Samples, Sample{Name: s.name, Kind: KindCounter, Labels: s.labels, Value: float64(s.c.Value())})
+			if c != nil {
+				snap.Samples = append(snap.Samples, Sample{Name: s.name, Kind: KindCounter, Labels: s.labels, Value: float64(c.Value())})
 			}
 		case KindGauge:
-			if s.g != nil {
-				snap.Samples = append(snap.Samples, Sample{Name: s.name, Kind: KindGauge, Labels: s.labels, Value: float64(s.g.Value())})
+			if g != nil {
+				snap.Samples = append(snap.Samples, Sample{Name: s.name, Kind: KindGauge, Labels: s.labels, Value: float64(g.Value())})
 			}
 		case KindHistogram:
-			if s.h != nil {
-				snap.Histograms = append(snap.Histograms, HistogramSample{Name: s.name, Labels: s.labels, Snap: s.h.Snapshot()})
+			if h != nil {
+				snap.Histograms = append(snap.Histograms, HistogramSample{Name: s.name, Labels: s.labels, Snap: h.Snapshot()})
 			}
 		}
 	}

@@ -233,9 +233,9 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	return w, nil
 }
 
-// groupAckInterval is the core.Config.AckInterval of every shard replica, the
-// value live nodes run with: replicas acknowledge every 64 deliveries and
-// drop the command slots their whole group has delivered, so a shard group
+// groupAckInterval is the core.Config.AckInterval of every shard replica:
+// replicas acknowledge every 64 deliveries (commands of ~150 B never reach
+// the end-point's 1 MiB byte trigger first) and drop the command slots their whole group has delivered, so a shard group
 // retains O(interval × replicas) commands instead of every command since its
 // last view change. On bench/ kv_mixed (8 s, 4 shards × 3 replicas) that is
 // 46 MB peak RSS against 77 MB without acks, at the same 40 k ops/s: the
