@@ -27,12 +27,12 @@ short:
 race:
 	$(GO) test -race ./...
 
-# Flake hunt, kept out of `check`: the live soak and chaos tests, whose
-# schedules the kernel and the Go scheduler choose, FLAKE_COUNT times each at
-# GOMAXPROCS 1 and 2. Any failure fails the target; "green" means every run
-# passed, not that a rerun did.
+# Flake hunt, kept out of `check`: the live soak, chaos and server-failover
+# tests, whose schedules the kernel and the Go scheduler choose, FLAKE_COUNT
+# times each at GOMAXPROCS 1 and 2. Any failure fails the target; "green"
+# means every run passed, not that a rerun did.
 FLAKE_COUNT ?= 10
-FLAKE_TESTS = TestLiveSoak|TestLiveChaos
+FLAKE_TESTS = TestLiveSoak|TestLiveChaos|TestLiveServer
 
 flake:
 	$(GO) test -count=$(FLAKE_COUNT) -cpu 1,2 -timeout 0 -run '$(FLAKE_TESTS)' ./internal/live/ ./internal/soak/

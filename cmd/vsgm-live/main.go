@@ -1,7 +1,8 @@
 // Command vsgm-live runs the client-server deployment over real TCP
 // loopback sockets: dedicated membership servers, GCS end-points as
 // concurrent client processes, and live traffic — then reports what every
-// client observed.
+// client observed and the verdict of the specification checkers that watched
+// every event ("spec: ok", or an error naming the violation).
 //
 // Usage:
 //
@@ -15,9 +16,9 @@
 // handlers — for the run's duration. See docs/OPERATIONS.md for the full
 // metric catalogue.
 //
-// Faults are exercised elsewhere, with the specification checkers attached:
-// the live soak (vsgm-soak -mode live) scripts partitions, crashes with WAL
-// restarts and overload, and the internal/live tests cover each on its own.
+// The deployment is internal/live's loopback Deployment, the same one the
+// live soak (vsgm-soak -mode live) and the internal/live tests drive through
+// partitions, crashes with WAL restarts and overload.
 package main
 
 import (
@@ -25,14 +26,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
-	"vsgm/internal/core"
 	"vsgm/internal/live"
 	"vsgm/internal/obs"
-	"vsgm/internal/sim"
 	"vsgm/internal/types"
 )
 
@@ -72,97 +70,42 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "debug listener on %s (/metrics /statusz /tracez /debug/pprof)\n", dbg.Addr())
 	}
 
-	var (
-		mu        sync.Mutex
-		delivered = make(map[types.ProcID]int)
-	)
-
-	serverIDs := sim.ServerIDs(*nServers)
-	serverSet := types.NewProcSet(serverIDs...)
-	dir := make(map[types.ProcID]string)
-
-	var servers []*live.ServerNode
-	for _, sid := range serverIDs {
-		sn, err := live.NewServerNode(live.ServerConfig{ID: sid, Addr: "127.0.0.1:0", Servers: serverSet, Obs: reg})
-		if err != nil {
-			return err
-		}
-		defer sn.Close()
-		servers = append(servers, sn)
-		dir[sid] = sn.Addr()
+	// The nodes run the transport's default timeouts, not the deployment's
+	// shrunk loopback ones.
+	d, err := live.NewDeployment(live.DeploymentConfig{
+		Servers: *nServers,
+		Clients: *nClients,
+		Server: func(_ types.ProcID, cfg *live.ServerConfig) error {
+			cfg.Transport, cfg.Obs = live.TransportConfig{}, reg
+			return nil
+		},
+		Node: func(_ int, cfg *live.NodeConfig) {
+			cfg.Transport, cfg.Obs, cfg.Tracer = live.TransportConfig{}, reg, tracer
+		},
+	})
+	if err != nil {
+		return err
 	}
-
-	clientIDs := sim.ClientIDs(*nClients)
-	clients := make(map[types.ProcID]*live.Node, *nClients)
-	for i, cid := range clientIDs {
-		node, err := live.NewNode(live.NodeConfig{
-			ID:        cid,
-			Addr:      "127.0.0.1:0",
-			AutoBlock: true,
-			MsgIDBase: int64(i+1) * 1_000_000,
-			Obs:       reg,
-			Tracer:    tracer,
-			OnEvent: func(ev core.Event) {
-				if _, ok := ev.(core.DeliverEvent); ok {
-					mu.Lock()
-					delivered[cid]++
-					mu.Unlock()
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		clients[cid] = node
-		dir[cid] = node.Addr()
-	}
-
-	for _, sn := range servers {
-		sn.SetPeers(dir)
-	}
-	for _, node := range clients {
-		node.SetPeers(dir)
-	}
-	for i, cid := range clientIDs {
-		servers[i%len(servers)].AddClient(cid)
-	}
+	defer d.Close()
+	clientIDs := d.ClientIDs()
 
 	fmt.Fprintf(out, "booting %d servers and %d clients on loopback TCP\n", *nServers, *nClients)
-	for _, sn := range servers {
-		sn.SetReachable(serverSet)
+	d.SetReachable()
+	if err := d.WaitFullView("group formation", 0, *timeout); err != nil {
+		return err
 	}
-	all := types.NewProcSet(clientIDs...)
-	if err := waitFor(*timeout, func() bool {
-		for _, node := range clients {
-			if !node.CurrentView().Members.Equal(all) {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return fmt.Errorf("group formation: %w", err)
-	}
-	fmt.Fprintf(out, "group %s formed\n", clients[clientIDs[0]].CurrentView())
+	fmt.Fprintf(out, "group %s formed\n", d.Client(clientIDs[0]).CurrentView())
 
 	fmt.Fprintf(out, "multicasting %d messages per client concurrently\n", *msgs)
 	var wg sync.WaitGroup
-	for _, node := range clients {
+	for cid := range d.Clients() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < *msgs; i++ {
-				// A send can race a view change; ErrBlocked simply means
-				// retry after the change.
-				for {
-					_, err := node.Send([]byte(fmt.Sprintf("m%d", i)))
-					if err == nil {
-						break
-					}
-					if err != core.ErrBlocked {
-						return
-					}
-					time.Sleep(time.Millisecond)
+				// A send can race a view change; SendRetry retries through it.
+				if d.SendRetry(cid, fmt.Sprintf("m%d", i), *timeout) != nil {
+					return
 				}
 			}
 		}()
@@ -170,9 +113,8 @@ func run(args []string, out io.Writer) error {
 	wg.Wait()
 
 	want := *msgs * *nClients
-	if err := waitFor(*timeout, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
+	if err := d.WaitFor("the traffic phase", *timeout, func() bool {
+		delivered := d.Delivered()
 		for _, cid := range clientIDs {
 			if delivered[cid] < want {
 				return false
@@ -180,38 +122,32 @@ func run(args []string, out io.Writer) error {
 		}
 		return true
 	}); err != nil {
-		return fmt.Errorf("traffic phase: %w", err)
+		return err
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	ids := append([]types.ProcID(nil), clientIDs...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, cid := range ids {
+	delivered := d.Delivered()
+	for _, cid := range clientIDs {
 		fmt.Fprintf(out, "  %s delivered %d messages\n", cid, delivered[cid])
 	}
 
 	// A node's links sum over its peers.
 	counts := scrape(reg)
 	fmt.Fprintln(out, "transport counters:")
-	printStats := func(id types.ProcID) {
+	for _, id := range append(d.ServerIDs(), clientIDs...) {
 		g := func(name string) int64 { return int64(counts[string(id)]["vsgm_link_"+name+"_total"]) }
 		fmt.Fprintf(out, "  %s: dials=%d failures=%d retries=%d reconnects=%d frames=%d flushes=%d writeErrs=%d drops=%d creditsGranted=%d creditsConsumed=%d windowExhausted=%d\n",
 			id, g("dials"), g("dial_failures"), g("retries"), g("reconnects"), g("frames_sent"), g("flushes"),
 			g("write_errors"), g("queue_drops")+g("chaos_drops"),
 			g("credits_granted"), g("credits_consumed"), g("window_exhausted"))
 	}
-	for _, sid := range serverIDs {
-		printStats(sid)
-	}
-	for _, cid := range ids {
-		printStats(cid)
-	}
 
 	// Per-endpoint reconfiguration timelines, stamped with the trace ids the
 	// servers gossiped through their proposals.
 	fmt.Fprintln(out, "reconfiguration trace:")
 	tracer.RenderTimeline(out)
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("spec: %w", err)
+	}
+	fmt.Fprintln(out, "spec: ok")
 	fmt.Fprintln(out, "done")
 	return nil
 }
@@ -235,15 +171,4 @@ func scrape(reg *obs.Registry) map[string]map[string]float64 {
 		}
 	}
 	return out
-}
-
-func waitFor(limit time.Duration, cond func() bool) error {
-	deadline := time.Now().Add(limit)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return nil
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return fmt.Errorf("timed out after %v", limit)
 }

@@ -58,7 +58,7 @@ func TestRunLiveDeployment(t *testing.T) {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	s := out.String()
-	for _, want := range []string{"group", "formed", "delivered 9 messages", "transport counters:", "done"} {
+	for _, want := range []string{"group", "formed", "delivered 9 messages", "transport counters:", "spec: ok", "done"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
@@ -143,7 +143,7 @@ func TestRunLiveDebugListener(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	if statusz := get("/statusz"); !strings.Contains(statusz, `vsgm_server_attempts_total{server=\"s00\"}`) || strings.Contains(statusz, `"status"`) {
+	if statusz := get("/statusz"); !strings.Contains(statusz, `vsgm_server_attempts_total{server=\"srv0\"}`) || strings.Contains(statusz, `"status"`) {
 		t.Errorf("/statusz is not the server's series alone:\n%s", statusz)
 	}
 

@@ -68,7 +68,7 @@ func TestHandshakeBoundsHello(t *testing.T) {
 // until the fabric closes.
 func TestSilentConnectionIsClosed(t *testing.T) {
 	f, err := newFabric("victim", "127.0.0.1:0", TransportConfig{DialTimeout: 200 * time.Millisecond},
-		func(types.ProcID, frame) {}, nil)
+		dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"vsgm/internal/core"
 	"vsgm/internal/membership"
 	"vsgm/internal/types"
 	"vsgm/internal/wal"
@@ -26,49 +25,20 @@ import (
 // once. The servers must absorb both edges (including attach requests that
 // time out during the burst and land late) without a spec violation.
 func TestLiveFlashCrowdAttachBurst(t *testing.T) {
-	w := newAttachWorld(t, 2, 3, attachOptions{})
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 3, Attach: true})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 
 	w.waitFullView("core clients attached and in the full view", 0)
 	w.roundOfTraffic("pre-crowd")
 
 	const crowdSize = 6
-	serverIDs := []types.ProcID{w.servers[0].ID(), w.servers[1].ID()}
-	floor := w.maxViewID()
-	crowd := make([]types.ProcID, 0, crowdSize)
-	for i := 0; i < crowdSize; i++ {
-		cid := types.ProcID(fmt.Sprintf("crowd%d", i))
-		cfg := NodeConfig{
-			ID:        cid,
-			Addr:      "127.0.0.1:0",
-			AutoBlock: true,
-			// Offset well past the core clients' bases so identifiers
-			// stay globally unique.
-			MsgIDBase:      int64(i+1001) * 1_000_000,
-			HomeServers:    []types.ProcID{serverIDs[i%2], serverIDs[(i+1)%2]},
-			AttachInterval: 40 * time.Millisecond,
-			AttachTimeout:  250 * time.Millisecond,
-			Transport:      testTransport(),
-			Observe:        func(ev core.Event) { w.onEvent(cid, ev) },
-			OnSend:         func(m types.AppMsg) { w.recordSend(cid, m.ID) },
-			ObserveNotify:  func(n membership.Notification) { w.onNotify(cid, n) },
-		}
-		node, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.clients[cid] = node
-		w.homes[cid] = cfg.HomeServers[0]
-		crowd = append(crowd, cid)
+	floor := w.MaxViewID()
+	crowd := make([]types.ProcID, crowdSize)
+	for i := range crowd {
+		crowd[i] = types.ProcID(fmt.Sprintf("crowd%d", i))
 	}
-	dir := w.directory()
-	for _, sn := range w.servers {
-		sn.SetPeers(dir)
-	}
-	for _, node := range w.clients {
-		node.SetPeers(dir)
-	}
+	w.must(w.AddClients(crowd...))
 
 	w.waitFullView("crowd admitted into the full view", floor)
 	w.roundOfTraffic("with-crowd")
@@ -77,16 +47,14 @@ func TestLiveFlashCrowdAttachBurst(t *testing.T) {
 	// ceremony. Deregistration must be a retried scrub, not a one-shot scan —
 	// an attach request that timed out during the burst can land at a server
 	// after the scan and resurrect a closed client's registration.
-	floor = w.maxViewID()
+	floor = w.MaxViewID()
 	for _, cid := range crowd {
-		w.clients[cid].Close()
-		delete(w.clients, cid)
-		delete(w.homes, cid)
+		w.CloseClient(cid)
 	}
-	core := w.allClients()
+	core := w.ClientSet()
 	w.waitFor("view shrinks back to the core clients", func() bool {
 		clean := true
-		for _, sn := range w.servers {
+		for _, sn := range w.Servers() {
 			for _, cid := range crowd {
 				if sn.Clients().Contains(cid) {
 					sn.RemoveClient(cid)
@@ -95,10 +63,10 @@ func TestLiveFlashCrowdAttachBurst(t *testing.T) {
 			}
 		}
 		if !clean {
-			w.servers[0].Reconfigure()
+			w.Servers()[0].Reconfigure()
 			return false
 		}
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			v := node.CurrentView()
 			if v.ID <= floor || !v.Members.Equal(core) {
 				return false
@@ -108,7 +76,7 @@ func TestLiveFlashCrowdAttachBurst(t *testing.T) {
 	})
 	w.roundOfTraffic("post-crowd")
 
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violation across the flash crowd: %v", err)
 	}
 }
@@ -129,11 +97,10 @@ func TestLiveStaleWALResurrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newAttachWorld(t, 1, 2, attachOptions{
-		stores: map[types.ProcID]Store{"srv0": store},
-	})
+	w := deploy(t, DeploymentConfig{Servers: 1, Clients: 2, Attach: true,
+		Server: func(_ types.ProcID, cfg *ServerConfig) error { cfg.Store = store; return nil }})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 
 	w.waitFullView("clients attached and in the full view", 0)
 	w.roundOfTraffic("pre-snapshot")
@@ -145,16 +112,15 @@ func TestLiveStaleWALResurrection(t *testing.T) {
 	}
 
 	for round := 0; round < 3; round++ {
-		f := w.maxViewID()
-		w.servers[0].Reconfigure()
+		f := w.MaxViewID()
+		w.Servers()[0].Reconfigure()
 		w.waitFullView(fmt.Sprintf("advance round %d past the backup", round), f)
 	}
 	w.roundOfTraffic("post-snapshot")
-	advanced := w.servers[0].Records()
+	advanced := w.Servers()[0].Records()
 
-	addr := w.servers[0].Addr()
-	floor := w.maxViewID()
-	w.servers[0].Close()
+	floor := w.MaxViewID()
+	w.Servers()[0].Close()
 
 	// The clone must be genuinely stale — otherwise the resurrection below
 	// proves nothing. Inspect it before the restarted server touches it.
@@ -176,20 +142,9 @@ func TestLiveStaleWALResurrection(t *testing.T) {
 		}
 	}
 
-	sn, err := NewServerNode(ServerConfig{
-		ID:        "srv0",
-		Addr:      addr,
-		Servers:   types.NewProcSet("srv0"),
-		Store:     staleStore,
-		Watchdog:  25 * time.Millisecond,
-		Transport: testTransport(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.servers[0] = sn // w.close now tears down the resurrected instance
-	sn.SetPeers(w.directory())
-	sn.SetReachable(types.NewProcSet("srv0"))
+	store = staleStore // what the restart opens
+	w.must(w.RestartServer("srv0"))
+	sn := w.Server("srv0")
 
 	w.waitFullView("clients re-attached to the resurrected server", floor)
 	w.roundOfTraffic("post-resurrection")
@@ -203,7 +158,7 @@ func TestLiveStaleWALResurrection(t *testing.T) {
 			t.Fatalf("resurrected server regressed %s: pre-crash %+v, post %+v (ok=%v)", p, adv, g, ok)
 		}
 	}
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violation across the stale-WAL resurrection: %v", err)
 	}
 }
@@ -216,56 +171,30 @@ func TestLiveStaleWALResurrection(t *testing.T) {
 // the corpse and its sync rounds would never complete.
 func TestLiveAttachLeaseEvictsSilentClient(t *testing.T) {
 	const lease = 300 * time.Millisecond
-	w := newAttachWorld(t, 1, 2, attachOptions{
-		tuneServer: func(sid types.ProcID, cfg *ServerConfig) { cfg.AttachLease = lease },
-	})
+	w := deploy(t, DeploymentConfig{Servers: 1, Clients: 2, Attach: true,
+		Server: func(_ types.ProcID, cfg *ServerConfig) error { cfg.AttachLease = lease; return nil }})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 
 	w.waitFullView("core clients attached and in the full view", 0)
 	w.roundOfTraffic("pre-ghost")
 
 	// A third client attaches, enters one view, and dies without ceremony.
-	floor := w.maxViewID()
+	floor := w.MaxViewID()
 	ghost := types.ProcID("ghost")
-	cfg := NodeConfig{
-		ID:             ghost,
-		Addr:           "127.0.0.1:0",
-		AutoBlock:      true,
-		MsgIDBase:      9_000_000,
-		HomeServers:    []types.ProcID{w.servers[0].ID()},
-		AttachInterval: 40 * time.Millisecond,
-		AttachTimeout:  250 * time.Millisecond,
-		Transport:      testTransport(),
-		Observe:        func(ev core.Event) { w.onEvent(ghost, ev) },
-		OnSend:         func(m types.AppMsg) { w.recordSend(ghost, m.ID) },
-		ObserveNotify:  func(n membership.Notification) { w.onNotify(ghost, n) },
-	}
-	node, err := NewNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.clients[ghost] = node
-	w.homes[ghost] = cfg.HomeServers[0]
-	dir := w.directory()
-	w.servers[0].SetPeers(dir)
-	for _, n := range w.clients {
-		n.SetPeers(dir)
-	}
+	w.must(w.AddClients(ghost))
 	w.waitFullView("ghost admitted into the full view", floor)
 
-	floor = w.maxViewID()
-	node.Close() // no detach: the process is simply gone
-	delete(w.clients, ghost)
-	delete(w.homes, ghost)
+	floor = w.MaxViewID()
+	w.CloseClient(ghost) // no detach: the process is simply gone
 
 	// The lease sweep alone must deregister the ghost and shrink the view.
-	core := w.allClients()
+	core := w.ClientSet()
 	w.waitFor("lease eviction shrinks the view back to the core", func() bool {
-		if w.servers[0].Clients().Contains(ghost) {
+		if w.Servers()[0].Clients().Contains(ghost) {
 			return false
 		}
-		for _, n := range w.clients {
+		for _, n := range w.Clients() {
 			v := n.CurrentView()
 			if v.ID <= floor || !v.Members.Equal(core) {
 				return false
@@ -273,12 +202,12 @@ func TestLiveAttachLeaseEvictsSilentClient(t *testing.T) {
 		}
 		return true
 	})
-	if got := w.servers[0].leaseEvictions.Value(); got < 1 {
+	if got := w.Servers()[0].leaseEvictions.Value(); got < 1 {
 		t.Fatalf("lease evictions = %d, want at least 1", got)
 	}
 	w.roundOfTraffic("post-ghost")
 
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violation across the lease eviction: %v", err)
 	}
 }

@@ -37,14 +37,12 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 		handled  []int64
 		unlocked atomic.Int64
 	)
-	w := newLiveWorldWith(t, 1, 2, func(c *NodeConfig) {
+	w := deploy(t, DeploymentConfig{Servers: 1, Clients: 2, Node: func(_ int, c *NodeConfig) {
 		c.Transport.Window = window
 		if c.ID != "cli1" {
 			return
 		}
-		specObserve := c.Observe
 		c.Observe = func(ev core.Event) {
-			specObserve(ev)
 			de, ok := ev.(core.DeliverEvent)
 			if !ok || !armed.Load() {
 				return
@@ -67,14 +65,14 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 			handled = append(handled, de.Msg.ID)
 			mu.Unlock()
 		}
-	})
+	}})
 	defer w.close()
-	receiver.Store(w.clients["cli1"])
-	w.boot()
+	receiver.Store(w.Client("cli1"))
+	w.SetReachable()
 	w.waitGroupFormed()
 	armed.Store(true)
 
-	sender := w.clients["cli0"]
+	sender := w.Client("cli0")
 	for i := 0; i < window; i++ {
 		if _, err := sender.TrySend([]byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatalf("send %d inside the window: %v", i, err)
@@ -95,7 +93,7 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 	if got := count(&handled); got != 0 {
 		t.Fatalf("OnEvent returned for %d messages while gated", got)
 	}
-	if s := linkCounts(w.clients["cli1"].fabric, "cli0"); s["credit_frames"] != 0 || s["credits_granted"] != 0 {
+	if s := linkCounts(w.Client("cli1").fabric, "cli0"); s["credit_frames"] != 0 || s["credits_granted"] != 0 {
 		t.Fatalf("receiver returned credit before OnEvent ran: %d credit frames, %d granted", s["credit_frames"], s["credits_granted"])
 	}
 	if _, err := sender.TrySend([]byte("overflow")); err != ErrOverloaded {
@@ -105,7 +103,7 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 	close(gate)
 	w.waitFor("OnEvent to receive the whole window", func() bool { return count(&handled) == window })
 	w.waitFor("credit to return once the application consumed the window", func() bool {
-		return linkCounts(w.clients["cli1"].fabric, "cli0")["credit_frames"] > 0
+		return linkCounts(w.Client("cli1").fabric, "cli0")["credit_frames"] > 0
 	})
 	w.waitFor("the sender's window to reopen", func() bool {
 		_, err := sender.TrySend([]byte("after"))
@@ -122,7 +120,7 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 	if n := unlocked.Load(); n != 0 {
 		t.Fatalf("Observe ran %d times without the node's lock held", n)
 	}
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }
@@ -233,7 +231,7 @@ func TestFabricByteSplitDelivery(t *testing.T) {
 		got  []string
 		kept []keptBody
 	)
-	rx, err := newFabricRef("rx", "127.0.0.1:0", TransportConfig{},
+	rx, err := newFabric("rx", "127.0.0.1:0", TransportConfig{},
 		func(_ types.ProcID, fr frame, body *pool.Buf) {
 			mu.Lock()
 			got = append(got, frameDigest(fr))

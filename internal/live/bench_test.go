@@ -66,7 +66,7 @@ func benchBroadcast(b *testing.B, fanout, payload int) {
 		dests[i] = q
 		dir[q] = addr
 	}
-	fa, err := newFabric("bench", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("bench", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,13 +166,14 @@ func BenchmarkSendUnderBackpressure(b *testing.B) {
 	}
 	var got atomic.Int64
 	var fb *fabric
-	recv := func(from types.ProcID, fr frame) {
+	recv := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			got.Add(1)
 			fb.consumedData(from, 1)
 		}
 	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func benchLinkScale(b *testing.B, links int) {
 	}
 
 	var frames atomic.Int64
-	rx, err := newFabricRef("rx", "127.0.0.1:0",
+	rx, err := newFabric("rx", "127.0.0.1:0",
 		TransportConfig{QueueCap: 1 << 16},
 		func(_ types.ProcID, fr frame, body *pool.Buf) {
 			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {

@@ -22,9 +22,9 @@ import (
 	"testing"
 	"time"
 
-	"vsgm/internal/core"
 	"vsgm/internal/types"
 	"vsgm/internal/wire"
+	"vsgm/internal/wire/pool"
 )
 
 // waitUntil polls cond until it holds or the timeout passes.
@@ -39,6 +39,17 @@ func waitUntil(t *testing.T, what string, timeout time.Duration, cond func() boo
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// releaseBody ends a receive callback's hold on its frame's body.
+func releaseBody(body *pool.Buf) {
+	if body != nil {
+		body.Release()
+	}
+}
+
+// dropFrame is the receive callback of a fabric whose inbound frames no
+// test reads.
+func dropFrame(_ types.ProcID, _ frame, body *pool.Buf) { releaseBody(body) }
 
 // linkCounts is the raw-fabric tests' per-peer reader: what the owner's
 // collector scrapes as vsgm_link_<name>_total{peer=...} for every name in
@@ -56,56 +67,6 @@ func linkCounts(f *fabric, peer types.ProcID) map[string]int64 {
 	return out
 }
 
-// deliveredSnapshot copies the per-client delivery counters.
-func (w *liveWorld) deliveredSnapshot() map[types.ProcID]int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[types.ProcID]int, len(w.dlvrs))
-	for k, v := range w.dlvrs {
-		out[k] = v
-	}
-	return out
-}
-
-// sendRetry multicasts from cid, retrying through block windows (view
-// changes block clients transiently; that is correct behavior, not failure).
-func (w *liveWorld) sendRetry(cid types.ProcID, payload string) {
-	w.t.Helper()
-	node := w.clients[cid]
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		_, err := node.Send([]byte(payload))
-		if err == nil {
-			return
-		}
-		if err != core.ErrBlocked {
-			w.t.Fatalf("send from %s: %v", cid, err)
-		}
-		time.Sleep(3 * time.Millisecond)
-	}
-	w.t.Fatalf("send from %s still blocked after 10s", cid)
-}
-
-// sideClients returns the clients homed at the given server.
-func (w *liveWorld) sideClients(srv types.ProcID) types.ProcSet {
-	s := types.NewProcSet()
-	for cid, home := range w.homes {
-		if home == srv {
-			s.Add(cid)
-		}
-	}
-	return s
-}
-
-// allClients returns the full client set.
-func (w *liveWorld) allClients() types.ProcSet {
-	s := types.NewProcSet()
-	for cid := range w.clients {
-		s.Add(cid)
-	}
-	return s
-}
-
 // TestLiveChaosPartitionAndHeal is the live-network mirror of
 // sim.TestServerWorldPartitionAndHeal: two servers with two clients each
 // run over real sockets, the chaos fabric partitions the deployment
@@ -113,13 +74,13 @@ func (w *liveWorld) allClients() types.ProcSet {
 // multicasting, the partition heals, and the group reconverges on the
 // merged view — with the full spec suite checking every event throughout.
 func TestLiveChaosPartitionAndHeal(t *testing.T) {
-	w := newLiveWorld(t, 2, 4)
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 4})
 	defer w.close()
-	w.startHeartbeats(15*time.Millisecond, 120*time.Millisecond)
+	w.StartHeartbeats(15*time.Millisecond, 120*time.Millisecond)
 
-	all := w.allClients()
+	all := w.ClientSet()
 	w.waitFor("initial full view", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -128,14 +89,14 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 	})
 
 	// Pre-partition round: everyone hears everyone.
-	base := w.deliveredSnapshot()
-	for cid := range w.clients {
+	base := w.Delivered()
+	for cid := range w.Clients() {
 		w.sendRetry(cid, "pre-"+string(cid))
 	}
 	w.waitFor("pre-partition deliveries everywhere", func() bool {
-		snap := w.deliveredSnapshot()
-		for cid := range w.clients {
-			if snap[cid] < base[cid]+len(w.clients) {
+		snap := w.Delivered()
+		for cid := range w.Clients() {
+			if snap[cid] < base[cid]+len(w.Clients()) {
 				return false
 			}
 		}
@@ -147,7 +108,7 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 	// phases. Errors (block windows during view changes) are expected.
 	stop := make(chan struct{})
 	var traffic sync.WaitGroup
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		cid, node := cid, node
 		traffic.Add(1)
 		go func() {
@@ -164,15 +125,15 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 		}()
 	}
 
-	sideA := w.sideClients(w.servers[0].ID())
-	sideB := w.sideClients(w.servers[1].ID())
-	w.partitionServers(
-		types.NewProcSet(w.servers[0].ID()),
-		types.NewProcSet(w.servers[1].ID()),
+	sideA := w.sideClients(w.Servers()[0].ID())
+	sideB := w.sideClients(w.Servers()[1].ID())
+	w.Partition(
+		types.NewProcSet(w.Servers()[0].ID()),
+		types.NewProcSet(w.Servers()[1].ID()),
 	)
 
 	w.waitFor("each side to install its own view", func() bool {
-		for cid, node := range w.clients {
+		for cid, node := range w.Clients() {
 			want := sideA
 			if sideB.Contains(cid) {
 				want = sideB
@@ -185,13 +146,13 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 	})
 
 	// Mid-partition round: each component keeps multicasting internally.
-	mid := w.deliveredSnapshot()
-	for cid := range w.clients {
+	mid := w.Delivered()
+	for cid := range w.Clients() {
 		w.sendRetry(cid, "mid-"+string(cid))
 	}
 	w.waitFor("mid-partition deliveries within each side", func() bool {
-		snap := w.deliveredSnapshot()
-		for cid := range w.clients {
+		snap := w.Delivered()
+		for cid := range w.Clients() {
 			side := sideA
 			if sideB.Contains(cid) {
 				side = sideB
@@ -203,9 +164,9 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 		return true
 	})
 
-	w.healServers()
+	w.Heal()
 	w.waitFor("clients to reconverge on the merged view", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -217,30 +178,30 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 	traffic.Wait()
 
 	// Post-heal round: the merged group is fully connected again.
-	post := w.deliveredSnapshot()
-	for cid := range w.clients {
+	post := w.Delivered()
+	for cid := range w.Clients() {
 		w.sendRetry(cid, "post-"+string(cid))
 	}
 	w.waitFor("post-heal deliveries everywhere", func() bool {
-		snap := w.deliveredSnapshot()
-		for cid := range w.clients {
-			if snap[cid] < post[cid]+len(w.clients) {
+		snap := w.Delivered()
+		for cid := range w.Clients() {
+			if snap[cid] < post[cid]+len(w.Clients()) {
 				return false
 			}
 		}
 		return true
 	})
 
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations across partition and heal:\n%v", err)
 	}
 
 	// The degradation was observable: the partition blocks counted drops.
 	var chaosDrops int64
-	for _, sn := range w.servers {
+	for _, sn := range w.Servers() {
 		chaosDrops += linkCounts(sn.fabric, "")["chaos_drops"]
 	}
-	for _, node := range w.clients {
+	for _, node := range w.Clients() {
 		chaosDrops += linkCounts(node.fabric, "")["chaos_drops"]
 	}
 	if chaosDrops == 0 {
@@ -258,13 +219,13 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 // sides on ONE symmetric reconfiguration into disjoint side views — which
 // must then hold without oscillating until the link heals.
 func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
-	w := newLiveWorld(t, 2, 4)
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 4})
 	defer w.close()
-	w.startHeartbeats(15*time.Millisecond, 120*time.Millisecond)
+	w.StartHeartbeats(15*time.Millisecond, 120*time.Millisecond)
 
-	all := w.allClients()
+	all := w.ClientSet()
 	w.waitFor("initial full view", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -272,15 +233,15 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 		return true
 	})
 
-	sideA := w.sideClients(w.servers[0].ID())
-	sideB := w.sideClients(w.servers[1].ID())
+	sideA := w.sideClients(w.Servers()[0].ID())
+	sideB := w.sideClients(w.Servers()[1].ID())
 
 	// Break srv0→srv1 only: srv1 stops hearing srv0; the reverse direction
 	// stays perfect.
-	w.servers[1].Chaos().BlockInbound(w.servers[0].ID())
+	w.Servers()[1].Chaos().BlockInbound(w.Servers()[0].ID())
 
 	w.waitFor("both sides to install symmetric disjoint views", func() bool {
-		for cid, node := range w.clients {
+		for cid, node := range w.Clients() {
 			want := sideA
 			if sideB.Contains(cid) {
 				want = sideB
@@ -294,10 +255,12 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 
 	// Both detectors must agree the pair is broken — neither side may keep
 	// trusting the half-open link.
-	for _, sn := range w.servers {
-		if r := sn.DetectorStats(); sn == w.servers[0] && r.GrayDowngrades == 0 {
-			t.Errorf("srv0 never gray-downgraded its half-open peer: %+v", r)
-		}
+	srv0 := w.Server("srv0")
+	srv0.mu.Lock()
+	r := srv0.detector.Stats()
+	srv0.mu.Unlock()
+	if r.GrayDowngrades == 0 {
+		t.Errorf("srv0 never gray-downgraded its half-open peer: %+v", r)
 	}
 
 	// One reconfiguration, then stability: hold the asymmetric fault for
@@ -306,11 +269,11 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 	// it, the bitmap evidence drops it again) would churn views here.
 	type snap struct{ vid types.ViewID }
 	before := make(map[types.ProcID]snap)
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		before[cid] = snap{node.CurrentView().ID}
 	}
 	time.Sleep(700 * time.Millisecond)
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		if got := node.CurrentView().ID; got != before[cid].vid {
 			t.Errorf("view oscillated under a stable asymmetric fault: %s moved %d -> %d",
 				cid, before[cid].vid, got)
@@ -320,9 +283,9 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 	// Heal the direction: hearing recovers, the advertised bitmaps
 	// re-include both ends, and the reconciliation unwinds into the merged
 	// view.
-	w.servers[1].Chaos().Unblock(w.servers[0].ID())
+	w.Servers()[1].Chaos().Unblock(w.Servers()[0].ID())
 	w.waitFor("merged view after the link heals", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -330,7 +293,7 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 		return true
 	})
 
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations across the asymmetric partition:\n%v", err)
 	}
 }
@@ -340,13 +303,13 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 // surviving server can learn of its peer's death is the transport reporting
 // the broken link (linkDown → Detector.Suspect).
 func TestLiveLinkFailureFeedsSuspicion(t *testing.T) {
-	w := newLiveWorld(t, 2, 2)
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 2})
 	defer w.close()
-	w.startHeartbeats(20*time.Millisecond, 60*time.Second)
+	w.StartHeartbeats(20*time.Millisecond, 60*time.Second)
 
-	all := w.allClients()
+	all := w.ClientSet()
 	w.waitFor("initial full view", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -354,13 +317,13 @@ func TestLiveLinkFailureFeedsSuspicion(t *testing.T) {
 		return true
 	})
 
-	dead := w.servers[1]
+	dead := w.Servers()[1]
 	deadClients := w.sideClients(dead.ID())
 	dead.Close()
 
 	rest := all.Minus(deadClients)
 	w.waitFor("link-failure suspicion to reconfigure the survivors", func() bool {
-		for cid, node := range w.clients {
+		for cid, node := range w.Clients() {
 			if deadClients.Contains(cid) {
 				continue
 			}
@@ -371,7 +334,7 @@ func TestLiveLinkFailureFeedsSuspicion(t *testing.T) {
 		return true
 	})
 
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }
@@ -391,7 +354,8 @@ func TestLiveReconnectBackoffAndResume(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []string
-	recv := func(from types.ProcID, fr frame) {
+	recv := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			mu.Lock()
 			got = append(got, string(fr.Msg.App.Payload))
@@ -411,7 +375,7 @@ func TestLiveReconnectBackoffAndResume(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +461,7 @@ func TestLiveDeadPeerNeverWedgesSend(t *testing.T) {
 		BackoffMax:   50 * time.Millisecond,
 		QueueCap:     64,
 	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,14 +517,15 @@ func TestLiveChaosPartialWritesAndLatency(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []string
-	recv := func(from types.ProcID, fr frame) {
+	recv := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			mu.Lock()
 			got = append(got, string(fr.Msg.App.Payload))
 			mu.Unlock()
 		}
 	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +575,8 @@ func TestLiveChaosDropAndDuplicate(t *testing.T) {
 	}
 	var received atomic.Int64
 	var dropped atomic.Int64
-	recv := func(from types.ProcID, fr frame) {
+	recv := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg == nil || fr.Msg.Kind != types.KindApp {
 			return
 		}
@@ -620,7 +586,7 @@ func TestLiveChaosDropAndDuplicate(t *testing.T) {
 		}
 		received.Add(1)
 	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,7 +680,7 @@ func TestLiveWriteDeadlineBreaksStuckPeer(t *testing.T) {
 
 	var downs atomic.Int64
 	fa, err := newFabric("a", "127.0.0.1:0", cfg,
-		func(types.ProcID, frame) {},
+		dropFrame,
 		func(types.ProcID, error) { downs.Add(1) })
 	if err != nil {
 		t.Fatal(err)
@@ -752,13 +718,13 @@ func TestLiveChaosSoakPartitionCycles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: repeated partition/heal cycles under degraded links")
 	}
-	w := newLiveWorld(t, 2, 4)
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 4})
 	defer w.close()
-	w.startHeartbeats(15*time.Millisecond, 120*time.Millisecond)
+	w.StartHeartbeats(15*time.Millisecond, 120*time.Millisecond)
 
-	all := w.allClients()
+	all := w.ClientSet()
 	fullView := func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -778,7 +744,7 @@ func TestLiveChaosSoakPartitionCycles(t *testing.T) {
 
 	stop := make(chan struct{})
 	var traffic sync.WaitGroup
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		cid, node := cid, node
 		traffic.Add(1)
 		go func() {
@@ -795,15 +761,15 @@ func TestLiveChaosSoakPartitionCycles(t *testing.T) {
 		}()
 	}
 
-	sideA := w.sideClients(w.servers[0].ID())
-	sideB := w.sideClients(w.servers[1].ID())
+	sideA := w.sideClients(w.Servers()[0].ID())
+	sideB := w.sideClients(w.Servers()[1].ID())
 	for cycle := 0; cycle < 2; cycle++ {
-		w.partitionServers(
-			types.NewProcSet(w.servers[0].ID()),
-			types.NewProcSet(w.servers[1].ID()),
+		w.Partition(
+			types.NewProcSet(w.Servers()[0].ID()),
+			types.NewProcSet(w.Servers()[1].ID()),
 		)
 		w.waitFor(fmt.Sprintf("cycle %d: side views", cycle), func() bool {
-			for cid, node := range w.clients {
+			for cid, node := range w.Clients() {
 				want := sideA
 				if sideB.Contains(cid) {
 					want = sideB
@@ -814,7 +780,7 @@ func TestLiveChaosSoakPartitionCycles(t *testing.T) {
 			}
 			return true
 		})
-		w.healServers()
+		w.Heal()
 		w.waitFor(fmt.Sprintf("cycle %d: merged view", cycle), fullView)
 		degrade()
 	}
@@ -822,21 +788,21 @@ func TestLiveChaosSoakPartitionCycles(t *testing.T) {
 	close(stop)
 	traffic.Wait()
 
-	post := w.deliveredSnapshot()
-	for cid := range w.clients {
+	post := w.Delivered()
+	for cid := range w.Clients() {
 		w.sendRetry(cid, "final-"+string(cid))
 	}
 	w.waitFor("final deliveries everywhere", func() bool {
-		snap := w.deliveredSnapshot()
-		for cid := range w.clients {
-			if snap[cid] < post[cid]+len(w.clients) {
+		snap := w.Delivered()
+		for cid := range w.Clients() {
+			if snap[cid] < post[cid]+len(w.Clients()) {
 				return false
 			}
 		}
 		return true
 	})
 
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations across soak cycles:\n%v", err)
 	}
 }
@@ -862,14 +828,15 @@ func TestLiveChaosMidBatchDropsKeepFrameBoundaries(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []int64
-	recv := func(from types.ProcID, fr frame) {
+	recv := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			mu.Lock()
 			got = append(got, fr.Msg.App.ID)
 			mu.Unlock()
 		}
 	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -935,14 +902,16 @@ func TestLiveChaosOneWayPartitionMidBatch(t *testing.T) {
 	var mu sync.Mutex
 	var fwd []int64
 	var rev atomic.Int64
-	recvB := func(from types.ProcID, fr frame) {
+	recvB := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			mu.Lock()
 			fwd = append(fwd, fr.Msg.App.ID)
 			mu.Unlock()
 		}
 	}
-	recvA := func(from types.ProcID, fr frame) {
+	recvA := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			rev.Add(1)
 		}
@@ -1024,14 +993,15 @@ func TestLiveBatchCoalescingBacklogFlushesOnce(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []int64
-	recv := func(from types.ProcID, fr frame) {
+	recv := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			mu.Lock()
 			got = append(got, fr.Msg.App.ID)
 			mu.Unlock()
 		}
 	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1099,7 +1069,10 @@ func slowLorisSevered(t *testing.T, afterBulk bool) {
 	var downs atomic.Int64
 	var received atomic.Int64
 	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle},
-		func(types.ProcID, frame) { received.Add(1) },
+		func(_ types.ProcID, _ frame, body *pool.Buf) {
+			releaseBody(body)
+			received.Add(1)
+		},
 		func(types.ProcID, error) { downs.Add(1) })
 	if err != nil {
 		t.Fatal(err)
@@ -1192,7 +1165,8 @@ func trickledSenderSurvives(t *testing.T) {
 	idle := 2 * time.Second
 	var received atomic.Int64
 	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle},
-		func(_ types.ProcID, fr frame) {
+		func(_ types.ProcID, fr frame, body *pool.Buf) {
+			defer releaseBody(body)
 			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 				received.Add(1)
 			}
@@ -1204,7 +1178,7 @@ func trickledSenderSurvives(t *testing.T) {
 	defer fb.Close()
 
 	sender, err := newFabric("loris", "127.0.0.1:0", TransportConfig{WriteTimeout: -1},
-		func(types.ProcID, frame) {},
+		dropFrame,
 		func(types.ProcID, error) {})
 	if err != nil {
 		t.Fatal(err)

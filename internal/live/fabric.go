@@ -406,16 +406,14 @@ func (l *link) chargeData() {
 // callback in per-connection order. Link failures are reported through
 // onDown so the layer above can translate them into detector suspicions.
 type fabric struct {
-	id      types.ProcID
-	cfg     TransportConfig
-	ln      net.Listener
-	receive func(from types.ProcID, f frame)
-	// receiveRef is the zero-copy delivery callback (set via newFabricRef):
-	// the frame's payload aliases body (nil when the frame owns its memory)
-	// and the callee must Release body when the payload is out of use. When
-	// only the legacy receive is set, the fabric deep-copies frames before
-	// delivery so existing consumers keep fully-owned semantics.
-	receiveRef func(from types.ProcID, f frame, body *pool.Buf)
+	id  types.ProcID
+	cfg TransportConfig
+	ln  net.Listener
+	// receive is the delivery callback: the frame's payload aliases body
+	// (nil when the frame owns its memory) and the callee must Release body
+	// when the payload is out of use. The frame's pointers are scratch, valid
+	// for the call only.
+	receive func(from types.ProcID, f frame, body *pool.Buf)
 	// batchBegin/batchEnd (optional, set before start) bracket the receive
 	// callbacks of one drained socket read — all from one peer, on one
 	// goroutine — so the consumer can take its lock once and publish what
@@ -448,30 +446,17 @@ type fabric struct {
 }
 
 // newFabric starts listening on addr (use "127.0.0.1:0" for an ephemeral
-// port) and begins accepting inbound connections. onDown (optional) is
-// invoked from transport goroutines whenever an established link breaks or
-// a dial fails; it must not block.
+// port) and begins accepting inbound connections; receive gets every inbound
+// frame (see fabric.receive). onDown (optional) is invoked from transport
+// goroutines whenever an established link breaks or a dial fails; it must
+// not block.
 func newFabric(id types.ProcID, addr string, cfg TransportConfig,
-	receive func(types.ProcID, frame), onDown func(types.ProcID, error)) (*fabric, error) {
-	f, err := buildFabric(id, addr, cfg, onDown)
-	if err != nil {
-		return nil, err
-	}
-	f.receive = receive
-	f.start()
-	return f, nil
-}
-
-// newFabricRef is the zero-copy constructor: receive gets frames whose
-// payloads alias the pooled body buffer and owns the obligation to Release
-// it (body may be nil; see fabric.receiveRef).
-func newFabricRef(id types.ProcID, addr string, cfg TransportConfig,
 	receive func(types.ProcID, frame, *pool.Buf), onDown func(types.ProcID, error)) (*fabric, error) {
 	f, err := buildFabric(id, addr, cfg, onDown)
 	if err != nil {
 		return nil, err
 	}
-	f.receiveRef = receive
+	f.receive = receive
 	f.start()
 	return f, nil
 }
@@ -504,47 +489,6 @@ func (f *fabric) start() {
 
 // PoolStats snapshots the receive-slab pool counters.
 func (f *fabric) PoolStats() pool.Stats { return f.pool.Stats() }
-
-// deliver routes one inbound frame to the fabric's consumer. The zero-copy
-// callback takes the frame as-is plus the body reference; the legacy
-// callback gets a deep copy (and the body is released here), preserving the
-// fully-owned frame semantics older consumers were built on.
-func (f *fabric) deliver(from types.ProcID, fr frame, body *pool.Buf) {
-	if f.receiveRef != nil {
-		f.receiveRef(from, fr, body)
-		return
-	}
-	fr = ownedFrame(fr)
-	if body != nil {
-		body.Release()
-	}
-	f.receive(from, fr)
-}
-
-// ownedFrame rebuilds a borrowed frame (scratch pointers, slab-aliased
-// payload) into one safe to hold indefinitely.
-func ownedFrame(fr frame) frame {
-	if fr.Msg != nil {
-		m := *fr.Msg
-		if len(m.App.Payload) > 0 {
-			m.App.Payload = append([]byte(nil), m.App.Payload...)
-		}
-		fr.Msg = &m
-	}
-	if fr.Notify != nil {
-		n := *fr.Notify
-		fr.Notify = &n
-	}
-	if fr.Attach != nil {
-		a := *fr.Attach
-		fr.Attach = &a
-	}
-	if fr.Credit != nil {
-		c := *fr.Credit
-		fr.Credit = &c
-	}
-	return fr
-}
 
 // Addr returns the fabric's listen address.
 func (f *fabric) Addr() string { return f.ln.Addr().String() }
@@ -1256,8 +1200,8 @@ func (f *fabric) drain(l *link, asm *frameAssembler, fr *frame) (err error) {
 				f.batchBegin(from)
 				open = true
 			}
-			f.deliver(from, *fr, body)
-			continue // deliver owns body
+			f.receive(from, *fr, body)
+			continue // receive owns body
 		}
 		if body != nil {
 			body.Release()

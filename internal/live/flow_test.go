@@ -18,6 +18,7 @@ import (
 	"vsgm/internal/obs"
 	"vsgm/internal/types"
 	"vsgm/internal/wire"
+	"vsgm/internal/wire/pool"
 )
 
 // encodeClass builds a pooled frame of the requested wire class.
@@ -132,21 +133,22 @@ func TestMailboxHeartbeatCoalescing(t *testing.T) {
 // here are queue evictions under pressure; probabilistic chaos drops happen
 // after dequeue and would not pressure the queue at all.
 func TestChaosPressureNeverDropsSync(t *testing.T) {
-	cfg := testTransport()
+	cfg := loopbackTransport()
 	cfg.QueueCap = 8
 
 	var (
 		mu       sync.Mutex
 		syncSeen = map[types.StartChangeID]bool{}
 	)
-	recv := func(_ types.ProcID, fr frame) {
+	recv := func(_ types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindSync {
 			mu.Lock()
 			syncSeen[fr.Msg.CID] = true
 			mu.Unlock()
 		}
 	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,17 +191,18 @@ func TestChaosPressureNeverDropsSync(t *testing.T) {
 // (one standalone credit frame per half window) until the parked sender
 // wakes.
 func TestCreditWindowBlocksSenderUntilConsumed(t *testing.T) {
-	cfg := testTransport()
+	cfg := loopbackTransport()
 	cfg.Window = 4
 
 	var got atomic.Int64
 	var fb *fabric
-	recv := func(from types.ProcID, fr frame) {
+	recv := func(from types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 			got.Add(1)
 		}
 	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, func(types.ProcID, frame) {}, nil)
+	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,17 +261,18 @@ func TestCreditWindowBlocksSenderUntilConsumed(t *testing.T) {
 // must not starve the failure detector into a false suspicion. And mere
 // exhaustion is not slowness: no complaint is due before the grace elapses.
 func TestZeroCreditLinkStillDeliversHeartbeats(t *testing.T) {
-	cfg := testTransport()
+	cfg := loopbackTransport()
 	cfg.Window = -1 // grant-only: every data send needs an explicit credit
 
 	var beats atomic.Int64
-	recv := func(types.ProcID, frame) {}
+	recv := dropFrame
 	fa, err := newFabric("a", "127.0.0.1:0", cfg, recv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fa.Close()
-	fb, err := newFabric("b", "127.0.0.1:0", cfg, func(_ types.ProcID, fr frame) {
+	fb, err := newFabric("b", "127.0.0.1:0", cfg, func(_ types.ProcID, fr frame, body *pool.Buf) {
+		defer releaseBody(body)
 		if fr.Msg != nil && fr.Msg.Kind == types.KindHeartbeat {
 			beats.Add(1)
 		}
@@ -302,7 +306,7 @@ func TestMemoryBudgetLatchesAndReleases(t *testing.T) {
 		ID:           "solo",
 		Addr:         "127.0.0.1:0",
 		AutoBlock:    true,
-		Transport:    testTransport(),
+		Transport:    loopbackTransport(),
 		MemHighWater: 4 << 10,
 	})
 	if err != nil {
@@ -335,7 +339,7 @@ func TestMemoryBudgetLatchesAndReleases(t *testing.T) {
 
 	// Bring the ghost up; the writer drains, usage falls to zero (below
 	// the low watermark), and the budget reopens.
-	sink, err := newFabric("ghost", "127.0.0.1:0", testTransport(), func(types.ProcID, frame) {}, nil)
+	sink, err := newFabric("ghost", "127.0.0.1:0", loopbackTransport(), dropFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,22 +354,6 @@ func TestMemoryBudgetLatchesAndReleases(t *testing.T) {
 	if n.overloaded.Load() {
 		t.Fatalf("overload latch stuck after drain: mem=%d", n.MemUsage())
 	}
-}
-
-// waitGroupFormed blocks until every client has installed the view of all
-// clients, and returns that view's identifier.
-func (w *liveWorld) waitGroupFormed() types.ViewID {
-	w.t.Helper()
-	want := w.allClients()
-	w.waitFor("all clients to install the full view", func() bool {
-		for _, node := range w.clients {
-			if !node.CurrentView().Members.Equal(want) {
-				return false
-			}
-		}
-		return true
-	})
-	return w.clients["cli0"].CurrentView().ID
 }
 
 // TestLiveRetentionWithinViewIsBounded: live end-points acknowledge and
@@ -401,12 +389,12 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 	}
 
 	reg := obs.NewRegistry()
-	w := newLiveWorldWith(t, 2, members, func(c *NodeConfig) { c.Obs = reg })
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: members, Node: func(_ int, c *NodeConfig) { c.Obs = reg }})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 	vid := w.waitGroupFormed()
 
-	sender := w.clients["cli0"]
+	sender := w.Client("cli0")
 	start := time.Now()
 	for i := 0; i < sends; i++ {
 		if _, err := sender.Send(payload); err != nil {
@@ -414,8 +402,8 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 		}
 	}
 	w.waitFor("every member to deliver every message", func() bool {
-		snap := w.deliveredSnapshot()
-		for cid := range w.clients {
+		snap := w.Delivered()
+		for cid := range w.Clients() {
 			if snap[cid] < sends {
 				return false
 			}
@@ -488,12 +476,12 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 			}
 		}
 	}
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		if got := node.CurrentView().ID; got != vid {
 			t.Fatalf("%s moved to view %d during the run; the bound must hold inside view %d", cid, got, vid)
 		}
 	}
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }
@@ -517,14 +505,14 @@ func TestMemoryBudgetReopensWithoutViewChange(t *testing.T) {
 
 func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 	reg := obs.NewRegistry()
-	w := newLiveWorldWith(t, 2, 3, func(c *NodeConfig) {
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 3, Node: func(_ int, c *NodeConfig) {
 		if c.ID == "cli0" {
 			c.MemHighWater = high
 			c.Obs = reg
 		}
-	})
+	}})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 	vid := w.waitGroupFormed()
 
 	// Each payload is delivered everywhere before the next is sent, so the
@@ -532,7 +520,7 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 	// is crossed after 32 sends of 8 KiB (256 KiB, a quarter of the byte
 	// trigger), 16 of 16, or at most 32 of 1 KiB and no fewer than a chunk's
 	// worth short of that — every case far short of either ack trigger.
-	n := w.clients["cli0"]
+	n := w.Client("cli0")
 	payload := make([]byte, size)
 	sent := 0
 	for {
@@ -547,8 +535,8 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 			t.Fatalf("%d sends of %d bytes have not tripped a %d byte budget", sent, size, high)
 		}
 		w.waitFor("the message to be delivered everywhere", func() bool {
-			snap := w.deliveredSnapshot()
-			for cid := range w.clients {
+			snap := w.Delivered()
+			for cid := range w.Clients() {
 				if snap[cid] < sent {
 					return false
 				}
@@ -572,7 +560,7 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 		// A receiver holds each message in the slab its frame arrived in —
 		// the 20 KiB class for a 16 KiB payload behind its header — and is
 		// charged for all of it.
-		peer := w.clients["cli1"]
+		peer := w.Client("cli1")
 		peer.mu.Lock()
 		msgs, pinned := peer.ep.BufferedMessages(), peer.ep.BufferedBytes()
 		peer.mu.Unlock()
@@ -588,12 +576,12 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 	if latched, mem := n.overloaded.Load(), n.MemUsage(); latched || mem > high/2 {
 		t.Fatalf("reopened with overloaded=%v mem=%d, want at or under the low watermark %d", latched, mem, high/2)
 	}
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		if got := node.CurrentView().ID; got != vid {
 			t.Fatalf("%s moved to view %d; the budget must reopen inside view %d", cid, got, vid)
 		}
 	}
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }
@@ -608,9 +596,8 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 // frame is ever shed, resident bytes stay under the budget, and the full
 // spec suite (WV_RFIFO, VS_RFIFO, TRANS_SET, SELF) holds for the survivors.
 func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
-	tr := testTransport()
-	tr.Window = 4
 	const (
+		window    = 4
 		slowIdx   = 3
 		grace     = 150 * time.Millisecond
 		delay     = 300 * time.Millisecond // per event: twice the grace, so exhaustion outlasts it
@@ -619,9 +606,10 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 	)
 	done := make(chan struct{}) // collapses the laggard's throttle at teardown
 
-	w := newAttachWorld(t, 2, 4, attachOptions{
-		transport: &tr,
-		tuneNode: func(i int, cfg *NodeConfig) {
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 4, Attach: true,
+		Server: func(_ types.ProcID, cfg *ServerConfig) error { cfg.Transport.Window = window; return nil },
+		Node: func(i int, cfg *NodeConfig) {
+			cfg.Transport.Window = window
 			cfg.SlowConsumerGrace = grace
 			cfg.MemHighWater = budget
 			if i == slowIdx {
@@ -641,8 +629,8 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 	})
 	defer w.close()
 	defer close(done)
-	w.boot()
-	w.startHeartbeats(20*time.Millisecond, 150*time.Millisecond)
+	w.SetReachable()
+	w.StartHeartbeats(20*time.Millisecond, 150*time.Millisecond)
 	w.waitFullView("all clients attached and in the full view", 0)
 
 	slow := types.ProcID(fmt.Sprintf("cli%d", slowIdx))
@@ -652,13 +640,13 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 		cid := types.ProcID(fmt.Sprintf("cli%d", i))
 		if cid != slow {
 			senders = append(senders, cid)
-			bases[cid] = int64(i+1) * 1_000_000 // matches newAttachWorld's MsgIDBase
+			bases[cid] = int64(i+1) * 1_000_000 // the Deployment's MsgIDBase for client i
 		}
 	}
 
 	var wg sync.WaitGroup
 	for _, cid := range senders {
-		node, base := w.clients[cid], bases[cid]
+		node, base := w.Client(cid), bases[cid]
 		wg.Add(1)
 		go func(cid types.ProcID, node *Node) {
 			defer wg.Done()
@@ -682,14 +670,14 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 	rest := types.NewProcSet(senders...)
 	w.waitFor("laggard evicted and survivors reconfigured", func() bool {
 		var evictions int64
-		for _, sn := range w.servers {
+		for _, sn := range w.Servers() {
 			evictions += sn.overloadEvictions.Value()
 		}
 		if evictions == 0 {
 			return false
 		}
 		for _, cid := range senders {
-			if !w.clients[cid].CurrentView().Members.Equal(rest) {
+			if !w.Client(cid).CurrentView().Members.Equal(rest) {
 				return false
 			}
 		}
@@ -699,7 +687,7 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 
 	total := perSender * len(senders)
 	w.waitFor("survivor traffic fully delivered", func() bool {
-		snap := w.deliveredSnapshot()
+		snap := w.Delivered()
 		for _, cid := range senders {
 			if snap[cid] < total {
 				return false
@@ -710,7 +698,7 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 
 	var blocked, reports, evictions, drops int64
 	for _, cid := range senders {
-		node := w.clients[cid]
+		node := w.Client(cid)
 		blocked += node.sendsBlocked.Value()
 		reports += node.slowReports.Value()
 		if mem := node.MemUsage(); mem > budget {
@@ -719,7 +707,7 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 		links := linkCounts(node.fabric, "")
 		drops += links["queue_drops"] + links["chaos_drops"]
 	}
-	for _, sn := range w.servers {
+	for _, sn := range w.Servers() {
 		evictions += sn.overloadEvictions.Value()
 		links := linkCounts(sn.fabric, "")
 		drops += links["queue_drops"] + links["chaos_drops"]
@@ -736,7 +724,7 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 	if drops != 0 {
 		t.Errorf("flow control shed %d frames; blocking senders must make drops unnecessary", drops)
 	}
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violation under overload degradation: %v", err)
 	}
 }

@@ -18,6 +18,9 @@ import (
 
 // pairGroup is two clients and one server on loopback, grouped, counting
 // deliveries per member: the smallest group a multicast crosses a socket in.
+// It is wired by hand rather than on a Deployment because the allocation
+// ceilings it serves count the whole process's allocations, and a
+// Deployment's spec suite allocates for every event it checks.
 type pairGroup struct {
 	nodes     []*Node
 	delivered [2]atomic.Int64
@@ -185,7 +188,7 @@ func heldPayloadIntegrity(t *testing.T, minSize, maxSize int) {
 		parkOnce      sync.Once
 		parked        atomic.Bool
 	)
-	w := newLiveWorldWith(t, 2, members, func(c *NodeConfig) {
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: members, Node: func(_ int, c *NodeConfig) {
 		id := c.ID
 		c.OnEvent = func(ev core.Event) {
 			de, ok := ev.(core.DeliverEvent)
@@ -220,17 +223,17 @@ func heldPayloadIntegrity(t *testing.T, minSize, maxSize int) {
 				})
 			}
 		}
-	})
+	}})
 	closed := false
 	defer func() {
 		if !closed {
 			w.close()
 		}
 	}()
-	for _, node := range w.clients {
+	for _, node := range w.Clients() {
 		node.fabric.pool.PoisonOnRelease(true)
 	}
-	w.boot()
+	w.SetReachable()
 	w.waitGroupFormed()
 
 	// send runs one sender per listed member until, together, they have
@@ -248,7 +251,7 @@ func heldPayloadIntegrity(t *testing.T, minSize, maxSize int) {
 			go func() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(s) + 1))
-				node := w.clients[types.ProcID(fmt.Sprintf("cli%d", s))]
+				node := w.Client(types.ProcID(fmt.Sprintf("cli%d", s)))
 				buf := make([]byte, 40<<10)
 				for left.Add(-1) >= 0 {
 					seq[s]++
@@ -281,14 +284,14 @@ func heldPayloadIntegrity(t *testing.T, minSize, maxSize int) {
 		defer phase.Done()
 		send(total/5, 0, 1, 2)
 	}()
-	for _, sn := range w.servers {
+	for _, sn := range w.Servers() {
 		sn.RemoveClient("cli3")
 	}
-	w.servers[0].Reconfigure()
+	w.Servers()[0].Reconfigure()
 	rest := types.NewProcSet("cli0", "cli1", "cli2")
 	w.waitFor("the survivors to install the reduced view", func() bool {
 		for p := range rest {
-			if !w.clients[p].CurrentView().Members.Equal(rest) {
+			if !w.Client(p).CurrentView().Members.Equal(rest) {
 				return false
 			}
 		}
@@ -305,21 +308,18 @@ func heldPayloadIntegrity(t *testing.T, minSize, maxSize int) {
 		send(total/5, 0, 1, 2)
 	}()
 	time.Sleep(20 * time.Millisecond)
-	victim := w.clients["cli2"]
+	victim := w.Client("cli2")
 	victim.mu.Lock()
-	w.mu.Lock()
-	w.suite.OnEvent(spec.ECrash{P: "cli2"})
-	w.suite.OnEvent(spec.ERecover{P: "cli2"})
-	w.mu.Unlock()
+	w.Record(spec.ECrash{P: "cli2"}, spec.ERecover{P: "cli2"})
 	victim.ep.Crash()
 	victim.ep.Recover()
 	victim.dispatchNow()
 	victim.mu.Unlock()
-	vid := w.maxViewID()
-	w.servers[0].Reconfigure()
+	vid := w.MaxViewID()
+	w.Servers()[0].Reconfigure()
 	w.waitFor("the group to re-form around the recovered member", func() bool {
 		for p := range rest {
-			if v := w.clients[p].CurrentView(); !v.Members.Equal(rest) || v.ID <= vid {
+			if v := w.Client(p).CurrentView(); !v.Members.Equal(rest) || v.ID <= vid {
 				return false
 			}
 		}
@@ -335,9 +335,9 @@ func heldPayloadIntegrity(t *testing.T, minSize, maxSize int) {
 		t.Errorf("%d of %d deliveries carried a held buffer, want all: a payload reached OnEvent from the heap", held.Load(), checked.Load())
 	}
 	t.Logf("%d deliveries checked in full, %d of them from held buffers", checked.Load(), held.Load())
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Errorf("spec violations:\n%v", err)
 	}
 	closed = true
-	w.close() // asserts PoolStats().Outstanding == 0 on every node
+	w.close() // fails the test unless PoolStats().Outstanding == 0 on every node
 }

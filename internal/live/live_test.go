@@ -9,299 +9,23 @@ import (
 	"testing"
 	"time"
 
-	"vsgm/internal/core"
 	"vsgm/internal/membership"
-	"vsgm/internal/spec"
 	"vsgm/internal/types"
 	"vsgm/internal/wire"
 )
 
-// liveWorld spins up membership servers and client nodes on real TCP
-// loopback sockets and collects every application event, tagged per client,
-// into a spec suite (serialized by a collector mutex). Collection uses the
-// synchronous Observe/ObserveNotify/OnSend hooks rather than the pump-based
-// OnEvent: the online checkers need an arrival order consistent with
-// causality — in particular a send recorded before any peer's delivery of
-// it — and the pump can report an event after a fast peer has already
-// reacted to its consequences.
-type liveWorld struct {
-	t       *testing.T
-	servers []*ServerNode
-	clients map[types.ProcID]*Node
-	homes   map[types.ProcID]types.ProcID
-
-	mu    sync.Mutex
-	suite *spec.Suite
-	views map[types.ProcID]types.View
-	dlvrs map[types.ProcID]int
-}
-
-func (w *liveWorld) homeOf(cid types.ProcID) types.ProcID { return w.homes[cid] }
-
-// testTransport shrinks the supervised transport's timeouts so
-// fault-injection tests reconnect and shed load quickly.
-func testTransport() TransportConfig {
-	return TransportConfig{
-		DialTimeout:  2 * time.Second,
-		WriteTimeout: 2 * time.Second,
-		BackoffBase:  10 * time.Millisecond,
-		BackoffMax:   250 * time.Millisecond,
-	}
-}
-
-func newLiveWorld(t *testing.T, nServers, nClients int) *liveWorld {
-	t.Helper()
-	return newLiveWorldWith(t, nServers, nClients, nil)
-}
-
-// newLiveWorldWith is newLiveWorld with a hook that adjusts each client's
-// configuration before the node starts.
-func newLiveWorldWith(t *testing.T, nServers, nClients int, tune func(*NodeConfig)) *liveWorld {
-	t.Helper()
-	w := &liveWorld{
-		t:       t,
-		clients: make(map[types.ProcID]*Node),
-		homes:   make(map[types.ProcID]types.ProcID),
-		suite:   spec.FullSuite(spec.WithTrace()),
-		views:   make(map[types.ProcID]types.View),
-		dlvrs:   make(map[types.ProcID]int),
-	}
-
-	serverIDs := make([]types.ProcID, nServers)
-	for i := range serverIDs {
-		serverIDs[i] = types.ProcID(fmt.Sprintf("srv%d", i))
-	}
-	serverSet := types.NewProcSet(serverIDs...)
-
-	dir := make(map[types.ProcID]string)
-	for _, sid := range serverIDs {
-		sn, err := NewServerNode(ServerConfig{ID: sid, Addr: "127.0.0.1:0", Servers: serverSet, Transport: testTransport()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.servers = append(w.servers, sn)
-		dir[sid] = sn.Addr()
-	}
-
-	for i := 0; i < nClients; i++ {
-		cid := types.ProcID(fmt.Sprintf("cli%d", i))
-		cfg := NodeConfig{
-			ID:            cid,
-			Addr:          "127.0.0.1:0",
-			AutoBlock:     true,
-			MsgIDBase:     int64(i+1) * 1_000_000,
-			Transport:     testTransport(),
-			Observe:       func(ev core.Event) { w.onEvent(cid, ev) },
-			OnSend:        func(m types.AppMsg) { w.recordSend(cid, m.ID) },
-			ObserveNotify: func(n membership.Notification) { w.onNotify(cid, n) },
-		}
-		if tune != nil {
-			tune(&cfg)
-		}
-		node, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.clients[cid] = node
-		dir[cid] = node.Addr()
-	}
-
-	for _, sn := range w.servers {
-		sn.SetPeers(dir)
-	}
-	for _, node := range w.clients {
-		node.SetPeers(dir)
-	}
-
-	// Home each client at a server, round-robin.
-	i := 0
-	for cid := range w.clients {
-		srv := w.servers[i%len(w.servers)]
-		srv.AddClient(cid)
-		w.homes[cid] = srv.ID()
-		i++
-	}
-	return w
-}
-
-func (w *liveWorld) onEvent(p types.ProcID, ev core.Event) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch e := ev.(type) {
-	case core.DeliverEvent:
-		w.dlvrs[p]++
-		w.suite.OnEvent(spec.EDeliver{P: p, From: e.Sender, MsgID: e.Msg.ID})
-	case core.ViewEvent:
-		w.views[p] = e.View
-		w.suite.OnEvent(spec.EView{P: p, View: e.View, Trans: e.TransitionalSet, HasTrans: true})
-	case core.BlockEvent:
-		// AutoBlock end-points acknowledge immediately (as in sim.drain).
-		w.suite.OnEvent(spec.EBlock{P: p})
-		w.suite.OnEvent(spec.EBlockOK{P: p})
-	}
-}
-
-// onNotify feeds membership notifications into the MBRSHP checker, in the
-// per-client order the node's event pump guarantees.
-func (w *liveWorld) onNotify(p types.ProcID, n membership.Notification) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch n.Kind {
-	case membership.NotifyStartChange:
-		w.suite.OnEvent(spec.EMStartChange{P: p, SC: n.StartChange})
-	case membership.NotifyView:
-		w.suite.OnEvent(spec.EMView{P: p, View: n.View})
-	}
-}
-
-// specErr finalizes the suite under the collector lock (event pumps may
-// still be running).
-func (w *liveWorld) specErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.suite.Err()
-}
-
-func (w *liveWorld) recordSend(p types.ProcID, id int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.suite.OnEvent(spec.ESend{P: p, MsgID: id})
-}
-
-func (w *liveWorld) boot() {
-	all := types.NewProcSet()
-	for _, sn := range w.servers {
-		all.Add(sn.ID())
-	}
-	for _, sn := range w.servers {
-		sn.SetReachable(all)
-	}
-}
-
-func (w *liveWorld) startHeartbeats(interval, timeout time.Duration) {
-	serverSet := types.NewProcSet()
-	for _, sn := range w.servers {
-		serverSet.Add(sn.ID())
-	}
-	for _, sn := range w.servers {
-		sn.StartHeartbeats(serverSet, interval, timeout)
-	}
-}
-
-// chaosOf returns every node's chaos controller keyed by process.
-func (w *liveWorld) chaosOf() map[types.ProcID]*Chaos {
-	out := make(map[types.ProcID]*Chaos)
-	for _, sn := range w.servers {
-		out[sn.ID()] = sn.Chaos()
-	}
-	for cid, node := range w.clients {
-		out[cid] = node.Chaos()
-	}
-	return out
-}
-
-// partitionServers splits the deployment the way sim.PartitionServers does:
-// each group of servers plus the clients homed at them becomes one
-// component, and every node blocks outbound frames to nodes outside its
-// component. The heartbeat detectors then observe the silence and
-// reconfigure each side independently.
-func (w *liveWorld) partitionServers(groups ...types.ProcSet) {
-	comps := make([]types.ProcSet, len(groups))
-	for i, g := range groups {
-		comp := g.Clone()
-		for cid, home := range w.homes {
-			if g.Contains(home) {
-				comp.Add(cid)
-			}
-		}
-		comps[i] = comp
-	}
-	all := types.NewProcSet()
-	for _, comp := range comps {
-		for p := range comp {
-			all.Add(p)
-		}
-	}
-	chaos := w.chaosOf()
-	for _, comp := range comps {
-		outside := all.Minus(comp).Sorted()
-		for p := range comp {
-			if c := chaos[p]; c != nil {
-				c.BlockOutbound(outside...)
-			}
-		}
-	}
-}
-
-// healServers lifts every partition block.
-func (w *liveWorld) healServers() {
-	for _, c := range w.chaosOf() {
-		c.Heal()
-	}
-}
-
-// waitFor polls until cond holds or the deadline passes.
-func (w *liveWorld) waitFor(what string, cond func() bool) {
-	w.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	w.t.Fatalf("timed out waiting for %s", what)
-}
-
-func (w *liveWorld) close() {
-	for _, node := range w.clients {
-		node.Close()
-	}
-	for _, sn := range w.servers {
-		sn.Close()
-	}
-	w.checkPoolLeaks()
-}
-
-// checkPoolLeaks asserts that every process returned all pooled receive
-// buffers after Close: a nonzero outstanding count means a frame body (or a
-// staging slab) was delivered without a matching Release.
-func (w *liveWorld) checkPoolLeaks() {
-	w.t.Helper()
-	check := func(kind string, id types.ProcID, f *fabric) {
-		// Close has joined every loop, so the count is already final; the
-		// brief poll only absorbs pump goroutines that Close let finish.
-		var n int64
-		for deadline := time.Now().Add(time.Second); ; {
-			if n = f.PoolStats().Outstanding; n == 0 || !time.Now().Before(deadline) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if n != 0 {
-			w.t.Errorf("%s %s: %d pooled buffers still outstanding after Close (leaked reference)", kind, id, n)
-		}
-	}
-	for cid, node := range w.clients {
-		check("client", cid, node.fabric)
-	}
-	for _, sn := range w.servers {
-		check("server", sn.id, sn.fabric)
-	}
-}
-
 func TestLiveTCPEndToEnd(t *testing.T) {
-	w := newLiveWorld(t, 2, 4)
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 4})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 
 	// Every client converges on the full view over real sockets.
 	want := types.NewProcSet()
-	for cid := range w.clients {
+	for cid := range w.Clients() {
 		want.Add(cid)
 	}
 	w.waitFor("all clients to install the full view", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(want) {
 				return false
 			}
@@ -313,7 +37,7 @@ func TestLiveTCPEndToEnd(t *testing.T) {
 	// virtually synchronous semantics.
 	const perClient = 5
 	var senders sync.WaitGroup
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		cid, node := cid, node
 		senders.Add(1)
 		go func() {
@@ -328,34 +52,33 @@ func TestLiveTCPEndToEnd(t *testing.T) {
 	}
 	senders.Wait()
 
-	total := perClient * len(w.clients)
+	total := perClient * len(w.Clients())
 	w.waitFor("all messages to be delivered everywhere", func() bool {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		for cid := range w.clients {
-			if w.dlvrs[cid] < total {
+		snap := w.Delivered()
+		for cid := range w.Clients() {
+			if snap[cid] < total {
 				return false
 			}
 		}
 		return true
 	})
 
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations on the live run:\n%v", err)
 	}
 }
 
 func TestLiveViewChange(t *testing.T) {
-	w := newLiveWorld(t, 2, 3)
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 3})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 
 	all := types.NewProcSet()
-	for cid := range w.clients {
+	for cid := range w.Clients() {
 		all.Add(cid)
 	}
 	w.waitFor("initial view", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -365,14 +88,14 @@ func TestLiveViewChange(t *testing.T) {
 
 	// A member leaves via its home server; the survivors reconfigure.
 	leaver := all.Min()
-	for _, sn := range w.servers {
+	for _, sn := range w.Servers() {
 		sn.RemoveClient(leaver)
 	}
-	w.servers[0].Reconfigure()
+	w.Servers()[0].Reconfigure()
 
 	rest := all.Minus(types.NewProcSet(leaver))
 	w.waitFor("survivors to install the reduced view", func() bool {
-		for cid, node := range w.clients {
+		for cid, node := range w.Clients() {
 			if cid == leaver {
 				continue
 			}
@@ -383,7 +106,7 @@ func TestLiveViewChange(t *testing.T) {
 		return true
 	})
 
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }
@@ -448,16 +171,16 @@ func TestMailboxOrderAndClose(t *testing.T) {
 func TestLiveSurvivesAbruptNodeDeath(t *testing.T) {
 	// A client dies without ceremony (its sockets close mid-traffic); the
 	// membership removes it and the survivors keep working.
-	w := newLiveWorld(t, 1, 3)
+	w := deploy(t, DeploymentConfig{Servers: 1, Clients: 3})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 
 	all := types.NewProcSet()
-	for cid := range w.clients {
+	for cid := range w.Clients() {
 		all.Add(cid)
 	}
 	w.waitFor("initial view", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -466,15 +189,15 @@ func TestLiveSurvivesAbruptNodeDeath(t *testing.T) {
 	})
 
 	victim := all.Min()
-	w.clients[victim].Close() // abrupt: connections break, no goodbye
-	for _, sn := range w.servers {
+	w.Client(victim).Close() // abrupt: connections break, no goodbye
+	for _, sn := range w.Servers() {
 		sn.RemoveClient(victim)
 	}
-	w.servers[0].Reconfigure()
+	w.Servers()[0].Reconfigure()
 
 	rest := all.Minus(types.NewProcSet(victim))
 	w.waitFor("survivors to reconfigure past the dead node", func() bool {
-		for cid, node := range w.clients {
+		for cid, node := range w.Clients() {
 			if cid == victim {
 				continue
 			}
@@ -484,7 +207,7 @@ func TestLiveSurvivesAbruptNodeDeath(t *testing.T) {
 		}
 		return true
 	})
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		if cid == victim {
 			continue
 		}
@@ -492,7 +215,7 @@ func TestLiveSurvivesAbruptNodeDeath(t *testing.T) {
 			t.Fatalf("send from %s after the death: %v", cid, err)
 		}
 	}
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }
@@ -500,14 +223,14 @@ func TestLiveSurvivesAbruptNodeDeath(t *testing.T) {
 func TestLiveCloseJoinsAllGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		w := newLiveWorld(t, 2, 3)
-		w.boot()
+		w := deploy(t, DeploymentConfig{Servers: 2, Clients: 3})
+		w.SetReachable()
 		all := types.NewProcSet()
-		for cid := range w.clients {
+		for cid := range w.Clients() {
 			all.Add(cid)
 		}
 		w.waitFor("view", func() bool {
-			for _, node := range w.clients {
+			for _, node := range w.Clients() {
 				if !node.CurrentView().Members.Equal(all) {
 					return false
 				}
@@ -530,23 +253,23 @@ func TestLiveCloseJoinsAllGoroutines(t *testing.T) {
 func TestLiveHeartbeatsBootstrapMembership(t *testing.T) {
 	// No SetReachable calls at all: the live heartbeat detectors discover
 	// the server set and bootstrap the first view themselves.
-	w := newLiveWorld(t, 2, 3)
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 3})
 	defer w.close()
 
 	serverSet := types.NewProcSet()
-	for _, sn := range w.servers {
+	for _, sn := range w.Servers() {
 		serverSet.Add(sn.ID())
 	}
-	for _, sn := range w.servers {
+	for _, sn := range w.Servers() {
 		sn.StartHeartbeats(serverSet, 10*time.Millisecond, 50*time.Millisecond)
 	}
 
 	all := types.NewProcSet()
-	for cid := range w.clients {
+	for cid := range w.Clients() {
 		all.Add(cid)
 	}
 	w.waitFor("heartbeat-driven group formation", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {
 				return false
 			}
@@ -556,11 +279,11 @@ func TestLiveHeartbeatsBootstrapMembership(t *testing.T) {
 
 	// A server dies; the survivor's detector notices, and the surviving
 	// server's clients reconfigure down to its own clients.
-	dead := w.servers[1]
+	dead := w.Servers()[1]
 	deadClients := types.NewProcSet()
-	for cid, node := range w.clients {
+	for cid, node := range w.Clients() {
 		_ = node
-		if w.homeOf(cid) == dead.ID() {
+		if w.HomeOf(cid) == dead.ID() {
 			deadClients.Add(cid)
 		}
 	}
@@ -568,7 +291,7 @@ func TestLiveHeartbeatsBootstrapMembership(t *testing.T) {
 
 	rest := all.Minus(deadClients)
 	w.waitFor("survivor-side reconfiguration after server death", func() bool {
-		for cid, node := range w.clients {
+		for cid, node := range w.Clients() {
 			if deadClients.Contains(cid) {
 				continue
 			}
@@ -578,7 +301,7 @@ func TestLiveHeartbeatsBootstrapMembership(t *testing.T) {
 		}
 		return true
 	})
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }

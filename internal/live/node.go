@@ -316,7 +316,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.receiveRef = n.receiveRef
+	f.receive = n.receive
 	f.batchBegin, f.batchEnd = n.beginBatch, n.endBatch
 	f.start()
 	n.fabric = f
@@ -785,7 +785,7 @@ func (n *Node) CurrentView() types.View {
 }
 
 // beginBatch opens the lock section of one drained socket read: the fabric
-// calls it before the first frame of the read that reaches receiveRef, and
+// calls it before the first frame of the read that reaches receive, and
 // endBatch after the last, all on the connection's reader (or event-loop)
 // goroutine. One read — not one frame — is the unit that pays for the lock,
 // the ring put and the pump wake.
@@ -811,29 +811,20 @@ func (n *Node) endBatch(from types.ProcID) {
 	n.mu.Unlock()
 }
 
-// receiveRef handles one inbound frame inside an open batch (n.mu held). fr's
-// payloads may alias body, a pooled network buffer this method owns a
-// reference to. Processing is synchronous, and whatever outlives it has taken
-// a reference of its own by the time it ends — the message slot that keeps a
-// dedicated buffer instead of copying out of it (msgBuf.set), the delivery
-// events staged for the pump — so this reference is dropped as soon as the
-// frame is handled. A body shared with other frames is offered to nobody: the
-// end-point copies what it retains out of it, into its own pooled chunks.
-func (n *Node) receiveRef(from types.ProcID, fr frame, body *pool.Buf) {
-	var hold *pool.Buf
-	if dedicated(body) {
-		hold = body
-	}
-	n.receive(from, fr, hold)
+// receive feeds one inbound frame to the end-point inside an open batch and
+// stages what it produced. Callers hold n.mu (amu, a leaf lock, is taken
+// under it). fr's payloads may alias body, a pooled network buffer this
+// method owns a reference to. Processing is synchronous, and whatever
+// outlives it has taken a reference of its own by the time it ends — the
+// message slot that keeps a dedicated buffer instead of copying out of it
+// (msgBuf.set), the delivery events staged for the pump — so this reference
+// is dropped as soon as the frame is handled. A body shared with other frames
+// is offered to nobody: the end-point copies what it retains out of it, into
+// its own pooled chunks.
+func (n *Node) receive(from types.ProcID, fr frame, body *pool.Buf) {
 	if body != nil {
-		body.Release()
+		defer body.Release()
 	}
-}
-
-// receive feeds one inbound frame to the end-point and stages what it
-// produced; hold is the buffer the frame has to itself, if it has one. Callers
-// hold n.mu (amu, a leaf lock, is taken under it).
-func (n *Node) receive(from types.ProcID, fr frame, hold *pool.Buf) {
 	if fr.Attach != nil {
 		n.handleAttach(from, *fr.Attach)
 		return
@@ -860,6 +851,10 @@ func (n *Node) receive(from types.ProcID, fr frame, hold *pool.Buf) {
 			n.ep.HandleView(fr.Notify.View)
 		}
 	case fr.Msg != nil:
+		hold := body
+		if !dedicated(body) {
+			hold = nil
+		}
 		n.ep.HandleMessageHeld(from, *fr.Msg, hold)
 		switch fr.Msg.Kind {
 		case types.KindApp:

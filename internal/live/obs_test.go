@@ -20,73 +20,17 @@ func TestLiveTracedReconfigurationSingleSyncRound(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg)
 
-	serverIDs := []types.ProcID{"srv0", "srv1"}
-	serverSet := types.NewProcSet(serverIDs...)
-	dir := make(map[types.ProcID]string)
-
-	var servers []*ServerNode
-	for _, sid := range serverIDs {
-		sn, err := NewServerNode(ServerConfig{
-			ID: sid, Addr: "127.0.0.1:0", Servers: serverSet,
-			Transport: testTransport(), Obs: reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sn.Close()
-		servers = append(servers, sn)
-		dir[sid] = sn.Addr()
-	}
-
-	clientIDs := []types.ProcID{"cli0", "cli1", "cli2"}
-	clients := make(map[types.ProcID]*Node)
-	for i, cid := range clientIDs {
-		node, err := NewNode(NodeConfig{
-			ID: cid, Addr: "127.0.0.1:0", AutoBlock: true,
-			MsgIDBase: int64(i+1) * 1_000_000,
-			Transport: testTransport(), Obs: reg, Tracer: tracer,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close()
-		clients[cid] = node
-		dir[cid] = node.Addr()
-	}
-	for _, sn := range servers {
-		sn.SetPeers(dir)
-	}
-	for _, node := range clients {
-		node.SetPeers(dir)
-	}
-	for i, cid := range clientIDs {
-		servers[i%len(servers)].AddClient(cid)
-	}
-	for _, sn := range servers {
-		sn.SetReachable(serverSet)
-	}
-
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", what)
-	}
-
-	all := types.NewProcSet(clientIDs...)
-	waitFor("group formation", func() bool {
-		for _, node := range clients {
-			if !node.CurrentView().Members.Equal(all) {
-				return false
-			}
-		}
-		return true
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 3,
+		Server: func(_ types.ProcID, cfg *ServerConfig) error { cfg.Obs = reg; return nil },
+		Node:   func(_ int, cfg *NodeConfig) { cfg.Obs, cfg.Tracer = reg, tracer },
 	})
+	defer w.close()
+	w.SetReachable()
+	w.waitGroupFormed()
+	servers, clients := w.Servers(), w.Clients()
+	serverIDs, clientIDs := w.ServerIDs(), w.ClientIDs()
+	serverSet := types.NewProcSet(serverIDs...)
+	all := w.ClientSet()
 
 	// Failure-free departure: both servers drop the leaver, one
 	// reconfiguration removes it from the view.
@@ -96,7 +40,7 @@ func TestLiveTracedReconfigurationSingleSyncRound(t *testing.T) {
 		sn.RemoveClient(leaver)
 	}
 	servers[0].Reconfigure()
-	waitFor("survivor view", func() bool {
+	w.waitFor("survivor view", func() bool {
 		for _, cid := range clientIDs[:len(clientIDs)-1] {
 			if !clients[cid].CurrentView().Members.Equal(survivors) {
 				return false
@@ -143,11 +87,8 @@ func TestLiveTracedReconfigurationSingleSyncRound(t *testing.T) {
 	// Close everything; the frozen collectors must keep the final numbers —
 	// the collector-only series of every node and server, links per peer —
 	// without touching the closed nodes.
-	for _, node := range clients {
-		node.Close()
-	}
-	for _, sn := range servers {
-		sn.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	scraped := make(map[string]bool) // "<owner> <metric>"
 	var views float64
@@ -205,7 +146,7 @@ func TestLinkSeriesArePerPeer(t *testing.T) {
 	fabrics := make(map[types.ProcID]*fabric)
 	dir := make(map[types.ProcID]string)
 	for _, id := range []types.ProcID{"a", "b", "c"} {
-		f, err := newFabric(id, "127.0.0.1:0", testTransport(), func(types.ProcID, frame) {}, nil)
+		f, err := newFabric(id, "127.0.0.1:0", loopbackTransport(), dropFrame, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,22 +197,22 @@ func TestLinkSeriesArePerPeer(t *testing.T) {
 // gauge and their links per peer.
 func TestLiveEveryNumberIsASeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	w := newAttachWorld(t, 2, 2, attachOptions{
-		tuneServer: func(_ types.ProcID, cfg *ServerConfig) { cfg.Obs = reg },
-		tuneNode:   func(_ int, cfg *NodeConfig) { cfg.Obs = reg },
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 2, Attach: true,
+		Server: func(_ types.ProcID, cfg *ServerConfig) error { cfg.Obs = reg; return nil },
+		Node:   func(_ int, cfg *NodeConfig) { cfg.Obs = reg },
 	})
 	defer w.close()
-	w.boot()
-	w.startHeartbeats(20*time.Millisecond, 150*time.Millisecond)
+	w.SetReachable()
+	w.StartHeartbeats(20*time.Millisecond, 150*time.Millisecond)
 	w.waitFullView("all clients attached and in the full view", 0)
 
 	// cli0's rotated home list starts at srv0: killing srv0 fails it over.
-	dead, survivor := w.servers[0], w.servers[1]
-	orphan := w.clients["cli0"]
-	floor := w.maxViewID()
+	dead, survivor := w.Servers()[0], w.Servers()[1]
+	orphan := w.Client("cli0")
+	floor := w.MaxViewID()
 	dead.Close()
 	w.waitFor("all clients re-homed at the survivor", func() bool {
-		for _, node := range w.clients {
+		for _, node := range w.Clients() {
 			if node.Home() != survivor.ID() {
 				return false
 			}

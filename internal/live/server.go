@@ -186,7 +186,7 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 			return nil, err
 		}
 	}
-	f, err := newFabricRef(cfg.ID, cfg.Addr, cfg.Transport, n.receiveRef, n.linkDown)
+	f, err := newFabric(cfg.ID, cfg.Addr, cfg.Transport, n.receive, n.linkDown)
 	if err != nil {
 		return nil, err
 	}
@@ -443,17 +443,6 @@ func (n *ServerNode) Reachable() types.ProcSet {
 	return n.srv.Reachable()
 }
 
-// DetectorStats snapshots the heartbeat failure detector's counters (all
-// zero before StartHeartbeats).
-func (n *ServerNode) DetectorStats() membership.DetectorStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.detector == nil {
-		return membership.DetectorStats{}
-	}
-	return n.detector.Stats()
-}
-
 // Reconfigure starts a fresh membership attempt.
 func (n *ServerNode) Reconfigure() {
 	n.mu.Lock()
@@ -469,19 +458,14 @@ func (n *ServerNode) notify(p types.ProcID, notif membership.Notification) {
 	n.fabric.SendNotify(p, notif)
 }
 
-// receiveRef is the zero-copy receive entry point: fr's payloads may alias
-// body, a pooled network buffer released once the synchronous handlers
-// return (the server core copies anything it retains).
-func (n *ServerNode) receiveRef(from types.ProcID, fr frame, body *pool.Buf) {
-	n.receive(from, fr)
-	if body != nil {
-		body.Release()
-	}
-}
-
 // receive handles an inbound frame: attach-protocol frames from clients,
-// heartbeats and proposals from peer servers.
-func (n *ServerNode) receive(from types.ProcID, fr frame) {
+// heartbeats and proposals from peer servers. fr's payloads may alias body,
+// a pooled network buffer released once the synchronous handlers return (the
+// server core copies anything it retains).
+func (n *ServerNode) receive(from types.ProcID, fr frame, body *pool.Buf) {
+	if body != nil {
+		defer body.Release()
+	}
 	<-n.ready
 	if fr.Attach != nil {
 		n.handleAttach(from, *fr.Attach)

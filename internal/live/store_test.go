@@ -233,23 +233,24 @@ func (s *refusingStore) WriteSnapshot(map[types.ProcID]membership.ClientRecord) 
 func TestServerCountsStoreFailures(t *testing.T) {
 	const okAppends = 2
 	reg := obs.NewRegistry()
-	w := newAttachWorld(t, 1, 2, attachOptions{
-		stores: map[types.ProcID]Store{"srv0": &refusingStore{Store: NewMemStore(), okAppends: okAppends}},
-		tuneServer: func(_ types.ProcID, cfg *ServerConfig) {
+	w := deploy(t, DeploymentConfig{Servers: 1, Clients: 2, Attach: true,
+		Server: func(_ types.ProcID, cfg *ServerConfig) error {
+			cfg.Store = &refusingStore{Store: NewMemStore(), okAppends: okAppends}
 			cfg.Obs = reg
 			cfg.SnapshotEvery = 1
+			return nil
 		},
 	})
 	defer w.close()
-	w.boot()
+	w.SetReachable()
 	w.waitFullView("clients attached and in the full view", 0)
 	for round := 0; round < 2; round++ {
-		floor := w.maxViewID()
-		w.servers[0].Reconfigure()
+		floor := w.MaxViewID()
+		w.Servers()[0].Reconfigure()
 		w.waitFullView("a view from a server whose store refuses writes", floor)
 	}
 
-	sn := w.servers[0]
+	sn := w.Servers()[0]
 	if appends, snapshots := sn.walAppends.Value(), sn.walSnapshots.Value(); appends != okAppends || snapshots != 0 {
 		t.Fatalf("%d appends and %d snapshots counted, want %d and 0", appends, snapshots, okAppends)
 	}
@@ -268,7 +269,7 @@ func TestServerCountsStoreFailures(t *testing.T) {
 	if int64(scraped) < walErrors {
 		t.Fatalf("vsgm_server_wal_errors_total scrapes as %v, the server counted %d", scraped, walErrors)
 	}
-	if err := w.specErr(); err != nil {
+	if err := w.SpecErr(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
+	"slices"
 	"time"
 
-	"vsgm/internal/core"
 	"vsgm/internal/live"
 	"vsgm/internal/membership"
 	"vsgm/internal/obs"
@@ -82,29 +80,22 @@ const liveChurnBudget = 16
 // violationError marks a phase failure that is a property of the system
 // under test (a stabilization that never converged, a send that never
 // unblocked) rather than of the harness.
-type violationError struct{ msg string }
-
-func (e violationError) Error() string { return e.msg }
+type violationError struct{ error }
 
 func violationf(format string, args ...any) error {
-	return violationError{msg: fmt.Sprintf(format, args...)}
+	return violationError{fmt.Errorf(format, args...)}
 }
 
-// soakTransport mirrors the live package's test transport: timeouts shrunk
-// so fault injection reconnects in soak time, not production time.
-func soakTransport() live.TransportConfig {
-	return live.TransportConfig{
-		DialTimeout:  2 * time.Second,
-		WriteTimeout: 2 * time.Second,
-		BackoffBase:  10 * time.Millisecond,
-		BackoffMax:   250 * time.Millisecond,
+// violation marks a deployment's failure to converge as a property of the
+// system under test.
+func violation(err error) error {
+	if err == nil {
+		return nil
 	}
+	return violationError{err}
 }
 
 const (
-	liveWatchdog       = 25 * time.Millisecond
-	liveAttachInterval = 40 * time.Millisecond
-	liveAttachTimeout  = 250 * time.Millisecond
 	// liveAttachLease is 25 keepalive intervals: far past any chaos-induced
 	// keepalive gap, yet well inside the converge timeout, so a crowd
 	// straggler whose attach landed after its node closed is evicted before
@@ -119,29 +110,20 @@ type liveRun struct {
 	rng       *rand.Rand
 	sched     *Schedule
 	start     time.Time
+	d         *live.Deployment
 	serverIDs []types.ProcID
 	serverSet types.ProcSet
-	servers   map[types.ProcID]*live.ServerNode
-	clients   map[types.ProcID]*live.Node
-	stateDirs map[types.ProcID]string
 	reg       *obs.Registry // every node's numbers, and the tracer's
 	tracer    *obs.Tracer
 	crowdSeq  int
-	clientSeq int // distinct MsgIDBase per node ever created, survivors and crowds alike
 
 	// transitions counts the adversary's reachability/state flips (each
 	// block, heal, kill, restart, and injection is one) — the denominator
 	// of the bounded-churn check.
 	transitions int
-	// detStats accumulates detector counters of servers that were killed,
-	// so end-of-run totals survive restarts replacing the nodes.
-	detStats membership.DetectorStats
-
-	// Collector state: the synchronous Observe/ObserveNotify/OnSend hooks of
-	// every node funnel here, serialized by mu (as in the live test world).
-	mu    sync.Mutex
-	suite *spec.Suite
-	dlvrs map[types.ProcID]int
+	// retired accumulates the detector counters of servers that were
+	// killed, so end-of-run totals survive restarts replacing the nodes.
+	retired [3]float64
 }
 
 // RunLive executes the live-cluster soak and returns its report.
@@ -184,23 +166,18 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 	}
 
 	r := &liveRun{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		sched:     &Schedule{Scenario: cfg.Scenario.Name, Seed: cfg.Seed},
-		servers:   make(map[types.ProcID]*live.ServerNode),
-		clients:   make(map[types.ProcID]*live.Node),
-		stateDirs: make(map[types.ProcID]string),
-		suite:     spec.FullSuite(spec.WithTrace()),
-		dlvrs:     make(map[types.ProcID]int),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		sched: &Schedule{Scenario: cfg.Scenario.Name, Seed: cfg.Seed},
 	}
 	r.reg = obs.NewRegistry()
 	r.tracer = obs.NewTracer(r.reg)
 	report := &Report{Mode: "live", Seed: cfg.Seed, Schedule: r.sched, SampleEvery: 1}
-	defer r.closeAll()
 
 	if err := r.boot(); err != nil {
 		return nil, err
 	}
+	defer r.d.Close()
 	r.start = time.Now()
 	if err := r.waitFullView("initial full view", 0); err != nil {
 		return nil, fmt.Errorf("soak: live cluster never booted: %w", err)
@@ -212,7 +189,7 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 		if phaseErr = r.phase(kind); phaseErr != nil {
 			break
 		}
-		if verr := r.specErr(); verr != nil {
+		if verr := r.d.SpecErr(); verr != nil {
 			phaseErr = violationf("spec violation after %s phase: %v", kind, verr)
 			break
 		}
@@ -227,23 +204,19 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 		// Final stabilization: heal everything and run one more round, then
 		// hold the run to the bounded-convergence property from the heal mark
 		// and the bounded-churn property over the whole run.
-		r.healAll()
+		r.d.Heal()
 		r.transitions++
-		r.mu.Lock()
-		mark := len(r.suite.Trace())
-		r.mu.Unlock()
+		mark := len(r.d.Trace())
 		if err := r.settle("final full view"); err != nil {
 			phaseErr = err
 		} else if err := r.trafficRound("final"); err != nil {
 			phaseErr = err
 		} else {
-			all := r.clientSet()
-			r.mu.Lock()
-			cerr := spec.CheckConvergence(r.suite.Trace(), mark, all, all, liveConvergeBudget)
+			all, trace := r.d.ClientSet(), r.d.Trace()
+			cerr := spec.CheckConvergence(trace, mark, all, all, liveConvergeBudget)
 			if cerr == nil && cfg.ChurnBudget > 0 {
-				cerr = spec.CheckChurn(r.suite.Trace(), 0, r.transitions, cfg.ChurnBudget, all)
+				cerr = spec.CheckChurn(trace, 0, r.transitions, cfg.ChurnBudget, all)
 			}
-			r.mu.Unlock()
 			if cerr != nil {
 				phaseErr = violationf("%v", cerr)
 			}
@@ -251,32 +224,25 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 	}
 
 	if cfg.ForceViolation {
-		victim := r.clientIDs()[0]
+		victim := r.d.ClientIDs()[0]
 		r.sched.Note(time.Since(r.start), PhaseKind("forced-violation"), "injected regressing membership view at %s", victim)
-		r.mu.Lock()
-		injectForcedViolation(r.suite, victim)
-		r.mu.Unlock()
+		r.d.Record(forcedViolation(victim))
 	}
 
 	if phaseErr != nil {
 		report.violate(phaseErr)
 	}
-	report.violate(r.specErr())
-	report.Population = len(r.clients)
+	report.Population = len(r.d.ClientIDs())
 	report.ChaosTransitions = r.transitions
-	det := r.detStats
-	for _, sn := range r.servers {
-		st := sn.DetectorStats()
-		det.Flaps += st.Flaps
-		det.Quarantines += st.Quarantines
-		det.GrayDowngrades += st.GrayDowngrades
-	}
-	report.DetectorFlaps = det.Flaps
-	report.DetectorQuarantines = det.Quarantines
-	report.DetectorGrayDrops = det.GrayDowngrades
-	r.mu.Lock()
-	report.EventsSeen, report.EventsChecked = r.suite.SampleStats()
-	r.mu.Unlock()
+	det := r.detectorCounts("")
+	report.DetectorFlaps = int64(r.retired[0] + det[0])
+	report.DetectorQuarantines = int64(r.retired[1] + det[1])
+	report.DetectorGrayDrops = int64(r.retired[2] + det[2])
+	// The deployment's verdict: the spec suite and the pooled-buffer audit.
+	report.violate(r.d.Close())
+	// Every event is checked: the suite samples nothing.
+	report.EventsSeen = int64(len(r.d.Trace()))
+	report.EventsChecked = report.EventsSeen
 	report.Elapsed = time.Since(r.start)
 	if !report.OK() {
 		report.Timeline = r.tracer.TimelineString()
@@ -286,380 +252,104 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 	return report, nil
 }
 
-// boot builds the deployment: file-backed servers, attach-protocol clients
-// with rotated home lists, spec collection on every node, heartbeats on.
+// boot builds the deployment — file-backed servers, attach-protocol clients
+// with rotated home lists, every node on the run's registry — and turns the
+// heartbeats on.
 func (r *liveRun) boot() error {
-	r.serverIDs = make([]types.ProcID, r.cfg.Servers)
-	for i := range r.serverIDs {
-		r.serverIDs[i] = types.ProcID(fmt.Sprintf("srv%d", i))
+	d, err := live.NewDeployment(live.DeploymentConfig{
+		Servers: r.cfg.Servers,
+		Clients: r.cfg.Clients,
+		Attach:  true,
+		Server:  r.configureServer,
+		Node:    func(_ int, cfg *live.NodeConfig) { cfg.Obs, cfg.Tracer = r.reg, r.tracer },
+	})
+	if err != nil {
+		return err
 	}
+	r.d = d
+	r.serverIDs = d.ServerIDs()
 	r.serverSet = types.NewProcSet(r.serverIDs...)
-
-	for _, sid := range r.serverIDs {
-		dir := filepath.Join(r.cfg.StateRoot, string(sid))
-		r.stateDirs[sid] = dir
-		sn, err := r.newServer(sid, "127.0.0.1:0", dir)
-		if err != nil {
-			return err
-		}
-		r.servers[sid] = sn
-	}
-	for i := 0; i < r.cfg.Clients; i++ {
-		cid := types.ProcID(fmt.Sprintf("cli%d", i))
-		node, err := r.newClient(cid, i)
-		if err != nil {
-			return err
-		}
-		r.clients[cid] = node
-	}
-	r.setPeersEverywhere()
-	for _, sn := range r.servers {
-		sn.SetReachable(r.serverSet)
-		sn.StartHeartbeats(r.serverSet, liveHBInterval, liveHBTimeout)
-	}
+	d.SetReachable()
+	d.StartHeartbeats(liveHBInterval, liveHBTimeout)
 	return nil
 }
 
-func (r *liveRun) newServer(sid types.ProcID, addr, stateDir string) (*live.ServerNode, error) {
-	store, err := live.NewFileStore(stateDir)
+// configureServer is the deployment's server hook: every start of sid,
+// restarts included, runs on whatever sid's state directory now holds.
+func (r *liveRun) configureServer(sid types.ProcID, cfg *live.ServerConfig) error {
+	cfg.AttachLease, cfg.Obs = liveAttachLease, r.reg
+	store, err := live.NewFileStore(r.stateDir(sid))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sn, err := live.NewServerNode(live.ServerConfig{
-		ID:          sid,
-		Addr:        addr,
-		Servers:     r.serverSet,
-		Store:       store,
-		Watchdog:    liveWatchdog,
-		AttachLease: liveAttachLease,
-		Transport:   soakTransport(),
-		Obs:         r.reg,
-	})
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	return sn, nil
+	cfg.Store = store
+	return nil
 }
 
-func (r *liveRun) newClient(cid types.ProcID, rotate int) (*live.Node, error) {
-	homeList := make([]types.ProcID, len(r.serverIDs))
-	for j := range homeList {
-		homeList[j] = r.serverIDs[(rotate+j)%len(r.serverIDs)]
-	}
-	r.clientSeq++
-	return live.NewNode(live.NodeConfig{
-		ID:             cid,
-		Addr:           "127.0.0.1:0",
-		AutoBlock:      true,
-		MsgIDBase:      int64(r.clientSeq) * 1_000_000,
-		HomeServers:    homeList,
-		AttachInterval: liveAttachInterval,
-		AttachTimeout:  liveAttachTimeout,
-		Transport:      soakTransport(),
-		Obs:            r.reg,
-		Tracer:         r.tracer,
-		Observe:        func(ev core.Event) { r.onEvent(cid, ev) },
-		OnSend:         func(m types.AppMsg) { r.onSend(cid, m.ID) },
-		ObserveNotify:  func(n membership.Notification) { r.onNotify(cid, n) },
-	})
+func (r *liveRun) stateDir(sid types.ProcID) string {
+	return filepath.Join(r.cfg.StateRoot, string(sid))
 }
 
-func (r *liveRun) onEvent(p types.ProcID, ev core.Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch e := ev.(type) {
-	case core.DeliverEvent:
-		r.dlvrs[p]++
-		r.suite.OnEvent(spec.EDeliver{P: p, From: e.Sender, MsgID: e.Msg.ID})
-	case core.ViewEvent:
-		r.suite.OnEvent(spec.EView{P: p, View: e.View, Trans: e.TransitionalSet, HasTrans: true})
-	case core.BlockEvent:
-		r.suite.OnEvent(spec.EBlock{P: p})
-		r.suite.OnEvent(spec.EBlockOK{P: p})
+// revive rebuilds a killed server on its old address from whatever its
+// state directory now holds, and waits for every client to re-home and the
+// cluster to converge past what the phase did to the server.
+func (r *liveRun) revive(sid types.ProcID, what string) error {
+	if err := r.d.RestartServer(sid); err != nil {
+		return err
 	}
-}
-
-func (r *liveRun) onNotify(p types.ProcID, n membership.Notification) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch n.Kind {
-	case membership.NotifyStartChange:
-		r.suite.OnEvent(spec.EMStartChange{P: p, SC: n.StartChange})
-	case membership.NotifyView:
-		r.suite.OnEvent(spec.EMView{P: p, View: n.View})
-	}
-}
-
-func (r *liveRun) onSend(p types.ProcID, id int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.suite.OnEvent(spec.ESend{P: p, MsgID: id})
-}
-
-func (r *liveRun) specErr() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.suite.Err()
-}
-
-func (r *liveRun) deliveredSnapshot() map[types.ProcID]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[types.ProcID]int, len(r.dlvrs))
-	for k, v := range r.dlvrs {
-		out[k] = v
-	}
-	return out
-}
-
-func (r *liveRun) clientIDs() []types.ProcID {
-	out := make([]types.ProcID, 0, len(r.clients))
-	for cid := range r.clients {
-		out = append(out, cid)
-	}
-	set := types.NewProcSet(out...)
-	return set.Sorted()
-}
-
-func (r *liveRun) clientSet() types.ProcSet {
-	s := types.NewProcSet()
-	for cid := range r.clients {
-		s.Add(cid)
-	}
-	return s
-}
-
-func (r *liveRun) setPeersEverywhere() {
-	dir := make(map[types.ProcID]string)
-	for sid, sn := range r.servers {
-		dir[sid] = sn.Addr()
-	}
-	for cid, node := range r.clients {
-		dir[cid] = node.Addr()
-	}
-	for _, sn := range r.servers {
-		sn.SetPeers(dir)
-	}
-	for _, node := range r.clients {
-		node.SetPeers(dir)
-	}
-}
-
-func (r *liveRun) maxViewID() types.ViewID {
-	var max types.ViewID
-	for _, node := range r.clients {
-		if v := node.CurrentView().ID; v > max {
-			max = v
+	if err := r.waitFor("all clients re-homed after "+what, func() bool {
+		for _, node := range r.d.Clients() {
+			if node.Home() == "" {
+				return false
+			}
 		}
+		return true
+	}); err != nil {
+		return err
 	}
-	return max
+	return r.waitFullView("cluster converged past "+what, 0)
 }
 
 // waitFor polls cond until it holds or the converge timeout passes; a
 // timeout is a liveness violation of the deployment.
 func (r *liveRun) waitFor(what string, cond func() bool) error {
-	deadline := time.Now().Add(r.cfg.ConvergeTimeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return violationf("timed out after %v waiting for %s", r.cfg.ConvergeTimeout, what)
+	return violation(r.d.WaitFor(what, r.cfg.ConvergeTimeout, cond))
 }
 
-// waitFullView waits until every client is attached and has installed a
-// view over the full client population with an id above floor. On timeout
-// the violation carries each client's home and view so the report shows
-// who was stuck, not just that someone was.
 func (r *liveRun) waitFullView(what string, floor types.ViewID) error {
-	all := r.clientSet()
-	err := r.waitFor(what, func() bool {
-		for _, node := range r.clients {
-			if node.Home() == "" {
-				return false
-			}
-			v := node.CurrentView()
-			if v.ID <= floor || !v.Members.Equal(all) {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		var b strings.Builder
-		for _, cid := range r.clientIDs() {
-			node := r.clients[cid]
-			v := node.CurrentView()
-			fmt.Fprintf(&b, " %s[home=%s vid=%d members=%d]", cid, node.Home(), v.ID, v.Members.Len())
-		}
-		scraped := make(map[string]float64) // "<server> <metric>"
-		for _, s := range r.reg.Snapshot().Samples {
-			for _, l := range s.Labels {
-				if l.Key == "server" {
-					scraped[l.Value+" "+s.Name] = s.Value
-				}
-			}
-		}
-		for _, sid := range r.serverIDs {
-			sn := r.servers[sid]
-			count := func(name string) float64 { return scraped[string(sid)+" vsgm_server_"+name+"_total"] }
-			fmt.Fprintf(&b, " %s[reach=%s clients=%d attempts=%v views=%v repro=%v evict=%v]",
-				sid, sn.Reachable(), sn.Clients().Len(), count("attempts"), count("views_delivered"), count("reproposals"), count("evictions"))
-		}
-		return violationf("%v (floor %d, want %d members);%s", err, floor, all.Len(), b.String())
-	}
-	return nil
+	return violation(r.d.WaitFullView(what, floor, r.cfg.ConvergeTimeout))
 }
 
-// sendRetry multicasts from cid, retrying through transient block windows.
-func (r *liveRun) sendRetry(cid types.ProcID, payload string) error {
-	node := r.clients[cid]
-	deadline := time.Now().Add(r.cfg.ConvergeTimeout)
-	for time.Now().Before(deadline) {
-		_, err := node.Send([]byte(payload))
-		if err == nil {
-			return nil
-		}
-		if err != core.ErrBlocked {
-			return violationf("send from %s failed: %v", cid, err)
-		}
-		time.Sleep(3 * time.Millisecond)
-	}
-	return violationf("send from %s still blocked after %v", cid, r.cfg.ConvergeTimeout)
-}
-
-// commonView waits until every client has installed the same view over the
-// full population — the precondition for a within-view traffic round.
-func (r *liveRun) commonView(deadline time.Time) error {
-	all := r.clientSet()
-	for time.Now().Before(deadline) {
-		key := ""
-		agree := len(r.clients) > 0
-		for _, node := range r.clients {
-			v := node.CurrentView()
-			if !v.Members.Equal(all) {
-				agree = false
-				break
-			}
-			if key == "" {
-				key = v.Key()
-			} else if v.Key() != key {
-				agree = false
-				break
-			}
-		}
-		if agree {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return violationf("clients never agreed on one full view")
-}
-
-// trafficRound has every client multicast once and waits until everyone has
-// delivered the whole round. Messages are delivered within the view they
-// were sent in, so a reconfiguration still draining from the previous chaos
-// phase can legally erase a round for a client that did not move directly
-// between views — that is correct virtual synchrony, not a violation. Each
-// attempt therefore first waits for all clients to agree on one full view,
-// sends, and gives the deliveries a bounded window; the round is retried
-// until the converge timeout expires.
+// trafficRound retries the deployment's round, each attempt in a bounded
+// window, until the converge timeout: a reconfiguration still draining from
+// an earlier phase can legally erase a round (virtual synchrony delivers a
+// message only in the view it was sent in), so one lost attempt is no
+// violation.
 func (r *liveRun) trafficRound(tag string) error {
 	deadline := time.Now().Add(r.cfg.ConvergeTimeout)
 	for {
-		if err := r.commonView(deadline); err != nil {
-			return violationf("%s traffic round: %v", tag, err)
-		}
-		base := r.deliveredSnapshot()
-		ids := r.clientIDs()
-		for _, cid := range ids {
-			if err := r.sendRetry(cid, tag+"-"+string(cid)); err != nil {
-				return err
-			}
-		}
-		n := len(ids)
-		window := time.Now().Add(2 * time.Second)
-		if window.After(deadline) {
-			window = deadline
-		}
-		for time.Now().Before(window) {
-			snap := r.deliveredSnapshot()
-			done := true
-			for _, cid := range ids {
-				if snap[cid]-base[cid] < n {
-					done = false
-					break
-				}
-			}
-			if done {
-				return nil
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if !time.Now().Before(deadline) {
-			return violationf("%s traffic not delivered everywhere within %v", tag, r.cfg.ConvergeTimeout)
+		err := r.d.TrafficRound(tag, min(2*time.Second, time.Until(deadline)))
+		if err == nil || time.Until(deadline) <= 0 {
+			return violation(err)
 		}
 	}
 }
 
-// chaosOf returns every node's chaos controller.
-func (r *liveRun) chaosOf() map[types.ProcID]*live.Chaos {
-	out := make(map[types.ProcID]*live.Chaos)
-	for sid, sn := range r.servers {
-		out[sid] = sn.Chaos()
-	}
-	for cid, node := range r.clients {
-		out[cid] = node.Chaos()
+// detectorCounts reads the flap, quarantine and gray-downgrade counters
+// from the registry for server sid, or summed over every server when sid is
+// empty.
+func (r *liveRun) detectorCounts(sid types.ProcID) [3]float64 {
+	var out [3]float64
+	names := []string{"vsgm_detector_flaps_total", "vsgm_detector_quarantines_total", "vsgm_detector_gray_downgrades_total"}
+	for _, s := range r.reg.Snapshot().Samples {
+		i := slices.Index(names, s.Name)
+		for _, l := range s.Labels {
+			if i >= 0 && l.Key == "server" && (sid == "" || l.Value == string(sid)) {
+				out[i] += s.Value
+			}
+		}
 	}
 	return out
-}
-
-// partitionComponents blocks outbound traffic between components, where
-// each component is a server group plus the clients currently homed at it
-// (unattached clients ride with the first group).
-func (r *liveRun) partitionComponents(groups ...types.ProcSet) []types.ProcSet {
-	comps := make([]types.ProcSet, len(groups))
-	for i, g := range groups {
-		comps[i] = g.Clone()
-	}
-	for cid, node := range r.clients {
-		placed := false
-		for i, g := range groups {
-			if g.Contains(node.Home()) {
-				comps[i].Add(cid)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			comps[0].Add(cid)
-		}
-	}
-	all := types.NewProcSet()
-	for _, comp := range comps {
-		for p := range comp {
-			all.Add(p)
-		}
-	}
-	chaos := r.chaosOf()
-	for _, comp := range comps {
-		outside := all.Minus(comp).Sorted()
-		for p := range comp {
-			if c := chaos[p]; c != nil {
-				c.BlockOutbound(outside...)
-			}
-		}
-	}
-	return comps
-}
-
-// healAll lifts every chaos block on every node.
-func (r *liveRun) healAll() {
-	for _, c := range r.chaosOf() {
-		c.Heal()
-	}
 }
 
 // serverPair draws a random ordered pair of distinct servers.
@@ -687,7 +377,7 @@ func (r *liveRun) serverSplit() (types.ProcSet, types.ProcSet) {
 // so no new view is owed and a floor-based expectation would wedge.
 func (r *liveRun) waitServersIntegrated() error {
 	return r.waitFor("all servers mutually re-admitted", func() bool {
-		for _, sn := range r.servers {
+		for _, sn := range r.d.Servers() {
 			if !sn.Reachable().Equal(r.serverSet) {
 				return false
 			}
@@ -708,68 +398,40 @@ func (r *liveRun) settle(what string) error {
 		return err
 	}
 	r.transitions++
-	floor := r.maxViewID()
-	r.servers[r.serverIDs[0]].Reconfigure()
+	floor := r.d.MaxViewID()
+	r.d.Server(r.serverIDs[0]).Reconfigure()
 	return r.waitFullView(what, floor)
 }
 
-// retire banks a server's detector counters and closes it, so end-of-run
-// detector totals survive the restart replacing the node.
-func (r *liveRun) retire(sn *live.ServerNode) {
-	st := sn.DetectorStats()
-	r.detStats.Flaps += st.Flaps
-	r.detStats.Quarantines += st.Quarantines
-	r.detStats.GrayDowngrades += st.GrayDowngrades
-	sn.Close()
-}
-
-// restartServer rebuilds a killed server on its old address from whatever
-// its state directory now holds, rejoining heartbeats and the peer
-// directory.
-func (r *liveRun) restartServer(sid types.ProcID, addr string) error {
-	sn, err := r.newServer(sid, addr, r.stateDirs[sid])
-	if err != nil {
-		return err
+// retire banks a server's detector counters and closes it: its restart
+// replaces the collector that holds them, and end-of-run totals must survive
+// that.
+func (r *liveRun) retire(sid types.ProcID) {
+	det := r.detectorCounts(sid)
+	for i := range r.retired {
+		r.retired[i] += det[i]
 	}
-	r.servers[sid] = sn
-	r.setPeersEverywhere()
-	sn.SetReachable(r.serverSet)
-	sn.StartHeartbeats(r.serverSet, liveHBInterval, liveHBTimeout)
-	return nil
-}
-
-func (r *liveRun) closeAll() {
-	for _, node := range r.clients {
-		node.Close()
-	}
-	for _, sn := range r.servers {
-		sn.Close()
-	}
+	r.d.Server(sid).Close()
 }
 
 func (r *liveRun) phase(kind PhaseKind) error {
 	at := time.Since(r.start)
 	switch kind {
 	case PhaseTraffic:
-		r.sched.Note(at, kind, "full multicast round from all %d clients", len(r.clients))
+		r.sched.Note(at, kind, "full multicast round from all %d clients", len(r.d.ClientIDs()))
 		return r.trafficRound(fmt.Sprintf("t%d", len(r.sched.Steps)))
 
 	case PhasePartitionHeal:
 		left, right := r.serverSplit()
 		r.sched.Note(at, kind, "split %s | %s, stabilize both sides, heal", left, right)
 		r.transitions += 2 // the split and the heal
-		comps := r.partitionComponents(left, right)
+		comps := r.d.Partition(left, right)
 		// Each side settles on a view over exactly its own clients.
 		if err := r.waitFor("both sides of the partition stabilize", func() bool {
-			for i := range comps {
-				side := types.NewProcSet()
-				for p := range comps[i] {
-					if _, isClient := r.clients[p]; isClient {
-						side.Add(p)
-					}
-				}
+			for _, comp := range comps {
+				side := comp.Minus(r.serverSet)
 				for p := range side {
-					if !r.clients[p].CurrentView().Members.Equal(side) {
+					if !r.d.Client(p).CurrentView().Members.Equal(side) {
 						return false
 					}
 				}
@@ -778,7 +440,7 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		}); err != nil {
 			return err
 		}
-		r.healAll()
+		r.d.Heal()
 		// Floor 0, not the pre-partition view id: if every client happened to
 		// be homed on one side, the split was vacuous — no view ever shrank,
 		// detectors may not even fire before the heal — and no new view is
@@ -791,28 +453,26 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		r.sched.Note(at, kind, "%d rapid flips of %s | %s", flips, left, right)
 		r.transitions += 2 * flips
 		for i := 0; i < flips; i++ {
-			r.partitionComponents(left, right)
+			r.d.Partition(left, right)
 			time.Sleep(time.Duration(50+r.rng.Intn(150)) * time.Millisecond)
-			r.healAll()
+			r.d.Heal()
 			time.Sleep(time.Duration(50+r.rng.Intn(100)) * time.Millisecond)
 		}
 		return r.waitFullView("full view after oscillation", 0)
 
 	case PhaseCrashRestart:
 		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		sn := r.servers[sid]
-		addr := sn.Addr()
 		// The kill only owes the survivors a new view if the victim was
 		// integrated when it died.
 		if err := r.waitServersIntegrated(); err != nil {
 			return err
 		}
-		floor := r.maxViewID()
+		floor := r.d.MaxViewID()
 		r.sched.Note(at, kind, "kill %s, converge on survivors, restart it from its store", sid)
 		r.transitions += 2 // the kill and the restart
-		r.retire(sn)
+		r.retire(sid)
 		if err := r.waitFor("orphans of "+string(sid)+" re-home at survivors", func() bool {
-			for _, node := range r.clients {
+			for _, node := range r.d.Clients() {
 				if h := node.Home(); h == "" || h == sid {
 					return false
 				}
@@ -824,10 +484,7 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		if err := r.waitFullView("survivors reinstall the full view", floor); err != nil {
 			return err
 		}
-		if err := r.restartServer(sid, addr); err != nil {
-			return err
-		}
-		return r.waitFullView("cluster stable after restart", 0)
+		return r.revive(sid, "the restart")
 
 	case PhaseFlashCrowd:
 		n := 3 + r.rng.Intn(3)
@@ -846,15 +503,10 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		if err := r.waitServersIntegrated(); err != nil {
 			return err
 		}
-		floor := r.maxViewID()
-		for i, cid := range fresh {
-			node, err := r.newClient(cid, r.rng.Intn(len(r.serverIDs))+i)
-			if err != nil {
-				return err
-			}
-			r.clients[cid] = node
+		floor := r.d.MaxViewID()
+		if err := r.d.AddClients(fresh...); err != nil {
+			return err
 		}
-		r.setPeersEverywhere()
 		if err := r.waitFullView("burst admitted into one view", floor); err != nil {
 			return err
 		}
@@ -867,14 +519,13 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		// timed out during the burst can land at a server after a one-shot
 		// scan, resurrecting the registration of a closed client — whose
 		// membership views would then never complete their sync round.
-		floor = r.maxViewID()
+		floor = r.d.MaxViewID()
 		for _, cid := range fresh {
-			r.clients[cid].Close()
-			delete(r.clients, cid)
+			r.d.CloseClient(cid)
 		}
 		if err := r.waitFor("crowd deregistered at every server", func() bool {
 			clean := true
-			for _, sn := range r.servers {
+			for _, sn := range r.d.Servers() {
 				for _, cid := range fresh {
 					if sn.Clients().Contains(cid) {
 						sn.RemoveClient(cid)
@@ -891,13 +542,12 @@ func (r *liveRun) phase(kind PhaseKind) error {
 
 	case PhaseStaleResurrect:
 		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		sn := r.servers[sid]
-		addr := sn.Addr()
+		sn := r.d.Server(sid)
 		backup := filepath.Join(r.cfg.StateRoot, string(sid)+".stale")
 		r.sched.Note(at, kind, "snapshot %s's store, advance identifiers, resurrect it from the stale generation", sid)
 		r.transitions += 3 // the advance, the kill, the resurrection
 		// Point-in-time backup of the current (soon to be stale) generation.
-		if err := wal.CloneDir(r.stateDirs[sid], backup); err != nil {
+		if err := wal.CloneDir(r.stateDir(sid), backup); err != nil {
 			return err
 		}
 		// Advance identifier state past the backup. The reconfiguring server
@@ -906,39 +556,25 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		if err := r.waitServersIntegrated(); err != nil {
 			return err
 		}
-		floor := r.maxViewID()
+		floor := r.d.MaxViewID()
 		sn.Reconfigure()
 		if err := r.waitFullView("identifiers advanced past the backup", floor); err != nil {
 			return err
 		}
 		// Kill, roll the store back to the stale generation, restart.
-		r.retire(sn)
-		if err := wal.CloneDir(backup, r.stateDirs[sid]); err != nil {
-			return err
-		}
-		if err := r.restartServer(sid, addr); err != nil {
+		r.retire(sid)
+		if err := wal.CloneDir(backup, r.stateDir(sid)); err != nil {
 			return err
 		}
 		// Epoch gossip and client-side stale-notification filtering must
 		// absorb the resurrected identifiers without regressing anyone.
-		if err := r.waitFor("all clients re-homed after resurrection", func() bool {
-			for _, node := range r.clients {
-				if node.Home() == "" {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		return r.waitFullView("cluster converged past the stale generation", 0)
+		return r.revive(sid, "the stale generation")
 
 	case PhaseCorruptCounter:
 		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		sn := r.servers[sid]
-		addr := sn.Addr()
-		locals := sn.Clients()
-		victim := r.clientIDs()[r.rng.Intn(len(r.clients))]
+		locals := r.d.Server(sid).Clients()
+		ids := r.d.ClientIDs()
+		victim := ids[r.rng.Intn(len(ids))]
 		if locals.Len() > 0 {
 			victim = locals.Sorted()[r.rng.Intn(locals.Len())]
 		}
@@ -951,8 +587,8 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		r.sched.Note(at, kind, "kill %s, append %s for %s (cid=%d vid=%d epoch=%d) to its WAL, restart",
 			sid, flavour, victim, rec.CID, rec.Vid, rec.Epoch)
 		r.transitions += 2 // the kill and the restart
-		r.retire(sn)
-		store, err := live.NewFileStore(r.stateDirs[sid])
+		r.retire(sid)
+		store, err := live.NewFileStore(r.stateDir(sid))
 		if err != nil {
 			return err
 		}
@@ -963,68 +599,40 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		if err := store.Close(); err != nil {
 			return err
 		}
-		if err := r.restartServer(sid, addr); err != nil {
-			return err
-		}
 		// The corrupted record must be absorbed monotonically: if the victim
 		// re-registers here its identifiers jump above the bogus values; if
 		// it settled elsewhere the record stays inert. Either way the view
 		// must reconverge and the suite stay green.
-		if err := r.waitFor("all clients re-homed after corruption", func() bool {
-			for _, node := range r.clients {
-				if node.Home() == "" {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		return r.waitFullView("cluster converged past the corrupted record", 0)
+		return r.revive(sid, "the corrupted record")
 
 	case PhaseWALScramble:
 		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		sn := r.servers[sid]
-		addr := sn.Addr()
 		// The restart only re-integrates cleanly if the victim was integrated
 		// when it died (same reasoning as the crash-restart phase).
 		if err := r.waitServersIntegrated(); err != nil {
 			return err
 		}
-		r.retire(sn)
-		detail, err := r.scrambleStateDir(r.stateDirs[sid])
+		r.retire(sid)
+		detail, err := r.scrambleStateDir(r.stateDir(sid))
 		if err != nil {
 			return err
 		}
 		r.sched.Note(at, kind, "kill %s, %s, restart through fsck/repair", sid, detail)
 		r.transitions += 2 // the kill and the restart
-		if err := r.restartServer(sid, addr); err != nil {
-			return err
-		}
 		// The fsck pass quarantined whatever the scramble destroyed; any
 		// identifier state it lost must be re-floated by attach claims, and
 		// the whole cluster must reconverge on one full view.
-		if err := r.waitFor("all clients re-homed after WAL scramble", func() bool {
-			for _, node := range r.clients {
-				if node.Home() == "" {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		return r.waitFullView("cluster converged past the scrambled store", 0)
+		return r.revive(sid, "the scrambled store")
 
 	case PhaseStateScramble:
 		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		sn := r.servers[sid]
+		sn := r.d.Server(sid)
 		// The injection forces a reconfiguration at sid; it reaches clients
 		// homed elsewhere only once the servers are mutually re-admitted.
 		if err := r.waitServersIntegrated(); err != nil {
 			return err
 		}
-		ids := r.clientIDs()
+		ids := r.d.ClientIDs()
 		n := 1 + r.rng.Intn(3)
 		recs := make(map[types.ProcID]membership.ClientRecord, n)
 		for i := 0; i < n; i++ {
@@ -1041,9 +649,9 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		return r.waitFullView("cluster converged past the scrambled records", 0)
 
 	case PhaseClientScramble:
-		ids := r.clientIDs()
+		ids := r.d.ClientIDs()
 		victim := ids[r.rng.Intn(len(ids))]
-		node := r.clients[victim]
+		node := r.d.Client(victim)
 		// Two flavours, mirroring the server-side scramble: impossible
 		// values (above the plausibility ceilings, negative) that the node
 		// must self-clamp, and huge-but-possible values that must re-float
@@ -1076,16 +684,16 @@ func (r *liveRun) phase(kind PhaseKind) error {
 			return err
 		}
 		node.ScrambleIdentifiers(cid, vid, sc)
-		// The sleep gives the victim's next attach ticks time to self-clamp
-		// (impossible flavour) or land the scrambled claim (huge flavour)
-		// before the attempt that must out-bid it.
-		time.Sleep(4 * liveAttachInterval)
-		home := node.Home()
-		sn, ok := r.servers[home]
-		if !ok {
-			sn = r.servers[r.serverIDs[0]]
+		// The sleep gives the victim's next attach ticks (40ms apart on a
+		// loopback deployment) time to self-clamp (impossible flavour) or
+		// land the scrambled claim (huge flavour) before the attempt that
+		// must out-bid it.
+		time.Sleep(160 * time.Millisecond)
+		sn := r.d.Server(node.Home())
+		if sn == nil {
+			sn = r.d.Server(r.serverIDs[0])
 		}
-		floor := r.maxViewID()
+		floor := r.d.MaxViewID()
 		sn.Reconfigure()
 		return r.waitFullView("cluster converged past the scrambled client", floor)
 
@@ -1098,16 +706,16 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		if err := r.waitServersIntegrated(); err != nil {
 			return err
 		}
-		chaos := r.chaosOf()
+		ca, cb := r.d.Server(a).Chaos(), r.d.Server(b).Chaos()
 		for i := 0; i < flips; i++ {
-			chaos[a].BlockOutbound(b)
-			chaos[b].BlockOutbound(a)
+			ca.BlockOutbound(b)
+			cb.BlockOutbound(a)
 			// Long enough for accrual suspicion to fire (phi crosses the
 			// suspect threshold a few hundred ms into the silence at the
 			// soak's 20ms heartbeat interval)...
 			time.Sleep(time.Duration(600+r.rng.Intn(250)) * time.Millisecond)
-			chaos[a].Unblock(b)
-			chaos[b].Unblock(a)
+			ca.Unblock(b)
+			cb.Unblock(a)
 			// ...and short enough that the restore is a flap, not a heal.
 			time.Sleep(time.Duration(100+r.rng.Intn(150)) * time.Millisecond)
 		}
@@ -1128,14 +736,14 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		if err := r.waitServersIntegrated(); err != nil {
 			return err
 		}
-		r.servers[b].Chaos().BlockInbound(a)
+		r.d.Server(b).Chaos().BlockInbound(a)
 		// Reconciliation must converge every server on a verdict that
 		// excludes the broken pairing: b suspects a outright; a downgrades b
 		// on b's bitmap (the direct rule); third parties drop the
 		// lexicographically larger of the pair (the pair rule). The one
 		// observable all of them share: nobody keeps both a and b.
 		if err := r.waitFor("gray failure reconciled symmetrically", func() bool {
-			for _, sn := range r.servers {
+			for _, sn := range r.d.Servers() {
 				reach := sn.Reachable()
 				if reach.Contains(a) && reach.Contains(b) {
 					return false
@@ -1149,14 +757,14 @@ func (r *liveRun) phase(kind PhaseKind) error {
 		// reconciled (each side would livelock the one-round protocol if
 		// they disagreed, and flap if they alternated).
 		time.Sleep(500 * time.Millisecond)
-		for _, sn := range r.servers {
+		for _, sn := range r.d.Servers() {
 			reach := sn.Reachable()
 			if reach.Contains(a) && reach.Contains(b) {
 				return violationf("gray-failure verdict oscillated: %s re-admitted both %s and %s over a broken link",
 					sn.ID(), a, b)
 			}
 		}
-		r.servers[b].Chaos().Unblock(a)
+		r.d.Server(b).Chaos().Unblock(a)
 		if err := r.waitServersIntegrated(); err != nil {
 			return err
 		}

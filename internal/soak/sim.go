@@ -151,7 +151,7 @@ func RunSim(cfg SimConfig) (*Report, error) {
 
 	if cfg.ForceViolation {
 		r.sched.Note(c.Now(), PhaseKind("forced-violation"), "injected regressing membership view at %s", c.Procs()[0])
-		injectForcedViolation(suite, c.Procs()[0])
+		suite.OnEvent(forcedViolation(c.Procs()[0]))
 	}
 
 	report.violate(suite.Err())
@@ -168,13 +168,13 @@ func RunSim(cfg SimConfig) (*Report, error) {
 	return report, nil
 }
 
-// injectForcedViolation feeds a fabricated membership view with a
-// regressing identifier for p — a guaranteed Local Monotonicity violation
-// that exercises the report/timeline dump path end to end.
-func injectForcedViolation(suite *spec.Suite, p types.ProcID) {
-	suite.OnEvent(spec.EMView{P: p, View: types.NewView(
+// forcedViolation is a fabricated membership view with a regressing
+// identifier for p — a guaranteed Local Monotonicity violation that
+// exercises the report/timeline dump path end to end.
+func forcedViolation(p types.ProcID) spec.Event {
+	return spec.EMView{P: p, View: types.NewView(
 		0, types.NewProcSet(p), map[types.ProcID]types.StartChangeID{p: 1},
-	)})
+	)}
 }
 
 // settle advances virtual time by a random dwell in [min, max).

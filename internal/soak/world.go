@@ -141,7 +141,7 @@ func RunWorld(cfg WorldConfig) (*Report, error) {
 	if cfg.ForceViolation {
 		victim := r.sampledClient(keep)
 		r.sched.Note(time.Since(r.start), PhaseKind("forced-violation"), "injected regressing membership view at %s", victim)
-		injectForcedViolation(suite, victim)
+		suite.OnEvent(forcedViolation(victim))
 	}
 
 	report.violate(suite.Err())
