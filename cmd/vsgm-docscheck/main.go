@@ -14,7 +14,12 @@
 //     metric the handbook names must exist in code;
 //   - docs/ARCHITECTURE.md must mention every internal/ package and cmd/
 //     binary, so the map of the repo cannot rot as packages are added;
-//   - README.md must link the architecture and sharding docs.
+//   - README.md must link the architecture and sharding docs;
+//   - the Makefile's fuzz-smoke recipe and the tree's fuzzers must agree in
+//     both directions: every -fuzz=Name on a recipe line must select exactly
+//     one fuzzer of the package on that line (go test exits 0 having fuzzed
+//     nothing when it selects none), and every func Fuzz… in a test file
+//     must be run by the recipe.
 //
 // It prints one line per violation and exits non-zero if any were found.
 //
@@ -27,6 +32,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io"
 	"io/fs"
 	"os"
@@ -60,6 +69,9 @@ var metricTok = regexp.MustCompile(`vsgm_[a-z0-9_]*`)
 
 // flagRow matches a markdown table row whose first cell is one `-flag`.
 var flagRow = regexp.MustCompile("(?m)^\\|\\s*`-([a-z0-9-]+)`\\s*\\|")
+
+// fuzzFlag matches the target selector of a go test -fuzz command line.
+var fuzzFlag = regexp.MustCompile(`\s-fuzz=(\S+)`)
 
 // opsBinaries are the binaries whose public flags docs/OPERATIONS.md must
 // cover.
@@ -136,6 +148,7 @@ func run(args []string, out io.Writer) error {
 	violations = append(violations, checkMetrics(*root, string(ops))...)
 	violations = append(violations, checkArchitecture(*root)...)
 	violations = append(violations, checkReadmeLinks(*root)...)
+	violations = append(violations, checkFuzzSmoke(*root)...)
 
 	if len(violations) > 0 {
 		sort.Strings(violations)
@@ -144,7 +157,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return fmt.Errorf("%d documentation violation(s)", len(violations))
 	}
-	fmt.Fprintf(out, "docs-check: %d markdown files, all links resolve, all %s flags documented both ways, metric catalogue bidirectionally consistent, architecture map complete\n",
+	fmt.Fprintf(out, "docs-check: %d markdown files, all links resolve, all %s flags documented both ways, metric catalogue bidirectionally consistent, architecture map complete, fuzz-smoke runs every fuzzer\n",
 		len(mds), strings.Join(opsBinaries, ", "))
 	return nil
 }
@@ -294,6 +307,120 @@ func checkReadmeLinks(root string) []string {
 	return violations
 }
 
+// checkFuzzSmoke verifies the Makefile's fuzz-smoke recipe against the
+// fuzzers declared in the tree's test files, in both directions.
+func checkFuzzSmoke(root string) []string {
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return []string{fmt.Sprintf("Makefile: %v", err)}
+	}
+	fuzzers, err := treeFuzzers(root)
+	if err != nil {
+		return []string{fmt.Sprintf("fuzzer scan: %v", err)}
+	}
+	var violations []string
+	smoked := map[string]bool{} // "pkg Name" of every fuzzer a recipe line selects
+	for _, line := range recipe(string(mk), "fuzz-smoke") {
+		m := fuzzFlag.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		pkg := ""
+		for _, f := range strings.Fields(line) {
+			if strings.HasPrefix(f, "./") {
+				pkg = strings.Trim(strings.TrimPrefix(f, "./"), "/")
+			}
+		}
+		// go test reads -fuzz as a regular expression over the package's
+		// fuzzers, and fuzzes only when it selects exactly one.
+		sel, err := regexp.Compile(m[1])
+		if err != nil {
+			violations = append(violations, fmt.Sprintf("Makefile: fuzz-smoke: -fuzz=%s: %v", m[1], err))
+			continue
+		}
+		var selected []string
+		for _, name := range fuzzers[pkg] {
+			if sel.MatchString(name) {
+				selected = append(selected, name)
+			}
+		}
+		if len(selected) != 1 {
+			violations = append(violations, fmt.Sprintf("Makefile: fuzz-smoke: -fuzz=%s selects %d fuzzers in %s, want exactly one", m[1], len(selected), pkg))
+			continue
+		}
+		smoked[pkg+" "+selected[0]] = true
+	}
+	for pkg, names := range fuzzers {
+		for _, name := range names {
+			if !smoked[pkg+" "+name] {
+				violations = append(violations, fmt.Sprintf("%s: fuzzer %s is not run by make fuzz-smoke", pkg, name))
+			}
+		}
+	}
+	return violations
+}
+
+// recipe returns the command lines of a Makefile target: the tab-indented
+// lines that follow its rule line.
+func recipe(makefile, target string) []string {
+	var lines []string
+	in := false
+	for _, line := range strings.Split(makefile, "\n") {
+		switch {
+		case strings.HasPrefix(line, target+":"):
+			in = true
+		case in && strings.HasPrefix(line, "\t"):
+			lines = append(lines, line)
+		default:
+			in = false
+		}
+	}
+	return lines
+}
+
+// treeFuzzers maps each package directory (slash-separated, relative to
+// root) to the fuzzers its test files declare.
+func treeFuzzers(root string) (map[string][]string, error) {
+	fuzzers := map[string][]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skippedDir(root, path, d.Name()) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(rel)
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && isFuzzer(fn) {
+				fuzzers[pkg] = append(fuzzers[pkg], fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	return fuzzers, err
+}
+
+// isFuzzer reports whether fn is declared func FuzzXxx(f *testing.F).
+func isFuzzer(fn *ast.FuncDecl) bool {
+	params := fn.Type.Params.List
+	return fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") && len(params) == 1 &&
+		len(params[0].Names) <= 1 && types.ExprString(params[0].Type) == "*testing.F"
+}
+
 // markdownFiles lists every tracked-looking .md file under root, skipping
 // vendor-ish and hidden directories.
 func markdownFiles(root string) ([]string, error) {
@@ -304,7 +431,7 @@ func markdownFiles(root string) ([]string, error) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || name == "vendor" || name == "testdata") {
+			if skippedDir(root, path, name) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -316,6 +443,12 @@ func markdownFiles(root string) ([]string, error) {
 	})
 	sort.Strings(mds)
 	return mds, err
+}
+
+// skippedDir reports whether a directory below root is outside every scan:
+// hidden, vendored, or test data.
+func skippedDir(root, path, name string) bool {
+	return path != root && (strings.HasPrefix(name, ".") || name == "vendor" || name == "testdata")
 }
 
 // skipLink reports whether a link target is outside this checker's remit:

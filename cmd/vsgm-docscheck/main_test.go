@@ -68,6 +68,22 @@ func wire() {
 }
 `
 
+// fakeMakefile runs the one fakeFuzzers fuzzer in its fuzz-smoke recipe.
+const fakeMakefile = `fuzz: build
+	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/obs/
+
+fuzz-smoke:
+	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/obs/
+
+bench:
+	$(GO) test -bench=. ./...
+`
+
+const fakeFuzzers = `package obs
+func FuzzParse(f *testing.F) {}
+func TestParse(t *testing.T) {}
+`
+
 // goodTree is a complete miniature repo that passes every check.
 func goodTree() map[string]string {
 	return map[string]string{
@@ -84,6 +100,8 @@ func goodTree() map[string]string {
 		"cmd/vsgm-bench/main.go":     fakeBenchMain,
 		"cmd/vsgm-docscheck/main.go": "package main\n",
 		"internal/obs/metrics.go":    fakeMetrics,
+		"internal/obs/parse_test.go": fakeFuzzers,
+		"Makefile":                   fakeMakefile,
 	}
 }
 
@@ -224,6 +242,46 @@ func TestDocsCheckReadmeMustLinkNavDocs(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("missing README violation %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestDocsCheckFuzzSmokeNamesMissingFuzzer: go test -fuzz exits 0 having
+// fuzzed nothing when the package has no such fuzzer, so the gate must not.
+func TestDocsCheckFuzzSmokeNamesMissingFuzzer(t *testing.T) {
+	tree := goodTree()
+	tree["Makefile"] = strings.Replace(fakeMakefile, "fuzz-smoke:\n",
+		"fuzz-smoke:\n\t$(GO) test -fuzz=FuzzGone -fuzztime=5s ./internal/obs/\n", 1)
+	root := writeTree(t, tree)
+	var out bytes.Buffer
+	if err := run([]string{"-root", root}, &out); err == nil {
+		t.Fatalf("fuzz-smoke naming a missing fuzzer accepted:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "-fuzz=FuzzGone selects 0 fuzzers in internal/obs") {
+		t.Errorf("missing fuzz-smoke violation:\n%s", out.String())
+	}
+}
+
+// TestDocsCheckFuzzSmokeMissesFuzzer: a fuzzer the recipe does not run is a
+// violation, and so is one the recipe looks for in the wrong package.
+func TestDocsCheckFuzzSmokeMissesFuzzer(t *testing.T) {
+	tree := goodTree()
+	tree["internal/obs/parse_test.go"] += "func FuzzRender(f *testing.F) {}\n"
+	tree["internal/wire/frame_test.go"] = "package wire\nfunc FuzzParse(f *testing.F) {}\n"
+	root := writeTree(t, tree)
+	var out bytes.Buffer
+	if err := run([]string{"-root", root}, &out); err == nil {
+		t.Fatalf("unlisted fuzzers accepted:\n%s", out.String())
+	}
+	for _, want := range []string{
+		"internal/obs: fuzzer FuzzRender is not run by make fuzz-smoke",
+		"internal/wire: fuzzer FuzzParse is not run by make fuzz-smoke",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("missing violation %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "internal/obs: fuzzer FuzzParse") {
+		t.Errorf("listed fuzzer reported:\n%s", out.String())
 	}
 }
 

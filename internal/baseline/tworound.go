@@ -307,7 +307,7 @@ func (b *TwoRound) deliverReady() {
 				continue
 			}
 			b.lastDlvrd[q] = next
-			b.emit(core.DeliverEvent{Sender: q, Msg: seq[next-1], InView: b.currentView.Clone()})
+			b.emit(core.DeliverEvent{Sender: q, Msg: seq[next-1]})
 			progress = true
 		}
 	}

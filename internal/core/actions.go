@@ -292,7 +292,7 @@ func (e *Endpoint) tryDeliverApp() bool {
 			// it before anyone has taken the event.
 			s.hold.Retain(1)
 		}
-		e.emit(DeliverEvent{Sender: q, Msg: s.msg, InView: e.currentView, Hold: s.hold})
+		e.emit(DeliverEvent{Sender: q, Msg: s.msg, Hold: s.hold})
 		return true
 	}
 	e.dlvLo, e.dlvHi = len(e.curMembers), 0

@@ -16,10 +16,10 @@ type Event interface {
 }
 
 // DeliverEvent is deliver_p(q, m): message Msg from Sender is delivered to
-// the application, in view InView (the delivering end-point's current view,
-// which — per the within-view property — is also the view the message was
-// sent in). InView shares the end-point's view, which is immutable: read it,
-// Clone it before changing anything.
+// the application, in the delivering end-point's current view — per the
+// within-view property also the view the message was sent in, which is why
+// the event does not repeat it (the application has it from its last
+// ViewEvent).
 //
 // Msg.Payload is the application's to read while it handles the event; a
 // handler that keeps the bytes copies them. Hold is the runtime's business:
@@ -33,14 +33,13 @@ type Event interface {
 type DeliverEvent struct {
 	Sender types.ProcID
 	Msg    types.AppMsg
-	InView types.View
 	Hold   *pool.Buf
 }
 
 func (DeliverEvent) isEvent() {}
 
 func (e DeliverEvent) String() string {
-	return fmt.Sprintf("deliver(from=%s #%d in %s)", e.Sender, e.Msg.ID, e.InView)
+	return fmt.Sprintf("deliver(from=%s #%d)", e.Sender, e.Msg.ID)
 }
 
 // ViewEvent is view_p(v, T): the application learns the new view View

@@ -10,11 +10,13 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vsgm/internal/obs"
 	"vsgm/internal/types"
 	"vsgm/internal/wire"
 )
@@ -60,6 +62,66 @@ func TestHandshakeBoundsHello(t *testing.T) {
 			t.Fatalf("hello with a %d-byte identifier: got %d bytes, err %v", len(id), len(from), err)
 		}
 	})
+}
+
+// TestHandshakeRefusesAnythingButAHello: a connection is keyed by the peer its
+// hello names, so one whose first frame is anything else — an application
+// frame, which carries no sender, or a hello naming nobody — is closed before
+// a link exists. No link and no vsgm_link_* series appears for it, and the
+// node goes on delivering.
+func TestHandshakeRefusesAnythingButAHello(t *testing.T) {
+	reg := obs.NewRegistry()
+	w := deploy(t, DeploymentConfig{Servers: 1, Clients: 2,
+		Node: func(_ int, cfg *NodeConfig) { cfg.Obs = reg },
+	})
+	defer w.close()
+	w.SetReachable()
+	w.waitGroupFormed()
+	victim := w.Client("cli0")
+
+	app := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: []byte("x")}}
+	for _, tc := range []struct {
+		name  string
+		first frame
+	}{
+		{"app frame", frame{From: "intruder", Msg: &app}},
+		{"hello naming nobody", frame{}},
+	} {
+		fb, err := wire.EncodeFrame(tc.first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", victim.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(fb.Wire()); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fb.Release()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("%s: read ended with %v, want EOF from the node closing the connection", tc.name, err)
+		}
+		conn.Close()
+	}
+
+	f := victim.fabric
+	f.mu.Lock()
+	for peer := range f.links {
+		if !w.ClientSet().Contains(peer) && !slices.Contains(w.ServerIDs(), peer) {
+			t.Errorf("a link is keyed by %q", peer)
+		}
+	}
+	f.mu.Unlock()
+	for _, s := range reg.Snapshot().Samples {
+		for _, l := range s.Labels {
+			if l.Key == "peer" && (l.Value == "" || l.Value == "intruder") {
+				t.Errorf("%s{peer=%q} is a series", s.Name, l.Value)
+			}
+		}
+	}
+	w.roundOfTraffic("after the refused connections")
 }
 
 // TestSilentConnectionIsClosed: with ReadIdleTimeout off — the default — a

@@ -18,7 +18,7 @@ import (
 func encodedAppFrame(t *testing.T, id int64, payload []byte) []byte {
 	t.Helper()
 	m := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: id, Payload: payload}}
-	fb, err := wire.EncodeFrame(frame{From: "src", Msg: &m})
+	fb, err := wire.EncodeFrame(frame{Msg: &m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,13 +73,7 @@ func benchBroadcast(b *testing.B, fanout, payload int) {
 	defer fa.Close()
 	fa.SetPeers(dir)
 
-	msg := types.WireMsg{
-		Kind: types.KindApp,
-		App:  types.AppMsg{ID: 0, Payload: make([]byte, payload)},
-		HistView: types.NewView(3, types.NewProcSet("p0", "p1", "p2", "p3"),
-			map[types.ProcID]types.StartChangeID{"p0": 1, "p1": 1, "p2": 1, "p3": 1}),
-		HistIndex: 7,
-	}
+	msg := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 0, Payload: make([]byte, payload)}}
 
 	// Drain-wait: every link has put target frames on the wire, none shed.
 	drained := func(target int64, deadline time.Duration) bool {
@@ -316,7 +310,7 @@ func benchLinkScale(b *testing.B, links int) {
 
 	// Pre-encode one frame and a write batch of them.
 	m := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: make([]byte, 128)}}
-	fb, err := wire.EncodeFrame(frame{From: "peer00000", Msg: &m})
+	fb, err := wire.EncodeFrame(frame{Msg: &m})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -412,7 +406,7 @@ func BenchmarkLinkScale(b *testing.B) {
 // the few surplus bytes of the next frame's head change buffers.
 func BenchmarkAssemblerBulk(b *testing.B) {
 	m := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: make([]byte, 16<<10)}}
-	fb, err := wire.EncodeFrame(frame{From: "src", Msg: &m})
+	fb, err := wire.EncodeFrame(frame{Msg: &m})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1090,7 +1090,7 @@ func slowLorisSevered(t *testing.T, afterBulk bool) {
 	}
 
 	payload := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: bytes.Repeat([]byte("x"), 256)}}
-	body, err := wire.EncodeFrame(frame{From: "loris", Msg: &payload})
+	body, err := wire.EncodeFrame(frame{Msg: &payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1100,7 +1100,7 @@ func slowLorisSevered(t *testing.T, afterBulk bool) {
 	honest := int64(0)
 	if afterBulk {
 		bulk := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 0, Payload: bytes.Repeat([]byte("b"), stagingSlabSize)}}
-		lead, err := wire.EncodeFrame(frame{From: "loris", Msg: &bulk})
+		lead, err := wire.EncodeFrame(frame{Msg: &bulk})
 		if err != nil {
 			t.Fatal(err)
 		}

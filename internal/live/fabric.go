@@ -677,7 +677,7 @@ func (f *fabric) consumedData(peer types.ProcID, n int) {
 // control-plane: never shed, never gated, coalesced onto whatever flush the
 // link writer has pending.
 func (f *fabric) sendCredit(peer types.ProcID, grant int64) {
-	fb, err := wire.EncodeFrame(frame{From: f.id, Credit: &wire.Credit{Grant: uint64(grant)}})
+	fb, err := wire.EncodeFrame(frame{Credit: &wire.Credit{Grant: uint64(grant)}})
 	if err != nil {
 		return
 	}
@@ -756,7 +756,7 @@ func (f *fabric) Send(dests []types.ProcID, m types.WireMsg) {
 	if len(dests) == 0 {
 		return
 	}
-	fb, err := wire.EncodeFrame(frame{From: f.id, Msg: &m})
+	fb, err := wire.EncodeFrame(frame{Msg: &m})
 	if err != nil {
 		return
 	}
@@ -765,7 +765,7 @@ func (f *fabric) Send(dests []types.ProcID, m types.WireMsg) {
 
 // SendNotify enqueues a membership notification toward one client.
 func (f *fabric) SendNotify(dest types.ProcID, n membership.Notification) {
-	fb, err := wire.EncodeFrame(frame{From: f.id, Notify: &n})
+	fb, err := wire.EncodeFrame(frame{Notify: &n})
 	if err != nil {
 		return
 	}
@@ -774,7 +774,7 @@ func (f *fabric) SendNotify(dest types.ProcID, n membership.Notification) {
 
 // SendAttach enqueues an attach-protocol frame toward one peer.
 func (f *fabric) SendAttach(dest types.ProcID, a wire.Attach) {
-	fb, err := wire.EncodeFrame(frame{From: f.id, Attach: &a})
+	fb, err := wire.EncodeFrame(frame{Attach: &a})
 	if err != nil {
 		return
 	}
@@ -1069,9 +1069,12 @@ func (f *fabric) acceptLoop() {
 	}
 }
 
-// maxHelloSize is the largest body connect can send as a hello: a bare frame
-// is a u16-length sender identifier and the handshake tag.
-const maxHelloSize = 2 + math.MaxUint16 + 1
+// maxHelloSize is the largest body connect can send as a hello: the handshake
+// tag and a u16-length sender identifier.
+const maxHelloSize = 1 + 2 + math.MaxUint16
+
+// errNoHello ends a connection whose first frame does not name its sender.
+var errNoHello = errors.New("live: connection did not open with a hello")
 
 // readHandshake consumes the hello frame (only its sender identity matters)
 // using blocking reads on the net.Conn — deliberately unbuffered, so no
@@ -1079,7 +1082,9 @@ const maxHelloSize = 2 + math.MaxUint16 + 1
 // stream over. The peer has not named itself yet, so it gets no more than the
 // protocol needs: wait to deliver the whole hello, and a body of at most
 // maxHelloSize — a hostile length prefix is refused before anything is
-// allocated for it.
+// allocated for it. A first frame that is not a hello naming someone — a
+// data frame, say, which carries no sender — is refused before any link is
+// keyed by it.
 func readHandshake(conn net.Conn, wait time.Duration) (types.ProcID, error) {
 	conn.SetReadDeadline(time.Now().Add(wait))
 	var hdr [4]byte
@@ -1097,6 +1102,10 @@ func readHandshake(conn net.Conn, wait time.Duration) (types.ProcID, error) {
 	hello, err := wire.UnmarshalFrame(body)
 	if err != nil {
 		return "", err
+	}
+	// Only a handshake decodes a sender.
+	if hello.From == "" {
+		return "", errNoHello
 	}
 	conn.SetReadDeadline(time.Time{})
 	return hello.From, nil

@@ -23,5 +23,6 @@ package live
 import "vsgm/internal/wire"
 
 // frame is the unit of the wire protocol; see wire.Frame. The first frame
-// on every connection is a bare handshake carrying only From.
+// on every connection is the handshake, which names the dialer in From; no
+// later frame on the connection carries a sender.
 type frame = wire.Frame

@@ -16,11 +16,7 @@ func newLoopbackSession(t *testing.T) (*Session, *[]string) {
 	s, err = New("p",
 		func(payload []byte) error {
 			// Loopback: the GCS would deliver our own message back to us.
-			return s.HandleEvent(core.DeliverEvent{
-				Sender: "p",
-				Msg:    types.AppMsg{Payload: payload},
-				InView: types.InitialView("p"),
-			})
+			return s.HandleEvent(core.DeliverEvent{Sender: "p", Msg: types.AppMsg{Payload: payload}})
 		},
 		func(sender types.ProcID, payload []byte) {
 			delivered = append(delivered, string(payload))

@@ -144,8 +144,7 @@ type AppMsg struct {
 //
 //   - KindView: View.
 //   - KindApp:  App. (HistView/HistIndex carry the history tags Hv, Hi of
-//     Section 6.1.1; they are consumed by spec checkers, never by the
-//     algorithm itself.)
+//     Section 6.1.1, which nothing reads.)
 //   - KindFwd:  App, Origin, View, Index.
 //   - KindSync: CID, View, Cut, and Small (the Section 5.2.4 optimization:
 //     a cut-less "I am not in your transitional set" notice).
@@ -181,8 +180,11 @@ type WireMsg struct {
 	// excluded from Size(), whose byte model feeds the E9 experiment.
 	Trace uint64
 
-	// History tags (KindApp only; Section 6.1.1). Populated by the sending
-	// end-point for verification purposes.
+	// History tags (KindApp only; Section 6.1.1): the proof's variables,
+	// stamped by the sending end-point as the paper's automaton does. No
+	// receiver reads them — a KindApp is filed under the view of the
+	// sender's preceding view_msg — so the live codec does not encode them
+	// and a decoded message carries zero values.
 	HistView  View
 	HistIndex int
 

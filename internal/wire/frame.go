@@ -14,38 +14,19 @@ import (
 	"vsgm/internal/types"
 )
 
-// Frame is the live transport's unit: a sender identifier plus either a
-// wire message, a membership notification, an attach-protocol frame, or a
-// flow-control credit grant (a bare frame with none of them is the
-// connection handshake).
+// Frame is the live transport's unit: a wire message, a membership
+// notification, an attach-protocol frame, or a flow-control credit grant. A
+// frame with none of them is the connection handshake, and From — the
+// dialer's identifier — is its payload: it goes on the wire in the handshake
+// alone, because every later frame on the connection comes from the peer the
+// handshake named. The encoder ignores From on every other frame, and the
+// decoder leaves it empty there.
 type Frame struct {
-	From    types.ProcID
-	Msg     *types.WireMsg
-	Notify  *membership.Notification
-	Attach  *Attach
-	Credit  *Credit
-	Handoff *Handoff
-}
-
-// Handoff is one chunk of a key-range state transfer between shard groups
-// during a reshard: the source streams the migrating range as a sequence of
-// chunks, sealed by a final frame with Last set (the handoff marker). Data
-// is opaque to the transport (the shard layer encodes its install commands
-// into it). Handoff frames are application data: they ride the credit-gated
-// data path, so a bulk state transfer cannot starve the control plane or
-// overrun a slow destination.
-type Handoff struct {
-	// Reshard is the proposal id this transfer belongs to.
-	Reshard string
-	// Shard is the destination shard id.
-	Shard int64
-	// Seq numbers chunks within the transfer (0-based, contiguous).
-	Seq uint32
-	// Last marks the final chunk — the handoff marker the destination's
-	// cutover view is gated on.
-	Last bool
-	// Data is the opaque chunk payload.
-	Data []byte
+	From   types.ProcID
+	Msg    *types.WireMsg
+	Notify *membership.Notification
+	Attach *Attach
+	Credit *Credit
 }
 
 // Credit is one end-to-end flow-control grant: the sender of the frame
@@ -82,8 +63,8 @@ const (
 )
 
 // Attach is one frame of the in-band attach protocol between a client node
-// and its home server. Client identity travels as Frame.From; Client echoes
-// the subject explicitly so acks stay self-describing.
+// and its home server. The sender is the peer the connection's handshake
+// named; Client names the subject explicitly so acks stay self-describing.
 type Attach struct {
 	Kind   AttachKind
 	Client types.ProcID
@@ -98,7 +79,6 @@ const (
 	frameNotify    uint8 = 2
 	frameAttach    uint8 = 3
 	frameCredit    uint8 = 4
-	frameHandoff   uint8 = 5
 
 	notifyStartChange uint8 = 1
 	notifyView        uint8 = 2
@@ -126,9 +106,6 @@ func MarshalFrame(f Frame) ([]byte, error) {
 // through EncodeFrame's pool) marshal without per-call buffer allocations.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	w := buffer{b: dst}
-	if err := w.id(f.From); err != nil {
-		return nil, err
-	}
 	switch {
 	case f.Msg != nil:
 		w.u8(frameMsg)
@@ -171,19 +148,11 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	case f.Credit != nil:
 		w.u8(frameCredit)
 		w.u64(f.Credit.Grant)
-	case f.Handoff != nil:
-		w.u8(frameHandoff)
-		if err := w.bytes([]byte(f.Handoff.Reshard)); err != nil {
-			return nil, err
-		}
-		w.u64(uint64(f.Handoff.Shard))
-		w.u32(f.Handoff.Seq)
-		w.bool(f.Handoff.Last)
-		if err := w.bytes(f.Handoff.Data); err != nil {
-			return nil, err
-		}
 	default:
 		w.u8(frameHandshake)
+		if err := w.id(f.From); err != nil {
+			return nil, err
+		}
 	}
 	return w.b, nil
 }
@@ -291,39 +260,6 @@ func readAttachInto(r *reader, a *Attach) error {
 	return nil
 }
 
-// readHandoffInto decodes one handoff frame body into h (fully
-// overwritten). With alias set, Data aliases the input buffer.
-func readHandoffInto(r *reader, h *Handoff) error {
-	id, err := r.bytes()
-	if err != nil {
-		return err
-	}
-	shard, err := r.u64()
-	if err != nil {
-		return err
-	}
-	seq, err := r.u32()
-	if err != nil {
-		return err
-	}
-	last, err := r.bool()
-	if err != nil {
-		return err
-	}
-	data, err := r.bytes()
-	if err != nil {
-		return err
-	}
-	*h = Handoff{
-		Reshard: string(id),
-		Shard:   int64(shard),
-		Seq:     seq,
-		Last:    last,
-		Data:    data,
-	}
-	return nil
-}
-
 // FrameBuf is a pooled, reference-counted encoded frame. EncodeFrame returns
 // one holding a single reference; a fan-out sender calls Retain once per
 // additional consumer, and every consumer calls Release exactly once when it
@@ -365,11 +301,6 @@ const (
 
 // classify buckets a frame by its queueing policy.
 func classify(f Frame) FrameClass {
-	if f.Handoff != nil {
-		// Bulk state transfer is data, not control: it must consume credit
-		// and is sheddable (the resharder re-sends an unacknowledged chunk).
-		return ClassData
-	}
 	if f.Msg == nil {
 		return ClassControl
 	}

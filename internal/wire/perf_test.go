@@ -24,16 +24,11 @@ func smallView() types.View {
 		map[types.ProcID]types.StartChangeID{"a": 1, "b": 2})
 }
 
-// smallAppFrame is the steady-state multicast frame: one application message
-// with its history view, the unit the live transport fans out.
+// smallAppFrame is the steady-state multicast frame: one application message,
+// the unit the live transport fans out.
 func smallAppFrame() Frame {
-	m := types.WireMsg{
-		Kind:      types.KindApp,
-		App:       types.AppMsg{ID: 42, Payload: []byte("payload!")},
-		HistView:  smallView(),
-		HistIndex: 3,
-	}
-	return Frame{From: "a", Msg: &m}
+	m := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 42, Payload: []byte("payload!")}}
+	return Frame{Msg: &m}
 }
 
 // TestBoolEncodeNoAllocs pins the satellite fix: encoding a bool field is a
@@ -55,10 +50,8 @@ func TestBoolEncodeNoAllocs(t *testing.T) {
 	}
 }
 
-// TestSmallFrameMarshalAllocs bounds the marshal cost of a small app frame
-// into a reused buffer. The only remaining allocations are the sorted
-// member slices of the embedded view (2 with the stdlib sort); the bool-map
-// and buffer-growth allocations must be gone.
+// TestSmallFrameMarshalAllocs: marshaling a small app frame into a reused
+// buffer allocates nothing — the frame carries no set that needs sorting.
 func TestSmallFrameMarshalAllocs(t *testing.T) {
 	f := smallAppFrame()
 	dst := make([]byte, 0, 256)
@@ -68,10 +61,8 @@ func TestSmallFrameMarshalAllocs(t *testing.T) {
 			t.Fatal("marshal failed")
 		}
 	})
-	// One Sorted() slice plus sort.Slice bookkeeping; anything above 4 means
-	// a per-call scratch allocation crept back into the codec.
-	if got > 4 {
-		t.Fatalf("small app frame marshal allocates %.1f times per run, want <= 4", got)
+	if got != 0 {
+		t.Fatalf("small app frame marshal allocates %.1f times per run, want 0", got)
 	}
 }
 

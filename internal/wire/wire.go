@@ -17,7 +17,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"vsgm/internal/types"
 )
@@ -48,9 +47,10 @@ func (w *buffer) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
 
 func (w *buffer) id(p types.ProcID) error {
 	if len(p) > math.MaxUint16 {
-		// A clipped copy, so the report holds no reference to p itself: p is a
-		// field of every frame encoded, and an argument that escapes here
-		// moves each caller's whole frame — message included — to the heap.
+		// A clipped copy, so the report holds no reference to p itself: p is
+		// a field of the frame being encoded, and an argument that escapes
+		// here moves each caller's whole frame — message included — to the
+		// heap.
 		return fmt.Errorf("wire: identifier %q... too long (%d bytes)", strings.Clone(string(p[:32])), len(p))
 	}
 	w.u16(uint16(len(p)))
@@ -68,7 +68,7 @@ func (w *buffer) bytes(b []byte) error {
 }
 
 // reader is the matching decoder. A reader with a DecodeState attached
-// interns repeated identifiers and views; with alias set, byte-slice fields
+// interns repeated identifiers; with alias set, byte-slice fields
 // are returned as subslices of the input instead of copies (the caller then
 // owns the input's lifetime).
 type reader struct {
@@ -176,55 +176,6 @@ func (w *buffer) view(v types.View) error {
 		}
 		w.u64(uint64(v.StartID[p]))
 	}
-	return nil
-}
-
-// viewEncodings memoizes view(): a view is immutable and the same one rides
-// every application frame as its history view until the next reconfiguration,
-// so the steady-state data path appends cached bytes instead of sorting the
-// members and re-encoding them per message. The key is the view's canonical
-// full-triple key — identifier, members and every startId — never the
-// identifier alone (a partitionable membership service may issue distinct
-// concurrent views under one id). The table is process-wide because the
-// encoding is a pure function of the key; it is reset rather than grown once
-// it holds maxCachedViewEncodings entries.
-var viewEncodings struct {
-	sync.RWMutex
-	m map[string][]byte
-}
-
-const maxCachedViewEncodings = 64
-
-// viewCached appends v's encoding through the memo table. It reads v.Key(),
-// so it is for the views the end-point sends — built by the types
-// constructors, their key computed once — not for scratch triples. The key
-// joins "member=startId" entries with commas, which parses back to one triple
-// only while no member identifier contains either separator; a view whose key
-// has more of them than its member count accounts for bypasses the table, so
-// two different views can never share an entry.
-func (w *buffer) viewCached(v types.View) error {
-	key, n := v.Key(), v.Members.Len()
-	if strings.Count(key, "=") != n || strings.Count(key, ",") != max(n-1, 0) {
-		return w.view(v)
-	}
-	viewEncodings.RLock()
-	enc, ok := viewEncodings.m[key]
-	viewEncodings.RUnlock()
-	if ok {
-		w.b = append(w.b, enc...)
-		return nil
-	}
-	start := len(w.b)
-	if err := w.view(v); err != nil {
-		return err
-	}
-	enc = append([]byte(nil), w.b[start:]...)
-	viewEncodings.Lock()
-	if viewEncodings.m == nil || len(viewEncodings.m) >= maxCachedViewEncodings {
-		viewEncodings.m = make(map[string][]byte)
-	}
-	viewEncodings.m[key] = enc
-	viewEncodings.Unlock()
 	return nil
 }
 
@@ -388,14 +339,9 @@ func appendMsg(w *buffer, m types.WireMsg) error {
 	case types.KindView:
 		return w.view(m.View)
 	case types.KindApp:
-		if err := w.appMsg(m.App); err != nil {
-			return err
-		}
-		if err := w.viewCached(m.HistView); err != nil {
-			return err
-		}
-		w.u64(uint64(m.HistIndex))
-		return nil
+		// The history tags are not encoded: no receiver reads them (§3 of
+		// docs/WIRE.md).
+		return w.appMsg(m.App)
 	case types.KindFwd:
 		if err := w.appMsg(m.App); err != nil {
 			return err
@@ -491,12 +437,7 @@ func readMsg(r *reader) (types.WireMsg, error) {
 }
 
 // readMsgInto decodes one message into m, which is fully overwritten — the
-// scratch-reuse entry point for the zero-copy receive path. The KindApp
-// history view goes through the reader's view-intern cache (when one is
-// attached): the receive side of the core endpoint never reads HistView (it
-// delivers against its own installed view), so in steady state the one
-// structure that would otherwise dominate per-frame allocation decodes to a
-// cache hit.
+// scratch-reuse entry point for the zero-copy receive path.
 func readMsgInto(r *reader, m *types.WireMsg) error {
 	kind, err := r.u8()
 	if err != nil {
@@ -508,14 +449,7 @@ func readMsgInto(r *reader, m *types.WireMsg) error {
 		m.View, err = r.view()
 		return err
 	case types.KindApp:
-		if m.App, err = r.appMsg(); err != nil {
-			return err
-		}
-		if m.HistView, err = r.viewCached(); err != nil {
-			return err
-		}
-		idx, err := r.u64()
-		m.HistIndex = int(idx)
+		m.App, err = r.appMsg()
 		return err
 	case types.KindFwd:
 		if m.App, err = r.appMsg(); err != nil {

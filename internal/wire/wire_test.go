@@ -44,12 +44,7 @@ func sampleMsg(r *rand.Rand) types.WireMsg {
 	case 1:
 		payload := make([]byte, r.Intn(32))
 		r.Read(payload)
-		return types.WireMsg{
-			Kind:      types.KindApp,
-			App:       types.AppMsg{ID: r.Int63(), Payload: payload},
-			HistView:  sampleView(r),
-			HistIndex: r.Intn(100),
-		}
+		return types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: r.Int63(), Payload: payload}}
 	case 2:
 		return types.WireMsg{
 			Kind:   types.KindFwd,
@@ -121,10 +116,10 @@ func sampleMsg(r *rand.Rand) types.WireMsg {
 func msgEqual(a, b types.WireMsg) bool {
 	if a.Kind != b.Kind || a.Origin != b.Origin || a.Index != b.Index ||
 		a.CID != b.CID || a.Small != b.Small || a.ElideView != b.ElideView ||
-		a.Probe != b.Probe || a.HistIndex != b.HistIndex {
+		a.Probe != b.Probe {
 		return false
 	}
-	if !a.View.Equal(b.View) || !a.HistView.Equal(b.HistView) {
+	if !a.View.Equal(b.View) {
 		return false
 	}
 	if a.App.ID != b.App.ID || !bytes.Equal(a.App.Payload, b.App.Payload) {
@@ -240,23 +235,21 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 func TestFrameRoundTripAndStream(t *testing.T) {
 	frames := []Frame{
 		{From: "a"}, // handshake
-		{From: "a", Msg: &types.WireMsg{Kind: types.KindHeartbeat}},
-		{From: "srv", Notify: &membership.Notification{
+		{Msg: &types.WireMsg{Kind: types.KindHeartbeat}},
+		{Notify: &membership.Notification{
 			Kind:        membership.NotifyStartChange,
 			StartChange: types.StartChange{ID: 4, Set: types.NewProcSet("a", "b")},
 		}},
-		{From: "srv", Notify: &membership.Notification{
+		{Notify: &membership.Notification{
 			Kind: membership.NotifyView,
 			View: types.NewView(2, types.NewProcSet("a"), map[types.ProcID]types.StartChangeID{"a": 4}),
 		}},
-		{From: "a", Attach: &Attach{Kind: AttachRequest, Client: "a", Epoch: 3}},
-		{From: "srv", Attach: &Attach{Kind: AttachAck, Client: "a", Epoch: 3, CID: 3 << 32, Vid: 9}},
-		{From: "a", Attach: &Attach{Kind: AttachDetach, Client: "a", Epoch: 2}},
-		{From: "a", Attach: &Attach{Kind: AttachSuspect, Client: "b"}},
-		{From: "a", Credit: &Credit{Grant: 0}},
-		{From: "a", Credit: &Credit{Grant: 1<<64 - 1}},
-		{From: "s0-p00", Handoff: &Handoff{Reshard: "r-7", Shard: 1, Seq: 0, Data: []byte("chunk")}},
-		{From: "s0-p00", Handoff: &Handoff{Reshard: "r-7", Shard: 1, Seq: 3, Last: true}},
+		{Attach: &Attach{Kind: AttachRequest, Client: "a", Epoch: 3}},
+		{Attach: &Attach{Kind: AttachAck, Client: "a", Epoch: 3, CID: 3 << 32, Vid: 9}},
+		{Attach: &Attach{Kind: AttachDetach, Client: "a", Epoch: 2}},
+		{Attach: &Attach{Kind: AttachSuspect, Client: "b"}},
+		{Credit: &Credit{Grant: 0}},
+		{Credit: &Credit{Grant: 1<<64 - 1}},
 	}
 
 	var buf bytes.Buffer
@@ -276,8 +269,7 @@ func TestFrameRoundTripAndStream(t *testing.T) {
 			t.Fatalf("frame %d from = %s", i, got.From)
 		}
 		if (got.Msg == nil) != (want.Msg == nil) || (got.Notify == nil) != (want.Notify == nil) ||
-			(got.Attach == nil) != (want.Attach == nil) || (got.Credit == nil) != (want.Credit == nil) ||
-			(got.Handoff == nil) != (want.Handoff == nil) {
+			(got.Attach == nil) != (want.Attach == nil) || (got.Credit == nil) != (want.Credit == nil) {
 			t.Fatalf("frame %d shape mismatch: %+v", i, got)
 		}
 		if want.Attach != nil && *got.Attach != *want.Attach {
@@ -286,12 +278,60 @@ func TestFrameRoundTripAndStream(t *testing.T) {
 		if want.Credit != nil && *got.Credit != *want.Credit {
 			t.Fatalf("frame %d credit mismatch: got %+v want %+v", i, *got.Credit, *want.Credit)
 		}
-		if want.Handoff != nil {
-			g, w := *got.Handoff, *want.Handoff
-			if g.Reshard != w.Reshard || g.Shard != w.Shard || g.Seq != w.Seq ||
-				g.Last != w.Last || !bytes.Equal(g.Data, w.Data) {
-				t.Fatalf("frame %d handoff mismatch: got %+v want %+v", i, g, w)
+	}
+}
+
+// TestAppFrameEnvelope pins what an application frame costs on the wire: the
+// frame tag, the message kind, the message id and the payload's length — 14
+// bytes around the payload. The history tags and the sender field are not
+// encoded, so the bytes are the same whatever they hold, and the size moves
+// with WireMsg.Size by a fixed amount. The sender's identifier goes on the
+// wire in the connection's hello alone.
+func TestAppFrameEnvelope(t *testing.T) {
+	const envelope = 14
+	big := types.NewView(9, types.NewProcSet("s0", "s1", "cli0", "cli1"),
+		map[types.ProcID]types.StartChangeID{"s0": 1, "s1": 2, "cli0": 3, "cli1": 4})
+	tags := []struct {
+		from  types.ProcID
+		view  types.View
+		index int
+	}{
+		{"", types.View{}, 0},
+		{"a", types.InitialView("a"), 1},
+		{"cli0-with-a-long-name", big, 1 << 40},
+	}
+	sizeGap := envelope - types.WireMsg{Kind: types.KindApp}.Size()
+	for _, size := range []int{0, 1, 256, 16 << 10} {
+		payload := bytes.Repeat([]byte{0xa5}, size)
+		var first []byte
+		for i, tag := range tags {
+			m := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 42, Payload: payload},
+				HistView: tag.view, HistIndex: tag.index}
+			body, err := MarshalFrame(Frame{From: tag.from, Msg: &m})
+			if err != nil {
+				t.Fatal(err)
 			}
+			if len(body) != envelope+size {
+				t.Fatalf("%d B payload: app frame body is %d bytes, want %d", size, len(body), envelope+size)
+			}
+			if i == 0 {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Fatalf("%d B payload: the encoding depends on the history tags or the sender field (%+v)", size, tag)
+			}
+			if gap := len(body) - m.Size(); gap != sizeGap {
+				t.Fatalf("%d B payload: body - Size() = %d, want the fixed %d", size, gap, sizeGap)
+			}
+		}
+	}
+	for _, id := range []types.ProcID{"a", "cli0", types.ProcID(bytes.Repeat([]byte("n"), 300))} {
+		body, err := MarshalFrame(Frame{From: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UnmarshalFrame(body)
+		if err != nil || got.From != id || len(body) != 1+2+len(id) {
+			t.Fatalf("hello naming %.8q...: %d bytes decoded to %.8q (err %v)", id, len(body), got.From, err)
 		}
 	}
 }
@@ -317,7 +357,6 @@ func TestFrameClassification(t *testing.T) {
 		{"notify", Frame{From: "a", Notify: &membership.Notification{Kind: membership.NotifyView, View: v}}, ClassControl},
 		{"attach", Frame{From: "a", Attach: &Attach{Kind: AttachRequest, Client: "a"}}, ClassControl},
 		{"credit", Frame{From: "a", Credit: &Credit{Grant: 5}}, ClassControl},
-		{"handoff", Frame{From: "a", Handoff: &Handoff{Reshard: "r", Data: []byte("x")}}, ClassData},
 	}
 	for _, tc := range cases {
 		fb, err := EncodeFrame(tc.f)

@@ -5,31 +5,14 @@ import (
 	"errors"
 	"net"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
 	"vsgm/internal/types"
 )
 
-func testAppFrame(t testing.TB, payload []byte) Frame {
-	t.Helper()
-	members := types.NewProcSet()
-	start := map[types.ProcID]types.StartChangeID{}
-	for i, p := range []types.ProcID{"s1", "s2", "c-alpha"} {
-		members.Add(p)
-		start[p] = types.StartChangeID(i + 1)
-	}
-	v := types.NewView(7, members, start)
-	return Frame{
-		From: "c-alpha",
-		Msg: &types.WireMsg{
-			Kind:      types.KindApp,
-			App:       types.AppMsg{ID: 42, Payload: payload},
-			HistView:  v,
-			HistIndex: 5,
-		},
-	}
+func testAppFrame(payload []byte) Frame {
+	return Frame{Msg: &types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 42, Payload: payload}}}
 }
 
 // frameStream returns n copies of f's on-the-wire encoding (length prefix +
@@ -65,7 +48,7 @@ func sliceWithin(sub, outer []byte) bool {
 // payload must be a window into the caller's buffer, not a copy.
 func TestBorrowAliasesInput(t *testing.T) {
 	payload := bytes.Repeat([]byte("zc"), 600)
-	f := testAppFrame(t, payload)
+	f := testAppFrame(payload)
 	body, err := MarshalFrame(f)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +63,7 @@ func TestBorrowAliasesInput(t *testing.T) {
 	if !sliceWithin(got.Msg.App.Payload, body) {
 		t.Fatal("payload does not alias the input: the receive path copied")
 	}
-	if got.From != f.From || got.Msg.App.ID != 42 || got.Msg.HistView.ID != 7 {
+	if got.Msg.App.ID != 42 {
 		t.Fatalf("frame fields mismatch: %+v", got)
 	}
 }
@@ -90,7 +73,7 @@ func TestBorrowAliasesInput(t *testing.T) {
 // keep — and in exchange pay no per-frame allocation for the pointer fields.
 // A decode without a state owns its pointer fields.
 func TestBorrowScratchReuse(t *testing.T) {
-	body, err := MarshalFrame(testAppFrame(t, []byte("hello")))
+	body, err := MarshalFrame(testAppFrame([]byte("hello")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,38 +105,12 @@ func TestBorrowScratchReuse(t *testing.T) {
 	}
 }
 
-// TestBorrowInternsViews: the repeated history view on every data frame must
-// decode once and then be served from the intern table, sharing member maps
-// across frames.
-func TestBorrowInternsViews(t *testing.T) {
-	body, err := MarshalFrame(testAppFrame(t, []byte("x")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewDecodeState()
-	var a, b Frame
-	if err := UnmarshalFrameBorrow(body, &a, st); err != nil {
-		t.Fatalf("first decode: %v", err)
-	}
-	v1 := a.Msg.HistView
-	if err := UnmarshalFrameBorrow(body, &b, st); err != nil {
-		t.Fatalf("second decode: %v", err)
-	}
-	if reflect.ValueOf(v1.StartID).Pointer() != reflect.ValueOf(b.Msg.HistView.StartID).Pointer() {
-		t.Fatal("second frame's history view was re-decoded instead of interned")
-	}
-	if v1.StartID["s1"] != b.Msg.HistView.StartID["s1"] || b.Msg.HistView.ID != 7 {
-		t.Fatal("interned view decoded incorrectly")
-	}
-}
-
 // TestBorrowDecodeAllocs is the receive path's codec ceiling: steady-state
 // decode of a 256 B application frame through a DecodeState allocates nothing
-// (payload aliased, identifiers and views interned, scratch reused). The
-// throwaway WireMsg the decoder used to allocate before looking at the state
-// made this 1.
+// (payload aliased, scratch reused). The throwaway WireMsg the decoder used to
+// allocate before looking at the state made this 1.
 func TestBorrowDecodeAllocs(t *testing.T) {
-	body, err := MarshalFrame(testAppFrame(t, bytes.Repeat([]byte("a"), 256)))
+	body, err := MarshalFrame(testAppFrame(bytes.Repeat([]byte("a"), 256)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +121,7 @@ func TestBorrowDecodeAllocs(t *testing.T) {
 			t.Fatalf("UnmarshalFrameBorrow: %v", err)
 		}
 	}
-	decode() // warm the intern tables
+	decode() // warm the scratch
 	if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
 		t.Fatalf("borrowed decode allocates %.1f/op, want 0", allocs)
 	}
@@ -180,7 +137,7 @@ func TestDecodeRearmsDeadlinePerLeg(t *testing.T) {
 	defer cli.Close()
 	defer srv.Close()
 
-	f := testAppFrame(t, []byte("late"))
+	f := testAppFrame([]byte("late"))
 	stream := frameStream(t, f, 1)
 	const timeout = 250 * time.Millisecond
 
@@ -210,7 +167,7 @@ func TestDecodeBodyStallStillTimesOut(t *testing.T) {
 	defer cli.Close()
 	defer srv.Close()
 
-	f := testAppFrame(t, []byte("stall"))
+	f := testAppFrame([]byte("stall"))
 	stream := frameStream(t, f, 1)
 	go srv.Write(stream[:6]) // header plus two body bytes, then silence
 
