@@ -121,11 +121,11 @@ SOAK_SEED ?= 0
 soak:
 	$(GO) run ./cmd/vsgm-soak -mode all -duration $(SOAK_DURATION) -seed $(SOAK_SEED)
 
-# A ~30s taste of the same harness for the pre-merge gate: a few seconds of
-# virtual time in each simulated mode plus a short live soak.
+# A ~30s taste of the same harness for the pre-merge gate: a second or two
+# of virtual time in each simulated mode plus a short live soak.
 soak-smoke:
 	$(GO) run ./cmd/vsgm-soak -mode sim -duration 2s -seed $(SOAK_SEED) -q
-	$(GO) run ./cmd/vsgm-soak -mode world -duration 5s -seed $(SOAK_SEED) -q
+	$(GO) run ./cmd/vsgm-soak -mode world -duration 1200ms -seed $(SOAK_SEED) -q
 	$(GO) run ./cmd/vsgm-soak -mode live -duration 15s -seed $(SOAK_SEED) -q
 
 # The simulator's explorer tests replay thousands of single-threaded schedules
@@ -143,14 +143,18 @@ EXPLORER_TESTS = ^Test(Exhaustive|Swarm|Explorer)
 # node's lock, and the metrics registry, whose counters and collectors are the
 # only path from the transport's goroutines to every reader — and on the
 # single-threaded replication stack (simulator, spec checkers, total order,
-# RSM, shard), a fuzz smoke pass over the decoders, the
-# documentation gate, the experiment-tables gate, and a short soak.
+# RSM, shard), the soak runners and their command under -short (where the
+# live soaks skip: their convergence waits are wall-clock budgets, and the
+# live transport they drive is raced above), a fuzz smoke pass over the
+# decoders, the documentation gate, the experiment-tables gate, and a
+# short soak.
 check: vet fmt-check test
 	cd bench && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test -count=1 .
 	$(GO) test -race ./internal/live/ ./internal/wal/ ./internal/membership/ ./cmd/vsgm-live/ \
 		./internal/core/ ./internal/wire/... ./internal/obs/ \
 		./internal/totalorder/ ./internal/rsm/ ./internal/shard/ ./internal/spec/
 	$(GO) test -race -skip '$(EXPLORER_TESTS)' ./internal/sim/
+	$(GO) test -race -short ./internal/soak/ ./cmd/vsgm-soak/
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) docs-check

@@ -6,9 +6,9 @@
 // Usage:
 //
 //	vsgm-soak -mode sim -duration 5s -seed 7
-//	vsgm-soak -mode world -clients 10000 -sample 100 -duration 10s
-//	vsgm-soak -mode live -servers 3 -clients 6 -duration 60s
-//	vsgm-soak -mode shard -shards 3 -scenario reshard-under-churn
+//	vsgm-soak -mode world -scenario world-arbitrary
+//	vsgm-soak -mode live -duration 60s
+//	vsgm-soak -mode shard -scenario reshard-under-churn
 //	vsgm-soak -mode all -duration 30s       # one soak of each kind
 //
 // Every run logs its replay seed; rerun with -seed (or VSGM_SEED) to replay
@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"vsgm/internal/randseed"
@@ -41,15 +42,9 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vsgm-soak", flag.ContinueOnError)
 	var (
 		mode     = fs.String("mode", "sim", "soak to run: sim, world, live, shard, or all")
-		duration = fs.Duration("duration", 0, "soak duration (0 = each mode's default; virtual time for sim/world, wall time for live)")
+		duration = fs.Duration("duration", 0, "soak duration (0 = each mode's default; virtual time for sim/world/shard, wall time for live)")
 		seed     = fs.Int64("seed", 0, "replay seed (0 = auto; VSGM_SEED overrides)")
-		procs    = fs.Int("procs", 0, "sim: number of end-points (0 = default)")
-		servers  = fs.Int("servers", 0, "world/live: number of membership servers (0 = default)")
-		clients  = fs.Int("clients", 0, "world/live: number of clients (0 = default)")
-		sample   = fs.Int("sample", 0, "world: check every k-th endpoint (0 = default, 1 = all)")
-		shards   = fs.Int("shards", 0, "shard: number of shards (0 = default)")
 		scenario = fs.String("scenario", "", "named scenario mix (default: the mode's own)")
-		churn    = fs.Int("churn-budget", 0, "live: max membership views per client per chaos transition, checked over the whole run (0 = default, negative disables)")
 		report   = fs.String("report", "", "write the report here (default: only on violation, to a temp path)")
 		force    = fs.Bool("force-violation", false, "inject a fabricated violation to demonstrate the report pipeline")
 		quiet    = fs.Bool("q", false, "suppress per-phase progress lines")
@@ -81,50 +76,43 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	modes := []string{*mode}
-	if *mode == "all" {
-		modes = []string{"sim", "world", "live", "shard"}
+	// Each -mode's soak, in the order -mode all runs them.
+	type runner struct {
+		mode string
+		run  func() (*soak.Report, error)
+	}
+	runners := []runner{
+		{"sim", func() (*soak.Report, error) {
+			return soak.RunSim(soak.SimConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
+		}},
+		{"world", func() (*soak.Report, error) {
+			return soak.RunWorld(soak.WorldConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
+		}},
+		{"live", func() (*soak.Report, error) {
+			return soak.RunLive(soak.LiveConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
+		}},
+		{"shard", func() (*soak.Report, error) {
+			return soak.RunShard(soak.ShardConfig{Duration: *duration, Seed: runSeed, Scenario: scen, Log: progress})
+		}},
+	}
+	if *mode != "all" {
+		i := slices.IndexFunc(runners, func(r runner) bool { return r.mode == *mode })
+		if i < 0 {
+			return fmt.Errorf("unknown mode %q (want sim, world, live, shard, or all)", *mode)
+		}
+		runners = runners[i : i+1]
 	}
 	failed := false
-	for _, m := range modes {
-		var (
-			rep *soak.Report
-			err error
-		)
-		logf("soak %s: seed %d (replay with -seed %d or %s=%d)", m, runSeed, runSeed, randseed.EnvVar, runSeed)
-		switch m {
-		case "sim":
-			rep, err = soak.RunSim(soak.SimConfig{
-				Duration: *duration, Seed: runSeed, Procs: *procs,
-				Scenario: scen, ForceViolation: *force, Log: progress,
-			})
-		case "world":
-			rep, err = soak.RunWorld(soak.WorldConfig{
-				Duration: *duration, Seed: runSeed, Servers: *servers,
-				Clients: *clients, SampleEvery: *sample,
-				Scenario: scen, ForceViolation: *force, Log: progress,
-			})
-		case "live":
-			rep, err = soak.RunLive(soak.LiveConfig{
-				Duration: *duration, Seed: runSeed, Servers: *servers,
-				Clients: *clients, ChurnBudget: *churn,
-				Scenario: scen, ForceViolation: *force, Log: progress,
-			})
-		case "shard":
-			rep, err = soak.RunShard(soak.ShardConfig{
-				Duration: *duration, Seed: runSeed, Shards: *shards,
-				Scenario: scen, Log: progress,
-			})
-		default:
-			return fmt.Errorf("unknown mode %q (want sim, world, live, shard, or all)", m)
-		}
+	for _, r := range runners {
+		logf("soak %s: seed %d (replay with -seed %d or %s=%d)", r.mode, runSeed, runSeed, randseed.EnvVar, runSeed)
+		rep, err := r.run()
 		if err != nil {
-			return fmt.Errorf("soak %s: %w", m, err)
+			return fmt.Errorf("soak %s: %w", r.mode, err)
 		}
 		fmt.Fprint(out, rep.Render())
-		if path := reportPath(*report, len(modes) > 1, runSeed, rep); path != "" {
+		if path := reportPath(*report, len(runners) > 1, runSeed, rep); path != "" {
 			if werr := rep.WriteFile(path); werr != nil {
-				return fmt.Errorf("soak %s: write report: %w", m, werr)
+				return fmt.Errorf("soak %s: write report: %w", r.mode, werr)
 			}
 			fmt.Fprintf(out, "report written to %s\n", path)
 		}

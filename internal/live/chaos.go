@@ -38,7 +38,6 @@ type Chaos struct {
 	partialWrites bool
 	trickleGap    time.Duration
 	blockOut      map[types.ProcID]bool
-	blockIn       map[types.ProcID]bool
 }
 
 func newChaos() *Chaos {
@@ -46,7 +45,6 @@ func newChaos() *Chaos {
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 		dropFor:  make(map[types.ProcID]float64),
 		blockOut: make(map[types.ProcID]bool),
-		blockIn:  make(map[types.ProcID]bool),
 	}
 }
 
@@ -120,22 +118,12 @@ func (c *Chaos) BlockOutbound(peers ...types.ProcID) {
 	}
 }
 
-// BlockInbound silently discards frames received from the given peers.
-func (c *Chaos) BlockInbound(peers ...types.ProcID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range peers {
-		c.blockIn[p] = true
-	}
-}
-
-// Unblock lifts outbound and inbound blocks for the given peers.
+// Unblock lifts outbound blocks for the given peers.
 func (c *Chaos) Unblock(peers ...types.ProcID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range peers {
 		delete(c.blockOut, p)
-		delete(c.blockIn, p)
 	}
 }
 
@@ -150,7 +138,6 @@ func (c *Chaos) Heal() {
 	c.partialWrites = false
 	c.trickleGap = 0
 	c.blockOut = make(map[types.ProcID]bool)
-	c.blockIn = make(map[types.ProcID]bool)
 }
 
 // chaosVerdict is the fate of one outbound frame.
@@ -184,12 +171,6 @@ func (c *Chaos) outbound(peer types.ProcID) chaosVerdict {
 		v.dup = true
 	}
 	return v
-}
-
-func (c *Chaos) inboundBlocked(peer types.ProcID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.blockIn[peer]
 }
 
 func (c *Chaos) partialWritesOn() bool {

@@ -238,7 +238,7 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 
 	// Break srv0→srv1 only: srv1 stops hearing srv0; the reverse direction
 	// stays perfect.
-	w.Servers()[1].Chaos().BlockInbound(w.Servers()[0].ID())
+	w.Servers()[0].Chaos().BlockOutbound(w.Servers()[1].ID())
 
 	w.waitFor("both sides to install symmetric disjoint views", func() bool {
 		for cid, node := range w.Clients() {
@@ -283,7 +283,7 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 	// Heal the direction: hearing recovers, the advertised bitmaps
 	// re-include both ends, and the reconciliation unwinds into the merged
 	// view.
-	w.Servers()[1].Chaos().Unblock(w.Servers()[0].ID())
+	w.Servers()[0].Chaos().Unblock(w.Servers()[1].ID())
 	w.waitFor("merged view after the link heals", func() bool {
 		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {

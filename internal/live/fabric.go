@@ -1167,20 +1167,19 @@ var errFabricClosing = errors.New("live: fabric closing")
 
 // drain decodes and delivers every frame the last socket read completed in
 // asm. readLoop ends every read here, and the unit it works in is the read,
-// not the frame: the chaos verdict and the closing check are taken once,
-// the read/frame counters are bumped once, and the consumer's callbacks are
-// bracketed by batchBegin/batchEnd so it can lock and publish once. Credit
-// frames end here (they feed the outbound window, not the consumer). The
-// batch is closed before drain returns, so a caller that goes on to report
-// the link down does so behind the events of the frames already delivered.
-// It returns the error that ends the connection, if any (a parse error, or
+// not the frame: the closing check is taken once, the read/frame counters
+// are bumped once, and the consumer's callbacks are bracketed by
+// batchBegin/batchEnd so it can lock and publish once. Credit frames end
+// here (they feed the outbound window, not the consumer). The batch is
+// closed before drain returns, so a caller that goes on to report the link
+// down does so behind the events of the frames already delivered. It
+// returns the error that ends the connection, if any (a parse error, or
 // errFabricClosing).
 func (f *fabric) drain(l *link, asm *frameAssembler, fr *frame) (err error) {
 	if f.isClosing() {
 		return errFabricClosing
 	}
 	from := l.peer
-	blocked := f.chaos.inboundBlocked(from)
 	open := false
 	var frames int64
 	for {
@@ -1193,28 +1192,18 @@ func (f *fabric) drain(l *link, asm *frameAssembler, fr *frame) (err error) {
 			break
 		}
 		frames++
-		switch {
-		case blocked:
-			l.chaosDrops.Add(1)
-			// Chaos discards the frame above the flow-control layer, so a
-			// blocked data frame still counts as consumed: simulated loss
-			// must not starve the sender's window forever.
-			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
-				f.consumedData(from, 1)
-			}
-		case fr.Credit != nil:
+		if fr.Credit != nil {
 			f.handleCredit(from, int64(fr.Credit.Grant))
-		default:
-			if !open && f.batchBegin != nil {
-				f.batchBegin(from)
-				open = true
+			if body != nil {
+				body.Release()
 			}
-			f.receive(from, *fr, body)
-			continue // receive owns body
+			continue
 		}
-		if body != nil {
-			body.Release()
+		if !open && f.batchBegin != nil {
+			f.batchBegin(from)
+			open = true
 		}
+		f.receive(from, *fr, body) // receive owns body
 	}
 	if open {
 		f.batchEnd(from)

@@ -1,17 +1,13 @@
 package live
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"vsgm/internal/membership"
 	"vsgm/internal/types"
-	"vsgm/internal/wire"
 )
 
 func TestLiveTCPEndToEnd(t *testing.T) {
@@ -303,103 +299,5 @@ func TestLiveHeartbeatsBootstrapMembership(t *testing.T) {
 	})
 	if err := w.SpecErr(); err != nil {
 		t.Fatalf("spec violations:\n%v", err)
-	}
-}
-
-func TestFrameGobRoundTripAllKinds(t *testing.T) {
-	// Every wire-message kind must survive the live transport's gob
-	// encoding — including ProcSet's custom codec and the view's startId
-	// maps (the cached view key is unexported and recomputed on demand).
-	v := types.NewView(3, types.NewProcSet("a", "b"),
-		map[types.ProcID]types.StartChangeID{"a": 1, "b": 2})
-	msgs := []types.WireMsg{
-		{Kind: types.KindView, View: v},
-		{Kind: types.KindApp, App: types.AppMsg{ID: 7, Payload: []byte("x")}, HistView: v, HistIndex: 2},
-		{Kind: types.KindFwd, App: types.AppMsg{ID: 8}, Origin: "a", View: v, Index: 3},
-		{Kind: types.KindSync, CID: 4, View: v, Cut: types.Cut{"a": 1, "b": 0}},
-		{Kind: types.KindSync, CID: 5, Small: true},
-		{Kind: types.KindSync, CID: 6, ElideView: true, Cut: types.Cut{"a": 2}},
-		{Kind: types.KindSync, CID: 7, Probe: true, View: v, Cut: types.Cut{"a": 3}},
-		{Kind: types.KindAck, Cut: types.Cut{"a": 9}},
-		{Kind: types.KindHeartbeat},
-		{Kind: types.KindMembProposal, MembProp: &types.MembProposal{
-			Attempt: 2, Servers: types.NewProcSet("s0", "s1"), MinVid: 4,
-			Clients: map[types.ProcID]types.StartChangeID{"c": 3},
-			Epochs:  map[types.ProcID]int64{"c": 2},
-		}},
-		{Kind: types.KindSyncBundle, Bundle: []types.SyncEntry{
-			{From: "a", CID: 1, View: v, Cut: types.Cut{"a": 1}},
-			{From: "b", CID: 2, Small: true},
-		}},
-	}
-
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
-	for i, m := range msgs {
-		if err := enc.Encode(frame{From: "sender", Msg: &m}); err != nil {
-			t.Fatalf("encode kind %s: %v", m.Kind, err)
-		}
-		var got frame
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("decode kind %s: %v", m.Kind, err)
-		}
-		if got.From != "sender" || got.Msg == nil || got.Msg.Kind != m.Kind {
-			t.Fatalf("frame %d mangled: %+v", i, got)
-		}
-		switch m.Kind {
-		case types.KindView:
-			if !got.Msg.View.Equal(v) || got.Msg.View.Key() != v.Key() {
-				t.Fatalf("view mangled: %s vs %s", got.Msg.View, v)
-			}
-		case types.KindSync:
-			if got.Msg.CID != m.CID || got.Msg.Small != m.Small ||
-				got.Msg.ElideView != m.ElideView || got.Msg.Probe != m.Probe {
-				t.Fatalf("sync flags mangled: %+v", got.Msg)
-			}
-			if m.Cut != nil && !got.Msg.Cut.Equal(m.Cut) {
-				t.Fatalf("cut mangled: %v vs %v", got.Msg.Cut, m.Cut)
-			}
-		case types.KindMembProposal:
-			if !got.Msg.MembProp.Servers.Equal(m.MembProp.Servers) ||
-				got.Msg.MembProp.Clients["c"] != 3 ||
-				got.Msg.MembProp.Epochs["c"] != 2 {
-				t.Fatalf("proposal mangled: %+v", got.Msg.MembProp)
-			}
-		case types.KindSyncBundle:
-			if len(got.Msg.Bundle) != 2 || !got.Msg.Bundle[0].View.Equal(v) {
-				t.Fatalf("bundle mangled: %+v", got.Msg.Bundle)
-			}
-		}
-	}
-
-	// A membership notification frame.
-	notif := membership.Notification{
-		Kind:        membership.NotifyStartChange,
-		StartChange: types.StartChange{ID: 9, Set: types.NewProcSet("a", "b", "c")},
-	}
-	if err := enc.Encode(frame{From: "srv", Notify: &notif}); err != nil {
-		t.Fatal(err)
-	}
-	var got frame
-	if err := dec.Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Notify == nil || got.Notify.StartChange.ID != 9 ||
-		!got.Notify.StartChange.Set.Equal(notif.StartChange.Set) {
-		t.Fatalf("notification mangled: %+v", got.Notify)
-	}
-
-	// An attach-protocol frame.
-	att := wire.Attach{Kind: wire.AttachAck, Client: "c", Epoch: 2, CID: 2 << 32, Vid: 5}
-	if err := enc.Encode(frame{From: "srv", Attach: &att}); err != nil {
-		t.Fatal(err)
-	}
-	var gotAtt frame
-	if err := dec.Decode(&gotAtt); err != nil {
-		t.Fatal(err)
-	}
-	if gotAtt.Attach == nil || *gotAtt.Attach != att {
-		t.Fatalf("attach frame mangled: %+v", gotAtt.Attach)
 	}
 }

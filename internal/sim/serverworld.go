@@ -378,8 +378,11 @@ func (w *ServerWorld) PartitionServers(groups ...types.ProcSet) error {
 		comps[i] = comp
 	}
 	w.SetConnectivity(comps...)
+	// In sorted order: each server's reaction draws its message latencies
+	// from the world's seeded stream, so map order would make a seed's
+	// schedule vary run to run.
 	for _, g := range groups {
-		for sid := range g {
+		for _, sid := range g.Sorted() {
 			if srv, ok := w.servers[sid]; ok {
 				srv.SetReachable(g)
 			}

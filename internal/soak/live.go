@@ -1,9 +1,7 @@
 package soak
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -26,42 +24,20 @@ type LiveConfig struct {
 	Duration time.Duration
 	// Seed drives the entire schedule.
 	Seed int64
-	// Servers is the number of membership servers; default 3 (min 2).
-	Servers int
-	// Clients is the number of client nodes; default 6.
-	Clients int
 	// StateRoot is where per-server file stores live; default a temp dir
 	// (removed on success, kept on violation for post-mortems).
 	StateRoot string
-	// ConvergeTimeout bounds every stabilization wait; default 15s. A wait
-	// that times out is reported as a (liveness) violation.
-	ConvergeTimeout time.Duration
 	// Scenario is the phase mix; default LiveScenario().
 	Scenario *Scenario
 	// ChurnBudget bounds how many membership views one client may install
 	// per chaos transition over the whole run (spec.CheckChurn; every block,
 	// heal, kill, restart, or injection is one transition). 0 selects
-	// liveChurnBudget; negative disables the check.
+	// liveChurnBudget.
 	ChurnBudget int
 	// ForceViolation injects a fabricated violation at the end of the run.
 	ForceViolation bool
 	// Log receives progress lines; nil discards them.
 	Log func(format string, args ...any)
-}
-
-var liveSupported = map[PhaseKind]bool{
-	PhaseTraffic:        true,
-	PhasePartitionHeal:  true,
-	PhaseOscillate:      true,
-	PhaseFlappingLink:   true,
-	PhaseGrayFailure:    true,
-	PhaseCrashRestart:   true,
-	PhaseFlashCrowd:     true,
-	PhaseStaleResurrect: true,
-	PhaseCorruptCounter: true,
-	PhaseWALScramble:    true,
-	PhaseStateScramble:  true,
-	PhaseClientScramble: true,
 }
 
 // liveConvergeBudget bounds how many misaligned membership views one client
@@ -77,25 +53,13 @@ const liveConvergeBudget = 32
 // undamped detector on a flapping link installs them without bound.
 const liveChurnBudget = 16
 
-// violationError marks a phase failure that is a property of the system
-// under test (a stabilization that never converged, a send that never
-// unblocked) rather than of the harness.
-type violationError struct{ error }
-
-func violationf(format string, args ...any) error {
-	return violationError{fmt.Errorf(format, args...)}
-}
-
-// violation marks a deployment's failure to converge as a property of the
-// system under test.
-func violation(err error) error {
-	if err == nil {
-		return nil
-	}
-	return violationError{err}
-}
-
 const (
+	// liveServers and liveClients size the deployment.
+	liveServers = 3
+	liveClients = 6
+	// liveConvergeTimeout bounds every stabilization wait; a wait that
+	// times out is a (liveness) violation.
+	liveConvergeTimeout = 15 * time.Second
 	// liveAttachLease is 25 keepalive intervals: far past any chaos-induced
 	// keepalive gap, yet well inside the converge timeout, so a crowd
 	// straggler whose attach landed after its node closed is evicted before
@@ -106,9 +70,8 @@ const (
 )
 
 type liveRun struct {
+	chaos
 	cfg       LiveConfig
-	rng       *rand.Rand
-	sched     *Schedule
 	start     time.Time
 	d         *live.Deployment
 	serverIDs []types.ProcID
@@ -128,32 +91,8 @@ type liveRun struct {
 
 // RunLive executes the live-cluster soak and returns its report.
 func RunLive(cfg LiveConfig) (*Report, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 20 * time.Second
-	}
-	if cfg.Servers <= 0 {
-		cfg.Servers = 3
-	}
-	if cfg.Servers < 2 {
-		return nil, fmt.Errorf("soak: live needs at least 2 servers, got %d", cfg.Servers)
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 6
-	}
-	if cfg.ConvergeTimeout <= 0 {
-		cfg.ConvergeTimeout = 15 * time.Second
-	}
-	if cfg.Scenario == nil {
-		cfg.Scenario = LiveScenario()
-	}
-	if cfg.ChurnBudget == 0 {
+	if cfg.ChurnBudget <= 0 {
 		cfg.ChurnBudget = liveChurnBudget
-	}
-	if err := cfg.Scenario.validate(liveSupported); err != nil {
-		return nil, err
-	}
-	if cfg.Log == nil {
-		cfg.Log = func(string, ...any) {}
 	}
 	removeState := false
 	if cfg.StateRoot == "" {
@@ -164,92 +103,106 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 		cfg.StateRoot = dir
 		removeState = true
 	}
-
-	r := &liveRun{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		sched: &Schedule{Scenario: cfg.Scenario.Name, Seed: cfg.Seed},
-	}
-	r.reg = obs.NewRegistry()
+	r := &liveRun{cfg: cfg, reg: obs.NewRegistry()}
 	r.tracer = obs.NewTracer(r.reg)
-	report := &Report{Mode: "live", Seed: cfg.Seed, Schedule: r.sched, SampleEvery: 1}
-
-	if err := r.boot(); err != nil {
-		return nil, err
-	}
-	defer r.d.Close()
-	r.start = time.Now()
-	if err := r.waitFullView("initial full view", 0); err != nil {
-		return nil, fmt.Errorf("soak: live cluster never booted: %w", err)
-	}
-
-	var phaseErr error
-	for time.Since(r.start) < cfg.Duration {
-		kind := cfg.Scenario.pick(r.rng)
-		if phaseErr = r.phase(kind); phaseErr != nil {
-			break
+	defer func() {
+		if r.d != nil {
+			r.d.Close()
 		}
-		if verr := r.d.SpecErr(); verr != nil {
-			phaseErr = violationf("spec violation after %s phase: %v", kind, verr)
-			break
+	}()
+	s := settings{mode: "live", duration: cfg.Duration, seed: cfg.Seed, scenario: cfg.Scenario,
+		force: cfg.ForceViolation, log: cfg.Log}
+	rep, err := drive(s, func(ch chaos) (*world, error) {
+		r.chaos = ch
+		if err := r.boot(); err != nil {
+			return nil, err
 		}
-		cfg.Log("live soak: step %d (%s) done, %v elapsed",
-			len(r.sched.Steps), kind, time.Since(r.start).Round(time.Millisecond))
+		r.start = time.Now()
+		if err := r.waitFullView("initial full view", 0); err != nil {
+			return nil, fmt.Errorf("soak: live cluster never booted: %w", err)
+		}
+		return r.world(), nil
+	})
+	if rep != nil && rep.OK() && removeState {
+		os.RemoveAll(cfg.StateRoot)
 	}
-	var verr violationError
-	if phaseErr != nil && !errors.As(phaseErr, &verr) {
-		return nil, phaseErr
+	return rep, err
+}
+
+// world is the live mode as the loop drives it. Every phase ends with the
+// spec suite's verdict so far: a violation stops the run at the phase that
+// caused it.
+func (r *liveRun) world() *world {
+	phases := map[PhaseKind]func(time.Duration) error{
+		PhaseTraffic:        r.traffic,
+		PhasePartitionHeal:  r.partitionHeal,
+		PhaseOscillate:      r.oscillate,
+		PhaseFlappingLink:   r.flappingLink,
+		PhaseGrayFailure:    r.grayFailure,
+		PhaseCrashRestart:   r.crashRestart,
+		PhaseFlashCrowd:     r.flashCrowd,
+		PhaseStaleResurrect: r.staleResurrect,
+		PhaseCorruptCounter: r.corruptCounter,
+		PhaseWALScramble:    r.walScramble,
+		PhaseStateScramble:  r.stateScramble,
+		PhaseClientScramble: r.clientScramble,
 	}
-	if phaseErr == nil {
-		// Final stabilization: heal everything and run one more round, then
-		// hold the run to the bounded-convergence property from the heal mark
-		// and the bounded-churn property over the whole run.
-		r.d.Heal()
-		r.transitions++
-		mark := len(r.d.Trace())
-		if err := r.settle("final full view"); err != nil {
-			phaseErr = err
-		} else if err := r.trafficRound("final"); err != nil {
-			phaseErr = err
-		} else {
-			all, trace := r.d.ClientSet(), r.d.Trace()
-			cerr := spec.CheckConvergence(trace, mark, all, all, liveConvergeBudget)
-			if cerr == nil && cfg.ChurnBudget > 0 {
-				cerr = spec.CheckChurn(trace, 0, r.transitions, cfg.ChurnBudget, all)
+	for kind, body := range phases {
+		phases[kind] = func(at time.Duration) error {
+			if err := body(at); err != nil {
+				return err
 			}
-			if cerr != nil {
-				phaseErr = violationf("%v", cerr)
+			if verr := r.d.SpecErr(); verr != nil {
+				return violationf("spec violation after %s phase: %v", kind, verr)
 			}
+			return nil
 		}
 	}
-
-	if cfg.ForceViolation {
-		victim := r.d.ClientIDs()[0]
-		r.sched.Note(time.Since(r.start), PhaseKind("forced-violation"), "injected regressing membership view at %s", victim)
-		r.d.Record(forcedViolation(victim))
+	return &world{
+		phases:    phases,
+		now:       func() time.Duration { return time.Since(r.start) },
+		stabilize: r.stabilize,
+		verdict:   r.verdict,
+		victim:    func() types.ProcID { return r.d.ClientIDs()[0] },
+		record:    func(ev spec.Event) { r.d.Record(ev) },
+		tracer:    r.tracer,
 	}
+}
 
-	if phaseErr != nil {
-		report.violate(phaseErr)
+// stabilize heals everything and runs one more round, then holds the run to
+// the bounded-convergence property from the heal mark and the bounded-churn
+// property over the whole run.
+func (r *liveRun) stabilize() error {
+	r.d.Heal()
+	r.transitions++
+	mark := len(r.d.Trace())
+	if err := r.settle("final full view"); err != nil {
+		return err
 	}
-	report.Population = len(r.d.ClientIDs())
-	report.ChaosTransitions = r.transitions
+	if err := r.trafficRound("final"); err != nil {
+		return err
+	}
+	all, trace := r.d.ClientSet(), r.d.Trace()
+	if err := spec.CheckConvergence(trace, mark, all, all, liveConvergeBudget); err != nil {
+		return violation(err)
+	}
+	return violation(spec.CheckChurn(trace, 0, r.transitions, r.cfg.ChurnBudget, all))
+}
+
+// verdict is the deployment's: the spec suite and the pooled-buffer audit
+// of every node the run ever started.
+func (r *liveRun) verdict(rep *Report) error {
+	rep.Population = len(r.d.ClientIDs())
+	rep.ChaosTransitions = r.transitions
 	det := r.detectorCounts("")
-	report.DetectorFlaps = int64(r.retired[0] + det[0])
-	report.DetectorQuarantines = int64(r.retired[1] + det[1])
-	report.DetectorGrayDrops = int64(r.retired[2] + det[2])
-	// The deployment's verdict: the spec suite and the pooled-buffer audit.
-	report.violate(r.d.Close())
+	rep.DetectorFlaps = int64(r.retired[0] + det[0])
+	rep.DetectorQuarantines = int64(r.retired[1] + det[1])
+	rep.DetectorGrayDrops = int64(r.retired[2] + det[2])
+	err := r.d.Close()
 	// Every event is checked: the suite samples nothing.
-	report.EventsSeen = int64(len(r.d.Trace()))
-	report.EventsChecked = report.EventsSeen
-	report.Elapsed = time.Since(r.start)
-	if !report.OK() {
-		report.Timeline = r.tracer.TimelineString()
-	} else if removeState {
-		defer os.RemoveAll(cfg.StateRoot)
-	}
-	return report, nil
+	rep.EventsSeen = int64(len(r.d.Trace()))
+	rep.EventsChecked = rep.EventsSeen
+	return err
 }
 
 // boot builds the deployment — file-backed servers, attach-protocol clients
@@ -257,8 +210,8 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 // heartbeats on.
 func (r *liveRun) boot() error {
 	d, err := live.NewDeployment(live.DeploymentConfig{
-		Servers: r.cfg.Servers,
-		Clients: r.cfg.Clients,
+		Servers: liveServers,
+		Clients: liveClients,
 		Attach:  true,
 		Server:  r.configureServer,
 		Node:    func(_ int, cfg *live.NodeConfig) { cfg.Obs, cfg.Tracer = r.reg, r.tracer },
@@ -313,11 +266,11 @@ func (r *liveRun) revive(sid types.ProcID, what string) error {
 // waitFor polls cond until it holds or the converge timeout passes; a
 // timeout is a liveness violation of the deployment.
 func (r *liveRun) waitFor(what string, cond func() bool) error {
-	return violation(r.d.WaitFor(what, r.cfg.ConvergeTimeout, cond))
+	return violation(r.d.WaitFor(what, liveConvergeTimeout, cond))
 }
 
 func (r *liveRun) waitFullView(what string, floor types.ViewID) error {
-	return violation(r.d.WaitFullView(what, floor, r.cfg.ConvergeTimeout))
+	return violation(r.d.WaitFullView(what, floor, liveConvergeTimeout))
 }
 
 // trafficRound retries the deployment's round, each attempt in a bounded
@@ -326,7 +279,7 @@ func (r *liveRun) waitFullView(what string, floor types.ViewID) error {
 // message only in the view it was sent in), so one lost attempt is no
 // violation.
 func (r *liveRun) trafficRound(tag string) error {
-	deadline := time.Now().Add(r.cfg.ConvergeTimeout)
+	deadline := time.Now().Add(liveConvergeTimeout)
 	for {
 		err := r.d.TrafficRound(tag, min(2*time.Second, time.Until(deadline)))
 		if err == nil || time.Until(deadline) <= 0 {
@@ -414,365 +367,369 @@ func (r *liveRun) retire(sid types.ProcID) {
 	r.d.Server(sid).Close()
 }
 
-func (r *liveRun) phase(kind PhaseKind) error {
-	at := time.Since(r.start)
-	switch kind {
-	case PhaseTraffic:
-		r.sched.Note(at, kind, "full multicast round from all %d clients", len(r.d.ClientIDs()))
-		return r.trafficRound(fmt.Sprintf("t%d", len(r.sched.Steps)))
+func (r *liveRun) traffic(at time.Duration) error {
+	r.sched.Note(at, PhaseTraffic, "full multicast round from all %d clients", len(r.d.ClientIDs()))
+	return r.trafficRound(fmt.Sprintf("t%d", len(r.sched.Steps)))
+}
 
-	case PhasePartitionHeal:
-		left, right := r.serverSplit()
-		r.sched.Note(at, kind, "split %s | %s, stabilize both sides, heal", left, right)
-		r.transitions += 2 // the split and the heal
-		comps := r.d.Partition(left, right)
-		// Each side settles on a view over exactly its own clients.
-		if err := r.waitFor("both sides of the partition stabilize", func() bool {
-			for _, comp := range comps {
-				side := comp.Minus(r.serverSet)
-				for p := range side {
-					if !r.d.Client(p).CurrentView().Members.Equal(side) {
-						return false
-					}
+func (r *liveRun) partitionHeal(at time.Duration) error {
+	left, right := r.serverSplit()
+	r.sched.Note(at, PhasePartitionHeal, "split %s | %s, stabilize both sides, heal", left, right)
+	r.transitions += 2 // the split and the heal
+	comps := r.d.Partition(left, right)
+	// Each side settles on a view over exactly its own clients.
+	if err := r.waitFor("both sides of the partition stabilize", func() bool {
+		for _, comp := range comps {
+			side := comp.Minus(r.serverSet)
+			for p := range side {
+				if !r.d.Client(p).CurrentView().Members.Equal(side) {
+					return false
 				}
 			}
-			return true
-		}); err != nil {
-			return err
 		}
+		return true
+	}); err != nil {
+		return err
+	}
+	r.d.Heal()
+	// Floor 0, not the pre-partition view id: if every client happened to
+	// be homed on one side, the split was vacuous — no view ever shrank,
+	// detectors may not even fire before the heal — and no new view is
+	// owed. A full-membership view at every client IS the merge.
+	return r.waitFullView("merged view after heal", 0)
+}
+
+func (r *liveRun) oscillate(at time.Duration) error {
+	left, right := r.serverSplit()
+	flips := 2 + r.rng.Intn(3)
+	r.sched.Note(at, PhaseOscillate, "%d rapid flips of %s | %s", flips, left, right)
+	r.transitions += 2 * flips
+	for i := 0; i < flips; i++ {
+		r.d.Partition(left, right)
+		time.Sleep(time.Duration(50+r.rng.Intn(150)) * time.Millisecond)
 		r.d.Heal()
-		// Floor 0, not the pre-partition view id: if every client happened to
-		// be homed on one side, the split was vacuous — no view ever shrank,
-		// detectors may not even fire before the heal — and no new view is
-		// owed. A full-membership view at every client IS the merge.
-		return r.waitFullView("merged view after heal", 0)
+		time.Sleep(time.Duration(50+r.rng.Intn(100)) * time.Millisecond)
+	}
+	return r.waitFullView("full view after oscillation", 0)
+}
 
-	case PhaseOscillate:
-		left, right := r.serverSplit()
-		flips := 2 + r.rng.Intn(3)
-		r.sched.Note(at, kind, "%d rapid flips of %s | %s", flips, left, right)
-		r.transitions += 2 * flips
-		for i := 0; i < flips; i++ {
-			r.d.Partition(left, right)
-			time.Sleep(time.Duration(50+r.rng.Intn(150)) * time.Millisecond)
-			r.d.Heal()
-			time.Sleep(time.Duration(50+r.rng.Intn(100)) * time.Millisecond)
+func (r *liveRun) crashRestart(at time.Duration) error {
+	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
+	// The kill only owes the survivors a new view if the victim was
+	// integrated when it died.
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	floor := r.d.MaxViewID()
+	r.sched.Note(at, PhaseCrashRestart, "kill %s, converge on survivors, restart it from its store", sid)
+	r.transitions += 2 // the kill and the restart
+	r.retire(sid)
+	if err := r.waitFor("orphans of "+string(sid)+" re-home at survivors", func() bool {
+		for _, node := range r.d.Clients() {
+			if h := node.Home(); h == "" || h == sid {
+				return false
+			}
 		}
-		return r.waitFullView("full view after oscillation", 0)
+		return true
+	}); err != nil {
+		return err
+	}
+	if err := r.waitFullView("survivors reinstall the full view", floor); err != nil {
+		return err
+	}
+	return r.revive(sid, "the restart")
+}
 
-	case PhaseCrashRestart:
-		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		// The kill only owes the survivors a new view if the victim was
-		// integrated when it died.
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		floor := r.d.MaxViewID()
-		r.sched.Note(at, kind, "kill %s, converge on survivors, restart it from its store", sid)
-		r.transitions += 2 // the kill and the restart
-		r.retire(sid)
-		if err := r.waitFor("orphans of "+string(sid)+" re-home at survivors", func() bool {
-			for _, node := range r.d.Clients() {
-				if h := node.Home(); h == "" || h == sid {
-					return false
+func (r *liveRun) flashCrowd(at time.Duration) error {
+	n := 3 + r.rng.Intn(3)
+	fresh := make([]types.ProcID, n)
+	for i := range fresh {
+		fresh[i] = types.ProcID(fmt.Sprintf("flash%d", r.crowdSeq))
+		r.crowdSeq++
+	}
+	r.sched.Note(at, PhaseFlashCrowd, "%d clients join in one burst, one round of traffic, then leave", n)
+	r.transitions += 2 // the burst admission and the departure
+	// The whole phase leans on floor-based waits, and its reconfigurations
+	// (burst admission, departure shrink) may be triggered at any one
+	// server: they reach clients homed elsewhere only if the servers are
+	// mutually re-admitted after whatever restarts preceded this phase.
+	// Nothing below kills a server, so integration holds throughout.
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	floor := r.d.MaxViewID()
+	if err := r.d.AddClients(fresh...); err != nil {
+		return err
+	}
+	if err := r.waitFullView("burst admitted into one view", floor); err != nil {
+		return err
+	}
+	if err := r.trafficRound("flash"); err != nil {
+		return err
+	}
+	// Departure: close each crowd node and deregister it at whichever
+	// server still holds it (closing sends no detach of its own). The
+	// removal must be retried until it sticks: an attach request that
+	// timed out during the burst can land at a server after a one-shot
+	// scan, resurrecting the registration of a closed client — whose
+	// membership views would then never complete their sync round.
+	floor = r.d.MaxViewID()
+	for _, cid := range fresh {
+		r.d.CloseClient(cid)
+	}
+	if err := r.waitFor("crowd deregistered at every server", func() bool {
+		clean := true
+		for _, sn := range r.d.Servers() {
+			for _, cid := range fresh {
+				if sn.Clients().Contains(cid) {
+					sn.RemoveClient(cid)
+					sn.Reconfigure()
+					clean = false
 				}
 			}
-			return true
-		}); err != nil {
-			return err
 		}
-		if err := r.waitFullView("survivors reinstall the full view", floor); err != nil {
-			return err
-		}
-		return r.revive(sid, "the restart")
+		return clean
+	}); err != nil {
+		return err
+	}
+	return r.waitFullView("view shrinks after the crowd departs", floor)
+}
 
-	case PhaseFlashCrowd:
-		n := 3 + r.rng.Intn(3)
-		fresh := make([]types.ProcID, n)
-		for i := range fresh {
-			fresh[i] = types.ProcID(fmt.Sprintf("flash%d", r.crowdSeq))
-			r.crowdSeq++
-		}
-		r.sched.Note(at, kind, "%d clients join in one burst, one round of traffic, then leave", n)
-		r.transitions += 2 // the burst admission and the departure
-		// The whole phase leans on floor-based waits, and its reconfigurations
-		// (burst admission, departure shrink) may be triggered at any one
-		// server: they reach clients homed elsewhere only if the servers are
-		// mutually re-admitted after whatever restarts preceded this phase.
-		// Nothing below kills a server, so integration holds throughout.
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		floor := r.d.MaxViewID()
-		if err := r.d.AddClients(fresh...); err != nil {
-			return err
-		}
-		if err := r.waitFullView("burst admitted into one view", floor); err != nil {
-			return err
-		}
-		if err := r.trafficRound("flash"); err != nil {
-			return err
-		}
-		// Departure: close each crowd node and deregister it at whichever
-		// server still holds it (closing sends no detach of its own). The
-		// removal must be retried until it sticks: an attach request that
-		// timed out during the burst can land at a server after a one-shot
-		// scan, resurrecting the registration of a closed client — whose
-		// membership views would then never complete their sync round.
-		floor = r.d.MaxViewID()
-		for _, cid := range fresh {
-			r.d.CloseClient(cid)
-		}
-		if err := r.waitFor("crowd deregistered at every server", func() bool {
-			clean := true
-			for _, sn := range r.d.Servers() {
-				for _, cid := range fresh {
-					if sn.Clients().Contains(cid) {
-						sn.RemoveClient(cid)
-						sn.Reconfigure()
-						clean = false
-					}
-				}
-			}
-			return clean
-		}); err != nil {
-			return err
-		}
-		return r.waitFullView("view shrinks after the crowd departs", floor)
+func (r *liveRun) staleResurrect(at time.Duration) error {
+	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
+	sn := r.d.Server(sid)
+	backup := filepath.Join(r.cfg.StateRoot, string(sid)+".stale")
+	r.sched.Note(at, PhaseStaleResurrect, "snapshot %s's store, advance identifiers, resurrect it from the stale generation", sid)
+	r.transitions += 3 // the advance, the kill, the resurrection
+	// Point-in-time backup of the current (soon to be stale) generation.
+	if err := wal.CloneDir(r.stateDir(sid), backup); err != nil {
+		return err
+	}
+	// Advance identifier state past the backup. The reconfiguring server
+	// must be integrated first: an attempt run by a server its peers have
+	// not re-admitted cannot install views at clients homed elsewhere.
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	floor := r.d.MaxViewID()
+	sn.Reconfigure()
+	if err := r.waitFullView("identifiers advanced past the backup", floor); err != nil {
+		return err
+	}
+	// Kill, roll the store back to the stale generation, restart.
+	r.retire(sid)
+	if err := wal.CloneDir(backup, r.stateDir(sid)); err != nil {
+		return err
+	}
+	// Epoch gossip and client-side stale-notification filtering must
+	// absorb the resurrected identifiers without regressing anyone.
+	return r.revive(sid, "the stale generation")
+}
 
-	case PhaseStaleResurrect:
-		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		sn := r.d.Server(sid)
-		backup := filepath.Join(r.cfg.StateRoot, string(sid)+".stale")
-		r.sched.Note(at, kind, "snapshot %s's store, advance identifiers, resurrect it from the stale generation", sid)
-		r.transitions += 3 // the advance, the kill, the resurrection
-		// Point-in-time backup of the current (soon to be stale) generation.
-		if err := wal.CloneDir(r.stateDir(sid), backup); err != nil {
-			return err
-		}
-		// Advance identifier state past the backup. The reconfiguring server
-		// must be integrated first: an attempt run by a server its peers have
-		// not re-admitted cannot install views at clients homed elsewhere.
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		floor := r.d.MaxViewID()
-		sn.Reconfigure()
-		if err := r.waitFullView("identifiers advanced past the backup", floor); err != nil {
-			return err
-		}
-		// Kill, roll the store back to the stale generation, restart.
-		r.retire(sid)
-		if err := wal.CloneDir(backup, r.stateDir(sid)); err != nil {
-			return err
-		}
-		// Epoch gossip and client-side stale-notification filtering must
-		// absorb the resurrected identifiers without regressing anyone.
-		return r.revive(sid, "the stale generation")
+func (r *liveRun) corruptCounter(at time.Duration) error {
+	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
+	locals := r.d.Server(sid).Clients()
+	ids := r.d.ClientIDs()
+	victim := ids[r.rng.Intn(len(ids))]
+	if locals.Len() > 0 {
+		victim = locals.Sorted()[r.rng.Intn(locals.Len())]
+	}
+	rec := wire.WALRecord{Client: victim, CID: 1 << 40, Vid: 1 << 40, Epoch: 1 << 7}
+	flavour := "huge counters"
+	if r.rng.Intn(2) == 0 {
+		rec = wire.WALRecord{Client: victim, CID: 7, Vid: 3, Epoch: 1 << 33}
+		flavour = "wrapped epoch"
+	}
+	r.sched.Note(at, PhaseCorruptCounter, "kill %s, append %s for %s (cid=%d vid=%d epoch=%d) to its WAL, restart",
+		sid, flavour, victim, rec.CID, rec.Vid, rec.Epoch)
+	r.transitions += 2 // the kill and the restart
+	r.retire(sid)
+	store, err := live.NewFileStore(r.stateDir(sid))
+	if err != nil {
+		return err
+	}
+	if err := store.Append(rec); err != nil {
+		store.Close()
+		return err
+	}
+	if err := store.Close(); err != nil {
+		return err
+	}
+	// The corrupted record must be absorbed monotonically: if the victim
+	// re-registers here its identifiers jump above the bogus values; if
+	// it settled elsewhere the record stays inert. Either way the view
+	// must reconverge and the suite stay green.
+	return r.revive(sid, "the corrupted record")
+}
 
-	case PhaseCorruptCounter:
-		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		locals := r.d.Server(sid).Clients()
-		ids := r.d.ClientIDs()
+func (r *liveRun) walScramble(at time.Duration) error {
+	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
+	// The restart only re-integrates cleanly if the victim was integrated
+	// when it died (same reasoning as the crash-restart phase).
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	r.retire(sid)
+	detail, err := r.scrambleStateDir(r.stateDir(sid))
+	if err != nil {
+		return err
+	}
+	r.sched.Note(at, PhaseWALScramble, "kill %s, %s, restart through fsck/repair", sid, detail)
+	r.transitions += 2 // the kill and the restart
+	// The fsck pass quarantined whatever the scramble destroyed; any
+	// identifier state it lost must be re-floated by attach claims, and
+	// the whole cluster must reconverge on one full view.
+	return r.revive(sid, "the scrambled store")
+}
+
+func (r *liveRun) stateScramble(at time.Duration) error {
+	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
+	sn := r.d.Server(sid)
+	// The injection forces a reconfiguration at sid; it reaches clients
+	// homed elsewhere only once the servers are mutually re-admitted.
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	ids := r.d.ClientIDs()
+	n := 1 + r.rng.Intn(3)
+	recs := make(map[types.ProcID]membership.ClientRecord, n)
+	for i := 0; i < n; i++ {
 		victim := ids[r.rng.Intn(len(ids))]
-		if locals.Len() > 0 {
-			victim = locals.Sorted()[r.rng.Intn(locals.Len())]
+		recs[victim] = membership.ClientRecord{
+			CID:   types.StartChangeID(r.rng.Uint64()),
+			Vid:   types.ViewID(r.rng.Uint64()),
+			Epoch: int64(r.rng.Uint64()),
 		}
-		rec := wire.WALRecord{Client: victim, CID: 1 << 40, Vid: 1 << 40, Epoch: 1 << 7}
-		flavour := "huge counters"
-		if r.rng.Intn(2) == 0 {
-			rec = wire.WALRecord{Client: victim, CID: 7, Vid: 3, Epoch: 1 << 33}
-			flavour = "wrapped epoch"
-		}
-		r.sched.Note(at, kind, "kill %s, append %s for %s (cid=%d vid=%d epoch=%d) to its WAL, restart",
-			sid, flavour, victim, rec.CID, rec.Vid, rec.Epoch)
-		r.transitions += 2 // the kill and the restart
-		r.retire(sid)
-		store, err := live.NewFileStore(r.stateDir(sid))
-		if err != nil {
-			return err
-		}
-		if err := store.Append(rec); err != nil {
-			store.Close()
-			return err
-		}
-		if err := store.Close(); err != nil {
-			return err
-		}
-		// The corrupted record must be absorbed monotonically: if the victim
-		// re-registers here its identifiers jump above the bogus values; if
-		// it settled elsewhere the record stays inert. Either way the view
-		// must reconverge and the suite stay green.
-		return r.revive(sid, "the corrupted record")
+	}
+	r.sched.Note(at, PhaseStateScramble, "inject %d adversarially random records into %s's retained state", len(recs), sid)
+	r.transitions++
+	sn.InjectRecords(recs)
+	return r.waitFullView("cluster converged past the scrambled records", 0)
+}
 
-	case PhaseWALScramble:
-		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		// The restart only re-integrates cleanly if the victim was integrated
-		// when it died (same reasoning as the crash-restart phase).
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		r.retire(sid)
-		detail, err := r.scrambleStateDir(r.stateDir(sid))
-		if err != nil {
-			return err
-		}
-		r.sched.Note(at, kind, "kill %s, %s, restart through fsck/repair", sid, detail)
-		r.transitions += 2 // the kill and the restart
-		// The fsck pass quarantined whatever the scramble destroyed; any
-		// identifier state it lost must be re-floated by attach claims, and
-		// the whole cluster must reconverge on one full view.
-		return r.revive(sid, "the scrambled store")
+func (r *liveRun) clientScramble(at time.Duration) error {
+	ids := r.d.ClientIDs()
+	victim := ids[r.rng.Intn(len(ids))]
+	node := r.d.Client(victim)
+	// Two flavours, mirroring the server-side scramble: impossible
+	// values (above the plausibility ceilings, negative) that the node
+	// must self-clamp, and huge-but-possible values that must re-float
+	// through the attach claim so the servers mint above them.
+	var cid, sc types.StartChangeID
+	var vid types.ViewID
+	flavour := "impossible"
+	if r.rng.Intn(2) == 0 {
+		flavour = "huge-but-possible"
+		cid = types.StartChangeID(int64(1+r.rng.Intn(1000)) << 32)
+		vid = types.ViewID(1) << (40 + r.rng.Intn(8))
+		sc = cid - types.StartChangeID(r.rng.Intn(5))
+	} else {
+		cid = types.StartChangeID(r.rng.Uint64())
+		vid = types.ViewID(r.rng.Uint64())
+		sc = types.StartChangeID(r.rng.Uint64())
+	}
+	r.sched.Note(at, PhaseClientScramble, "scramble %s's in-memory identifiers with %s values (cid=%d vid=%d sc=%d)",
+		victim, flavour, cid, vid, sc)
+	r.transitions += 2 // the scramble and the forced reconfiguration
+	// The scramble lands on a settled cluster (servers mutually
+	// re-admitted, so the reconfiguration observing the poisoned
+	// watermarks reaches every client) with the victim attached to a live
+	// home that holds the watermark the scramble erases. A victim caught
+	// mid-failover carries its watermark only in the claim of its next
+	// attach; erasing it there, before a home whose records an earlier
+	// phase destroyed, loses the client's history outright — no protocol
+	// can mint above identifiers that nobody remembers.
+	if err := r.settle("cluster settled before the client scramble"); err != nil {
+		return err
+	}
+	node.ScrambleIdentifiers(cid, vid, sc)
+	// The sleep gives the victim's next attach ticks (40ms apart on a
+	// loopback deployment) time to self-clamp (impossible flavour) or
+	// land the scrambled claim (huge flavour) before the attempt that
+	// must out-bid it.
+	time.Sleep(160 * time.Millisecond)
+	sn := r.d.Server(node.Home())
+	if sn == nil {
+		sn = r.d.Server(r.serverIDs[0])
+	}
+	floor := r.d.MaxViewID()
+	sn.Reconfigure()
+	return r.waitFullView("cluster converged past the scrambled client", floor)
+}
 
-	case PhaseStateScramble:
-		sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
-		sn := r.d.Server(sid)
-		// The injection forces a reconfiguration at sid; it reaches clients
-		// homed elsewhere only once the servers are mutually re-admitted.
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		ids := r.d.ClientIDs()
-		n := 1 + r.rng.Intn(3)
-		recs := make(map[types.ProcID]membership.ClientRecord, n)
-		for i := 0; i < n; i++ {
-			victim := ids[r.rng.Intn(len(ids))]
-			recs[victim] = membership.ClientRecord{
-				CID:   types.StartChangeID(r.rng.Uint64()),
-				Vid:   types.ViewID(r.rng.Uint64()),
-				Epoch: int64(r.rng.Uint64()),
-			}
-		}
-		r.sched.Note(at, kind, "inject %d adversarially random records into %s's retained state", len(recs), sid)
-		r.transitions++
-		sn.InjectRecords(recs)
-		return r.waitFullView("cluster converged past the scrambled records", 0)
+func (r *liveRun) flappingLink(at time.Duration) error {
+	a, b := r.serverPair()
+	flips := 3 + r.rng.Intn(3)
+	r.sched.Note(at, PhaseFlappingLink, "flap the %s<->%s link %d times (block past detection, briefly heal)", a, b, flips)
+	r.transitions += 2 * flips
+	// Start integrated so the first flip is a genuine verdict crossing.
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	ca, cb := r.d.Server(a).Chaos(), r.d.Server(b).Chaos()
+	for i := 0; i < flips; i++ {
+		ca.BlockOutbound(b)
+		cb.BlockOutbound(a)
+		// Long enough for accrual suspicion to fire (phi crosses the
+		// suspect threshold a few hundred ms into the silence at the
+		// soak's 20ms heartbeat interval)...
+		time.Sleep(time.Duration(600+r.rng.Intn(250)) * time.Millisecond)
+		ca.Unblock(b)
+		cb.Unblock(a)
+		// ...and short enough that the restore is a flap, not a heal.
+		time.Sleep(time.Duration(100+r.rng.Intn(150)) * time.Millisecond)
+	}
+	// Damping is allowed to hold the verdict down well past the last
+	// flip (that is the point); the converge wait absorbs the final
+	// quarantine before the full view is owed.
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	return r.waitFullView("full view after link flapping", 0)
+}
 
-	case PhaseClientScramble:
-		ids := r.d.ClientIDs()
-		victim := ids[r.rng.Intn(len(ids))]
-		node := r.d.Client(victim)
-		// Two flavours, mirroring the server-side scramble: impossible
-		// values (above the plausibility ceilings, negative) that the node
-		// must self-clamp, and huge-but-possible values that must re-float
-		// through the attach claim so the servers mint above them.
-		var cid, sc types.StartChangeID
-		var vid types.ViewID
-		flavour := "impossible"
-		if r.rng.Intn(2) == 0 {
-			flavour = "huge-but-possible"
-			cid = types.StartChangeID(int64(1+r.rng.Intn(1000)) << 32)
-			vid = types.ViewID(1) << (40 + r.rng.Intn(8))
-			sc = cid - types.StartChangeID(r.rng.Intn(5))
-		} else {
-			cid = types.StartChangeID(r.rng.Uint64())
-			vid = types.ViewID(r.rng.Uint64())
-			sc = types.StartChangeID(r.rng.Uint64())
-		}
-		r.sched.Note(at, kind, "scramble %s's in-memory identifiers with %s values (cid=%d vid=%d sc=%d)",
-			victim, flavour, cid, vid, sc)
-		r.transitions += 2 // the scramble and the forced reconfiguration
-		// The scramble lands on a settled cluster (servers mutually
-		// re-admitted, so the reconfiguration observing the poisoned
-		// watermarks reaches every client) with the victim attached to a live
-		// home that holds the watermark the scramble erases. A victim caught
-		// mid-failover carries its watermark only in the claim of its next
-		// attach; erasing it there, before a home whose records an earlier
-		// phase destroyed, loses the client's history outright — no protocol
-		// can mint above identifiers that nobody remembers.
-		if err := r.settle("cluster settled before the client scramble"); err != nil {
-			return err
-		}
-		node.ScrambleIdentifiers(cid, vid, sc)
-		// The sleep gives the victim's next attach ticks (40ms apart on a
-		// loopback deployment) time to self-clamp (impossible flavour) or
-		// land the scrambled claim (huge flavour) before the attempt that
-		// must out-bid it.
-		time.Sleep(160 * time.Millisecond)
-		sn := r.d.Server(node.Home())
-		if sn == nil {
-			sn = r.d.Server(r.serverIDs[0])
-		}
-		floor := r.d.MaxViewID()
-		sn.Reconfigure()
-		return r.waitFullView("cluster converged past the scrambled client", floor)
-
-	case PhaseFlappingLink:
-		a, b := r.serverPair()
-		flips := 3 + r.rng.Intn(3)
-		r.sched.Note(at, kind, "flap the %s<->%s link %d times (block past detection, briefly heal)", a, b, flips)
-		r.transitions += 2 * flips
-		// Start integrated so the first flip is a genuine verdict crossing.
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		ca, cb := r.d.Server(a).Chaos(), r.d.Server(b).Chaos()
-		for i := 0; i < flips; i++ {
-			ca.BlockOutbound(b)
-			cb.BlockOutbound(a)
-			// Long enough for accrual suspicion to fire (phi crosses the
-			// suspect threshold a few hundred ms into the silence at the
-			// soak's 20ms heartbeat interval)...
-			time.Sleep(time.Duration(600+r.rng.Intn(250)) * time.Millisecond)
-			ca.Unblock(b)
-			cb.Unblock(a)
-			// ...and short enough that the restore is a flap, not a heal.
-			time.Sleep(time.Duration(100+r.rng.Intn(150)) * time.Millisecond)
-		}
-		// Damping is allowed to hold the verdict down well past the last
-		// flip (that is the point); the converge wait absorbs the final
-		// quarantine before the full view is owed.
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		return r.waitFullView("full view after link flapping", 0)
-
-	case PhaseGrayFailure:
-		a, b := r.serverPair()
-		// Break exactly one direction: b stops hearing a, while a still
-		// hears b and every third party hears both.
-		r.sched.Note(at, kind, "gray failure: block %s's inbound from %s, converge symmetrically, heal", b, a)
-		r.transitions += 2 // the break and the heal
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		r.d.Server(b).Chaos().BlockInbound(a)
-		// Reconciliation must converge every server on a verdict that
-		// excludes the broken pairing: b suspects a outright; a downgrades b
-		// on b's bitmap (the direct rule); third parties drop the
-		// lexicographically larger of the pair (the pair rule). The one
-		// observable all of them share: nobody keeps both a and b.
-		if err := r.waitFor("gray failure reconciled symmetrically", func() bool {
-			for _, sn := range r.d.Servers() {
-				reach := sn.Reachable()
-				if reach.Contains(a) && reach.Contains(b) {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		// Hold the broken link briefly: verdicts must not oscillate once
-		// reconciled (each side would livelock the one-round protocol if
-		// they disagreed, and flap if they alternated).
-		time.Sleep(500 * time.Millisecond)
+func (r *liveRun) grayFailure(at time.Duration) error {
+	a, b := r.serverPair()
+	// Break exactly one direction: b stops hearing a, while a still
+	// hears b and every third party hears both.
+	r.sched.Note(at, PhaseGrayFailure, "gray failure: block %s's outbound to %s, converge symmetrically, heal", a, b)
+	r.transitions += 2 // the break and the heal
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	r.d.Server(a).Chaos().BlockOutbound(b)
+	// Reconciliation must converge every server on a verdict that
+	// excludes the broken pairing: b suspects a outright; a downgrades b
+	// on b's bitmap (the direct rule); third parties drop the
+	// lexicographically larger of the pair (the pair rule). The one
+	// observable all of them share: nobody keeps both a and b.
+	if err := r.waitFor("gray failure reconciled symmetrically", func() bool {
 		for _, sn := range r.d.Servers() {
 			reach := sn.Reachable()
 			if reach.Contains(a) && reach.Contains(b) {
-				return violationf("gray-failure verdict oscillated: %s re-admitted both %s and %s over a broken link",
-					sn.ID(), a, b)
+				return false
 			}
 		}
-		r.d.Server(b).Chaos().Unblock(a)
-		if err := r.waitServersIntegrated(); err != nil {
-			return err
-		}
-		return r.waitFullView("full view after the gray failure heals", 0)
-
-	default:
-		return fmt.Errorf("soak: live runner cannot execute phase %q", kind)
+		return true
+	}); err != nil {
+		return err
 	}
+	// Hold the broken link briefly: verdicts must not oscillate once
+	// reconciled (each side would livelock the one-round protocol if
+	// they disagreed, and flap if they alternated).
+	time.Sleep(500 * time.Millisecond)
+	for _, sn := range r.d.Servers() {
+		reach := sn.Reachable()
+		if reach.Contains(a) && reach.Contains(b) {
+			return violationf("gray-failure verdict oscillated: %s re-admitted both %s and %s over a broken link",
+				sn.ID(), a, b)
+		}
+	}
+	r.d.Server(a).Chaos().Unblock(b)
+	if err := r.waitServersIntegrated(); err != nil {
+		return err
+	}
+	return r.waitFullView("full view after the gray failure heals", 0)
 }
 
 // scrambleStateDir corrupts one of the victim's durable state files with

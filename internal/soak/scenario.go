@@ -124,13 +124,13 @@ func (sc *Scenario) pick(rng *rand.Rand) PhaseKind {
 	return sc.Weights[len(sc.Weights)-1].Kind
 }
 
-// validate checks the mix is usable with the runner's supported kinds.
-func (sc *Scenario) validate(supported map[PhaseKind]bool) error {
+// validate checks that the runner's phase table executes every kind in the mix.
+func (sc *Scenario) validate(phases map[PhaseKind]func(at time.Duration) error) error {
 	if len(sc.Weights) == 0 {
 		return fmt.Errorf("soak: scenario %q has no phases", sc.Name)
 	}
 	for _, w := range sc.Weights {
-		if !supported[w.Kind] {
+		if phases[w.Kind] == nil {
 			return fmt.Errorf("soak: scenario %q: phase %q is not supported by this runner", sc.Name, w.Kind)
 		}
 	}

@@ -3,7 +3,6 @@ package soak
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"vsgm/internal/shard"
@@ -28,27 +27,15 @@ type ShardConfig struct {
 	Log func(format string, args ...any)
 }
 
-var shardSupported = map[PhaseKind]bool{
-	PhaseTraffic:       true,
-	PhaseReshardGroup:  true,
-	PhaseReshardSlots:  true,
-	PhaseReshardChurn:  true,
-	PhasePartitionHeal: true,
-	PhaseCrashRestart:  true,
-}
-
 type shardRun struct {
-	cfg     ShardConfig
+	chaos
 	w       *shard.World
 	router  *shard.Router
-	rng     *rand.Rand
-	sched   *Schedule
 	nextKey int
 	nextID  int
 
 	acked   int64
 	bounced int64 // retryable rejections (resharding / unavailable)
-	aborted int64 // reshards that ended in a clean abort under chaos
 }
 
 // RunShard executes the sharded-KV soak and returns its report. The error
@@ -56,63 +43,56 @@ type shardRun struct {
 // acknowledged write, a spec-suite violation, a durable-store failure) land
 // in the Report.
 func RunShard(cfg ShardConfig) (*Report, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 800 * time.Millisecond
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
 	}
-	if cfg.Scenario == nil {
-		cfg.Scenario = ShardScenario()
-	}
-	if err := cfg.Scenario.validate(shardSupported); err != nil {
-		return nil, err
-	}
-	if cfg.Log == nil {
-		cfg.Log = func(string, ...any) {}
-	}
-
-	w, err := shard.NewWorld(shard.WorldConfig{Shards: cfg.Shards, Seed: cfg.Seed*13 + 5})
-	if err != nil {
-		return nil, err
-	}
-	r := &shardRun{
-		cfg:    cfg,
-		w:      w,
-		router: shard.NewRouter(w, 0),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		sched:  &Schedule{Scenario: cfg.Scenario.Name, Seed: cfg.Seed},
-	}
-	report := &Report{Mode: "shard", Seed: cfg.Seed, Schedule: r.sched, SampleEvery: 1}
-	report.Population = 0
-	for _, id := range w.ShardIDs() {
-		report.Population += len(w.GroupProcs(id))
-	}
-
-	for w.Now() < cfg.Duration {
-		if err := r.phase(cfg.Scenario.pick(r.rng)); err != nil {
+	s := settings{mode: "shard", duration: cfg.Duration, seed: cfg.Seed, scenario: cfg.Scenario, log: cfg.Log}
+	return drive(s, func(ch chaos) (*world, error) {
+		w, err := shard.NewWorld(shard.WorldConfig{Shards: cfg.Shards, Seed: cfg.Seed*13 + 5})
+		if err != nil {
 			return nil, err
 		}
-	}
-	cfg.Log("shard soak: %d phases, %d acked ops, %d retryable bounces, %d aborted reshards; stabilizing",
-		len(r.sched.Steps), r.acked, r.bounced, r.aborted)
+		r := &shardRun{chaos: ch, w: w, router: shard.NewRouter(w, 0)}
+		return &world{
+			phases: map[PhaseKind]func(time.Duration) error{
+				PhaseTraffic:       r.ops,
+				PhaseReshardGroup:  r.reshardGroup,
+				PhaseReshardSlots:  r.reshardSlots,
+				PhaseReshardChurn:  r.reshardChurn,
+				PhasePartitionHeal: func(time.Duration) error { return r.partitionHealOnce(r.randomShard()) },
+				PhaseCrashRestart:  func(time.Duration) error { return r.crashRecoverOnce(r.randomShard()) },
+			},
+			now:       w.Now,
+			stabilize: r.stabilize,
+			verdict:   r.verdict,
+		}, nil
+	})
+}
 
-	// Stabilize: every shard back to its (possibly re-homed) group, fully
-	// connected, then hold the run to its invariants.
-	for _, id := range w.ShardIDs() {
-		if err := w.HealShard(id, w.Group(id)); err != nil {
-			report.violate(fmt.Errorf("shard %d did not stabilize: %w", id, err))
+// stabilize returns every shard to its (possibly re-homed) group, fully
+// connected.
+func (r *shardRun) stabilize() error {
+	var unstable []error
+	for _, id := range r.w.ShardIDs() {
+		if err := r.w.HealShard(id, r.w.Group(id)); err != nil {
+			unstable = append(unstable, fmt.Errorf("shard %d did not stabilize: %w", id, err))
 		}
 	}
-	if err := w.RunAll(); err != nil {
-		return nil, err
+	if err := r.w.RunAll(); err != nil {
+		return err
 	}
-	report.violate(w.Check())
-	report.violate(w.VerifyAcked())
-	report.Elapsed = w.Now()
-	report.EventsSeen = r.acked + r.bounced
-	report.EventsChecked = r.acked
-	return report, nil
+	return violation(errors.Join(unstable...))
+}
+
+// verdict is the world's spec suites and durable stores, then the
+// acknowledgment ledger: every acknowledged write still readable.
+func (r *shardRun) verdict(rep *Report) error {
+	for _, id := range r.w.ShardIDs() {
+		rep.Population += len(r.w.GroupProcs(id))
+	}
+	rep.EventsSeen = r.acked + r.bounced
+	rep.EventsChecked = r.acked
+	return errors.Join(r.w.Check(), r.w.VerifyAcked())
 }
 
 // doOp issues one random client op through the router. Retryable rejections
@@ -218,7 +198,6 @@ func (r *shardRun) runReshard(rs *shard.Resharder, between func() error) error {
 	for {
 		done, err := rs.Step()
 		if err != nil {
-			r.aborted++
 			r.sched.Note(r.w.Now(), PhaseKind("reshard-abort"), "%v", err)
 			return nil
 		}
@@ -298,57 +277,48 @@ func (r *shardRun) partitionHealOnce(id int) error {
 	return r.w.HealShard(id, group)
 }
 
-func (r *shardRun) phase(kind PhaseKind) error {
-	at := r.w.Now()
-	switch kind {
-	case PhaseTraffic:
-		n := 4 + r.rng.Intn(8)
-		r.sched.Note(at, kind, "%d client ops", n)
-		return r.traffic(n)
+// ops issues a burst of client ops.
+func (r *shardRun) ops(at time.Duration) error {
+	n := 4 + r.rng.Intn(8)
+	r.sched.Note(at, PhaseTraffic, "%d client ops", n)
+	return r.traffic(n)
+}
 
-	case PhaseReshardGroup:
-		id := r.randomShard()
-		prop, ok := r.buildGroupMove(id)
-		if !ok {
-			return r.phase(PhaseTraffic)
-		}
-		r.sched.Note(at, kind, "shard %d → group %v, traffic between steps", id, prop.NewGroup)
-		return r.runReshard(shard.NewResharder(r.w, prop), func() error {
-			return r.traffic(1 + r.rng.Intn(3))
-		})
-
-	case PhaseReshardSlots:
-		prop, ok := r.buildSlotMove()
-		if !ok {
-			return r.phase(PhaseTraffic)
-		}
-		r.sched.Note(at, kind, "slots [%d,%d] shard %d → %d, traffic between steps",
-			prop.SlotLo, prop.SlotHi, prop.Shard, prop.Dst)
-		return r.runReshard(shard.NewResharder(r.w, prop), func() error {
-			return r.traffic(1 + r.rng.Intn(3))
-		})
-
-	case PhaseReshardChurn:
-		var prop shard.Reshard
-		var ok bool
-		if r.rng.Intn(2) == 0 {
-			prop, ok = r.buildGroupMove(r.randomShard())
-		} else {
-			prop, ok = r.buildSlotMove()
-		}
-		if !ok {
-			return r.phase(PhaseTraffic)
-		}
-		r.sched.Note(at, kind, "%s reshard %s with chaos between steps", prop.Kind, prop.ID)
-		return r.runReshard(shard.NewResharder(r.w, prop), r.churnBetween())
-
-	case PhasePartitionHeal:
-		return r.partitionHealOnce(r.randomShard())
-
-	case PhaseCrashRestart:
-		return r.crashRecoverOnce(r.randomShard())
-
-	default:
-		return fmt.Errorf("soak: shard runner cannot execute phase %q", kind)
+func (r *shardRun) reshardGroup(at time.Duration) error {
+	id := r.randomShard()
+	prop, ok := r.buildGroupMove(id)
+	if !ok {
+		return r.ops(at)
 	}
+	r.sched.Note(at, PhaseReshardGroup, "shard %d → group %v, traffic between steps", id, prop.NewGroup)
+	return r.runReshard(shard.NewResharder(r.w, prop), func() error {
+		return r.traffic(1 + r.rng.Intn(3))
+	})
+}
+
+func (r *shardRun) reshardSlots(at time.Duration) error {
+	prop, ok := r.buildSlotMove()
+	if !ok {
+		return r.ops(at)
+	}
+	r.sched.Note(at, PhaseReshardSlots, "slots [%d,%d] shard %d → %d, traffic between steps",
+		prop.SlotLo, prop.SlotHi, prop.Shard, prop.Dst)
+	return r.runReshard(shard.NewResharder(r.w, prop), func() error {
+		return r.traffic(1 + r.rng.Intn(3))
+	})
+}
+
+func (r *shardRun) reshardChurn(at time.Duration) error {
+	var prop shard.Reshard
+	var ok bool
+	if r.rng.Intn(2) == 0 {
+		prop, ok = r.buildGroupMove(r.randomShard())
+	} else {
+		prop, ok = r.buildSlotMove()
+	}
+	if !ok {
+		return r.ops(at)
+	}
+	r.sched.Note(at, PhaseReshardChurn, "%s reshard %s with chaos between steps", prop.Kind, prop.ID)
+	return r.runReshard(shard.NewResharder(r.w, prop), r.churnBetween())
 }

@@ -56,20 +56,33 @@ func TestScenarioValidateRejectsUnsupportedPhase(t *testing.T) {
 	}
 }
 
-// TestSimSoakScheduleReplays runs the same seeded sim soak twice and
-// demands bit-identical chaos schedules — the reproducibility contract
+// TestSimSoakScheduleReplays runs each virtual-time soak twice on one seed
+// and demands bit-identical chaos schedules — the reproducibility contract
 // behind every logged seed.
 func TestSimSoakScheduleReplays(t *testing.T) {
-	run := func() string {
-		rep, err := RunSim(SimConfig{Duration: 300 * time.Millisecond, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Schedule.Render()
-	}
-	first, second := run(), run()
-	if first != second {
-		t.Fatalf("same seed produced different schedules:\n--- first\n%s--- second\n%s", first, second)
+	for _, tc := range []struct {
+		mode string
+		run  func() (*Report, error)
+	}{
+		{"sim", func() (*Report, error) { return RunSim(SimConfig{Duration: 300 * time.Millisecond, Seed: 42}) }},
+		{"world", func() (*Report, error) {
+			return RunWorld(WorldConfig{Duration: 500 * time.Millisecond, Seed: 42, Clients: 300, SampleEvery: 5})
+		}},
+		{"shard", func() (*Report, error) { return RunShard(ShardConfig{Duration: 300 * time.Millisecond, Seed: 42}) }},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			var schedules [2]string
+			for i := range schedules {
+				rep, err := tc.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				schedules[i] = rep.Schedule.Render()
+			}
+			if schedules[0] != schedules[1] {
+				t.Fatalf("same seed produced different schedules:\n--- first\n%s--- second\n%s", schedules[0], schedules[1])
+			}
+		})
 	}
 }
 
@@ -155,9 +168,9 @@ func TestSimSoakForcedViolationReport(t *testing.T) {
 func TestWorldSoakSampled(t *testing.T) {
 	seed, _ := randseed.Pick(31)
 	logReplay(t, seed)
-	cfg := WorldConfig{Duration: 6 * time.Second, Seed: seed, Clients: 10000, SampleEvery: 100, Log: t.Logf}
+	cfg := WorldConfig{Duration: 2 * time.Second, Seed: seed, Clients: 10000, SampleEvery: 100, Log: t.Logf}
 	if testing.Short() {
-		cfg = WorldConfig{Duration: 1500 * time.Millisecond, Seed: seed, Clients: 600, SampleEvery: 10, Log: t.Logf}
+		cfg = WorldConfig{Duration: 1100 * time.Millisecond, Seed: seed, Clients: 600, SampleEvery: 10, Log: t.Logf}
 	}
 	rep, err := RunWorld(cfg)
 	if err != nil {
@@ -180,7 +193,7 @@ func TestWorldSoakSampled(t *testing.T) {
 }
 
 func TestWorldSoakForcedViolationReport(t *testing.T) {
-	rep, err := RunWorld(WorldConfig{Duration: 300 * time.Millisecond, Seed: 3, Clients: 60, SampleEvery: 5, ForceViolation: true})
+	rep, err := RunWorld(WorldConfig{Duration: 600 * time.Millisecond, Seed: 3, Clients: 60, SampleEvery: 5, ForceViolation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +215,10 @@ func TestWorldSoakForcedViolationReport(t *testing.T) {
 func TestWorldSoakArbitraryState(t *testing.T) {
 	seed, _ := randseed.Pick(53)
 	logReplay(t, seed)
-	cfg := WorldConfig{Duration: 4 * time.Second, Seed: seed, Clients: 2000, SampleEvery: 20,
+	cfg := WorldConfig{Duration: 1600 * time.Millisecond, Seed: seed, Clients: 2000, SampleEvery: 20,
 		Scenario: WorldArbitraryScenario(), Log: t.Logf}
 	if testing.Short() {
-		cfg.Duration = 1200 * time.Millisecond
+		cfg.Duration = 800 * time.Millisecond
 		cfg.Clients = 300
 		cfg.SampleEvery = 5
 	}

@@ -2,7 +2,6 @@ package soak
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"vsgm/internal/membership"
@@ -17,12 +16,10 @@ import (
 // mode (every k-th endpoint) so the checkers scale with the sample, not
 // the population.
 type WorldConfig struct {
-	// Duration is the wall-clock budget for the phase loop; default 10s.
+	// Duration is the virtual-time budget; default 2.5s.
 	Duration time.Duration
 	// Seed drives the entire schedule.
 	Seed int64
-	// Servers is the number of membership servers; default 3.
-	Servers int
 	// Clients is the initial total client population; default 10000.
 	Clients int
 	// SampleEvery checks every k-th endpoint (1 = all); default 100.
@@ -35,15 +32,8 @@ type WorldConfig struct {
 	Log func(format string, args ...any)
 }
 
-var worldSupported = map[PhaseKind]bool{
-	PhaseFlashCrowd:     true,
-	PhaseChurn:          true,
-	PhasePartitionHeal:  true,
-	PhaseOscillate:      true,
-	PhaseFlappingLink:   true,
-	PhaseCorruptCounter: true,
-	PhaseStateScramble:  true,
-}
+// worldServers is the number of membership servers the world runs.
+const worldServers = 3
 
 // worldConvergeBudget bounds how many misaligned membership views one
 // sampled client may install after the final heal: the simulated world
@@ -52,114 +42,95 @@ var worldSupported = map[PhaseKind]bool{
 const worldConvergeBudget = 8
 
 type worldRun struct {
+	chaos
 	cfg     WorldConfig
 	w       *sim.ServerWorld
-	rng     *rand.Rand
-	sched   *Schedule
-	start   time.Time
+	suite   *spec.Suite
+	keep    func(types.ProcID) bool
 	joinSeq int
+	// mark is the trace index at the final heal: every injection has
+	// ceased, so alignment must follow within budget.
+	mark int
 }
 
 // RunWorld executes the large-population soak and returns its report.
 func RunWorld(cfg WorldConfig) (*Report, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 10 * time.Second
-	}
-	if cfg.Servers <= 0 {
-		cfg.Servers = 3
-	}
-	if cfg.Servers < 2 {
-		return nil, fmt.Errorf("soak: world needs at least 2 servers, got %d", cfg.Servers)
-	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 10000
 	}
-	if cfg.Clients < cfg.Servers {
+	if cfg.Clients < worldServers {
 		return nil, fmt.Errorf("soak: world needs at least one client per server")
 	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 100
 	}
-	if cfg.Scenario == nil {
-		cfg.Scenario = WorldScenario()
-	}
-	if err := cfg.Scenario.validate(worldSupported); err != nil {
-		return nil, err
-	}
-	if cfg.Log == nil {
-		cfg.Log = func(string, ...any) {}
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	keep := spec.SampleEveryKth(cfg.SampleEvery)
-	// Membership safety only: liveness checking is unsound on a sampled
-	// trace, and per-message checkers would see sender-projected deliveries
-	// anyway — the world runner sends no application traffic.
-	suite := spec.FullSuite(spec.WithTrace(), spec.WithSample(keep))
-
-	w, err := sim.NewServerWorld(sim.ServerWorldConfig{
-		Servers:          cfg.Servers,
-		ClientsPerServer: cfg.Clients / cfg.Servers,
-		Seed:             cfg.Seed*7 + 1,
-		Suite:            suite,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Boot(); err != nil {
-		return nil, err
-	}
-
-	r := &worldRun{
-		cfg:   cfg,
-		w:     w,
-		rng:   rng,
-		sched: &Schedule{Scenario: cfg.Scenario.Name, Seed: cfg.Seed},
-		start: time.Now(),
-	}
-	report := &Report{Mode: "world", Seed: cfg.Seed, Schedule: r.sched, SampleEvery: cfg.SampleEvery}
-
-	for time.Since(r.start) < cfg.Duration {
-		if err := r.phase(cfg.Scenario.pick(rng)); err != nil {
+	s := settings{mode: "world", duration: cfg.Duration, seed: cfg.Seed, scenario: cfg.Scenario,
+		force: cfg.ForceViolation, log: cfg.Log}
+	return drive(s, func(ch chaos) (*world, error) {
+		keep := spec.SampleEveryKth(cfg.SampleEvery)
+		// Membership safety only: liveness checking is unsound on a sampled
+		// trace, and per-message checkers would see sender-projected
+		// deliveries anyway — the world runner sends no application traffic.
+		suite := spec.FullSuite(spec.WithTrace(), spec.WithSample(keep))
+		w, err := sim.NewServerWorld(sim.ServerWorldConfig{
+			Servers:          worldServers,
+			ClientsPerServer: cfg.Clients / worldServers,
+			Seed:             cfg.Seed*7 + 1,
+			Suite:            suite,
+		})
+		if err != nil {
 			return nil, err
 		}
-		cfg.Log("world soak: step %d done, population %d, %v elapsed",
-			len(r.sched.Steps), len(w.Clients()), time.Since(r.start).Round(time.Millisecond))
-	}
+		if err := w.Boot(); err != nil {
+			return nil, err
+		}
+		r := &worldRun{chaos: ch, cfg: cfg, w: w, suite: suite, keep: keep}
+		return &world{
+			phases: map[PhaseKind]func(time.Duration) error{
+				PhaseFlashCrowd:     r.flashCrowd,
+				PhaseChurn:          r.churn,
+				PhasePartitionHeal:  r.partitionHeal,
+				PhaseOscillate:      r.oscillate,
+				PhaseFlappingLink:   r.flappingLink,
+				PhaseCorruptCounter: r.corruptCounter,
+				PhaseStateScramble:  r.stateScramble,
+			},
+			now:       w.Now,
+			stabilize: r.stabilize,
+			verdict:   r.verdict,
+			victim:    r.sampledClient,
+			record:    suite.OnEvent,
+		}, nil
+	})
+}
 
-	// Stabilize: heal everything and drive one final view over the whole
-	// population. The trace index at the heal is the convergence mark —
-	// every injection has ceased, so alignment must follow within budget.
-	mark := len(suite.Trace())
-	if err := w.HealServers(); err != nil {
-		return nil, err
+// stabilize heals everything and drives one final view over the whole
+// population.
+func (r *worldRun) stabilize() error {
+	r.mark = len(r.suite.Trace())
+	if err := r.w.HealServers(); err != nil {
+		return err
 	}
-	if err := w.TriggerChange(); err != nil {
-		return nil, err
-	}
+	return r.w.TriggerChange()
+}
 
-	if cfg.ForceViolation {
-		victim := r.sampledClient(keep)
-		r.sched.Note(time.Since(r.start), PhaseKind("forced-violation"), "injected regressing membership view at %s", victim)
-		suite.OnEvent(forcedViolation(victim))
+// verdict is the sampled suite's, then bounded convergence from the heal.
+func (r *worldRun) verdict(rep *Report) error {
+	rep.Population = len(r.w.Clients())
+	rep.SampleEvery = r.cfg.SampleEvery
+	rep.EventsSeen, rep.EventsChecked = r.suite.SampleStats()
+	if err := r.suite.Err(); err != nil {
+		return err
 	}
-
-	report.violate(suite.Err())
-	if report.OK() {
-		report.violate(r.checkConvergence(suite, keep, mark))
-	}
-	report.Population = len(w.Clients())
-	report.EventsSeen, report.EventsChecked = suite.SampleStats()
-	report.Elapsed = time.Since(r.start)
-	return report, nil
+	return r.checkConvergence()
 }
 
 // sampledClient returns an attached client the sampling predicate keeps
 // (falling back to the first client if the sample is empty).
-func (r *worldRun) sampledClient(keep func(types.ProcID) bool) types.ProcID {
+func (r *worldRun) sampledClient() types.ProcID {
 	clients := r.w.Clients()
 	for _, c := range clients {
-		if keep(c) {
+		if r.keep(c) {
 			return c
 		}
 	}
@@ -171,18 +142,18 @@ func (r *worldRun) sampledClient(keep func(types.ProcID) bool) types.ProcID {
 // full population within worldConvergeBudget reconfiguration rounds of the
 // final heal — the flash crowds, churn storms, scrambles, and resurrections
 // all merged back into one agreed view, boundedly.
-func (r *worldRun) checkConvergence(suite *spec.Suite, keep func(types.ProcID) bool, mark int) error {
+func (r *worldRun) checkConvergence() error {
 	want := types.NewProcSet(r.w.Clients()...)
 	sampled := types.NewProcSet()
 	for _, c := range r.w.Clients() {
-		if keep(c) {
+		if r.keep(c) {
 			sampled.Add(c)
 		}
 	}
 	if sampled.Len() == 0 {
 		return fmt.Errorf("soak: sampling stride %d kept no clients out of %d", r.cfg.SampleEvery, want.Len())
 	}
-	return spec.CheckConvergence(suite.Trace(), mark, sampled, want, worldConvergeBudget)
+	return spec.CheckConvergence(r.suite.Trace(), r.mark, sampled, want, worldConvergeBudget)
 }
 
 // freshJoiners mints n never-used client identifiers.
@@ -221,132 +192,131 @@ func (r *worldRun) serverSplit() (types.ProcSet, types.ProcSet) {
 	return types.NewProcSet(servers[:mid]...), types.NewProcSet(servers[mid:]...)
 }
 
-func (r *worldRun) phase(kind PhaseKind) error {
-	at := time.Since(r.start)
-	switch kind {
-	case PhaseFlashCrowd:
-		n := 1000 + r.rng.Intn(2000)
-		ids := r.freshJoiners(n)
-		r.sched.Note(at, kind, "%d clients join in one instant (%s..%s)", n, ids[0], ids[n-1])
-		if err := r.attachSpread(ids); err != nil {
-			return err
-		}
-		return r.w.TriggerChange()
+func (r *worldRun) flashCrowd(at time.Duration) error {
+	n := 1000 + r.rng.Intn(2000)
+	ids := r.freshJoiners(n)
+	r.sched.Note(at, PhaseFlashCrowd, "%d clients join in one instant (%s..%s)", n, ids[0], ids[n-1])
+	if err := r.attachSpread(ids); err != nil {
+		return err
+	}
+	return r.w.TriggerChange()
+}
 
-	case PhaseChurn:
-		clients := r.w.Clients()
-		depart := len(clients) * (10 + r.rng.Intn(21)) / 100
-		if max := len(clients) - r.cfg.Servers; depart > max {
-			depart = max
-		}
-		if depart <= 0 {
-			return nil
-		}
-		r.rng.Shuffle(len(clients), func(i, j int) { clients[i], clients[j] = clients[j], clients[i] })
-		arrive := 1 + r.rng.Intn(depart)
-		r.sched.Note(at, kind, "%d clients leave, %d fresh clients join", depart, arrive)
-		if err := r.w.DetachClients(clients[:depart]...); err != nil {
-			return err
-		}
-		if err := r.attachSpread(r.freshJoiners(arrive)); err != nil {
-			return err
-		}
-		return r.w.TriggerChange()
+func (r *worldRun) churn(at time.Duration) error {
+	clients := r.w.Clients()
+	depart := len(clients) * (10 + r.rng.Intn(21)) / 100
+	if max := len(clients) - worldServers; depart > max {
+		depart = max
+	}
+	if depart <= 0 {
+		return nil
+	}
+	r.rng.Shuffle(len(clients), func(i, j int) { clients[i], clients[j] = clients[j], clients[i] })
+	arrive := 1 + r.rng.Intn(depart)
+	r.sched.Note(at, PhaseChurn, "%d clients leave, %d fresh clients join", depart, arrive)
+	if err := r.w.DetachClients(clients[:depart]...); err != nil {
+		return err
+	}
+	if err := r.attachSpread(r.freshJoiners(arrive)); err != nil {
+		return err
+	}
+	return r.w.TriggerChange()
+}
 
-	case PhasePartitionHeal:
-		left, right := r.serverSplit()
-		r.sched.Note(at, kind, "server split %s | %s, stabilize both sides, heal", left, right)
+func (r *worldRun) partitionHeal(at time.Duration) error {
+	left, right := r.serverSplit()
+	r.sched.Note(at, PhasePartitionHeal, "server split %s | %s, stabilize both sides, heal", left, right)
+	if err := r.w.PartitionServers(left, right); err != nil {
+		return err
+	}
+	return r.w.HealServers()
+}
+
+func (r *worldRun) oscillate(at time.Duration) error {
+	left, right := r.serverSplit()
+	flips := 2 + r.rng.Intn(2)
+	r.sched.Note(at, PhaseOscillate, "%d rapid flips of server split %s | %s", flips, left, right)
+	for i := 0; i < flips; i++ {
 		if err := r.w.PartitionServers(left, right); err != nil {
 			return err
 		}
-		return r.w.HealServers()
-
-	case PhaseOscillate:
-		left, right := r.serverSplit()
-		flips := 2 + r.rng.Intn(2)
-		r.sched.Note(at, kind, "%d rapid flips of server split %s | %s", flips, left, right)
-		for i := 0; i < flips; i++ {
-			if err := r.w.PartitionServers(left, right); err != nil {
-				return err
-			}
-			if err := r.w.HealServers(); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case PhaseFlappingLink:
-		// The world's detectors are driven directly (no heartbeats to score),
-		// so this phase exercises the membership protocol under a flapping
-		// verdict rather than the damping itself: one server's reachability
-		// flips several times faster than a full stabilization, and every
-		// flip must still converge to agreed views.
-		servers := r.w.Servers()
-		victim := servers[r.rng.Intn(len(servers))]
-		rest := types.NewProcSet(servers...).Minus(types.NewProcSet(victim))
-		flips := 3 + r.rng.Intn(3)
-		r.sched.Note(at, kind, "%d rapid reachability flips of %s against %s", flips, victim, rest)
-		for i := 0; i < flips; i++ {
-			if err := r.w.PartitionServers(types.NewProcSet(victim), rest); err != nil {
-				return err
-			}
-			if err := r.w.HealServers(); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case PhaseCorruptCounter:
-		clients := r.w.Clients()
-		victim := clients[r.rng.Intn(len(clients))]
-		oldHome := r.w.HomeOf(victim)
-		servers := r.w.Servers()
-		newHome := servers[r.rng.Intn(len(servers))]
-		for newHome == oldHome {
-			newHome = servers[r.rng.Intn(len(servers))]
-		}
-		// Two corruption flavours: a huge (but overflow-safe) identifier
-		// triple, and a wrapped attach epoch whose cid floor (epoch<<32)
-		// overflows int64 back to zero.
-		rec := membership.ClientRecord{CID: 1 << 40, Vid: 1 << 40, Epoch: 1 << 7}
-		flavour := "huge counters"
-		if r.rng.Intn(2) == 0 {
-			rec = membership.ClientRecord{CID: 7, Vid: 3, Epoch: 1 << 33}
-			flavour = "wrapped epoch"
-		}
-		r.sched.Note(at, kind, "resurrect %s at %s with %s (cid=%d vid=%d epoch=%d)",
-			victim, newHome, flavour, rec.CID, rec.Vid, rec.Epoch)
-		if err := r.w.DetachClients(victim); err != nil {
+		if err := r.w.HealServers(); err != nil {
 			return err
 		}
-		r.w.Server(newHome).RestoreRecords(map[types.ProcID]membership.ClientRecord{victim: rec})
-		if err := r.w.AttachClients(newHome, []types.ProcID{victim}); err != nil {
-			return err
-		}
-		return r.w.TriggerChange()
-
-	case PhaseStateScramble:
-		clients := r.w.Clients()
-		servers := r.w.Servers()
-		sid := servers[r.rng.Intn(len(servers))]
-		n := 1 + r.rng.Intn(4)
-		recs := make(map[types.ProcID]membership.ClientRecord, n)
-		for i := 0; i < n; i++ {
-			victim := clients[r.rng.Intn(len(clients))]
-			// Fully arbitrary 64-bit patterns: mostly impossible (negative,
-			// above the ceilings — the sanitizer must clamp them), sometimes
-			// huge-but-legal (the protocol must absorb them monotonically).
-			recs[victim] = membership.ClientRecord{
-				CID:   types.StartChangeID(r.rng.Uint64()),
-				Vid:   types.ViewID(r.rng.Uint64()),
-				Epoch: int64(r.rng.Uint64()),
-			}
-		}
-		r.sched.Note(at, kind, "scramble %d retained records at %s with arbitrary identifiers", n, sid)
-		r.w.Server(sid).RestoreRecords(recs)
-		return r.w.TriggerChange()
-
-	default:
-		return fmt.Errorf("soak: world runner cannot execute phase %q", kind)
 	}
+	return nil
+}
+
+func (r *worldRun) flappingLink(at time.Duration) error {
+	// The world's detectors are driven directly (no heartbeats to score),
+	// so this phase exercises the membership protocol under a flapping
+	// verdict rather than the damping itself: one server's reachability
+	// flips several times faster than a full stabilization, and every
+	// flip must still converge to agreed views.
+	servers := r.w.Servers()
+	victim := servers[r.rng.Intn(len(servers))]
+	rest := types.NewProcSet(servers...).Minus(types.NewProcSet(victim))
+	flips := 3 + r.rng.Intn(3)
+	r.sched.Note(at, PhaseFlappingLink, "%d rapid reachability flips of %s against %s", flips, victim, rest)
+	for i := 0; i < flips; i++ {
+		if err := r.w.PartitionServers(types.NewProcSet(victim), rest); err != nil {
+			return err
+		}
+		if err := r.w.HealServers(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *worldRun) corruptCounter(at time.Duration) error {
+	clients := r.w.Clients()
+	victim := clients[r.rng.Intn(len(clients))]
+	oldHome := r.w.HomeOf(victim)
+	servers := r.w.Servers()
+	newHome := servers[r.rng.Intn(len(servers))]
+	for newHome == oldHome {
+		newHome = servers[r.rng.Intn(len(servers))]
+	}
+	// Two corruption flavours: a huge (but overflow-safe) identifier
+	// triple, and a wrapped attach epoch whose cid floor (epoch<<32)
+	// overflows int64 back to zero.
+	rec := membership.ClientRecord{CID: 1 << 40, Vid: 1 << 40, Epoch: 1 << 7}
+	flavour := "huge counters"
+	if r.rng.Intn(2) == 0 {
+		rec = membership.ClientRecord{CID: 7, Vid: 3, Epoch: 1 << 33}
+		flavour = "wrapped epoch"
+	}
+	r.sched.Note(at, PhaseCorruptCounter, "resurrect %s at %s with %s (cid=%d vid=%d epoch=%d)",
+		victim, newHome, flavour, rec.CID, rec.Vid, rec.Epoch)
+	if err := r.w.DetachClients(victim); err != nil {
+		return err
+	}
+	r.w.Server(newHome).RestoreRecords(map[types.ProcID]membership.ClientRecord{victim: rec})
+	if err := r.w.AttachClients(newHome, []types.ProcID{victim}); err != nil {
+		return err
+	}
+	return r.w.TriggerChange()
+}
+
+func (r *worldRun) stateScramble(at time.Duration) error {
+	clients := r.w.Clients()
+	servers := r.w.Servers()
+	sid := servers[r.rng.Intn(len(servers))]
+	n := 1 + r.rng.Intn(4)
+	recs := make(map[types.ProcID]membership.ClientRecord, n)
+	for i := 0; i < n; i++ {
+		victim := clients[r.rng.Intn(len(clients))]
+		// Fully arbitrary 64-bit patterns: mostly impossible (negative,
+		// above the ceilings — the sanitizer must clamp them), sometimes
+		// huge-but-legal (the protocol must absorb them monotonically).
+		recs[victim] = membership.ClientRecord{
+			CID:   types.StartChangeID(r.rng.Uint64()),
+			Vid:   types.ViewID(r.rng.Uint64()),
+			Epoch: int64(r.rng.Uint64()),
+		}
+	}
+	r.sched.Note(at, PhaseStateScramble, "scramble %d retained records at %s with arbitrary identifiers", n, sid)
+	r.w.Server(sid).RestoreRecords(recs)
+	return r.w.TriggerChange()
 }

@@ -140,27 +140,3 @@ func (s ProcSet) String() string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-// GobEncode implements gob.GobEncoder: the set is encoded as its sorted
-// members joined by NUL, making ProcSet usable inside gob-encoded wire
-// frames (the live TCP transport).
-func (s ProcSet) GobEncode() ([]byte, error) {
-	members := s.Sorted()
-	parts := make([]string, len(members))
-	for i, p := range members {
-		parts[i] = string(p)
-	}
-	return []byte(strings.Join(parts, "\x00")), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (s *ProcSet) GobDecode(b []byte) error {
-	out := make(ProcSet)
-	if len(b) > 0 {
-		for _, part := range strings.Split(string(b), "\x00") {
-			out.Add(ProcID(part))
-		}
-	}
-	*s = out
-	return nil
-}

@@ -119,7 +119,7 @@ func msgEqual(a, b types.WireMsg) bool {
 		a.Probe != b.Probe {
 		return false
 	}
-	if !a.View.Equal(b.View) {
+	if !a.View.Equal(b.View) || a.View.Key() != b.View.Key() {
 		return false
 	}
 	if a.App.ID != b.App.ID || !bytes.Equal(a.App.Payload, b.App.Payload) {
