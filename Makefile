@@ -28,11 +28,12 @@ race:
 	$(GO) test -race ./...
 
 # Flake hunt, kept out of `check`: the live soak, chaos and server-failover
-# tests, whose schedules the kernel and the Go scheduler choose, FLAKE_COUNT
-# times each at GOMAXPROCS 1 and 2. Any failure fails the target; "green"
-# means every run passed, not that a rerun did.
+# tests, and the attach, lease, complaint and per-link-series tests, whose
+# schedules the kernel and the Go scheduler choose, FLAKE_COUNT times each at
+# GOMAXPROCS 1 and 2. Any failure fails the target; "green" means every run
+# passed, not that a rerun did.
 FLAKE_COUNT ?= 10
-FLAKE_TESTS = TestLiveSoak|TestLiveChaos|TestLiveServer
+FLAKE_TESTS = TestLiveSoak|TestLiveChaos|TestLiveServer|TestLiveFlashCrowd|TestLiveAttachLease|TestLivePartitionedHome|TestLiveSlowConsumer|TestLiveEveryNumber
 
 flake:
 	$(GO) test -count=$(FLAKE_COUNT) -cpu 1,2 -timeout 0 -run '$(FLAKE_TESTS)' ./internal/live/ ./internal/soak/
@@ -138,21 +139,21 @@ EXPLORER_TESTS = ^Test(Exhaustive|Swarm|Explorer)
 # benchmark module's own vet and tests (bench/ is a separate module outside
 # tier-1, so nothing else compiles it against this tree: a symbol it uses
 # going missing would otherwise surface only when the benchmark is run), the
-# race detector on the concurrency-heavy packages — with the end-point
-# automaton and the wire packages, whose buffer reference counts cross the
-# node's lock, and the metrics registry, whose counters and collectors are the
-# only path from the transport's goroutines to every reader — and on the
-# single-threaded replication stack (simulator, spec checkers, total order,
-# RSM, shard), the soak runners and their command under -short (where the
-# live soaks skip: their convergence waits are wall-clock budgets, and the
-# live transport they drive is raced above), a fuzz smoke pass over the
-# decoders, the documentation gate, the experiment-tables gate, and a
-# short soak.
+# race detector on every package — no package is exempt; the simulator skips
+# only its explorer tests and the soak runners and their command run under
+# -short (where the live soaks skip: their convergence waits are wall-clock
+# budgets, and the live transport they drive is raced in internal/live) — a
+# fuzz smoke pass over the decoders, the documentation gate, the
+# experiment-tables gate, and a short soak.
 check: vet fmt-check test
 	cd bench && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test -count=1 .
 	$(GO) test -race ./internal/live/ ./internal/wal/ ./internal/membership/ ./cmd/vsgm-live/ \
 		./internal/core/ ./internal/wire/... ./internal/obs/ \
-		./internal/totalorder/ ./internal/rsm/ ./internal/shard/ ./internal/spec/
+		./internal/totalorder/ ./internal/rsm/ ./internal/shard/ ./internal/spec/ \
+		./internal/experiments/ ./internal/corfifo/ ./internal/causal/ ./internal/baseline/ \
+		./internal/types/ ./internal/randseed/ . \
+		./cmd/vsgm-bench/ ./cmd/vsgm-benchstat/ ./cmd/vsgm-docscheck/ ./cmd/vsgm-explore/ \
+		./cmd/vsgm-fsck/ ./cmd/vsgm-kv/ ./cmd/vsgm-sim/
 	$(GO) test -race -skip '$(EXPLORER_TESTS)' ./internal/sim/
 	$(GO) test -race -short ./internal/soak/ ./cmd/vsgm-soak/
 	$(MAKE) fuzz-smoke

@@ -16,7 +16,6 @@ import (
 	"vsgm/internal/membership"
 	"vsgm/internal/types"
 	"vsgm/internal/wal"
-	"vsgm/internal/wire"
 )
 
 // TestLiveFlashCrowdAttachBurst admits a burst of new clients — constructed
@@ -212,79 +211,22 @@ func TestLiveAttachLeaseEvictsSilentClient(t *testing.T) {
 	}
 }
 
-// TestNodeNotifyFilterDropsRegressions drives the node-side notification
-// filter directly: after an attach ack establishes the identifier
-// high-water mark, notifications from the wrong server, start changes at or
-// below the mark, views at or below the last view, views built on a start
-// change the node never accepted, and straight replays must all be dropped
-// (and counted), while the in-order stream passes.
-func TestNodeNotifyFilterDropsRegressions(t *testing.T) {
-	node, err := NewNode(NodeConfig{
-		ID:             "c",
-		Addr:           "127.0.0.1:0",
-		AutoBlock:      true,
-		HomeServers:    []types.ProcID{"srv0", "srv1"},
-		AttachInterval: time.Hour, // driven by hand below
-		AttachTimeout:  time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-
-	// The ack from the courted home seeds the watermarks (a previous
-	// incarnation's identifiers, relayed by the server's retained record).
-	base := types.StartChangeID(2)<<32 + 5
-	node.handleAttach("srv0", wire.Attach{Kind: wire.AttachAck, Client: "c", Epoch: 2, CID: base, Vid: 9})
-	if got := node.Home(); got != "srv0" {
-		t.Fatalf("home after ack = %q, want srv0", got)
-	}
-
-	sc := func(id types.StartChangeID) *membership.Notification {
-		return &membership.Notification{
-			Kind:        membership.NotifyStartChange,
-			StartChange: types.StartChange{ID: id, Set: types.NewProcSet("c")},
-		}
-	}
-	view := func(id types.ViewID, scid types.StartChangeID) *membership.Notification {
-		return &membership.Notification{
-			Kind: membership.NotifyView,
-			View: types.NewView(id, types.NewProcSet("c"),
-				map[types.ProcID]types.StartChangeID{"c": scid}),
-		}
-	}
-
-	cases := []struct {
-		name string
-		from types.ProcID
-		ntf  *membership.Notification
-		want bool
-	}{
-		{"start change from a non-home server", "srv1", sc(base + 1), false},
-		{"start change at the watermark", "srv0", sc(base), false},
-		{"fresh start change", "srv0", sc(base + 1), true},
-		{"view at the last view id", "srv0", view(9, base+1), false},
-		{"view built on an unaccepted start change", "srv0", view(10, base), false},
-		{"fresh view", "srv0", view(10, base+1), true},
-		{"replay of the fresh view", "srv0", view(10, base+1), false},
-	}
-	for _, tc := range cases {
-		if got := node.acceptNotify(tc.from, tc.ntf); got != tc.want {
-			t.Fatalf("%s: acceptNotify = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	if got := node.staleNotifies.Value(); got != 5 {
-		t.Fatalf("stale-notification counter = %d, want 5", got)
-	}
-
-	// Legacy mode (no HomeServers) has no attach protocol and no filter:
-	// the oracle feeds a single trusted stream.
+// TestNodeOutOfBandAcceptsAnyNotification: a node without HomeServers has
+// no attach automaton and no filter — the out-of-band registrar feeds a
+// single trusted stream, so a notification from anyone is accepted. The
+// attach-mode filter is membership.Client's, tested without sockets in
+// TestClientNotifyFilter.
+func TestNodeOutOfBandAcceptsAnyNotification(t *testing.T) {
 	legacy, err := NewNode(NodeConfig{ID: "x", Addr: "127.0.0.1:0", AutoBlock: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer legacy.Close()
-	if !legacy.acceptNotify("anyone", sc(1)) {
-		t.Fatal("legacy node filtered a notification")
+	ntf := &membership.Notification{
+		Kind:        membership.NotifyStartChange,
+		StartChange: types.StartChange{ID: 1, Set: types.NewProcSet("x")},
+	}
+	if !legacy.acceptNotify("anyone", ntf) {
+		t.Fatal("out-of-band node filtered a notification")
 	}
 }

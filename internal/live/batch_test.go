@@ -143,7 +143,7 @@ func recordedStream(t *testing.T) (stream []byte, bounds []int) {
 		{Notify: &membership.Notification{Kind: membership.NotifyView, View: v, Trace: 9}},
 		{Credit: &wire.Credit{Grant: 1 << 20}},
 		app(2, 300),
-		{Attach: &wire.Attach{Kind: wire.AttachAck, Client: "c", Epoch: 2, CID: 5, Vid: 7}},
+		{Attach: &membership.Attach{Kind: membership.AttachAck, Client: "c", Epoch: 2, CID: 5, Vid: 7}},
 		{Msg: &syncMsg},
 		app(3, stagingSlabSize+100),
 		app(4, 1),

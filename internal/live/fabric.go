@@ -773,7 +773,7 @@ func (f *fabric) SendNotify(dest types.ProcID, n membership.Notification) {
 }
 
 // SendAttach enqueues an attach-protocol frame toward one peer.
-func (f *fabric) SendAttach(dest types.ProcID, a wire.Attach) {
+func (f *fabric) SendAttach(dest types.ProcID, a membership.Attach) {
 	fb, err := wire.EncodeFrame(frame{Attach: &a})
 	if err != nil {
 		return

@@ -27,6 +27,13 @@ func serverCount(sn *ServerNode, read func(*membership.Server) int64) int64 {
 	return read(sn.srv)
 }
 
+// attachState reads a node's attach state from its attach automaton, under
+// the node's lock.
+func attachState(node *Node) (st membership.ClientState) {
+	node.withClient(func(c *membership.Client) { st = c.State() })
+	return st
+}
+
 // TestLiveServerCrashFailover kills a home server mid-deployment: its
 // clients detect the dead link (or the silent home), re-attach to the next
 // server in their list, and the surviving server reconfigures everyone into
@@ -65,10 +72,8 @@ func TestLiveServerCrashFailover(t *testing.T) {
 		if !orphans.Contains(cid) {
 			continue
 		}
-		node.amu.Lock()
-		epoch := node.epoch
-		node.amu.Unlock()
-		if failovers := node.failovers.Value(); failovers == 0 || epoch < 2 {
+		st := attachState(node)
+		if failovers, epoch := st.Failovers, st.Epoch; failovers == 0 || epoch < 2 {
 			t.Errorf("%s: expected a failover under a fresh epoch, got %d failovers at epoch %d", cid, failovers, epoch)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"vsgm/internal/membership"
 	"vsgm/internal/obs"
 	"vsgm/internal/types"
-	"vsgm/internal/wire"
 	"vsgm/internal/wire/pool"
 )
 
@@ -80,8 +79,8 @@ type NodeConfig struct {
 	// SlowConsumerGrace is how long a peer may hold an outbound credit
 	// window exhausted (with a sender waiting) before the node reports it
 	// to its membership servers for eviction — overload degrades to a
-	// smaller live view instead of a stalled group. Defaults to 10s;
-	// negative disables reporting.
+	// smaller live view instead of a stalled group. Zero or negative
+	// selects 10s.
 	SlowConsumerGrace time.Duration
 	// MemHighWater, when positive, is the node's memory budget in bytes
 	// over resident transport queues plus endpoint message buffers: above
@@ -148,33 +147,12 @@ type Node struct {
 	observe    func(core.Event)
 	observeNtf func(membership.Notification)
 
-	// Attach/failover state, guarded by amu (a leaf lock: it may be taken
-	// while holding mu, and no code path acquires mu while holding amu).
-	amu      sync.Mutex
-	homeList []types.ProcID
-	homeIdx  int
-	home     types.ProcID
-	epoch    int64
-	lastAck  time.Time
-	// lastCID/lastVid are the node's identifier high-water marks: the
-	// largest start-change id and view id it has accepted (from
-	// notifications or attach acks). They ride every attach request as the
-	// claim the server merges, and they floor the stale-notification
-	// filter. lastSC is the id of the last start_change notification
-	// actually accepted — the value the MBRSHP spec requires the next
-	// view's startId entry to equal.
-	lastCID       types.StartChangeID
-	lastVid       types.ViewID
-	lastSC        types.StartChangeID
-	attaches      *obs.Counter
-	failovers     *obs.Counter
-	attachRetries *obs.Counter
-	staleNotifies *obs.Counter
-	syncProbes    *obs.Counter
-	selfClamps    *obs.Counter
+	// client is the attach protocol's client half, guarded by mu; nil in
+	// out-of-band mode (no HomeServers). The pointer itself never changes.
+	client     *membership.Client
+	syncProbes *obs.Counter
 
 	attachInterval time.Duration
-	attachTimeout  time.Duration
 	mgrStop        chan struct{}
 	mgrWG          sync.WaitGroup
 	closeOnce      sync.Once
@@ -268,26 +246,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		onEvent:        cfg.OnEvent,
 		observe:        cfg.Observe,
 		observeNtf:     cfg.ObserveNotify,
-		homeList:       append([]types.ProcID(nil), cfg.HomeServers...),
 		attachInterval: cfg.AttachInterval,
-		attachTimeout:  cfg.AttachTimeout,
 		mgrStop:        make(chan struct{}),
 		slowGrace:      cfg.SlowConsumerGrace,
 		memHigh:        cfg.MemHighWater,
 		obs:            cfg.Obs,
 
-		attaches: cfg.Obs.Counter("vsgm_node_attaches_total",
-			"Completed attachments to a home server (first and after failover).", nodeLabel),
-		failovers: cfg.Obs.Counter("vsgm_node_failovers_total",
-			"Home-server failovers (silent-home timeouts, broken links, evictions).", nodeLabel),
-		attachRetries: cfg.Obs.Counter("vsgm_node_attach_retries_total",
-			"Attach requests re-sent while courting an unresponsive server.", nodeLabel),
-		staleNotifies: cfg.Obs.Counter("vsgm_node_stale_notifies_total",
-			"Membership notifications dropped because they came from a server other than the current home.", nodeLabel),
 		syncProbes: cfg.Obs.Counter("vsgm_node_sync_probes_total",
 			"Watchdog sync resends fired for a wedged view change.", nodeLabel),
-		selfClamps: cfg.Obs.Counter("vsgm_node_self_clamps_total",
-			"Attach ticks that clamped impossible local identifier watermarks (client-side self-stabilization).", nodeLabel),
 		sendsBlocked: cfg.Obs.Counter("vsgm_node_sends_blocked_total",
 			"Sends that stalled on a flow-control gate (credit window, memory budget, or reconfiguration block).", nodeLabel),
 		sendsOverloaded: cfg.Obs.Counter("vsgm_node_sends_overloaded_total",
@@ -303,14 +269,16 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if n.attachInterval <= 0 {
 		n.attachInterval = time.Second
 	}
-	if n.attachTimeout <= 0 {
-		n.attachTimeout = 4 * n.attachInterval
-	}
-	if n.slowGrace == 0 {
+	if n.slowGrace <= 0 {
 		n.slowGrace = 10 * time.Second
 	}
-	if len(n.homeList) > 0 {
-		n.epoch = 1
+	if len(cfg.HomeServers) > 0 {
+		timeout := cfg.AttachTimeout
+		if timeout <= 0 {
+			timeout = 4 * n.attachInterval
+		}
+		n.client = membership.NewClient(cfg.ID, cfg.HomeServers, timeout, time.Now(),
+			func(to types.ProcID, a membership.Attach) { n.fabric.SendAttach(to, a) })
 	}
 	f, err := buildFabric(cfg.ID, cfg.Addr, cfg.Transport, n.linkDown)
 	if err != nil {
@@ -318,8 +286,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	f.receive = n.receive
 	f.batchBegin, f.batchEnd = n.beginBatch, n.endBatch
-	f.start()
 	n.fabric = f
+	f.start()
 	n.pump.Add(1)
 	go n.pumpLoop()
 	coreCfg := core.Config{
@@ -361,16 +329,13 @@ func (n *Node) registerObs() {
 	}
 	nodeLabel := obs.L("node", string(n.id))
 	n.obs.RegisterCollector("node/"+string(n.id), func() []obs.Sample {
-		n.amu.Lock()
-		home, epoch, lastCID, lastVid := n.home, n.epoch, n.lastCID, n.lastVid
-		n.amu.Unlock()
-		attached := float64(0)
-		if home != "" {
-			attached = 1
-		}
 		// The end-point gauges are read before the pool's: an ack landing
 		// between the two reads can only lower what the pool reports out.
 		n.mu.Lock()
+		var attach membership.ClientState
+		if n.client != nil {
+			attach = n.client.State()
+		}
 		var views, delivered, forwards, acks int64
 		var bufMsgs int
 		var bufBytes int64
@@ -383,15 +348,24 @@ func (n *Node) registerObs() {
 			bufBytes = n.ep.BufferedBytes()
 		}
 		n.mu.Unlock()
+		attached := float64(0)
+		if attach.Home != "" {
+			attached = 1
+		}
 		overloaded := float64(0)
 		if n.overloaded.Load() {
 			overloaded = 1
 		}
 		samples := []obs.Sample{
-			{Name: "vsgm_node_home", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel, obs.L("home", string(home))}, Value: attached},
-			{Name: "vsgm_node_epoch", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(epoch)},
-			{Name: "vsgm_node_last_cid", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(lastCID)},
-			{Name: "vsgm_node_last_vid", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(lastVid)},
+			{Name: "vsgm_node_home", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel, obs.L("home", string(attach.Home))}, Value: attached},
+			{Name: "vsgm_node_epoch", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(attach.Epoch)},
+			{Name: "vsgm_node_last_cid", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(attach.CID)},
+			{Name: "vsgm_node_last_vid", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(attach.Vid)},
+			{Name: "vsgm_node_attaches_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(attach.Attaches)},
+			{Name: "vsgm_node_failovers_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(attach.Failovers)},
+			{Name: "vsgm_node_attach_retries_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(attach.AttachRetries)},
+			{Name: "vsgm_node_stale_notifies_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(attach.StaleNotifies)},
+			{Name: "vsgm_node_self_clamps_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(attach.SelfClamps)},
 			{Name: "vsgm_endpoint_views_installed_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(views)},
 			{Name: "vsgm_endpoint_msgs_delivered_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(delivered)},
 			{Name: "vsgm_endpoint_forwards_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(forwards)},
@@ -409,6 +383,11 @@ func (n *Node) registerObs() {
 	n.obs.SetHelp("vsgm_node_epoch", "Attach epoch; it increments on every failover.")
 	n.obs.SetHelp("vsgm_node_last_cid", "Highest start-change identifier the node has accepted.")
 	n.obs.SetHelp("vsgm_node_last_vid", "Highest view identifier the node has accepted.")
+	n.obs.SetHelp("vsgm_node_attaches_total", "Completed attachments to a home server (first and after failover).")
+	n.obs.SetHelp("vsgm_node_failovers_total", "Home-server failovers (silent-home timeouts, broken links, evictions).")
+	n.obs.SetHelp("vsgm_node_attach_retries_total", "Attach requests re-sent while courting an unresponsive server.")
+	n.obs.SetHelp("vsgm_node_stale_notifies_total", "Membership notifications dropped because they came from a server other than the current home.")
+	n.obs.SetHelp("vsgm_node_self_clamps_total", "Attach ticks that clamped impossible local identifier watermarks (client-side self-stabilization).")
 	n.obs.SetHelp("vsgm_endpoint_views_installed_total", "Views delivered to the application.")
 	n.obs.SetHelp("vsgm_endpoint_msgs_delivered_total", "Application messages delivered.")
 	n.obs.SetHelp("vsgm_endpoint_forwards_total", "Forwarded message copies sent during reconfigurations.")
@@ -428,9 +407,6 @@ func (n *Node) startManager() {
 	n.mgrWG.Add(1)
 	go func() {
 		defer n.mgrWG.Done()
-		n.amu.Lock()
-		n.lastAck = time.Now() // courting starts now, not at the epoch origin
-		n.amu.Unlock()
 		// First tick immediately: a node with a home list attaches one dial,
 		// not one interval, after it starts.
 		timer := time.NewTimer(0)
@@ -442,7 +418,7 @@ func (n *Node) startManager() {
 		for {
 			select {
 			case <-timer.C:
-				n.attachTick(time.Now())
+				n.withClient(func(c *membership.Client) { c.Tick(time.Now()) })
 				stuckCID, stuckTicks = n.probeTick(stuckCID, stuckTicks)
 				n.overloadTick(time.Now())
 				timer.Reset(jitter(n.attachInterval))
@@ -453,57 +429,15 @@ func (n *Node) startManager() {
 	}()
 }
 
-// attachTick performs one round of attach maintenance: fail over if the
-// home has been silent past the timeout, then (re)send an attach request to
-// the current target — a keepalive when attached, a registration retry when
-// not.
-func (n *Node) attachTick(now time.Time) {
-	n.amu.Lock()
-	if len(n.homeList) == 0 {
-		n.amu.Unlock()
+// withClient runs f on the attach automaton under mu; out of band, where
+// there is none, it does nothing.
+func (n *Node) withClient(f func(*membership.Client)) {
+	if n.client == nil {
 		return
 	}
-	n.sanitizeSelfLocked()
-	if now.Sub(n.lastAck) > n.attachTimeout {
-		n.failoverLocked(now)
-	}
-	if n.home == "" && n.attaches.Value() > 0 {
-		n.attachRetries.Inc()
-	}
-	target := n.homeList[n.homeIdx%len(n.homeList)]
-	epoch := n.epoch
-	cid, vid := n.lastCID, n.lastVid
-	n.amu.Unlock()
-	// The request carries the node's identifier high-water mark: the server
-	// merges it into the registration, so even a home with cold state (a
-	// resurrected store, an empty gossip cache) mints identifiers strictly
-	// above everything this node has seen.
-	n.fabric.SendAttach(target, wire.Attach{Kind: wire.AttachRequest, Client: n.id, Epoch: epoch, CID: cid, Vid: vid})
-}
-
-// sanitizeSelfLocked is the client half of self-stabilizing recovery: clamp
-// local identifier watermarks no correct execution produces (negative,
-// above the plausibility ceilings) back to values the attach protocol can
-// re-float from. Without it, a node restored from — or scrambled into —
-// arbitrary state would reject every legitimate notification forever: the
-// acceptNotify filter only moves forward, and the server sanitizes an
-// impossible claim down to zero, so the views it mints would sit below the
-// node's poisoned floor. Merely-huge-but-possible watermarks are left
-// alone — the claim carries them and the server mints above them, which is
-// the ordinary re-float path. Callers hold amu.
-func (n *Node) sanitizeSelfLocked() {
-	rec, st := membership.SanitizeClaim(membership.ClientRecord{CID: n.lastCID, Vid: n.lastVid, Epoch: n.epoch})
-	if st.Total() > 0 {
-		n.lastCID, n.lastVid, n.epoch = rec.CID, rec.Vid, rec.Epoch
-		n.selfClamps.Inc()
-	}
-	// lastSC is the id of the last accepted start_change, never above the
-	// cid watermark; an impossible value here self-heals on the next accepted
-	// start_change, but clamping it now spares one rejected view round.
-	if n.lastSC > n.lastCID || n.lastSC < 0 {
-		n.lastSC = n.lastCID
-		n.selfClamps.Inc()
-	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	f(n.client)
 }
 
 // ScrambleIdentifiers overwrites the node's in-memory identifier watermarks
@@ -511,26 +445,10 @@ func (n *Node) sanitizeSelfLocked() {
 // typically adversarially random — values. It is a chaos-testing hook, the
 // client-side analogue of ServerNode.InjectRecords: the soak harness uses
 // it to prove the attach claim, the notification filter, and the sync probe
-// re-converge the node from arbitrary state.
+// re-converge the node from arbitrary state. An out-of-band node has no
+// watermarks to scramble.
 func (n *Node) ScrambleIdentifiers(cid types.StartChangeID, vid types.ViewID, sc types.StartChangeID) {
-	n.amu.Lock()
-	defer n.amu.Unlock()
-	n.lastCID, n.lastVid, n.lastSC = cid, vid, sc
-}
-
-// failoverLocked abandons the current target: a best-effort detach is sent
-// to it (rescinding only our current epoch, so it cannot evict a future
-// re-attach), and courting moves to the next server in the list under a
-// fresh epoch. Callers hold amu.
-func (n *Node) failoverLocked(now time.Time) {
-	old := n.homeList[n.homeIdx%len(n.homeList)]
-	oldEpoch := n.epoch
-	n.homeIdx++
-	n.epoch++
-	n.home = ""
-	n.lastAck = now
-	n.failovers.Inc()
-	n.fabric.SendAttach(old, wire.Attach{Kind: wire.AttachDetach, Client: n.id, Epoch: oldEpoch})
+	n.withClient(func(c *membership.Client) { c.Scramble(cid, vid, sc) })
 }
 
 // probeTick watches for a wedged view change: a start_change that stays
@@ -570,16 +488,11 @@ func (n *Node) SetPeers(peers map[types.ProcID]string) { n.fabric.SetPeers(peers
 // Chaos returns the node's fault-injection controller.
 func (n *Node) Chaos() *Chaos { return n.fabric.Chaos() }
 
-// linkDown handles a transport-link failure: when the failed link is the
-// home server's, the node fails over immediately instead of waiting out the
-// silent-home timeout — a broken connection is positive evidence, so the next
-// manager tick courts the next server in the list.
+// linkDown hands a transport-link failure to the attach automaton, which
+// fails over at once when the link is the home's. The fabric calls it from
+// its link goroutines, never under mu.
 func (n *Node) linkDown(peer types.ProcID, _ error) {
-	n.amu.Lock()
-	defer n.amu.Unlock()
-	if len(n.homeList) > 0 && peer == n.home && n.home != "" {
-		n.failoverLocked(time.Now())
-	}
+	n.withClient(func(c *membership.Client) { c.LinkDown(peer, time.Now()) })
 }
 
 // Send multicasts payload to the current view, stalling at the source
@@ -748,23 +661,9 @@ func (n *Node) overloadTick(now time.Time) {
 	n.mu.Unlock()
 	n.fabric.regrant()
 	n.fabric.flowBroadcast()
-	if n.slowGrace <= 0 {
-		return
-	}
-	var targets []types.ProcID
 	for _, p := range n.fabric.slowPeers(n.slowGrace, now) {
 		n.slowReports.Inc()
-		if targets == nil {
-			n.amu.Lock()
-			targets = append([]types.ProcID(nil), n.homeList...)
-			n.amu.Unlock()
-		}
-		for _, s := range targets {
-			if s == p {
-				continue
-			}
-			n.fabric.SendAttach(s, wire.Attach{Kind: wire.AttachSuspect, Client: p})
-		}
+		n.withClient(func(c *membership.Client) { c.Complain(p) })
 	}
 }
 
@@ -812,28 +711,28 @@ func (n *Node) endBatch(from types.ProcID) {
 }
 
 // receive feeds one inbound frame to the end-point inside an open batch and
-// stages what it produced. Callers hold n.mu (amu, a leaf lock, is taken
-// under it). fr's payloads may alias body, a pooled network buffer this
-// method owns a reference to. Processing is synchronous, and whatever
-// outlives it has taken a reference of its own by the time it ends — the
-// message slot that keeps a dedicated buffer instead of copying out of it
-// (msgBuf.set), the delivery events staged for the pump — so this reference
-// is dropped as soon as the frame is handled. A body shared with other frames
-// is offered to nobody: the end-point copies what it retains out of it, into
-// its own pooled chunks.
+// stages what it produced. Callers hold n.mu. fr's payloads may alias body,
+// a pooled network buffer this method owns a reference to. Processing is
+// synchronous, and whatever outlives it has taken a reference of its own by
+// the time it ends — the message slot that keeps a dedicated buffer instead
+// of copying out of it (msgBuf.set), the delivery events staged for the pump
+// — so this reference is dropped as soon as the frame is handled. A body
+// shared with other frames is offered to nobody: the end-point copies what it
+// retains out of it, into its own pooled chunks.
 func (n *Node) receive(from types.ProcID, fr frame, body *pool.Buf) {
 	if body != nil {
 		defer body.Release()
 	}
 	if fr.Attach != nil {
-		n.handleAttach(from, *fr.Attach)
+		// Applied here, synchronously on the receive path: an ack sets the
+		// home before the notifications behind it on the same FIFO link
+		// reach acceptNotify.
+		if n.client != nil {
+			n.client.HandleAttach(from, *fr.Attach, time.Now())
+		}
 		return
 	}
 	if fr.Notify != nil && !n.acceptNotify(from, fr.Notify) {
-		// In-band attach mode: only the current home server's notifications
-		// feed the endpoint. A stale previous home (partitioned, not yet
-		// evicted) may still think it serves us; its notifications would
-		// violate the per-client monotonicity the home hand-off preserved.
 		return
 	}
 	if n.ep == nil {
@@ -870,90 +769,19 @@ func (n *Node) receive(from types.ProcID, fr frame, body *pool.Buf) {
 	n.dispatch(n.ep.TakeEvents())
 }
 
-// acceptNotify decides whether a notification from the given server may
-// feed the endpoint, enforcing the client side of the MBRSHP discipline:
-// only the current home is heard, start-change identifiers must strictly
-// increase, and a view must carry an increasing id whose startId entry for
-// this node equals the last accepted start_change. Anything else is the
-// residue of a stale attempt — a previous home not yet evicted, or the
-// current home's in-flight attempt from before this attachment — and is
-// dropped, because the endpoint (and the spec) require a locally monotone
-// stream. Accepted notifications advance the watermarks that ride the next
-// attach request. Legacy mode (no home list) accepts everything.
+// acceptNotify is the notification filter: in attach mode only what the
+// attach automaton accepts from the current home feeds the end-point (see
+// membership.Client.AcceptNotify); out of band, the one trusted stream is
+// accepted from anyone. Callers hold n.mu.
 func (n *Node) acceptNotify(from types.ProcID, ntf *membership.Notification) bool {
-	n.amu.Lock()
-	defer n.amu.Unlock()
-	if len(n.homeList) == 0 {
-		return true
-	}
-	if from != n.home {
-		n.staleNotifies.Inc()
-		return false
-	}
-	switch ntf.Kind {
-	case membership.NotifyStartChange:
-		if ntf.StartChange.ID <= n.lastCID {
-			n.staleNotifies.Inc()
-			return false
-		}
-		n.lastCID = ntf.StartChange.ID
-		n.lastSC = ntf.StartChange.ID
-	case membership.NotifyView:
-		if ntf.View.ID <= n.lastVid || ntf.View.StartID[n.id] != n.lastSC {
-			n.staleNotifies.Inc()
-			return false
-		}
-		n.lastVid = ntf.View.ID
-	}
-	return true
-}
-
-// handleAttach processes an attach-protocol frame from a server. An ack
-// from the currently courted target completes (or refreshes) the
-// attachment; it is handled synchronously on the receive path so that the
-// home is set before the notifications that follow it on the same FIFO
-// link are filtered. An ack may carry a higher epoch than ours: the server
-// remembers an earlier incarnation of this client (Section 8 recovery), and
-// adopting its epoch resumes that identity. A detach from the current home
-// is an eviction; fail over.
-func (n *Node) handleAttach(from types.ProcID, a wire.Attach) {
-	n.amu.Lock()
-	defer n.amu.Unlock()
-	if len(n.homeList) == 0 {
-		return
-	}
-	switch a.Kind {
-	case wire.AttachAck:
-		if from != n.homeList[n.homeIdx%len(n.homeList)] || a.Epoch < n.epoch {
-			return // stale ack from an abandoned target or epoch
-		}
-		n.epoch = a.Epoch
-		if n.home != from {
-			n.home = from
-			n.attaches.Inc()
-		}
-		n.lastAck = time.Now()
-		// Max-merge, never overwrite: an ack from a home with stale state
-		// must not lower the watermarks the notification filter enforces.
-		if a.CID > n.lastCID {
-			n.lastCID = a.CID
-		}
-		if a.Vid > n.lastVid {
-			n.lastVid = a.Vid
-		}
-	case wire.AttachDetach:
-		if from == n.home && n.home != "" {
-			n.failoverLocked(time.Now())
-		}
-	}
+	return n.client == nil || n.client.AcceptNotify(from, ntf)
 }
 
 // Home returns the server the node is currently attached to ("" while
-// detached or in legacy mode).
-func (n *Node) Home() types.ProcID {
-	n.amu.Lock()
-	defer n.amu.Unlock()
-	return n.home
+// detached or in out-of-band mode).
+func (n *Node) Home() (home types.ProcID) {
+	n.withClient(func(c *membership.Client) { home = c.State().Home })
+	return home
 }
 
 // dispatch stages events for the pump goroutine (after handing each to the

@@ -222,25 +222,42 @@ func TestLiveEveryNumberIsASeries(t *testing.T) {
 	w.waitFullView("survivor reinstalls the full view", floor)
 
 	type key struct{ owner, name, peer, home string }
-	series := make(map[key]float64)
-	for _, s := range reg.Snapshot().Samples {
-		var k key
-		k.name = s.Name
-		for _, l := range s.Labels {
-			switch l.Key {
-			case "node", "server":
-				k.owner = l.Value
-			case "peer":
-				k.peer = l.Value
-			case "home":
-				k.home = l.Value
+	links := []key{
+		{"cli0", "vsgm_link_frames_sent_total", "srv1", ""},
+		{"cli0", "vsgm_link_dials_total", "srv0", ""},
+		{"srv1", "vsgm_link_frames_sent_total", "cli0", ""},
+		{"srv0", "vsgm_link_frames_sent_total", "srv1", ""},
+	}
+	// A link's writer counts a frame only after its write returns, so the
+	// peer's reply can re-home the client before the counter moves: take
+	// snapshots until the per-link series are nonzero (on a timeout the
+	// last one goes to the assertions below).
+	var series map[key]float64
+	_ = w.WaitFor("the per-link series to count their frames", testWait, func() bool {
+		series = make(map[key]float64)
+		for _, s := range reg.Snapshot().Samples {
+			var k key
+			k.name = s.Name
+			for _, l := range s.Labels {
+				switch l.Key {
+				case "node", "server":
+					k.owner = l.Value
+				case "peer":
+					k.peer = l.Value
+				case "home":
+					k.home = l.Value
+				}
+			}
+			series[k] = s.Value
+		}
+		for _, link := range links {
+			if series[link] == 0 {
+				return false
 			}
 		}
-		series[k] = s.Value
-	}
-	orphan.amu.Lock()
-	epoch := orphan.epoch
-	orphan.amu.Unlock()
+		return true
+	})
+	epoch := attachState(orphan).Epoch
 	if got, ok := series[key{"cli0", "vsgm_node_epoch", "", ""}]; !ok || int64(got) != epoch || epoch < 2 {
 		t.Errorf("vsgm_node_epoch{node=cli0} = %v (present %v), node epoch %d: want the failed-over epoch, 2 or more", got, ok, epoch)
 	}
@@ -283,12 +300,7 @@ func TestLiveEveryNumberIsASeries(t *testing.T) {
 			t.Errorf("%s does not scrape vsgm_sanitize_clamps_total", sid)
 		}
 	}
-	for _, link := range []key{
-		{"cli0", "vsgm_link_frames_sent_total", "srv1", ""},
-		{"cli0", "vsgm_link_dials_total", "srv0", ""},
-		{"srv1", "vsgm_link_frames_sent_total", "cli0", ""},
-		{"srv0", "vsgm_link_frames_sent_total", "srv1", ""},
-	} {
+	for _, link := range links {
 		if got, ok := series[link]; !ok || got == 0 {
 			t.Errorf("%s{owner=%s,peer=%s} = %v (present %v), want a nonzero per-peer series", link.name, link.owner, link.peer, got, ok)
 		}

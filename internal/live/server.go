@@ -25,12 +25,12 @@ type ServerConfig struct {
 	// everything it issued before the crash. Nil runs without durability.
 	Store Store
 	// SnapshotEvery compacts the WAL into a snapshot after this many
-	// appends. 0 selects the default (64); negative disables compaction.
+	// appends. Zero or negative selects the default (64).
 	SnapshotEvery int
 	// Watchdog is the stall-detection interval: an attempt still incomplete
 	// across two consecutive ticks gets its proposal re-sent, repairing
-	// proposal frames lost to faults. 0 selects the default (500ms);
-	// negative disables the watchdog.
+	// proposal frames lost to faults. Zero or negative selects the default
+	// (500ms).
 	Watchdog time.Duration
 	// Transport tunes the supervised transport (timeouts, backoff, queue
 	// bounds); the zero value selects production defaults.
@@ -41,9 +41,9 @@ type ServerConfig struct {
 	// every future view's sync round forever). A live client that was
 	// merely cut off re-attaches on its next keepalive and resumes its
 	// identifiers from the retained record. Leases are swept on the
-	// watchdog tick, so a disabled watchdog disables them too. Clients
-	// registered out of band (AddClient) hold no lease and are never
-	// swept. 0 selects the default (10s); negative disables leases.
+	// watchdog tick. Clients registered out of band (AddClient) hold no
+	// lease and are never swept. Zero or negative selects the default
+	// (membership.DefaultAttachLease, 10s).
 	AttachLease time.Duration
 	// WALFsyncEvery makes a FileStore fsync its log on every Nth append (1
 	// syncs each one), bounding what a machine crash can lose to N-1
@@ -62,19 +62,14 @@ type ServerConfig struct {
 const (
 	defaultSnapshotEvery = 64
 	defaultWatchdog      = 500 * time.Millisecond
-	defaultAttachLease   = 10 * time.Second
 )
-
-// slowBan is how long a client evicted for slow consumption is barred from
-// re-attaching, so a laggard cannot flap the view by immediately
-// re-registering.
-const slowBan = 30 * time.Second
 
 // ServerNode is one dedicated membership server deployed as a concurrent
 // process: the one-round membership algorithm (internal/membership) runs
 // over TCP proposals to its peer servers, start_change / view notifications
 // flow to its local clients as dedicated frames on the same fabric, and
-// clients register themselves in-band through the attach protocol.
+// clients register themselves in-band through the attach protocol, whose
+// lease, ban and complaint policy is the membership server's.
 type ServerNode struct {
 	id     types.ProcID
 	fabric *fabric
@@ -95,22 +90,12 @@ type ServerNode struct {
 	walSnapshots  *obs.Counter
 	walErrors     *obs.Counter
 
-	attachesServed *obs.Counter
-	detaches       *obs.Counter
-
-	// Slow-consumer policy: the static server set (to route a suspected
-	// server into the detector), ban expiries for evicted laggards, and
-	// the eviction counter. Guarded by mu.
-	servers           types.ProcSet
-	banned            map[types.ProcID]time.Time
+	// What the attach policy (membership.Server.HandleAttach and
+	// ExpireLeases) did.
+	attachesServed    *obs.Counter
+	detaches          *obs.Counter
 	overloadEvictions *obs.Counter
-
-	// Attach leases: the last keepalive seen from each in-band client, and
-	// the counter for registrations dropped when a lease ran out. Guarded
-	// by mu; swept on the watchdog tick.
-	attachLease    time.Duration
-	leases         map[types.ProcID]time.Time
-	leaseEvictions *obs.Counter
+	leaseEvictions    *obs.Counter
 
 	// obs is the registry the server's collector lives in (nil when
 	// unconfigured; the counters still work as unregistered handles).
@@ -144,10 +129,6 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 		ready:         make(chan struct{}),
 		store:         cfg.Store,
 		snapshotEvery: cfg.SnapshotEvery,
-		servers:       cfg.Servers,
-		banned:        make(map[types.ProcID]time.Time),
-		attachLease:   cfg.AttachLease,
-		leases:        make(map[types.ProcID]time.Time),
 		obs:           cfg.Obs,
 
 		phiHist: cfg.Obs.Histogram("vsgm_detector_phi",
@@ -169,11 +150,8 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 		leaseEvictions: cfg.Obs.Counter("vsgm_server_lease_evictions_total",
 			"Registrations dropped because the client's keepalives stopped for a full attach lease.", serverLabel),
 	}
-	if n.snapshotEvery == 0 {
+	if n.snapshotEvery <= 0 {
 		n.snapshotEvery = defaultSnapshotEvery
-	}
-	if n.attachLease == 0 {
-		n.attachLease = defaultAttachLease
 	}
 	var restored map[types.ProcID]membership.ClientRecord
 	if n.store != nil {
@@ -197,6 +175,7 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 		f.Close()
 		return nil, err
 	}
+	srv.ServeAttach(cfg.AttachLease, f.SendAttach)
 	if len(restored) > 0 {
 		srv.RestoreRecords(restored)
 	}
@@ -210,12 +189,10 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 	n.registerObs()
 
 	wd := cfg.Watchdog
-	if wd == 0 {
+	if wd <= 0 {
 		wd = defaultWatchdog
 	}
-	if wd > 0 {
-		n.startWatchdog(wd)
-	}
+	n.startWatchdog(wd)
 	return n, nil
 }
 
@@ -233,7 +210,7 @@ func (n *ServerNode) onRecord(p types.ProcID, rec membership.ClientRecord) {
 	}
 	n.walAppends.Inc()
 	n.sinceSnapshot++
-	if n.snapshotEvery > 0 && n.sinceSnapshot >= n.snapshotEvery {
+	if n.sinceSnapshot >= n.snapshotEvery {
 		if n.store.WriteSnapshot(n.srv.ClientRecords()) != nil {
 			n.walErrors.Inc()
 			return
@@ -253,17 +230,9 @@ func (n *ServerNode) registerObs() {
 	serverLabel := obs.L("server", string(n.id))
 	n.obs.RegisterCollector("server/"+string(n.id), func() []obs.Sample {
 		n.mu.Lock()
-		var evictions, reproposals, attempts, views int64
-		var clients int
-		var san membership.SanitizeStats
-		if n.srv != nil {
-			evictions = n.srv.Evictions()
-			reproposals = n.srv.Reproposals()
-			attempts = n.srv.AttemptsRun()
-			views = n.srv.ViewsDelivered()
-			clients = n.srv.LocalClients().Len()
-			san = n.srv.Sanitized()
-		}
+		evictions, reproposals := n.srv.Evictions(), n.srv.Reproposals()
+		attempts, views := n.srv.AttemptsRun(), n.srv.ViewsDelivered()
+		clients, san := n.srv.LocalClients().Len(), n.srv.Sanitized()
 		var det membership.DetectorStats
 		if n.detector != nil {
 			det = n.detector.Stats()
@@ -321,8 +290,9 @@ func (n *ServerNode) registerObs() {
 // startWatchdog re-proposes the current attempt whenever it stays stalled
 // across two consecutive ticks: a one-round attempt that has not completed
 // after a full interval has almost certainly lost a proposal frame, and
-// proposals are idempotent, so retrying is always safe. The tick is
-// jittered so co-started servers do not retry in lockstep.
+// proposals are idempotent, so retrying is always safe. The same tick
+// expires attach leases. It is jittered so co-started servers do not retry
+// in lockstep.
 func (n *ServerNode) startWatchdog(interval time.Duration) {
 	stop := make(chan struct{})
 	n.wdStop = stop
@@ -345,8 +315,8 @@ func (n *ServerNode) startWatchdog(interval time.Duration) {
 				} else {
 					lastAttempt = -1
 				}
+				n.leaseEvictions.Add(int64(n.srv.ExpireLeases(time.Now())))
 				n.mu.Unlock()
-				n.sweepLeases(time.Now())
 				timer.Reset(jitter(interval))
 			case <-stop:
 				return
@@ -375,11 +345,20 @@ func (n *ServerNode) Chaos() *Chaos { return n.fabric.Chaos() }
 func (n *ServerNode) linkDown(peer types.ProcID, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.detector == nil || n.srv == nil {
+	n.suspectLocked(peer)
+}
+
+// suspectLocked feeds external evidence against peer to the failure
+// detector and acts on a changed verdict. The detector exists once
+// StartHeartbeats ran, and so, by then, does the membership server. Callers
+// hold mu.
+func (n *ServerNode) suspectLocked(peer types.ProcID) {
+	if n.detector == nil {
 		return
 	}
-	n.detector.Suspect(peer, time.Now())
-	if reachable, changed := n.detector.Tick(time.Now()); changed {
+	now := time.Now()
+	n.detector.Suspect(peer, now)
+	if reachable, changed := n.detector.Tick(now); changed {
 		n.srv.SetReachable(reachable)
 	}
 }
@@ -421,9 +400,6 @@ func (n *ServerNode) Records() map[types.ProcID]membership.ClientRecord {
 func (n *ServerNode) InjectRecords(recs map[types.ProcID]membership.ClientRecord) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.srv == nil {
-		return
-	}
 	n.srv.RestoreRecords(recs)
 	n.srv.Reconfigure()
 }
@@ -467,141 +443,31 @@ func (n *ServerNode) receive(from types.ProcID, fr frame, body *pool.Buf) {
 		defer body.Release()
 	}
 	<-n.ready
-	if fr.Attach != nil {
-		n.handleAttach(from, *fr.Attach)
-		return
-	}
-	if fr.Msg == nil {
-		return
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if fr.Msg.Kind == types.KindHeartbeat {
+	switch {
+	case n.srv == nil:
+	case fr.Attach != nil:
+		// The attach policy is the membership server's; what stays here is
+		// counting what it did and routing a complaint about a peer server
+		// to the failure detector.
+		switch n.srv.HandleAttach(from, *fr.Attach, time.Now()) {
+		case membership.OutcomeServed:
+			n.attachesServed.Inc()
+		case membership.OutcomeDetached:
+			n.detaches.Inc()
+		case membership.OutcomeEvicted:
+			n.overloadEvictions.Inc()
+		case membership.OutcomeSuspectServer:
+			n.suspectLocked(fr.Attach.Client)
+		}
+	case fr.Msg == nil:
+	case fr.Msg.Kind == types.KindHeartbeat:
 		if n.detector != nil {
 			n.detector.OnHeartbeatInfo(from, time.Now(), fr.Msg.Reach)
 		}
-		return
-	}
-	if n.srv != nil {
+	default:
 		n.srv.HandleMessage(from, *fr.Msg)
-	}
-}
-
-// sweepLeases deregisters every in-band client whose keepalives stopped a
-// full attach lease ago — the server-side failure detector for clients. A
-// client can die the instant after its attach request is sent (a flash
-// crowd straggler, a crashed process): no peer will ever claim it under a
-// higher epoch, so without a lease its registration would keep a dead
-// member in every future view, wedging the sync rounds forever. A falsely
-// suspected client re-attaches on its next keepalive and resumes its
-// identifiers from the retained record.
-func (n *ServerNode) sweepLeases(now time.Time) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.attachLease <= 0 || n.srv == nil {
-		return
-	}
-	changed := false
-	for p, seen := range n.leases {
-		if now.Sub(seen) <= n.attachLease {
-			continue
-		}
-		delete(n.leases, p)
-		if n.srv.HasClient(p) {
-			n.srv.RemoveClient(p)
-			n.leaseEvictions.Inc()
-			changed = true
-		}
-	}
-	if changed {
-		n.srv.Reconfigure()
-	}
-}
-
-// handleAttach serves the in-band attach protocol. A request registers (or
-// keeps alive) the sender under its attach epoch and is always acknowledged
-// with the server's recorded identifier state; only a registration this
-// call created triggers a reconfiguration, so keepalives are cheap. A
-// detach deregisters the sender unless the registration has moved to a
-// newer epoch since (a late detach must not evict a fresh attach).
-func (n *ServerNode) handleAttach(from types.ProcID, a wire.Attach) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.srv == nil {
-		return
-	}
-	switch a.Kind {
-	case wire.AttachRequest:
-		if until, ok := n.banned[from]; ok {
-			if time.Now().Before(until) {
-				return // banned laggard: no ack, so it keeps failing over
-			}
-			delete(n.banned, from)
-		}
-		rec, added := n.srv.AttachClientClaim(from, a.Epoch,
-			membership.ClientRecord{CID: a.CID, Vid: a.Vid})
-		n.attachesServed.Inc()
-		n.leases[from] = time.Now()
-		// The ack must precede any notification from the registration's
-		// first attempt on the client's FIFO link, so enqueue it before
-		// reconfiguring.
-		n.fabric.SendAttach(from, wire.Attach{
-			Kind:   wire.AttachAck,
-			Client: from,
-			Epoch:  rec.Epoch,
-			CID:    rec.CID,
-			Vid:    rec.Vid,
-		})
-		if added {
-			n.srv.Reconfigure()
-		}
-	case wire.AttachDetach:
-		if rec, ok := n.srv.RecordOf(from); ok && rec.Epoch > a.Epoch {
-			return
-		}
-		if n.srv.HasClient(from) {
-			n.srv.RemoveClient(from)
-			delete(n.leases, from)
-			n.detaches.Inc()
-			n.srv.Reconfigure()
-		}
-	case wire.AttachSuspect:
-		n.handleSuspectLocked(a.Client)
-	}
-}
-
-// handleSuspectLocked applies a slow-consumer complaint: a client holding a
-// reporter's credit window exhausted past the grace period is evicted from
-// the live view and banned from re-attaching for the cooldown (overload
-// degrades membership, it must not flap it); a suspected peer server feeds
-// the failure detector instead, the same path a broken trunk link takes.
-// Complaints are broadcast to every server, so the laggard's actual home
-// acts no matter which link the reporter had; non-homes holding no
-// registration just refresh the ban. Callers hold mu.
-func (n *ServerNode) handleSuspectLocked(laggard types.ProcID) {
-	if laggard == n.id || laggard == "" {
-		return
-	}
-	now := time.Now()
-	if n.servers.Contains(laggard) {
-		if n.detector != nil {
-			n.detector.Suspect(laggard, now)
-			if reachable, changed := n.detector.Tick(now); changed {
-				n.srv.SetReachable(reachable)
-			}
-		}
-		return
-	}
-	n.banned[laggard] = now.Add(slowBan)
-	if n.srv.HasClient(laggard) {
-		n.srv.RemoveClient(laggard)
-		delete(n.leases, laggard)
-		n.overloadEvictions.Inc()
-		// A best-effort detach tells the laggard its registration is gone,
-		// so it starts courting (and being refused by) the next server
-		// instead of trusting a home that no longer serves it.
-		n.fabric.SendAttach(laggard, wire.Attach{Kind: wire.AttachDetach, Client: laggard})
-		n.srv.Reconfigure()
 	}
 }
 

@@ -7,9 +7,8 @@ import (
 	"vsgm/internal/types"
 )
 
-// Defaults for the zero DetectorConfig, the thresholds every deployed
-// detector runs with. Exported so the operator docs cannot drift from the
-// implementation.
+// The detector's thresholds, the one set every detector runs with. Exported
+// so the operator docs cannot drift from the implementation.
 const (
 	// DefaultDetectorWindow is the inter-arrival sliding-window length.
 	DefaultDetectorWindow = 32
@@ -41,55 +40,10 @@ const (
 	minPhiSamples = 3
 )
 
-// DetectorConfig tunes the failure detector. The zero value selects the
-// defaults above.
-type DetectorConfig struct {
-	// Window is the sliding-window length for heartbeat inter-arrival
-	// samples; 0 selects DefaultDetectorWindow.
-	Window int
-	// SuspectPhi and RestorePhi are the hysteresis thresholds; 0 selects
-	// the defaults. RestorePhi must stay below SuspectPhi (normalize
-	// clamps it).
-	SuspectPhi float64
-	RestorePhi float64
-	// QuarantineBase and QuarantineCap bound the exponential rejoin
-	// quarantine a flapping peer earns; 0 selects the defaults, negative
-	// disables quarantine entirely.
-	QuarantineBase time.Duration
-	QuarantineCap  time.Duration
-	// FlapHalfLife is the decay half-life of the flap score; 0 selects the
-	// default.
-	FlapHalfLife time.Duration
-}
-
-// normalize fills zero fields with defaults.
-func (c DetectorConfig) normalize() DetectorConfig {
-	if c.Window <= 0 {
-		c.Window = DefaultDetectorWindow
-	}
-	if c.SuspectPhi <= 0 {
-		c.SuspectPhi = DefaultSuspectPhi
-	}
-	if c.RestorePhi <= 0 {
-		c.RestorePhi = DefaultRestorePhi
-	}
-	if c.RestorePhi >= c.SuspectPhi {
-		c.RestorePhi = c.SuspectPhi / 2
-	}
-	if c.QuarantineBase == 0 {
-		c.QuarantineBase = DefaultQuarantineBase
-	}
-	if c.QuarantineCap == 0 {
-		c.QuarantineCap = DefaultQuarantineCap
-	}
-	if c.QuarantineCap < c.QuarantineBase {
-		c.QuarantineCap = c.QuarantineBase
-	}
-	if c.FlapHalfLife <= 0 {
-		c.FlapHalfLife = DefaultFlapHalfLife
-	}
-	return c
-}
+// DetectorConfig is empty: the detector's thresholds are the constants
+// above. It is kept only because the benchmark module still passes one to
+// NewDetectorWith.
+type DetectorConfig struct{}
 
 // DetectorStats is a snapshot of the detector's counters, for the
 // observability surface. Totals are monotone; Quarantined and GrayExcluded
@@ -151,16 +105,16 @@ type peerState struct {
 //   - Accrual suspicion: the score phi = log10(e) * elapsed/(mean+stddev)
 //     over a sliding window of inter-arrival times (an exponential-tail
 //     accrual detector in the style of Hayashibara et al. as deployed by
-//     Cassandra). A peer is suspected when phi crosses SuspectPhi and
-//     restored when it falls to RestorePhi; the band between them is
+//     Cassandra). A peer is suspected when phi crosses DefaultSuspectPhi and
+//     restored when it falls to DefaultRestorePhi; the band between them is
 //     hysteresis, so a verdict never flips on a score that merely wobbles.
 //
 //   - Flap damping: each suspect-to-restore crossing bumps a per-peer flap
-//     score that decays with half-life FlapHalfLife. Once the score
+//     score that decays with half-life DefaultFlapHalfLife. Once the score
 //     crosses the flap threshold, every further restore earns the peer an
-//     exponentially growing rejoin quarantine (QuarantineBase doubling up
-//     to QuarantineCap), so a flapping link converges to "out" instead of
-//     driving a view change per flap.
+//     exponentially growing rejoin quarantine (DefaultQuarantineBase
+//     doubling up to DefaultQuarantineCap), so a flapping link converges to
+//     "out" instead of driving a view change per flap.
 //
 //   - Gray-failure reconciliation: heartbeats carry the sender's current
 //     reachable set. A peer we hear from whose bitmap has excluded us for
@@ -175,7 +129,6 @@ type Detector struct {
 	self    types.ProcID
 	peers   types.ProcSet
 	timeout time.Duration
-	cfg     DetectorConfig
 
 	state     map[types.ProcID]*peerState
 	reachable types.ProcSet
@@ -190,12 +143,11 @@ type Detector struct {
 // one-way evidence acts on the verdict, which absorbs bootstrap transients
 // (the first heartbeat legitimately carries a singleton bitmap) and heal-time
 // re-admission skew.
-func NewDetectorWith(self types.ProcID, peers types.ProcSet, timeout time.Duration, start time.Time, cfg DetectorConfig) *Detector {
+func NewDetectorWith(self types.ProcID, peers types.ProcSet, timeout time.Duration, start time.Time, _ DetectorConfig) *Detector {
 	d := &Detector{
 		self:    self,
 		peers:   peers.Clone(),
 		timeout: timeout,
-		cfg:     cfg.normalize(),
 		state:   make(map[types.ProcID]*peerState, peers.Len()),
 	}
 	for p := range peers {
@@ -267,12 +219,12 @@ func (d *Detector) sample(st *peerState, dt time.Duration) {
 	if dt <= 0 {
 		return
 	}
-	if len(st.intervals) < d.cfg.Window {
+	if len(st.intervals) < DefaultDetectorWindow {
 		st.intervals = append(st.intervals, dt)
 		return
 	}
 	st.intervals[st.ringIdx] = dt
-	st.ringIdx = (st.ringIdx + 1) % d.cfg.Window
+	st.ringIdx = (st.ringIdx + 1) % DefaultDetectorWindow
 }
 
 // Suspect records external evidence (as of instant at) that peer p is
@@ -323,7 +275,7 @@ func (d *Detector) phi(st *peerState, elapsed time.Duration) float64 {
 	}
 	if len(st.intervals) < minPhiSamples {
 		if elapsed > d.timeout {
-			return d.cfg.SuspectPhi
+			return DefaultSuspectPhi
 		}
 		return 0
 	}
@@ -353,22 +305,22 @@ func (d *Detector) phi(st *peerState, elapsed time.Duration) float64 {
 func (d *Detector) noteFlap(st *peerState, now time.Time) {
 	if !st.lastFlap.IsZero() {
 		if dt := now.Sub(st.lastFlap); dt > 0 {
-			st.flapScore *= math.Exp2(-dt.Seconds() / d.cfg.FlapHalfLife.Seconds())
+			st.flapScore *= math.Exp2(-dt.Seconds() / DefaultFlapHalfLife.Seconds())
 		}
 	}
 	st.flapScore++
 	st.lastFlap = now
 	d.stats.Flaps++
-	if d.cfg.QuarantineBase < 0 || st.flapScore < flapThreshold {
+	if st.flapScore < flapThreshold {
 		return
 	}
 	exp := int(st.flapScore) - flapThreshold
 	if exp > 20 {
 		exp = 20
 	}
-	q := d.cfg.QuarantineBase << uint(exp)
-	if q > d.cfg.QuarantineCap || q <= 0 {
-		q = d.cfg.QuarantineCap
+	q := DefaultQuarantineBase << uint(exp)
+	if q > DefaultQuarantineCap || q <= 0 {
+		q = DefaultQuarantineCap
 	}
 	st.quarantineUntil = now.Add(q)
 	d.stats.Quarantines++
@@ -392,10 +344,10 @@ func (d *Detector) Tick(now time.Time) (types.ProcSet, bool) {
 			continue
 		}
 		score := d.phi(st, now.Sub(st.lastSeen))
-		if !st.suspected && score >= d.cfg.SuspectPhi {
+		if !st.suspected && score >= DefaultSuspectPhi {
 			st.suspected = true
 			d.stats.Suspects++
-		} else if st.suspected && score <= d.cfg.RestorePhi && st.evidence.IsZero() {
+		} else if st.suspected && score <= DefaultRestorePhi && st.evidence.IsZero() {
 			st.suspected = false
 			d.noteFlap(st, now)
 		}

@@ -107,16 +107,12 @@ func TestDetectorAdaptiveHysteresis(t *testing.T) {
 // once the decayed flap score reaches the threshold, each further restore
 // must earn an exponentially growing rejoin quarantine (bounded by the
 // cap), and a long quiet stretch must decay the score back to a clean
-// slate.
+// slate. The clock is virtual, so the test runs the deployed thresholds: a
+// 250ms first quarantine and a 10s flap half-life.
 func TestDetectorFlapDamping(t *testing.T) {
 	start := time.Unix(0, 0)
 	peers := types.NewProcSet("A", "B")
-	cfg := DetectorConfig{
-		QuarantineBase: 100 * time.Millisecond,
-		QuarantineCap:  400 * time.Millisecond,
-		FlapHalfLife:   time.Hour, // no decay inside the flapping burst
-	}
-	d := NewDetectorWith("A", peers, 150*time.Millisecond, start, cfg)
+	d := NewDetectorWith("A", peers, 150*time.Millisecond, start, DetectorConfig{})
 	d.Tick(start)
 	at := warmDetector(d, "B", start, 8)
 
@@ -136,9 +132,9 @@ func TestDetectorFlapDamping(t *testing.T) {
 	}
 
 	// The first crossings stay under the decayed threshold: immediate
-	// rejoin. (Each crossing decays the score a hair before bumping it, so
-	// the Nth flap scores just under N — the threshold of 3 is crossed on
-	// the 4th.)
+	// rejoin. (Each crossing decays the score before bumping it — a flap
+	// takes 621ms, 6% of a half-life — so the Nth flap scores under N and
+	// the threshold of 3 is crossed on the 4th.)
 	for i := 0; i < 3; i++ {
 		if flap() {
 			t.Fatalf("flap %d quarantined below the damping threshold", i+1)
@@ -152,43 +148,36 @@ func TestDetectorFlapDamping(t *testing.T) {
 	if st.Flaps != 4 || st.Quarantines != 1 || st.Quarantined != 1 {
 		t.Fatalf("stats after 4 flaps = %+v, want 4 flaps, 1 quarantine, 1 quarantined", st)
 	}
+	// beats sends n heartbeats 20ms apart, ticking after each.
+	beats := func(n int) {
+		for i := 0; i < n; i++ {
+			at = at.Add(20 * time.Millisecond)
+			d.OnHeartbeat("B", at)
+			d.Tick(at)
+		}
+	}
 	// The first quarantine is the base; with heartbeats flowing, the peer
 	// rejoins once it expires.
-	for i := 0; i < 8; i++ {
-		at = at.Add(20 * time.Millisecond)
-		d.OnHeartbeat("B", at)
-		d.Tick(at)
-	}
+	beats(15)
 	if !d.Reachable().Contains("B") {
-		t.Fatalf("B still out %v after a %v quarantine", 160*time.Millisecond, cfg.QuarantineBase)
+		t.Fatalf("B still out %v after a %v quarantine", 300*time.Millisecond, DefaultQuarantineBase)
 	}
-	// Flap 5's quarantine doubles: 160ms of heartbeats is no longer enough.
+	// Flap 5's quarantine doubles: 300ms of heartbeats is no longer enough.
 	if !flap() {
 		t.Fatal("flap 5 rejoined immediately")
 	}
-	for i := 0; i < 8; i++ {
-		at = at.Add(20 * time.Millisecond)
-		d.OnHeartbeat("B", at)
-		d.Tick(at)
-	}
+	beats(15)
 	if d.Reachable().Contains("B") {
 		t.Fatal("flap 5's quarantine did not grow past the base")
 	}
-	for i := 0; i < 8; i++ {
-		at = at.Add(20 * time.Millisecond)
-		d.OnHeartbeat("B", at)
-		d.Tick(at)
-	}
+	beats(15)
 	if !d.Reachable().Contains("B") {
 		t.Fatal("B never rejoined after the doubled quarantine")
 	}
 
-	// Decay: with a short half-life, a long quiet stretch earns back a
-	// clean slate — the next flap rejoins immediately again.
-	d2 := NewDetectorWith("A", peers, 150*time.Millisecond, start, DetectorConfig{
-		QuarantineBase: 100 * time.Millisecond,
-		FlapHalfLife:   100 * time.Millisecond,
-	})
+	// Decay: a long quiet stretch earns back a clean slate — the next flap
+	// rejoins immediately again.
+	d2 := NewDetectorWith("A", peers, 150*time.Millisecond, start, DetectorConfig{})
 	d2.Tick(start)
 	at2 := warmDetector(d2, "B", start, 8)
 	d = d2
@@ -196,12 +185,9 @@ func TestDetectorFlapDamping(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		flap()
 	}
-	// Hours of clean heartbeats: the flap score decays to ~zero.
-	for i := 0; i < 200; i++ {
-		at = at.Add(20 * time.Millisecond)
-		d.OnHeartbeat("B", at)
-		d.Tick(at)
-	}
+	// A minute — six half-lives — of clean heartbeats: the flap score
+	// decays to ~zero.
+	beats(3000)
 	if flap() {
 		t.Fatal("flap score never decayed: a fresh flap after a long quiet stretch was quarantined")
 	}

@@ -16,7 +16,9 @@
 //     the style of Keidar-Sussman-Marzullo-Dolev, in which a small set of
 //     dedicated servers runs a one-round membership algorithm and serves
 //     many clients. It exists to demonstrate and measure the client-server
-//     architecture (experiment E8).
+//     architecture (experiment E8). Its clients register in band through
+//     the attach protocol, whose two halves are Client (client.go) and the
+//     attach policy of Server (attach.go).
 package membership
 
 import (

@@ -158,7 +158,7 @@ func TestServerSanitizesRestoredState(t *testing.T) {
 	}
 
 	// A wrapped attach epoch degrades to epoch 0 instead of wrapping cids.
-	srv.AttachClient("c4", 1<<40)
+	srv.AttachClientClaim("c4", 1<<40, ClientRecord{})
 	if rec, ok := srv.RecordOf("c4"); !ok || rec.Epoch != 0 {
 		t.Fatalf("wrapped attach epoch survived: %+v", rec)
 	}

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"time"
 
 	"vsgm/internal/types"
 )
@@ -55,6 +56,14 @@ type Server struct {
 	// identifier state (cid, vid, epoch). The live layer points it at a
 	// write-ahead log; the membership core itself stays storage-free.
 	recorder func(types.ProcID, ClientRecord)
+
+	// The attach policy (attach.go), set up by ServeAttach: the lease
+	// length, the time of each attached client's last request, the ban
+	// expiries of evicted laggards, and where replies go.
+	lease      time.Duration
+	leases     map[types.ProcID]time.Time
+	banned     map[types.ProcID]time.Time
+	sendAttach func(types.ProcID, Attach)
 
 	reachable types.ProcSet
 	attempt   int64
@@ -207,27 +216,15 @@ func (s *Server) AddClient(p types.ProcID) {
 	s.register(p, 0)
 }
 
-// AttachClient registers (or refreshes) a local client under an attach
-// epoch — the in-band protocol's entry point. It returns the client's
-// durable record and whether this call created the registration (a fresh
-// registration needs a Reconfigure to enter a view; a keepalive does not).
-// The returned record merges every identifier source this server knows:
-// its retained records, the live registration, and peer gossip.
-func (s *Server) AttachClient(p types.ProcID, epoch int64) (ClientRecord, bool) {
-	return s.AttachClientClaim(p, epoch, ClientRecord{})
-}
-
-// AttachClientClaim is AttachClient for a client that reports its own
-// identifier high-water mark — the largest cid and view id it has already
-// seen. The claim is merged into the registration so every identifier this
-// server mints next is strictly above anything the client has observed.
-// This is the only defense that works when this server's other sources are
-// all cold: peers never gossip a client only this server holds, so a server
-// resurrected from a stale or corrupted store would otherwise keep issuing
-// identifiers the client must reject as regressions, wedging the attachment.
-// The claim is sanitized before merging: a client restarted from arbitrary
-// state could otherwise claim an impossible identifier and burn the space
-// to the brink of wraparound for everyone serving it afterwards.
+// AttachClientClaim registers (or refreshes) local client p under an attach
+// epoch. It returns the client's record, merged from every identifier
+// source this server knows, and whether this call created the registration
+// (which then needs a Reconfigure to enter a view). The claim — the largest
+// cid and view id the client has seen — is merged too, so every identifier
+// minted next is above anything the client observed: the only defense when
+// the other sources are cold, as on a server resurrected from a stale
+// store. The claim is sanitized first, so an impossible one cannot burn the
+// identifier space to the brink of wraparound.
 func (s *Server) AttachClientClaim(p types.ProcID, epoch int64, claim ClientRecord) (ClientRecord, bool) {
 	var st SanitizeStats
 	claim, st = SanitizeClaim(claim)

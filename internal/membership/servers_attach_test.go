@@ -14,7 +14,7 @@ func TestAttachClientIssuesEpochRangedCids(t *testing.T) {
 	srv := rig.servers["A"]
 	rig.boot(t)
 
-	if _, added := srv.AttachClient("c", 1); !added {
+	if _, added := srv.AttachClientClaim("c", 1, ClientRecord{}); !added {
 		t.Fatal("first attach did not register the client")
 	}
 	srv.Reconfigure()
@@ -31,14 +31,14 @@ func TestAttachClientIssuesEpochRangedCids(t *testing.T) {
 	}
 
 	// A keepalive under the same epoch is idempotent: no new registration.
-	if _, added := srv.AttachClient("c", 1); added {
+	if _, added := srv.AttachClientClaim("c", 1, ClientRecord{}); added {
 		t.Fatal("keepalive reported a fresh registration")
 	}
 
 	// A re-attach under a higher epoch (post-failover identity) jumps the
 	// cid into the new epoch's range, dominating everything issued before.
 	srv.RemoveClient("c")
-	if _, added := srv.AttachClient("c", 2); !added {
+	if _, added := srv.AttachClientClaim("c", 2, ClientRecord{}); !added {
 		t.Fatal("re-attach did not register the client")
 	}
 	srv.Reconfigure()
@@ -104,7 +104,7 @@ func TestRemoveClientRetainsRecord(t *testing.T) {
 	srv := rig.servers["A"]
 	rig.boot(t)
 
-	srv.AttachClient("c", 1)
+	srv.AttachClientClaim("c", 1, ClientRecord{})
 	srv.Reconfigure()
 	rig.pump(t)
 	before, ok := srv.RecordOf("c")
@@ -127,7 +127,7 @@ func TestEpochGossipEvictsStaleOwner(t *testing.T) {
 	a, b := rig.servers["A"], rig.servers["B"]
 	rig.boot(t)
 
-	a.AttachClient("c", 1)
+	a.AttachClientClaim("c", 1, ClientRecord{})
 	a.Reconfigure()
 	rig.pump(t)
 	if !a.HasClient("c") {
@@ -137,7 +137,7 @@ func TestEpochGossipEvictsStaleOwner(t *testing.T) {
 	// The client fails over to B under a fresh epoch while A still believes
 	// it owns the registration. B's proposal gossips the higher epoch, and A
 	// must cede rather than fight over ownership.
-	b.AttachClient("c", 2)
+	b.AttachClientClaim("c", 2, ClientRecord{})
 	b.Reconfigure()
 	rig.pump(t)
 

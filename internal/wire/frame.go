@@ -25,7 +25,7 @@ type Frame struct {
 	From   types.ProcID
 	Msg    *types.WireMsg
 	Notify *membership.Notification
-	Attach *Attach
+	Attach *membership.Attach
 	Credit *Credit
 }
 
@@ -37,40 +37,6 @@ type Frame struct {
 // reconnecting transport needs.
 type Credit struct {
 	Grant uint64
-}
-
-// AttachKind discriminates the in-band client attach protocol frames.
-type AttachKind uint8
-
-const (
-	// AttachRequest registers (or keeps alive) a client at its home server
-	// under the given epoch.
-	AttachRequest AttachKind = 1
-	// AttachAck is the server's reply: the epoch the registration is held
-	// under and the recorded cid/view-id, so a recovered client resumes
-	// under its original identity.
-	AttachAck AttachKind = 2
-	// AttachDetach rescinds a registration (client is failing over or
-	// leaving). The server ignores it if its registration epoch is newer
-	// than the frame's, so late detaches cannot evict a fresh attach.
-	AttachDetach AttachKind = 3
-	// AttachSuspect is an overload complaint: the sender reports that
-	// Client has held the sender's credit window exhausted past the grace
-	// period. The receiving server evicts (and temporarily bans) a client
-	// laggard, or feeds a server laggard to its failure detector, so
-	// overload degrades to a smaller live view instead of a stalled group.
-	AttachSuspect AttachKind = 4
-)
-
-// Attach is one frame of the in-band attach protocol between a client node
-// and its home server. The sender is the peer the connection's handshake
-// named; Client names the subject explicitly so acks stay self-describing.
-type Attach struct {
-	Kind   AttachKind
-	Client types.ProcID
-	Epoch  int64
-	CID    types.StartChangeID
-	Vid    types.ViewID
 }
 
 const (
@@ -133,10 +99,8 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 		}
 	case f.Attach != nil:
 		w.u8(frameAttach)
-		switch f.Attach.Kind {
-		case AttachRequest, AttachAck, AttachDetach, AttachSuspect:
-		default:
-			return nil, fmt.Errorf("wire: unknown attach kind %d", int(f.Attach.Kind))
+		if k := f.Attach.Kind; k < membership.AttachRequest || k > membership.AttachSuspect {
+			return nil, fmt.Errorf("wire: unknown attach kind %d", int(k))
 		}
 		w.u8(uint8(f.Attach.Kind))
 		if err := w.id(f.Attach.Client); err != nil {
@@ -224,14 +188,12 @@ func readNotifyInto(r *reader, ntf *membership.Notification) error {
 }
 
 // readAttachInto decodes one attach frame body into a (fully overwritten).
-func readAttachInto(r *reader, a *Attach) error {
+func readAttachInto(r *reader, a *membership.Attach) error {
 	kind, err := r.u8()
 	if err != nil {
 		return err
 	}
-	switch AttachKind(kind) {
-	case AttachRequest, AttachAck, AttachDetach, AttachSuspect:
-	default:
+	if k := membership.AttachKind(kind); k < membership.AttachRequest || k > membership.AttachSuspect {
 		return fmt.Errorf("wire: unknown attach tag %d", kind)
 	}
 	client, err := r.id()
@@ -250,8 +212,8 @@ func readAttachInto(r *reader, a *Attach) error {
 	if err != nil {
 		return err
 	}
-	*a = Attach{
-		Kind:   AttachKind(kind),
+	*a = membership.Attach{
+		Kind:   membership.AttachKind(kind),
 		Client: client,
 		Epoch:  int64(epoch),
 		CID:    types.StartChangeID(cid),

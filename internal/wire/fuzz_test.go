@@ -36,10 +36,10 @@ func frameCorpus(t testing.TB) [][]byte {
 			StartChange: types.StartChange{ID: 9, Set: types.NewProcSet("a", "b")},
 		}},
 		{From: "srv", Notify: &membership.Notification{Kind: membership.NotifyView, View: v}},
-		{From: "c", Attach: &Attach{Kind: AttachRequest, Client: "c", Epoch: 2}},
-		{From: "srv", Attach: &Attach{Kind: AttachAck, Client: "c", Epoch: 2, CID: 1 << 33, Vid: 7}},
-		{From: "c", Attach: &Attach{Kind: AttachDetach, Client: "c", Epoch: 1}},
-		{From: "c", Attach: &Attach{Kind: AttachSuspect, Client: "d"}},
+		{From: "c", Attach: &membership.Attach{Kind: membership.AttachRequest, Client: "c", Epoch: 2}},
+		{From: "srv", Attach: &membership.Attach{Kind: membership.AttachAck, Client: "c", Epoch: 2, CID: 1 << 33, Vid: 7}},
+		{From: "c", Attach: &membership.Attach{Kind: membership.AttachDetach, Client: "c", Epoch: 1}},
+		{From: "c", Attach: &membership.Attach{Kind: membership.AttachSuspect, Client: "d"}},
 		{From: "c", Credit: &Credit{Grant: 1 << 40}},
 	}
 	var out [][]byte

@@ -244,10 +244,10 @@ func TestFrameRoundTripAndStream(t *testing.T) {
 			Kind: membership.NotifyView,
 			View: types.NewView(2, types.NewProcSet("a"), map[types.ProcID]types.StartChangeID{"a": 4}),
 		}},
-		{Attach: &Attach{Kind: AttachRequest, Client: "a", Epoch: 3}},
-		{Attach: &Attach{Kind: AttachAck, Client: "a", Epoch: 3, CID: 3 << 32, Vid: 9}},
-		{Attach: &Attach{Kind: AttachDetach, Client: "a", Epoch: 2}},
-		{Attach: &Attach{Kind: AttachSuspect, Client: "b"}},
+		{Attach: &membership.Attach{Kind: membership.AttachRequest, Client: "a", Epoch: 3}},
+		{Attach: &membership.Attach{Kind: membership.AttachAck, Client: "a", Epoch: 3, CID: 3 << 32, Vid: 9}},
+		{Attach: &membership.Attach{Kind: membership.AttachDetach, Client: "a", Epoch: 2}},
+		{Attach: &membership.Attach{Kind: membership.AttachSuspect, Client: "b"}},
 		{Credit: &Credit{Grant: 0}},
 		{Credit: &Credit{Grant: 1<<64 - 1}},
 	}
@@ -355,7 +355,7 @@ func TestFrameClassification(t *testing.T) {
 		{"ack", Frame{From: "a", Msg: &types.WireMsg{Kind: types.KindAck}}, ClassControl},
 		{"heartbeat", Frame{From: "a", Msg: &types.WireMsg{Kind: types.KindHeartbeat}}, ClassHeartbeat},
 		{"notify", Frame{From: "a", Notify: &membership.Notification{Kind: membership.NotifyView, View: v}}, ClassControl},
-		{"attach", Frame{From: "a", Attach: &Attach{Kind: AttachRequest, Client: "a"}}, ClassControl},
+		{"attach", Frame{From: "a", Attach: &membership.Attach{Kind: membership.AttachRequest, Client: "a"}}, ClassControl},
 		{"credit", Frame{From: "a", Credit: &Credit{Grant: 5}}, ClassControl},
 	}
 	for _, tc := range cases {

@@ -21,7 +21,7 @@ type DecodeState struct {
 
 	msg    types.WireMsg
 	notify membership.Notification
-	attach Attach
+	attach membership.Attach
 	credit Credit
 }
 
