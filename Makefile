@@ -28,12 +28,13 @@ race:
 	$(GO) test -race ./...
 
 # Flake hunt, kept out of `check`: the live soak, chaos and server-failover
-# tests, and the attach, lease, complaint and per-link-series tests, whose
-# schedules the kernel and the Go scheduler choose, FLAKE_COUNT times each at
-# GOMAXPROCS 1 and 2. Any failure fails the target; "green" means every run
+# tests, the attach, lease, complaint and per-link-series tests, and the
+# quiet-tail, in-view retention and dead-peer tests, whose schedules the
+# kernel and the Go scheduler choose, FLAKE_COUNT times each at GOMAXPROCS 1
+# and 2. Any failure fails the target; "green" means every run
 # passed, not that a rerun did.
 FLAKE_COUNT ?= 10
-FLAKE_TESTS = TestLiveSoak|TestLiveChaos|TestLiveServer|TestLiveFlashCrowd|TestLiveAttachLease|TestLivePartitionedHome|TestLiveSlowConsumer|TestLiveEveryNumber
+FLAKE_TESTS = TestLiveSoak|TestLiveChaos|TestLiveServer|TestLiveFlashCrowd|TestLiveAttachLease|TestLivePartitionedHome|TestLiveSlowConsumer|TestLiveEveryNumber|TestLiveQuietTail|TestLiveRetentionWithinView|TestLiveDeadPeer
 
 flake:
 	$(GO) test -count=$(FLAKE_COUNT) -cpu 1,2 -timeout 0 -run '$(FLAKE_TESTS)' ./internal/live/ ./internal/soak/

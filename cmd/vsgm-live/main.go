@@ -136,7 +136,7 @@ func run(args []string, out io.Writer) error {
 		g := func(name string) int64 { return int64(counts[string(id)]["vsgm_link_"+name+"_total"]) }
 		fmt.Fprintf(out, "  %s: dials=%d failures=%d retries=%d reconnects=%d frames=%d flushes=%d writeErrs=%d drops=%d creditsGranted=%d creditsConsumed=%d windowExhausted=%d\n",
 			id, g("dials"), g("dial_failures"), g("retries"), g("reconnects"), g("frames_sent"), g("flushes"),
-			g("write_errors"), g("queue_drops")+g("chaos_drops"),
+			g("write_errors"), g("chaos_drops"),
 			g("credits_granted"), g("credits_consumed"), g("window_exhausted"))
 	}
 

@@ -164,7 +164,7 @@ func run() error {
 	for _, cid := range clientIDs {
 		count := func(name string) int64 { return int64(totals[string(cid)+" vsgm_link_"+name+"_total"]) }
 		fmt.Printf("  %s: dials=%d retries=%d frames=%d drops=%d\n", cid,
-			count("dials"), count("retries"), count("frames_sent"), count("queue_drops")+count("chaos_drops"))
+			count("dials"), count("retries"), count("frames_sent"), count("chaos_drops"))
 	}
 
 	fmt.Println("\nvirtually synchronous multicast over real sockets ✓")

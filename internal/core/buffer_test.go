@@ -83,8 +83,8 @@ func TestBufferMapDropExcept(t *testing.T) {
 	}
 }
 
-// TestMsgBufBytesAccounting pins the live-byte counter the memory budget
-// reads: set adds each stored payload once (idempotent re-stores and
+// TestMsgBufBytesAccounting pins the live-byte counter behind
+// Endpoint.BufferedBytes: set adds each stored payload once (idempotent re-stores and
 // below-base stores add nothing), and collect subtracts exactly the dropped
 // prefix — so bytes always equals the payload total of live entries.
 func TestMsgBufBytesAccounting(t *testing.T) {
@@ -118,8 +118,8 @@ func TestMsgBufBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestMsgBufPackedBytesAccounting pins what the memory budget reads of a
-// buffer with a pool: a packed payload counts its length, not its chunk's
+// TestMsgBufPackedBytesAccounting pins what Endpoint.BufferedBytes reads of
+// a buffer with a pool: a packed payload counts its length, not its chunk's
 // capacity (which would count a 256-byte message sixteen times over); the
 // open chunk's unfilled rest counts once; the tail a payload did not fit
 // behind is written off when the next chunk opens; a payload past packLimit

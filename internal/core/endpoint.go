@@ -409,8 +409,8 @@ func (e *Endpoint) BufferedMessages() int {
 }
 
 // BufferedBytes returns the bytes the message buffers keep resident (all
-// senders, all views awaiting garbage collection) — the automaton's share of
-// a node's memory budget. A payload with a pooled buffer to itself counts that
+// senders, all views awaiting garbage collection), which a live node publishes
+// as vsgm_endpoint_buffered_bytes. A payload with a pooled buffer to itself counts that
 // buffer's capacity; one packed into a shared chunk, or copied to the heap,
 // counts its length, and each buffer's open chunk counts its unfilled rest.
 func (e *Endpoint) BufferedBytes() int64 {

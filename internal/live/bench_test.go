@@ -55,7 +55,6 @@ func benchBroadcast(b *testing.B, fanout, payload int) {
 	cfg := TransportConfig{
 		DialTimeout: 2 * time.Second, WriteTimeout: 5 * time.Second,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
-		QueueCap: 1 << 16,
 	}
 	dests := make([]types.ProcID, fanout)
 	dir := make(map[types.ProcID]string, fanout)
@@ -75,17 +74,13 @@ func benchBroadcast(b *testing.B, fanout, payload int) {
 
 	msg := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 0, Payload: make([]byte, payload)}}
 
-	// Drain-wait: every link has put target frames on the wire, none shed.
+	// Drain-wait: every link has put target frames on the wire.
 	drained := func(target int64, deadline time.Duration) bool {
 		limit := time.Now().Add(deadline)
 		for time.Now().Before(limit) {
 			ok := true
 			for _, q := range dests {
-				s := linkCounts(fa, q)
-				if s["queue_drops"] > 0 {
-					b.Fatalf("bounded queue shed load mid-benchmark: %v", s)
-				}
-				if s["frames_sent"] < target {
+				if linkCounts(fa, q)["frames_sent"] < target {
 					ok = false
 				}
 			}
@@ -220,7 +215,7 @@ func BenchmarkSendUnderBackpressure(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.SetBytes(int64(len(msg.App.Payload)))
 
-	if s := linkCounts(fa, "b"); s["queue_drops"] > 0 || s["chaos_drops"] > 0 {
+	if s := linkCounts(fa, "b"); s["chaos_drops"] > 0 {
 		b.Fatalf("backpressured sender shed frames: %v", s)
 	}
 	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); perOp > allocCeiling {
@@ -247,7 +242,7 @@ func benchLinkScale(b *testing.B, links int) {
 
 	var frames atomic.Int64
 	rx, err := newFabric("rx", "127.0.0.1:0",
-		TransportConfig{QueueCap: 1 << 16},
+		TransportConfig{},
 		func(_ types.ProcID, fr frame, body *pool.Buf) {
 			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
 				frames.Add(1)

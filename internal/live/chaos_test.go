@@ -4,7 +4,7 @@ package live
 // fabric degrades real TCP links (partitions, latency, partial writes,
 // drops, duplicates) while the full spec suite checks every safety
 // property, and white-box transport tests pin down the supervision
-// guarantees: bounded queues, backoff without goroutine leaks, dial and
+// guarantees: sends that never block, backoff without goroutine leaks, dial and
 // write deadlines, and prompt teardown behind dead or stuck peers.
 
 import (
@@ -349,7 +349,6 @@ func TestLiveReconnectBackoffAndResume(t *testing.T) {
 		WriteTimeout: time.Second,
 		BackoffBase:  5 * time.Millisecond,
 		BackoffMax:   50 * time.Millisecond,
-		QueueCap:     256,
 	}
 
 	var mu sync.Mutex
@@ -451,7 +450,7 @@ func TestLiveReconnectBackoffAndResume(t *testing.T) {
 }
 
 // TestLiveDeadPeerNeverWedgesSend sends a burst at an address that refuses
-// connections: Send must return immediately (bounded queue, supervised
+// connections: Send must return immediately (queued behind supervised
 // dialing), the dial failures must be counted, and Close must stay prompt.
 func TestLiveDeadPeerNeverWedgesSend(t *testing.T) {
 	cfg := TransportConfig{
@@ -459,7 +458,6 @@ func TestLiveDeadPeerNeverWedgesSend(t *testing.T) {
 		WriteTimeout: time.Second,
 		BackoffBase:  5 * time.Millisecond,
 		BackoffMax:   50 * time.Millisecond,
-		QueueCap:     64,
 	}
 	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
 	if err != nil {
@@ -488,12 +486,9 @@ func TestLiveDeadPeerNeverWedgesSend(t *testing.T) {
 		s := linkCounts(fa, "ghost")
 		return s["dial_failures"] >= 2 && s["retries"] >= 2
 	})
-	// The bounded queue degrades by class: data frames are shed once the
-	// cap is hit, while heartbeats coalesce in place (a newer one replaces
-	// the queued older one) so they never contribute to queue growth.
-	if s := linkCounts(fa, "ghost"); s["queue_drops"] == 0 {
-		t.Errorf("expected the bounded queue to shed data load (500 sends, cap 64): %v", s)
-	} else if s["heartbeats_coalesced"] == 0 {
+	// Heartbeats coalesce in place (a newer one replaces the queued older
+	// one), so they never contribute to queue growth behind a dead link.
+	if s := linkCounts(fa, "ghost"); s["heartbeats_coalesced"] == 0 {
 		t.Errorf("expected queued heartbeats to coalesce: %v", s)
 	}
 
@@ -649,7 +644,7 @@ func TestLiveWriteDeadlineBreaksStuckPeer(t *testing.T) {
 		WriteTimeout: 250 * time.Millisecond,
 		BackoffBase:  10 * time.Millisecond,
 		BackoffMax:   100 * time.Millisecond,
-		QueueCap:     8,
+		Window:       32,
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -687,13 +682,18 @@ func TestLiveWriteDeadlineBreaksStuckPeer(t *testing.T) {
 	}
 	fa.SetPeers(map[types.ProcID]string{"stuck": ln.Addr().String()})
 
-	// Keep feeding large frames until the socket buffers fill and the
-	// deadline fires (buffer sizes vary by host, so a fixed burst is not
-	// enough).
+	// Keep feeding large frames, as far as the credit window admits them,
+	// until the socket buffers fill and the deadline fires (buffer sizes vary
+	// by host, so a fixed burst is not enough; the window's 16 MiB is several
+	// times what a peer that never reads lets the kernel hold, and bounds
+	// what the test keeps resident).
 	payload := bytes.Repeat([]byte("x"), 512<<10)
 	big := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: payload}}
+	stuck := []types.ProcID{"stuck"}
 	waitUntil(t, "the write deadline to break the stuck link", 15*time.Second, func() bool {
-		fa.Send([]types.ProcID{"stuck"}, big)
+		if fa.admitData(stuck, false) == nil {
+			fa.Send(stuck, big)
+		}
 		return linkCounts(fa, "stuck")["write_errors"] >= 1
 	})
 	// The writer counts the error before it reports the link down, so the
@@ -824,7 +824,6 @@ func TestLiveChaosMidBatchDropsKeepFrameBoundaries(t *testing.T) {
 	cfg := TransportConfig{
 		DialTimeout: time.Second, WriteTimeout: 2 * time.Second,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
-		QueueCap: 2048,
 	}
 	var mu sync.Mutex
 	var got []int64
@@ -863,7 +862,7 @@ func TestLiveChaosMidBatchDropsKeepFrameBoundaries(t *testing.T) {
 	// Every frame resolved: sent or dropped, duplicates on top.
 	waitUntil(t, "per-frame accounting to close", 15*time.Second, func() bool {
 		s := linkCounts(fa, "b")
-		return s["frames_sent"]+s["chaos_drops"] == n+s["chaos_dups"] && s["queue_drops"] == 0
+		return s["frames_sent"]+s["chaos_drops"] == n+s["chaos_dups"]
 	})
 	s := linkCounts(fa, "b")
 	if s["chaos_drops"] == 0 || s["chaos_dups"] == 0 {
@@ -897,7 +896,6 @@ func TestLiveChaosOneWayPartitionMidBatch(t *testing.T) {
 	cfg := TransportConfig{
 		DialTimeout: time.Second, WriteTimeout: 2 * time.Second,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
-		QueueCap: 2048,
 	}
 	var mu sync.Mutex
 	var fwd []int64
@@ -989,7 +987,6 @@ func TestLiveBatchCoalescingBacklogFlushesOnce(t *testing.T) {
 	cfg := TransportConfig{
 		DialTimeout: time.Second, WriteTimeout: 2 * time.Second,
 		BackoffBase: 20 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
-		QueueCap: 2048,
 	}
 	var mu sync.Mutex
 	var got []int64

@@ -39,15 +39,13 @@ type TransportConfig struct {
 	// doubles it (with jitter) up to BackoffMax. Defaults 50ms / 2s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// QueueCap bounds each per-peer outbound queue; when a link is down
-	// long enough to fill it, the oldest frames are evicted (and counted)
-	// so senders never block. Default 4096.
-	QueueCap int
 	// Window is the per-link credit window: how many application data
 	// frames may be outstanding (sent but not yet consumed by the peer's
-	// application) before Node.Send stalls. Control-plane frames are never
-	// gated. Default 1024; negative starts links with zero credit, so
-	// every data send waits for an explicit grant (used by tests).
+	// application) before Node.Send stalls. It is the only bound on a
+	// link's backlog: no queued data frame is ever dropped to make room.
+	// Control-plane frames are never gated. Default 1024; negative starts
+	// links with zero credit, so every data send waits for an explicit
+	// grant (used by tests).
 	Window int
 }
 
@@ -64,40 +62,31 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 2 * time.Second
 	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4096
-	}
 	if c.Window == 0 {
 		c.Window = 1024
 	}
 	return c
 }
 
-// mailbox is a FIFO queue: outbound sends and application events enqueue
-// here so the automaton's step loop never blocks on a slow consumer, and a
-// single goroutine drains in order, in coalesced batches (takeBatch). With a
-// positive cap the queue is bounded: a full queue evicts an entry (counted)
-// instead of blocking the producer. onDrop, when set, observes every entry the mailbox discards —
-// evictions and anything still queued at close — so pooled entries can be
-// released; such a mailbox drops its backlog at close instead of handing it
-// out.
+// mailbox is an unbounded FIFO queue: outbound sends and application events
+// enqueue here so the automaton's step loop never blocks on a slow consumer,
+// and a single goroutine drains in order, in coalesced batches (takeBatch).
+// Nothing bounds it here: the credit window bounds a link's data backlog
+// upstream (Node.admit) and, because credit returns only as the event pump
+// drains, the data events in a node's event ring too. onDrop, when set,
+// observes every entry the mailbox discards — superseded heartbeats and
+// anything still queued at close — so pooled entries can be released; such
+// a mailbox drops its backlog at close instead of handing it out.
 //
-// classOf, when set, makes eviction class-aware: only ClassData entries may
-// ever be evicted (oldest first), control entries are reliable and let the
-// queue grow past cap rather than drop, and a newly queued heartbeat
-// supersedes an already queued one (coalesced, not counted as a drop).
-// sizeOf, when set, keeps a running byte total for the memory budget.
+// classOf, when set, makes a newly queued heartbeat supersede an already
+// queued one (coalesced, not a drop: the newest always flows).
 type mailbox[T any] struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []T // live entries are queue[head:]; the prefix is zeroed slack
 	head      int
-	cap       int
 	onDrop    func(T)
 	classOf   func(T) wire.FrameClass
-	sizeOf    func(T) int
-	bytes     int64
-	evicted   int64
 	coalesced int64
 	closed    bool
 }
@@ -128,18 +117,8 @@ func newMailbox[T any]() *mailbox[T] {
 	return m
 }
 
-func newBoundedMailbox[T any](cap int, onDrop func(T)) *mailbox[T] {
-	m := newMailbox[T]()
-	m.cap = cap
-	m.onDrop = onDrop
-	return m
-}
-
 // put enqueues v; it reports false if the mailbox is closed (the caller
-// keeps ownership of v). A bounded mailbox at capacity evicts to make room:
-// the oldest entry without a classifier, the oldest data entry with one —
-// and with a classifier a control entry is never evicted, the queue grows
-// past cap instead (control is low-rate and reliable by contract).
+// keeps ownership of v).
 func (m *mailbox[T]) put(v T) bool {
 	m.mu.Lock()
 	if m.closed {
@@ -152,31 +131,17 @@ func (m *mailbox[T]) put(v T) bool {
 			m.removeAt(i)
 		}
 	}
-	if m.cap > 0 && len(m.queue)-m.head >= m.cap {
-		i := m.head
-		if m.classOf != nil {
-			i = m.findClass(wire.ClassData)
-		}
-		if i >= 0 {
-			m.evicted++
-			m.removeAt(i)
-		}
-	}
 	m.compact()
 	m.queue = append(m.queue, v)
-	if m.sizeOf != nil {
-		m.bytes += int64(m.sizeOf(v))
-	}
 	m.cond.Signal()
 	m.mu.Unlock()
 	return true
 }
 
 // putAll enqueues vs in order under one lock round trip and one wake, so a
-// producer's batch reaches the consumer as a batch. It serves unbounded,
-// unclassified mailboxes (the node's event ring: no cap, classifier or byte
-// accounting to honor) and reports false, enqueueing nothing, once the
-// mailbox is closed.
+// producer's batch reaches the consumer as a batch. It serves unclassified
+// mailboxes (the node's event ring: no heartbeat to coalesce) and reports
+// false, enqueueing nothing, once the mailbox is closed.
 func (m *mailbox[T]) putAll(vs []T) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -199,14 +164,10 @@ func (m *mailbox[T]) findClass(c wire.FrameClass) int {
 	return -1
 }
 
-// removeAt discards queue[i] (head <= i < len): byte accounting shrinks,
-// onDrop observes the entry, and later entries shift down so FIFO order is
-// preserved.
+// removeAt discards queue[i] (head <= i < len): onDrop observes the entry,
+// and later entries shift down so FIFO order is preserved.
 func (m *mailbox[T]) removeAt(i int) {
 	v := m.queue[i]
-	if m.sizeOf != nil {
-		m.bytes -= int64(m.sizeOf(v))
-	}
 	var zero T
 	if i == m.head {
 		m.queue[m.head] = zero
@@ -240,9 +201,6 @@ func (m *mailbox[T]) takeBatch(dst []T, max int) ([]T, bool) {
 	dst = append(dst, m.queue[m.head:m.head+n]...)
 	var zero T
 	for i := 0; i < n; i++ {
-		if m.sizeOf != nil {
-			m.bytes -= int64(m.sizeOf(m.queue[m.head+i]))
-		}
 		m.queue[m.head+i] = zero
 	}
 	m.head += n
@@ -262,15 +220,8 @@ func (m *mailbox[T]) close() {
 		}
 		m.queue = nil
 		m.head = 0
-		m.bytes = 0
 	}
 	m.cond.Broadcast()
-}
-
-func (m *mailbox[T]) evictions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evicted
 }
 
 func (m *mailbox[T]) coalescedCount() int64 {
@@ -279,25 +230,14 @@ func (m *mailbox[T]) coalescedCount() int64 {
 	return m.coalesced
 }
 
-// queuedBytes is the running total of sizeOf over queued entries.
-func (m *mailbox[T]) queuedBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes
-}
-
-// link is the supervised state for one destination: its bounded outbound
-// queue of pre-encoded frames, counters, and both directions of credit
-// bookkeeping. The writer goroutine starts on first use and owns the
+// link is the supervised state for one destination: its outbound queue of
+// pre-encoded frames, counters, and both directions of credit bookkeeping.
+// The writer goroutine starts on first use and owns the
 // dial/backoff/reconnect cycle.
 type link struct {
 	peer    types.ProcID
 	mb      *mailbox[*wire.FrameBuf]
 	started bool
-	// held is the encoded bytes of frames the link's writer has taken out of
-	// mb and not yet put on the wire (the pending batch, waiting out a dial,
-	// a chaos delay or a flush): resident, so the memory budget counts them.
-	held atomic.Int64
 
 	// Counters, scraped through linkSeries (which says what each counts).
 	// Atomics: the writer, the inbound reader and senders bump them without
@@ -350,8 +290,6 @@ var linkSeries = []struct {
 		func(l *link) int64 { return l.flushes.Load() }},
 	{"vsgm_link_write_errors_total", "Frame writes that failed; each tears the connection down for a supervised redial.",
 		func(l *link) int64 { return l.writeErrors.Load() }},
-	{"vsgm_link_queue_drops_total", "Data frames evicted from the bounded outbound queue.",
-		func(l *link) int64 { return l.mb.evictions() }},
 	{"vsgm_link_chaos_drops_total", "Frames dropped by the chaos controller, one-way partition blocks included.",
 		func(l *link) int64 { return l.chaosDrops.Load() }},
 	{"vsgm_link_chaos_dups_total", "Frames duplicated by the chaos controller.",
@@ -432,10 +370,10 @@ type fabric struct {
 	links  map[types.ProcID]*link
 	closed bool
 
-	// flowMu/flowCond park data senders waiting out a shut credit window
-	// or a tripped memory budget; flowGen rises on every event that could
-	// reopen one (credit arrival, queue drain, refund, tick), so a waiter
-	// that sampled the generation before checking cannot miss its wakeup.
+	// flowMu/flowCond park data senders waiting out a shut credit window;
+	// flowGen rises on every event that could reopen one (credit arrival,
+	// consumption, refund, tick), so a waiter that sampled the generation
+	// before checking cannot miss its wakeup.
 	flowMu   sync.Mutex
 	flowCond *sync.Cond
 	flowGen  uint64
@@ -589,7 +527,7 @@ func (f *fabric) flowGeneration() uint64 {
 }
 
 // waitFlowChange parks until the flow generation moves past gen (credit
-// arrived, a queue drained, a tick fired) or the fabric closes; it reports
+// arrived or was refunded, a tick fired) or the fabric closes; it reports
 // false when closing.
 func (f *fabric) waitFlowChange(gen uint64) bool {
 	f.flowMu.Lock()
@@ -686,9 +624,8 @@ func (f *fabric) sendCredit(peer types.ProcID, grant int64) {
 }
 
 // refundData returns one unit of outbound credit for a data frame that
-// will never reach the peer's socket (chaos drop, queue eviction, closed
-// mailbox), so injected loss and shed backlog cannot leak the window shut
-// forever.
+// will never reach the peer's socket (chaos drop, closed mailbox), so
+// injected loss and a closed link cannot leak the window shut forever.
 func (f *fabric) refundData(l *link) {
 	l.mu.Lock()
 	l.used--
@@ -733,25 +670,15 @@ func (f *fabric) slowPeers(grace time.Duration, now time.Time) []types.ProcID {
 	return out
 }
 
-// QueuedBytes sums the encoded bytes resident in every outbound queue and in
-// the batch each link's writer holds — the transport's share of the node's
-// memory budget.
-func (f *fabric) QueuedBytes() int64 {
-	var n int64
-	for _, l := range f.linkList() {
-		n += l.mb.queuedBytes() + l.held.Load()
-	}
-	return n
-}
-
 // Send enqueues m toward each destination. The frame is marshaled exactly
 // once — every destination queue holds a reference to the same pooled
 // encoding, so fan-out costs one marshal instead of len(dests). Delivery is
 // supervised per link: unknown or unreachable destinations retry with
-// backoff in the background while the bounded queue absorbs (and eventually
-// sheds) the backlog — a dead peer can never wedge the caller. A frame that
-// cannot be encoded (or exceeds the wire bound) is dropped here, before any
-// queue, rather than left to wedge a writer forever.
+// backoff in the background while the queue holds the backlog — a dead peer
+// can never wedge the caller, and the credit window, not the queue, bounds
+// how much data waits for it. A frame that cannot be encoded (or exceeds the
+// wire bound) is dropped here, before any queue, rather than left to wedge a
+// writer forever.
 func (f *fabric) Send(dests []types.ProcID, m types.WireMsg) {
 	if len(dests) == 0 {
 		return
@@ -818,14 +745,14 @@ func (f *fabric) linkLocked(q types.ProcID) *link {
 	l := &link{peer: q}
 	w := f.windowSize()
 	l.granted, l.grantedOut = w, w
-	l.mb = newBoundedMailbox(f.cfg.QueueCap, func(fb *wire.FrameBuf) {
+	l.mb = newMailbox[*wire.FrameBuf]()
+	l.mb.onDrop = func(fb *wire.FrameBuf) {
 		if fb.Class() == wire.ClassData {
 			f.refundData(l)
 		}
 		fb.Release()
-	})
+	}
 	l.mb.classOf = (*wire.FrameBuf).Class
-	l.mb.sizeOf = func(fb *wire.FrameBuf) int { return len(fb.Bytes()) }
 	if f.closed {
 		l.mb.close()
 	}
@@ -945,9 +872,9 @@ func jitter(d time.Duration) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
-// writeLoop supervises one outbound link: it drains the bounded queue in
-// batches, applies outbound chaos frame by frame (so per-frame drop, dup,
-// and latency verdicts — and their counters — are unchanged by coalescing),
+// writeLoop supervises one outbound link: it drains the queue in batches,
+// applies outbound chaos frame by frame (so per-frame drop, dup, and
+// latency verdicts — and their counters — are unchanged by coalescing),
 // dials (and redials) the peer with backoff, and writes each surviving batch
 // through the encoder, one vectored write per run (a run closes once it holds
 // maxBatchBytes).
@@ -971,17 +898,12 @@ func (f *fabric) writeLoop(l *link) {
 		}
 	}
 	defer dropConn()
-	hold := func(fb *wire.FrameBuf) {
-		pending = append(pending, fb)
-		l.held.Add(int64(len(fb.Bytes())))
-	}
-	unhold := func(fbs []*wire.FrameBuf) {
+	release := func(fbs []*wire.FrameBuf) {
 		for _, fb := range fbs {
-			l.held.Add(-int64(len(fb.Bytes())))
 			fb.Release()
 		}
 	}
-	defer func() { unhold(pending) }() // fabric closing: drop the unsent tail
+	defer func() { release(pending) }() // fabric closing: drop the unsent tail
 	for {
 		if len(pending) == 0 {
 			var ok bool
@@ -1005,11 +927,11 @@ func (f *fabric) writeLoop(l *link) {
 					fb.Release()
 					continue
 				}
-				hold(fb)
+				pending = append(pending, fb)
 				if verdict.dup {
 					l.chaosDups.Add(1)
 					fb.Retain(1)
-					hold(fb)
+					pending = append(pending, fb)
 				}
 			}
 			if len(pending) == 0 {
@@ -1029,11 +951,8 @@ func (f *fabric) writeLoop(l *link) {
 		sent, flushes, err := enc.WriteBatch(bufs, maxBatchBytes)
 		l.framesSent.Add(int64(sent))
 		l.flushes.Add(int64(flushes))
-		unhold(pending[:sent])
+		release(pending[:sent])
 		pending = append(pending[:0], pending[sent:]...)
-		if sent > 0 {
-			f.flowBroadcast() // queue drained: budget waiters may proceed
-		}
 		if err != nil {
 			l.writeErrors.Add(1)
 			dropConn()
@@ -1225,7 +1144,7 @@ func (f *fabric) Close() {
 			l.mb.close()
 		}
 		f.mu.Unlock()
-		f.flowBroadcast() // release senders parked on credit or budget
+		f.flowBroadcast() // release senders parked on credit
 	})
 	f.wg.Wait()
 }

@@ -1,11 +1,12 @@
 package live
 
-// Regime 6 tests: overload and flow control. The credit protocol must stall
-// senders instead of shedding data frames, keep the control plane (sync,
-// attach, proposals, credits, notifications) exempt from queue eviction,
-// hold resident bytes under the memory budget, and degrade a persistently
-// slow consumer by evicting it from the view — all without suppressing
-// heartbeats on an exhausted link (no false suspicion before the grace).
+// Regime 6 tests: overload and flow control. The credit window is the one
+// bound on a link's backlog: it must stall senders instead of shedding data
+// frames, never gate the control plane (sync, attach, proposals, credits,
+// notifications, heartbeats), and degrade a persistently slow consumer by
+// evicting it from the view — without starving heartbeats on an exhausted
+// link (no false suspicion before the grace). Inside a view, members collect
+// what the whole view has acknowledged, down to a quiet group's tail.
 
 import (
 	"fmt"
@@ -40,62 +41,15 @@ func encodeClass(t testing.TB, class wire.FrameClass, from types.ProcID) *wire.F
 	return fb
 }
 
-// TestMailboxControlExemptFromEviction pins the satellite invariant of the
-// shedding policy: a full bounded queue evicts the oldest *data* frame, and
-// when only control frames remain it grows past its cap rather than drop
-// one. Byte accounting must track every enqueue, eviction, and dequeue.
-func TestMailboxControlExemptFromEviction(t *testing.T) {
-	var dropped []*wire.FrameBuf
-	m := newBoundedMailbox(2, func(fb *wire.FrameBuf) { dropped = append(dropped, fb) })
-	m.classOf = (*wire.FrameBuf).Class
-	m.sizeOf = func(fb *wire.FrameBuf) int { return len(fb.Bytes()) }
-
-	ctl1 := encodeClass(t, wire.ClassControl, "a")
-	data1 := encodeClass(t, wire.ClassData, "a")
-	data2 := encodeClass(t, wire.ClassData, "a")
-	data3 := encodeClass(t, wire.ClassData, "a")
-	ctl2 := encodeClass(t, wire.ClassControl, "a")
-	ctl3 := encodeClass(t, wire.ClassControl, "a")
-
-	m.put(ctl1)
-	m.put(data1)
-	m.put(data2) // full: evicts data1, never ctl1
-	m.put(data3) // full: evicts data2
-	m.put(ctl2)  // full: evicts data3 (data is sheddable, control is not)
-	m.put(ctl3)  // only control queued: grows past cap instead of dropping
-
-	if got := m.evictions(); got != 3 {
-		t.Fatalf("evictions = %d, want 3", got)
-	}
-	for i, fb := range dropped {
-		if fb.Class() != wire.ClassData {
-			t.Fatalf("dropped[%d] is class %d — a control frame was shed", i, fb.Class())
-		}
-	}
-	wantBytes := int64(len(ctl1.Bytes()) + len(ctl2.Bytes()) + len(ctl3.Bytes()))
-	if got := m.queuedBytes(); got != wantBytes {
-		t.Fatalf("queuedBytes = %d, want %d", got, wantBytes)
-	}
-	for i, want := range []*wire.FrameBuf{ctl1, ctl2, ctl3} {
-		got, ok := takeOne(m)
-		if !ok || got != want {
-			t.Fatalf("take %d: got %p ok=%v, want %p (FIFO of surviving control frames)", i, got, ok, want)
-		}
-	}
-	if got := m.queuedBytes(); got != 0 {
-		t.Fatalf("queuedBytes after drain = %d, want 0", got)
-	}
-}
-
 // TestMailboxHeartbeatCoalescing: a heartbeat carries no information beyond
 // liveness-now, so a newly queued one supersedes a queued predecessor. The
-// control-exemption rule would otherwise let heartbeats accumulate without
-// bound behind a dead link.
+// credit window does not gate control frames, so heartbeats would otherwise
+// accumulate without bound behind a dead link.
 func TestMailboxHeartbeatCoalescing(t *testing.T) {
 	var dropped []*wire.FrameBuf
-	m := newBoundedMailbox(16, func(fb *wire.FrameBuf) { dropped = append(dropped, fb) })
+	m := newMailbox[*wire.FrameBuf]()
+	m.onDrop = func(fb *wire.FrameBuf) { dropped = append(dropped, fb) }
 	m.classOf = (*wire.FrameBuf).Class
-	m.sizeOf = func(fb *wire.FrameBuf) int { return len(fb.Bytes()) }
 
 	data := encodeClass(t, wire.ClassData, "a")
 	hb1 := encodeClass(t, wire.ClassHeartbeat, "a")
@@ -112,9 +66,6 @@ func TestMailboxHeartbeatCoalescing(t *testing.T) {
 	if got := m.coalescedCount(); got != 2 {
 		t.Fatalf("coalesced = %d, want 2", got)
 	}
-	if got := m.evictions(); got != 0 {
-		t.Fatalf("evictions = %d, want 0 (coalescing is not dropping)", got)
-	}
 	if len(dropped) != 2 || dropped[0] != hb1 || dropped[1] != hb2 {
 		t.Fatalf("onDrop saw %v, want the two superseded heartbeats", dropped)
 	}
@@ -123,65 +74,6 @@ func TestMailboxHeartbeatCoalescing(t *testing.T) {
 		if !ok || got != want {
 			t.Fatalf("take %d: wrong frame order after coalescing", i)
 		}
-	}
-}
-
-// TestChaosPressureNeverDropsSync is the satellite regression: chaos
-// latency throttles the link writer so the bounded outbound queue
-// overflows, and under that pressure data frames are shed — but every sync
-// frame (the view-change critical path) must still arrive. Note the drops
-// here are queue evictions under pressure; probabilistic chaos drops happen
-// after dequeue and would not pressure the queue at all.
-func TestChaosPressureNeverDropsSync(t *testing.T) {
-	cfg := loopbackTransport()
-	cfg.QueueCap = 8
-
-	var (
-		mu       sync.Mutex
-		syncSeen = map[types.StartChangeID]bool{}
-	)
-	recv := func(_ types.ProcID, fr frame, body *pool.Buf) {
-		defer releaseBody(body)
-		if fr.Msg != nil && fr.Msg.Kind == types.KindSync {
-			mu.Lock()
-			syncSeen[fr.Msg.CID] = true
-			mu.Unlock()
-		}
-	}
-	fa, err := newFabric("a", "127.0.0.1:0", cfg, dropFrame, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fa.Close()
-	fb, err := newFabric("b", "127.0.0.1:0", cfg, recv, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	fa.SetPeers(map[types.ProcID]string{"b": fb.Addr()})
-	fa.Chaos().SetLatency(3*time.Millisecond, 0)
-
-	v := types.NewView(1, types.NewProcSet("a", "b"), map[types.ProcID]types.StartChangeID{"a": 1, "b": 1})
-	const rounds = 40
-	for i := 0; i < rounds; i++ {
-		for j := 0; j < 10; j++ {
-			fa.Send([]types.ProcID{"b"}, types.WireMsg{
-				Kind: types.KindApp,
-				App:  types.AppMsg{ID: int64(i*10 + j), Payload: []byte("flood")},
-			})
-		}
-		fa.Send([]types.ProcID{"b"}, types.WireMsg{
-			Kind: types.KindSync, CID: types.StartChangeID(i), View: v, Cut: types.Cut{"a": 1},
-		})
-	}
-
-	waitUntil(t, "every sync frame to survive the overloaded queue", 30*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(syncSeen) == rounds
-	})
-	if drops := linkCounts(fa, "b")["queue_drops"]; drops == 0 {
-		t.Fatalf("queue never overflowed (drops = 0) — the test applied no pressure")
 	}
 }
 
@@ -294,65 +186,6 @@ func TestZeroCreditLinkStillDeliversHeartbeats(t *testing.T) {
 	})
 	if slow := fa.slowPeers(time.Hour, time.Now()); len(slow) != 0 {
 		t.Fatalf("slowPeers before the grace elapsed = %v, want none", slow)
-	}
-}
-
-// TestMemoryBudgetLatchesAndReleases exercises gate 1 of Node.Send: bytes
-// resident in transport queues count against MemHighWater, a non-blocking
-// send above it fails fast with ErrOverloaded (latching the node
-// overloaded), and draining the queues reopens the budget.
-func TestMemoryBudgetLatchesAndReleases(t *testing.T) {
-	n, err := NewNode(NodeConfig{
-		ID:           "solo",
-		Addr:         "127.0.0.1:0",
-		AutoBlock:    true,
-		Transport:    loopbackTransport(),
-		MemHighWater: 4 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
-	// Below budget every gate passes: the node starts in its singleton
-	// view, so the send is admitted and self-delivered.
-	if _, err := n.TrySend([]byte("probe")); err != nil {
-		t.Fatalf("TrySend under budget = %v, want nil", err)
-	}
-
-	// Park 8 KiB of frames in the queue of an undialable peer.
-	payload := make([]byte, 1024)
-	for i := 0; i < 8; i++ {
-		n.fabric.Send([]types.ProcID{"ghost"}, types.WireMsg{
-			Kind: types.KindApp, App: types.AppMsg{ID: int64(i), Payload: payload},
-		})
-	}
-	waitUntil(t, "queued bytes to exceed the high watermark", 5*time.Second, func() bool {
-		return n.MemUsage() > 4<<10
-	})
-	if _, err := n.TrySend([]byte("probe")); err != ErrOverloaded {
-		t.Fatalf("TrySend over budget = %v, want ErrOverloaded", err)
-	}
-	if latched, mem, refused := n.overloaded.Load(), n.MemUsage(), n.sendsOverloaded.Value(); !latched || mem <= 4<<10 || refused < 1 {
-		t.Fatalf("overload not reflected: latched=%v mem=%d refused=%d", latched, mem, refused)
-	}
-
-	// Bring the ghost up; the writer drains, usage falls to zero (below
-	// the low watermark), and the budget reopens.
-	sink, err := newFabric("ghost", "127.0.0.1:0", loopbackTransport(), dropFrame, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	n.SetPeers(map[types.ProcID]string{"ghost": sink.Addr()})
-	waitUntil(t, "queues to drain below the low watermark", 10*time.Second, func() bool {
-		return n.MemUsage() < 2<<10
-	})
-	if _, err := n.TrySend([]byte("probe")); err != nil {
-		t.Fatalf("TrySend after drain = %v, want nil (budget reopened)", err)
-	}
-	if n.overloaded.Load() {
-		t.Fatalf("overload latch stuck after drain: mem=%d", n.MemUsage())
 	}
 }
 
@@ -486,53 +319,38 @@ func retentionWithinViewIsBounded(t *testing.T, payload []byte, sends int) {
 	}
 }
 
-// TestMemoryBudgetReopensWithoutViewChange: a node latched over MemHighWater
-// by its end-point's message buffers (not by transport queues) reopens once
-// the view has acknowledged the messages, with no reconfiguration. The burst
-// is too short for any member to reach either ack trigger (ackInterval
-// deliveries or 1 MiB of delivered payload); the manager tick's FlushAck is
-// what reports the tail. The 16 KiB case runs the same
-// budget over payloads that are held in pooled buffers of their own rather than
-// copied into one: the budget counts the slab a held message pins, so it still
-// bounds what is resident. The 1 KiB case runs a smaller budget over payloads
-// packed four to a chunk: each counts its length and the open chunk its
-// unfilled rest, so the budget trips within a chunk of the payload total.
-func TestMemoryBudgetReopensWithoutViewChange(t *testing.T) {
-	t.Run("payload=1K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 1<<10, 32<<10) })
-	t.Run("payload=8K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 8<<10, 256<<10) })
-	t.Run("payload=16K", func(t *testing.T) { memoryBudgetReopensWithoutViewChange(t, 16<<10, 256<<10) })
+// TestLiveQuietTailDrainsInsideView: a burst too short for any member to reach
+// either ack trigger (ackInterval deliveries or 1 MiB of delivered payload)
+// still drains every member's message buffers to empty inside the view: the
+// manager tick's FlushAck reports the tail nothing else would acknowledge.
+// The 1 KiB case runs payloads packed four to a chunk (each counts its length,
+// the open chunk its unfilled rest, released with the last slot); the 8 and
+// 16 KiB cases payloads held in pooled buffers of their own, and a receiver
+// holding a 16 KiB message is charged the whole slab it arrived in.
+func TestLiveQuietTailDrainsInsideView(t *testing.T) {
+	t.Run("payload=1K", func(t *testing.T) { quietTailDrainsInsideView(t, 1<<10, 32) })
+	t.Run("payload=8K", func(t *testing.T) { quietTailDrainsInsideView(t, 8<<10, 32) })
+	t.Run("payload=16K", func(t *testing.T) { quietTailDrainsInsideView(t, 16<<10, 16) })
 }
 
-func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
+func quietTailDrainsInsideView(t *testing.T, size, sends int) {
+	if sends >= ackInterval || sends*size >= ackBytes {
+		t.Fatalf("%d sends of %d bytes reach an ack trigger: the test would not need the tick", sends, size)
+	}
 	reg := obs.NewRegistry()
-	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 3, Node: func(_ int, c *NodeConfig) {
-		if c.ID == "cli0" {
-			c.MemHighWater = high
-			c.Obs = reg
-		}
-	}})
+	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 3, Node: func(_ int, c *NodeConfig) { c.Obs = reg }})
 	defer w.close()
 	w.SetReachable()
 	vid := w.waitGroupFormed()
 
 	// Each payload is delivered everywhere before the next is sent, so the
-	// transport queues are empty and only the message buffers grow: the budget
-	// is crossed after 32 sends of 8 KiB (256 KiB, a quarter of the byte
-	// trigger), 16 of 16, or at most 32 of 1 KiB and no fewer than a chunk's
-	// worth short of that — every case far short of either ack trigger.
-	n := w.Client("cli0")
+	// buffers, not the transport queues, hold the burst.
+	n, peer := w.Client("cli0"), w.Client("cli1")
 	payload := make([]byte, size)
-	sent := 0
-	for {
-		_, err := n.TrySend(payload)
-		if err == ErrOverloaded {
-			break
-		}
-		if err != nil {
+	held := 0 // samples of the receiver with messages in its buffers
+	for sent := 1; sent <= sends; sent++ {
+		if _, err := n.Send(payload); err != nil {
 			t.Fatalf("send %d: %v", sent, err)
-		}
-		if sent++; int64(sent) > high/int64(size) {
-			t.Fatalf("%d sends of %d bytes have not tripped a %d byte budget", sent, size, high)
 		}
 		w.waitFor("the message to be delivered everywhere", func() bool {
 			snap := w.Delivered()
@@ -543,42 +361,50 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 			}
 			return true
 		})
-	}
-	var buffered float64
-	for _, s := range reg.Snapshot().Samples {
-		if s.Name == "vsgm_endpoint_buffered_bytes" {
-			buffered = s.Value
+		if size < stagingSlabSize {
+			continue
 		}
-	}
-	if latched := n.overloaded.Load(); !latched || int64(buffered) < high {
-		t.Fatalf("latched = %v with %v bytes in the message buffers, want the buffers alone over %d", latched, buffered, high)
-	}
-	if short := high - int64(sent*size); short >= 4<<10 {
-		t.Fatalf("the budget tripped after %d sends of %d bytes, %d short of %d: more than a chunk", sent, size, short, high)
-	}
-	if size >= stagingSlabSize {
 		// A receiver holds each message in the slab its frame arrived in —
 		// the 20 KiB class for a 16 KiB payload behind its header — and is
-		// charged for all of it.
-		peer := w.Client("cli1")
+		// charged for all of it. The tick may already have collected some.
 		peer.mu.Lock()
 		msgs, pinned := peer.ep.BufferedMessages(), peer.ep.BufferedBytes()
 		peer.mu.Unlock()
-		if msgs == 0 || pinned != int64(msgs)*(20<<10) {
+		if pinned != int64(msgs)*(20<<10) {
 			t.Fatalf("a receiver holding %d messages of %d bytes accounts for %d bytes, want %d a message", msgs, size, pinned, 20<<10)
 		}
+		if msgs > 0 {
+			held++
+		}
+	}
+	if size >= stagingSlabSize && held == 0 {
+		t.Fatalf("the receiver never held a message across %d sends: the charge was never checked", sends)
 	}
 
-	w.waitFor("the budget to reopen inside the view", func() bool {
-		_, err := n.TrySend([]byte("probe"))
-		return err == nil
-	})
-	if latched, mem := n.overloaded.Load(), n.MemUsage(); latched || mem > high/2 {
-		t.Fatalf("reopened with overloaded=%v mem=%d, want at or under the low watermark %d", latched, mem, high/2)
+	buffered := func() map[string]float64 {
+		out := make(map[string]float64)
+		for _, s := range reg.Snapshot().Samples {
+			if s.Name == "vsgm_endpoint_buffered_bytes" {
+				out[s.Labels[0].Value] = s.Value
+			}
+		}
+		return out
 	}
+	w.waitFor("every member's message buffers to drain inside the view", func() bool {
+		got := buffered()
+		if len(got) != len(w.Clients()) {
+			return false
+		}
+		for _, b := range got {
+			if b != 0 {
+				return false
+			}
+		}
+		return true
+	})
 	for cid, node := range w.Clients() {
 		if got := node.CurrentView().ID; got != vid {
-			t.Fatalf("%s moved to view %d; the budget must reopen inside view %d", cid, got, vid)
+			t.Fatalf("%s moved to view %d; the tail must drain inside view %d", cid, got, vid)
 		}
 	}
 	if err := w.SpecErr(); err != nil {
@@ -593,8 +419,8 @@ func memoryBudgetReopensWithoutViewChange(t *testing.T, size int, high int64) {
 // the laggard's window stays exhausted past the grace, a complaint reaches
 // its home server, and the laggard is evicted and banned. The survivors
 // reconfigure, every blocked send completes under the new view, no data
-// frame is ever shed, resident bytes stay under the budget, and the full
-// spec suite (WV_RFIFO, VS_RFIFO, TRANS_SET, SELF) holds for the survivors.
+// frame is ever shed, and the full spec suite (WV_RFIFO, VS_RFIFO,
+// TRANS_SET, SELF) holds for the survivors.
 func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 	const (
 		window    = 4
@@ -602,7 +428,6 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 		grace     = 150 * time.Millisecond
 		delay     = 300 * time.Millisecond // per event: twice the grace, so exhaustion outlasts it
 		perSender = 20
-		budget    = int64(1 << 20)
 	)
 	done := make(chan struct{}) // collapses the laggard's throttle at teardown
 
@@ -611,7 +436,6 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 		Node: func(i int, cfg *NodeConfig) {
 			cfg.Transport.Window = window
 			cfg.SlowConsumerGrace = grace
-			cfg.MemHighWater = budget
 			if i == slowIdx {
 				// Spec recording rides the synchronous Observe hook; the
 				// throttle lives on the pump-based OnEvent, which is what
@@ -701,16 +525,11 @@ func TestLiveSlowConsumerOverloadEviction(t *testing.T) {
 		node := w.Client(cid)
 		blocked += node.sendsBlocked.Value()
 		reports += node.slowReports.Value()
-		if mem := node.MemUsage(); mem > budget {
-			t.Errorf("%s resident bytes %d exceed the %d budget", cid, mem, budget)
-		}
-		links := linkCounts(node.fabric, "")
-		drops += links["queue_drops"] + links["chaos_drops"]
+		drops += linkCounts(node.fabric, "")["chaos_drops"]
 	}
 	for _, sn := range w.Servers() {
 		evictions += sn.overloadEvictions.Value()
-		links := linkCounts(sn.fabric, "")
-		drops += links["queue_drops"] + links["chaos_drops"]
+		drops += linkCounts(sn.fabric, "")["chaos_drops"]
 	}
 	if blocked == 0 {
 		t.Error("no send ever blocked — the credit window applied no backpressure")

@@ -13,7 +13,7 @@
 // the same fabric as dedicated frames.
 //
 // Data path: a multicast is marshaled exactly once and the pooled encoding
-// is shared (reference-counted) across every destination's bounded queue;
+// is shared (reference-counted) across every destination's queue;
 // each link writer drains its queue in batches and hands a batch to the
 // socket as one vectored write per run, a run closing once it holds
 // maxBatchBytes. See DESIGN.md

@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vsgm/internal/core"
@@ -14,10 +13,9 @@ import (
 )
 
 // ErrOverloaded is TrySend's fast-fail: a destination's credit window is
-// exhausted or the memory budget is above its high watermark, so admitting
-// the send would have to stall. Blocking Send returns it only when the node
-// closes underneath a parked sender.
-var ErrOverloaded = errors.New("live: overloaded (credit window or memory budget exhausted)")
+// exhausted, so admitting the send would have to stall. Blocking Send returns
+// it only when the node closes underneath a parked sender.
+var ErrOverloaded = errors.New("live: overloaded (credit window exhausted)")
 
 // NodeConfig parameterizes a live GCS end-point.
 type NodeConfig struct {
@@ -73,8 +71,8 @@ type NodeConfig struct {
 	// before the node fails over to the next server in HomeServers.
 	// Defaults to 4× AttachInterval.
 	AttachTimeout time.Duration
-	// Transport tunes the supervised transport (timeouts, backoff, queue
-	// bounds); the zero value selects production defaults.
+	// Transport tunes the supervised transport (timeouts, backoff, credit
+	// window); the zero value selects production defaults.
 	Transport TransportConfig
 	// SlowConsumerGrace is how long a peer may hold an outbound credit
 	// window exhausted (with a sender waiting) before the node reports it
@@ -82,11 +80,6 @@ type NodeConfig struct {
 	// smaller live view instead of a stalled group. Zero or negative
 	// selects 10s.
 	SlowConsumerGrace time.Duration
-	// MemHighWater, when positive, is the node's memory budget in bytes
-	// over resident transport queues plus endpoint message buffers: above
-	// it Send stalls (TrySend fails) until usage falls to half of it. Zero
-	// disables the budget.
-	MemHighWater int64
 	// Obs, when set, is the metrics registry the node publishes into — the
 	// only place its numbers are read from: its counters become registered
 	// series labeled with the node id, and a scrape-time collector
@@ -117,8 +110,6 @@ type Node struct {
 
 	// Flow-control policy and counters.
 	slowGrace       time.Duration
-	memHigh         int64
-	overloaded      atomic.Bool // budget hysteresis latch
 	sendsBlocked    *obs.Counter
 	sendsOverloaded *obs.Counter
 	slowReports     *obs.Counter
@@ -249,13 +240,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		attachInterval: cfg.AttachInterval,
 		mgrStop:        make(chan struct{}),
 		slowGrace:      cfg.SlowConsumerGrace,
-		memHigh:        cfg.MemHighWater,
 		obs:            cfg.Obs,
 
 		syncProbes: cfg.Obs.Counter("vsgm_node_sync_probes_total",
 			"Watchdog sync resends fired for a wedged view change.", nodeLabel),
 		sendsBlocked: cfg.Obs.Counter("vsgm_node_sends_blocked_total",
-			"Sends that stalled on a flow-control gate (credit window, memory budget, or reconfiguration block).", nodeLabel),
+			"Sends that stalled on a flow-control gate (credit window or reconfiguration block).", nodeLabel),
 		sendsOverloaded: cfg.Obs.Counter("vsgm_node_sends_overloaded_total",
 			"Non-blocking sends refused with ErrOverloaded.", nodeLabel),
 		slowReports: cfg.Obs.Counter("vsgm_node_slow_reports_total",
@@ -352,10 +342,6 @@ func (n *Node) registerObs() {
 		if attach.Home != "" {
 			attached = 1
 		}
-		overloaded := float64(0)
-		if n.overloaded.Load() {
-			overloaded = 1
-		}
 		samples := []obs.Sample{
 			{Name: "vsgm_node_home", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel, obs.L("home", string(attach.Home))}, Value: attached},
 			{Name: "vsgm_node_epoch", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(attach.Epoch)},
@@ -372,8 +358,6 @@ func (n *Node) registerObs() {
 			{Name: "vsgm_endpoint_acks_sent_total", Kind: obs.KindCounter, Labels: []obs.Label{nodeLabel}, Value: float64(acks)},
 			{Name: "vsgm_endpoint_buffered_messages", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(bufMsgs)},
 			{Name: "vsgm_endpoint_buffered_bytes", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(bufBytes)},
-			{Name: "vsgm_node_mem_bytes", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: float64(bufBytes + n.fabric.QueuedBytes())},
-			{Name: "vsgm_node_overloaded", Kind: obs.KindGauge, Labels: []obs.Label{nodeLabel}, Value: overloaded},
 		}
 		samples = append(samples, n.fabric.linkSamples(nodeLabel)...)
 		return append(samples, poolSamples(nodeLabel, n.fabric.PoolStats())...)
@@ -394,8 +378,6 @@ func (n *Node) registerObs() {
 	n.obs.SetHelp("vsgm_endpoint_acks_sent_total", "Stability acknowledgments multicast to the view, one per ack round.")
 	n.obs.SetHelp("vsgm_endpoint_buffered_messages", "Application messages resident in the endpoint's buffers.")
 	n.obs.SetHelp("vsgm_endpoint_buffered_bytes", "Bytes the endpoint's message buffers keep resident: a payload's whole pooled buffer when it has one to itself, its length when it is packed into a shared chunk, plus each open chunk's unfilled rest.")
-	n.obs.SetHelp("vsgm_node_mem_bytes", "Bytes governed by the memory budget: transport queues plus what the message buffers pin.")
-	n.obs.SetHelp("vsgm_node_overloaded", "1 while the memory-budget hysteresis latch is shut.")
 }
 
 // startManager runs the node's periodic maintenance loop: attach requests
@@ -497,19 +479,18 @@ func (n *Node) linkDown(peer types.ProcID, _ error) {
 
 // Send multicasts payload to the current view, stalling at the source
 // instead of shedding downstream: it waits out an exhausted destination
-// credit window, a memory budget above its high watermark, and the
-// end-point's blocked phase during reconfiguration (retrying under the new
-// view, so Self Delivery is preserved — an admitted send is enqueued in the
-// automaton before Send returns). It returns ErrOverloaded only when the
+// credit window and the end-point's blocked phase during reconfiguration
+// (retrying under the new view, so Self Delivery is preserved — an admitted
+// send is enqueued in the automaton before Send returns). It returns ErrOverloaded only when the
 // node closes underneath a parked sender. The node keeps its own copy of
 // payload: the caller may reuse the slice as soon as Send returns.
 func (n *Node) Send(payload []byte) (types.AppMsg, error) {
 	return n.send(payload, true)
 }
 
-// TrySend is the non-blocking Send: it fails fast with ErrOverloaded when
-// flow control or the memory budget would stall, and with core.ErrBlocked
-// while the end-point is reconfiguring.
+// TrySend is the non-blocking Send: it fails fast with ErrOverloaded when a
+// credit window is shut, and with core.ErrBlocked while the end-point is
+// reconfiguring.
 func (n *Node) TrySend(payload []byte) (types.AppMsg, error) {
 	return n.send(payload, false)
 }
@@ -541,7 +522,7 @@ func (n *Node) send(payload []byte, block bool) (types.AppMsg, error) {
 	return m, err
 }
 
-// admit takes payload through the three send gates and into the automaton.
+// admit takes payload through the two send gates and into the automaton.
 // hold, when non-nil, is the pooled buffer payload lies in.
 func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, error) {
 	waited := false
@@ -552,23 +533,7 @@ func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, 
 		}
 	}
 	for {
-		// Gate 1: the memory budget. Watermark hysteresis: once usage
-		// crosses high, senders stall until it falls back to low.
-		for {
-			gen := n.fabric.flowGeneration()
-			if n.budgetOpen() {
-				break
-			}
-			if !block {
-				n.sendsOverloaded.Inc()
-				return types.AppMsg{}, ErrOverloaded
-			}
-			stall()
-			if !n.fabric.waitFlowChange(gen) {
-				return types.AppMsg{}, ErrOverloaded
-			}
-		}
-		// Gate 2: per-destination credit windows for the current view.
+		// Gate 1: per-destination credit windows for the current view.
 		// Checked before taking n.mu — credit arrives through fabric
 		// goroutines that never need the endpoint lock, so a parked sender
 		// cannot deadlock the node. On a shut window the blocking mode
@@ -594,8 +559,8 @@ func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, 
 			}
 			continue
 		}
-		// Gate 3: the automaton. ErrBlocked during a view change parks the
-		// sender until endpoint state advances, then every gate re-runs
+		// Gate 2: the automaton. ErrBlocked during a view change parks the
+		// sender until endpoint state advances, then both gates re-run
 		// against the (possibly new) view.
 		n.mu.Lock()
 		m, err := n.ep.SendHeld(payload, hold)
@@ -609,42 +574,6 @@ func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, 
 		n.mu.Unlock()
 		return m, err
 	}
-}
-
-// budgetOpen evaluates the watermark hysteresis: above MemHighWater the
-// budget latches shut and reopens only at or below half of it.
-func (n *Node) budgetOpen() bool {
-	if n.memHigh <= 0 {
-		return true
-	}
-	usage := n.MemUsage()
-	if n.overloaded.Load() {
-		if usage > n.memHigh/2 {
-			return false
-		}
-		n.overloaded.Store(false)
-		return true
-	}
-	if usage < n.memHigh {
-		return true
-	}
-	n.overloaded.Store(true)
-	return false
-}
-
-// MemUsage returns the bytes governed by the memory budget: encoded frames
-// resident in outbound transport queues plus what the endpoint's message
-// buffers pin (core.Endpoint.BufferedBytes) — the whole pooled buffer where a
-// payload has one to itself, its length where it is packed into a shared chunk,
-// and each buffer's open chunk's unfilled rest.
-func (n *Node) MemUsage() int64 {
-	n.mu.Lock()
-	var buffered int64
-	if n.ep != nil {
-		buffered = n.ep.BufferedBytes()
-	}
-	n.mu.Unlock()
-	return buffered + n.fabric.QueuedBytes()
 }
 
 // overloadTick is the manager's flow-control round: acknowledge whatever was
@@ -755,15 +684,8 @@ func (n *Node) receive(from types.ProcID, fr frame, body *pool.Buf) {
 			hold = nil
 		}
 		n.ep.HandleMessageHeld(from, *fr.Msg, hold)
-		switch fr.Msg.Kind {
-		case types.KindApp:
+		if fr.Msg.Kind == types.KindApp {
 			n.batchData++
-		case types.KindAck:
-			if n.overloaded.Load() {
-				// The ack may have collected enough buffered messages to
-				// reopen a latched memory budget.
-				n.fabric.flowBroadcast()
-			}
 		}
 	}
 	n.dispatch(n.ep.TakeEvents())

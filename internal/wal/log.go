@@ -166,8 +166,10 @@ func (l *Log) Close() error {
 
 // replaceFile atomically replaces path with b: a temporary file beside it
 // (named path + tmpSuffix, a CreateTemp pattern) is written, fsynced, closed
-// and renamed over it. A crash in between strands the temporary file, which
-// the next repair pass sweeps.
+// and renamed over it, and the directory is fsynced so the rename itself
+// survives a power cut before the caller acts on it (WriteSnapshot truncates
+// the log the new snapshot covers). A crash in between strands the temporary
+// file, which the next repair pass sweeps.
 func replaceFile(path, tmpSuffix string, b []byte) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+tmpSuffix)
@@ -186,6 +188,23 @@ func replaceFile(path, tmpSuffix string, b []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	if dir == "" {
+		dir = "."
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

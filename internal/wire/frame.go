@@ -225,7 +225,7 @@ func readAttachInto(r *reader, a *membership.Attach) error {
 // FrameBuf is a pooled, reference-counted encoded frame. EncodeFrame returns
 // one holding a single reference; a fan-out sender calls Retain once per
 // additional consumer, and every consumer calls Release exactly once when it
-// is done (after the frame was written, dropped, or evicted). The final
+// is done (after the frame was written, dropped, or superseded). The final
 // Release returns the buffer to the pool, after which Bytes and Wire must no
 // longer be read. This is what lets a multicast marshal once and share the
 // encoded bytes across every destination queue without copies.
@@ -243,18 +243,18 @@ type FrameBuf struct {
 const prefixLen = 4
 
 // FrameClass partitions encoded frames for the transport's queueing policy.
-// Only application data is credit-gated and sheddable; every control-plane
-// frame (views, sync, proposals, acks, notifications, attach, credit) is
-// reliable — a bounded queue must never drop one. Heartbeats are control
-// too, but a newer heartbeat supersedes a queued older one, so writers may
-// coalesce them instead of letting them accumulate toward a dead peer.
+// Only application data is credit-gated; every control-plane frame (views,
+// sync, proposals, acks, notifications, attach, credit) is never gated.
+// Heartbeats are control too, but a newer heartbeat supersedes a queued
+// older one, so writers may coalesce them instead of letting them
+// accumulate toward a dead peer.
 type FrameClass uint8
 
 const (
 	// ClassControl frames are reliable: never shed, never credit-gated.
 	ClassControl FrameClass = iota
-	// ClassData frames (application multicasts) consume credit and are the
-	// only frames a full queue may evict.
+	// ClassData frames (application multicasts) consume credit: the credit
+	// window bounds how many a link holds queued.
 	ClassData
 	// ClassHeartbeat frames are reliable but superseding: at most the
 	// newest needs to be queued per link.
