@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test short race flake fuzz fuzz-smoke bench bench-smoke benchstat docs-check experiments-check soak soak-smoke check
+.PHONY: all build vet fmt-check test short race flake fuzz fuzz-smoke bench bench-smoke benchstat docs-check experiments-check examples soak soak-smoke check
 
 all: check
 
@@ -110,6 +110,13 @@ experiments-check:
 	if [ -n "$$missing" ]; then echo "EXPERIMENTS.md lacks these generated lines:"; echo "$$missing"; exit 1; fi; \
 	echo "EXPERIMENTS.md holds every generated line"
 
+# Every example runs to completion: the examples are the facade's only
+# end-to-end callers, so a facade change that breaks one fails here.
+examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d >/dev/null || { echo "example $$d failed"; exit 1; }; \
+	done
+
 # Long-soak chaos harness (cmd/vsgm-soak): every mode — the small simulated
 # cluster, the 10k-client sampled-checking world, the live TCP cluster, and
 # the sharded KV with resharding under churn — under randomized adversarial
@@ -145,7 +152,7 @@ EXPLORER_TESTS = ^Test(Exhaustive|Swarm|Explorer)
 # -short (where the live soaks skip: their convergence waits are wall-clock
 # budgets, and the live transport they drive is raced in internal/live) — a
 # fuzz smoke pass over the decoders, the documentation gate, the
-# experiment-tables gate, and a short soak.
+# experiment-tables gate, every example, and a short soak.
 check: vet fmt-check test
 	cd bench && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test -count=1 .
 	$(GO) test -race ./internal/live/ ./internal/wal/ ./internal/membership/ ./cmd/vsgm-live/ \
@@ -161,4 +168,5 @@ check: vet fmt-check test
 	$(MAKE) bench-smoke
 	$(MAKE) docs-check
 	$(MAKE) experiments-check
+	$(MAKE) examples
 	$(MAKE) soak-smoke

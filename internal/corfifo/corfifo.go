@@ -267,9 +267,9 @@ func (n *Network) LoseSuffix(from, to types.ProcID, k int) error {
 }
 
 // DropUnreliable applies the lose action exhaustively: for every pair (p,q)
-// with q outside reliable_set[p], the entire queued suffix is dropped. The
-// simulator invokes it when modeling a disconnection that the sender has
-// already been told about.
+// with q outside reliable_set[p], the entire queued suffix is dropped. Only
+// tests invoke it: the simulator never runs the lose action, and traffic
+// queued on a cut link waits for the heal.
 func (n *Network) DropUnreliable() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -67,6 +67,11 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 		}
 	}})
 	defer w.close()
+	// Deferred after close, so it runs first: a failure while OnEvent is
+	// gated must not leave the pump parked under close.
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(gate) }) }
+	defer release()
 	receiver.Store(w.Client("cli1"))
 	w.SetReachable()
 	w.waitGroupFormed()
@@ -74,7 +79,7 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 
 	sender := w.Client("cli0")
 	for i := 0; i < window; i++ {
-		if _, err := sender.TrySend([]byte(fmt.Sprintf("m%d", i))); err != nil {
+		if _, err := sender.Send([]byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatalf("send %d inside the window: %v", i, err)
 		}
 	}
@@ -88,7 +93,13 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 	})
 
 	// OnEvent is parked on the first message. Nothing was consumed, so no
-	// credit may leave the receiver and the sender's window must stay shut.
+	// credit may leave the receiver and the sender's window must stay shut:
+	// a send past it parks until the application consumes.
+	overflow := make(chan error, 1)
+	go func() {
+		_, err := sender.Send([]byte("overflow"))
+		overflow <- err
+	}()
 	time.Sleep(150 * time.Millisecond)
 	if got := count(&handled); got != 0 {
 		t.Fatalf("OnEvent returned for %d messages while gated", got)
@@ -96,19 +107,25 @@ func TestBatchedReceiveHoldsCreditBehindOnEvent(t *testing.T) {
 	if s := linkCounts(w.Client("cli1").fabric, "cli0"); s["credit_frames"] != 0 || s["credits_granted"] != 0 {
 		t.Fatalf("receiver returned credit before OnEvent ran: %d credit frames, %d granted", s["credit_frames"], s["credits_granted"])
 	}
-	if _, err := sender.TrySend([]byte("overflow")); err != ErrOverloaded {
-		t.Fatalf("send past the unconsumed window: err = %v, want ErrOverloaded", err)
+	select {
+	case err := <-overflow:
+		t.Fatalf("send past the unconsumed window returned (err = %v) while the window was shut", err)
+	default:
 	}
 
-	close(gate)
-	w.waitFor("OnEvent to receive the whole window", func() bool { return count(&handled) == window })
+	release()
+	w.waitFor("OnEvent to receive the whole window", func() bool { return count(&handled) >= window })
 	w.waitFor("credit to return once the application consumed the window", func() bool {
 		return linkCounts(w.Client("cli1").fabric, "cli0")["credit_frames"] > 0
 	})
-	w.waitFor("the sender's window to reopen", func() bool {
-		_, err := sender.TrySend([]byte("after"))
-		return err == nil
-	})
+	select {
+	case err := <-overflow:
+		if err != nil {
+			t.Fatalf("send past the window, once the window reopened: %v", err)
+		}
+	case <-time.After(testWait):
+		t.Fatal("send past the window still parked after the application consumed the window")
+	}
 
 	mu.Lock()
 	defer mu.Unlock()

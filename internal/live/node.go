@@ -12,9 +12,8 @@ import (
 	"vsgm/internal/wire/pool"
 )
 
-// ErrOverloaded is TrySend's fast-fail: a destination's credit window is
-// exhausted, so admitting the send would have to stall. Blocking Send returns
-// it only when the node closes underneath a parked sender.
+// ErrOverloaded is what Send returns when the node closes underneath a sender
+// parked on an exhausted credit window.
 var ErrOverloaded = errors.New("live: overloaded (credit window exhausted)")
 
 // NodeConfig parameterizes a live GCS end-point.
@@ -109,10 +108,9 @@ type Node struct {
 	closed    bool
 
 	// Flow-control policy and counters.
-	slowGrace       time.Duration
-	sendsBlocked    *obs.Counter
-	sendsOverloaded *obs.Counter
-	slowReports     *obs.Counter
+	slowGrace    time.Duration
+	sendsBlocked *obs.Counter
+	slowReports  *obs.Counter
 
 	// obs is the registry the node's collector is registered in (nil when
 	// unconfigured; the counters above still work as unregistered handles).
@@ -246,8 +244,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			"Watchdog sync resends fired for a wedged view change.", nodeLabel),
 		sendsBlocked: cfg.Obs.Counter("vsgm_node_sends_blocked_total",
 			"Sends that stalled on a flow-control gate (credit window or reconfiguration block).", nodeLabel),
-		sendsOverloaded: cfg.Obs.Counter("vsgm_node_sends_overloaded_total",
-			"Non-blocking sends refused with ErrOverloaded.", nodeLabel),
 		slowReports: cfg.Obs.Counter("vsgm_node_slow_reports_total",
 			"Slow-consumer complaints filed with the membership servers.", nodeLabel),
 		pumpWakes: cfg.Obs.Counter("vsgm_node_pump_wakes_total",
@@ -481,30 +477,19 @@ func (n *Node) linkDown(peer types.ProcID, _ error) {
 // instead of shedding downstream: it waits out an exhausted destination
 // credit window and the end-point's blocked phase during reconfiguration
 // (retrying under the new view, so Self Delivery is preserved — an admitted
-// send is enqueued in the automaton before Send returns). It returns ErrOverloaded only when the
-// node closes underneath a parked sender. The node keeps its own copy of
-// payload: the caller may reuse the slice as soon as Send returns.
-func (n *Node) Send(payload []byte) (types.AppMsg, error) {
-	return n.send(payload, true)
-}
-
-// TrySend is the non-blocking Send: it fails fast with ErrOverloaded when a
-// credit window is shut, and with core.ErrBlocked while the end-point is
-// reconfiguring.
-func (n *Node) TrySend(payload []byte) (types.AppMsg, error) {
-	return n.send(payload, false)
-}
-
-// send makes the node's one copy of a large payload — into a pooled buffer,
+// send is enqueued in the automaton before Send returns). It returns
+// ErrOverloaded only when the node closes underneath a parked sender.
+//
+// Send makes the node's one copy of a large payload — into a pooled buffer,
 // before any lock is taken — and lets the end-point hold that buffer for as
 // long as it retains the message. Large means what it means to a receiver: too
 // long to share a staging slab, so it arrives in (and is held as) a buffer of
 // its own. A smaller payload the end-point copies into its message buffer's
-// pooled chunk as it stores it. Either way the caller's slice is free again on
-// return, and it is what the returned message carries: the stored bytes are
-// pooled memory the caller holds no reference to, recycled once the message is
-// stable.
-func (n *Node) send(payload []byte, block bool) (types.AppMsg, error) {
+// pooled chunk as it stores it. Either way the caller may reuse its slice as
+// soon as Send returns, and it is what the returned message carries: the
+// stored bytes are pooled memory the caller holds no reference to, recycled
+// once the message is stable.
+func (n *Node) Send(payload []byte) (types.AppMsg, error) {
 	var hold *pool.Buf
 	stored := payload
 	if len(payload) >= stagingSlabSize {
@@ -512,7 +497,7 @@ func (n *Node) send(payload []byte, block bool) (types.AppMsg, error) {
 		copy(hold.B(), payload)
 		stored = hold.B()
 	}
-	m, err := n.admit(stored, hold, block)
+	m, err := n.admit(stored, hold)
 	if hold != nil {
 		hold.Release()
 	}
@@ -524,7 +509,7 @@ func (n *Node) send(payload []byte, block bool) (types.AppMsg, error) {
 
 // admit takes payload through the two send gates and into the automaton.
 // hold, when non-nil, is the pooled buffer payload lies in.
-func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, error) {
+func (n *Node) admit(payload []byte, hold *pool.Buf) (types.AppMsg, error) {
 	waited := false
 	stall := func() {
 		if !waited {
@@ -536,11 +521,11 @@ func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, 
 		// Gate 1: per-destination credit windows for the current view.
 		// Checked before taking n.mu — credit arrives through fabric
 		// goroutines that never need the endpoint lock, so a parked sender
-		// cannot deadlock the node. On a shut window the blocking mode
-		// waits one flow change and restarts the loop rather than parking
-		// inside admitData: the wait may coincide with a view change (a
-		// slow consumer getting evicted is the expected one), and the
-		// retry re-resolves the destinations under the new view.
+		// cannot deadlock the node. On a shut window the sender waits one
+		// flow change and restarts the loop rather than parking inside
+		// admitData: the wait may coincide with a view change (a slow
+		// consumer getting evicted is the expected one), and the retry
+		// re-resolves the destinations under the new view.
 		gen := n.fabric.flowGeneration()
 		n.mu.Lock()
 		var dests []types.ProcID
@@ -549,10 +534,6 @@ func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, 
 		}
 		n.mu.Unlock()
 		if err := n.fabric.admitData(dests, false); err != nil {
-			if !block {
-				n.sendsOverloaded.Inc()
-				return types.AppMsg{}, err
-			}
 			stall()
 			if !n.fabric.waitFlowChange(gen) {
 				return types.AppMsg{}, ErrOverloaded
@@ -564,7 +545,7 @@ func (n *Node) admit(payload []byte, hold *pool.Buf, block bool) (types.AppMsg, 
 		// against the (possibly new) view.
 		n.mu.Lock()
 		m, err := n.ep.SendHeld(payload, hold)
-		if err == core.ErrBlocked && block && !n.closed {
+		if err == core.ErrBlocked && !n.closed {
 			stall()
 			n.unblocked.Wait()
 			n.mu.Unlock()

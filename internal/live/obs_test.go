@@ -274,8 +274,7 @@ func TestLiveEveryNumberIsASeries(t *testing.T) {
 	for _, name := range []string{
 		"vsgm_node_last_cid", "vsgm_node_attaches_total", "vsgm_node_failovers_total",
 		"vsgm_node_attach_retries_total", "vsgm_node_stale_notifies_total", "vsgm_node_sync_probes_total",
-		"vsgm_node_self_clamps_total", "vsgm_node_sends_blocked_total", "vsgm_node_sends_overloaded_total",
-		"vsgm_node_slow_reports_total",
+		"vsgm_node_self_clamps_total", "vsgm_node_sends_blocked_total", "vsgm_node_slow_reports_total",
 	} {
 		if _, ok := series[key{"cli0", name, "", ""}]; !ok {
 			t.Errorf("cli0 does not scrape %s", name)

@@ -41,57 +41,6 @@ func mergeRecord(state map[types.ProcID]membership.ClientRecord, rec wire.WALRec
 	state[rec.Client] = cur
 }
 
-// MemStore is an in-memory Store for tests and ephemeral deployments. It
-// survives a ServerNode restart (hand the same MemStore to the new node)
-// but not a process restart.
-type MemStore struct {
-	mu    sync.Mutex
-	state map[types.ProcID]membership.ClientRecord
-	wal   []wire.WALRecord
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{state: make(map[types.ProcID]membership.ClientRecord)}
-}
-
-// Append implements Store.
-func (s *MemStore) Append(rec wire.WALRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wal = append(s.wal, rec)
-	return nil
-}
-
-// WriteSnapshot implements Store.
-func (s *MemStore) WriteSnapshot(state map[types.ProcID]membership.ClientRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.state = make(map[types.ProcID]membership.ClientRecord, len(state))
-	for p, rec := range state {
-		s.state[p] = rec
-	}
-	s.wal = s.wal[:0]
-	return nil
-}
-
-// Load implements Store.
-func (s *MemStore) Load() (map[types.ProcID]membership.ClientRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[types.ProcID]membership.ClientRecord, len(s.state))
-	for p, rec := range s.state {
-		out[p] = rec
-	}
-	for _, rec := range s.wal {
-		mergeRecord(out, rec)
-	}
-	return out, nil
-}
-
-// Close implements Store.
-func (s *MemStore) Close() error { return nil }
-
 // FileStore is the file-backed Store: a wal.Log whose records are WALRecord
 // bodies. The snapshot is one record per client and the log one record per
 // mutation; Load max-merges every record that survives, so a log that still

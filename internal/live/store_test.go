@@ -34,8 +34,20 @@ func wantRecord(t *testing.T, state map[types.ProcID]membership.ClientRecord, p 
 	}
 }
 
-func TestMemStoreLoadMergesAppendsAndSnapshot(t *testing.T) {
-	s := NewMemStore()
+// newTestFileStore opens a FileStore in a fresh directory, closed when the
+// test ends.
+func newTestFileStore(t *testing.T) *FileStore {
+	t.Helper()
+	s, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+func TestFileStoreLoadMergesAppendsAndSnapshot(t *testing.T) {
+	s := newTestFileStore(t)
 	mustAppend(t, s,
 		wire.WALRecord{Client: "a", CID: 3, Vid: 1, Epoch: 1},
 		wire.WALRecord{Client: "a", CID: 2, Vid: 4, Epoch: 1}, // out of order: max wins per field
@@ -178,11 +190,11 @@ func TestFileStoreToleratesTornTail(t *testing.T) {
 	wantRecord(t, state, "c", 9, 4, 2)
 }
 
-// TestMemStoreBacksServerRestart drives the restart cycle a ServerNode
+// TestFileStoreBacksServerRestart drives the restart cycle a ServerNode
 // performs against its store: appends, a compaction, more appends, then a
 // Load by a fresh server instance resuming the merged state.
-func TestMemStoreBacksServerRestart(t *testing.T) {
-	s := NewMemStore()
+func TestFileStoreBacksServerRestart(t *testing.T) {
+	s := newTestFileStore(t)
 	mustAppend(t, s, wire.WALRecord{Client: "a", CID: 2, Vid: 1, Epoch: 1})
 	state, err := s.Load()
 	if err != nil {
@@ -193,7 +205,7 @@ func TestMemStoreBacksServerRestart(t *testing.T) {
 	}
 	mustAppend(t, s, wire.WALRecord{Client: "a", CID: 4, Vid: 2, Epoch: 1})
 
-	// "Restart": the same MemStore handed to a new server instance.
+	// "Restart": the same FileStore handed to a new server instance.
 	state, err = s.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +247,7 @@ func TestServerCountsStoreFailures(t *testing.T) {
 	reg := obs.NewRegistry()
 	w := deploy(t, DeploymentConfig{Servers: 1, Clients: 2, Attach: true,
 		Server: func(_ types.ProcID, cfg *ServerConfig) error {
-			cfg.Store = &refusingStore{Store: NewMemStore(), okAppends: okAppends}
+			cfg.Store = &refusingStore{Store: newTestFileStore(t), okAppends: okAppends}
 			cfg.Obs = reg
 			cfg.SnapshotEvery = 1
 			return nil

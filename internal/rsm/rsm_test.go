@@ -2,28 +2,30 @@ package rsm_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"vsgm/internal/core"
 	"vsgm/internal/rsm"
+	"vsgm/internal/shard"
 	"vsgm/internal/sim"
 	"vsgm/internal/spec"
 	"vsgm/internal/types"
 )
 
-// world wires one replica (over a KV store) per cluster member.
+// world wires one replica (over a shard KV machine) per cluster member.
 type world struct {
 	c        *sim.Cluster
 	replicas map[types.ProcID]*rsm.Replica
-	stores   map[types.ProcID]*rsm.KVStore
+	stores   map[types.ProcID]*shard.Machine
 }
 
 func newWorld(t *testing.T, n int, seed int64, bootstrap func(types.ProcID) bool, opts ...func(*sim.Config)) *world {
 	t.Helper()
 	w := &world{
 		replicas: make(map[types.ProcID]*rsm.Replica),
-		stores:   make(map[types.ProcID]*rsm.KVStore),
+		stores:   make(map[types.ProcID]*shard.Machine),
 	}
 	cfg := sim.Config{
 		Procs:           sim.ProcIDs(n),
@@ -49,7 +51,7 @@ func newWorld(t *testing.T, n int, seed int64, bootstrap func(types.ProcID) bool
 	w.c = c
 	for _, p := range c.Procs() {
 		p := p
-		store := rsm.NewKVStore()
+		store := shard.NewMachine(nil)
 		r, err := rsm.NewReplica(rsm.Config{
 			ID:        p,
 			Machine:   store,
@@ -96,7 +98,7 @@ func TestReplicationSteadyState(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		p := w.c.Procs()[i%3]
-		if err := w.replicas[p].Propose(rsm.EncodeSet(fmt.Sprintf("k%d", i), string(rune('a'+i)))); err != nil {
+		if err := w.replicas[p].Propose(shard.EncodeSet(fmt.Sprintf("k%d", i), string(rune('a'+i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +121,7 @@ func TestStateTransferToJoiner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := w.replicas[procs[0]].Propose(rsm.EncodeSet(fmt.Sprintf("k%d", i), "v")); err != nil {
+		if err := w.replicas[procs[0]].Propose(shard.EncodeSet(fmt.Sprintf("k%d", i), "v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +145,7 @@ func TestStateTransferToJoiner(t *testing.T) {
 	}
 
 	// The joiner participates after syncing.
-	if err := w.replicas[procs[2]].Propose(rsm.EncodeSet("late", "yes")); err != nil {
+	if err := w.replicas[procs[2]].Propose(shard.EncodeSet("late", "yes")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.c.Run(); err != nil {
@@ -164,7 +166,7 @@ func TestNoStateTransferWhenMovingTogether(t *testing.T) {
 	if _, _, err := w.c.ReconfigureTo(all); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.replicas[w.c.Procs()[0]].Propose(rsm.EncodeSet("a", "1")); err != nil {
+	if err := w.replicas[w.c.Procs()[0]].Propose(shard.EncodeSet("a", "1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.c.Run(); err != nil {
@@ -197,7 +199,7 @@ func TestPartitionMergeAdoptsDeterministicState(t *testing.T) {
 	if _, _, err := w.c.ReconfigureTo(all); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.replicas[procs[0]].Propose(rsm.EncodeSet("shared", "0")); err != nil {
+	if err := w.replicas[procs[0]].Propose(shard.EncodeSet("shared", "0")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.c.Run(); err != nil {
@@ -210,10 +212,10 @@ func TestPartitionMergeAdoptsDeterministicState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Divergent updates on the two sides.
-	if err := w.replicas[procs[0]].Propose(rsm.EncodeSet("left", "L")); err != nil {
+	if err := w.replicas[procs[0]].Propose(shard.EncodeSet("left", "L")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.replicas[procs[2]].Propose(rsm.EncodeSet("right", "R")); err != nil {
+	if err := w.replicas[procs[2]].Propose(shard.EncodeSet("right", "R")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.c.Run(); err != nil {
@@ -246,7 +248,7 @@ func TestReplicationOverHierarchicalSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := w.replicas[procs[i]].Propose(rsm.EncodeSet(fmt.Sprintf("k%d", i), "v")); err != nil {
+		if err := w.replicas[procs[i]].Propose(shard.EncodeSet(fmt.Sprintf("k%d", i), "v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,10 +262,10 @@ func TestReplicationOverHierarchicalSyncs(t *testing.T) {
 	if _, err := w.c.Partition(left, right); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.replicas[procs[0]].Propose(rsm.EncodeSet("left", "L")); err != nil {
+	if err := w.replicas[procs[0]].Propose(shard.EncodeSet("left", "L")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.replicas[procs[4]].Propose(rsm.EncodeSet("right", "R")); err != nil {
+	if err := w.replicas[procs[4]].Propose(shard.EncodeSet("right", "R")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.c.Run(); err != nil {
@@ -283,9 +285,9 @@ func TestReplicationOverHierarchicalSyncs(t *testing.T) {
 }
 
 func TestReplicatedLogOrderIsIdentical(t *testing.T) {
-	// The Log machine over the full stack: concurrent proposals from all
-	// members append in exactly the same order at every replica.
-	logs := make(map[types.ProcID]*rsm.Log)
+	// Concurrent proposals from all members over the full stack: every
+	// replica applies exactly the same (sender, command) sequence.
+	applied := make(map[types.ProcID][]string)
 	replicas := make(map[types.ProcID]*rsm.Replica)
 	c, err := sim.NewCluster(sim.Config{
 		Procs:           sim.ProcIDs(3),
@@ -305,13 +307,14 @@ func TestReplicatedLogOrderIsIdentical(t *testing.T) {
 	}
 	for _, p := range c.Procs() {
 		p := p
-		l := rsm.NewLog()
-		logs[p] = l
 		replicas[p], err = rsm.NewReplica(rsm.Config{
-			ID: p, Machine: l, Bootstrap: true,
+			ID: p, Machine: shard.NewMachine(nil), Bootstrap: true,
 			Send: func(b []byte) error {
 				_, err := c.Send(p, b)
 				return err
+			},
+			OnApply: func(sender types.ProcID, cmd []byte) {
+				applied[p] = append(applied[p], fmt.Sprintf("%s:%q", sender, cmd))
 			},
 		})
 		if err != nil {
@@ -324,7 +327,7 @@ func TestReplicatedLogOrderIsIdentical(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		for _, p := range c.Procs() {
-			if err := replicas[p].Propose([]byte(fmt.Sprintf("%s-%d", p, round))); err != nil {
+			if err := replicas[p].Propose(shard.EncodeSet(string(p), fmt.Sprint(round))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -336,13 +339,13 @@ func TestReplicatedLogOrderIsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 15
-	ref := logs[c.Procs()[0]].Fingerprint()
+	ref := strings.Join(applied[c.Procs()[0]], "|")
 	for _, p := range c.Procs() {
-		if logs[p].Len() != want {
-			t.Errorf("%s log has %d entries, want %d", p, logs[p].Len(), want)
+		if len(applied[p]) != want {
+			t.Errorf("%s applied %d commands, want %d", p, len(applied[p]), want)
 		}
-		if logs[p].Fingerprint() != ref {
-			t.Errorf("%s log order diverged", p)
+		if strings.Join(applied[p], "|") != ref {
+			t.Errorf("%s apply order diverged", p)
 		}
 	}
 }
@@ -361,7 +364,7 @@ func TestStaleBelieverRejoinDoesNotClobberState(t *testing.T) {
 	if _, _, err := w.c.ReconfigureTo(original); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.replicas[procs[0]].Propose(rsm.EncodeSet("survivor", "old")); err != nil {
+	if err := w.replicas[procs[0]].Propose(shard.EncodeSet("survivor", "old")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.c.Run(); err != nil {
@@ -373,10 +376,10 @@ func TestStaleBelieverRejoinDoesNotClobberState(t *testing.T) {
 	if _, _, err := w.c.ReconfigureTo(rehomed); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.replicas[procs[1]].Propose(rsm.EncodeSet("survivor", "new")); err != nil {
+	if err := w.replicas[procs[1]].Propose(shard.EncodeSet("survivor", "new")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.replicas[procs[1]].Propose(rsm.EncodeSet("post-exclusion", "yes")); err != nil {
+	if err := w.replicas[procs[1]].Propose(shard.EncodeSet("post-exclusion", "yes")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.c.Run(); err != nil {
@@ -402,5 +405,28 @@ func TestStaleBelieverRejoinDoesNotClobberState(t *testing.T) {
 		if v, ok := w.stores[p].Get("post-exclusion"); !ok || v != "yes" {
 			t.Errorf("%s: post-exclusion write lost (got %q ok=%v)", p, v, ok)
 		}
+	}
+}
+
+func TestNewReplicaValidation(t *testing.T) {
+	send := func([]byte) error { return nil }
+	if _, err := rsm.NewReplica(rsm.Config{Send: send, Machine: shard.NewMachine(nil)}); err == nil {
+		t.Error("missing ID accepted")
+	}
+	if _, err := rsm.NewReplica(rsm.Config{ID: "p", Machine: shard.NewMachine(nil)}); err == nil {
+		t.Error("missing Send accepted")
+	}
+	if _, err := rsm.NewReplica(rsm.Config{ID: "p", Send: send}); err == nil {
+		t.Error("missing Machine accepted")
+	}
+	r, err := rsm.NewReplica(rsm.Config{ID: "p", Send: send, Machine: shard.NewMachine(nil), Bootstrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ID() != "p" || !r.Synced() || r.Applied() != 0 {
+		t.Error("fresh replica state wrong")
+	}
+	if !r.CurrentView().Equal(types.InitialView("p")) {
+		t.Errorf("view = %s", r.CurrentView())
 	}
 }

@@ -50,17 +50,6 @@ func TestSlotForKeyDeterministic(t *testing.T) {
 	}
 }
 
-func TestMapEncodeDecodeRoundTrip(t *testing.T) {
-	m := testMap(t, 2)
-	got, err := DecodeMap(m.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != m.Epoch || len(got.Slots) != len(m.Slots) || len(got.Groups) != len(m.Groups) {
-		t.Fatalf("round trip mismatch: %v vs %v", got, m)
-	}
-}
-
 func apply(m *MetaMachine, cmd []byte) { m.Apply("test", cmd) }
 
 func TestMetaMachineConcurrentProposalsSecondRejected(t *testing.T) {

@@ -23,7 +23,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -141,22 +140,6 @@ func (m Map) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Encode serializes the map (JSON; the map is control-plane state, tiny and
-// rarely moved, so the hand-rolled binary codec would be overkill).
-func (m Map) Encode() []byte {
-	b, _ := json.Marshal(m)
-	return b
-}
-
-// DecodeMap deserializes a map produced by Encode.
-func DecodeMap(b []byte) (Map, error) {
-	var m Map
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Map{}, fmt.Errorf("shard: decode map: %w", err)
-	}
-	return m, nil
 }
 
 func (m Map) String() string {

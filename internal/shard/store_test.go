@@ -23,6 +23,9 @@ func TestMachineColdRestartFromFileStore(t *testing.T) {
 	m.Apply("p", EncodeSet("a", "1"))
 	m.Apply("p", EncodeSet("b", "2"))
 	m.Apply("p", EncodeDel("a"))
+	if _, ok := m.Get("a"); ok {
+		t.Fatal("deleted key still read back")
+	}
 	fp := m.Fingerprint()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -275,9 +275,9 @@ func (e *engine) scheduleDelivery(from, to types.ProcID) {
 }
 
 // onSend is the substrate's send observer: if the link is up, schedule the
-// delivery; otherwise the message stays queued (and is flushed on heal, or
-// implicitly lost if the link never heals — the CO_RFIFO lose action for
-// non-reliable destinations).
+// delivery; otherwise the message stays queued and flushConnected delivers it
+// when the link heals. Nothing here runs the CO_RFIFO lose action: a cut link
+// delays its traffic and never drops it.
 func (e *engine) onSend(from, to types.ProcID, _ types.WireMsg) {
 	if !e.connected(from, to) {
 		return

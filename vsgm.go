@@ -52,6 +52,7 @@ import (
 	"vsgm/internal/corfifo"
 	"vsgm/internal/membership"
 	"vsgm/internal/rsm"
+	"vsgm/internal/shard"
 	"vsgm/internal/sim"
 	"vsgm/internal/spec"
 	"vsgm/internal/totalorder"
@@ -222,7 +223,8 @@ func FullSuite() *Suite { return spec.FullSuite(spec.WithTrace()) }
 // on a finished trace for the stabilized view v.
 func CheckLiveness(trace []TraceEvent, v View) error { return spec.CheckLiveness(trace, v) }
 
-// Higher layers (see internal/totalorder, internal/causal, internal/rsm).
+// Higher layers (see internal/totalorder, internal/causal, internal/rsm,
+// internal/shard).
 type (
 	// TotalOrder is a totally ordered multicast session layered on the
 	// virtually synchronous FIFO service.
@@ -237,8 +239,9 @@ type (
 	ReplicaConfig = rsm.Config
 	// StateMachine is the deterministic state replicas manage.
 	StateMachine = rsm.StateMachine
-	// KVStore is a replicated key-value state machine.
-	KVStore = rsm.KVStore
+	// KVStore is a replicated key-value state machine: the machine every
+	// shard replica runs, here without a durable store.
+	KVStore = shard.Machine
 )
 
 // NewTotalOrder builds a total-order session for end-point id; feed it the
@@ -257,13 +260,13 @@ func NewCausalOrder(id ProcID, send func([]byte) error, deliver func(ProcID, []b
 func NewReplica(cfg ReplicaConfig) (*Replica, error) { return rsm.NewReplica(cfg) }
 
 // NewKVStore returns an empty replicated key-value store.
-func NewKVStore() *KVStore { return rsm.NewKVStore() }
+func NewKVStore() *KVStore { return shard.NewMachine(nil) }
 
 // EncodeSet returns the KV command that sets key to value.
-func EncodeSet(key, value string) []byte { return rsm.EncodeSet(key, value) }
+func EncodeSet(key, value string) []byte { return shard.EncodeSet(key, value) }
 
 // EncodeDel returns the KV command that deletes key.
-func EncodeDel(key string) []byte { return rsm.EncodeDel(key) }
+func EncodeDel(key string) []byte { return shard.EncodeDel(key) }
 
 // The stateless model checker: the simulator's engine with a chooser in
 // place of its clock (see internal/sim).

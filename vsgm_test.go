@@ -202,6 +202,94 @@ func (m counterMachine) Restore(snap []byte) error {
 	return err
 }
 
+func TestPublicAPIKVStore(t *testing.T) {
+	// The facade's key-value machine end to end: two founders write and
+	// delete, a joiner arrives by state transfer, and every replica ends
+	// with the same state.
+	suite := vsgm.FullSuite()
+	stores := make(map[vsgm.ProcID]*vsgm.KVStore)
+	replicas := make(map[vsgm.ProcID]*vsgm.Replica)
+	cluster, err := vsgm.NewCluster(vsgm.ClusterConfig{
+		Procs: vsgm.ProcIDs(3),
+		Seed:  13,
+		Suite: suite,
+		OnAppEvent: func(p vsgm.ProcID, ev vsgm.Event) {
+			if r := replicas[p]; r != nil {
+				if err := r.HandleEvent(ev); err != nil {
+					t.Errorf("replica %s: %v", p, err)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := cluster.Procs()
+	for _, p := range procs {
+		p := p
+		stores[p] = vsgm.NewKVStore()
+		replicas[p], err = vsgm.NewReplica(vsgm.ReplicaConfig{
+			ID:        p,
+			Machine:   stores[p],
+			Bootstrap: p != procs[2],
+			Send: func(b []byte) error {
+				_, err := cluster.Send(p, b)
+				return err
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, _, err := cluster.ReconfigureTo(vsgm.NewProcSet(procs[0], procs[1])); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range [][]byte{
+		vsgm.EncodeSet("a", "1"),
+		vsgm.EncodeSet("b", "2"),
+		vsgm.EncodeSet("a", "3"),
+		vsgm.EncodeDel("b"),
+	} {
+		if err := replicas[procs[0]].Propose(cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := replicas[procs[1]].Propose(vsgm.EncodeSet("c", "4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if replicas[procs[2]].Synced() {
+		t.Fatal("the joiner is synced before it joined")
+	}
+
+	all := vsgm.NewProcSet(procs...)
+	if _, _, err := cluster.ReconfigureTo(all); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !replicas[procs[2]].Synced() {
+		t.Fatal("the joiner did not sync by state transfer")
+	}
+
+	const want = "a=3;c=4;"
+	for _, p := range procs {
+		if got := stores[p].Fingerprint(); got != want {
+			t.Errorf("%s holds %q, want %q", p, got, want)
+		}
+	}
+	if _, ok := stores[procs[2]].Get("b"); ok {
+		t.Error("the joiner holds a deleted key")
+	}
+	if err := suite.Err(); err != nil {
+		t.Fatalf("spec violations:\n%v", err)
+	}
+}
+
 func TestPublicAPIModelChecking(t *testing.T) {
 	// The explorer through the facade: every interleaving of a two-member
 	// formation plus multicast satisfies the specifications.
