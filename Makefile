@@ -60,7 +60,9 @@ fuzz-smoke:
 
 # Every benchmark in the tree, including the transport data-path set
 # (BenchmarkFabricBroadcast, BenchmarkWireMarshal, BenchmarkMsgBufGrowth,
-# BenchmarkAssemblerBulk).
+# BenchmarkAssemblerBulk) and the simulated KV front door (BenchmarkWorldSet,
+# BenchmarkWorldGet: one World.Do on a warm 4 × 3 World; add -cpuprofile on
+# ./internal/shard/ for its profile). The front door is not in BENCH_PATTERN.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 

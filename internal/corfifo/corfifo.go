@@ -40,10 +40,68 @@ func (f HandlerFunc) HandleMessage(from types.ProcID, m types.WireMsg) { f(from,
 // pair enqueued by a send. Drivers use it to schedule delivery steps.
 type SendObserver func(from, to types.ProcID, m types.WireMsg)
 
+// queue is one channel[p][q]. Its array is reused: a dequeue zeroes the slot
+// it leaves, so a delivered message is not kept reachable, and an append into
+// a full array whose front half is dequeued slides the queued messages down
+// instead of growing it. A queue that drains with an array grown past
+// maxIdleQueue by a backlog lets that array go.
+type queue struct {
+	msgs []types.WireMsg // msgs[head:] are queued, oldest first
+	head int
+}
+
+// maxIdleQueue is the largest array, in messages, an empty queue keeps.
+const maxIdleQueue = 32
+
+func (q *queue) len() int { return len(q.msgs) - q.head }
+
+func (q *queue) push(m types.WireMsg) {
+	if q.head > 0 && len(q.msgs) == cap(q.msgs) && 2*q.head >= len(q.msgs) {
+		n := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	q.msgs = append(q.msgs, m)
+}
+
+// pop dequeues the head; q must not be empty.
+func (q *queue) pop() types.WireMsg {
+	m := q.msgs[q.head]
+	q.msgs[q.head] = types.WireMsg{}
+	q.head++
+	if q.head == len(q.msgs) {
+		q.reset()
+	}
+	return m
+}
+
+// dropTail removes the newest message; q must not be empty.
+func (q *queue) dropTail() types.WireMsg {
+	last := len(q.msgs) - 1
+	m := q.msgs[last]
+	q.msgs[last] = types.WireMsg{}
+	q.msgs = q.msgs[:last]
+	if q.head == len(q.msgs) {
+		q.reset()
+	}
+	return m
+}
+
+// reset empties q, zeroing whatever it still holds.
+func (q *queue) reset() {
+	if cap(q.msgs) > maxIdleQueue {
+		q.msgs = nil
+	} else {
+		clear(q.msgs[q.head:])
+		q.msgs = q.msgs[:0]
+	}
+	q.head = 0
+}
+
 // Network is the centralized CO_RFIFO automaton state.
 type Network struct {
 	mu       sync.Mutex
-	channels map[types.ProcID]map[types.ProcID][]types.WireMsg
+	channels map[types.ProcID]map[types.ProcID]*queue
 	reliable map[types.ProcID]types.ProcSet
 	live     map[types.ProcID]types.ProcSet
 	handlers map[types.ProcID]Handler
@@ -54,7 +112,7 @@ type Network struct {
 // NewNetwork returns an empty substrate with no registered end-points.
 func NewNetwork() *Network {
 	return &Network{
-		channels: make(map[types.ProcID]map[types.ProcID][]types.WireMsg),
+		channels: make(map[types.ProcID]map[types.ProcID]*queue),
 		reliable: make(map[types.ProcID]types.ProcSet),
 		live:     make(map[types.ProcID]types.ProcSet),
 		handlers: make(map[types.ProcID]Handler),
@@ -96,11 +154,16 @@ func (n *Network) Send(from types.ProcID, dests []types.ProcID, m types.WireMsg)
 	n.mu.Lock()
 	row := n.channels[from]
 	if row == nil {
-		row = make(map[types.ProcID][]types.WireMsg)
+		row = make(map[types.ProcID]*queue)
 		n.channels[from] = row
 	}
-	for _, q := range dests {
-		row[q] = append(row[q], m)
+	for _, to := range dests {
+		q := row[to]
+		if q == nil {
+			q = &queue{}
+			row[to] = q
+		}
+		q.push(m)
 		n.stats.record(m)
 	}
 	onSend := n.onSend
@@ -153,7 +216,10 @@ func (n *Network) Live(p types.ProcID) types.ProcSet {
 func (n *Network) Pending(from, to types.ProcID) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.channels[from][to])
+	if q := n.channels[from][to]; q != nil {
+		return q.len()
+	}
+	return 0
 }
 
 // PendingLink identifies one ordered channel with queued traffic.
@@ -165,16 +231,16 @@ type PendingLink struct {
 // PendingLinks returns every ordered pair whose channel is non-empty,
 // sorted by (From, To) for deterministic iteration. Drivers use it to flush
 // backlogged links after a connectivity change without scanning all O(n²)
-// process pairs — the channel map is sparse (drained channels are removed),
-// so the cost is proportional to the number of links actually carrying
-// traffic.
+// process pairs — the channel map is sparse (it holds only the links that
+// have ever carried a message), so the cost is proportional to the number of
+// links actually used.
 func (n *Network) PendingLinks() []PendingLink {
 	n.mu.Lock()
 	links := make([]PendingLink, 0, len(n.channels))
 	for p, row := range n.channels {
-		for q, queue := range row {
-			if len(queue) > 0 {
-				links = append(links, PendingLink{From: p, To: q, Count: len(queue)})
+		for to, q := range row {
+			if q.len() > 0 {
+				links = append(links, PendingLink{From: p, To: to, Count: q.len()})
 			}
 		}
 	}
@@ -195,7 +261,7 @@ func (n *Network) TotalPending() int {
 	total := 0
 	for _, row := range n.channels {
 		for _, q := range row {
-			total += len(q)
+			total += q.len()
 		}
 	}
 	return total
@@ -208,16 +274,11 @@ func (n *Network) TotalPending() int {
 func (n *Network) DeliverNext(from, to types.ProcID) (types.WireMsg, bool) {
 	n.mu.Lock()
 	q := n.channels[from][to]
-	if len(q) == 0 {
+	if q == nil || q.len() == 0 {
 		n.mu.Unlock()
 		return types.WireMsg{}, false
 	}
-	m := q[0]
-	if len(q) == 1 {
-		delete(n.channels[from], to)
-	} else {
-		n.channels[from][to] = q[1:]
-	}
+	m := q.pop()
 	h := n.handlers[to]
 	n.stats.recordDelivered(m)
 	n.mu.Unlock()
@@ -239,15 +300,10 @@ func (n *Network) LoseTail(from, to types.ProcID) error {
 		return fmt.Errorf("lose(%s,%s): %s is in reliable_set[%s]", from, to, to, from)
 	}
 	q := n.channels[from][to]
-	if len(q) == 0 {
+	if q == nil || q.len() == 0 {
 		return nil
 	}
-	if len(q) == 1 {
-		delete(n.channels[from], to)
-	} else {
-		n.channels[from][to] = q[:len(q)-1]
-	}
-	n.stats.recordLost(q[len(q)-1])
+	n.stats.recordLost(q.dropTail())
 	return nil
 }
 
@@ -275,15 +331,15 @@ func (n *Network) DropUnreliable() int {
 	defer n.mu.Unlock()
 	dropped := 0
 	for p, row := range n.channels {
-		for q, queue := range row {
-			if n.reliable[p].Contains(q) {
+		for to, q := range row {
+			if n.reliable[p].Contains(to) {
 				continue
 			}
-			for _, m := range queue {
+			for _, m := range q.msgs[q.head:] {
 				n.stats.recordLost(m)
 			}
-			dropped += len(queue)
-			delete(row, q)
+			dropped += q.len()
+			q.reset()
 		}
 	}
 	return dropped

@@ -1,6 +1,7 @@
 package corfifo
 
 import (
+	"math/rand"
 	"testing"
 
 	"vsgm/internal/types"
@@ -210,5 +211,104 @@ func TestHandleBindsSender(t *testing.T) {
 	}
 	if !n.Reliable("a").Contains("b") {
 		t.Fatal("handle SetReliable did not apply")
+	}
+}
+
+// TestSteadyStateSendDeliverAllocatesNothing: once a link's queue has its
+// array, a send to one destination and the delivery that drains it reuse
+// that array.
+func TestSteadyStateSendDeliverAllocatesNothing(t *testing.T) {
+	n := NewNetwork()
+	n.Register("b", HandlerFunc(func(types.ProcID, types.WireMsg) {}))
+	dests := []types.ProcID{"b"}
+	m := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: make([]byte, 64)}}
+	n.Send("a", dests, m)
+	n.DeliverNext("a", "b")
+	allocs := testing.AllocsPerRun(1000, func() {
+		n.Send("a", dests, m)
+		n.DeliverNext("a", "b")
+	})
+	if allocs != 0 {
+		t.Fatalf("a steady-state Send+DeliverNext allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestLoseTailAfterPartialDrain: with the head of the queue already
+// delivered, lose still drops the newest queued message.
+func TestLoseTailAfterPartialDrain(t *testing.T) {
+	n := NewNetwork()
+	n.Register("b", nil)
+	for i := int64(1); i <= 5; i++ {
+		n.Send("a", []types.ProcID{"b"}, appMsg(i))
+	}
+	for i := 0; i < 2; i++ {
+		n.DeliverNext("a", "b")
+	}
+	if err := n.LoseTail("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for {
+		m, ok := n.DeliverNext("a", "b")
+		if !ok {
+			break
+		}
+		got = append(got, m.App.ID)
+	}
+	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
+		t.Fatalf("after delivering 1, 2 and losing the tail, delivered %v, want [3 4]", got)
+	}
+}
+
+// TestQueueReuseKeepsFIFO drives one link through seeded sends, deliveries
+// and tail losses, with backlogs that grow, slide and drain the queue's
+// array, against a reference slice; every dequeued slot must be zeroed.
+func TestQueueReuseKeepsFIFO(t *testing.T) {
+	n := NewNetwork()
+	n.Register("b", nil)
+	rng := rand.New(rand.NewSource(3))
+	var want []int64
+	next := int64(1)
+	for step := 0; step < 20000; step++ {
+		// Phases of 500 steps alternate between filling and draining.
+		fill := step/500%2 == 0
+		switch r := rng.Intn(10); {
+		case r < 7 && fill || r < 3:
+			n.Send("a", []types.ProcID{"b"}, appMsg(next))
+			want = append(want, next)
+			next++
+		case r == 9:
+			if err := n.LoseTail("a", "b"); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) > 0 {
+				want = want[:len(want)-1]
+			}
+		default:
+			m, ok := n.DeliverNext("a", "b")
+			if ok != (len(want) > 0) {
+				t.Fatalf("step %d: delivered=%v with %d queued", step, ok, len(want))
+			}
+			if !ok {
+				continue
+			}
+			if m.App.ID != want[0] {
+				t.Fatalf("step %d: delivered %d, want %d", step, m.App.ID, want[0])
+			}
+			want = want[1:]
+		}
+		if got := n.Pending("a", "b"); got != len(want) {
+			t.Fatalf("step %d: Pending = %d, want %d", step, got, len(want))
+		}
+		q := n.channels["a"]["b"]
+		for i := 0; i < q.head; i++ {
+			if q.msgs[i].App.ID != 0 {
+				t.Fatalf("step %d: dequeued slot %d still holds message %d", step, i, q.msgs[i].App.ID)
+			}
+		}
+		links := n.PendingLinks()
+		if (len(links) == 1) != (len(want) > 0) || len(links) == 1 && links[0].Count != len(want) {
+			t.Fatalf("step %d: PendingLinks = %v with %d queued", step, links, len(want))
+		}
 	}
 }

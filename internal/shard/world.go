@@ -54,8 +54,15 @@ type shardGroup struct {
 	replicas map[types.ProcID]*rsm.Replica
 	machines map[types.ProcID]*Machine
 	stores   map[types.ProcID]Store
-	current  types.ProcSet // membership of the group's latest reconfiguration
+	current  types.ProcSet  // membership of the group's latest reconfiguration
+	members  []types.ProcID // current, in identifier order
 	ops      *obs.Counter
+}
+
+// setCurrent records the group's latest configuration.
+func (g *shardGroup) setCurrent(set types.ProcSet) {
+	g.current = set
+	g.members = set.Sorted()
 }
 
 // World is a complete sharded KV deployment on the simulator: one cluster
@@ -282,7 +289,7 @@ func (w *World) newShardGroup(id int, members []types.ProcID) (*shardGroup, erro
 	if _, _, err := c.ReconfigureTo(initialSet); err != nil {
 		return nil, fmt.Errorf("shard: boot shard %d: %w", id, err)
 	}
-	g.current = initialSet
+	g.setCurrent(initialSet)
 	return g, nil
 }
 
@@ -433,7 +440,7 @@ func (w *World) Check() error {
 // authoritative returns an authoritative replica of the group, preferring
 // members of the current configuration in identifier order.
 func (g *shardGroup) authoritative() (types.ProcID, *rsm.Replica, bool) {
-	for _, p := range g.current.Sorted() {
+	for _, p := range g.members {
 		if r := g.replicas[p]; r != nil && r.Authoritative() {
 			return p, r, true
 		}
@@ -458,7 +465,8 @@ func (w *World) Do(shardID int, epoch int64, op KVOp) (Result, error) {
 	if op.Key == "" {
 		return Result{}, fmt.Errorf("shard: operation without a key")
 	}
-	if owner := w.committed.ShardForKey(op.Key); owner != shardID {
+	slot := w.committed.SlotOf(op.Key)
+	if owner := w.committed.Slots[slot]; owner != shardID {
 		w.mWrong.Inc()
 		return Result{}, fmt.Errorf("%w: key %q belongs to shard %d (map epoch %d, request epoch %d)",
 			ErrWrongShard, op.Key, owner, w.committed.Epoch, epoch)
@@ -473,7 +481,7 @@ func (w *World) Do(shardID int, epoch int64, op KVOp) (Result, error) {
 		g.ops.Inc()
 		return Result{Value: v, Found: found}, nil
 	case "set", "del":
-		if id, busy := w.migrating[w.committed.SlotOf(op.Key)]; busy {
+		if id, busy := w.migrating[slot]; busy {
 			return Result{}, fmt.Errorf("%w (proposal %s)", ErrResharding, id)
 		}
 		p, r, ok := g.authoritative()
@@ -545,7 +553,7 @@ func (w *World) ReconfigureShard(id int, set types.ProcSet) error {
 	if _, _, err := g.c.ReconfigureTo(set); err != nil {
 		return err
 	}
-	g.current = set.Clone()
+	g.setCurrent(set.Clone())
 	return nil
 }
 
@@ -590,7 +598,7 @@ func (w *World) PartitionShard(id int, sides ...types.ProcSet) error {
 	}
 	for _, s := range sides {
 		if s.Len() >= w.cfg.Quorum {
-			g.current = s.Clone()
+			g.setCurrent(s.Clone())
 		}
 	}
 	return nil

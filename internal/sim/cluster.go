@@ -127,11 +127,17 @@ func (m *Metrics) InstallTimes(viewKey string) map[types.ProcID]time.Duration {
 type Cluster struct {
 	*engine
 
-	cfg      Config
-	oracle   *membership.Oracle
-	eps      map[types.ProcID]Node
-	draining map[types.ProcID]bool // processes whose events drain is handing out
-	metrics  Metrics
+	cfg     Config
+	oracle  *membership.Oracle
+	eps     map[types.ProcID]*member
+	metrics Metrics
+}
+
+// member is one end-point of the cluster with drain's re-entrancy guard.
+type member struct {
+	id       types.ProcID
+	node     Node
+	draining bool // drain is handing out this end-point's events
 }
 
 // ProcIDs returns n process identifiers p00, p01, ...
@@ -163,10 +169,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		engine:   newEngine(cfg.Procs, cfg.Latency, cfg.Seed),
-		cfg:      cfg,
-		eps:      make(map[types.ProcID]Node, len(cfg.Procs)),
-		draining: make(map[types.ProcID]bool),
+		engine: newEngine(cfg.Procs, cfg.Latency, cfg.Seed),
+		cfg:    cfg,
+		eps:    make(map[types.ProcID]*member, len(cfg.Procs)),
 	}
 	c.metrics.installTimes = make(map[string]map[types.ProcID]time.Duration)
 	c.metrics.blockStart = make(map[types.ProcID]time.Duration)
@@ -200,7 +205,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.eps[p] = ep
+		c.eps[p] = &member{id: p, node: ep}
 		c.registerHandler(p)
 		c.oracle.Register(p)
 	}
@@ -210,18 +215,23 @@ func NewCluster(cfg Config) (*Cluster, error) {
 func (c *Cluster) registerHandler(p types.ProcID) {
 	ep := c.eps[p]
 	c.net.Register(p, corfifo.HandlerFunc(func(from types.ProcID, m types.WireMsg) {
-		ep.HandleMessage(from, m)
-		c.drain(p)
+		ep.node.HandleMessage(from, m)
+		c.drain(ep)
 	}))
 }
 
 // Endpoint returns the node for p.
-func (c *Cluster) Endpoint(p types.ProcID) Node { return c.eps[p] }
+func (c *Cluster) Endpoint(p types.ProcID) Node {
+	if ep := c.eps[p]; ep != nil {
+		return ep.node
+	}
+	return nil
+}
 
 // CoreEndpoint returns the node for p as a *core.Endpoint; it returns nil
 // when the cluster runs a different node implementation.
 func (c *Cluster) CoreEndpoint(p types.ProcID) *core.Endpoint {
-	ep, _ := c.eps[p].(*core.Endpoint)
+	ep, _ := c.Endpoint(p).(*core.Endpoint)
 	return ep
 }
 
@@ -245,13 +255,13 @@ func (c *Cluster) onMembership(p types.ProcID, n membership.Notification) {
 		case membership.NotifyStartChange:
 			c.specEvent(spec.EMStartChange{P: p, SC: n.StartChange})
 			c.net.SetLive(p, n.StartChange.Set)
-			ep.HandleStartChange(n.StartChange)
+			ep.node.HandleStartChange(n.StartChange)
 		case membership.NotifyView:
 			c.specEvent(spec.EMView{P: p, View: n.View})
 			c.net.SetLive(p, n.View.Members)
-			ep.HandleView(n.View)
+			ep.node.HandleView(n.View)
 		}
-		c.drain(p)
+		c.drain(ep)
 	})
 }
 
@@ -321,13 +331,14 @@ func (c *Cluster) Partition(groups ...types.ProcSet) ([]types.View, error) {
 
 // Send multicasts payload from p in p's current view.
 func (c *Cluster) Send(p types.ProcID, payload []byte) (types.AppMsg, error) {
-	m, err := c.eps[p].Send(payload)
+	ep := c.eps[p]
+	m, err := ep.node.Send(payload)
 	if err != nil {
 		return types.AppMsg{}, err
 	}
 	c.metrics.Sent++
 	c.specEvent(spec.ESend{P: p, MsgID: m.ID})
-	c.drain(p)
+	c.drain(ep)
 	return m, nil
 }
 
@@ -335,15 +346,16 @@ func (c *Cluster) Send(p types.ProcID, payload []byte) (types.AppMsg, error) {
 // ManualBlock).
 func (c *Cluster) BlockOK(p types.ProcID) {
 	c.specEvent(spec.EBlockOK{P: p})
-	c.eps[p].BlockOK()
-	c.drain(p)
+	ep := c.eps[p]
+	ep.node.BlockOK()
+	c.drain(ep)
 }
 
 // Crash crashes end-point p (Section 8): its automaton freezes, the
 // substrate stops delivering to it, and the membership marks it crashed.
 func (c *Cluster) Crash(p types.ProcID) error {
 	c.specEvent(spec.ECrash{P: p})
-	c.eps[p].Crash()
+	c.eps[p].node.Crash()
 	c.net.Unregister(p)
 	return c.oracle.Crash(p)
 }
@@ -356,8 +368,9 @@ func (c *Cluster) Recover(p types.ProcID) error {
 		return err
 	}
 	c.registerHandler(p)
-	c.eps[p].Recover()
-	c.drain(p)
+	ep := c.eps[p]
+	ep.node.Recover()
+	c.drain(ep)
 	return nil
 }
 
@@ -379,23 +392,23 @@ func (c *Cluster) specEvent(ev spec.Event) {
 // whole batch before the batch's first handler runs, because that is the order
 // of the end-point's external actions: everything in the batch happened before
 // any send a handler makes in response.
-func (c *Cluster) drain(p types.ProcID) {
-	if c.draining[p] {
+func (c *Cluster) drain(ep *member) {
+	if ep.draining {
 		return
 	}
-	c.draining[p] = true
-	defer delete(c.draining, p)
+	ep.draining = true
+	defer func() { ep.draining = false }()
 	for {
-		evs := c.eps[p].TakeEvents()
+		evs := ep.node.TakeEvents()
 		if len(evs) == 0 {
 			return
 		}
 		for _, ev := range evs {
-			c.observe(p, ev)
+			c.observe(ep.id, ev)
 		}
 		if c.cfg.OnAppEvent != nil {
 			for _, ev := range evs {
-				c.cfg.OnAppEvent(p, ev)
+				c.cfg.OnAppEvent(ep.id, ev)
 			}
 		}
 	}

@@ -32,8 +32,7 @@ type engine struct {
 	procs       []types.ProcID
 	comp        map[types.ProcID]int
 	blockedLink map[pair]bool
-	last        map[channel]time.Duration // latest arrival per channel (time mode)
-	scheduled   map[pair]int
+	chans       map[channel]*chanState
 
 	choose  func(n int) int
 	pending map[channel][]func() // queued steps per channel (chooser mode)
@@ -61,6 +60,24 @@ func (a channel) compare(b channel) int {
 	return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
 }
 
+// chanState is the engine's bookkeeping for one channel, looked up once per
+// scheduled step and carried by a delivery's heap entry, so firing a delivery
+// hashes no key.
+type chanState struct {
+	channel
+	last      time.Duration // latest arrival drawn on the channel (time mode)
+	scheduled int           // deliveries scheduled and not yet run (chanDeliver)
+}
+
+func (e *engine) stateOf(ch channel) *chanState {
+	st := e.chans[ch]
+	if st == nil {
+		st = &chanState{channel: ch}
+		e.chans[ch] = st
+	}
+	return st
+}
+
 func newEngine(procs []types.ProcID, latency LatencyModel, seed int64) *engine {
 	e := &engine{
 		rng:         rand.New(rand.NewSource(seed)),
@@ -69,8 +86,7 @@ func newEngine(procs []types.ProcID, latency LatencyModel, seed int64) *engine {
 		procs:       append([]types.ProcID(nil), procs...),
 		comp:        make(map[types.ProcID]int, len(procs)),
 		blockedLink: make(map[pair]bool),
-		last:        make(map[channel]time.Duration),
-		scheduled:   make(map[pair]int),
+		chans:       make(map[channel]*chanState),
 		pending:     make(map[channel][]func()),
 	}
 	for _, p := range procs {
@@ -102,26 +118,50 @@ func (e *engine) At(delay time.Duration, fn func()) {
 // joins the tail of ch's queue, and no latency is drawn. In time mode it fires
 // after delay plus, when lat is set, a latency drawn from lat, but never before
 // the step scheduled ahead of it on ch; a timer (lat nil) fires after exactly
-// delay.
+// delay. scheduleDelivery is the same for a delivery, minus the closure.
 func (e *engine) schedule(ch channel, delay time.Duration, lat LatencyModel, fn func()) {
 	if e.choose != nil {
-		q, ok := e.pending[ch]
-		if !ok {
-			i, _ := slices.BinarySearchFunc(e.ready, ch, channel.compare)
-			e.ready = slices.Insert(e.ready, i, ch)
-		}
-		e.pending[ch] = append(q, fn)
+		e.enqueue(ch, fn)
 		return
 	}
 	at := e.now + delay
 	if lat != nil {
-		at += lat.Sample(ch.from, ch.to, e.rng)
-		if last := e.last[ch]; at < last {
-			at = last
-		}
-		e.last[ch] = at
+		at = e.arrival(e.stateOf(ch), at, lat)
 	}
-	e.queue.push(at, fn)
+	e.queue.push(at, fn, nil)
+}
+
+// arrival draws a latency from lat on st's channel and returns when a step
+// leaving at at arrives: never before the arrival drawn ahead of it.
+func (e *engine) arrival(st *chanState, at time.Duration, lat LatencyModel) time.Duration {
+	at += lat.Sample(st.from, st.to, e.rng)
+	if at < st.last {
+		at = st.last
+	}
+	st.last = at
+	return at
+}
+
+// enqueue appends fn to ch's queue of chooser-mode steps.
+func (e *engine) enqueue(ch channel, fn func()) {
+	q, ok := e.pending[ch]
+	if !ok {
+		i, _ := slices.BinarySearchFunc(e.ready, ch, channel.compare)
+		e.ready = slices.Insert(e.ready, i, ch)
+	}
+	e.pending[ch] = append(q, fn)
+}
+
+// fire runs one time-mode step at its instant.
+func (e *engine) fire(ev event) {
+	if ev.at > e.now {
+		e.now = ev.at
+	}
+	if ev.fn != nil {
+		ev.fn()
+		return
+	}
+	e.deliver(ev.deliver)
 }
 
 // stepChosen runs the head of the channel the chooser picks among the
@@ -167,10 +207,7 @@ func (e *engine) Run() error {
 		if !ok {
 			return nil
 		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		ev.fn()
+		e.fire(ev)
 	}
 }
 
@@ -194,15 +231,12 @@ func (e *engine) RunFor(d time.Duration) error {
 			return nil
 		}
 		ev, _ = e.queue.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		ev.fn()
+		e.fire(ev)
 	}
 }
 
 func (e *engine) connected(from, to types.ProcID) bool {
-	if e.blockedLink[pair{from, to}] {
+	if len(e.blockedLink) > 0 && e.blockedLink[pair{from, to}] {
 		return false
 	}
 	return e.comp[from] == e.comp[to]
@@ -258,20 +292,29 @@ func (e *engine) flushConnected() {
 		if !e.connected(l.From, l.To) {
 			continue
 		}
-		backlog := l.Count - e.scheduled[pair{l.From, l.To}]
+		backlog := l.Count - e.stateOf(channel{chanDeliver, pair{l.From, l.To}}).scheduled
 		for i := 0; i < backlog; i++ {
 			e.scheduleDelivery(l.From, l.To)
 		}
 	}
 }
 
+// scheduleDelivery schedules one CO_RFIFO delivery on the link from -> to.
+// In time mode its heap entry names the channel instead of holding a closure.
 func (e *engine) scheduleDelivery(from, to types.ProcID) {
-	pr := pair{from, to}
-	e.scheduled[pr]++
-	e.schedule(channel{chanDeliver, pr}, 0, e.latency, func() {
-		e.scheduled[pr]--
-		e.net.DeliverNext(from, to)
-	})
+	st := e.stateOf(channel{chanDeliver, pair{from, to}})
+	st.scheduled++
+	if e.choose != nil {
+		e.enqueue(st.channel, func() { e.deliver(st) })
+		return
+	}
+	e.queue.push(e.arrival(st, e.now, e.latency), nil, st)
+}
+
+// deliver runs one scheduled delivery on st's link.
+func (e *engine) deliver(st *chanState) {
+	st.scheduled--
+	e.net.DeliverNext(st.from, st.to)
 }
 
 // onSend is the substrate's send observer: if the link is up, schedule the

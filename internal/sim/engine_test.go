@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,5 +158,99 @@ func TestProcIDsAreSortedAndUnique(t *testing.T) {
 		if i > 0 && !(ids[i-1] < id) {
 			t.Fatalf("ids not sorted: %s before %s", ids[i-1], id)
 		}
+	}
+}
+
+// TestEventQueueOrder checks the event heap against a reference sort by
+// (time, sequence): seeded pushes with many equal times, interleaved with
+// pops, and then RunFor's peek and pop at window deadlines, with steps that
+// schedule further steps as they fire.
+func TestEventQueueOrder(t *testing.T) {
+	type key struct {
+		at  time.Duration
+		seq int64
+	}
+	byKey := func(a, b key) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq)) }
+	rng := rand.New(rand.NewSource(7))
+
+	var q eventQueue
+	var want []key // what the queue holds, sorted
+	for i := 0; i < 5000; i++ {
+		if rng.Intn(3) > 0 {
+			at := time.Duration(rng.Intn(8)) * time.Millisecond
+			q.push(at, func() {}, nil)
+			k := key{at, q.seq}
+			j, _ := slices.BinarySearchFunc(want, k, byKey)
+			want = slices.Insert(want, j, k)
+			continue
+		}
+		ev, ok := q.pop()
+		if ok != (len(want) > 0) {
+			t.Fatalf("step %d: pop ok=%v with %d queued", i, ok, len(want))
+		}
+		if !ok {
+			continue
+		}
+		if got := (key{ev.at, ev.seq}); got != want[0] {
+			t.Fatalf("step %d: popped %v, want %v", i, got, want[0])
+		}
+		want = want[1:]
+	}
+	for len(want) > 0 {
+		ev, _ := q.pop()
+		if got := (key{ev.at, ev.seq}); got != want[0] {
+			t.Fatalf("drain: popped %v, want %v", got, want[0])
+		}
+		want = want[1:]
+	}
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop from an empty queue")
+	}
+
+	// RunFor: every step scheduled, including those scheduled by firing
+	// steps, must fire in (time, sequence) order, each inside the window
+	// whose deadline it does not pass.
+	e := newEngine(ProcIDs(1), FixedLatency(0), 1)
+	var scheduled, fired []key
+	var seq int64
+	var at func(d time.Duration, children int)
+	at = func(d time.Duration, children int) {
+		seq++
+		k := key{e.Now() + d, seq}
+		scheduled = append(scheduled, k)
+		e.At(d, func() {
+			if e.Now() != k.at {
+				t.Errorf("step %v fired at %v", k, e.Now())
+			}
+			fired = append(fired, k)
+			for c := 0; c < children; c++ {
+				at(time.Duration(rng.Intn(4))*time.Millisecond, 0)
+			}
+		})
+	}
+	for i := 0; i < 2000; i++ {
+		at(time.Duration(rng.Intn(40))*time.Millisecond, rng.Intn(3))
+	}
+	for window := 0; len(fired) < len(scheduled); window++ {
+		if window > 100 {
+			t.Fatalf("%d of %d steps fired after 100 windows", len(fired), len(scheduled))
+		}
+		deadline := e.Now() + 3*time.Millisecond
+		if err := e.RunFor(3 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if e.Now() != deadline {
+			t.Fatalf("clock %v after RunFor, want %v", e.Now(), deadline)
+		}
+		if n := len(fired); n > 0 && fired[n-1].at > deadline {
+			t.Fatalf("step %v fired in the window ending %v", fired[n-1], deadline)
+		}
+		if ev, ok := e.queue.peek(); ok && ev.at <= deadline {
+			t.Fatalf("step at %v left queued past the deadline %v", ev.at, deadline)
+		}
+	}
+	slices.SortFunc(scheduled, byKey)
+	if !slices.Equal(fired, scheduled) {
+		t.Fatal("RunFor fired the steps out of (time, sequence) order")
 	}
 }

@@ -9,61 +9,77 @@
 // and enumerates the interleavings the clock would only sample.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
-// event is one scheduled simulator step.
+// event is one scheduled simulator step: fn, or, when fn is nil, the
+// CO_RFIFO delivery on the link of the channel deliver names.
 type event struct {
-	at  time.Duration
-	seq int64
-	fn  func()
+	at      time.Duration
+	seq     int64
+	fn      func()
+	deliver *chanState
 }
 
-// eventQueue is a min-heap ordered by (time, insertion sequence); the
-// sequence number makes simultaneous events fire in scheduling order, which
-// keeps executions deterministic.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a binary min-heap of events held by value, ordered by (time,
+// insertion sequence); the sequence number makes simultaneous events fire in
+// scheduling order, which keeps executions deterministic. The order is total,
+// so what pops next does not depend on the heap's shape.
 type eventQueue struct {
 	items []event
 	seq   int64
 }
 
-func (q *eventQueue) Len() int { return len(q.items) }
-
-func (q *eventQueue) Less(i, j int) bool {
-	if q.items[i].at != q.items[j].at {
-		return q.items[i].at < q.items[j].at
-	}
-	return q.items[i].seq < q.items[j].seq
-}
-
-func (q *eventQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
-
-func (q *eventQueue) Push(x any) { q.items = append(q.items, x.(event)) }
-
-func (q *eventQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	q.items = old[:n-1]
-	return it
-}
-
-func (q *eventQueue) push(at time.Duration, fn func()) {
+func (q *eventQueue) push(at time.Duration, fn func(), deliver *chanState) {
 	q.seq++
-	heap.Push(q, event{at: at, seq: q.seq, fn: fn})
+	q.items = append(q.items, event{at: at, seq: q.seq, fn: fn, deliver: deliver})
+	// Sift up.
+	h := q.items
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 func (q *eventQueue) pop() (event, bool) {
-	if q.Len() == 0 {
+	h := q.items
+	n := len(h) - 1
+	if n < 0 {
 		return event{}, false
 	}
-	return heap.Pop(q).(event), true
+	top := h[0]
+	h[0] = h[n]
+	h[n] = event{} // drop the step's references
+	h = h[:n]
+	q.items = h
+	// Sift down.
+	i := 0
+	for {
+		least := i
+		if l := 2*i + 1; l < n && h[l].before(&h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h[r].before(&h[least]) {
+			least = r
+		}
+		if least == i {
+			return top, true
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 func (q *eventQueue) peek() (event, bool) {
-	if q.Len() == 0 {
+	if len(q.items) == 0 {
 		return event{}, false
 	}
 	return q.items[0], true
