@@ -398,13 +398,11 @@ func (e *Endpoint) tryDeliverView() bool {
 	e.hSent = make(map[hEntryKey]struct{})
 	e.advanceBaseline(e.currentView)
 	e.viewsInstalled++
-	if !e.retainOld {
-		e.msgs.dropExcept(e.curKey)
-		for _, s := range e.streams {
-			s.buf = nil // may have been dropped; re-resolved on next use
-		}
-		e.forwarded = make(map[forwardKey]struct{})
+	e.msgs.dropExcept(e.curKey)
+	for _, s := range e.streams {
+		s.buf = nil // may have been dropped; re-resolved on next use
 	}
+	e.forwarded = make(map[forwardKey]struct{})
 	return true
 }
 

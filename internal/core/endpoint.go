@@ -129,12 +129,6 @@ type Config struct {
 	// transitional set".
 	SmallSync bool
 
-	// RetainOldBuffers disables the garbage collection of message buffers
-	// from superseded views when a new view is installed. The paper's
-	// abstract automata never discard; real implementations do (Section
-	// 5.1). Tests use this to inspect historical buffers.
-	RetainOldBuffers bool
-
 	// MsgIDBase offsets the identifiers stamped on this end-point's
 	// application messages so that IDs are globally unique across a
 	// cluster (purely diagnostic; the algorithm identifies messages by
@@ -191,7 +185,6 @@ type Endpoint struct {
 	fwd            ForwardingStrategy
 	autoBlock      bool
 	smallSync      bool
-	retainOld      bool
 	ackInterval    int
 	hierarchyGroup int
 	onSend         func(types.AppMsg)
@@ -327,7 +320,6 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		fwd:            cfg.Forwarding,
 		autoBlock:      cfg.AutoBlock,
 		smallSync:      cfg.SmallSync,
-		retainOld:      cfg.RetainOldBuffers,
 		ackInterval:    cfg.AckInterval,
 		hierarchyGroup: cfg.HierarchyGroupSize,
 		onSend:         cfg.OnSend,

@@ -432,25 +432,17 @@ func TestCrashFreezesAndRecoverResets(t *testing.T) {
 }
 
 func TestGarbageCollectionOfOldViewBuffers(t *testing.T) {
-	run := func(retain bool) *Endpoint {
-		ep, _ := newTestEndpoint(t, "p", func(c *Config) { c.RetainOldBuffers = retain })
-		if _, err := ep.Send([]byte("in-initial-view")); err != nil {
-			t.Fatal(err)
-		}
-		ep.HandleStartChange(types.StartChange{ID: 1, Set: types.NewProcSet("p", "q")})
-		ep.HandleView(twoMemberView(1, "p", "q", 1, 1))
-		ep.HandleMessage("q", types.WireMsg{
-			Kind: types.KindSync, CID: 1, View: types.InitialView("q"), Cut: types.Cut{"q": 0},
-		})
-		return ep
+	ep, _ := newTestEndpoint(t, "p", nil)
+	if _, err := ep.Send([]byte("in-initial-view")); err != nil {
+		t.Fatal(err)
 	}
-	gc := run(false)
-	if buf := gc.msgs.peek("p", types.InitialView("p").Key()); buf != nil {
+	ep.HandleStartChange(types.StartChange{ID: 1, Set: types.NewProcSet("p", "q")})
+	ep.HandleView(twoMemberView(1, "p", "q", 1, 1))
+	ep.HandleMessage("q", types.WireMsg{
+		Kind: types.KindSync, CID: 1, View: types.InitialView("q"), Cut: types.Cut{"q": 0},
+	})
+	if buf := ep.msgs.peek("p", types.InitialView("p").Key()); buf != nil {
 		t.Error("old-view buffer survived garbage collection")
-	}
-	keep := run(true)
-	if buf := keep.msgs.peek("p", types.InitialView("p").Key()); buf == nil {
-		t.Error("RetainOldBuffers dropped the old-view buffer")
 	}
 }
 

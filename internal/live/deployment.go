@@ -182,16 +182,11 @@ func (d *Deployment) AddClients(ids ...types.ProcID) error {
 // synchronous hooks.
 func (d *Deployment) collect(p types.ProcID, cfg *NodeConfig) {
 	observe, onSend, notify := cfg.Observe, cfg.OnSend, cfg.ObserveNotify
+	autoBlockOK := cfg.AutoBlock
 	cfg.Observe = func(ev core.Event) {
-		switch e := ev.(type) {
-		case core.DeliverEvent:
-			d.Record(spec.EDeliver{P: p, From: e.Sender, MsgID: e.Msg.ID})
-		case core.ViewEvent:
-			d.Record(spec.EView{P: p, View: e.View, Trans: e.TransitionalSet, HasTrans: true})
-		case core.BlockEvent:
-			// AutoBlock end-points acknowledge immediately.
-			d.Record(spec.EBlock{P: p}, spec.EBlockOK{P: p})
-		}
+		d.mu.Lock()
+		spec.EndpointActions(p, ev, autoBlockOK, d.recordLocked)
+		d.mu.Unlock()
 		if observe != nil {
 			observe(ev)
 		}
@@ -203,12 +198,7 @@ func (d *Deployment) collect(p types.ProcID, cfg *NodeConfig) {
 		}
 	}
 	cfg.ObserveNotify = func(n membership.Notification) {
-		switch n.Kind {
-		case membership.NotifyStartChange:
-			d.Record(spec.EMStartChange{P: p, SC: n.StartChange})
-		case membership.NotifyView:
-			d.Record(spec.EMView{P: p, View: n.View})
-		}
+		d.Record(spec.MbrshpAction(p, n.Kind == membership.NotifyView, n.StartChange, n.View))
 		if notify != nil {
 			notify(n)
 		}
@@ -222,11 +212,16 @@ func (d *Deployment) Record(evs ...spec.Event) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, ev := range evs {
-		if e, ok := ev.(spec.EDeliver); ok {
-			d.dlvrs[e.P]++
-		}
-		d.suite.OnEvent(ev)
+		d.recordLocked(ev)
 	}
+}
+
+// recordLocked is Record for one event with d.mu held.
+func (d *Deployment) recordLocked(ev spec.Event) {
+	if e, ok := ev.(spec.EDeliver); ok {
+		d.dlvrs[e.P]++
+	}
+	d.suite.OnEvent(ev)
 }
 
 // setPeers hands every node the directory of every current node.

@@ -157,7 +157,7 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 	if n.store != nil {
 		if fs, ok := n.store.(*FileStore); ok {
 			fs.SetSyncEvery(cfg.WALFsyncEvery)
-			cfg.Obs.PublishWALRepair(fs.RepairReport(), serverLabel)
+			fs.RepairReport().Publish(cfg.Obs, serverLabel)
 		}
 		var err error
 		if restored, err = n.store.Load(); err != nil {

@@ -74,8 +74,6 @@ type Config struct {
 	// where every view is authoritative and partition merges adopt the
 	// first snapshot in total order, whichever side it came from.
 	Quorum int
-	// OnApply observes each applied command; optional.
-	OnApply func(sender types.ProcID, cmd []byte)
 }
 
 // Replica is one member of the replicated state machine. Drive it by
@@ -84,7 +82,6 @@ type Config struct {
 type Replica struct {
 	id      types.ProcID
 	machine StateMachine
-	onApply func(types.ProcID, []byte)
 
 	session *totalorder.Session
 
@@ -109,7 +106,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 	r := &Replica{
 		id:      cfg.ID,
 		machine: cfg.Machine,
-		onApply: cfg.OnApply,
 		view:    types.InitialView(cfg.ID),
 		synced:  cfg.Bootstrap,
 		adopted: -1,
@@ -208,9 +204,6 @@ func (r *Replica) onOrdered(sender types.ProcID, payload []byte) {
 		cmd := payload[1:]
 		r.machine.Apply(sender, cmd)
 		r.applied++
-		if r.onApply != nil {
-			r.onApply(sender, cmd)
-		}
 	case tagState:
 		if len(payload) < 1+8 {
 			return // malformed; ignore deterministically

@@ -284,10 +284,22 @@ func TestReplicationOverHierarchicalSyncs(t *testing.T) {
 	}
 }
 
+// recordingMachine is a KV machine that also records every command it
+// applies, as "sender:command", in order.
+type recordingMachine struct {
+	*shard.Machine
+	applied *[]string
+}
+
+func (m recordingMachine) Apply(sender types.ProcID, cmd []byte) {
+	*m.applied = append(*m.applied, fmt.Sprintf("%s:%q", sender, cmd))
+	m.Machine.Apply(sender, cmd)
+}
+
 func TestReplicatedLogOrderIsIdentical(t *testing.T) {
 	// Concurrent proposals from all members over the full stack: every
 	// replica applies exactly the same (sender, command) sequence.
-	applied := make(map[types.ProcID][]string)
+	applied := make(map[types.ProcID]*[]string)
 	replicas := make(map[types.ProcID]*rsm.Replica)
 	c, err := sim.NewCluster(sim.Config{
 		Procs:           sim.ProcIDs(3),
@@ -307,14 +319,12 @@ func TestReplicatedLogOrderIsIdentical(t *testing.T) {
 	}
 	for _, p := range c.Procs() {
 		p := p
+		applied[p] = new([]string)
 		replicas[p], err = rsm.NewReplica(rsm.Config{
-			ID: p, Machine: shard.NewMachine(nil), Bootstrap: true,
+			ID: p, Machine: recordingMachine{shard.NewMachine(nil), applied[p]}, Bootstrap: true,
 			Send: func(b []byte) error {
 				_, err := c.Send(p, b)
 				return err
-			},
-			OnApply: func(sender types.ProcID, cmd []byte) {
-				applied[p] = append(applied[p], fmt.Sprintf("%s:%q", sender, cmd))
 			},
 		})
 		if err != nil {
@@ -339,12 +349,12 @@ func TestReplicatedLogOrderIsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 15
-	ref := strings.Join(applied[c.Procs()[0]], "|")
+	ref := strings.Join(*applied[c.Procs()[0]], "|")
 	for _, p := range c.Procs() {
-		if len(applied[p]) != want {
-			t.Errorf("%s applied %d commands, want %d", p, len(applied[p]), want)
+		if len(*applied[p]) != want {
+			t.Errorf("%s applied %d commands, want %d", p, len(*applied[p]), want)
 		}
-		if strings.Join(applied[p], "|") != ref {
+		if strings.Join(*applied[p], "|") != ref {
 			t.Errorf("%s apply order diverged", p)
 		}
 	}

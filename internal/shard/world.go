@@ -26,22 +26,17 @@ type WorldConfig struct {
 	// cluster holds, available as MoveGroup destinations and crash-recovery
 	// stand-ins; default 2.
 	Spares int
-	// MetaReplicas sizes the meta-group carrying the shard map; default 3.
-	MetaReplicas int
 	// Slots is the hash-slot space size; default DefaultSlots.
 	Slots int
-	// Quorum is the primary-component threshold for shard replicas; default
-	// majority of Replicas. The meta-group always runs at majority quorum.
-	Quorum int
 	// Seed drives every cluster's deterministic RNG.
 	Seed int64
 	// StateDir, when non-empty, backs every shard replica with a FileStore
 	// under StateDir/s<shard>/<proc>; empty selects in-memory stores.
 	StateDir string
-	// Registry receives the vsgm_shard_* metrics; nil allocates a private
-	// one.
-	Registry *obs.Registry
 }
+
+// metaReplicas sizes the meta-group carrying the shard map.
+const metaReplicas = 3
 
 // shardGroup is one shard's deployment: a simulated cluster whose process
 // universe is the replica group plus spares, with an rsm replica and a
@@ -129,17 +124,8 @@ func (cfg *WorldConfig) defaults() {
 	} else if cfg.Spares == 0 {
 		cfg.Spares = 2
 	}
-	if cfg.MetaReplicas <= 0 {
-		cfg.MetaReplicas = 3
-	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = DefaultSlots
-	}
-	if cfg.Quorum <= 0 {
-		cfg.Quorum = cfg.Replicas/2 + 1
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
 	}
 }
 
@@ -150,7 +136,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	cfg.defaults()
 	w := &World{
 		cfg:       cfg,
-		reg:       cfg.Registry,
+		reg:       obs.NewRegistry(),
 		groups:    make(map[int]*shardGroup, cfg.Shards),
 		migrating: make(map[int]string),
 		acks:      make(map[string]spec.KVAck),
@@ -177,9 +163,9 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 
 	// Meta-group.
-	w.metaProcs = MetaProcs(cfg.MetaReplicas)
-	w.metaReplicas = make(map[types.ProcID]*rsm.Replica, cfg.MetaReplicas)
-	w.metaMachines = make(map[types.ProcID]*MetaMachine, cfg.MetaReplicas)
+	w.metaProcs = MetaProcs(metaReplicas)
+	w.metaReplicas = make(map[types.ProcID]*rsm.Replica, metaReplicas)
+	w.metaMachines = make(map[types.ProcID]*MetaMachine, metaReplicas)
 	w.metaSuite = spec.FullSuite()
 	metaCluster, err := sim.NewCluster(sim.Config{
 		Procs:           w.metaProcs,
@@ -212,7 +198,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			ID:        p,
 			Machine:   m,
 			Bootstrap: true,
-			Quorum:    cfg.MetaReplicas/2 + 1,
+			Quorum:    metaReplicas/2 + 1,
 			Send: func(payload []byte) error {
 				_, err := metaCluster.Send(p, payload)
 				return err
@@ -304,7 +290,7 @@ func (w *World) attachReplica(g *shardGroup, p types.ProcID, bootstrap, fromDisk
 			if err != nil {
 				return err
 			}
-			w.reg.PublishWALRepair(fs.RepairReport(), obs.L("shard", strconv.Itoa(g.id)), obs.L("replica", string(p)))
+			fs.RepairReport().Publish(w.reg, obs.L("shard", strconv.Itoa(g.id)), obs.L("replica", string(p)))
 			store = fs
 		} else {
 			store = NewMemStore()
@@ -325,7 +311,7 @@ func (w *World) attachReplica(g *shardGroup, p types.ProcID, bootstrap, fromDisk
 		ID:        p,
 		Machine:   m,
 		Bootstrap: bootstrap,
-		Quorum:    w.cfg.Quorum,
+		Quorum:    w.quorum(),
 		Send: func(payload []byte) error {
 			_, err := g.c.Send(p, payload)
 			return err
@@ -346,6 +332,10 @@ func (w *World) onMapCommit(m Map) {
 }
 
 // ---- accessors ----
+
+// quorum is the primary-component threshold for shard replicas: a majority
+// of Replicas. The meta-group runs at a majority of its own.
+func (w *World) quorum() int { return w.cfg.Replicas/2 + 1 }
 
 // Registry returns the metrics registry.
 func (w *World) Registry() *obs.Registry { return w.reg }
@@ -590,14 +580,14 @@ func (w *World) RecoverReplica(id int, p types.ProcID) error {
 
 // PartitionShard splits shard id's cluster into the given groups (network
 // and membership), running to quiescence. With quorum mode on, only a side
-// holding >= Quorum members stays authoritative.
+// holding a majority of Replicas stays authoritative.
 func (w *World) PartitionShard(id int, sides ...types.ProcSet) error {
 	g := w.groups[id]
 	if _, err := g.c.Partition(sides...); err != nil {
 		return err
 	}
 	for _, s := range sides {
-		if s.Len() >= w.cfg.Quorum {
+		if s.Len() >= w.quorum() {
 			g.setCurrent(s.Clone())
 		}
 	}

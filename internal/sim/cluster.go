@@ -11,9 +11,6 @@ import (
 	"vsgm/internal/types"
 )
 
-// pair is an ordered link.
-type pair struct{ from, to types.ProcID }
-
 // Node is the automaton interface the cluster drives. *core.Endpoint is the
 // primary implementation; internal/baseline provides comparison algorithms.
 type Node interface {
@@ -56,9 +53,6 @@ type Config struct {
 	// clients.
 	ManualBlock bool
 
-	// RetainOldBuffers disables message-buffer garbage collection.
-	RetainOldBuffers bool
-
 	// AckInterval enables within-view stability acknowledgments every this
 	// many deliveries (0 disables); see core.Config.AckInterval.
 	AckInterval int
@@ -100,44 +94,14 @@ type Config struct {
 	TraceFor func(p types.ProcID) core.ProtocolTrace
 }
 
-// Metrics aggregates execution measurements.
-type Metrics struct {
-	Sent         int64
-	Delivered    int64
-	ViewInstalls int64
-
-	installTimes map[string]map[types.ProcID]time.Duration
-	blockStart   map[types.ProcID]time.Duration
-	BlockedTotal map[types.ProcID]time.Duration
-}
-
-// InstallTimes returns the per-process virtual times at which the view with
-// the given key was delivered to the application.
-func (m *Metrics) InstallTimes(viewKey string) map[types.ProcID]time.Duration {
-	out := make(map[types.ProcID]time.Duration, len(m.installTimes[viewKey]))
-	for p, t := range m.installTimes[viewKey] {
-		out[p] = t
-	}
-	return out
-}
-
 // Cluster is a simulated composition of end-points, substrate, and
 // membership service under a virtual clock (the composition of Figure 8).
 // It is not safe for concurrent use.
 type Cluster struct {
-	*engine
+	harness
 
-	cfg     Config
-	oracle  *membership.Oracle
-	eps     map[types.ProcID]*member
-	metrics Metrics
-}
-
-// member is one end-point of the cluster with drain's re-entrancy guard.
-type member struct {
-	id       types.ProcID
-	node     Node
-	draining bool // drain is handing out this end-point's events
+	cfg    Config
+	oracle *membership.Oracle
 }
 
 // ProcIDs returns n process identifiers p00, p01, ...
@@ -169,35 +133,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		engine: newEngine(cfg.Procs, cfg.Latency, cfg.Seed),
-		cfg:    cfg,
-		eps:    make(map[types.ProcID]*member, len(cfg.Procs)),
+		harness: newHarness(newEngine(cfg.Procs, cfg.Latency, cfg.Seed), cfg.Suite, cfg.MembershipLatency, !cfg.ManualBlock),
+		cfg:     cfg,
 	}
-	c.metrics.installTimes = make(map[string]map[types.ProcID]time.Duration)
-	c.metrics.blockStart = make(map[types.ProcID]time.Duration)
-	c.metrics.BlockedTotal = make(map[types.ProcID]time.Duration)
-
-	c.oracle = membership.NewOracle(c.onMembership)
+	c.onAppEvent = cfg.OnAppEvent
+	c.oracle = membership.NewOracle(c.relay)
 
 	newNode := cfg.NewNode
 	if newNode == nil {
 		newNode = func(p types.ProcID, idx int, tr *corfifo.Handle) (Node, error) {
-			epCfg := core.Config{
-				ID:                 p,
-				Transport:          tr,
-				Level:              cfg.Level,
-				Forwarding:         cfg.Forwarding,
-				AutoBlock:          !cfg.ManualBlock,
-				SmallSync:          cfg.SmallSync,
-				RetainOldBuffers:   cfg.RetainOldBuffers,
-				AckInterval:        cfg.AckInterval,
-				HierarchyGroupSize: cfg.HierarchyGroupSize,
-				MsgIDBase:          int64(idx+1) * 1_000_000_000,
-			}
-			if cfg.TraceFor != nil {
-				epCfg.Trace = cfg.TraceFor(p)
-			}
-			return core.NewEndpoint(epCfg)
+			return newEndpoint(cfg, p, idx+1, tr)
 		}
 	}
 	for i, p := range cfg.Procs {
@@ -205,25 +150,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.eps[p] = &member{id: p, node: ep}
-		c.registerHandler(p)
+		c.add(p, ep)
 		c.oracle.Register(p)
 	}
 	return c, nil
 }
 
-func (c *Cluster) registerHandler(p types.ProcID) {
-	ep := c.eps[p]
-	c.net.Register(p, corfifo.HandlerFunc(func(from types.ProcID, m types.WireMsg) {
-		ep.node.HandleMessage(from, m)
-		c.drain(ep)
-	}))
-}
-
 // Endpoint returns the node for p.
 func (c *Cluster) Endpoint(p types.ProcID) Node {
-	if ep := c.eps[p]; ep != nil {
-		return ep.node
+	if m := c.members[p]; m != nil {
+		return m.node
 	}
 	return nil
 }
@@ -244,26 +180,6 @@ func (c *Cluster) Procs() []types.ProcID {
 }
 
 // ---- membership plumbing ----
-
-// onMembership receives oracle notifications and relays them to the client
-// after the membership latency, preserving per-client FIFO order. The
-// MBRSHP outputs are linked to CO_RFIFO.live_p as in Figure 8.
-func (c *Cluster) onMembership(p types.ProcID, n membership.Notification) {
-	c.schedule(channel{chanNotify, pair{p, p}}, 0, c.cfg.MembershipLatency, func() {
-		ep := c.eps[p]
-		switch n.Kind {
-		case membership.NotifyStartChange:
-			c.specEvent(spec.EMStartChange{P: p, SC: n.StartChange})
-			c.net.SetLive(p, n.StartChange.Set)
-			ep.node.HandleStartChange(n.StartChange)
-		case membership.NotifyView:
-			c.specEvent(spec.EMView{P: p, View: n.View})
-			c.net.SetLive(p, n.View.Members)
-			ep.node.HandleView(n.View)
-		}
-		c.drain(ep)
-	})
-}
 
 // StartChange has the membership service begin forming a view with the given
 // set (start_change notifications flow to each live member).
@@ -329,33 +245,20 @@ func (c *Cluster) Partition(groups ...types.ProcSet) ([]types.View, error) {
 
 // ---- application interface ----
 
-// Send multicasts payload from p in p's current view.
-func (c *Cluster) Send(p types.ProcID, payload []byte) (types.AppMsg, error) {
-	ep := c.eps[p]
-	m, err := ep.node.Send(payload)
-	if err != nil {
-		return types.AppMsg{}, err
-	}
-	c.metrics.Sent++
-	c.specEvent(spec.ESend{P: p, MsgID: m.ID})
-	c.drain(ep)
-	return m, nil
-}
-
 // BlockOK acknowledges an outstanding block request at p (only needed with
 // ManualBlock).
 func (c *Cluster) BlockOK(p types.ProcID) {
 	c.specEvent(spec.EBlockOK{P: p})
-	ep := c.eps[p]
-	ep.node.BlockOK()
-	c.drain(ep)
+	m := c.members[p]
+	m.node.BlockOK()
+	c.drain(m)
 }
 
 // Crash crashes end-point p (Section 8): its automaton freezes, the
 // substrate stops delivering to it, and the membership marks it crashed.
 func (c *Cluster) Crash(p types.ProcID) error {
 	c.specEvent(spec.ECrash{P: p})
-	c.eps[p].node.Crash()
+	c.members[p].node.Crash()
 	c.net.Unregister(p)
 	return c.oracle.Crash(p)
 }
@@ -367,83 +270,9 @@ func (c *Cluster) Recover(p types.ProcID) error {
 	if err := c.oracle.Recover(p); err != nil {
 		return err
 	}
-	c.registerHandler(p)
-	ep := c.eps[p]
-	ep.node.Recover()
-	c.drain(ep)
+	m := c.members[p]
+	c.listen(m)
+	m.node.Recover()
+	c.drain(m)
 	return nil
-}
-
-// ---- event draining ----
-
-func (c *Cluster) specEvent(ev spec.Event) {
-	if c.cfg.Suite != nil {
-		c.cfg.Suite.OnEvent(ev)
-	}
-}
-
-// drain hands the application events an end-point produced to the spec suite,
-// the metrics and the observer callback, in the end-point's order. It does not
-// re-enter: a handler that calls back into the cluster for the same process
-// (Send, BlockOK) queues more events, and the nested drain returns at once,
-// leaving them to the outermost call, which keeps taking until the end-point
-// has none. So Send from inside a handler no longer sees its own self-delivery
-// on return; it sees it after the events that precede it. The suite is fed a
-// whole batch before the batch's first handler runs, because that is the order
-// of the end-point's external actions: everything in the batch happened before
-// any send a handler makes in response.
-func (c *Cluster) drain(ep *member) {
-	if ep.draining {
-		return
-	}
-	ep.draining = true
-	defer func() { ep.draining = false }()
-	for {
-		evs := ep.node.TakeEvents()
-		if len(evs) == 0 {
-			return
-		}
-		for _, ev := range evs {
-			c.observe(ep.id, ev)
-		}
-		if c.cfg.OnAppEvent != nil {
-			for _, ev := range evs {
-				c.cfg.OnAppEvent(ep.id, ev)
-			}
-		}
-	}
-}
-
-// observe feeds one application event to the spec suite and the metrics.
-func (c *Cluster) observe(p types.ProcID, ev core.Event) {
-	switch e := ev.(type) {
-	case core.DeliverEvent:
-		c.metrics.Delivered++
-		c.specEvent(spec.EDeliver{P: p, From: e.Sender, MsgID: e.Msg.ID})
-	case core.ViewEvent:
-		c.metrics.ViewInstalls++
-		row := c.metrics.installTimes[e.View.Key()]
-		if row == nil {
-			row = make(map[types.ProcID]time.Duration)
-			c.metrics.installTimes[e.View.Key()] = row
-		}
-		row[p] = c.now
-		if start, ok := c.metrics.blockStart[p]; ok {
-			c.metrics.BlockedTotal[p] += c.now - start
-			delete(c.metrics.blockStart, p)
-		}
-		c.specEvent(spec.EView{
-			P:        p,
-			View:     e.View,
-			Trans:    e.TransitionalSet,
-			HasTrans: e.TransitionalSet != nil,
-		})
-	case core.BlockEvent:
-		c.specEvent(spec.EBlock{P: p})
-		c.metrics.blockStart[p] = c.now
-		if !c.cfg.ManualBlock {
-			// The auto-blocking client acknowledged synchronously.
-			c.specEvent(spec.EBlockOK{P: p})
-		}
-	}
 }

@@ -627,3 +627,101 @@ func TestSendFromHandlerDoesNotReenter(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestHandlerSendsKeepTheBatchInHand(t *testing.T) {
+	// The other half of drain's re-entrancy guard: a handler that sends twice
+	// queues two new events while drain still iterates the batch it took, and
+	// those must not land in the batch's slots (TakeEvents hands each slot out
+	// once). "ping" is answered with a1 and a2, which arrive as one batch, and
+	// a1 with b1 and b2; were the batch's array reused, b2 would overwrite a2
+	// before its turn.
+	var (
+		c       *Cluster
+		handled []string
+	)
+	answers := map[string][]string{"ping": {"a1", "a2"}, "a1": {"b1", "b2"}}
+	suite := spec.FullSuite()
+	c, err := NewCluster(Config{
+		Procs: ProcIDs(3),
+		Seed:  5,
+		Suite: suite,
+		OnAppEvent: func(p types.ProcID, ev core.Event) {
+			d, ok := ev.(core.DeliverEvent)
+			if !ok || p != "p00" {
+				return
+			}
+			handled = append(handled, string(d.Msg.Payload))
+			for _, a := range answers[string(d.Msg.Payload)] {
+				if _, err := c.Send("p00", []byte(a)); err != nil {
+					t.Errorf("send from handler: %v", err)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustReconfigure(t, c, types.NewProcSet(c.Procs()...))
+	if _, err := c.Send("p00", []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(handled), "[ping a1 a2 b1 b2]"; got != want {
+		t.Errorf("p00 handled %s, want %s", got, want)
+	}
+	if err := suite.Err(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestViewEventTransitionalSetIsNilOnlyBelowVS pins what lets every harness
+// derive EView.HasTrans from the event alone: an end-point above WV_RFIFO
+// delivers a non-nil transitional set with every view, and a WV_RFIFO
+// end-point delivers none.
+func TestViewEventTransitionalSetIsNilOnlyBelowVS(t *testing.T) {
+	suites := map[core.Level]func(...spec.SuiteOption) *spec.Suite{
+		core.LevelWV: spec.WVSuite, core.LevelVS: spec.VSSuite, core.LevelGCS: spec.FullSuite,
+	}
+	for _, level := range []core.Level{core.LevelWV, core.LevelVS, core.LevelGCS} {
+		t.Run(level.String(), func(t *testing.T) {
+			views := 0
+			suite := suites[level]()
+			c, _ := newTestCluster(t, 4, func(cfg *Config) {
+				cfg.Level = level
+				cfg.Suite = suite
+				cfg.OnAppEvent = func(p types.ProcID, ev core.Event) {
+					e, ok := ev.(core.ViewEvent)
+					if !ok {
+						return
+					}
+					views++
+					if (e.TransitionalSet == nil) != (level == core.LevelWV) {
+						t.Errorf("%s installed %s with transitional set %v", p, e.View, e.TransitionalSet)
+					}
+				}
+			})
+			all := types.NewProcSet(c.Procs()...)
+			mustReconfigure(t, c, all)
+			left := types.NewProcSet(c.Procs()[:2]...)
+			right := types.NewProcSet(c.Procs()[2:]...)
+			if _, err := c.Partition(left, right); err != nil {
+				t.Fatal(err)
+			}
+			c.HealConnectivity()
+			mustReconfigure(t, c, all)
+			if err := c.Crash(c.Procs()[3]); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Recover(c.Procs()[3]); err != nil {
+				t.Fatal(err)
+			}
+			mustReconfigure(t, c, all)
+			assertSpec(t, suite)
+			if views == 0 {
+				t.Fatal("no view installed")
+			}
+		})
+	}
+}

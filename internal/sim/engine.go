@@ -14,9 +14,10 @@ import (
 
 // engine owns the virtual clock, the event queue, the seeded RNG, and the
 // scheduling of CO_RFIFO deliveries under a latency model and a mutable
-// connectivity relation. Cluster (GCS end-points under the oracle
-// membership) and ServerWorld (clients under the distributed membership
-// servers) both build on it.
+// connectivity relation. The harness of harness.go builds the end-point half
+// of a world on it, and Cluster (GCS end-points under the oracle membership)
+// and ServerWorld (clients under the distributed membership servers) both
+// build on the harness.
 //
 // Every step enters through schedule, on one FIFO channel. In time mode the
 // channel's steps fire on the virtual clock. With choose set (the explorer's
@@ -48,6 +49,9 @@ const (
 	chanNotify                  // membership notifications to client from (= to)
 	chanTimer                   // every At callback
 )
+
+// pair is an ordered link.
+type pair struct{ from, to types.ProcID }
 
 // channel names one FIFO stream of steps: the steps of a channel run in the
 // order they were scheduled, in either mode.

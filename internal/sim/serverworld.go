@@ -22,8 +22,8 @@ type ServerWorldConfig struct {
 	// Latency models server-to-server and client-to-client link latency.
 	Latency LatencyModel
 	// NotifyLatency models server-to-client notification latency; defaults
-	// to Latency. Use FixedLatency(0) to model co-located clients (the
-	// flat, every-client-is-a-server baseline of experiment E8).
+	// to Latency. FixedLatency(0) models clients co-located with their
+	// server.
 	NotifyLatency LatencyModel
 	// Seed seeds the RNG.
 	Seed int64
@@ -38,14 +38,13 @@ type ServerWorldConfig struct {
 
 // ServerWorld is the simulated client-server deployment.
 type ServerWorld struct {
-	*engine
+	harness
 
 	cfg       ServerWorldConfig
 	servers   map[types.ProcID]*membership.Server
 	serverIDs []types.ProcID
 	clients   []types.ProcID
 	home      map[types.ProcID]types.ProcID
-	eps       map[types.ProcID]*core.Endpoint
 	detectors map[types.ProcID]*membership.Detector
 
 	// epSeq numbers every end-point ever created, so message-id bases stay
@@ -92,13 +91,12 @@ func NewServerWorld(cfg ServerWorldConfig) (*ServerWorld, error) {
 	procs := append(append([]types.ProcID(nil), serverIDs...), clients...)
 
 	w := &ServerWorld{
-		engine:    newEngine(procs, cfg.Latency, cfg.Seed),
+		harness:   newHarness(newEngine(procs, cfg.Latency, cfg.Seed), cfg.Suite, cfg.NotifyLatency, true),
 		cfg:       cfg,
 		servers:   make(map[types.ProcID]*membership.Server, cfg.Servers),
 		serverIDs: serverIDs,
 		clients:   clients,
 		home:      make(map[types.ProcID]types.ProcID, len(clients)),
-		eps:       make(map[types.ProcID]*core.Endpoint),
 		detectors: make(map[types.ProcID]*membership.Detector),
 	}
 
@@ -122,31 +120,28 @@ func NewServerWorld(cfg ServerWorldConfig) (*ServerWorld, error) {
 		}))
 	}
 	for i, cid := range clients {
-		sid := serverIDs[i%cfg.Servers]
-		w.home[cid] = sid
-		w.servers[sid].AddClient(cid)
-		if cfg.WithEndpoints {
-			w.epSeq++
-			ep, err := core.NewEndpoint(core.Config{
-				ID:        cid,
-				Transport: w.net.Handle(cid),
-				Level:     core.LevelGCS,
-				AutoBlock: true,
-				MsgIDBase: int64(w.epSeq) * 1_000_000_000,
-			})
-			if err != nil {
-				return nil, err
-			}
-			w.eps[cid] = ep
-			e := ep
-			id := cid
-			w.net.Register(cid, corfifo.HandlerFunc(func(from types.ProcID, m types.WireMsg) {
-				e.HandleMessage(from, m)
-				w.drain(id)
-			}))
+		if err := w.addClient(cid, serverIDs[i%cfg.Servers]); err != nil {
+			return nil, err
 		}
 	}
 	return w, nil
+}
+
+// addClient homes client cid at server sid and, with WithEndpoints, gives it
+// a GCS end-point on the network.
+func (w *ServerWorld) addClient(cid, sid types.ProcID) error {
+	w.home[cid] = sid
+	w.servers[sid].AddClient(cid)
+	if !w.cfg.WithEndpoints {
+		return nil
+	}
+	w.epSeq++
+	ep, err := newEndpoint(Config{Level: core.LevelGCS}, cid, w.epSeq, w.net.Handle(cid))
+	if err != nil {
+		return err
+	}
+	w.add(cid, ep)
+	return nil
 }
 
 // Servers returns the server identifiers.
@@ -164,7 +159,12 @@ func (w *ServerWorld) Server(id types.ProcID) *membership.Server { return w.serv
 
 // Endpoint returns the GCS end-point attached to client id (nil without
 // WithEndpoints).
-func (w *ServerWorld) Endpoint(id types.ProcID) *core.Endpoint { return w.eps[id] }
+func (w *ServerWorld) Endpoint(id types.ProcID) *core.Endpoint {
+	if m := w.members[id]; m != nil {
+		return m.node.(*core.Endpoint)
+	}
+	return nil
+}
 
 // AttachClients registers a batch of new clients at the given home server
 // in one virtual instant — a flash crowd. The caller triggers a
@@ -173,8 +173,7 @@ func (w *ServerWorld) Endpoint(id types.ProcID) *core.Endpoint { return w.eps[id
 // With WithEndpoints set, each new client gets a GCS end-point wired to
 // the network like the boot-time ones.
 func (w *ServerWorld) AttachClients(sid types.ProcID, ids []types.ProcID) error {
-	srv, ok := w.servers[sid]
-	if !ok {
+	if _, ok := w.servers[sid]; !ok {
 		return fmt.Errorf("sim: no server %s", sid)
 	}
 	for _, cid := range ids {
@@ -184,28 +183,9 @@ func (w *ServerWorld) AttachClients(sid types.ProcID, ids []types.ProcID) error 
 	}
 	w.addProcs(ids...)
 	for _, cid := range ids {
-		w.home[cid] = sid
 		w.clients = append(w.clients, cid)
-		srv.AddClient(cid)
-		if w.cfg.WithEndpoints {
-			w.epSeq++
-			ep, err := core.NewEndpoint(core.Config{
-				ID:        cid,
-				Transport: w.net.Handle(cid),
-				Level:     core.LevelGCS,
-				AutoBlock: true,
-				MsgIDBase: int64(w.epSeq) * 1_000_000_000,
-			})
-			if err != nil {
-				return err
-			}
-			w.eps[cid] = ep
-			e := ep
-			id := cid
-			w.net.Register(cid, corfifo.HandlerFunc(func(from types.ProcID, m types.WireMsg) {
-				e.HandleMessage(from, m)
-				w.drain(id)
-			}))
+		if err := w.addClient(cid, sid); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -223,7 +203,12 @@ func (w *ServerWorld) DetachClients(ids ...types.ProcID) error {
 		}
 		w.servers[sid].RemoveClient(cid)
 		delete(w.home, cid)
-		delete(w.eps, cid)
+		if m := w.members[cid]; m != nil {
+			// The end-point goes on consuming what the network still
+			// carries to it, but nothing observes it any more.
+			w.net.Register(cid, corfifo.HandlerFunc(m.node.HandleMessage))
+			delete(w.members, cid)
+		}
 		for i, c := range w.clients {
 			if c == cid {
 				w.clients = append(w.clients[:i], w.clients[i+1:]...)
@@ -254,67 +239,10 @@ func (w *ServerWorld) TriggerChange() error {
 	return w.Run()
 }
 
-// Send multicasts from a client end-point (requires WithEndpoints).
-func (w *ServerWorld) Send(p types.ProcID, payload []byte) (types.AppMsg, error) {
-	ep := w.eps[p]
-	if ep == nil {
-		return types.AppMsg{}, fmt.Errorf("sim: client %s has no end-point", p)
-	}
-	m, err := ep.Send(payload)
-	if err != nil {
-		return types.AppMsg{}, err
-	}
-	w.specEvent(spec.ESend{P: p, MsgID: m.ID})
-	w.drain(p)
-	return m, nil
-}
-
-// notify relays a server's notification to its client after the notify
-// latency, preserving per-client order.
+// notify counts a server's notification to a client and relays it.
 func (w *ServerWorld) notify(p types.ProcID, n membership.Notification) {
 	w.Notifications++
-	w.schedule(channel{chanNotify, pair{p, p}}, 0, w.cfg.NotifyLatency, func() {
-		switch n.Kind {
-		case membership.NotifyStartChange:
-			w.specEvent(spec.EMStartChange{P: p, SC: n.StartChange})
-			if ep := w.eps[p]; ep != nil {
-				w.net.SetLive(p, n.StartChange.Set)
-				ep.HandleStartChange(n.StartChange)
-				w.drain(p)
-			}
-		case membership.NotifyView:
-			w.specEvent(spec.EMView{P: p, View: n.View})
-			if ep := w.eps[p]; ep != nil {
-				w.net.SetLive(p, n.View.Members)
-				ep.HandleView(n.View)
-				w.drain(p)
-			}
-		}
-	})
-}
-
-func (w *ServerWorld) specEvent(ev spec.Event) {
-	if w.cfg.Suite != nil {
-		w.cfg.Suite.OnEvent(ev)
-	}
-}
-
-func (w *ServerWorld) drain(p types.ProcID) {
-	ep := w.eps[p]
-	if ep == nil {
-		return
-	}
-	for _, ev := range ep.TakeEvents() {
-		switch e := ev.(type) {
-		case core.DeliverEvent:
-			w.specEvent(spec.EDeliver{P: p, From: e.Sender, MsgID: e.Msg.ID})
-		case core.ViewEvent:
-			w.specEvent(spec.EView{P: p, View: e.View, Trans: e.TransitionalSet, HasTrans: e.TransitionalSet != nil})
-		case core.BlockEvent:
-			w.specEvent(spec.EBlock{P: p})
-			w.specEvent(spec.EBlockOK{P: p})
-		}
-	}
+	w.relay(p, n)
 }
 
 // virtualTime maps the simulator's clock onto a time.Time instant for the

@@ -425,3 +425,59 @@ func TestHeartbeatDetectorDrivesMembershipAutonomously(t *testing.T) {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }
+
+// TestServerWorldDetachedClientLeavesTheTrace detaches a client with an
+// end-point: the world stops observing it (no end-point, no send, no further
+// event of its end-point in the trace) while the rest carries on in a view
+// without it.
+func TestServerWorldDetachedClientLeavesTheTrace(t *testing.T) {
+	suite := spec.FullSuite(spec.WithTrace())
+	w, err := NewServerWorld(ServerWorldConfig{
+		Servers:          2,
+		ClientsPerServer: 2,
+		Latency:          FixedLatency(10 * time.Millisecond),
+		NotifyLatency:    FixedLatency(2 * time.Millisecond),
+		Seed:             3,
+		Suite:            suite,
+		WithEndpoints:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	gone := w.Clients()[0]
+	if err := w.DetachClients(gone); err != nil {
+		t.Fatal(err)
+	}
+	mark := len(suite.Trace())
+	if w.Endpoint(gone) != nil {
+		t.Errorf("detached %s still has an end-point", gone)
+	}
+	if _, err := w.Send(gone, []byte("late")); err == nil {
+		t.Errorf("send from detached %s succeeded", gone)
+	}
+	for _, cid := range w.Clients() {
+		if _, err := w.Send(cid, []byte("after")); err != nil {
+			t.Fatalf("send from %s: %v", cid, err)
+		}
+	}
+	if err := w.TriggerChange(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range suite.Trace()[mark:] {
+		if ev.Proc() == gone {
+			t.Errorf("trace observed detached %s: %s", gone, ev)
+		}
+	}
+	want := types.NewProcSet(w.Clients()...)
+	for _, cid := range w.Clients() {
+		if got := w.Endpoint(cid).CurrentView(); !got.Members.Equal(want) {
+			t.Errorf("%s stabilized in %s, want members %s", cid, got, want)
+		}
+	}
+	if err := suite.Err(); err != nil {
+		t.Fatalf("spec violations:\n%v", err)
+	}
+}

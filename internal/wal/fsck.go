@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"vsgm/internal/obs"
 )
 
 // Mode selects what Fsck is allowed to do to a state directory.
@@ -76,6 +78,22 @@ func (r *Report) DamagedRanges() int {
 		n += f.DamagedRanges
 	}
 	return n
+}
+
+// Publish adds the outcome of one state directory's repair pass (Open runs
+// one) to reg's vsgm_wal_repair_* series under the caller's labels — a
+// membership server's id, a shard replica's shard and process. Counters
+// accumulate over the opens a registry sees, the gauge holds the latest, and
+// a pass that found nothing still publishes its zeros.
+func (r *Report) Publish(reg *obs.Registry, labels ...obs.Label) {
+	reg.Counter("vsgm_wal_repair_damaged_ranges_total",
+		"Undecodable byte ranges quarantined by the repair pass at store open.", labels...).Add(int64(r.DamagedRanges()))
+	reg.Counter("vsgm_wal_repair_damaged_bytes_total",
+		"Bytes those quarantined ranges covered.", labels...).Add(int64(r.DamagedBytes()))
+	reg.Gauge("vsgm_wal_repair_records_recovered",
+		"Records the repair pass at store open decoded across log and snapshot.", labels...).Set(int64(r.RecordsRecovered()))
+	reg.Counter("vsgm_wal_repair_temps_swept_total",
+		"Stale temp files removed at store open.", labels...).Add(int64(r.TempsSwept))
 }
 
 // String renders the report as one line per file.
