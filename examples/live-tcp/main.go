@@ -97,7 +97,7 @@ func run() error {
 	// no manual reachability wiring.
 	fmt.Println("booting the membership servers (heartbeat detectors)...")
 	for _, sn := range servers {
-		sn.StartHeartbeats(serverSet, 10*time.Millisecond, 50*time.Millisecond)
+		sn.StartHeartbeats(10*time.Millisecond, 50*time.Millisecond)
 	}
 
 	all := vsgm.NewProcSet(clientIDs...)

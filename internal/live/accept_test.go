@@ -124,10 +124,9 @@ func TestHandshakeRefusesAnythingButAHello(t *testing.T) {
 	w.roundOfTraffic("after the refused connections")
 }
 
-// TestSilentConnectionIsClosed: with ReadIdleTimeout off — the default — a
-// connection that never says hello must still be dropped, on the clock its
-// dialer would have worked to, rather than hold a goroutine and a descriptor
-// until the fabric closes.
+// TestSilentConnectionIsClosed: a connection that never says hello must be
+// dropped on the clock its dialer would have worked to, rather than hold a
+// goroutine and a descriptor until the fabric closes.
 func TestSilentConnectionIsClosed(t *testing.T) {
 	f, err := newFabric("victim", "127.0.0.1:0", TransportConfig{DialTimeout: 200 * time.Millisecond},
 		dropFrame, nil)

@@ -98,9 +98,9 @@ func (c *Chaos) SetPartialWrites(on bool) {
 
 // SetTrickle turns this node into a slow sender: every socket write is
 // stretched to one byte per gap, the classic slow-loris shape. Receivers
-// with a read-progress budget (ReadIdleTimeout) must sever such a peer
-// rather than hold a parser open forever; receivers without one will see
-// frames arrive, just very slowly. Zero turns the fault off.
+// sever such a peer once a frame overruns their read-progress budget (two
+// WriteTimeouts) rather than hold a parser open forever; frames that fit in
+// the budget arrive, just very slowly. Zero turns the fault off.
 func (c *Chaos) SetTrickle(gap time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

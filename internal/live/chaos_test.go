@@ -257,7 +257,7 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 	// trusting the half-open link.
 	srv0 := w.Server("srv0")
 	srv0.mu.Lock()
-	r := srv0.detector.Stats()
+	r := srv0.srv.Detector().Stats()
 	srv0.mu.Unlock()
 	if r.GrayDowngrades == 0 {
 		t.Errorf("srv0 never gray-downgraded its half-open peer: %+v", r)
@@ -301,7 +301,7 @@ func TestLiveGrayFailureAsymmetricPartition(t *testing.T) {
 // TestLiveLinkFailureFeedsSuspicion pins the transport→detector wiring:
 // with a heartbeat timeout far past the test's lifetime, the only way the
 // surviving server can learn of its peer's death is the transport reporting
-// the broken link (linkDown → Detector.Suspect).
+// the broken link (linkDown → Server.Suspect).
 func TestLiveLinkFailureFeedsSuspicion(t *testing.T) {
 	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 2})
 	defer w.close()
@@ -1047,10 +1047,10 @@ func TestLiveBatchCoalescingBacklogFlushesOnce(t *testing.T) {
 
 // TestSlowLorisSevered drives the classic slow-loris attack against a
 // receiving fabric: the attacker completes the handshake promptly, then
-// starts a frame and trickles its bytes one at a time, each inside the idle
-// window. Per-byte deadline re-arming would keep such a parser open forever;
-// the read-progress budget (a frame must complete within two
-// ReadIdleTimeouts of its first byte) must sever the connection instead.
+// starts a frame and trickles its bytes one at a time. Per-byte deadline
+// re-arming would keep such a parser open forever; the read-progress budget
+// (a frame must complete within two WriteTimeouts of its first byte) must
+// sever the connection instead.
 //
 // The after-bulk variant opens with one honest large frame and, in the same
 // write, the first bytes of the trickled one: they reach the victim as the
@@ -1062,10 +1062,9 @@ func TestSlowLorisSevered(t *testing.T) {
 }
 
 func slowLorisSevered(t *testing.T, afterBulk bool) {
-	idle := 300 * time.Millisecond
 	var downs atomic.Int64
 	var received atomic.Int64
-	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle},
+	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{WriteTimeout: 300 * time.Millisecond},
 		func(_ types.ProcID, _ frame, body *pool.Buf) {
 			releaseBody(body)
 			received.Add(1)
@@ -1113,8 +1112,8 @@ func slowLorisSevered(t *testing.T, afterBulk bool) {
 		})
 	}
 
-	// Trickle well inside the idle window per byte: only the whole-frame
-	// budget can catch this. The victim must cut us off long before the
+	// Trickle one byte at a time, well inside the budget per byte: only the
+	// whole-frame budget can catch this. The victim must cut us off long before the
 	// frame completes (256+ bytes at 60ms each would take ~15s).
 	start := time.Now()
 	severed := false
@@ -1159,9 +1158,8 @@ func TestTrickledSenderWithinBudgetSurvives(t *testing.T) {
 }
 
 func trickledSenderSurvives(t *testing.T) {
-	idle := 2 * time.Second
 	var received atomic.Int64
-	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{ReadIdleTimeout: idle},
+	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{WriteTimeout: 2 * time.Second},
 		func(_ types.ProcID, fr frame, body *pool.Buf) {
 			defer releaseBody(body)
 			if fr.Msg != nil && fr.Msg.Kind == types.KindApp {
@@ -1190,6 +1188,63 @@ func trickledSenderSurvives(t *testing.T) {
 	waitUntil(t, "all trickled frames to arrive intact", 15*time.Second, func() bool {
 		return received.Load() == 3
 	})
+}
+
+// TestFrameRunLongerThanTheBudgetSurvives: a live sender whose frames follow
+// one another without a pause, every read ending inside the next frame, keeps
+// its connection for many budgets. The deadline armed when the run entered
+// its first frame fires one budget later; the frame then in progress is young,
+// so the deadline is re-armed for it instead of severing the link.
+func TestFrameRunLongerThanTheBudgetSurvives(t *testing.T) {
+	var received, downs atomic.Int64
+	fb, err := newFabric("victim", "127.0.0.1:0", TransportConfig{WriteTimeout: 50 * time.Millisecond},
+		func(_ types.ProcID, _ frame, body *pool.Buf) {
+			releaseBody(body)
+			received.Add(1)
+		},
+		func(types.ProcID, error) { downs.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	victim, sender := net.Pipe()
+	defer sender.Close()
+	fb.wg.Add(1)
+	go fb.readLoop(victim)
+	if err := wire.NewEncoder(sender).Encode(frame{From: "runner"}); err != nil {
+		t.Fatal(err)
+	}
+
+	payload := types.WireMsg{Kind: types.KindApp, App: types.AppMsg{ID: 1, Payload: bytes.Repeat([]byte("r"), 256)}}
+	body, err := wire.EncodeFrame(frame{Msg: &payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Release()
+	full := body.Wire()
+	head, tail := full[:len(full)/2], full[len(full)/2:]
+
+	// Each pipe write is one read at the victim: the tail of one frame and
+	// the head of the next, 30ms apart, for three budgets (100ms each).
+	const frames = 10
+	if _, err := sender.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < frames; i++ {
+		time.Sleep(30 * time.Millisecond)
+		if _, err := sender.Write(append(append([]byte(nil), tail...), head...)); err != nil {
+			t.Fatalf("frame %d: the victim cut a run of frames that each completed within the budget: %v", i, err)
+		}
+	}
+	if _, err := sender.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "every frame of the run to arrive", 5*time.Second, func() bool {
+		return received.Load() == frames
+	})
+	if n := downs.Load(); n != 0 {
+		t.Fatalf("the link went down %d times during a live run", n)
+	}
 }
 
 // countingConn records the length of every Write a chaosConn makes. It embeds

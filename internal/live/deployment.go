@@ -255,7 +255,7 @@ func (d *Deployment) SetReachable() {
 func (d *Deployment) StartHeartbeats(interval, timeout time.Duration) {
 	d.hbInterval, d.hbLimit = interval, timeout
 	for _, sn := range d.servers {
-		sn.StartHeartbeats(d.serverSet, interval, timeout)
+		sn.StartHeartbeats(interval, timeout)
 	}
 }
 
@@ -316,7 +316,7 @@ func (d *Deployment) RestartServer(sid types.ProcID) error {
 		sn.SetReachable(d.serverSet)
 	}
 	if d.hbInterval > 0 {
-		sn.StartHeartbeats(d.serverSet, d.hbInterval, d.hbLimit)
+		sn.StartHeartbeats(d.hbInterval, d.hbLimit)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,16 +26,14 @@ import (
 type TransportConfig struct {
 	// DialTimeout bounds one connection attempt; a dead peer can never
 	// block connection setup past it. It is also how long an accepted
-	// connection has to say hello when ReadIdleTimeout is off. Default 3s.
+	// connection has to say hello. Default 3s.
 	DialTimeout time.Duration
 	// WriteTimeout bounds each frame write, so a peer that stops draining
 	// its socket stalls a sender for at most this long before the link is
-	// torn down and redialed. Default 10s.
+	// torn down and redialed. Twice it is the receiver's read-progress
+	// budget: a frame must arrive whole within it of its first bytes.
+	// Default 10s.
 	WriteTimeout time.Duration
-	// ReadIdleTimeout, when positive, severs an inbound connection that has
-	// been silent for the duration. Off by default: client links are
-	// legitimately idle between multicasts.
-	ReadIdleTimeout time.Duration
 	// BackoffBase is the first reconnection delay; each failed attempt
 	// doubles it (with jitter) up to BackoffMax. Defaults 50ms / 2s.
 	BackoffBase time.Duration
@@ -1032,38 +1031,36 @@ func readHandshake(conn net.Conn, wait time.Duration) (types.ProcID, error) {
 
 // readLoop is a connection's inbound side: one blocking read into the
 // connection's assembler, then one drain of everything the read completed.
-// The read deadline is a read-progress budget: an idle connection may stay
-// silent for ReadIdleTimeout, a frame in progress must complete within two of
-// them of its stamp — an absolute deadline that trickled bytes cannot push
-// out. Before the hello there is no idle state to respect, so with
-// ReadIdleTimeout off the peer still has only DialTimeout to name itself (the
-// clock its dialer works to).
+// The peer has DialTimeout to name itself. An idle connection may then stay
+// silent for ever, but a frame in progress must complete within two
+// WriteTimeouts of its stamp (a live sender gives up on its write after one):
+// an absolute deadline that trickled bytes cannot push out. The deadline is
+// touched only on entering or leaving a frame; when it fires mid-run, a
+// frame in progress with budget left re-arms it.
 func (f *fabric) readLoop(conn net.Conn) {
 	defer f.wg.Done()
 	defer conn.Close()
 	retired := make(chan struct{})
 	defer close(retired)
 	f.watchConn(conn, retired)
-	idle := f.cfg.ReadIdleTimeout
-	helloWait := idle
-	if helloWait <= 0 {
-		helloWait = f.cfg.DialTimeout
-	}
-	from, err := readHandshake(conn, helloWait)
+	from, err := readHandshake(conn, f.cfg.DialTimeout)
 	if err != nil {
 		return
 	}
 	l := f.linkFor(from)
 	asm := newFrameAssembler(f.pool)
 	defer asm.close()
+	budget := 2 * f.cfg.WriteTimeout
+	armed := false // a read deadline is set
 	var fr frame
 	for {
-		if idle > 0 {
-			deadline := time.Now().Add(idle)
-			if start, mid := asm.midFrame(); mid {
-				deadline = start.Add(2 * idle)
+		if start, mid := asm.midFrame(); mid != armed {
+			var deadline time.Time
+			if mid {
+				deadline = start.Add(budget)
 			}
 			conn.SetReadDeadline(deadline)
+			armed = mid
 		}
 		n, err := conn.Read(asm.writable())
 		if n > 0 {
@@ -1072,9 +1069,13 @@ func (f *fabric) readLoop(conn net.Conn) {
 				err = derr
 			}
 		}
+		if start, _ := asm.midFrame(); errors.Is(err, os.ErrDeadlineExceeded) && time.Now().Before(start.Add(budget)) {
+			armed = false // it was armed for an earlier frame of this run
+			continue
+		}
 		if err != nil {
 			// A broken inbound stream is link-failure evidence too: the
-			// peer crashed, closed, or went idle past the read deadline.
+			// peer crashed, closed, or held a frame open past its budget.
 			f.linkDown(from, err)
 			return
 		}

@@ -257,7 +257,7 @@ func TestLiveHeartbeatsBootstrapMembership(t *testing.T) {
 		serverSet.Add(sn.ID())
 	}
 	for _, sn := range w.Servers() {
-		sn.StartHeartbeats(serverSet, 10*time.Millisecond, 50*time.Millisecond)
+		sn.StartHeartbeats(10*time.Millisecond, 50*time.Millisecond)
 	}
 
 	all := types.NewProcSet()

@@ -27,10 +27,10 @@ type ServerConfig struct {
 	// SnapshotEvery compacts the WAL into a snapshot after this many
 	// appends. Zero or negative selects the default (64).
 	SnapshotEvery int
-	// Watchdog is the stall-detection interval: an attempt still incomplete
-	// across two consecutive ticks gets its proposal re-sent, repairing
-	// proposal frames lost to faults. Zero or negative selects the default
-	// (500ms).
+	// Watchdog is the stall-detection period: an attempt still incomplete a
+	// period after the server first saw it stalled gets its proposal re-sent,
+	// repairing lost proposal frames. Until StartHeartbeats it is also the
+	// period of the server's timer. Zero or negative selects 500ms.
 	Watchdog time.Duration
 	// Transport tunes the supervised transport (timeouts, backoff, queue
 	// bounds); the zero value selects production defaults.
@@ -40,10 +40,10 @@ type ServerConfig struct {
 	// presumed dead and deregistered (a dead member would otherwise stall
 	// every future view's sync round forever). A live client that was
 	// merely cut off re-attaches on its next keepalive and resumes its
-	// identifiers from the retained record. Leases are swept on the
-	// watchdog tick. Clients registered out of band (AddClient) hold no
-	// lease and are never swept. Zero or negative selects the default
-	// (membership.DefaultAttachLease, 10s).
+	// identifiers from the retained record. Leases are swept on every tick
+	// of the server's timer. Clients registered out of band (AddClient)
+	// hold no lease and are never swept. Zero or negative selects the
+	// default (membership.DefaultAttachLease, 10s).
 	AttachLease time.Duration
 	// WALFsyncEvery makes a FileStore fsync its log on every Nth append (1
 	// syncs each one), bounding what a machine crash can lose to N-1
@@ -59,10 +59,7 @@ type ServerConfig struct {
 	Obs *obs.Registry
 }
 
-const (
-	defaultSnapshotEvery = 64
-	defaultWatchdog      = 500 * time.Millisecond
-)
+const defaultSnapshotEvery = 64
 
 // ServerNode is one dedicated membership server deployed as a concurrent
 // process: the one-round membership algorithm (internal/membership) runs
@@ -73,11 +70,11 @@ const (
 type ServerNode struct {
 	id     types.ProcID
 	fabric *fabric
+	peers  []types.ProcID // the other servers, sorted
 
-	mu       sync.Mutex
-	srv      *membership.Server
-	detector *membership.Detector
-	ready    chan struct{}
+	mu    sync.Mutex
+	srv   *membership.Server
+	ready chan struct{}
 
 	// phiHist distributes the detector's accrual scores, observed for every
 	// peer on every heartbeat tick.
@@ -90,8 +87,8 @@ type ServerNode struct {
 	walSnapshots  *obs.Counter
 	walErrors     *obs.Counter
 
-	// What the attach policy (membership.Server.HandleAttach and
-	// ExpireLeases) did.
+	// What the attach policy (membership.Server.HandleAttach and Tick's
+	// lease sweep) did.
 	attachesServed    *obs.Counter
 	detaches          *obs.Counter
 	overloadEvictions *obs.Counter
@@ -101,22 +98,13 @@ type ServerNode struct {
 	// unconfigured; the counters still work as unregistered handles).
 	obs *obs.Registry
 
-	hbStop chan struct{}
-	hbWG   sync.WaitGroup
-
-	wdStop chan struct{}
-	wdWG   sync.WaitGroup
+	// The server's one timer goroutine (run): heartbeats hands it the
+	// heartbeat interval once StartHeartbeats turned the detector on.
+	heartbeats chan time.Duration
+	stop       chan struct{}
+	wg         sync.WaitGroup
 
 	closeOnce sync.Once
-}
-
-// serverTransport adapts the fabric to membership.ServerTransport.
-type serverTransport struct {
-	f *fabric
-}
-
-func (t serverTransport) Send(dests []types.ProcID, m types.WireMsg) {
-	t.f.Send(dests, m)
 }
 
 // NewServerNode starts a live membership server listening on cfg.Addr. With
@@ -126,7 +114,10 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 	serverLabel := obs.L("server", string(cfg.ID))
 	n := &ServerNode{
 		id:            cfg.ID,
+		peers:         cfg.Servers.Minus(types.NewProcSet(cfg.ID)).Sorted(),
 		ready:         make(chan struct{}),
+		heartbeats:    make(chan time.Duration, 1),
+		stop:          make(chan struct{}),
 		store:         cfg.Store,
 		snapshotEvery: cfg.SnapshotEvery,
 		obs:           cfg.Obs,
@@ -169,13 +160,17 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 		return nil, err
 	}
 	n.fabric = f
-	srv, err := membership.NewServer(cfg.ID, cfg.Servers, serverTransport{f: f}, n.notify)
+	// The server sends and notifies with mu held (from within its
+	// handlers), so both only enqueue: the fabric encodes each frame
+	// immediately and queues the bytes, never blocking on the network.
+	srv, err := membership.NewServer(cfg.ID, cfg.Servers, f, f.SendNotify)
 	if err != nil {
 		close(n.ready)
 		f.Close()
 		return nil, err
 	}
 	srv.ServeAttach(cfg.AttachLease, f.SendAttach)
+	period := srv.SetWatchdog(cfg.Watchdog)
 	if len(restored) > 0 {
 		srv.RestoreRecords(restored)
 	}
@@ -188,11 +183,8 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 	close(n.ready)
 	n.registerObs()
 
-	wd := cfg.Watchdog
-	if wd <= 0 {
-		wd = defaultWatchdog
-	}
-	n.startWatchdog(wd)
+	n.wg.Add(1)
+	go n.run(period)
 	return n, nil
 }
 
@@ -234,8 +226,8 @@ func (n *ServerNode) registerObs() {
 		attempts, views := n.srv.AttemptsRun(), n.srv.ViewsDelivered()
 		clients, san := n.srv.LocalClients().Len(), n.srv.Sanitized()
 		var det membership.DetectorStats
-		if n.detector != nil {
-			det = n.detector.Stats()
+		if d := n.srv.Detector(); d != nil {
+			det = d.Stats()
 		}
 		n.mu.Unlock()
 		samples := []obs.Sample{
@@ -287,42 +279,39 @@ func (n *ServerNode) registerObs() {
 	n.obs.SetHelp("vsgm_sanitize_clamps_total", "Impossible identifier values clamped out of restored state and attach claims, by rule.")
 }
 
-// startWatchdog re-proposes the current attempt whenever it stays stalled
-// across two consecutive ticks: a one-round attempt that has not completed
-// after a full interval has almost certainly lost a proposal frame, and
-// proposals are idempotent, so retrying is always safe. The same tick
-// expires attach leases. It is jittered so co-started servers do not retry
-// in lockstep.
-func (n *ServerNode) startWatchdog(interval time.Duration) {
-	stop := make(chan struct{})
-	n.wdStop = stop
-	n.wdWG.Add(1)
-	go func() {
-		defer n.wdWG.Done()
-		timer := time.NewTimer(jitter(interval))
-		defer timer.Stop()
-		lastAttempt := int64(-1)
-		for {
-			select {
-			case <-timer.C:
-				n.mu.Lock()
-				if n.srv.Stalled() {
-					if a := n.srv.CurrentAttempt(); a == lastAttempt {
-						n.srv.Repropose()
-					} else {
-						lastAttempt = a
-					}
-				} else {
-					lastAttempt = -1
-				}
-				n.leaseEvictions.Add(int64(n.srv.ExpireLeases(time.Now())))
-				n.mu.Unlock()
-				timer.Reset(jitter(interval))
-			case <-stop:
-				return
-			}
+// run is the server's one timer. Every period — the watchdog period until
+// StartHeartbeats hands it the heartbeat interval, then that interval,
+// starting at once so peers learn of this server one dial, not one interval,
+// after it starts — it ticks the membership server. Each wait is jittered so
+// co-started servers do not tick in lockstep.
+func (n *ServerNode) run(period time.Duration) {
+	defer n.wg.Done()
+	timer := time.NewTimer(jitter(period))
+	defer timer.Stop()
+	for {
+		select {
+		case <-timer.C:
+		case period = <-n.heartbeats:
+		case <-n.stop:
+			return
 		}
-	}()
+		n.tick()
+		timer.Reset(jitter(period))
+	}
+}
+
+// tick runs membership.Server.Tick (heartbeat, detector verdict, stall
+// watchdog, lease sweep) and counts what it did.
+func (n *ServerNode) tick() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	now := time.Now()
+	n.leaseEvictions.Add(int64(n.srv.Tick(now)))
+	if d := n.srv.Detector(); d != nil {
+		for _, p := range n.peers {
+			n.phiHist.Observe(d.Phi(p, now))
+		}
+	}
 }
 
 // Addr returns the server's listen address.
@@ -337,7 +326,7 @@ func (n *ServerNode) SetPeers(peers map[types.ProcID]string) { n.fabric.SetPeers
 // Chaos returns the server's fault-injection controller.
 func (n *ServerNode) Chaos() *Chaos { return n.fabric.Chaos() }
 
-// linkDown translates transport-link failures into failure-detector
+// linkDown hands transport-link failures to the membership server as
 // suspicions: a broken or undialable connection to a peer server is
 // evidence of unreachability, and feeding it here makes the membership
 // react immediately instead of waiting out the heartbeat timeout. The
@@ -345,21 +334,8 @@ func (n *ServerNode) Chaos() *Chaos { return n.fabric.Chaos() }
 func (n *ServerNode) linkDown(peer types.ProcID, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.suspectLocked(peer)
-}
-
-// suspectLocked feeds external evidence against peer to the failure
-// detector and acts on a changed verdict. The detector exists once
-// StartHeartbeats ran, and so, by then, does the membership server. Callers
-// hold mu.
-func (n *ServerNode) suspectLocked(peer types.ProcID) {
-	if n.detector == nil {
-		return
-	}
-	now := time.Now()
-	n.detector.Suspect(peer, now)
-	if reachable, changed := n.detector.Tick(now); changed {
-		n.srv.SetReachable(reachable)
+	if n.srv != nil {
+		n.srv.Suspect(peer, time.Now())
 	}
 }
 
@@ -426,14 +402,6 @@ func (n *ServerNode) Reconfigure() {
 	n.srv.Reconfigure()
 }
 
-// notify relays a membership notification to a client over the fabric. It
-// runs with n.mu held (the server calls it from within its handlers), so it
-// must only enqueue — the fabric encodes the frame immediately and queues
-// the bytes, never blocking on the network.
-func (n *ServerNode) notify(p types.ProcID, notif membership.Notification) {
-	n.fabric.SendNotify(p, notif)
-}
-
 // receive handles an inbound frame: attach-protocol frames from clients,
 // heartbeats and proposals from peer servers. fr's payloads may alias body,
 // a pooled network buffer released once the synchronous handlers return (the
@@ -449,8 +417,7 @@ func (n *ServerNode) receive(from types.ProcID, fr frame, body *pool.Buf) {
 	case n.srv == nil:
 	case fr.Attach != nil:
 		// The attach policy is the membership server's; what stays here is
-		// counting what it did and routing a complaint about a peer server
-		// to the failure detector.
+		// counting what it did.
 		switch n.srv.HandleAttach(from, *fr.Attach, time.Now()) {
 		case membership.OutcomeServed:
 			n.attachesServed.Inc()
@@ -458,16 +425,9 @@ func (n *ServerNode) receive(from types.ProcID, fr frame, body *pool.Buf) {
 			n.detaches.Inc()
 		case membership.OutcomeEvicted:
 			n.overloadEvictions.Inc()
-		case membership.OutcomeSuspectServer:
-			n.suspectLocked(fr.Attach.Client)
 		}
-	case fr.Msg == nil:
-	case fr.Msg.Kind == types.KindHeartbeat:
-		if n.detector != nil {
-			n.detector.OnHeartbeatInfo(from, time.Now(), fr.Msg.Reach)
-		}
-	default:
-		n.srv.HandleMessage(from, *fr.Msg)
+	case fr.Msg != nil:
+		n.srv.HandleMessage(from, *fr.Msg, time.Now())
 	}
 }
 
@@ -478,18 +438,8 @@ func (n *ServerNode) receive(from types.ProcID, fr frame, body *pool.Buf) {
 // node.
 func (n *ServerNode) Close() {
 	n.closeOnce.Do(func() {
-		n.mu.Lock()
-		if n.hbStop != nil {
-			close(n.hbStop)
-			n.hbStop = nil
-		}
-		if n.wdStop != nil {
-			close(n.wdStop)
-			n.wdStop = nil
-		}
-		n.mu.Unlock()
-		n.hbWG.Wait()
-		n.wdWG.Wait()
+		close(n.stop)
+		n.wg.Wait()
 		n.fabric.Close()
 		if n.store != nil {
 			n.store.Close()
@@ -498,60 +448,16 @@ func (n *ServerNode) Close() {
 	})
 }
 
-// StartHeartbeats runs a heartbeat failure detector for this server: it
-// multicasts a heartbeat to its peer servers — immediately on start, then
-// at jittered intervals so co-started servers don't burst in lockstep — and
-// re-evaluates suspicions with the given timeout, feeding verdict changes
-// straight into the membership algorithm. Stop by closing the server (Close
-// joins the ticker goroutine).
-func (n *ServerNode) StartHeartbeats(peers types.ProcSet, interval, timeout time.Duration) {
+// StartHeartbeats turns on this server's heartbeat failure detector with
+// the given timeout: from then on the server's timer ticks at jittered
+// intervals of about interval, starting at once, and each tick heartbeats
+// the peer servers and feeds the detector's verdict changes straight into
+// the membership algorithm. A second call changes nothing. Close stops it.
+func (n *ServerNode) StartHeartbeats(interval, timeout time.Duration) {
 	n.mu.Lock()
-	if n.detector == nil {
-		n.detector = membership.NewDetectorWith(n.id, peers, timeout, time.Now(), membership.DetectorConfig{})
-	}
-	if n.hbStop != nil {
-		n.mu.Unlock()
-		return // already running
-	}
-	stop := make(chan struct{})
-	n.hbStop = stop
+	started := n.srv.StartDetector(timeout, time.Now())
 	n.mu.Unlock()
-
-	others := peers.Minus(types.NewProcSet(n.id)).Sorted()
-	n.hbWG.Add(1)
-	go func() {
-		defer n.hbWG.Done()
-		// Fire immediately: peers learn of this server one dial, not one
-		// interval, after it starts.
-		timer := time.NewTimer(0)
-		defer timer.Stop()
-		for {
-			select {
-			case <-timer.C:
-				if len(others) > 0 {
-					// Piggyback the hearing set as the reachability bitmap:
-					// peers use it to reconcile one-way links. Heartbeat
-					// frames coalesce newest-wins per link, so a queued stale
-					// bitmap is superseded, never delivered late.
-					n.mu.Lock()
-					reach := n.detector.Bitmap()
-					n.mu.Unlock()
-					n.fabric.Send(others, types.WireMsg{Kind: types.KindHeartbeat, Reach: reach})
-				}
-				n.mu.Lock()
-				now := time.Now()
-				reachable, changed := n.detector.Tick(now)
-				for _, p := range others {
-					n.phiHist.Observe(n.detector.Phi(p, now))
-				}
-				if changed {
-					n.srv.SetReachable(reachable)
-				}
-				n.mu.Unlock()
-				timer.Reset(jitter(interval))
-			case <-stop:
-				return
-			}
-		}
-	}()
+	if started {
+		n.heartbeats <- interval // buffered: only the first call sends
+	}
 }

@@ -50,13 +50,13 @@ const (
 )
 
 // AttachOutcome is what HandleAttach did with a frame, for the host's
-// counters and, for OutcomeSuspectServer, its failure detector.
+// counters.
 type AttachOutcome uint8
 
 const (
 	// OutcomeIgnored: nothing the host counts — a banned laggard's request,
 	// a stale detach, a complaint about a client not held here (its ban is
-	// still refreshed).
+	// still refreshed) or about a peer server (fed to the detector).
 	OutcomeIgnored AttachOutcome = iota
 	// OutcomeServed: a request was acked (a registration or a keepalive).
 	OutcomeServed
@@ -64,14 +64,11 @@ const (
 	OutcomeDetached
 	// OutcomeEvicted: a complaint evicted and banned a local client.
 	OutcomeEvicted
-	// OutcomeSuspectServer: a complaint names a peer server; the host feeds
-	// it to its failure detector, the path a broken trunk link takes.
-	OutcomeSuspectServer
 )
 
 // ServeAttach turns on the server half of the in-band attach protocol:
-// replies go out through send, and ExpireLeases deregisters a client whose
-// requests stop for lease. Clients added out of band hold no lease.
+// replies go out through send, and Tick deregisters a client whose requests
+// stop for lease. Clients added out of band hold no lease.
 func (s *Server) ServeAttach(lease time.Duration, send func(types.ProcID, Attach)) {
 	if lease <= 0 {
 		lease = DefaultAttachLease
@@ -121,17 +118,19 @@ func (s *Server) HandleAttach(from types.ProcID, a Attach, now time.Time) Attach
 }
 
 // complain applies a slow-consumer complaint about laggard. A peer server
-// goes to the host's failure detector. A client is banned for slowBan and,
-// if registered here, evicted and told so by a detach, so it courts (and is
-// refused by) the next server instead of trusting a home that no longer
-// serves it. Complaints go to every server, so the laggard's home acts
-// whichever link the reporter had; the others only refresh the ban.
+// is link evidence for the failure detector (Suspect), the path a broken
+// trunk link takes. A client is banned for slowBan and, if registered here,
+// evicted and told so by a detach, so it courts (and is refused by) the
+// next server instead of trusting a home that no longer serves it.
+// Complaints go to every server, so the laggard's home acts whichever link
+// the reporter had; the others only refresh the ban.
 func (s *Server) complain(laggard types.ProcID, now time.Time) AttachOutcome {
 	switch {
 	case laggard == s.id || laggard == "":
 		return OutcomeIgnored
 	case s.servers.Contains(laggard):
-		return OutcomeSuspectServer
+		s.Suspect(laggard, now)
+		return OutcomeIgnored
 	}
 	s.banned[laggard] = now.Add(slowBan)
 	if !s.HasClient(laggard) {
@@ -142,13 +141,13 @@ func (s *Server) complain(laggard types.ProcID, now time.Time) AttachOutcome {
 	return OutcomeEvicted
 }
 
-// ExpireLeases deregisters every client whose requests stopped a full lease
+// expireLeases deregisters every client whose requests stopped a full lease
 // before now — the server-side failure detector for clients — and returns
 // how many. A client that dies right after attaching is never claimed by a
 // peer, so without a lease a dead member would wedge every future view's
 // sync round. A falsely suspected client re-attaches on its next keepalive
 // and resumes its identifiers from the retained record.
-func (s *Server) ExpireLeases(now time.Time) int {
+func (s *Server) expireLeases(now time.Time) int {
 	evicted := 0
 	for p, seen := range s.leases {
 		if now.Sub(seen) <= s.lease {

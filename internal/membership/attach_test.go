@@ -1,8 +1,8 @@
 package membership
 
-// Socket-free tests of the attach policy of Server: leases, bans, stale
-// detaches and the routing of slow-consumer complaints, driven on a virtual
-// clock with every reply and notification logged in send order.
+// Socket-free tests of the attach policy of Server: leases (swept by Tick),
+// bans, stale detaches and the routing of slow-consumer complaints, driven
+// on a virtual clock with every reply and notification logged in send order.
 
 import (
 	"reflect"
@@ -82,17 +82,17 @@ func TestServerAttachPolicy(t *testing.T) {
 			r.handle(t, "c", req(1), clientT0, OutcomeServed)
 			r.handle(t, "d", Attach{Kind: AttachRequest, Client: "d", Epoch: 1}, clientT0.Add(testLease/2), OutcomeServed)
 			r.took()
-			if n := r.srv.ExpireLeases(clientT0.Add(testLease)); n != 0 {
+			if n := r.srv.Tick(clientT0.Add(testLease)); n != 0 {
 				t.Fatalf("evicted %d at the lease boundary, want 0", n)
 			}
-			attempt := r.srv.CurrentAttempt()
-			if n := r.srv.ExpireLeases(clientT0.Add(testLease + time.Millisecond)); n != 1 {
+			attempt := r.srv.attempt
+			if n := r.srv.Tick(clientT0.Add(testLease + time.Millisecond)); n != 1 {
 				t.Fatalf("evicted %d past c's lease, want 1", n)
 			}
 			if r.srv.HasClient("c") || !r.srv.HasClient("d") {
 				t.Fatalf("clients after expiry = %s, want only d", r.srv.LocalClients())
 			}
-			if r.srv.CurrentAttempt() <= attempt {
+			if r.srv.attempt <= attempt {
 				t.Fatal("expiry did not start a reconfiguration")
 			}
 			wantLog(t, "expiry", r.took(), "start_change d", "view d")
@@ -136,9 +136,13 @@ func TestServerAttachPolicy(t *testing.T) {
 			}
 		}},
 		{"a complaint about a server goes to the detector and bans nobody", func(t *testing.T, r *attachRig) {
+			r.srv.StartDetector(testLease, clientT0.Add(-time.Millisecond))
 			r.handle(t, "c", req(1), clientT0, OutcomeServed)
 			r.took()
-			r.handle(t, "c", Attach{Kind: AttachSuspect, Client: "B"}, clientT0, OutcomeSuspectServer)
+			r.handle(t, "c", Attach{Kind: AttachSuspect, Client: "B"}, clientT0, OutcomeIgnored)
+			if st := r.srv.Detector().Stats(); st.Suspects != 1 {
+				t.Fatalf("detector after a complaint about B: %+v, want one suspicion", st)
+			}
 			r.handle(t, "c", Attach{Kind: AttachSuspect, Client: "A"}, clientT0, OutcomeIgnored)
 			if len(r.srv.banned) != 0 || !r.srv.HasClient("c") {
 				t.Fatalf("server complaints banned %v / evicted c (registered %v)", r.srv.banned, r.srv.HasClient("c"))

@@ -93,12 +93,12 @@ type peerState struct {
 // loop the paper leaves to "the failure detector it employs" (Section 3.1's
 // discussion of [27]'s liveness).
 //
-// The detector is a passive state machine: the deployment harness calls
-// OnHeartbeat (or OnHeartbeatInfo, with the sender's piggybacked
-// reachability bitmap) when a heartbeat arrives and Tick on its heartbeat
-// schedule; Tick reports the new reachable set whenever the verdict
-// changes. This keeps it usable under both the simulated clock and real
-// time.
+// The detector is a passive state machine owned by its Server
+// (StartDetector): the server calls OnHeartbeatInfo, with the sender's
+// piggybacked reachability bitmap, when a heartbeat arrives, and Tick on
+// every Server.Tick; Tick reports the new reachable set whenever the
+// verdict changes. Every input carries its instant, so it runs the same
+// under the simulated clock and real time.
 //
 // The verdict is shaped by three mechanisms beyond the raw timeout:
 //
@@ -159,11 +159,6 @@ func NewDetectorWith(self types.ProcID, peers types.ProcSet, timeout time.Durati
 	d.reachable = types.NewProcSet(self)
 	d.hearing = types.NewProcSet(self)
 	return d
-}
-
-// OnHeartbeat records a heartbeat from a peer at the given instant.
-func (d *Detector) OnHeartbeat(from types.ProcID, at time.Time) {
-	d.OnHeartbeatInfo(from, at, nil)
 }
 
 // OnHeartbeatInfo records a heartbeat carrying the sender's reachability
@@ -427,9 +422,6 @@ func (d *Detector) Tick(now time.Time) (types.ProcSet, bool) {
 	d.reachable = next
 	return next.Clone(), changed
 }
-
-// Reachable returns the current verdict.
-func (d *Detector) Reachable() types.ProcSet { return d.reachable.Clone() }
 
 // Bitmap returns the reachability bitmap to piggyback on outgoing
 // heartbeats: the hearing set as of the last Tick — suspicion and

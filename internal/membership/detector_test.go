@@ -13,7 +13,7 @@ func warmDetector(d *Detector, p types.ProcID, start time.Time, beats int) time.
 	at := start
 	for i := 0; i < beats; i++ {
 		at = at.Add(20 * time.Millisecond)
-		d.OnHeartbeat(p, at)
+		d.OnHeartbeatInfo(p, at, nil)
 		d.Tick(at)
 	}
 	return at
@@ -39,11 +39,11 @@ func TestDetectorHeartbeatSuspectTieBreak(t *testing.T) {
 			d.Tick(start)
 			at := start.Add(30 * time.Millisecond)
 			if tc.hbFirst {
-				d.OnHeartbeat("B", at)
+				d.OnHeartbeatInfo("B", at, nil)
 				d.Suspect("B", at)
 			} else {
 				d.Suspect("B", at)
-				d.OnHeartbeat("B", at)
+				d.OnHeartbeatInfo("B", at, nil)
 			}
 			if reachable, _ := d.Tick(at); !reachable.Contains("B") {
 				t.Fatalf("equal-timestamp race suspected B (reachable %s), heartbeat must win", reachable)
@@ -93,7 +93,7 @@ func TestDetectorAdaptiveHysteresis(t *testing.T) {
 	// threshold. The first restore is a flap crossing, but well under the
 	// damping threshold, so no quarantine is imposed.
 	back := late.Add(20 * time.Millisecond)
-	d.OnHeartbeat("B", back)
+	d.OnHeartbeatInfo("B", back, nil)
 	reachable, changed = d.Tick(back.Add(time.Millisecond))
 	if !changed || !reachable.Contains("B") {
 		t.Fatalf("fresh heartbeat did not restore: (%s, %v)", reachable, changed)
@@ -125,7 +125,7 @@ func TestDetectorFlapDamping(t *testing.T) {
 		}
 		// ...then one heartbeat and a tick: restored, unless quarantined.
 		at = at.Add(20 * time.Millisecond)
-		d.OnHeartbeat("B", at)
+		d.OnHeartbeatInfo("B", at, nil)
 		at = at.Add(time.Millisecond)
 		reachable, _ := d.Tick(at)
 		return !reachable.Contains("B")
@@ -152,14 +152,14 @@ func TestDetectorFlapDamping(t *testing.T) {
 	beats := func(n int) {
 		for i := 0; i < n; i++ {
 			at = at.Add(20 * time.Millisecond)
-			d.OnHeartbeat("B", at)
+			d.OnHeartbeatInfo("B", at, nil)
 			d.Tick(at)
 		}
 	}
 	// The first quarantine is the base; with heartbeats flowing, the peer
 	// rejoins once it expires.
 	beats(15)
-	if !d.Reachable().Contains("B") {
+	if !d.reachable.Contains("B") {
 		t.Fatalf("B still out %v after a %v quarantine", 300*time.Millisecond, DefaultQuarantineBase)
 	}
 	// Flap 5's quarantine doubles: 300ms of heartbeats is no longer enough.
@@ -167,11 +167,11 @@ func TestDetectorFlapDamping(t *testing.T) {
 		t.Fatal("flap 5 rejoined immediately")
 	}
 	beats(15)
-	if d.Reachable().Contains("B") {
+	if d.reachable.Contains("B") {
 		t.Fatal("flap 5's quarantine did not grow past the base")
 	}
 	beats(15)
-	if !d.Reachable().Contains("B") {
+	if !d.reachable.Contains("B") {
 		t.Fatal("B never rejoined after the doubled quarantine")
 	}
 
@@ -212,8 +212,8 @@ func TestDetectorGrayDirectRule(t *testing.T) {
 		d.Tick(at)
 	}
 	// Sustained past the grace (= timeout, 50ms): B is downgraded...
-	if d.Reachable().Contains("B") {
-		t.Fatalf("one-way link not downgraded: reachable %s", d.Reachable())
+	if d.reachable.Contains("B") {
+		t.Fatalf("one-way link not downgraded: reachable %s", d.reachable)
 	}
 	// ...but the hearing bitmap still includes B — advertising the gray
 	// verdict would make mutual exclusion self-sustaining after a heal.
@@ -253,7 +253,7 @@ func TestDetectorGrayPairRule(t *testing.T) {
 		d.OnHeartbeatInfo("B", at, types.NewProcSet("B", "C")) // B cannot hear A
 		d.Tick(at)
 	}
-	reachable := d.Reachable()
+	reachable := d.reachable
 	if reachable.Contains("B") {
 		t.Fatalf("pair rule did not drop the larger of the broken pair: %s", reachable)
 	}

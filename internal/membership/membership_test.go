@@ -216,7 +216,7 @@ func TestDetectorSuspectsAndTrustsAgain(t *testing.T) {
 	}
 
 	// B keeps beating, C goes silent.
-	d.OnHeartbeat("B", start.Add(40*time.Millisecond))
+	d.OnHeartbeatInfo("B", start.Add(40*time.Millisecond), nil)
 	reachable, changed = d.Tick(start.Add(80 * time.Millisecond))
 	if !changed {
 		t.Fatal("C's silence went unnoticed")
@@ -226,20 +226,20 @@ func TestDetectorSuspectsAndTrustsAgain(t *testing.T) {
 	}
 
 	// A steady state reports no change.
-	d.OnHeartbeat("B", start.Add(90*time.Millisecond))
+	d.OnHeartbeatInfo("B", start.Add(90*time.Millisecond), nil)
 	if _, changed := d.Tick(start.Add(100 * time.Millisecond)); changed {
 		t.Fatal("spurious change in steady state")
 	}
 
 	// C comes back.
-	d.OnHeartbeat("C", start.Add(120*time.Millisecond))
-	d.OnHeartbeat("B", start.Add(120*time.Millisecond))
+	d.OnHeartbeatInfo("C", start.Add(120*time.Millisecond), nil)
+	d.OnHeartbeatInfo("B", start.Add(120*time.Millisecond), nil)
 	reachable, changed = d.Tick(start.Add(130 * time.Millisecond))
 	if !changed || !reachable.Equal(peers) {
 		t.Fatalf("recovery tick = (%s, %v), want full set and changed", reachable, changed)
 	}
-	if !d.Reachable().Equal(peers) {
-		t.Fatalf("Reachable() = %s", d.Reachable())
+	if !d.reachable.Equal(peers) {
+		t.Fatalf("reachable = %s", d.reachable)
 	}
 }
 
@@ -248,14 +248,14 @@ func TestDetectorIgnoresStrangersAndStaleBeats(t *testing.T) {
 	d := NewDetectorWith("A", types.NewProcSet("A", "B"), 50*time.Millisecond, start, DetectorConfig{})
 	d.Tick(start)
 
-	d.OnHeartbeat("ghost", start.Add(10*time.Millisecond))
+	d.OnHeartbeatInfo("ghost", start.Add(10*time.Millisecond), nil)
 	if reachable, _ := d.Tick(start.Add(20 * time.Millisecond)); reachable.Contains("ghost") {
 		t.Fatal("stranger admitted")
 	}
 
 	// A stale (reordered) heartbeat must not move lastSeen backwards.
-	d.OnHeartbeat("B", start.Add(40*time.Millisecond))
-	d.OnHeartbeat("B", start.Add(10*time.Millisecond))
+	d.OnHeartbeatInfo("B", start.Add(40*time.Millisecond), nil)
+	d.OnHeartbeatInfo("B", start.Add(10*time.Millisecond), nil)
 	if reachable, _ := d.Tick(start.Add(80 * time.Millisecond)); !reachable.Contains("B") {
 		t.Fatal("stale heartbeat regressed B's freshness")
 	}
@@ -280,7 +280,7 @@ func TestDetectorSuspectIsImmediateAndRecoverable(t *testing.T) {
 	}
 
 	// A fresh heartbeat restores trust.
-	d.OnHeartbeat("B", start.Add(20*time.Millisecond))
+	d.OnHeartbeatInfo("B", start.Add(20*time.Millisecond), nil)
 	if reachable, _ := d.Tick(start.Add(25 * time.Millisecond)); !reachable.Contains("B") {
 		t.Fatal("heartbeat after Suspect did not restore trust")
 	}
@@ -293,7 +293,7 @@ func TestDetectorSuspectIsImmediateAndRecoverable(t *testing.T) {
 	}
 
 	// A Suspect older than current freshness must not regress lastSeen.
-	d.OnHeartbeat("C", start.Add(100*time.Millisecond))
+	d.OnHeartbeatInfo("C", start.Add(100*time.Millisecond), nil)
 	d.Suspect("C", start.Add(40*time.Millisecond))
 	if reachable, _ := d.Tick(start.Add(110 * time.Millisecond)); !reachable.Contains("C") {
 		t.Fatal("stale Suspect regressed C's freshness")

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vsgm/internal/types"
@@ -65,14 +66,24 @@ type Server struct {
 	banned     map[types.ProcID]time.Time
 	sendAttach func(types.ProcID, Attach)
 
+	// What Tick runs (clock.go): the failure detector (nil until
+	// StartDetector), the peer servers it heartbeats, sorted, and the
+	// watchdog's period and the stall it times, since first seen or last
+	// re-proposed.
+	detector     *Detector
+	peers        []types.ProcID
+	watchdog     time.Duration
+	stallAttempt int64
+	stallSince   time.Time
+
 	reachable types.ProcSet
 	attempt   int64
 	proposals map[int64]map[types.ProcID]*types.MembProposal
 	maxVid    types.ViewID
 
-	// lastProp is this server's proposal for the current attempt, kept so a
-	// watchdog can re-send it (Repropose) and so a peer stuck on an attempt
-	// we already completed can be answered directly.
+	// lastProp is this server's proposal for the current attempt, kept so
+	// the watchdog can re-send it and so a peer stuck on an attempt we
+	// already completed can be answered directly.
 	lastProp      *types.MembProposal
 	lastCompleted int64
 
@@ -157,6 +168,8 @@ func NewServer(id types.ProcID, servers types.ProcSet, tr ServerTransport, out O
 		transport: tr,
 		out:       out,
 		servers:   servers.Clone(),
+		peers:     servers.Minus(types.NewProcSet(id)).Sorted(),
+		watchdog:  DefaultWatchdog,
 		clients:   make(map[types.ProcID]*serverClient),
 		cache:     make(map[types.ProcID]map[types.ProcID]types.StartChangeID),
 		records:   make(map[types.ProcID]ClientRecord),
@@ -310,14 +323,20 @@ func (s *Server) HasClient(p types.ProcID) bool {
 	return ok
 }
 
-// LocalClients returns the currently registered local clients.
-func (s *Server) LocalClients() types.ProcSet {
-	set := types.NewProcSet()
+// clientIDs returns the local clients sorted. Fan-outs walk them so: a
+// simulator draws each notification's latency from a seeded stream, so map
+// order would make one seed's execution vary from run to run.
+func (s *Server) clientIDs() []types.ProcID {
+	ids := make([]types.ProcID, 0, len(s.clients))
 	for p := range s.clients {
-		set.Add(p)
+		ids = append(ids, p)
 	}
-	return set
+	slices.Sort(ids)
+	return ids
 }
+
+// LocalClients returns the currently registered local clients.
+func (s *Server) LocalClients() types.ProcSet { return types.NewProcSet(s.clientIDs()...) }
 
 // ClientRecords snapshots the durable identifier state of every client this
 // server knows — live registrations and retained records — for snapshots
@@ -380,8 +399,16 @@ func (s *Server) Reconfigure() {
 	s.startAttempt(s.attempt + 1)
 }
 
-// HandleMessage processes a server-to-server message.
-func (s *Server) HandleMessage(from types.ProcID, m types.WireMsg) {
+// HandleMessage processes a server-to-server message that arrived at now:
+// a proposal, or a heartbeat for the failure detector (ignored until
+// StartDetector).
+func (s *Server) HandleMessage(from types.ProcID, m types.WireMsg, now time.Time) {
+	if m.Kind == types.KindHeartbeat {
+		if s.detector != nil {
+			s.detector.OnHeartbeatInfo(from, now, m.Reach)
+		}
+		return
+	}
 	if m.Kind != types.KindMembProposal || m.MembProp == nil {
 		return
 	}
@@ -502,7 +529,8 @@ func (s *Server) startAttempt(a int64) {
 
 	clients := make(map[types.ProcID]types.StartChangeID, len(s.clients))
 	var epochs map[types.ProcID]int64
-	for p, c := range s.clients {
+	for _, p := range s.clientIDs() {
+		c := s.clients[p]
 		// Never issue an identifier at or below one a peer has proposed for
 		// this client: a healed partition may reveal that its previous home
 		// kept counting while we could not hear it.
@@ -631,10 +659,11 @@ func (s *Server) tryComplete() {
 	delete(s.proposals, s.attempt)
 	s.lastCompleted = s.attempt
 	s.viewsDelivered++
-	for p, c := range s.clients {
+	for _, p := range s.clientIDs() {
 		if !members.Contains(p) {
 			continue
 		}
+		c := s.clients[p]
 		c.vid = vid
 		c.mode = modeNormal
 		s.record(p, c)
@@ -645,31 +674,6 @@ func (s *Server) tryComplete() {
 			s.out(p, Notification{Kind: NotifyView, View: v, Trace: s.trace})
 		}
 	}
-}
-
-// Stalled reports whether the current attempt has yet to complete. A stall
-// can be transient (proposals in flight) or permanent (proposal frames
-// lost); the watchdog re-proposes when a stall persists.
-func (s *Server) Stalled() bool { return s.attempt > s.lastCompleted }
-
-// CurrentAttempt returns the attempt number the server is working on.
-func (s *Server) CurrentAttempt() int64 { return s.attempt }
-
-// Repropose re-sends this server's proposal for the current attempt to the
-// reachable peers. Proposals are idempotent — a receiver simply overwrites
-// the row entry — so the watchdog may call this freely when an attempt
-// stalls; it reports whether anything was sent.
-func (s *Server) Repropose() bool {
-	if !s.Stalled() || s.lastProp == nil || s.lastProp.Attempt != s.attempt {
-		return false
-	}
-	others := s.reachable.Minus(types.NewProcSet(s.id))
-	if others.Len() == 0 {
-		return false
-	}
-	s.reproposals++
-	s.transport.Send(others.Sorted(), types.WireMsg{Kind: types.KindMembProposal, MembProp: s.lastProp.Clone()})
-	return true
 }
 
 // Reproposals counts watchdog-triggered proposal re-sends.

@@ -3,10 +3,12 @@ package membership
 // Unit tests for the crash-recovery surface of the membership server: the
 // attach protocol's epoch-ranged identifiers, ownership arbitration through
 // epoch gossip, record retention across deregistration, and the watchdog's
-// proposal-repair path (Repropose plus the reply-on-completed-attempt rule).
+// proposal-repair path (Tick's re-proposal plus the reply-on-completed-attempt
+// rule).
 
 import (
 	"testing"
+	"time"
 )
 
 func TestAttachClientIssuesEpochRangedCids(t *testing.T) {
@@ -168,7 +170,7 @@ func TestReproposeRepairsLostProposal(t *testing.T) {
 	a.AddClient("c0")
 	b.AddClient("c1")
 	rig.boot(t)
-	if a.Stalled() || b.Stalled() {
+	if a.stalled() || b.stalled() {
 		t.Fatal("servers stalled after a clean boot")
 	}
 	firstView := lastView(t, rig.out, "c0")
@@ -180,17 +182,18 @@ func TestReproposeRepairsLostProposal(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.pump(t)
-	if !a.Stalled() {
+	if !a.stalled() {
 		t.Fatal("A not stalled after its proposal was lost")
 	}
 
-	// The watchdog's retry path: resend the current proposal and converge.
-	if !a.Repropose() {
-		t.Fatal("Repropose refused to resend a stalled attempt")
+	// The watchdog's retry path: a watchdog period after A first saw the
+	// stall, its tick resends the current proposal and the servers converge.
+	if !reproposeByTicks(a) {
+		t.Fatal("the watchdog refused to resend a stalled attempt")
 	}
 	rig.pump(t)
-	if a.Stalled() || b.Stalled() {
-		t.Fatalf("attempt still stalled after repropose (A=%v B=%v)", a.Stalled(), b.Stalled())
+	if a.stalled() || b.stalled() {
+		t.Fatalf("attempt still stalled after repropose (A=%v B=%v)", a.stalled(), b.stalled())
 	}
 	if got := a.Reproposals(); got != 1 {
 		t.Fatalf("reproposals = %d, want 1", got)
@@ -217,23 +220,72 @@ func TestReproposeAgainstCompletedAttemptGetsReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.pump(t)
-	if b.Stalled() {
+	if b.stalled() {
 		t.Fatal("B should have completed the attempt")
 	}
-	if !a.Stalled() {
+	if !a.stalled() {
 		t.Fatal("A should be wedged awaiting B's proposal")
 	}
 
 	// A's retry hits an attempt B already completed; B must answer with its
 	// last proposal instead of ignoring the stale-looking frame.
-	if !a.Repropose() {
-		t.Fatal("Repropose refused to resend")
+	if !reproposeByTicks(a) {
+		t.Fatal("the watchdog refused to resend")
 	}
 	rig.pump(t)
-	if a.Stalled() {
+	if a.stalled() {
 		t.Fatal("A still wedged: completed peer did not reply to the retry")
 	}
 	if va, vb := lastView(t, rig.out, "c0"), lastView(t, rig.out, "c1"); va.ID != vb.ID || !va.Members.Equal(vb.Members) {
 		t.Fatalf("servers diverged after repair: %+v vs %+v", va, vb)
+	}
+}
+
+// reproposeByTicks ticks s when it first sees its attempt stalled and again
+// one watchdog period later, and reports whether the second tick, and only
+// it, re-sent the proposal.
+func reproposeByTicks(s *Server) bool {
+	before := s.Reproposals()
+	s.Tick(clientT0)
+	if s.Reproposals() != before {
+		return false
+	}
+	s.Tick(clientT0.Add(s.watchdog))
+	return s.Reproposals() == before+1
+}
+
+// TestWatchdogReproposesOncePerPeriod pins the watchdog's rule to the clock,
+// not to how often the host ticks: an attempt whose proposals keep getting
+// lost is re-proposed one period after the stall was first seen and once
+// per period after that, at every tick cadence; a fresh attempt restarts
+// the timing.
+func TestWatchdogReproposesOncePerPeriod(t *testing.T) {
+	const period = 100 * time.Millisecond
+	for _, cadence := range []time.Duration{time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond, period} {
+		rig := newServerRig(t, 2)
+		a := rig.servers["A"]
+		a.AddClient("c0")
+		rig.boot(t)
+		if got := a.SetWatchdog(period); got != period {
+			t.Fatalf("SetWatchdog(%v) = %v", period, got)
+		}
+		a.Reconfigure() // its proposal to B is never delivered
+		for at := time.Duration(0); at <= 250*time.Millisecond; at += cadence {
+			a.Tick(clientT0.Add(at))
+		}
+		if got := a.Reproposals(); got != 2 {
+			t.Errorf("cadence %v: %d reproposals over 2.5 periods of one stall, want 2", cadence, got)
+		}
+		// A new attempt is a new stall: the first sight starts its clock.
+		a.Reconfigure()
+		a.Tick(clientT0.Add(300 * time.Millisecond))
+		a.Tick(clientT0.Add(300*time.Millisecond + period - time.Millisecond))
+		if got := a.Reproposals(); got != 2 {
+			t.Errorf("cadence %v: a fresh attempt was re-proposed before a period passed (%d)", cadence, got)
+		}
+		a.Tick(clientT0.Add(300*time.Millisecond + period))
+		if got := a.Reproposals(); got != 3 {
+			t.Errorf("cadence %v: the fresh stall was not re-proposed after a period (%d)", cadence, got)
+		}
 	}
 }

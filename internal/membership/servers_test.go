@@ -2,6 +2,7 @@ package membership
 
 import (
 	"testing"
+	"time"
 
 	"vsgm/internal/corfifo"
 	"vsgm/internal/types"
@@ -35,7 +36,7 @@ func newServerRig(t *testing.T, n int) *serverRig {
 		rig.servers[id] = srv
 		s := srv
 		rig.net.Register(id, corfifo.HandlerFunc(func(from types.ProcID, m types.WireMsg) {
-			s.HandleMessage(from, m)
+			s.HandleMessage(from, m, time.Time{})
 		}))
 	}
 	return rig

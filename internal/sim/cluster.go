@@ -247,18 +247,26 @@ func (c *Cluster) Partition(groups ...types.ProcSet) ([]types.View, error) {
 
 // BlockOK acknowledges an outstanding block request at p (only needed with
 // ManualBlock).
-func (c *Cluster) BlockOK(p types.ProcID) {
+func (c *Cluster) BlockOK(p types.ProcID) error {
+	m, err := c.memberOf(p)
+	if err != nil {
+		return err
+	}
 	c.specEvent(spec.EBlockOK{P: p})
-	m := c.members[p]
 	m.node.BlockOK()
 	c.drain(m)
+	return nil
 }
 
 // Crash crashes end-point p (Section 8): its automaton freezes, the
 // substrate stops delivering to it, and the membership marks it crashed.
 func (c *Cluster) Crash(p types.ProcID) error {
+	m, err := c.memberOf(p)
+	if err != nil {
+		return err
+	}
 	c.specEvent(spec.ECrash{P: p})
-	c.members[p].node.Crash()
+	m.node.Crash()
 	c.net.Unregister(p)
 	return c.oracle.Crash(p)
 }
@@ -266,11 +274,14 @@ func (c *Cluster) Crash(p types.ProcID) error {
 // Recover restarts end-point p from its initial state under its original
 // identity (no stable storage; Section 8).
 func (c *Cluster) Recover(p types.ProcID) error {
+	m, err := c.memberOf(p)
+	if err != nil {
+		return err
+	}
 	c.specEvent(spec.ERecover{P: p})
 	if err := c.oracle.Recover(p); err != nil {
 		return err
 	}
-	m := c.members[p]
 	c.listen(m)
 	m.node.Recover()
 	c.drain(m)

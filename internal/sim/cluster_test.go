@@ -725,3 +725,29 @@ func TestViewEventTransitionalSetIsNilOnlyBelowVS(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterRejectsUnknownProcess: the per-process controls refuse a
+// process the cluster does not have, as Send does, and leave no event of it
+// in the trace.
+func TestClusterRejectsUnknownProcess(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(c *Cluster, p types.ProcID) error
+	}{
+		{"Send", func(c *Cluster, p types.ProcID) error { _, err := c.Send(p, []byte("x")); return err }},
+		{"BlockOK", (*Cluster).BlockOK},
+		{"Crash", (*Cluster).Crash},
+		{"Recover", (*Cluster).Recover},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, suite := newTestCluster(t, 2, func(cfg *Config) { cfg.ManualBlock = true })
+			mark := len(suite.Trace())
+			if err := tc.call(c, "ghost"); err == nil {
+				t.Fatalf("%s(ghost) succeeded", tc.name)
+			}
+			if got := suite.Trace()[mark:]; len(got) != 0 {
+				t.Fatalf("%s(ghost) left events in the trace: %v", tc.name, got)
+			}
+		})
+	}
+}

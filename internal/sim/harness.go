@@ -137,12 +137,20 @@ func (h *harness) relay(p types.ProcID, n membership.Notification) {
 	})
 }
 
+// memberOf returns p's member, or an error when p has no end-point.
+func (h *harness) memberOf(p types.ProcID) (*member, error) {
+	if m := h.members[p]; m != nil {
+		return m, nil
+	}
+	return nil, fmt.Errorf("sim: %s has no end-point", p)
+}
+
 // Send multicasts payload from p in p's current view. p must have an
 // end-point: a ServerWorld's clients have one only with WithEndpoints.
 func (h *harness) Send(p types.ProcID, payload []byte) (types.AppMsg, error) {
-	m := h.members[p]
-	if m == nil {
-		return types.AppMsg{}, fmt.Errorf("sim: %s has no end-point", p)
+	m, err := h.memberOf(p)
+	if err != nil {
+		return types.AppMsg{}, err
 	}
 	msg, err := m.node.Send(payload)
 	if err != nil {

@@ -45,7 +45,6 @@ type ServerWorld struct {
 	serverIDs []types.ProcID
 	clients   []types.ProcID
 	home      map[types.ProcID]types.ProcID
-	detectors map[types.ProcID]*membership.Detector
 
 	// epSeq numbers every end-point ever created, so message-id bases stay
 	// unique across attach/detach churn.
@@ -97,7 +96,6 @@ func NewServerWorld(cfg ServerWorldConfig) (*ServerWorld, error) {
 		serverIDs: serverIDs,
 		clients:   clients,
 		home:      make(map[types.ProcID]types.ProcID, len(clients)),
-		detectors: make(map[types.ProcID]*membership.Detector),
 	}
 
 	serverSet := types.NewProcSet(serverIDs...)
@@ -107,16 +105,8 @@ func NewServerWorld(cfg ServerWorldConfig) (*ServerWorld, error) {
 			return nil, err
 		}
 		w.servers[sid] = srv
-		s := srv
-		id := sid
 		w.net.Register(sid, corfifo.HandlerFunc(func(from types.ProcID, m types.WireMsg) {
-			if m.Kind == types.KindHeartbeat {
-				if d := w.detectors[id]; d != nil {
-					d.OnHeartbeatInfo(from, virtualTime(w.Now()), m.Reach)
-				}
-				return
-			}
-			s.HandleMessage(from, m)
+			srv.HandleMessage(from, m, virtualTime(w.Now()))
 		}))
 	}
 	for i, cid := range clients {
@@ -203,12 +193,9 @@ func (w *ServerWorld) DetachClients(ids ...types.ProcID) error {
 		}
 		w.servers[sid].RemoveClient(cid)
 		delete(w.home, cid)
-		if m := w.members[cid]; m != nil {
-			// The end-point goes on consuming what the network still
-			// carries to it, but nothing observes it any more.
-			w.net.Register(cid, corfifo.HandlerFunc(m.node.HandleMessage))
-			delete(w.members, cid)
-		}
+		// What the network still carries to it is dropped, as for a crash.
+		w.net.Unregister(cid)
+		delete(w.members, cid)
 		for i, c := range w.clients {
 			if c == cid {
 				w.clients = append(w.clients[:i], w.clients[i+1:]...)
@@ -246,23 +233,22 @@ func (w *ServerWorld) notify(p types.ProcID, n membership.Notification) {
 }
 
 // virtualTime maps the simulator's clock onto a time.Time instant for the
-// failure detector's interface.
+// membership servers' clock inputs.
 func virtualTime(d time.Duration) time.Time {
 	return time.Unix(0, 0).Add(d)
 }
 
 // RunWithHeartbeats drives the deployment for the given window with a
 // heartbeat failure detector at every server: each interval, every server
-// multicasts a heartbeat to its peers and re-evaluates suspicions with the
-// given timeout, feeding verdict changes straight into its membership
-// algorithm. With heartbeats running, partitions and heals reconfigure the
-// membership autonomously — no external SetReachable calls.
+// ticks in sorted order (membership.Server.Tick), which heartbeats its peers,
+// re-evaluates suspicions with the given timeout, feeds verdict changes
+// straight into its membership algorithm and re-proposes a stalled attempt
+// (there are no leases to sweep: the world homes its clients out of band).
+// With heartbeats running, partitions and heals reconfigure the membership
+// autonomously — no external SetReachable calls.
 func (w *ServerWorld) RunWithHeartbeats(window, interval, timeout time.Duration) error {
-	serverSet := types.NewProcSet(w.serverIDs...)
 	for _, sid := range w.serverIDs {
-		if w.detectors[sid] == nil {
-			w.detectors[sid] = membership.NewDetectorWith(sid, serverSet, timeout, virtualTime(w.Now()), membership.DetectorConfig{})
-		}
+		w.servers[sid].StartDetector(timeout, virtualTime(w.Now()))
 	}
 	deadline := w.Now() + window
 	var tick func()
@@ -271,18 +257,7 @@ func (w *ServerWorld) RunWithHeartbeats(window, interval, timeout time.Duration)
 			return
 		}
 		for _, sid := range w.serverIDs {
-			peers := serverSet.Minus(types.NewProcSet(sid))
-			if peers.Len() > 0 {
-				w.net.Send(sid, peers.Sorted(), types.WireMsg{
-					Kind:  types.KindHeartbeat,
-					Reach: w.detectors[sid].Bitmap(),
-				})
-			}
-		}
-		for _, sid := range w.serverIDs {
-			if reachable, changed := w.detectors[sid].Tick(virtualTime(w.Now())); changed {
-				w.servers[sid].SetReachable(reachable)
-			}
+			w.servers[sid].Tick(virtualTime(w.Now()))
 		}
 		w.At(interval, tick)
 	}

@@ -481,3 +481,55 @@ func TestServerWorldDetachedClientLeavesTheTrace(t *testing.T) {
 		t.Fatalf("spec violations:\n%v", err)
 	}
 }
+
+// TestServerWorldReplaysItsSeed: a ServerWorld execution is a function of
+// its seed, with several clients per server whose notifications draw their
+// latencies from the world's stream, through sends, a partition, a heal and
+// a heartbeat-driven stretch.
+func TestServerWorldReplaysItsSeed(t *testing.T) {
+	run := func(seed int64) string {
+		suite := spec.FullSuite(spec.WithTrace())
+		w, err := NewServerWorld(ServerWorldConfig{
+			Servers:          3,
+			ClientsPerServer: 2,
+			Seed:             seed,
+			Suite:            suite,
+			WithEndpoints:    true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := func(round string) {
+			for _, cid := range w.Clients() {
+				if _, err := w.Send(cid, []byte(round)); err != nil {
+					t.Fatalf("seed %d: send from %s: %v", seed, cid, err)
+				}
+			}
+		}
+		if err := w.Boot(); err != nil {
+			t.Fatal(err)
+		}
+		send("boot")
+		srv := w.Servers()
+		if err := w.PartitionServers(types.NewProcSet(srv[0]), types.NewProcSet(srv[1:]...)); err != nil {
+			t.Fatal(err)
+		}
+		send("split")
+		if err := w.HealServers(); err != nil {
+			t.Fatal(err)
+		}
+		send("healed")
+		if err := w.RunWithHeartbeats(200*time.Millisecond, 20*time.Millisecond, 50*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := suite.Err(); err != nil {
+			t.Fatalf("seed %d: spec violations:\n%v", seed, err)
+		}
+		return spec.RenderTrace(suite.Trace())
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		if first, second := run(seed), run(seed); first != second {
+			t.Errorf("seed %d: two runs rendered different traces (%d and %d bytes)", seed, len(first), len(second))
+		}
+	}
+}

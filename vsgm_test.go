@@ -114,7 +114,9 @@ func TestPublicAPIBlockedError(t *testing.T) {
 	}
 	// Manual blocking: acknowledge, then sends are rejected until the view.
 	for _, p := range cluster.Procs() {
-		cluster.BlockOK(p)
+		if err := cluster.BlockOK(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := cluster.Send("p00", []byte("x")); !errors.Is(err, vsgm.ErrBlocked) {
 		t.Fatalf("err = %v, want ErrBlocked", err)
