@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test short race flake fuzz fuzz-smoke bench bench-smoke benchstat docs-check experiments-check examples soak soak-smoke check
+.PHONY: all build vet fmt-check test short race flake mutants fuzz fuzz-smoke bench bench-smoke benchstat docs-check experiments-check examples soak soak-smoke check
 
 all: check
 
@@ -39,6 +39,14 @@ FLAKE_TESTS = TestLiveSoak|TestLiveChaos|TestLiveServer|TestLiveFlashCrowd|TestL
 
 flake:
 	$(GO) test -count=$(FLAKE_COUNT) -cpu 1,2 -timeout 0 -run '$(FLAKE_TESTS)' ./internal/live/ ./internal/soak/
+
+# Planted-fault judge, kept out of `check`: cmd/vsgm-mutants plants each
+# mutant of its committed catalogue (cmd/vsgm-mutants/catalogue.json) in turn
+# and runs the hunters it names, each for the same wall budget, then prints
+# the caught-by matrix. It fails when a mutant survives every hunter it names.
+# See docs/TESTING.md ("Planted faults").
+mutants:
+	$(GO) run ./cmd/vsgm-mutants
 
 # Native fuzzing of the wire codec: malformed length prefixes and truncated
 # payloads must error, never panic or over-allocate.
@@ -120,13 +128,12 @@ examples:
 		$(GO) run ./$$d >/dev/null || { echo "example $$d failed"; exit 1; }; \
 	done
 
-# Long-soak chaos harness (cmd/vsgm-soak): every mode — the small simulated
-# cluster, the 10k-client sampled-checking world, the live TCP cluster, and
-# the sharded KV with resharding under churn — under randomized adversarial
-# phases with the spec suite attached. Each run
-# logs its replay seed (override with SOAK_SEED or VSGM_SEED); on a
-# violation the report artifact path is printed. See docs/TESTING.md
-# ("Regime 7: long soak") and docs/OPERATIONS.md for the knobs.
+# Long-soak chaos harness (cmd/vsgm-soak): every mode — the 10k-client
+# sampled-checking world, the live TCP cluster, and the sharded KV with
+# resharding under churn — under randomized adversarial phases with the spec
+# suite attached. Each run logs its replay seed (override with SOAK_SEED or
+# VSGM_SEED); on a violation the report artifact path is printed. See
+# docs/TESTING.md ("Regime 7: long soak") and docs/OPERATIONS.md for the knobs.
 SOAK_DURATION ?= 60s
 SOAK_SEED ?= 0
 
@@ -134,9 +141,8 @@ soak:
 	$(GO) run ./cmd/vsgm-soak -mode all -duration $(SOAK_DURATION) -seed $(SOAK_SEED)
 
 # A ~30s taste of the same harness for the pre-merge gate: a second or two
-# of virtual time in each simulated mode plus a short live soak.
+# of virtual time in the world soak plus a short live soak.
 soak-smoke:
-	$(GO) run ./cmd/vsgm-soak -mode sim -duration 2s -seed $(SOAK_SEED) -q
 	$(GO) run ./cmd/vsgm-soak -mode world -duration 1200ms -seed $(SOAK_SEED) -q
 	$(GO) run ./cmd/vsgm-soak -mode live -duration 15s -seed $(SOAK_SEED) -q
 

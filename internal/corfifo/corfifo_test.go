@@ -312,3 +312,19 @@ func TestQueueReuseKeepsFIFO(t *testing.T) {
 		}
 	}
 }
+
+// TestKindCountsTotalCountsEveryKind adds one message of each kind and checks
+// that Total rises by exactly one each time.
+func TestKindCountsTotalCountsEveryKind(t *testing.T) {
+	var k KindCounts
+	for _, kind := range []types.MsgKind{
+		types.KindView, types.KindApp, types.KindFwd, types.KindSync, types.KindPropose,
+		types.KindMembProposal, types.KindAck, types.KindHeartbeat, types.KindSyncBundle,
+	} {
+		before := k.Total()
+		k.add(kind)
+		if got := k.Total(); got != before+1 {
+			t.Errorf("after one %v message Total = %d, want %d", kind, got, before+1)
+		}
+	}
+}

@@ -28,7 +28,7 @@ type KindCounts struct {
 
 // Total returns the sum across all kinds.
 func (k KindCounts) Total() int64 {
-	return k.View + k.App + k.Fwd + k.Sync + k.Propose + k.Memb + k.Ack
+	return k.View + k.App + k.Fwd + k.Sync + k.Propose + k.Memb + k.Ack + k.Beat + k.Bundle
 }
 
 // Control returns the non-application traffic (view + sync messages): the

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"slices"
 	"sync"
 
 	"vsgm/internal/membership"
@@ -23,22 +24,6 @@ type Store interface {
 	Load() (map[types.ProcID]membership.ClientRecord, error)
 	// Close releases any resources. The store is unusable afterwards.
 	Close() error
-}
-
-// mergeRecord folds one WAL record into a recovered-state map, keeping
-// field-wise maxima so replay order and duplicates are immaterial.
-func mergeRecord(state map[types.ProcID]membership.ClientRecord, rec wire.WALRecord) {
-	cur := state[rec.Client]
-	if rec.CID > cur.CID {
-		cur.CID = rec.CID
-	}
-	if rec.Vid > cur.Vid {
-		cur.Vid = rec.Vid
-	}
-	if rec.Epoch > cur.Epoch {
-		cur.Epoch = rec.Epoch
-	}
-	state[rec.Client] = cur
 }
 
 // FileStore is the file-backed Store: a wal.Log whose records are WALRecord
@@ -78,8 +63,15 @@ func (s *FileStore) Append(rec wire.WALRecord) error {
 
 // WriteSnapshot implements Store.
 func (s *FileStore) WriteSnapshot(state map[types.ProcID]membership.ClientRecord) error {
+	clients := make([]types.ProcID, 0, len(state))
+	for p := range state {
+		clients = append(clients, p)
+	}
+	// Sorted, so the same state always writes the same snapshot bytes.
+	slices.Sort(clients)
 	bodies := make([][]byte, 0, len(state))
-	for p, rec := range state {
+	for _, p := range clients {
+		rec := state[p]
 		body, err := wire.AppendWALBody(nil, wire.WALRecord{Client: p, CID: rec.CID, Vid: rec.Vid, Epoch: rec.Epoch})
 		if err != nil {
 			return err
@@ -98,7 +90,7 @@ func (s *FileStore) Load() (map[types.ProcID]membership.ClientRecord, error) {
 	state := make(map[types.ProcID]membership.ClientRecord)
 	for _, body := range append(snapshot, log...) {
 		if rec, err := wire.DecodeWALBody(body); err == nil {
-			mergeRecord(state, rec)
+			state[rec.Client] = state[rec.Client].Merge(membership.ClientRecord{CID: rec.CID, Vid: rec.Vid, Epoch: rec.Epoch})
 		}
 	}
 	return state, nil

@@ -1,7 +1,9 @@
 package live
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -71,6 +73,45 @@ func TestFileStoreLoadMergesAppendsAndSnapshot(t *testing.T) {
 	}
 	wantRecord(t, state, "a", 9, 4, 1)
 	wantRecord(t, state, "b", 7, 2, 2)
+}
+
+// TestFileStoreSnapshotIsDeterministic writes the same 32-client state into
+// two stores: the snapshot files must be byte-identical, and both must load
+// the state back.
+func TestFileStoreSnapshotIsDeterministic(t *testing.T) {
+	state := make(map[types.ProcID]membership.ClientRecord)
+	for i := 0; i < 32; i++ {
+		state[types.ProcID(fmt.Sprintf("c%02d", i))] = membership.ClientRecord{
+			CID: types.StartChangeID(100 + i), Vid: types.ViewID(200 + i), Epoch: int64(i % 3)}
+	}
+	var snaps [2][]byte
+	for i := range snaps {
+		dir := t.TempDir()
+		s, err := NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.WriteSnapshot(state); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(state) {
+			t.Fatalf("store %d loaded %d records, want %d", i, len(got), len(state))
+		}
+		for p, rec := range state {
+			wantRecord(t, got, p, rec.CID, rec.Vid, rec.Epoch)
+		}
+		if snaps[i], err = os.ReadFile(filepath.Join(dir, wal.SnapshotName)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatal("the same state wrote two different snapshot files")
+	}
 }
 
 func TestFileStoreSurvivesReopen(t *testing.T) {

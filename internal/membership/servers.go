@@ -127,8 +127,9 @@ type ClientRecord struct {
 	Epoch int64
 }
 
-// merge folds other into r field-wise, keeping the maxima.
-func (r ClientRecord) merge(other ClientRecord) ClientRecord {
+// Merge folds other into r field-wise, keeping the maxima, so the order in
+// which records are folded and any duplicates among them are immaterial.
+func (r ClientRecord) Merge(other ClientRecord) ClientRecord {
 	if other.CID > r.CID {
 		r.CID = other.CID
 	}
@@ -202,7 +203,7 @@ func (s *Server) RestoreRecords(recs map[types.ProcID]ClientRecord) {
 	for p, rec := range recs {
 		clean, st := SanitizeRecord(rec)
 		s.sanitize.add(st)
-		s.records[p] = s.records[p].merge(clean)
+		s.records[p] = s.records[p].Merge(clean)
 	}
 }
 
@@ -302,7 +303,7 @@ func (s *Server) gossipCID(p types.ProcID) types.StartChangeID {
 // identifier state is retained so a later re-registration resumes above it.
 func (s *Server) RemoveClient(p types.ProcID) {
 	if c, ok := s.clients[p]; ok {
-		s.records[p] = s.records[p].merge(ClientRecord{CID: c.cid, Vid: c.vid, Epoch: c.epoch})
+		s.records[p] = s.records[p].Merge(ClientRecord{CID: c.cid, Vid: c.vid, Epoch: c.epoch})
 		delete(s.clients, p)
 	}
 }
@@ -347,7 +348,7 @@ func (s *Server) ClientRecords() map[types.ProcID]ClientRecord {
 		out[p] = rec
 	}
 	for p, c := range s.clients {
-		out[p] = out[p].merge(ClientRecord{CID: c.cid, Vid: c.vid, Epoch: c.epoch})
+		out[p] = out[p].Merge(ClientRecord{CID: c.cid, Vid: c.vid, Epoch: c.epoch})
 	}
 	return out
 }
@@ -447,7 +448,7 @@ func (s *Server) evictClaimed(prop *types.MembProposal) {
 		if c, ok := s.clients[p]; ok && epoch > c.epoch {
 			s.evictions++
 			s.RemoveClient(p)
-			s.records[p] = s.records[p].merge(ClientRecord{Epoch: epoch})
+			s.records[p] = s.records[p].Merge(ClientRecord{Epoch: epoch})
 		}
 	}
 }

@@ -102,6 +102,11 @@ type Cluster struct {
 
 	cfg    Config
 	oracle *membership.Oracle
+	// final is the view a scenario left every member of in the end, with the
+	// execution quiescent and no membership event pending; nil unless the
+	// scenario sets it. The explorer then also holds the schedule to
+	// Property 4.2 for it (spec.CheckLiveness).
+	final *types.View
 }
 
 // ProcIDs returns n process identifiers p00, p01, ...

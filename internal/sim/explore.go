@@ -64,8 +64,9 @@ type ExploreResult struct {
 // from a fresh cluster built from cfg on every branch, until the tree is
 // exhausted or maxSchedules have run. cfg.Suite is replaced by a fresh
 // spec.FullSuite per schedule. It returns an error, prefixed with the
-// schedule's choices, for the first schedule that violates a specification
-// or fails the scenario's own assertions.
+// schedule's choices, for the first schedule that violates a specification,
+// fails the scenario's own assertions, or — when the scenario reported the
+// view it settled in — leaves that view short of Property 4.2.
 func Exhaustive(cfg Config, scenario Scenario, maxSchedules int) (ExploreResult, error) {
 	return exhaustive(clusterSchedule(cfg, scenario), maxSchedules)
 }
@@ -89,7 +90,10 @@ func clusterSchedule(cfg Config, scenario Scenario) func(choose func(int) int) e
 		if err := scenario(c); err != nil {
 			return err
 		}
-		return suite.Err()
+		if err := suite.Err(); err != nil || c.final == nil {
+			return err
+		}
+		return spec.CheckLiveness(suite.Trace(), *c.final)
 	}
 }
 

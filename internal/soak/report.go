@@ -15,7 +15,7 @@ import (
 // attempts, and the replay seed — everything needed to reproduce and
 // debug the failure.
 type Report struct {
-	// Mode names the runner: "sim", "world", "live", or "shard".
+	// Mode names the runner: "world", "live", or "shard".
 	Mode string
 	// Seed is the PRNG seed the whole run derives from.
 	Seed int64

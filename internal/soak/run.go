@@ -20,8 +20,8 @@ type world struct {
 	// at the given run clock. Its keys are the kinds a scenario may name.
 	phases map[PhaseKind]func(at time.Duration) error
 	// now is the run clock: the Duration budget is measured on it and every
-	// step is stamped with it — virtual time for sim, world and shard, wall
-	// time since boot for live.
+	// step is stamped with it — virtual time for world and shard, wall time
+	// since boot for live.
 	now func() time.Duration
 	// stabilize is the final heal, round and convergence checks, run when
 	// no phase ended in a violation.
@@ -60,7 +60,6 @@ var modeDefaults = map[string]struct {
 	duration time.Duration
 	scenario func() *Scenario
 }{
-	"sim":   {2 * time.Second, SimScenario},
 	"world": {2500 * time.Millisecond, WorldScenario},
 	"live":  {20 * time.Second, LiveScenario},
 	"shard": {800 * time.Millisecond, ShardScenario},

@@ -28,17 +28,14 @@ type PhaseKind string
 const (
 	// PhaseTraffic runs plain application multicast rounds.
 	PhaseTraffic PhaseKind = "traffic"
-	// PhaseViewRace commits a membership change while traffic and earlier
-	// changes are still in flight (sim only).
-	PhaseViewRace PhaseKind = "view-race"
 	// PhasePartitionHeal splits the deployment in two, lets each side
 	// stabilize, then heals and re-merges.
 	PhasePartitionHeal PhaseKind = "partition-heal"
 	// PhaseOscillate flips a partition open and closed several times
 	// faster than the system stabilizes, then heals.
 	PhaseOscillate PhaseKind = "oscillate"
-	// PhaseCrashRestart crashes a process (sim) or kills and restarts a
-	// server from its durable state (live).
+	// PhaseCrashRestart crashes and recovers a replica (shard) or kills and
+	// restarts a server from its durable state (live).
 	PhaseCrashRestart PhaseKind = "crash-restart"
 	// PhaseFlashCrowd joins a large batch of new clients in one instant.
 	PhaseFlashCrowd PhaseKind = "flash-crowd"
@@ -135,22 +132,6 @@ func (sc *Scenario) validate(phases map[PhaseKind]func(at time.Duration) error) 
 		}
 	}
 	return nil
-}
-
-// SimScenario is the default mix for the GCS-cluster simulation soak:
-// racing view changes, partitions, oscillation, and crash/recovery over
-// continuous traffic.
-func SimScenario() *Scenario {
-	return &Scenario{
-		Name: "sim-default",
-		Weights: []Weight{
-			{PhaseTraffic, 4},
-			{PhaseViewRace, 3},
-			{PhasePartitionHeal, 2},
-			{PhaseOscillate, 1},
-			{PhaseCrashRestart, 2},
-		},
-	}
 }
 
 // WorldScenario is the default mix for the large-population client-server
@@ -275,11 +256,11 @@ func ReshardUnderChurnScenario() *Scenario {
 	}
 }
 
-// ScenarioByName resolves a named scenario ("sim-default", "world-default",
-// "live-default", "live-arbitrary", "live-detector", "world-arbitrary",
-// "shard-default", "reshard-under-churn"), for the -scenario CLI flag.
+// ScenarioByName resolves a named scenario ("world-default", "live-default",
+// "live-arbitrary", "live-detector", "world-arbitrary", "shard-default",
+// "reshard-under-churn"), for the -scenario CLI flag.
 func ScenarioByName(name string) (*Scenario, error) {
-	for _, sc := range []*Scenario{SimScenario(), WorldScenario(), LiveScenario(), LiveArbitraryScenario(), LiveDetectorScenario(), WorldArbitraryScenario(), ShardScenario(), ReshardUnderChurnScenario()} {
+	for _, sc := range []*Scenario{WorldScenario(), LiveScenario(), LiveArbitraryScenario(), LiveDetectorScenario(), WorldArbitraryScenario(), ShardScenario(), ReshardUnderChurnScenario()} {
 		if sc.Name == name {
 			return sc, nil
 		}

@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"vsgm/internal/obs"
 	"vsgm/internal/randseed"
+	"vsgm/internal/spec"
+	"vsgm/internal/types"
 )
 
 // logReplay prints the seed line every randomized soak test emits, so a
@@ -20,7 +23,7 @@ func logReplay(t *testing.T, seed int64) {
 }
 
 func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
-	sc := SimScenario()
+	sc := WorldScenario()
 	counts := make(map[PhaseKind]int)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
@@ -31,9 +34,9 @@ func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
 			t.Errorf("phase %s (weight %d) never drawn in 2000 picks", w.Kind, w.Weight)
 		}
 	}
-	if counts[PhaseTraffic] <= counts[PhaseOscillate] {
-		t.Errorf("weight 4 phase drawn %d times, weight 1 phase %d times — weighting inverted",
-			counts[PhaseTraffic], counts[PhaseOscillate])
+	if counts[PhaseFlashCrowd] <= counts[PhaseOscillate] {
+		t.Errorf("weight 3 phase drawn %d times, weight 1 phase %d times — weighting inverted",
+			counts[PhaseFlashCrowd], counts[PhaseOscillate])
 	}
 	// Same seed, same stream.
 	a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
@@ -45,8 +48,8 @@ func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
 }
 
 func TestScenarioValidateRejectsUnsupportedPhase(t *testing.T) {
-	if _, err := RunSim(SimConfig{Duration: time.Millisecond, Seed: 1, Scenario: WorldScenario()}); err == nil {
-		t.Fatal("sim runner accepted a scenario with flash-crowd phases it cannot execute")
+	if _, err := RunWorld(WorldConfig{Duration: time.Millisecond, Seed: 1, Clients: 30, SampleEvery: 1, Scenario: ShardScenario()}); err == nil {
+		t.Fatal("world runner accepted a scenario with reshard phases it cannot execute")
 	}
 	if _, err := ScenarioByName("no-such-mix"); err == nil {
 		t.Fatal("unknown scenario name resolved")
@@ -64,7 +67,6 @@ func TestSimSoakScheduleReplays(t *testing.T) {
 		mode string
 		run  func() (*Report, error)
 	}{
-		{"sim", func() (*Report, error) { return RunSim(SimConfig{Duration: 300 * time.Millisecond, Seed: 42}) }},
 		{"world", func() (*Report, error) {
 			return RunWorld(WorldConfig{Duration: 500 * time.Millisecond, Seed: 42, Clients: 300, SampleEvery: 5})
 		}},
@@ -86,53 +88,37 @@ func TestSimSoakScheduleReplays(t *testing.T) {
 	}
 }
 
-func TestSimSoak(t *testing.T) {
-	seed, _ := randseed.Pick(23)
-	logReplay(t, seed)
-	dur := 2 * time.Second // virtual time
-	if testing.Short() {
-		dur = 400 * time.Millisecond
-	}
-	rep, err := RunSim(SimConfig{Duration: dur, Seed: seed, Log: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("sim soak violated the spec:\n%s", rep.Render())
-	}
-	if len(rep.Schedule.Steps) < 5 {
-		t.Fatalf("soak ran only %d phases over %v of virtual time", len(rep.Schedule.Steps), dur)
-	}
-}
-
-// TestSimSoakWithStabilityAcks is the sim soak with within-view garbage
-// collection on, as every live end-point runs: partitions, crashes and view
-// races while members acknowledge every other delivery and drop the slots
-// the view has acknowledged. A collector that frees a slot some member still
-// needs forwarded, or counts an acknowledgment against the wrong view, ends
-// as a spec violation or a wedged view change here.
-func TestSimSoakWithStabilityAcks(t *testing.T) {
-	seed, _ := randseed.Pick(29)
-	logReplay(t, seed)
-	dur := time.Second // virtual time
-	if testing.Short() {
-		dur = 300 * time.Millisecond
-	}
-	rep, err := RunSim(SimConfig{Duration: dur, Seed: seed, AckInterval: 2, Log: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("sim soak with stability acks violated the spec:\n%s", rep.Render())
-	}
-}
-
-// TestSimSoakForcedViolationReport forces a fabricated Local Monotonicity
-// violation and checks the report dumps everything a post-mortem needs:
-// the violation, the replay seed, the chaos schedule, and the
-// reconfiguration trace timeline.
-func TestSimSoakForcedViolationReport(t *testing.T) {
-	rep, err := RunSim(SimConfig{Duration: 200 * time.Millisecond, Seed: 5, ForceViolation: true})
+// TestDriveForcedViolationReportsTimeline runs the shared loop over a stub
+// world whose tracer holds one reconfiguration, forces a fabricated Local
+// Monotonicity violation, and checks the report dumps everything a
+// post-mortem needs: the violation, the replay seed, the chaos schedule, and
+// the reconfiguration trace timeline.
+func TestDriveForcedViolationReportsTimeline(t *testing.T) {
+	var now time.Duration
+	tracer := obs.NewTracer(obs.NewRegistry(), obs.WithNow(func() time.Time { return time.Unix(0, 0).Add(now) }))
+	et := tracer.ForEndpoint("p00")
+	et.StartChange(types.StartChange{ID: 1})
+	et.ViewInstalled(types.NewView(2, types.NewProcSet("p00"), map[types.ProcID]types.StartChangeID{"p00": 1}))
+	suite := spec.FullSuite()
+	s := settings{mode: "stub", duration: 30 * time.Millisecond, seed: 5, force: true,
+		scenario: &Scenario{Name: "stub", Weights: []Weight{{PhaseTraffic, 1}}}}
+	rep, err := drive(s, func(ch chaos) (*world, error) {
+		return &world{
+			phases: map[PhaseKind]func(time.Duration) error{
+				PhaseTraffic: func(at time.Duration) error {
+					ch.sched.Note(at, PhaseTraffic, "nothing sent")
+					now += 10 * time.Millisecond
+					return nil
+				},
+			},
+			now:       func() time.Duration { return now },
+			stabilize: func() error { return nil },
+			verdict:   func(*Report) error { return suite.Err() },
+			victim:    func() types.ProcID { return "p00" },
+			record:    suite.OnEvent,
+			tracer:    tracer,
+		}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +128,7 @@ func TestSimSoakForcedViolationReport(t *testing.T) {
 	out := rep.Render()
 	for _, want := range []string{
 		"FAIL",
+		"Local Monotonicity",
 		"replay: " + randseed.EnvVar + "=5",
 		"chaos schedule:",
 		"forced-violation",
