@@ -9,12 +9,14 @@
 //	vsgm-fsck -dir state/srv0 -mode repair  # quarantine damage, rewrite files
 //	vsgm-fsck -dir state/srv0 -mode dump    # print every decodable record
 //
-// Dry-run never touches the directory. Repair quarantines every damaged
-// byte range to wal.quarantine, rewrites both files from their intact
-// records, and sweeps stale temp files. Run repair only while nothing has
-// the directory open. Exit status: 0 clean (or repaired), 1 damage found in
-// dry-run, 2 usage or I/O error — which includes a -dir that does not exist
-// or is not a directory.
+// Dry-run never touches the directory, and is safe on a live one: the zeros
+// after an open log's records are its mapped append window, reported as
+// unwritten, not damaged. Repair quarantines every damaged byte range to
+// wal.quarantine, rewrites both files from their intact records, trims the
+// unwritten tail, and sweeps stale temp files. Run repair only while nothing
+// has the directory open: it truncates under an open log's window. Exit
+// status: 0 clean (or repaired), 1 damage found in dry-run, 2 usage or I/O
+// error — which includes a -dir that does not exist or is not a directory.
 package main
 
 import (
@@ -118,6 +120,9 @@ func dump(dir string, out io.Writer) error {
 		}
 		for ; di < len(scan.Damaged); di++ {
 			fmt.Fprintf(out, "  %8d  DAMAGED %d bytes\n", scan.Damaged[di].Off, scan.Damaged[di].Len)
+		}
+		if scan.Unwritten > 0 {
+			fmt.Fprintf(out, "  %8d  UNWRITTEN %d zero bytes\n", len(b)-scan.Unwritten, scan.Unwritten)
 		}
 	}
 	if !found {

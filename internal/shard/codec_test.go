@@ -40,8 +40,8 @@ func opSize(op KVOp) int {
 func roundTrip(t *testing.T, op KVOp) {
 	t.Helper()
 	enc := encodeOp(t, op)
-	got, err := decodeOp(enc)
-	if err != nil {
+	var got KVOp
+	if err := decodeOp(enc, &got); err != nil {
 		t.Fatalf("%s: decoding what the encoder wrote: %v", op.Op, err)
 	}
 	if op.Op == "install" && len(op.Data) == 0 {
@@ -99,7 +99,7 @@ func TestDecodersDoNotTrustCounts(t *testing.T) {
 		for attempt := 0; attempt < 5; attempt++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, cmdErr := decodeOp(b)
+			cmdErr := decodeOp(b, new(KVOp))
 			snapErr := NewMachine(nil).restore(b)
 			runtime.ReadMemStats(&after)
 			if cmdErr == nil || snapErr == nil {
@@ -134,8 +134,8 @@ func FuzzKVCommand(f *testing.F) {
 		m := NewMachine(nil)
 		m.Apply("p", EncodeSet("k", "v"))
 		before := m.Fingerprint()
-		op, err := decodeOp(b)
-		if err != nil {
+		var op KVOp
+		if err := decodeOp(b, &op); err != nil {
 			if m.Apply("p", b); m.Fingerprint() != before {
 				t.Fatalf("a command that does not decode changed the state to %q", m.Fingerprint())
 			}

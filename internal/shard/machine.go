@@ -175,13 +175,16 @@ func EncodePrune(slotLo, slotHi, nslots int) []byte {
 	return b
 }
 
-// decodeOp reads one command. Anything but exactly one well-formed command
-// is an error, and the caller changes nothing.
-func decodeOp(cmd []byte) (KVOp, error) {
+// decodeOp reads one command into *op, which it overwrites. Anything but
+// exactly one well-formed command is an error, and the caller changes
+// nothing. It fills the caller's KVOp rather than returning one because the
+// apply path decodes every command a replica logs, and a KVOp is large
+// enough that returning it by value is a copy worth not making.
+func decodeOp(cmd []byte, op *KVOp) error {
 	if len(cmd) == 0 || int(cmd[0]) >= len(opNames) || opNames[cmd[0]] == "" {
-		return KVOp{}, errMalformed
+		return errMalformed
 	}
-	op := KVOp{Op: opNames[cmd[0]]}
+	*op = KVOp{Op: opNames[cmd[0]]}
 	r := reader{b: cmd[1:]}
 	switch cmd[0] {
 	case opSet:
@@ -197,9 +200,9 @@ func decodeOp(cmd []byte) (KVOp, error) {
 		op.SlotLo, op.SlotHi, op.NSlots = r.count(), r.count(), r.count()
 	}
 	if !r.done() {
-		return KVOp{}, errMalformed
+		return errMalformed
 	}
-	return op, nil
+	return nil
 }
 
 // compactMinLog is the least log a replica writes between two snapshots. A
@@ -312,8 +315,8 @@ func (m *Machine) Fingerprint() string {
 
 // apply executes one command against the in-memory state (no durability).
 func (m *Machine) apply(cmd []byte) {
-	op, err := decodeOp(cmd)
-	if err != nil {
+	var op KVOp
+	if decodeOp(cmd, &op) != nil {
 		return // ignoring garbage is deterministic; diverging on it is not
 	}
 	switch op.Op {

@@ -93,8 +93,8 @@ func TestMachineRestartAfterSnapshotCompaction(t *testing.T) {
 		if wrote > 2*compactMinLog {
 			t.Fatalf("no compaction after %d bytes of log", wrote)
 		}
-		if wrote > 0 && wrote <= compactMinLog && fileSize(t, filepath.Join(dir, wal.LogName)) != wrote {
-			t.Fatalf("the machine counts %d bytes of log, the file has %d", wrote, fileSize(t, filepath.Join(dir, wal.LogName)))
+		if wrote > 0 && wrote <= compactMinLog && fs.Size() != wrote {
+			t.Fatalf("the machine counts %d bytes of log, the log's records take %d", wrote, fs.Size())
 		}
 		cmd := EncodeSet(key(i%50), value+key(i))
 		m.Apply("p", cmd)
@@ -439,9 +439,11 @@ func labelValue(labels []obs.Label, key string) string {
 
 // TestCrashPointsNeverLoseAnAckedWrite enumerates every crash a replica's
 // recorded write sequence can end in — every byte-length prefix of its final
-// log, which is every torn final record — through open → repair → LoadMachine,
-// with each write acknowledged when its append returned. No acknowledged
-// write whose record lies wholly inside the surviving prefix may be missing.
+// log, which is every torn final record, bare and followed by a mapped
+// window's zeros — through open → repair → LoadMachine, with each write
+// acknowledged when its append returned. No acknowledged write whose record
+// lies wholly inside the surviving prefix may be missing, no damage may reach
+// past the torn record, and a second open must find the directory clean.
 func TestCrashPointsNeverLoseAnAckedWrite(t *testing.T) {
 	src := t.TempDir()
 	st, err := NewFileStore(src)
@@ -492,32 +494,56 @@ func TestCrashPointsNeverLoseAnAckedWrite(t *testing.T) {
 		t.Fatalf("the log holds %d bytes, the writes account for %d", len(final), logEnd)
 	}
 
-	for cut := 0; cut <= len(final); cut++ {
-		dir := filepath.Join(t.TempDir(), "crashed")
-		if err := wal.CloneDir(src, dir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, wal.LogName), final[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, err := NewFileStore(dir)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		got, err := LoadMachine(st)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		var acked []spec.KVAck
-		for _, w := range writes {
-			if w.end <= int64(cut) {
-				acked = append(acked, w.ack)
+	// A crash leaves the prefix bare (a log appended to by write(2)) or
+	// followed by zeros to the end of the mapped window (a process killed
+	// with the window mapped), whose span the log's final bytes fit in.
+	forms := map[string]func(prefix []byte) []byte{
+		"bare": func(prefix []byte) []byte { return prefix },
+		"window": func(prefix []byte) []byte {
+			b := make([]byte, 64<<10)
+			copy(b, prefix)
+			return b
+		},
+	}
+	for name, form := range forms {
+		for cut := 0; cut <= len(final); cut++ {
+			dir := filepath.Join(t.TempDir(), "crashed")
+			if err := wal.CloneDir(src, dir); err != nil {
+				t.Fatal(err)
 			}
+			if err := os.WriteFile(filepath.Join(dir, wal.LogName), form(final[:cut]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatalf("%s cut %d: %v", name, cut, err)
+			}
+			if rep := st.RepairReport(); rep.DamagedRanges() > 1 {
+				t.Fatalf("%s cut %d: damage beyond the torn record:\n%s", name, cut, rep)
+			}
+			got, err := LoadMachine(st)
+			if err != nil {
+				t.Fatalf("%s cut %d: %v", name, cut, err)
+			}
+			var acked []spec.KVAck
+			for _, w := range writes {
+				if w.end <= int64(cut) {
+					acked = append(acked, w.ack)
+				}
+			}
+			if err := spec.CheckNoLostAckedWrites(acked, got.Get); err != nil {
+				t.Fatalf("%s cut %d of %d: %v", name, cut, len(final), err)
+			}
+			st.Close()
+			st, err = NewFileStore(dir)
+			if err != nil {
+				t.Fatalf("%s cut %d, second open: %v", name, cut, err)
+			}
+			if rep := st.RepairReport(); rep.Damaged() {
+				t.Fatalf("%s cut %d: second open is not clean:\n%s", name, cut, rep)
+			}
+			st.Close()
 		}
-		if err := spec.CheckNoLostAckedWrites(acked, got.Get); err != nil {
-			t.Fatalf("cut %d of %d: %v", cut, len(final), err)
-		}
-		st.Close()
 	}
 }
 

@@ -264,13 +264,15 @@ func (c *Cluster) BlockOK(p types.ProcID) error {
 }
 
 // Crash crashes end-point p (Section 8): its automaton freezes, the
-// substrate stops delivering to it, and the membership marks it crashed.
+// substrate stops delivering to it, the membership notifications in flight
+// to it are dropped, and the membership marks it crashed.
 func (c *Cluster) Crash(p types.ProcID) error {
 	m, err := c.memberOf(p)
 	if err != nil {
 		return err
 	}
 	c.specEvent(spec.ECrash{P: p})
+	c.crashes[p]++
 	m.node.Crash()
 	c.net.Unregister(p)
 	return c.oracle.Crash(p)

@@ -46,6 +46,7 @@ type harness struct {
 	autoBlockOK   bool                                // the clients acknowledge block on their own
 	notifyLatency LatencyModel
 	members       map[types.ProcID]*member
+	crashes       map[types.ProcID]int // crashes per member, to drop what was in flight to it
 	metrics       Metrics
 }
 
@@ -63,6 +64,7 @@ func newHarness(e *engine, suite *spec.Suite, notifyLatency LatencyModel, autoBl
 		autoBlockOK:   autoBlockOK,
 		notifyLatency: notifyLatency,
 		members:       make(map[types.ProcID]*member),
+		crashes:       make(map[types.ProcID]int),
 		metrics: Metrics{
 			installTimes: make(map[string]map[types.ProcID]time.Duration),
 			blockStart:   make(map[types.ProcID]time.Duration),
@@ -118,8 +120,15 @@ func (h *harness) specEvent(ev spec.Event) {
 // latency, in order with p's earlier notifications. The MBRSHP outputs are
 // linked to CO_RFIFO.live_p as in Figure 8. The suite sees the notification
 // even when p has no end-point (a client without one, or one detached since).
+// A notification still in flight when p crashes dies with it: neither the
+// suite nor p's recovered end-point sees it, since the recovered p starts
+// from its initial state and has been told of no change.
 func (h *harness) relay(p types.ProcID, n membership.Notification) {
+	crashes := h.crashes[p]
 	h.schedule(channel{chanNotify, pair{p, p}}, 0, h.notifyLatency, func() {
+		if h.crashes[p] != crashes {
+			return
+		}
 		isView := n.Kind == membership.NotifyView
 		h.specEvent(spec.MbrshpAction(p, isView, n.StartChange, n.View))
 		m := h.members[p]

@@ -37,6 +37,14 @@ func TestRandomScenarios(t *testing.T) {
 	}
 }
 
+// TestRandomScenarioCrashDropsInFlightNotification replays the seed whose
+// schedule crashes p01 while its view-1 notification is in flight and then
+// recovers it. The notification must die with the crash: delivered to the
+// recovered end-point, it is a view without a preceding start_change.
+func TestRandomScenarioCrashDropsInFlightNotification(t *testing.T) {
+	runRandomScenario(t, 17825792, core.LevelGCS)
+}
+
 // TestRandomScenariosVSLevel repeats a smaller sweep at the VS_RFIFO+TS
 // level (no Self Delivery, no client blocking).
 func TestRandomScenariosVSLevel(t *testing.T) {

@@ -16,8 +16,9 @@ type Mode int
 const (
 	// DryRun scans and reports; the directory is not touched.
 	DryRun Mode = iota
-	// Repair scans, quarantines damaged byte ranges to wal.quarantine, and
-	// rewrites each damaged file from its intact records.
+	// Repair scans, quarantines damaged byte ranges to wal.quarantine,
+	// rewrites each damaged file from its intact records, and trims the
+	// unwritten tail off a file that has no damage.
 	Repair
 )
 
@@ -33,6 +34,10 @@ type FileReport struct {
 	DamagedRanges int `json:"damaged_ranges"`
 	// DamagedBytes totals the bytes those spans cover.
 	DamagedBytes int `json:"damaged_bytes"`
+	// Unwritten counts the zero bytes that end the file after its records:
+	// the rest of the append window of a log that is open, or whose process
+	// died (see Scan.Unwritten). Not damage; repair trims them.
+	Unwritten int `json:"unwritten_bytes"`
 	// Rewritten reports whether repair replaced the file.
 	Rewritten bool `json:"rewritten"`
 }
@@ -110,6 +115,9 @@ func (r *Report) String() string {
 	for _, f := range r.Files {
 		fmt.Fprintf(&b, "\n  %-12s %7d bytes, %d records, %d damaged ranges (%d bytes)",
 			f.Name, f.Bytes, f.Records, f.DamagedRanges, f.DamagedBytes)
+		if f.Unwritten > 0 {
+			fmt.Fprintf(&b, ", %d unwritten", f.Unwritten)
+		}
 		if f.Rewritten {
 			fmt.Fprintf(&b, " [rewritten]")
 		}
@@ -124,10 +132,13 @@ func (r *Report) String() string {
 // directory. It is the self-stabilizing half of restart recovery: instead of
 // trusting whatever bytes the directory holds, it skip-and-resync scans both
 // files, preserves every damaged byte range in wal.quarantine, rewrites a
-// damaged file from its intact records, sweeps stale temp files, and reports
-// exactly what it found. A file no record of which decodes — one written in
-// an earlier build's format, say — is quarantined whole and left empty. Run
-// it only while no Log is open on the directory; Open runs it itself.
+// damaged file from its intact records, trims the unwritten tail off an
+// undamaged one, sweeps stale temp files, and reports exactly what it found.
+// A file no record of which decodes — one written in an earlier build's
+// format, say — is quarantined whole and left empty. Run a repair only while
+// no Log is open on the directory: it truncates under the open log's mapped
+// window, whose next append then faults. Open runs it itself. A dry run is
+// safe on a live directory and reports the open log's window as unwritten.
 func Fsck(dir string, mode Mode) (*Report, error) {
 	report := &Report{Dir: dir, Mode: mode}
 	if mode == Repair {
@@ -152,6 +163,7 @@ func Fsck(dir string, mode Mode) (*Report, error) {
 			Bytes:         len(b),
 			Records:       len(scan.Records),
 			DamagedRanges: len(scan.Damaged),
+			Unwritten:     scan.Unwritten,
 		}
 		for _, d := range scan.Damaged {
 			fr.DamagedBytes += d.Len
@@ -168,6 +180,10 @@ func Fsck(dir string, mode Mode) (*Report, error) {
 				return nil, fmt.Errorf("wal: rewrite %s: %w", name, err)
 			}
 			fr.Rewritten = true
+		} else if mode == Repair && scan.Unwritten > 0 {
+			if err := os.Truncate(path, int64(len(b)-scan.Unwritten)); err != nil {
+				return nil, fmt.Errorf("wal: trim %s: %w", name, err)
+			}
 		}
 		report.Files = append(report.Files, fr)
 	}

@@ -9,6 +9,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 )
@@ -16,7 +17,10 @@ import (
 // A record on disk is 0xA9 | u32 bodyLen | u32 crc32c(body) | body,
 // big-endian; the length is a u32 because a shard replica's snapshot is one
 // record. Which kind of body a record holds is the body decoder's business:
-// both codecs refuse a body that is not exactly one of theirs.
+// both codecs refuse a body that is not exactly one of theirs. A body is never
+// empty: the CRC32C of no bytes is zero, so an empty record's frame would be
+// the magic byte and eight zeros, which is also what a record torn after its
+// first header byte reads as in front of an open log's zero tail.
 const (
 	magic byte = 0xA9
 	// HeaderSize is what a record takes on disk beyond its body.
@@ -29,7 +33,8 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendRecord frames body onto dst and returns the extended slice. The body
-// must fit the u32 length field; Log checks that for its callers.
+// must be non-empty and fit the u32 length field; Log checks both for its
+// callers.
 func AppendRecord(dst, body []byte) []byte {
 	var hdr [HeaderSize]byte
 	hdr[0] = magic
@@ -40,13 +45,13 @@ func AppendRecord(dst, body []byte) []byte {
 
 // decodeRecord reads the record at the front of b, returning its body
 // (aliasing b) and the bytes the whole record takes. Anything short of a
-// complete record whose checksum holds is not a record.
+// complete, non-empty record whose checksum holds is not a record.
 func decodeRecord(b []byte) (body []byte, size int, ok bool) {
 	if len(b) < HeaderSize || b[0] != magic {
 		return nil, 0, false
 	}
 	n := binary.BigEndian.Uint32(b[1:5])
-	if uint64(n) > uint64(len(b)-HeaderSize) {
+	if n == 0 || uint64(n) > uint64(len(b)-HeaderSize) {
 		return nil, 0, false
 	}
 	size = HeaderSize + int(n)
@@ -68,8 +73,9 @@ type DamagedRange struct {
 func (d DamagedRange) End() int { return d.Off + d.Len }
 
 // Scan is what ScanRecords found: every record that decoded, where each
-// sat, and every byte range that decoded as nothing. Records and damaged
-// ranges together cover the input exactly once.
+// sat, every byte range that decoded as nothing, and the zero bytes that end
+// the input. Records, damaged ranges and the unwritten tail together cover
+// the input exactly once.
 type Scan struct {
 	// Records holds the record bodies in stream order; they alias the input.
 	Records [][]byte
@@ -78,22 +84,35 @@ type Scan struct {
 	Offsets []int
 	// Damaged lists the skipped byte ranges in stream order.
 	Damaged []DamagedRange
+	// Unwritten is the length of the all-zero run that ends the input after
+	// its last record and its last non-zero damaged byte. An open log, or
+	// one whose process died, is its records followed by zeros to the end
+	// of the mapped window appends are copied into (see Log); no record
+	// starts with a zero byte, so the run holds none, and it is not damage.
+	Unwritten int
 }
 
 // ScanRecords reads a concatenation of records with skip-and-resync: where
-// no record decodes it advances byte by byte until one does, recording the
-// span it skipped as damage. A flipped bit therefore costs the record it
-// sits in and a torn tail costs the partial record, never the records after
-// them. Resynchronization trusts a record wherever its checksum holds — a
-// false positive inside damage needs the magic byte, a length that fits and
-// a 1-in-2^32 CRC collision.
+// no record decodes it advances to the next magic byte until a record does,
+// recording the span it skipped as damage. A flipped bit therefore costs the
+// record it sits in and a torn tail costs the partial record, never the
+// records after them. Resynchronization trusts a record wherever its checksum
+// holds — a false positive inside damage needs the magic byte, a length that
+// fits and a 1-in-2^32 CRC collision. Trailing zeros are the unwritten tail,
+// not damage, so a torn record's own bytes are damage only up to its last
+// non-zero byte.
 func ScanRecords(b []byte) Scan {
 	var s Scan
 	end := 0 // one past the last record; a record found beyond it ends a damaged span
 	for off := 0; off < len(b); {
 		body, size, ok := decodeRecord(b[off:])
 		if !ok {
-			off++
+			// No record starts before the next magic byte.
+			next := bytes.IndexByte(b[off+1:], magic)
+			if next < 0 {
+				break
+			}
+			off += 1 + next
 			continue
 		}
 		if off > end {
@@ -104,8 +123,10 @@ func ScanRecords(b []byte) Scan {
 		off += size
 		end = off
 	}
-	if end < len(b) {
-		s.Damaged = append(s.Damaged, DamagedRange{Off: end, Len: len(b) - end})
+	written := len(bytes.TrimRight(b[end:], "\x00"))
+	if written > 0 {
+		s.Damaged = append(s.Damaged, DamagedRange{Off: end, Len: written})
 	}
+	s.Unwritten = len(b) - end - written
 	return s
 }
