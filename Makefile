@@ -132,10 +132,9 @@ examples:
 		$(GO) run ./$$d >/dev/null || { echo "example $$d failed"; exit 1; }; \
 	done
 
-# Long-soak chaos harness (cmd/vsgm-soak): every mode — the 10k-client
-# sampled-checking world, the live TCP cluster, and the sharded KV with
-# resharding under churn — under randomized adversarial phases with the spec
-# suite attached. Each run logs its replay seed (override with SOAK_SEED or
+# Long-soak chaos harness (cmd/vsgm-soak): both modes — the sharded KV with
+# resharding under churn on virtual time, and the live TCP cluster — under
+# randomized adversarial phases with the spec suite attached. Each run logs its replay seed (override with SOAK_SEED or
 # VSGM_SEED); on a violation the report artifact path is printed. See
 # docs/TESTING.md ("Regime 7: long soak") and docs/OPERATIONS.md for the knobs.
 SOAK_DURATION ?= 60s
@@ -145,9 +144,9 @@ soak:
 	$(GO) run ./cmd/vsgm-soak -mode all -duration $(SOAK_DURATION) -seed $(SOAK_SEED)
 
 # A ~30s taste of the same harness for the pre-merge gate: a second or two
-# of virtual time in the world soak plus a short live soak.
+# of virtual time in the shard soak plus a short live soak.
 soak-smoke:
-	$(GO) run ./cmd/vsgm-soak -mode world -duration 1200ms -seed $(SOAK_SEED) -q
+	$(GO) run ./cmd/vsgm-soak -mode shard -duration 1200ms -seed $(SOAK_SEED) -q
 	$(GO) run ./cmd/vsgm-soak -mode live -duration 15s -seed $(SOAK_SEED) -q
 
 # The simulator's explorer tests replay thousands of single-threaded schedules

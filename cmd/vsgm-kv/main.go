@@ -55,7 +55,7 @@ type console struct {
 	desired map[int]types.ProcSet
 }
 
-func run(args []string, in io.Reader, out io.Writer) error {
+func run(args []string, in io.Reader, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("vsgm-kv", flag.ContinueOnError)
 	var (
 		shards   = fs.Int("shards", 2, "number of shards (each its own replica group)")
@@ -80,6 +80,11 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	c := &console{w: w, router: shard.NewRouter(w, 0), out: out, desired: make(map[int]types.ProcSet)}
 	for _, id := range w.ShardIDs() {
 		c.desired[id] = w.Group(id)

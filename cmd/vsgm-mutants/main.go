@@ -4,8 +4,9 @@
 // over the tree with go test -overlay, so the checkout is never written — and
 // gives every hunter the mutant names the same wall budget. A hunter is a test
 // pattern in one package. It runs first on its default seed, then on fresh
-// VSGM_SEED values, until a run fails or the budget is spent; a failure on a
-// fresh seed counts only if the clean tree passes that seed. Each mutant is
+// VSGM_SEED values, until a run fails or the budget is spent; a test that
+// fails before the budget cuts its run counts, and a failure on a fresh seed
+// counts only if the clean tree passes that seed. Each mutant is
 // reported caught, naming the failing test and the seed that replays it, or
 // survived; the run ends with the caught-by matrix.
 //
@@ -117,7 +118,7 @@ func run(out io.Writer) error {
 		if res := runOnce(root, bin, h, "", budget); res.failed {
 			return fmt.Errorf("hunter %s fails on the clean tree:\n%s", name, res.output)
 		}
-		fmt.Fprintf(out, "  %-8s passes in %.2f s\n", name, time.Since(start).Seconds())
+		fmt.Fprintf(out, "  %-11s passes in %.2f s\n", name, time.Since(start).Seconds())
 	}
 
 	var table strings.Builder
@@ -144,7 +145,7 @@ func run(out io.Writer) error {
 			got, cell := hunt(out, root, bin, clean[h.Pkg], h)
 			caught = caught || got
 			cells[name] = cell
-			fmt.Fprintf(out, "  %-8s %s\n", name, cell)
+			fmt.Fprintf(out, "  %-11s %s\n", name, cell)
 		}
 		if !caught {
 			survivors++
@@ -248,7 +249,7 @@ func hunt(out io.Writer, root, bin, cleanBin string, h hunter) (bool, string) {
 // result is one run of a hunter's binary.
 type result struct {
 	failed bool   // a test failed or panicked
-	killed bool   // the budget ran out before the run finished
+	killed bool   // the budget ran out before the run finished, and no test had failed
 	test   string // the first failing test the output names
 	output string
 }
@@ -268,15 +269,15 @@ func runOnce(root, bin string, h hunter, seed string, limit time.Duration) resul
 	}
 	out, err := cmd.CombinedOutput()
 	res := result{output: string(out)}
+	m := failLine.FindStringSubmatch(res.output)
 	switch {
+	case m != nil:
+		// A test that failed before the budget cut the run still failed.
+		res.failed, res.test = true, m[1]
 	case ctx.Err() != nil:
 		res.killed = true
 	case err != nil:
-		res.failed = true
-		res.test = "(no test named)"
-		if m := failLine.FindStringSubmatch(res.output); m != nil {
-			res.test = m[1]
-		}
+		res.failed, res.test = true, "(no test named)"
 	}
 	return res
 }

@@ -1,14 +1,14 @@
 // Command vsgm-soak runs the long-soak chaos harness (internal/soak): the
-// large-population sampled-checking world, the live TCP cluster, or the
-// sharded KV store — each under randomized, scheduled adversarial phases
-// with the executable specification suite attached throughout.
+// sharded KV store on the simulator or the live TCP cluster — each under
+// randomized, scheduled adversarial phases with the executable specification
+// suite attached throughout.
 //
 // Usage:
 //
-//	vsgm-soak -mode world -duration 5s -seed 7
-//	vsgm-soak -mode world -scenario world-arbitrary
-//	vsgm-soak -mode live -duration 60s
+//	vsgm-soak -duration 5s -seed 7          # the sharded KV store
 //	vsgm-soak -mode shard -scenario reshard-under-churn
+//	vsgm-soak -mode live -duration 60s
+//	vsgm-soak -mode live -scenario live-arbitrary
 //	vsgm-soak -mode all -duration 30s       # one soak of each kind
 //
 // Every run logs its replay seed; rerun with -seed (or VSGM_SEED) to replay
@@ -41,8 +41,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vsgm-soak", flag.ContinueOnError)
 	var (
-		mode     = fs.String("mode", "world", "soak to run: world, live, shard, or all")
-		duration = fs.Duration("duration", 0, "soak duration (0 = each mode's default; virtual time for world/shard, wall time for live)")
+		mode     = fs.String("mode", "shard", "soak to run: shard, live, or all")
+		duration = fs.Duration("duration", 0, "soak duration (0 = each mode's default; virtual time for shard, wall time for live)")
 		seed     = fs.Int64("seed", 0, "replay seed (0 = auto; VSGM_SEED overrides)")
 		scenario = fs.String("scenario", "", "named scenario mix (default: the mode's own)")
 		report   = fs.String("report", "", "write the report here (default: only on violation, to a temp path)")
@@ -82,20 +82,17 @@ func run(args []string, out io.Writer) error {
 		run  func() (*soak.Report, error)
 	}
 	runners := []runner{
-		{"world", func() (*soak.Report, error) {
-			return soak.RunWorld(soak.WorldConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
+		{"shard", func() (*soak.Report, error) {
+			return soak.RunShard(soak.ShardConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
 		}},
 		{"live", func() (*soak.Report, error) {
 			return soak.RunLive(soak.LiveConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
-		}},
-		{"shard", func() (*soak.Report, error) {
-			return soak.RunShard(soak.ShardConfig{Duration: *duration, Seed: runSeed, Scenario: scen, Log: progress})
 		}},
 	}
 	if *mode != "all" {
 		i := slices.IndexFunc(runners, func(r runner) bool { return r.mode == *mode })
 		if i < 0 {
-			return fmt.Errorf("unknown mode %q (want world, live, shard, or all)", *mode)
+			return fmt.Errorf("unknown mode %q (want shard, live, or all)", *mode)
 		}
 		runners = runners[i : i+1]
 	}

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-func TestRunWorldSoakSmoke(t *testing.T) {
+func TestRunShardSoakSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-mode", "world", "-duration", "200ms", "-seed", "7", "-q"}, &buf); err != nil {
-		t.Fatalf("world soak failed: %v\n%s", err, buf.String())
+	if err := run([]string{"-mode", "shard", "-duration", "200ms", "-seed", "7", "-q"}, &buf); err != nil {
+		t.Fatalf("shard soak failed: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
 	if !strings.Contains(out, "seed 7") {
@@ -26,7 +26,7 @@ func TestRunForcedViolationWritesReport(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "soak.report")
 	var buf bytes.Buffer
 	err := run([]string{
-		"-mode", "world", "-duration", "100ms", "-seed", "7",
+		"-mode", "shard", "-duration", "100ms", "-seed", "7",
 		"-force-violation", "-report", report, "-q",
 	}, &buf)
 	if err == nil {
@@ -47,7 +47,7 @@ func TestRunForcedViolationWritesReport(t *testing.T) {
 }
 
 func TestRunRejectsUnknownMode(t *testing.T) {
-	for _, mode := range []string{"bogus", "sim"} {
+	for _, mode := range []string{"bogus", "sim", "world"} {
 		var buf bytes.Buffer
 		if err := run([]string{"-mode", mode}, &buf); err == nil {
 			t.Fatalf("unknown mode %q accepted", mode)

@@ -88,6 +88,8 @@ type clientState struct {
 type Oracle struct {
 	out     Output
 	clients map[types.ProcID]*clientState
+	// nextVid exceeds every view identifier the oracle has issued, and so
+	// every member's current one: a fresh view never needs a higher floor.
 	nextVid types.ViewID
 }
 
@@ -183,14 +185,9 @@ func (o *Oracle) DeliverView(members types.ProcSet) (types.View, error) {
 				"deliver view: members %s not a subset of start_change set %s at %s",
 				members, st.startChange.Set, p)
 		}
-		if st.view.ID >= vid {
-			vid = st.view.ID + 1
-		}
 		startID[p] = st.startChange.ID
 	}
-	if vid >= o.nextVid {
-		o.nextVid = vid + 1
-	}
+	o.nextVid = vid + 1
 	v := types.NewView(vid, members, startID)
 	for _, p := range members.Sorted() {
 		st := o.clients[p]

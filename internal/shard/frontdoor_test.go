@@ -34,6 +34,7 @@ func newFrontDoor(tb testing.TB) *frontDoor {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	closeOnCleanup(tb, w)
 	m := w.CommittedMap()
 	f := &frontDoor{w: w, epoch: m.Epoch, value: "value-01"}
 	for i := 0; i < frontDoorKeys; i++ {

@@ -397,6 +397,7 @@ func TestDamagedSnapshotIsQuarantinedAndCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeOnCleanup(t, w)
 	rep := w.groups[0].stores[victim].(*FileStore).RepairReport()
 	if len(rep.Files) != 2 || rep.Files[0].Name != wal.SnapshotName || rep.Files[0].DamagedRanges != 1 ||
 		!rep.Files[0].Rewritten || rep.Files[1].DamagedRanges != 0 {

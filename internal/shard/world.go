@@ -90,7 +90,8 @@ type World struct {
 	mAborts  *obs.Counter
 	mEpoch   *obs.Gauge
 
-	errs []error
+	errs   []error
+	closed bool
 }
 
 // ShardProcs returns the process identifiers of shard id's cluster
@@ -423,6 +424,38 @@ func (w *World) Check() error {
 		}
 	}
 	return nil
+}
+
+// Record feeds ev to the meta-group's specification suite as if a meta
+// process had reported it: Check then reports what the suite makes of it.
+func (w *World) Record(ev spec.Event) { w.metaSuite.OnEvent(ev) }
+
+// Close closes every replica's durable store, shard by shard and replica by
+// replica in identifier order, and returns the first error. The meta-group
+// keeps no store. A second Close does nothing; the world is unusable after
+// the first.
+func (w *World) Close() error {
+	if w.closed {
+		return nil
+	}
+	w.closed = true
+	ids := make([]int, 0, len(w.groups))
+	for id := range w.groups {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var first error
+	for _, id := range ids {
+		g := w.groups[id]
+		for _, p := range g.procs {
+			if st := g.stores[p]; st != nil {
+				if err := st.Close(); err != nil && first == nil {
+					first = fmt.Errorf("shard %d %s store: %w", id, p, err)
+				}
+			}
+		}
+	}
+	return first
 }
 
 // ---- serving (Backend) ----

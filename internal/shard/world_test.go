@@ -19,12 +19,23 @@ func newTestWorld(t *testing.T, cfg WorldConfig) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeOnCleanup(t, w)
 	t.Cleanup(func() {
 		if err := w.Check(); err != nil {
 			t.Errorf("world check: %v", err)
 		}
 	})
 	return w
+}
+
+// closeOnCleanup closes w's stores when the test ends, after every cleanup
+// registered later.
+func closeOnCleanup(tb testing.TB, w *World) {
+	tb.Cleanup(func() {
+		if err := w.Close(); err != nil {
+			tb.Errorf("world close: %v", err)
+		}
+	})
 }
 
 // keyForShard finds a key the map routes to the wanted shard.

@@ -345,22 +345,26 @@ func TestExhaustiveFormationTreeSize(t *testing.T) {
 }
 
 // serverWorldSchedule runs one schedule of a server-world script: a fresh
-// two-server deployment with one end-point client per server and a fresh
-// full suite, its engine handed the chooser before the script starts.
-func serverWorldSchedule(script func(w *ServerWorld) error) func(choose func(int) int) error {
+// deployment of cfg's shape with an end-point for every client and a fresh
+// full suite. The script draws its own choices from the chooser. Unclocked,
+// the engine is handed the chooser too before the script starts; clocked,
+// the engine runs on its virtual clock from a seed drawn first.
+func serverWorldSchedule(cfg ServerWorldConfig, clocked bool, script func(w *ServerWorld, draw func(int) int) error) func(choose func(int) int) error {
 	return func(choose func(int) int) error {
 		suite := spec.FullSuite(spec.WithTrace())
-		w, err := NewServerWorld(ServerWorldConfig{
-			Servers:          2,
-			ClientsPerServer: 1,
-			Suite:            suite,
-			WithEndpoints:    true,
-		})
+		cfg.Suite = suite
+		cfg.WithEndpoints = true
+		if clocked {
+			cfg.Seed = int64(choose(1 << 31))
+		}
+		w, err := NewServerWorld(cfg)
 		if err != nil {
 			return err
 		}
-		w.choose = choose
-		if err := script(w); err != nil {
+		if !clocked {
+			w.choose = choose
+		}
+		if err := script(w, choose); err != nil {
 			return err
 		}
 		return suite.Err()
@@ -377,7 +381,7 @@ func TestSwarmServerWorld(t *testing.T) {
 	if testing.Short() {
 		runs = 40
 	}
-	res, err := swarm(serverWorldSchedule(func(w *ServerWorld) error {
+	res, err := swarm(serverWorldSchedule(ServerWorldConfig{Servers: 2, ClientsPerServer: 1}, false, func(w *ServerWorld, _ func(int) int) error {
 		if err := w.Boot(); err != nil {
 			return err
 		}

@@ -18,16 +18,20 @@ type phaseRun struct {
 	c       *Cluster
 	alive   types.ProcSet
 	crashed types.ProcSet
+	// left holds the members a forward phase reconfigured out, and blocked
+	// the directed links it cut; stabilize restores both.
+	left    types.ProcSet
+	blocked []pair
 }
 
 // soakPhases returns a scenario of n phases drawn, with the soak's weights,
-// from traffic, view-race, partition-heal, oscillate and crash-restart. It
-// ends as a soak run stabilizes: everyone recovered and healed, one
-// reconfiguration to the full set, one send per member, and the final view
-// reported for the liveness check.
+// from traffic, view-race, partition-heal, oscillate, crash-restart and
+// forward. It ends as a soak run stabilizes: everyone recovered, healed and
+// back, one reconfiguration to the full set, one send per member, and the
+// final view reported for the liveness check.
 func soakPhases(n int) Scenario {
 	return func(c *Cluster) error {
-		r := &phaseRun{c: c, alive: types.NewProcSet(c.Procs()...), crashed: types.NewProcSet()}
+		r := &phaseRun{c: c, alive: types.NewProcSet(c.Procs()...), crashed: types.NewProcSet(), left: types.NewProcSet()}
 		phases := []struct {
 			weight int
 			run    func() error
@@ -37,9 +41,10 @@ func soakPhases(n int) Scenario {
 			{2, r.partitionHeal},
 			{1, r.oscillate},
 			{2, r.crashRestart},
+			{2, r.forward},
 		}
 		for i := 0; i < n; i++ {
-			pick := c.choose(12)
+			pick := c.choose(14)
 			for _, ph := range phases {
 				if pick < ph.weight {
 					if err := ph.run(); err != nil {
@@ -216,10 +221,53 @@ func (r *phaseRun) crashRestart() error {
 	return r.reconfigure(r.alive)
 }
 
-// stabilize heals, recovers everyone, reconfigures to the full set, sends
-// once from every member, runs to quiescence and reports the final view.
+// forward cuts a drawn leaver's links to a drawn part of the other live
+// members, has it send, and reconfigures it out: the members its messages
+// reached must forward them to the rest before the survivors' view installs.
+// The leaver stays in its old view, and its cut links stay cut, until
+// stabilize.
+func (r *phaseRun) forward() error {
+	if r.alive.Len() < 3 {
+		return r.burst()
+	}
+	leaver := r.member()
+	others := r.alive.Minus(types.NewProcSet(leaver)).Sorted()
+	// The first of the others always hears the leaver and the last never
+	// does, so some message always needs a forwarded copy.
+	for i, q := range others[1:] {
+		if i == len(others)-2 || r.c.choose(2) == 0 {
+			r.c.BlockLink(leaver, q)
+			r.blocked = append(r.blocked, pair{leaver, q})
+		}
+	}
+	for i := 1 + r.c.choose(3); i > 0; i-- {
+		_, err := r.c.Send(leaver, []byte("fwd"))
+		if err != nil && !errors.Is(err, core.ErrBlocked) {
+			return fmt.Errorf("send from %s: %w", leaver, err)
+		}
+	}
+	if err := r.settle(); err != nil {
+		return err
+	}
+	r.alive.Remove(leaver)
+	r.left.Add(leaver)
+	if _, _, err := r.c.ReconfigureTo(r.alive); err != nil {
+		return fmt.Errorf("survivors of %s's departure: %w", leaver, err)
+	}
+	return nil
+}
+
+// stabilize heals, restores every cut link, recovers everyone, reconfigures
+// to the full set, sends once from every member, runs to quiescence and
+// reports the final view.
 func (r *phaseRun) stabilize() error {
 	r.c.HealConnectivity()
+	for _, l := range r.blocked {
+		r.c.UnblockLink(l.from, l.to)
+	}
+	for _, p := range r.left.Sorted() {
+		r.alive.Add(p)
+	}
 	for _, p := range r.crashed.Sorted() {
 		if err := r.c.Recover(p); err != nil {
 			return err

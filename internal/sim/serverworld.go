@@ -45,6 +45,9 @@ type ServerWorld struct {
 	serverIDs []types.ProcID
 	clients   []types.ProcID
 	home      map[types.ProcID]types.ProcID
+	// detached holds the clients whose end-point DetachClients stopped, so
+	// that one attached again is a recovery, not a new process.
+	detached types.ProcSet
 
 	// epSeq numbers every end-point ever created, so message-id bases stay
 	// unique across attach/detach churn.
@@ -96,6 +99,7 @@ func NewServerWorld(cfg ServerWorldConfig) (*ServerWorld, error) {
 		serverIDs: serverIDs,
 		clients:   clients,
 		home:      make(map[types.ProcID]types.ProcID, len(clients)),
+		detached:  types.NewProcSet(),
 	}
 
 	serverSet := types.NewProcSet(serverIDs...)
@@ -118,12 +122,17 @@ func NewServerWorld(cfg ServerWorldConfig) (*ServerWorld, error) {
 }
 
 // addClient homes client cid at server sid and, with WithEndpoints, gives it
-// a GCS end-point on the network.
+// a GCS end-point on the network. A client whose end-point was detached
+// before starts a fresh one from its initial state: recover_p (Section 8).
 func (w *ServerWorld) addClient(cid, sid types.ProcID) error {
 	w.home[cid] = sid
 	w.servers[sid].AddClient(cid)
 	if !w.cfg.WithEndpoints {
 		return nil
+	}
+	if w.detached.Contains(cid) {
+		w.detached.Remove(cid)
+		w.specEvent(spec.ERecover{P: cid})
 	}
 	w.epSeq++
 	ep, err := newEndpoint(Config{Level: core.LevelGCS}, cid, w.epSeq, w.net.Handle(cid))
@@ -156,12 +165,13 @@ func (w *ServerWorld) Endpoint(id types.ProcID) *core.Endpoint {
 	return nil
 }
 
-// AttachClients registers a batch of new clients at the given home server
-// in one virtual instant — a flash crowd. The caller triggers a
-// reconfiguration (TriggerChange) to admit the batch into a view; a single
-// change suffices however large the batch is. Identifiers must be fresh.
-// With WithEndpoints set, each new client gets a GCS end-point wired to
-// the network like the boot-time ones.
+// AttachClients registers a batch of clients at the given home server in one
+// virtual instant — a flash crowd. The caller triggers a reconfiguration
+// (TriggerChange) to admit the batch into a view; a single change suffices
+// however large the batch is. No identifier may be attached already; one
+// detached before comes back under its old identity. With WithEndpoints set,
+// each client gets a GCS end-point wired to the network like the boot-time
+// ones.
 func (w *ServerWorld) AttachClients(sid types.ProcID, ids []types.ProcID) error {
 	if _, ok := w.servers[sid]; !ok {
 		return fmt.Errorf("sim: no server %s", sid)
@@ -184,7 +194,8 @@ func (w *ServerWorld) AttachClients(sid types.ProcID, ids []types.ProcID) error 
 // DetachClients deregisters clients from their home servers (a leave or
 // churn storm). The caller triggers a reconfiguration to exclude them;
 // retained server-side records keep their identifiers monotone should they
-// ever return.
+// ever return. A detached end-point stops as in a crash, and the suite is
+// told so: it no longer owes the views and messages of the group it left.
 func (w *ServerWorld) DetachClients(ids ...types.ProcID) error {
 	for _, cid := range ids {
 		sid, ok := w.home[cid]
@@ -193,6 +204,10 @@ func (w *ServerWorld) DetachClients(ids ...types.ProcID) error {
 		}
 		w.servers[sid].RemoveClient(cid)
 		delete(w.home, cid)
+		if w.members[cid] != nil {
+			w.specEvent(spec.ECrash{P: cid})
+			w.detached.Add(cid)
+		}
 		// What the network still carries to it is dropped, as for a crash.
 		w.net.Unregister(cid)
 		delete(w.members, cid)

@@ -15,7 +15,7 @@ import (
 // attempts, and the replay seed — everything needed to reproduce and
 // debug the failure.
 type Report struct {
-	// Mode names the runner: "world", "live", or "shard".
+	// Mode names the runner: "live" or "shard".
 	Mode string
 	// Seed is the PRNG seed the whole run derives from.
 	Seed int64
@@ -24,10 +24,8 @@ type Report struct {
 	Schedule *Schedule
 	// Population is the number of endpoints/clients at the end of the run.
 	Population int
-	// SampleEvery is the spec-checking sampling stride (1 = every
-	// endpoint checked).
-	SampleEvery int
-	// EventsSeen / EventsChecked are the suite's sampling statistics.
+	// EventsSeen / EventsChecked count the client writes the shard mode
+	// issued and the acknowledged ones its ledger checks.
 	EventsSeen, EventsChecked int64
 	// Violations lists every invariant violation (empty on a clean run).
 	Violations []string
@@ -75,10 +73,6 @@ func (r *Report) Render() string {
 	}
 	fmt.Fprintf(&b, "soak %s: %s (seed %d, %d steps, %v, population %d)\n",
 		r.Mode, verdict, r.Seed, len(r.Schedule.Steps), r.Elapsed.Round(time.Millisecond), r.Population)
-	if r.SampleEvery > 1 {
-		fmt.Fprintf(&b, "sampled checking: every %dth endpoint; %d of %d events checked\n",
-			r.SampleEvery, r.EventsChecked, r.EventsSeen)
-	}
 	fmt.Fprintf(&b, "replay: %s=%d (same mode and scenario reproduces the schedule)\n", randseed.EnvVar, r.Seed)
 	if r.Mode == "live" {
 		fmt.Fprintf(&b, "detector: %d chaos transitions, %d flaps, %d quarantines, %d gray downgrades\n",

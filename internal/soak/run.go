@@ -20,8 +20,8 @@ type world struct {
 	// at the given run clock. Its keys are the kinds a scenario may name.
 	phases map[PhaseKind]func(at time.Duration) error
 	// now is the run clock: the Duration budget is measured on it and every
-	// step is stamped with it — virtual time for world and shard, wall time
-	// since boot for live.
+	// step is stamped with it — virtual time for shard, wall time since boot
+	// for live.
 	now func() time.Duration
 	// stabilize is the final heal, round and convergence checks, run when
 	// no phase ended in a violation.
@@ -30,7 +30,7 @@ type world struct {
 	// checkers' verdict. The loop folds it into every report it returns.
 	verdict func(rep *Report) error
 	// victim names the endpoint a forced violation lands on and record
-	// hands it to the mode's suite; nil for a mode that takes none.
+	// hands it to the mode's suite.
 	victim func() types.ProcID
 	record func(spec.Event)
 	// tracer, when set, supplies a violated report's timeline.
@@ -60,7 +60,6 @@ var modeDefaults = map[string]struct {
 	duration time.Duration
 	scenario func() *Scenario
 }{
-	"world": {2500 * time.Millisecond, WorldScenario},
 	"live":  {20 * time.Second, LiveScenario},
 	"shard": {800 * time.Millisecond, ShardScenario},
 }
@@ -122,7 +121,7 @@ func drive(s settings, build func(chaos) (*world, error)) (*Report, error) {
 	if err != nil && !errors.As(err, new(violationError)) {
 		return nil, err
 	}
-	rep := &Report{Mode: s.mode, Seed: s.seed, Schedule: ch.sched, SampleEvery: 1}
+	rep := &Report{Mode: s.mode, Seed: s.seed, Schedule: ch.sched}
 	rep.violate(err)
 
 	if s.force {

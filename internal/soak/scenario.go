@@ -1,9 +1,10 @@
-// Package soak is the long-soak chaos harness: it drives the simulated and
-// live clusters for sustained durations under randomized, scheduled
-// adversarial phases — partitions and heals, oscillating partitions,
-// crash/restart, flash-crowd joins, churn storms, stale-WAL resurrection,
-// and wrapped-epoch/corrupted-counter injection — with the executable
-// specification suite (internal/spec) attached throughout.
+// Package soak is the long-soak chaos harness: it drives the live TCP
+// cluster and the sharded KV store on the simulator for sustained durations
+// under randomized, scheduled adversarial phases — partitions and heals,
+// oscillating partitions, crash/restart, flash-crowd joins, reshards,
+// stale-WAL resurrection, and wrapped-epoch/corrupted-counter injection —
+// with the executable specification suite (internal/spec) attached
+// throughout.
 //
 // A run is driven by a single seeded PRNG: the weighted scenario picks the
 // phase sequence, and every phase draws its parameters (victims, splits,
@@ -39,8 +40,6 @@ const (
 	PhaseCrashRestart PhaseKind = "crash-restart"
 	// PhaseFlashCrowd joins a large batch of new clients in one instant.
 	PhaseFlashCrowd PhaseKind = "flash-crowd"
-	// PhaseChurn detaches a random batch of clients and joins fresh ones.
-	PhaseChurn PhaseKind = "churn"
 	// PhaseStaleResurrect restarts a server from an old snapshot/WAL
 	// generation, resurrecting stale identifier state.
 	PhaseStaleResurrect PhaseKind = "stale-resurrect"
@@ -80,8 +79,7 @@ const (
 	// PhaseGrayFailure blocks exactly one direction of a server-server link
 	// — a gray failure one side cannot see directly. Reachability-bitmap
 	// reconciliation must converge both sides (and every third party) on
-	// one symmetric reconfiguration (live only; the simulated world drives
-	// detector verdicts directly, with no heartbeats to piggyback on).
+	// one symmetric reconfiguration (live only).
 	PhaseGrayFailure PhaseKind = "gray-failure"
 )
 
@@ -132,24 +130,6 @@ func (sc *Scenario) validate(phases map[PhaseKind]func(at time.Duration) error) 
 		}
 	}
 	return nil
-}
-
-// WorldScenario is the default mix for the large-population client-server
-// simulation soak: flash crowds, churn storms, server partitions,
-// oscillation, and corrupted-counter resurrection.
-func WorldScenario() *Scenario {
-	return &Scenario{
-		Name: "world-default",
-		Weights: []Weight{
-			{PhaseFlashCrowd, 3},
-			{PhaseChurn, 3},
-			{PhasePartitionHeal, 2},
-			{PhaseOscillate, 1},
-			{PhaseFlappingLink, 1},
-			{PhaseCorruptCounter, 2},
-			{PhaseStateScramble, 2},
-		},
-	}
 }
 
 // LiveScenario is the default mix for the live TCP deployment soak.
@@ -211,20 +191,6 @@ func LiveDetectorScenario() *Scenario {
 	}
 }
 
-// WorldArbitraryScenario is the arbitrary-state mix for the large-population
-// simulation: scrambled and corrupted identifier records under churn.
-func WorldArbitraryScenario() *Scenario {
-	return &Scenario{
-		Name: "world-arbitrary",
-		Weights: []Weight{
-			{PhaseFlashCrowd, 1},
-			{PhaseChurn, 2},
-			{PhaseStateScramble, 4},
-			{PhaseCorruptCounter, 3},
-		},
-	}
-}
-
 // ShardScenario is the default mix for the sharded-KV soak: client traffic
 // over both reshard kinds, partitions, and crash/recovery.
 func ShardScenario() *Scenario {
@@ -256,11 +222,11 @@ func ReshardUnderChurnScenario() *Scenario {
 	}
 }
 
-// ScenarioByName resolves a named scenario ("world-default", "live-default",
-// "live-arbitrary", "live-detector", "world-arbitrary", "shard-default",
-// "reshard-under-churn"), for the -scenario CLI flag.
+// ScenarioByName resolves a named scenario ("live-default", "live-arbitrary",
+// "live-detector", "shard-default", "reshard-under-churn"), for the -scenario
+// CLI flag.
 func ScenarioByName(name string) (*Scenario, error) {
-	for _, sc := range []*Scenario{WorldScenario(), LiveScenario(), LiveArbitraryScenario(), LiveDetectorScenario(), WorldArbitraryScenario(), ShardScenario(), ReshardUnderChurnScenario()} {
+	for _, sc := range []*Scenario{LiveScenario(), LiveArbitraryScenario(), LiveDetectorScenario(), ShardScenario(), ReshardUnderChurnScenario()} {
 		if sc.Name == name {
 			return sc, nil
 		}

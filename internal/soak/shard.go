@@ -23,6 +23,9 @@ type ShardConfig struct {
 	Shards int
 	// Scenario is the phase mix; default ShardScenario().
 	Scenario *Scenario
+	// ForceViolation injects a fabricated violation at a meta-group process
+	// at the end of the run.
+	ForceViolation bool
 	// Log receives progress lines; nil discards them.
 	Log func(format string, args ...any)
 }
@@ -46,7 +49,8 @@ func RunShard(cfg ShardConfig) (*Report, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
 	}
-	s := settings{mode: "shard", duration: cfg.Duration, seed: cfg.Seed, scenario: cfg.Scenario, log: cfg.Log}
+	s := settings{mode: "shard", duration: cfg.Duration, seed: cfg.Seed, scenario: cfg.Scenario,
+		force: cfg.ForceViolation, log: cfg.Log}
 	return drive(s, func(ch chaos) (*world, error) {
 		w, err := shard.NewWorld(shard.WorldConfig{Shards: cfg.Shards, Seed: cfg.Seed*13 + 5})
 		if err != nil {
@@ -65,6 +69,8 @@ func RunShard(cfg ShardConfig) (*Report, error) {
 			now:       w.Now,
 			stabilize: r.stabilize,
 			verdict:   r.verdict,
+			victim:    func() types.ProcID { return shard.MetaProcs(1)[0] },
+			record:    w.Record,
 		}, nil
 	})
 }

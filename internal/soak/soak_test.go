@@ -23,7 +23,7 @@ func logReplay(t *testing.T, seed int64) {
 }
 
 func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
-	sc := WorldScenario()
+	sc := ShardScenario()
 	counts := make(map[PhaseKind]int)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
@@ -34,9 +34,9 @@ func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
 			t.Errorf("phase %s (weight %d) never drawn in 2000 picks", w.Kind, w.Weight)
 		}
 	}
-	if counts[PhaseFlashCrowd] <= counts[PhaseOscillate] {
-		t.Errorf("weight 3 phase drawn %d times, weight 1 phase %d times — weighting inverted",
-			counts[PhaseFlashCrowd], counts[PhaseOscillate])
+	if counts[PhaseTraffic] <= counts[PhaseReshardGroup] {
+		t.Errorf("weight 4 phase drawn %d times, weight 2 phase %d times — weighting inverted",
+			counts[PhaseTraffic], counts[PhaseReshardGroup])
 	}
 	// Same seed, same stream.
 	a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
@@ -48,8 +48,8 @@ func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
 }
 
 func TestScenarioValidateRejectsUnsupportedPhase(t *testing.T) {
-	if _, err := RunWorld(WorldConfig{Duration: time.Millisecond, Seed: 1, Clients: 30, SampleEvery: 1, Scenario: ShardScenario()}); err == nil {
-		t.Fatal("world runner accepted a scenario with reshard phases it cannot execute")
+	if _, err := RunShard(ShardConfig{Duration: time.Millisecond, Seed: 1, Scenario: LiveScenario()}); err == nil {
+		t.Fatal("shard runner accepted a scenario with live phases it cannot execute")
 	}
 	if _, err := ScenarioByName("no-such-mix"); err == nil {
 		t.Fatal("unknown scenario name resolved")
@@ -59,33 +59,23 @@ func TestScenarioValidateRejectsUnsupportedPhase(t *testing.T) {
 	}
 }
 
-// TestSimSoakScheduleReplays runs each virtual-time soak twice on one seed
+// TestSimSoakScheduleReplays runs the virtual-time soak twice on one seed
 // and demands bit-identical chaos schedules — the reproducibility contract
 // behind every logged seed.
 func TestSimSoakScheduleReplays(t *testing.T) {
-	for _, tc := range []struct {
-		mode string
-		run  func() (*Report, error)
-	}{
-		{"world", func() (*Report, error) {
-			return RunWorld(WorldConfig{Duration: 500 * time.Millisecond, Seed: 42, Clients: 300, SampleEvery: 5})
-		}},
-		{"shard", func() (*Report, error) { return RunShard(ShardConfig{Duration: 300 * time.Millisecond, Seed: 42}) }},
-	} {
-		t.Run(tc.mode, func(t *testing.T) {
-			var schedules [2]string
-			for i := range schedules {
-				rep, err := tc.run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				schedules[i] = rep.Schedule.Render()
+	t.Run("shard", func(t *testing.T) {
+		var schedules [2]string
+		for i := range schedules {
+			rep, err := RunShard(ShardConfig{Duration: 300 * time.Millisecond, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if schedules[0] != schedules[1] {
-				t.Fatalf("same seed produced different schedules:\n--- first\n%s--- second\n%s", schedules[0], schedules[1])
-			}
-		})
-	}
+			schedules[i] = rep.Schedule.Render()
+		}
+		if schedules[0] != schedules[1] {
+			t.Fatalf("same seed produced different schedules:\n--- first\n%s--- second\n%s", schedules[0], schedules[1])
+		}
+	})
 }
 
 // TestDriveForcedViolationReportsTimeline runs the shared loop over a stub
@@ -145,79 +135,6 @@ func TestDriveForcedViolationReportsTimeline(t *testing.T) {
 	}
 	if b, err := os.ReadFile(path); err != nil || string(b) != out {
 		t.Fatalf("artifact on disk does not match the rendered report (err=%v)", err)
-	}
-}
-
-// TestWorldSoakSampled drives the large-population client-server soak with
-// sampled spec checking. The full population (10k endpoints, the paper's
-// scalability regime) runs outside -short; -short keeps a smaller crowd so
-// the tier-1 suite stays fast.
-func TestWorldSoakSampled(t *testing.T) {
-	seed, _ := randseed.Pick(31)
-	logReplay(t, seed)
-	cfg := WorldConfig{Duration: 2 * time.Second, Seed: seed, Clients: 10000, SampleEvery: 100, Log: t.Logf}
-	if testing.Short() {
-		cfg = WorldConfig{Duration: 1100 * time.Millisecond, Seed: seed, Clients: 600, SampleEvery: 10, Log: t.Logf}
-	}
-	rep, err := RunWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("world soak violated the spec:\n%s", rep.Render())
-	}
-	if rep.EventsChecked >= rep.EventsSeen {
-		t.Fatalf("sampling had no effect: checked %d of %d events", rep.EventsChecked, rep.EventsSeen)
-	}
-	if rep.EventsChecked == 0 {
-		t.Fatal("sampling kept no events at all")
-	}
-	if len(rep.Schedule.Steps) == 0 {
-		t.Fatal("soak executed no phases")
-	}
-	t.Logf("world soak: population %d, %d/%d events checked, %d phases",
-		rep.Population, rep.EventsChecked, rep.EventsSeen, len(rep.Schedule.Steps))
-}
-
-func TestWorldSoakForcedViolationReport(t *testing.T) {
-	rep, err := RunWorld(WorldConfig{Duration: 600 * time.Millisecond, Seed: 3, Clients: 60, SampleEvery: 5, ForceViolation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() {
-		t.Fatal("forced violation not reported")
-	}
-	out := rep.Render()
-	for _, want := range []string{"FAIL", "sampled checking: every 5th endpoint", "replay: " + randseed.EnvVar + "=3", "chaos schedule:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("violation report missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestWorldSoakArbitraryState drives the arbitrary-state scenario: most
-// phases scramble retained identifier records with fully random 64-bit
-// patterns or resurrect corrupted counters, and the run must still converge
-// to one agreed full view within the spec checker's round budget.
-func TestWorldSoakArbitraryState(t *testing.T) {
-	seed, _ := randseed.Pick(53)
-	logReplay(t, seed)
-	cfg := WorldConfig{Duration: 1600 * time.Millisecond, Seed: seed, Clients: 2000, SampleEvery: 20,
-		Scenario: WorldArbitraryScenario(), Log: t.Logf}
-	if testing.Short() {
-		cfg.Duration = 800 * time.Millisecond
-		cfg.Clients = 300
-		cfg.SampleEvery = 5
-	}
-	rep, err := RunWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("arbitrary-state world soak violated the spec:\n%s", rep.Render())
-	}
-	if len(rep.Schedule.Steps) == 0 {
-		t.Fatal("soak executed no phases")
 	}
 }
 

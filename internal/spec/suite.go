@@ -15,9 +15,6 @@ type Suite struct {
 	checkers []Checker
 	trace    []Event
 	keep     bool
-	sample   func(types.ProcID) bool
-	seen     int64
-	kept     int64
 }
 
 // SuiteOption configures a Suite.
@@ -70,14 +67,8 @@ func WVSuite(opts ...SuiteOption) *Suite {
 	}, opts...)
 }
 
-// OnEvent feeds one trace event to every checker, subject to the sampling
-// projection (see WithSample).
+// OnEvent feeds one trace event to every checker.
 func (s *Suite) OnEvent(ev Event) {
-	s.seen++
-	if !s.sampled(ev) {
-		return
-	}
-	s.kept++
 	if s.keep {
 		s.trace = append(s.trace, ev)
 	}
