@@ -132,22 +132,21 @@ examples:
 		$(GO) run ./$$d >/dev/null || { echo "example $$d failed"; exit 1; }; \
 	done
 
-# Long-soak chaos harness (cmd/vsgm-soak): both modes — the sharded KV with
-# resharding under churn on virtual time, and the live TCP cluster — under
-# randomized adversarial phases with the spec suite attached. Each run logs its replay seed (override with SOAK_SEED or
-# VSGM_SEED); on a violation the report artifact path is printed. See
-# docs/TESTING.md ("Regime 7: long soak") and docs/OPERATIONS.md for the knobs.
+# Long-soak chaos harness (cmd/vsgm-soak): the live TCP cluster under
+# randomized adversarial phases with the spec suite attached. Each run logs its
+# replay seed (override with SOAK_SEED or VSGM_SEED); on a violation the report
+# artifact path is printed. See docs/TESTING.md ("Regime 7: long soak") and
+# docs/OPERATIONS.md for the knobs. The sharded KV's randomized hunter is
+# TestWorldPhases in internal/shard, which the plain test run covers.
 SOAK_DURATION ?= 60s
 SOAK_SEED ?= 0
 
 soak:
-	$(GO) run ./cmd/vsgm-soak -mode all -duration $(SOAK_DURATION) -seed $(SOAK_SEED)
+	$(GO) run ./cmd/vsgm-soak -duration $(SOAK_DURATION) -seed $(SOAK_SEED)
 
-# A ~30s taste of the same harness for the pre-merge gate: a second or two
-# of virtual time in the shard soak plus a short live soak.
+# A short taste of the same harness for the pre-merge gate.
 soak-smoke:
-	$(GO) run ./cmd/vsgm-soak -mode shard -duration 1200ms -seed $(SOAK_SEED) -q
-	$(GO) run ./cmd/vsgm-soak -mode live -duration 15s -seed $(SOAK_SEED) -q
+	$(GO) run ./cmd/vsgm-soak -duration 15s -seed $(SOAK_SEED) -q
 
 # The simulator's explorer tests replay thousands of single-threaded schedules
 # through code the rest of internal/sim already races; under the race detector
@@ -166,9 +165,10 @@ RACE_PKGS = $(filter-out vsgm/internal/sim vsgm/internal/soak vsgm/cmd/vsgm-soak
 # tier-1, so nothing else compiles it against this tree: a symbol it uses
 # going missing would otherwise surface only when the benchmark is run), the
 # race detector on every package — no package is exempt; the simulator skips
-# only its explorer tests and the soak runners and their command run under
-# -short (where the live soaks skip: their convergence waits are wall-clock
-# budgets, and the live transport they drive is raced in internal/live) — a
+# only its explorer tests and the soak package and its command run under
+# -short (where the long live soaks skip: their convergence waits are
+# wall-clock budgets, and the live transport they drive is raced in
+# internal/live; the command's tests run 1 ms live soaks) — a
 # fuzz smoke pass over the decoders, the documentation gate, the
 # experiment-tables gate, every example, and a short soak.
 check: vet fmt-check test

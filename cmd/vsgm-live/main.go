@@ -17,7 +17,7 @@
 // metric catalogue.
 //
 // The deployment is internal/live's loopback Deployment, the same one the
-// live soak (vsgm-soak -mode live) and the internal/live tests drive through
+// live soak (vsgm-soak) and the internal/live tests drive through
 // partitions, crashes with WAL restarts and overload.
 package main
 

@@ -15,10 +15,10 @@
 //	go run ./cmd/vsgm-mutants
 //
 // It takes no flags. Before planting anything it runs every hunter once on the
-// clean tree and stops if one fails there. It exits non-zero when a mutant
-// survives every hunter it names, or when a mutant no longer applies: its old
-// text does not occur exactly once in its file, or the planted tree does not
-// build.
+// clean tree and stops if one fails there or runs no test. It exits non-zero
+// when a mutant survives every hunter it names, or when a mutant no longer
+// applies: its old text does not occur exactly once in its file, or the
+// planted tree does not build.
 package main
 
 import (
@@ -115,8 +115,14 @@ func run(out io.Writer) error {
 		}
 		clean[h.Pkg] = bin
 		start := time.Now()
-		if res := runOnce(root, bin, h, "", budget); res.failed {
+		res := runOnce(root, bin, h, "", budget, "-test.v")
+		if res.failed {
 			return fmt.Errorf("hunter %s fails on the clean tree:\n%s", name, res.output)
+		}
+		if !strings.Contains(res.output, "=== RUN") {
+			// A pattern that matches no test passes, and every mutant would
+			// survive it unnoticed.
+			return fmt.Errorf("hunter %s runs no test: no test in %s matches %q", name, h.Pkg, h.Run)
 		}
 		fmt.Fprintf(out, "  %-11s passes in %.2f s\n", name, time.Since(start).Seconds())
 	}
@@ -257,11 +263,12 @@ type result struct {
 var failLine = regexp.MustCompile(`(?m)^\s*--- FAIL: (\S+)`)
 
 // runOnce runs h's tests in bin once, in the package's directory, under
-// VSGM_SEED=seed (unset when seed is ""), for at most limit.
-func runOnce(root, bin string, h hunter, seed string, limit time.Duration) result {
+// VSGM_SEED=seed (unset when seed is ""), for at most limit, with any extra
+// test flags.
+func runOnce(root, bin string, h hunter, seed string, limit time.Duration, flags ...string) result {
 	ctx, cancel := context.WithTimeout(context.Background(), limit)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, bin, "-test.run", "^("+h.Run+")$", "-test.count=1")
+	cmd := exec.CommandContext(ctx, bin, append([]string{"-test.run", "^(" + h.Run + ")$", "-test.count=1"}, flags...)...)
 	cmd.Dir = filepath.Join(root, filepath.FromSlash(h.Pkg))
 	cmd.Env = slices.DeleteFunc(os.Environ(), func(kv string) bool { return strings.HasPrefix(kv, "VSGM_SEED=") })
 	if seed != "" {

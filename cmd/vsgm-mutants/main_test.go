@@ -4,14 +4,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 // TestCatalogueApplies checks every mutant against the current tree without
 // planting it: the old text occurs exactly once in its file, the new text
-// differs, and every hunter it names is defined. A refactor that moves a
-// mutant's code fails here, in the plain suite, instead of in make mutants.
+// differs, and every hunter it names is defined. Every hunter's pattern must
+// compile. A refactor that moves a mutant's code fails here, in the plain
+// suite, instead of in make mutants.
 func TestCatalogueApplies(t *testing.T) {
 	var cat catalogue
 	if err := json.Unmarshal(catalogueJSON, &cat); err != nil {
@@ -20,6 +22,11 @@ func TestCatalogueApplies(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for name, h := range cat.Hunters {
+		if _, err := regexp.Compile("^(" + h.Run + ")$"); err != nil {
+			t.Errorf("hunter %s: %v", name, err)
+		}
 	}
 	seen := make(map[string]bool)
 	for _, m := range cat.Mutants {

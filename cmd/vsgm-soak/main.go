@@ -1,21 +1,20 @@
 // Command vsgm-soak runs the long-soak chaos harness (internal/soak): the
-// sharded KV store on the simulator or the live TCP cluster — each under
-// randomized, scheduled adversarial phases with the executable specification
-// suite attached throughout.
+// live TCP cluster — membership servers and attach-protocol clients on
+// loopback sockets with file-backed server state — under randomized,
+// scheduled adversarial phases with the executable specification suite
+// attached throughout.
 //
 // Usage:
 //
-//	vsgm-soak -duration 5s -seed 7          # the sharded KV store
-//	vsgm-soak -mode shard -scenario reshard-under-churn
-//	vsgm-soak -mode live -duration 60s
-//	vsgm-soak -mode live -scenario live-arbitrary
-//	vsgm-soak -mode all -duration 30s       # one soak of each kind
+//	vsgm-soak -duration 60s -seed 7
+//	vsgm-soak -scenario live-arbitrary
+//	vsgm-soak -scenario live-detector -duration 30s
 //
 // Every run logs its replay seed; rerun with -seed (or VSGM_SEED) to replay
-// the identical chaos schedule. On a violation the full report — replay
-// seed, chaos schedule, violations, and the reconfiguration trace timeline
-// — is written to the -report path (a temp-dir default otherwise) and the
-// path is printed. -force-violation demonstrates that pipeline end to end.
+// the chaos schedule. On a violation the full report — replay seed, chaos
+// schedule, violations, and the reconfiguration trace timeline — is written
+// to the -report path (a temp-dir default otherwise) and the path is
+// printed. -force-violation demonstrates that pipeline end to end.
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"vsgm/internal/randseed"
@@ -41,10 +39,9 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vsgm-soak", flag.ContinueOnError)
 	var (
-		mode     = fs.String("mode", "shard", "soak to run: shard, live, or all")
-		duration = fs.Duration("duration", 0, "soak duration (0 = each mode's default; virtual time for shard, wall time for live)")
+		duration = fs.Duration("duration", 0, "wall-time budget of the phase loop (0 = 20s)")
 		seed     = fs.Int64("seed", 0, "replay seed (0 = auto; VSGM_SEED overrides)")
-		scenario = fs.String("scenario", "", "named scenario mix (default: the mode's own)")
+		scenario = fs.String("scenario", "", "named scenario mix (default: live-default)")
 		report   = fs.String("report", "", "write the report here (default: only on violation, to a temp path)")
 		force    = fs.Bool("force-violation", false, "inject a fabricated violation to demonstrate the report pipeline")
 		quiet    = fs.Bool("q", false, "suppress per-phase progress lines")
@@ -76,45 +73,19 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// Each -mode's soak, in the order -mode all runs them.
-	type runner struct {
-		mode string
-		run  func() (*soak.Report, error)
+	logf("soak: seed %d (replay with -seed %d or %s=%d)", runSeed, runSeed, randseed.EnvVar, runSeed)
+	rep, err := soak.RunLive(soak.LiveConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
+	if err != nil {
+		return fmt.Errorf("soak: %w", err)
 	}
-	runners := []runner{
-		{"shard", func() (*soak.Report, error) {
-			return soak.RunShard(soak.ShardConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
-		}},
-		{"live", func() (*soak.Report, error) {
-			return soak.RunLive(soak.LiveConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
-		}},
+	fmt.Fprint(out, rep.Render())
+	if path := reportPath(*report, runSeed, rep); path != "" {
+		if err := rep.WriteFile(path); err != nil {
+			return fmt.Errorf("soak: write report: %w", err)
+		}
+		fmt.Fprintf(out, "report written to %s\n", path)
 	}
-	if *mode != "all" {
-		i := slices.IndexFunc(runners, func(r runner) bool { return r.mode == *mode })
-		if i < 0 {
-			return fmt.Errorf("unknown mode %q (want shard, live, or all)", *mode)
-		}
-		runners = runners[i : i+1]
-	}
-	failed := false
-	for _, r := range runners {
-		logf("soak %s: seed %d (replay with -seed %d or %s=%d)", r.mode, runSeed, runSeed, randseed.EnvVar, runSeed)
-		rep, err := r.run()
-		if err != nil {
-			return fmt.Errorf("soak %s: %w", r.mode, err)
-		}
-		fmt.Fprint(out, rep.Render())
-		if path := reportPath(*report, len(runners) > 1, runSeed, rep); path != "" {
-			if werr := rep.WriteFile(path); werr != nil {
-				return fmt.Errorf("soak %s: write report: %w", r.mode, werr)
-			}
-			fmt.Fprintf(out, "report written to %s\n", path)
-		}
-		if !rep.OK() {
-			failed = true
-		}
-	}
-	if failed {
+	if !rep.OK() {
 		return fmt.Errorf("invariant violations detected (see report above; replay with -seed %d)", runSeed)
 	}
 	return nil
@@ -122,16 +93,13 @@ func run(args []string, out io.Writer) error {
 
 // reportPath decides where (and whether) to persist the report: an explicit
 // -report path always persists; otherwise only violated runs do, to a
-// deterministic temp-dir artifact named after the mode and replay seed.
-func reportPath(explicit string, multi bool, seed int64, rep *soak.Report) string {
+// deterministic temp-dir artifact named after the replay seed.
+func reportPath(explicit string, seed int64, rep *soak.Report) string {
 	if explicit != "" {
-		if multi { // -mode all: one artifact per mode
-			return explicit + "." + rep.Mode
-		}
 		return explicit
 	}
 	if rep.OK() {
 		return ""
 	}
-	return filepath.Join(os.TempDir(), fmt.Sprintf("vsgm-soak-%s-seed%d.report", rep.Mode, seed))
+	return filepath.Join(os.TempDir(), fmt.Sprintf("vsgm-soak-seed%d.report", seed))
 }

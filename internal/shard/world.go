@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -104,8 +105,8 @@ func ShardProcs(id, n int) []types.ProcID {
 	return out
 }
 
-// MetaProcs returns the meta-group process identifiers m00, m01, ...
-func MetaProcs(n int) []types.ProcID {
+// metaProcIDs returns the meta-group process identifiers m00, m01, ...
+func metaProcIDs(n int) []types.ProcID {
 	out := make([]types.ProcID, n)
 	for i := range out {
 		out[i] = types.ProcID(fmt.Sprintf("m%02d", i))
@@ -164,7 +165,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 
 	// Meta-group.
-	w.metaProcs = MetaProcs(metaReplicas)
+	w.metaProcs = metaProcIDs(metaReplicas)
 	w.metaReplicas = make(map[types.ProcID]*rsm.Replica, metaReplicas)
 	w.metaMachines = make(map[types.ProcID]*MetaMachine, metaReplicas)
 	w.metaSuite = spec.FullSuite()
@@ -426,36 +427,33 @@ func (w *World) Check() error {
 	return nil
 }
 
-// Record feeds ev to the meta-group's specification suite as if a meta
-// process had reported it: Check then reports what the suite makes of it.
-func (w *World) Record(ev spec.Event) { w.metaSuite.OnEvent(ev) }
-
 // Close closes every replica's durable store, shard by shard and replica by
-// replica in identifier order, and returns the first error. The meta-group
-// keeps no store. A second Close does nothing; the world is unusable after
-// the first.
+// replica in identifier order, and returns Check's verdict joined with every
+// store's close error: a world cannot be closed without its checkers being
+// read. The meta-group keeps no store. A second Close does nothing; the
+// world is unusable after the first.
 func (w *World) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
+	errs := []error{w.Check()}
 	ids := make([]int, 0, len(w.groups))
 	for id := range w.groups {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var first error
 	for _, id := range ids {
 		g := w.groups[id]
 		for _, p := range g.procs {
 			if st := g.stores[p]; st != nil {
-				if err := st.Close(); err != nil && first == nil {
-					first = fmt.Errorf("shard %d %s store: %w", id, p, err)
+				if err := st.Close(); err != nil {
+					errs = append(errs, fmt.Errorf("shard %d %s store: %w", id, p, err))
 				}
 			}
 		}
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // ---- serving (Backend) ----

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vsgm/internal/spec"
 	"vsgm/internal/types"
 )
 
@@ -20,22 +21,39 @@ func newTestWorld(t *testing.T, cfg WorldConfig) *World {
 		t.Fatal(err)
 	}
 	closeOnCleanup(t, w)
-	t.Cleanup(func() {
-		if err := w.Check(); err != nil {
-			t.Errorf("world check: %v", err)
-		}
-	})
 	return w
 }
 
-// closeOnCleanup closes w's stores when the test ends, after every cleanup
-// registered later.
+// closeOnCleanup closes w when the test ends, after every cleanup registered
+// later, and fails the test on its checkers' verdict or a store's close
+// error.
 func closeOnCleanup(tb testing.TB, w *World) {
 	tb.Cleanup(func() {
 		if err := w.Close(); err != nil {
 			tb.Errorf("world close: %v", err)
 		}
 	})
+}
+
+// TestWorldCloseIsTheVerdict: Close reads the world's checkers, so a world
+// cannot be closed past a violation. A membership view with a regressing
+// identifier planted in the meta-group's suite fails Close; a second Close
+// does nothing.
+func TestWorldCloseIsTheVerdict(t *testing.T) {
+	w, err := NewWorld(WorldConfig{Shards: 1, Slots: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.metaProcs[0]
+	w.metaSuite.OnEvent(spec.EMView{P: p, View: types.NewView(
+		0, types.NewProcSet(p), map[types.ProcID]types.StartChangeID{p: 1},
+	)})
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "Local Monotonicity") {
+		t.Fatalf("Close after a regressing meta view = %v, want a Local Monotonicity violation", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
 }
 
 // keyForShard finds a key the map routes to the wanted shard.
@@ -389,6 +407,67 @@ func TestCrashRecoverReplicaRejoins(t *testing.T) {
 	}
 	if v, ok := w.Machine(0, victim).Get(k); !ok || v != "v2" {
 		t.Fatalf("recovered replica reads %q ok=%v, want v2", v, ok)
+	}
+}
+
+// TestWriteDuringPendingChangeIsNotAcknowledged: a write proposed while its
+// group's membership change is announced but not yet installed waits behind
+// the flush, so it has not applied when the group quiesces. The front door
+// must answer ErrUnavailable rather than acknowledge it; once the view
+// installs, the queued write applies and nothing acknowledged is missing.
+func TestWriteDuringPendingChangeIsNotAcknowledged(t *testing.T) {
+	w := newTestWorld(t, WorldConfig{Shards: 1, Seed: 149})
+	g := w.groups[0]
+	if err := g.c.StartChange(g.current); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.c.Run(); err != nil { // the members flush and block
+		t.Fatal(err)
+	}
+	k := keyForShard(t, w.CommittedMap(), 0)
+	if _, err := w.Do(0, 0, KVOp{Op: "set", Key: k, Value: "pending"}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("write during a pending change: err = %v, want ErrUnavailable", err)
+	}
+	if w.AckedWrites() != 0 {
+		t.Fatalf("%d writes acknowledged during a pending change", w.AckedWrites())
+	}
+	if _, err := g.c.DeliverView(g.current); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.VerifyAcked(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCutoverRefusesMembersWithoutTheMarker: a group move cuts over only to
+// a view whose every member applied the reshard's handoff marker. A move
+// whose marker never rode the shard's total order aborts at cutover, and the
+// map stays where it was.
+func TestCutoverRefusesMembersWithoutTheMarker(t *testing.T) {
+	w := newTestWorld(t, WorldConfig{Shards: 2, Seed: 151})
+	if err := NewRouter(w, 0).Set(keyForShard(t, w.CommittedMap(), 0), "v"); err != nil {
+		t.Fatal(err)
+	}
+	epoch := w.CommittedMap().Epoch
+	next := w.GroupProcs(0)[2:5]
+	rs := NewResharder(w, Reshard{ID: "mg-unmarked", Kind: MoveGroup, Shard: 0, NewGroup: next})
+	for rs.StepName() != "marker" {
+		if _, err := rs.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs.next++ // the marker step never runs
+	if _, err := rs.Step(); err == nil || !strings.Contains(err.Error(), "lacks handoff marker") {
+		t.Fatalf("cutover without the marker: err = %v, want a missing-marker abort", err)
+	}
+	if got := w.MetaMachineView().Outcome("mg-unmarked"); got != OutcomeAborted {
+		t.Fatalf("outcome %q, want %q", got, OutcomeAborted)
+	}
+	if got := w.CommittedMap().Epoch; got != epoch {
+		t.Fatalf("map epoch moved from %d to %d on an aborted move", epoch, got)
 	}
 }
 

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
 
+	"vsgm/internal/core"
 	"vsgm/internal/membership"
 	"vsgm/internal/randseed"
 	"vsgm/internal/spec"
@@ -30,10 +32,12 @@ type serverPhaseRun struct {
 	// the home it left; its retained record stays there.
 	departed map[types.ProcID]types.ProcID
 	joinSeq  int
+	// refused counts the traffic sends a blocked client refused.
+	refused int
 }
 
-// serverPhases returns a server-world script of n phases drawn, with the
-// weights of the large-population soak, from flash-crowd, churn,
+// serverPhases returns a server-world script of n phases drawn from traffic
+// and, with the weights of the large-population soak, flash-crowd, churn,
 // partition-heal, oscillate, corrupt-counter and state-scramble. It ends as
 // that soak stabilized: heal, one reconfiguration, one send per client, run
 // to quiescence. It then holds the trace to bounded convergence from the
@@ -48,6 +52,7 @@ func serverPhases(n int) func(w *ServerWorld, draw func(int) int) error {
 			weight int
 			run    func() error
 		}{
+			{3, r.traffic},
 			{3, r.flashCrowd},
 			{3, r.churn},
 			{2, r.partitionHeal},
@@ -56,7 +61,7 @@ func serverPhases(n int) func(w *ServerWorld, draw func(int) int) error {
 			{2, r.stateScramble},
 		}
 		for i := 0; i < n; i++ {
-			pick := r.draw(14)
+			pick := r.draw(17)
 			for _, ph := range phases {
 				if pick < ph.weight {
 					if err := ph.run(); err != nil {
@@ -67,7 +72,10 @@ func serverPhases(n int) func(w *ServerWorld, draw func(int) int) error {
 				pick -= ph.weight
 			}
 		}
-		return r.stabilize()
+		if err := r.stabilize(); err != nil {
+			return fmt.Errorf("%w (%d traffic sends refused while blocked)", err, r.refused)
+		}
+		return nil
 	}
 }
 
@@ -82,6 +90,21 @@ func (r *serverPhaseRun) lone() (types.ProcSet, types.ProcSet) {
 	servers := r.w.Servers()
 	lone := r.pick(servers)
 	return types.NewProcSet(lone), types.NewProcSet(servers...).Minus(types.NewProcSet(lone))
+}
+
+// traffic has one to three drawn clients send once each and leaves the
+// messages in flight for the next phase. A client blocked by a view change
+// refuses the send; that is counted, not a failure.
+func (r *serverPhaseRun) traffic() error {
+	for n := 1 + r.draw(3); n > 0; n-- {
+		cid := r.pick(r.w.Clients())
+		if _, err := r.w.Send(cid, []byte("t")); errors.Is(err, core.ErrBlocked) {
+			r.refused++
+		} else if err != nil {
+			return fmt.Errorf("send from %s: %w", cid, err)
+		}
+	}
+	return nil
 }
 
 // flashCrowd attaches one to three fresh clients, each at a drawn server, in
@@ -260,7 +283,8 @@ func (r *serverPhaseRun) stabilize() error {
 }
 
 // TestSwarmServerWorldPhases swarms the membership-server phase vocabulary
-// over three servers with two end-point clients each: flash crowds, churn
+// over three servers with two end-point clients each: traffic left in flight
+// into the next phase, flash crowds, churn
 // with departed clients coming back, server partitions and oscillation,
 // corrupted and arbitrary retained records. The chooser runs most schedules;
 // the clock runs the rest from a drawn seed, so that latencies, and the

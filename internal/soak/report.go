@@ -15,8 +15,6 @@ import (
 // attempts, and the replay seed — everything needed to reproduce and
 // debug the failure.
 type Report struct {
-	// Mode names the runner: "live" or "shard".
-	Mode string
 	// Seed is the PRNG seed the whole run derives from.
 	Seed int64
 	// Schedule is the executed chaos schedule (up to the failure, when the
@@ -24,22 +22,18 @@ type Report struct {
 	Schedule *Schedule
 	// Population is the number of endpoints/clients at the end of the run.
 	Population int
-	// EventsSeen / EventsChecked count the client writes the shard mode
-	// issued and the acknowledged ones its ledger checks.
-	EventsSeen, EventsChecked int64
 	// Violations lists every invariant violation (empty on a clean run).
 	Violations []string
 	// Timeline is the rendered reconfiguration trace timeline
 	// (internal/obs), populated when the run ends in violation.
 	Timeline string
-	// Elapsed is how long the run took — virtual time for simulation
-	// soaks, wall time for live soaks.
+	// Elapsed is the wall time from the cluster's boot to the end of the run.
 	Elapsed time.Duration
 
-	// Detector aggregates (live mode): chaos transitions the schedule
-	// executed, and the servers' failure-detector counters at the end of
-	// the run — flap crossings seen, rejoin quarantines imposed, gray
-	// (one-way link) downgrades applied. They let a seeded detector soak
+	// Detector aggregates: chaos transitions the schedule executed, and the
+	// servers' failure-detector counters at the end of the run — flap
+	// crossings seen, rejoin quarantines imposed, gray (one-way link)
+	// downgrades applied. They let a seeded detector soak
 	// assert that damping actually engaged, not merely that nothing broke.
 	ChaosTransitions    int
 	DetectorFlaps       int64
@@ -71,13 +65,11 @@ func (r *Report) Render() string {
 	if !r.OK() {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(&b, "soak %s: %s (seed %d, %d steps, %v, population %d)\n",
-		r.Mode, verdict, r.Seed, len(r.Schedule.Steps), r.Elapsed.Round(time.Millisecond), r.Population)
-	fmt.Fprintf(&b, "replay: %s=%d (same mode and scenario reproduces the schedule)\n", randseed.EnvVar, r.Seed)
-	if r.Mode == "live" {
-		fmt.Fprintf(&b, "detector: %d chaos transitions, %d flaps, %d quarantines, %d gray downgrades\n",
-			r.ChaosTransitions, r.DetectorFlaps, r.DetectorQuarantines, r.DetectorGrayDrops)
-	}
+	fmt.Fprintf(&b, "soak: %s (seed %d, %d steps, %v, population %d)\n",
+		verdict, r.Seed, len(r.Schedule.Steps), r.Elapsed.Round(time.Millisecond), r.Population)
+	fmt.Fprintf(&b, "replay: %s=%d (the same scenario reproduces the schedule)\n", randseed.EnvVar, r.Seed)
+	fmt.Fprintf(&b, "detector: %d chaos transitions, %d flaps, %d quarantines, %d gray downgrades\n",
+		r.ChaosTransitions, r.DetectorFlaps, r.DetectorQuarantines, r.DetectorGrayDrops)
 	if !r.OK() {
 		fmt.Fprintf(&b, "\n%d violation(s):\n", len(r.Violations))
 		for i, v := range r.Violations {

@@ -11,26 +11,26 @@ import (
 	"vsgm/internal/types"
 )
 
-// A world is one soak mode as the shared loop drives it. Each Run* builds
-// its world and hands it to drive, which owns everything the modes share:
-// defaults, validation, the PRNG stream, the schedule, the error split, the
-// forced violation and the report.
+// A world is the system a soak drives, as the loop sees it. RunLive builds
+// the live deployment's world and hands it to drive, which owns defaults,
+// validation, the PRNG stream, the schedule, the error split, the forced
+// violation and the report; a test substitutes a stub world to exercise the
+// loop without sockets.
 type world struct {
-	// phases maps every phase kind the mode executes to its body, started
+	// phases maps every phase kind the world executes to its body, started
 	// at the given run clock. Its keys are the kinds a scenario may name.
 	phases map[PhaseKind]func(at time.Duration) error
 	// now is the run clock: the Duration budget is measured on it and every
-	// step is stamped with it — virtual time for shard, wall time since boot
-	// for live.
+	// step is stamped with it.
 	now func() time.Duration
 	// stabilize is the final heal, round and convergence checks, run when
 	// no phase ended in a violation.
 	stabilize func() error
-	// verdict fills the mode's counters into the report and returns its
+	// verdict fills the world's counters into the report and returns its
 	// checkers' verdict. The loop folds it into every report it returns.
 	verdict func(rep *Report) error
 	// victim names the endpoint a forced violation lands on and record
-	// hands it to the mode's suite.
+	// hands it to the world's suite.
 	victim func() types.ProcID
 	record func(spec.Event)
 	// tracer, when set, supplies a violated report's timeline.
@@ -45,24 +45,17 @@ type chaos struct {
 	sched *Schedule
 }
 
-// settings is what the loop takes from each mode's config.
+// settings is what the loop takes from the run's config.
 type settings struct {
-	mode     string
-	duration time.Duration // 0 selects the mode's default
+	duration time.Duration // 0 selects defaultDuration
 	seed     int64
-	scenario *Scenario // nil selects the mode's default
+	scenario *Scenario // nil selects LiveScenario
 	force    bool
 	log      func(format string, args ...any)
 }
 
-// modeDefaults holds each mode's Duration and Scenario defaults.
-var modeDefaults = map[string]struct {
-	duration time.Duration
-	scenario func() *Scenario
-}{
-	"live":  {20 * time.Second, LiveScenario},
-	"shard": {800 * time.Millisecond, ShardScenario},
-}
+// defaultDuration is the phase loop's wall-time budget when none is given.
+const defaultDuration = 20 * time.Second
 
 // violationError marks a phase failure that is a property of the system
 // under test (a stabilization that never converged, a send that never
@@ -86,12 +79,11 @@ func violation(err error) error {
 // returns the report. A violation ends the phase loop and lands in the
 // report; any other error is a harness failure and is returned.
 func drive(s settings, build func(chaos) (*world, error)) (*Report, error) {
-	def := modeDefaults[s.mode]
 	if s.duration <= 0 {
-		s.duration = def.duration
+		s.duration = defaultDuration
 	}
 	if s.scenario == nil {
-		s.scenario = def.scenario()
+		s.scenario = LiveScenario()
 	}
 	if s.log == nil {
 		s.log = func(string, ...any) {}
@@ -111,17 +103,17 @@ func drive(s settings, build func(chaos) (*world, error)) (*Report, error) {
 	for err == nil && w.now() < s.duration {
 		kind := s.scenario.pick(ch.rng)
 		if err = w.phases[kind](w.now()); err == nil {
-			s.log("%s soak: step %d (%s) done at %v", s.mode, len(ch.sched.Steps), kind, w.now().Round(time.Millisecond))
+			s.log("soak: step %d (%s) done at %v", len(ch.sched.Steps), kind, w.now().Round(time.Millisecond))
 		}
 	}
 	if err == nil {
-		s.log("%s soak: %d steps executed, stabilizing", s.mode, len(ch.sched.Steps))
+		s.log("soak: %d steps executed, stabilizing", len(ch.sched.Steps))
 		err = w.stabilize()
 	}
 	if err != nil && !errors.As(err, new(violationError)) {
 		return nil, err
 	}
-	rep := &Report{Mode: s.mode, Seed: s.seed, Schedule: ch.sched}
+	rep := &Report{Seed: s.seed, Schedule: ch.sched}
 	rep.violate(err)
 
 	if s.force {

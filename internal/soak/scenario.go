@@ -1,18 +1,18 @@
 // Package soak is the long-soak chaos harness: it drives the live TCP
-// cluster and the sharded KV store on the simulator for sustained durations
-// under randomized, scheduled adversarial phases — partitions and heals,
-// oscillating partitions, crash/restart, flash-crowd joins, reshards,
-// stale-WAL resurrection, and wrapped-epoch/corrupted-counter injection —
-// with the executable specification suite (internal/spec) attached
-// throughout.
+// cluster for sustained durations under randomized, scheduled adversarial
+// phases — partitions and heals, oscillating and flapping links, gray
+// failures, crash/restart, flash-crowd joins, stale-WAL resurrection,
+// scrambled durable and in-memory state, and wrapped-epoch/corrupted-counter
+// injection — with the executable specification suite (internal/spec)
+// attached throughout.
 //
 // A run is driven by a single seeded PRNG: the weighted scenario picks the
 // phase sequence, and every phase draws its parameters (victims, splits,
-// burst sizes, dwell times) from the same stream, so the whole chaos
-// schedule replays deterministically from the logged seed. On any
-// invariant violation the run's Report carries the replay seed, the chaos
-// schedule up to the failure, and the reconfiguration trace timeline of
-// the implicated attempts (internal/obs).
+// burst sizes, dwell times) from the same stream, so the chaos schedule
+// replays from the logged seed; the kernel still picks the timing within it.
+// On any invariant violation the run's Report carries the replay seed, the
+// chaos schedule up to the failure, and the reconfiguration trace timeline
+// of the implicated attempts (internal/obs).
 package soak
 
 import (
@@ -35,8 +35,8 @@ const (
 	// PhaseOscillate flips a partition open and closed several times
 	// faster than the system stabilizes, then heals.
 	PhaseOscillate PhaseKind = "oscillate"
-	// PhaseCrashRestart crashes and recovers a replica (shard) or kills and
-	// restarts a server from its durable state (live).
+	// PhaseCrashRestart kills a server and restarts it from its durable
+	// state.
 	PhaseCrashRestart PhaseKind = "crash-restart"
 	// PhaseFlashCrowd joins a large batch of new clients in one instant.
 	PhaseFlashCrowd PhaseKind = "flash-crowd"
@@ -48,7 +48,7 @@ const (
 	PhaseCorruptCounter PhaseKind = "corrupt-counter"
 	// PhaseWALScramble kills a server, rewrites its durable state with
 	// adversarially random bytes — record-boundary-aware or blind — and
-	// restarts it through the fsck/repair path (live only).
+	// restarts it through the fsck/repair path.
 	PhaseWALScramble PhaseKind = "wal-scramble"
 	// PhaseStateScramble injects adversarially random identifier records
 	// straight into a running server's retained state, exercising the
@@ -57,29 +57,16 @@ const (
 	// PhaseClientScramble scrambles a live client's in-memory identifier
 	// watermarks (cid, view id, last start-change) with adversarially random
 	// values, exercising the client half of arbitrary-state convergence:
-	// self-clamping, the attach-claim re-float, and the notification filter
-	// (live only).
+	// self-clamping, the attach-claim re-float, and the notification filter.
 	PhaseClientScramble PhaseKind = "client-scramble"
 	// PhaseFlappingLink rapidly blocks and unblocks one server-server link,
 	// faster than an undamped detector stabilizes; flap damping must
 	// converge the verdict instead of installing a view per flip.
 	PhaseFlappingLink PhaseKind = "flapping-link"
-	// PhaseReshardGroup re-homes a random shard onto a new replica group
-	// (paired reconfigurations with transitional-set state handoff), with
-	// traffic interleaved between the reshard's steps (shard only).
-	PhaseReshardGroup PhaseKind = "reshard-group"
-	// PhaseReshardSlots moves a random slot range between two shards
-	// (snapshot, chunked install, marker-gated cutover, prune), with traffic
-	// interleaved between the reshard's steps (shard only).
-	PhaseReshardSlots PhaseKind = "reshard-slots"
-	// PhaseReshardChurn runs a reshard with chaos — crash/recover and
-	// partition/heal — injected between its steps, so handoffs must survive
-	// (or cleanly abort under) mid-flight failures (shard only).
-	PhaseReshardChurn PhaseKind = "reshard-churn"
 	// PhaseGrayFailure blocks exactly one direction of a server-server link
 	// — a gray failure one side cannot see directly. Reachability-bitmap
 	// reconciliation must converge both sides (and every third party) on
-	// one symmetric reconfiguration (live only).
+	// one symmetric reconfiguration.
 	PhaseGrayFailure PhaseKind = "gray-failure"
 )
 
@@ -191,42 +178,10 @@ func LiveDetectorScenario() *Scenario {
 	}
 }
 
-// ShardScenario is the default mix for the sharded-KV soak: client traffic
-// over both reshard kinds, partitions, and crash/recovery.
-func ShardScenario() *Scenario {
-	return &Scenario{
-		Name: "shard-default",
-		Weights: []Weight{
-			{PhaseTraffic, 4},
-			{PhaseReshardGroup, 2},
-			{PhaseReshardSlots, 2},
-			{PhasePartitionHeal, 2},
-			{PhaseCrashRestart, 2},
-		},
-	}
-}
-
-// ReshardUnderChurnScenario concentrates the sharded-KV soak on handoffs
-// with failures injected between their steps: most phases are mid-reshard
-// chaos, with enough plain traffic and standalone faults to keep the
-// acknowledgment ledger growing between handoffs.
-func ReshardUnderChurnScenario() *Scenario {
-	return &Scenario{
-		Name: "reshard-under-churn",
-		Weights: []Weight{
-			{PhaseTraffic, 2},
-			{PhaseReshardChurn, 4},
-			{PhasePartitionHeal, 1},
-			{PhaseCrashRestart, 1},
-		},
-	}
-}
-
 // ScenarioByName resolves a named scenario ("live-default", "live-arbitrary",
-// "live-detector", "shard-default", "reshard-under-churn"), for the -scenario
-// CLI flag.
+// "live-detector"), for the -scenario CLI flag.
 func ScenarioByName(name string) (*Scenario, error) {
-	for _, sc := range []*Scenario{LiveScenario(), LiveArbitraryScenario(), LiveDetectorScenario(), ShardScenario(), ReshardUnderChurnScenario()} {
+	for _, sc := range []*Scenario{LiveScenario(), LiveArbitraryScenario(), LiveDetectorScenario()} {
 		if sc.Name == name {
 			return sc, nil
 		}
@@ -238,8 +193,7 @@ func ScenarioByName(name string) (*Scenario, error) {
 type Step struct {
 	// Index numbers the step from 1.
 	Index int
-	// At is the run clock when the phase started — virtual time for
-	// simulation soaks, wall time since start for live soaks.
+	// At is the wall time since the cluster booted when the phase started.
 	At time.Duration
 	// Kind is the phase kind.
 	Kind PhaseKind

@@ -23,7 +23,7 @@ func logReplay(t *testing.T, seed int64) {
 }
 
 func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
-	sc := ShardScenario()
+	sc := LiveScenario()
 	counts := make(map[PhaseKind]int)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
@@ -34,9 +34,9 @@ func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
 			t.Errorf("phase %s (weight %d) never drawn in 2000 picks", w.Kind, w.Weight)
 		}
 	}
-	if counts[PhaseTraffic] <= counts[PhaseReshardGroup] {
+	if counts[PhaseTraffic] <= counts[PhaseFlashCrowd] {
 		t.Errorf("weight 4 phase drawn %d times, weight 2 phase %d times — weighting inverted",
-			counts[PhaseTraffic], counts[PhaseReshardGroup])
+			counts[PhaseTraffic], counts[PhaseFlashCrowd])
 	}
 	// Same seed, same stream.
 	a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
@@ -48,8 +48,13 @@ func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
 }
 
 func TestScenarioValidateRejectsUnsupportedPhase(t *testing.T) {
-	if _, err := RunShard(ShardConfig{Duration: time.Millisecond, Seed: 1, Scenario: LiveScenario()}); err == nil {
-		t.Fatal("shard runner accepted a scenario with live phases it cannot execute")
+	_, err := drive(settings{seed: 1, scenario: LiveScenario()}, func(chaos) (*world, error) {
+		return &world{phases: map[PhaseKind]func(time.Duration) error{
+			PhaseTraffic: func(time.Duration) error { return nil },
+		}}, nil
+	})
+	if err == nil {
+		t.Fatal("the loop accepted a scenario with phases its world cannot execute")
 	}
 	if _, err := ScenarioByName("no-such-mix"); err == nil {
 		t.Fatal("unknown scenario name resolved")
@@ -57,25 +62,6 @@ func TestScenarioValidateRejectsUnsupportedPhase(t *testing.T) {
 	if sc, err := ScenarioByName("live-default"); err != nil || sc.Name != "live-default" {
 		t.Fatalf("live-default did not resolve: %v", err)
 	}
-}
-
-// TestSimSoakScheduleReplays runs the virtual-time soak twice on one seed
-// and demands bit-identical chaos schedules — the reproducibility contract
-// behind every logged seed.
-func TestSimSoakScheduleReplays(t *testing.T) {
-	t.Run("shard", func(t *testing.T) {
-		var schedules [2]string
-		for i := range schedules {
-			rep, err := RunShard(ShardConfig{Duration: 300 * time.Millisecond, Seed: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			schedules[i] = rep.Schedule.Render()
-		}
-		if schedules[0] != schedules[1] {
-			t.Fatalf("same seed produced different schedules:\n--- first\n%s--- second\n%s", schedules[0], schedules[1])
-		}
-	})
 }
 
 // TestDriveForcedViolationReportsTimeline runs the shared loop over a stub
@@ -90,7 +76,7 @@ func TestDriveForcedViolationReportsTimeline(t *testing.T) {
 	et.StartChange(types.StartChange{ID: 1})
 	et.ViewInstalled(types.NewView(2, types.NewProcSet("p00"), map[types.ProcID]types.StartChangeID{"p00": 1}))
 	suite := spec.FullSuite()
-	s := settings{mode: "stub", duration: 30 * time.Millisecond, seed: 5, force: true,
+	s := settings{duration: 30 * time.Millisecond, seed: 5, force: true,
 		scenario: &Scenario{Name: "stub", Weights: []Weight{{PhaseTraffic, 1}}}}
 	rep, err := drive(s, func(ch chaos) (*world, error) {
 		return &world{
@@ -182,57 +168,4 @@ func TestLiveSoakSmoke(t *testing.T) {
 		t.Fatal("live soak executed no phases")
 	}
 	t.Logf("live soak: %d phases in %v", len(rep.Schedule.Steps), rep.Elapsed.Round(time.Millisecond))
-}
-
-// TestShardSoakDefault runs the sharded-KV soak under the default mixed
-// scenario: client traffic through the epoch-cached router, both reshard
-// kinds with traffic between their steps, partitions and crash/recovery —
-// and the no-lost-acknowledged-writes checker as the verdict.
-func TestShardSoakDefault(t *testing.T) {
-	seed, _ := randseed.Pick(61)
-	logReplay(t, seed)
-	dur := 800 * time.Millisecond // virtual time
-	if testing.Short() {
-		dur = 400 * time.Millisecond
-	}
-	rep, err := RunShard(ShardConfig{Duration: dur, Seed: seed, Log: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("shard soak violated the spec:\n%s", rep.Render())
-	}
-	if len(rep.Schedule.Steps) == 0 {
-		t.Fatal("shard soak executed no phases")
-	}
-	if rep.EventsChecked == 0 {
-		t.Fatal("shard soak acknowledged no writes — nothing was checked")
-	}
-}
-
-// TestShardSoakReshardUnderChurn is the acceptance slice from the issue: a
-// seeded reshard-under-churn run — crashes, recoveries, and partitions
-// injected between the steps of in-flight reshards — must end with every
-// acknowledged write still readable at its owning shard.
-func TestShardSoakReshardUnderChurn(t *testing.T) {
-	seed := int64(1009) // fixed: this is the acceptance slice, not a fuzz run
-	logReplay(t, seed)
-	dur := 900 * time.Millisecond // virtual time
-	if testing.Short() {
-		dur = 500 * time.Millisecond
-	}
-	rep, err := RunShard(ShardConfig{
-		Duration: dur, Seed: seed, Shards: 3,
-		Scenario: ReshardUnderChurnScenario(), Log: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("reshard-under-churn soak lost acknowledged writes:\n%s", rep.Render())
-	}
-	if rep.EventsChecked == 0 {
-		t.Fatal("churn soak acknowledged no writes — nothing was checked")
-	}
-	t.Logf("reshard-under-churn: %d phases, %d acked writes verified", len(rep.Schedule.Steps), rep.EventsChecked)
 }

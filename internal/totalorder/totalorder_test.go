@@ -167,6 +167,53 @@ func TestTotalOrderAcrossViewChange(t *testing.T) {
 	}
 }
 
+// TestTotalOrderJoinerNumbersFromTheNewView: a session numbers each sender's
+// messages per view, so a member that joins with no history agrees with the
+// old members on every new-view message's slot. Numbering carried across the
+// view boundary would leave the joiner holding data whose assignments name
+// other indices, and it would release nothing.
+func TestTotalOrderJoinerNumbersFromTheNewView(t *testing.T) {
+	h := newHarness(t, 3, 37)
+	procs := h.c.Procs()
+	first := types.NewProcSet(procs[0], procs[1])
+	if _, _, err := h.c.ReconfigureTo(first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := h.sessions[procs[1]].Send([]byte(fmt.Sprintf("old%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := types.NewProcSet(procs...)
+	if _, _, err := h.c.ReconfigureTo(all); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range procs[1:] {
+		if err := h.sessions[p].Send([]byte("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	joiner := h.orders[procs[2]]
+	if len(joiner) != 2 {
+		t.Fatalf("the joiner released %v, want the two new-view messages", joiner)
+	}
+	for _, p := range procs[:2] {
+		got := h.orders[p]
+		if want := 3 + 2; len(got) != want {
+			t.Fatalf("%s released %d messages, want %d", p, len(got), want)
+		}
+		if tail := got[len(got)-2:]; fmt.Sprint(tail) != fmt.Sprint(joiner) {
+			t.Fatalf("%s released the new view's messages as %v, the joiner as %v", p, tail, joiner)
+		}
+	}
+	if err := h.suite.Err(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTotalOrderSequencerLeaves(t *testing.T) {
 	h := newHarness(t, 3, 29)
 	procs := h.c.Procs()
