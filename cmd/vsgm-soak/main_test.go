@@ -49,3 +49,15 @@ func TestRunForcedViolationWritesReport(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsUnknownMode checks that vsgm-soak, which runs only the live
+// soak, refuses a -mode argument instead of silently running the live soak
+// for a script written against the old per-mode command line.
+func TestRunRejectsUnknownMode(t *testing.T) {
+	for _, mode := range []string{"bogus", "sim", "world", "shard"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-mode", mode}, &buf); err == nil {
+			t.Fatalf("unknown mode %q accepted", mode)
+		}
+	}
+}
