@@ -34,12 +34,12 @@ race:
 # Flake hunt, kept out of `check`: the live soak, chaos and server-failover
 # tests, the attach, lease, complaint and per-link-series tests, the
 # quiet-tail, in-view retention and dead-peer tests, and the watchdog,
-# heartbeat, gray-failure, link-failure, read-progress-deadline and
-# detector-smoke tests, whose schedules the kernel and the Go scheduler
+# heartbeat, gray-failure, link-failure and read-progress-deadline tests,
+# whose schedules the kernel and the Go scheduler
 # choose, FLAKE_COUNT times each at GOMAXPROCS 1 and 2. Any failure fails the target; "green" means every run
 # passed, not that a rerun did.
 FLAKE_COUNT ?= 10
-FLAKE_TESTS = TestLiveSoak|TestLiveChaos|TestLiveServer|TestLiveFlashCrowd|TestLiveAttachLease|TestLivePartitionedHome|TestLiveSlowConsumer|TestLiveEveryNumber|TestLiveQuietTail|TestLiveRetentionWithinView|TestLiveDeadPeer|TestLiveWatchdog|TestLiveGrayFailure|TestLiveLinkFailure|TestLiveHeartbeats|TestSlowLoris|TestTrickledSender|TestFrameRun|TestDetectorSmoke
+FLAKE_TESTS = TestLiveSoak|TestLiveChaos|TestLiveServer|TestLiveFlashCrowd|TestLiveAttachLease|TestLivePartitionedHome|TestLiveSlowConsumer|TestLiveEveryNumber|TestLiveQuietTail|TestLiveRetentionWithinView|TestLiveDeadPeer|TestLiveWatchdog|TestLiveGrayFailure|TestLiveLinkFailure|TestLiveHeartbeats|TestSlowLoris|TestTrickledSender|TestFrameRun
 
 flake:
 	$(GO) test -count=$(FLAKE_COUNT) -cpu 1,2 -timeout 0 -run '$(FLAKE_TESTS)' ./internal/live/ ./internal/soak/

@@ -7,8 +7,6 @@
 // Usage:
 //
 //	vsgm-soak -duration 60s -seed 7
-//	vsgm-soak -scenario live-arbitrary
-//	vsgm-soak -scenario live-detector -duration 30s
 //
 // Every run logs its replay seed; rerun with -seed (or VSGM_SEED) to replay
 // the chaos schedule. On a violation the full report — replay seed, chaos
@@ -41,7 +39,6 @@ func run(args []string, out io.Writer) error {
 	var (
 		duration = fs.Duration("duration", 0, "wall-time budget of the phase loop (0 = 20s)")
 		seed     = fs.Int64("seed", 0, "replay seed (0 = auto; VSGM_SEED overrides)")
-		scenario = fs.String("scenario", "", "named scenario mix (default: live-default)")
 		report   = fs.String("report", "", "write the report here (default: only on violation, to a temp path)")
 		force    = fs.Bool("force-violation", false, "inject a fabricated violation to demonstrate the report pipeline")
 		quiet    = fs.Bool("q", false, "suppress per-phase progress lines")
@@ -65,16 +62,8 @@ func run(args []string, out io.Writer) error {
 		progress = nil
 	}
 
-	var scen *soak.Scenario
-	if *scenario != "" {
-		var err error
-		if scen, err = soak.ScenarioByName(*scenario); err != nil {
-			return err
-		}
-	}
-
 	logf("soak: seed %d (replay with -seed %d or %s=%d)", runSeed, runSeed, randseed.EnvVar, runSeed)
-	rep, err := soak.RunLive(soak.LiveConfig{Duration: *duration, Seed: runSeed, Scenario: scen, ForceViolation: *force, Log: progress})
+	rep, err := soak.RunLive(soak.LiveConfig{Duration: *duration, Seed: runSeed, ForceViolation: *force, Log: progress})
 	if err != nil {
 		return fmt.Errorf("soak: %w", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vsgm/internal/randseed"
 )
 
 // TestRunLiveSoakSmoke runs a live soak whose phase budget is spent at boot:
@@ -25,6 +27,11 @@ func TestRunLiveSoakSmoke(t *testing.T) {
 	}
 }
 
+// TestRunForcedViolationWritesReport forces a fabricated Local Monotonicity
+// violation into a live soak whose phase budget is spent at boot, and checks
+// that the report holds everything a post-mortem needs — the violation, the
+// replay seed, the chaos schedule and the reconfiguration trace timeline —
+// and that the artifact on disk is the report the run printed.
 func TestRunForcedViolationWritesReport(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir()) // the state root a violated run keeps
 	report := filepath.Join(t.TempDir(), "soak.report")
@@ -43,10 +50,22 @@ func TestRunForcedViolationWritesReport(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("report artifact missing: %v", rerr)
 	}
-	for _, want := range []string{"FAIL", "seed 7", "Local Monotonicity", "forced-violation"} {
+	for _, want := range []string{
+		"FAIL",
+		"seed 7",
+		"Local Monotonicity",
+		"replay: " + randseed.EnvVar + "=7",
+		"chaos schedule:",
+		"forced-violation",
+		"reconfiguration trace timeline:",
+		"view_install",
+	} {
 		if !strings.Contains(string(b), want) {
-			t.Fatalf("report lacks %q:\n%s", want, b)
+			t.Errorf("report lacks %q:\n%s", want, b)
 		}
+	}
+	if !strings.Contains(buf.String(), string(b)) {
+		t.Fatalf("artifact on disk is not the report the run printed:\n%s", b)
 	}
 }
 

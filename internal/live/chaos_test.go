@@ -711,102 +711,6 @@ func TestLiveWriteDeadlineBreaksStuckPeer(t *testing.T) {
 	}
 }
 
-// TestLiveChaosSoakPartitionCycles runs repeated partition/heal cycles with
-// latency and partial writes on every link while background traffic flows,
-// then checks the full spec suite. Skipped under -short.
-func TestLiveChaosSoakPartitionCycles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak: repeated partition/heal cycles under degraded links")
-	}
-	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 4})
-	defer w.close()
-	w.StartHeartbeats(15*time.Millisecond, 120*time.Millisecond)
-
-	all := w.ClientSet()
-	fullView := func() bool {
-		for _, node := range w.Clients() {
-			if !node.CurrentView().Members.Equal(all) {
-				return false
-			}
-		}
-		return true
-	}
-	w.waitFor("initial full view", fullView)
-
-	// Degrade every link; Heal clears these, so reapply after each cycle.
-	degrade := func() {
-		for _, c := range w.chaosOf() {
-			c.SetLatency(0, 2*time.Millisecond)
-			c.SetPartialWrites(true)
-		}
-	}
-	degrade()
-
-	stop := make(chan struct{})
-	var traffic sync.WaitGroup
-	for cid, node := range w.Clients() {
-		cid, node := cid, node
-		traffic.Add(1)
-		go func() {
-			defer traffic.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				node.Send([]byte(fmt.Sprintf("soak-%s-%d", cid, i)))
-				time.Sleep(3 * time.Millisecond)
-			}
-		}()
-	}
-
-	sideA := w.sideClients(w.Servers()[0].ID())
-	sideB := w.sideClients(w.Servers()[1].ID())
-	for cycle := 0; cycle < 2; cycle++ {
-		w.Partition(
-			types.NewProcSet(w.Servers()[0].ID()),
-			types.NewProcSet(w.Servers()[1].ID()),
-		)
-		w.waitFor(fmt.Sprintf("cycle %d: side views", cycle), func() bool {
-			for cid, node := range w.Clients() {
-				want := sideA
-				if sideB.Contains(cid) {
-					want = sideB
-				}
-				if !node.CurrentView().Members.Equal(want) {
-					return false
-				}
-			}
-			return true
-		})
-		w.Heal()
-		w.waitFor(fmt.Sprintf("cycle %d: merged view", cycle), fullView)
-		degrade()
-	}
-
-	close(stop)
-	traffic.Wait()
-
-	post := w.Delivered()
-	for cid := range w.Clients() {
-		w.sendRetry(cid, "final-"+string(cid))
-	}
-	w.waitFor("final deliveries everywhere", func() bool {
-		snap := w.Delivered()
-		for cid := range w.Clients() {
-			if snap[cid] < post[cid]+len(w.Clients()) {
-				return false
-			}
-		}
-		return true
-	})
-
-	if err := w.SpecErr(); err != nil {
-		t.Fatalf("spec violations across soak cycles:\n%v", err)
-	}
-}
-
 // ---- batching vs. chaos interplay ----
 //
 // The coalescing writer batches many frames into one flush; these tests pin

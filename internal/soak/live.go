@@ -1,10 +1,11 @@
 package soak
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"vsgm/internal/live"
@@ -29,11 +30,6 @@ type LiveConfig struct {
 	StateRoot string
 	// Scenario is the phase mix; default LiveScenario().
 	Scenario *Scenario
-	// ChurnBudget bounds how many membership views one client may install
-	// per chaos transition over the whole run (spec.CheckChurn; every block,
-	// heal, kill, restart, or injection is one transition). 0 selects
-	// liveChurnBudget.
-	ChurnBudget int
 	// ForceViolation injects a fabricated violation at the end of the run.
 	ForceViolation bool
 	// Log receives progress lines; nil discards them.
@@ -47,10 +43,11 @@ type LiveConfig struct {
 // boundedness, not a tight constant.
 const liveConvergeBudget = 32
 
-// liveChurnBudget is the default CheckChurn allowance: membership views one
-// client may install per chaos transition across the whole run. Live
-// re-homing legitimately installs a handful of views per transition; an
-// undamped detector on a flapping link installs them without bound.
+// liveChurnBudget is the CheckChurn allowance: membership views one client
+// may install per chaos transition across the whole run (every block, heal,
+// kill, restart or injection is one transition). Live re-homing legitimately
+// installs a handful of views per transition; an undamped detector on a
+// flapping link installs them without bound.
 const liveChurnBudget = 16
 
 const (
@@ -60,6 +57,9 @@ const (
 	// liveConvergeTimeout bounds every stabilization wait; a wait that
 	// times out is a (liveness) violation.
 	liveConvergeTimeout = 15 * time.Second
+	// liveRoundWindow bounds one attempt at a traffic round, and the wait
+	// for the final view's messages once a round was delivered whole.
+	liveRoundWindow = 2 * time.Second
 	// liveAttachLease is 25 keepalive intervals: far past any chaos-induced
 	// keepalive gap, yet well inside the converge timeout, so a crowd
 	// straggler whose attach landed after its node closed is evicted before
@@ -69,9 +69,16 @@ const (
 	liveHBTimeout   = 150 * time.Millisecond
 )
 
+// defaultDuration is the phase loop's wall-time budget when none is given.
+const defaultDuration = 20 * time.Second
+
 type liveRun struct {
-	chaos
-	cfg       LiveConfig
+	cfg LiveConfig
+	// rng is the run's one PRNG stream: the loop picks phases from it and
+	// the phases draw their parameters from it. sched is the schedule the
+	// phases note themselves on.
+	rng       *rand.Rand
+	sched     *Schedule
 	start     time.Time
 	d         *live.Deployment
 	serverIDs []types.ProcID
@@ -84,15 +91,40 @@ type liveRun struct {
 	// block, heal, kill, restart, and injection is one) — the denominator
 	// of the bounded-churn check.
 	transitions int
-	// retired accumulates the detector counters of servers that were
-	// killed, so end-of-run totals survive restarts replacing the nodes.
-	retired [3]float64
 }
 
-// RunLive executes the live-cluster soak and returns its report.
+// phases is the live soak's phase table: every kind a scenario may name and
+// the method that executes it.
+var phases = map[PhaseKind]func(*liveRun, time.Duration) error{
+	PhaseTraffic:        (*liveRun).traffic,
+	PhasePartitionHeal:  (*liveRun).partitionHeal,
+	PhaseOscillate:      (*liveRun).oscillate,
+	PhaseFlappingLink:   (*liveRun).flappingLink,
+	PhaseGrayFailure:    (*liveRun).grayFailure,
+	PhaseCrashRestart:   (*liveRun).crashRestart,
+	PhaseFlashCrowd:     (*liveRun).flashCrowd,
+	PhaseStaleResurrect: (*liveRun).staleResurrect,
+	PhaseCorruptCounter: (*liveRun).corruptCounter,
+	PhaseWALScramble:    (*liveRun).walScramble,
+	PhaseStateScramble:  (*liveRun).stateScramble,
+	PhaseClientScramble: (*liveRun).clientScramble,
+}
+
+// RunLive executes the live-cluster soak and returns its report. A violation
+// ends the phase loop and lands in the report; any other error is a harness
+// failure and is returned.
 func RunLive(cfg LiveConfig) (*Report, error) {
-	if cfg.ChurnBudget <= 0 {
-		cfg.ChurnBudget = liveChurnBudget
+	if cfg.Duration <= 0 {
+		cfg.Duration = defaultDuration
+	}
+	if cfg.Scenario == nil {
+		cfg.Scenario = LiveScenario()
+	}
+	if cfg.Log == nil {
+		cfg.Log = func(string, ...any) {}
+	}
+	if err := cfg.Scenario.validate(); err != nil {
+		return nil, err
 	}
 	removeState := false
 	if cfg.StateRoot == "" {
@@ -103,75 +135,108 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 		cfg.StateRoot = dir
 		removeState = true
 	}
-	r := &liveRun{cfg: cfg, reg: obs.NewRegistry()}
+	r := &liveRun{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		sched: &Schedule{Scenario: cfg.Scenario.Name, Seed: cfg.Seed},
+		reg:   obs.NewRegistry(),
+	}
 	r.tracer = obs.NewTracer(r.reg)
 	defer func() {
 		if r.d != nil {
 			r.d.Close()
 		}
 	}()
-	s := settings{duration: cfg.Duration, seed: cfg.Seed, scenario: cfg.Scenario,
-		force: cfg.ForceViolation, log: cfg.Log}
-	rep, err := drive(s, func(ch chaos) (*world, error) {
-		r.chaos = ch
-		if err := r.boot(); err != nil {
-			return nil, err
-		}
-		r.start = time.Now()
-		if err := r.waitFullView("initial full view", 0); err != nil {
-			return nil, fmt.Errorf("soak: live cluster never booted: %w", err)
-		}
-		return r.world(), nil
-	})
+	rep, err := r.run()
 	if rep != nil && rep.OK() && removeState {
 		os.RemoveAll(cfg.StateRoot)
 	}
 	return rep, err
 }
 
-// world is the live deployment as the loop drives it. Every phase ends with
-// the spec suite's verdict so far: a violation stops the run at the phase
-// that caused it.
-func (r *liveRun) world() *world {
-	phases := map[PhaseKind]func(time.Duration) error{
-		PhaseTraffic:        r.traffic,
-		PhasePartitionHeal:  r.partitionHeal,
-		PhaseOscillate:      r.oscillate,
-		PhaseFlappingLink:   r.flappingLink,
-		PhaseGrayFailure:    r.grayFailure,
-		PhaseCrashRestart:   r.crashRestart,
-		PhaseFlashCrowd:     r.flashCrowd,
-		PhaseStaleResurrect: r.staleResurrect,
-		PhaseCorruptCounter: r.corruptCounter,
-		PhaseWALScramble:    r.walScramble,
-		PhaseStateScramble:  r.stateScramble,
-		PhaseClientScramble: r.clientScramble,
+// run boots the deployment, runs picked phases until the run clock passes the
+// budget, stabilizes, and returns the report.
+func (r *liveRun) run() (*Report, error) {
+	if err := r.boot(); err != nil {
+		return nil, err
 	}
-	for kind, body := range phases {
-		phases[kind] = func(at time.Duration) error {
-			if err := body(at); err != nil {
-				return err
-			}
-			if verr := r.d.SpecErr(); verr != nil {
-				return violationf("spec violation after %s phase: %v", kind, verr)
-			}
-			return nil
+	r.start = time.Now()
+	if err := r.waitFullView("initial full view", 0); err != nil {
+		return nil, fmt.Errorf("soak: live cluster never booted: %w", err)
+	}
+	var err error
+	for err == nil && r.now() < r.cfg.Duration {
+		kind := r.cfg.Scenario.pick(r.rng)
+		if err = r.phase(kind); err == nil {
+			r.cfg.Log("soak: step %d (%s) done at %v", len(r.sched.Steps), kind, r.now().Round(time.Millisecond))
 		}
 	}
-	return &world{
-		phases:    phases,
-		now:       func() time.Duration { return time.Since(r.start) },
-		stabilize: r.stabilize,
-		verdict:   r.verdict,
-		victim:    func() types.ProcID { return r.d.ClientIDs()[0] },
-		record:    func(ev spec.Event) { r.d.Record(ev) },
-		tracer:    r.tracer,
+	if err == nil {
+		r.cfg.Log("soak: %d steps executed, stabilizing", len(r.sched.Steps))
+		err = r.stabilize()
 	}
+	if err != nil && !errors.As(err, new(violationError)) {
+		return nil, err
+	}
+	rep := &Report{Seed: r.cfg.Seed, Schedule: r.sched}
+	rep.violate(err)
+
+	if r.cfg.ForceViolation {
+		// A membership view with a regressing identifier: a guaranteed Local
+		// Monotonicity violation that exercises the report path end to end.
+		victim := r.d.ClientIDs()[0]
+		r.sched.Note(r.now(), PhaseKind("forced-violation"), "injected regressing membership view at %s", victim)
+		r.d.Record(spec.EMView{P: victim, View: types.NewView(
+			0, types.NewProcSet(victim), map[types.ProcID]types.StartChangeID{victim: 1},
+		)})
+	}
+	// The deployment's verdict: the spec suite and the pooled-buffer audit
+	// of every node the run ever started.
+	rep.Population = len(r.d.ClientIDs())
+	rep.violate(r.d.Close())
+	rep.Elapsed = r.now()
+	if !rep.OK() {
+		rep.Timeline = r.tracer.TimelineString()
+	}
+	return rep, nil
+}
+
+// now is the run clock: the Duration budget is measured on it and every step
+// is stamped with it.
+func (r *liveRun) now() time.Duration { return time.Since(r.start) }
+
+// phase runs one phase of the given kind, then takes the spec suite's verdict
+// so far: a violation stops the run at the phase that caused it.
+func (r *liveRun) phase(kind PhaseKind) error {
+	if err := phases[kind](r, r.now()); err != nil {
+		return err
+	}
+	if verr := r.d.SpecErr(); verr != nil {
+		return violationf("spec violation after %s phase: %v", kind, verr)
+	}
+	return nil
+}
+
+// violationError marks a phase failure that is a property of the system
+// under test (a stabilization that never converged, a send that never
+// unblocked) rather than of the harness.
+type violationError struct{ error }
+
+func violationf(format string, args ...any) error {
+	return violationError{fmt.Errorf(format, args...)}
+}
+
+// violation marks err, if any, as a property of the system under test.
+func violation(err error) error {
+	if err == nil {
+		return nil
+	}
+	return violationError{err}
 }
 
 // stabilize heals everything and runs one more round, then holds the run to
-// the bounded-convergence property from the heal mark and the bounded-churn
-// property over the whole run.
+// Property 4.2 in the view it ends in, the bounded-convergence property from
+// the heal mark and the bounded-churn property over the whole run.
 func (r *liveRun) stabilize() error {
 	r.d.Heal()
 	r.transitions++
@@ -182,23 +247,38 @@ func (r *liveRun) stabilize() error {
 	if err := r.trafficRound("final"); err != nil {
 		return err
 	}
+	if err := r.finalViewLive(); err != nil {
+		return err
+	}
 	all, trace := r.d.ClientSet(), r.d.Trace()
 	if err := spec.CheckConvergence(trace, mark, all, all, liveConvergeBudget); err != nil {
 		return violation(err)
 	}
-	return violation(spec.CheckChurn(trace, 0, r.transitions, r.cfg.ChurnBudget, all))
+	return violation(spec.CheckChurn(trace, 0, r.transitions, liveChurnBudget, all))
 }
 
-// verdict is the deployment's: the spec suite and the pooled-buffer audit
-// of every node the run ever started.
-func (r *liveRun) verdict(rep *Report) error {
-	rep.Population = len(r.d.ClientIDs())
-	rep.ChaosTransitions = r.transitions
-	det := r.detectorCounts("")
-	rep.DetectorFlaps = int64(r.retired[0] + det[0])
-	rep.DetectorQuarantines = int64(r.retired[1] + det[1])
-	rep.DetectorGrayDrops = int64(r.retired[2] + det[2])
-	return r.d.Close()
+// finalViewLive holds the run to Property 4.2: every message sent in the one
+// full view all clients end in is delivered at every client within one round
+// window. The final round retries until a round is delivered whole, so a
+// message the view never delivers hides behind the retry that releases it;
+// only the trace shows it.
+func (r *liveRun) finalViewLive() error {
+	var last error
+	if r.d.WaitFor("every message of the final view delivered everywhere", liveRoundWindow, func() bool {
+		ids := r.d.ClientIDs()
+		v := r.d.Client(ids[0]).CurrentView()
+		for _, cid := range ids[1:] {
+			if r.d.Client(cid).CurrentView().Key() != v.Key() {
+				last = fmt.Errorf("clients end in different views")
+				return false
+			}
+		}
+		last = spec.CheckLiveness(r.d.Trace(), v)
+		return last == nil
+	}) != nil {
+		return violationf("Property 4.2 in the final view: %v", last)
+	}
+	return nil
 }
 
 // boot builds the deployment — file-backed servers, attach-protocol clients
@@ -277,28 +357,11 @@ func (r *liveRun) waitFullView(what string, floor types.ViewID) error {
 func (r *liveRun) trafficRound(tag string) error {
 	deadline := time.Now().Add(liveConvergeTimeout)
 	for {
-		err := r.d.TrafficRound(tag, min(2*time.Second, time.Until(deadline)))
+		err := r.d.TrafficRound(tag, min(liveRoundWindow, time.Until(deadline)))
 		if err == nil || time.Until(deadline) <= 0 {
 			return violation(err)
 		}
 	}
-}
-
-// detectorCounts reads the flap, quarantine and gray-downgrade counters
-// from the registry for server sid, or summed over every server when sid is
-// empty.
-func (r *liveRun) detectorCounts(sid types.ProcID) [3]float64 {
-	var out [3]float64
-	names := []string{"vsgm_detector_flaps_total", "vsgm_detector_quarantines_total", "vsgm_detector_gray_downgrades_total"}
-	for _, s := range r.reg.Snapshot().Samples {
-		i := slices.Index(names, s.Name)
-		for _, l := range s.Labels {
-			if i >= 0 && l.Key == "server" && (sid == "" || l.Value == string(sid)) {
-				out[i] += s.Value
-			}
-		}
-	}
-	return out
 }
 
 // serverPair draws a random ordered pair of distinct servers.
@@ -350,17 +413,6 @@ func (r *liveRun) settle(what string) error {
 	floor := r.d.MaxViewID()
 	r.d.Server(r.serverIDs[0]).Reconfigure()
 	return r.waitFullView(what, floor)
-}
-
-// retire banks a server's detector counters and closes it: its restart
-// replaces the collector that holds them, and end-of-run totals must survive
-// that.
-func (r *liveRun) retire(sid types.ProcID) {
-	det := r.detectorCounts(sid)
-	for i := range r.retired {
-		r.retired[i] += det[i]
-	}
-	r.d.Server(sid).Close()
 }
 
 func (r *liveRun) traffic(at time.Duration) error {
@@ -419,7 +471,7 @@ func (r *liveRun) crashRestart(at time.Duration) error {
 	floor := r.d.MaxViewID()
 	r.sched.Note(at, PhaseCrashRestart, "kill %s, converge on survivors, restart it from its store", sid)
 	r.transitions += 2 // the kill and the restart
-	r.retire(sid)
+	r.d.Server(sid).Close()
 	if err := r.waitFor("orphans of "+string(sid)+" re-home at survivors", func() bool {
 		for _, node := range r.d.Clients() {
 			if h := node.Home(); h == "" || h == sid {
@@ -513,7 +565,7 @@ func (r *liveRun) staleResurrect(at time.Duration) error {
 		return err
 	}
 	// Kill, roll the store back to the stale generation, restart.
-	r.retire(sid)
+	sn.Close()
 	if err := wal.CloneDir(backup, r.stateDir(sid)); err != nil {
 		return err
 	}
@@ -539,7 +591,7 @@ func (r *liveRun) corruptCounter(at time.Duration) error {
 	r.sched.Note(at, PhaseCorruptCounter, "kill %s, append %s for %s (cid=%d vid=%d epoch=%d) to its WAL, restart",
 		sid, flavour, victim, rec.CID, rec.Vid, rec.Epoch)
 	r.transitions += 2 // the kill and the restart
-	r.retire(sid)
+	r.d.Server(sid).Close()
 	store, err := live.NewFileStore(r.stateDir(sid))
 	if err != nil {
 		return err
@@ -565,7 +617,7 @@ func (r *liveRun) walScramble(at time.Duration) error {
 	if err := r.waitServersIntegrated(); err != nil {
 		return err
 	}
-	r.retire(sid)
+	r.d.Server(sid).Close()
 	detail, err := r.scrambleStateDir(r.stateDir(sid))
 	if err != nil {
 		return err

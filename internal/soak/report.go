@@ -29,16 +29,6 @@ type Report struct {
 	Timeline string
 	// Elapsed is the wall time from the cluster's boot to the end of the run.
 	Elapsed time.Duration
-
-	// Detector aggregates: chaos transitions the schedule executed, and the
-	// servers' failure-detector counters at the end of the run — flap
-	// crossings seen, rejoin quarantines imposed, gray (one-way link)
-	// downgrades applied. They let a seeded detector soak
-	// assert that damping actually engaged, not merely that nothing broke.
-	ChaosTransitions    int
-	DetectorFlaps       int64
-	DetectorQuarantines int64
-	DetectorGrayDrops   int64
 }
 
 // OK reports whether the run finished without violations.
@@ -68,8 +58,6 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "soak: %s (seed %d, %d steps, %v, population %d)\n",
 		verdict, r.Seed, len(r.Schedule.Steps), r.Elapsed.Round(time.Millisecond), r.Population)
 	fmt.Fprintf(&b, "replay: %s=%d (the same scenario reproduces the schedule)\n", randseed.EnvVar, r.Seed)
-	fmt.Fprintf(&b, "detector: %d chaos transitions, %d flaps, %d quarantines, %d gray downgrades\n",
-		r.ChaosTransitions, r.DetectorFlaps, r.DetectorQuarantines, r.DetectorGrayDrops)
 	if !r.OK() {
 		fmt.Fprintf(&b, "\n%d violation(s):\n", len(r.Violations))
 		for i, v := range r.Violations {

@@ -106,14 +106,11 @@ func (sc *Scenario) pick(rng *rand.Rand) PhaseKind {
 	return sc.Weights[len(sc.Weights)-1].Kind
 }
 
-// validate checks that the runner's phase table executes every kind in the mix.
-func (sc *Scenario) validate(phases map[PhaseKind]func(at time.Duration) error) error {
-	if len(sc.Weights) == 0 {
-		return fmt.Errorf("soak: scenario %q has no phases", sc.Name)
-	}
+// validate checks that every kind the mix weighs is in the phase table.
+func (sc *Scenario) validate() error {
 	for _, w := range sc.Weights {
 		if phases[w.Kind] == nil {
-			return fmt.Errorf("soak: scenario %q: phase %q is not supported by this runner", sc.Name, w.Kind)
+			return fmt.Errorf("soak: scenario %q: unknown phase %q", sc.Name, w.Kind)
 		}
 	}
 	return nil
@@ -138,55 +135,6 @@ func LiveScenario() *Scenario {
 			{PhaseClientScramble, 2},
 		},
 	}
-}
-
-// LiveArbitraryScenario concentrates the live soak on the self-stabilizing
-// recovery paths: every phase leaves a server holding state no correct
-// execution produces — scrambled WAL bytes, scrambled in-memory records,
-// stale generations, corrupted counters — with just enough traffic to prove
-// the data path survives each convergence.
-func LiveArbitraryScenario() *Scenario {
-	return &Scenario{
-		Name: "live-arbitrary",
-		Weights: []Weight{
-			{PhaseTraffic, 2},
-			{PhaseWALScramble, 4},
-			{PhaseStateScramble, 4},
-			{PhaseClientScramble, 4},
-			{PhaseStaleResurrect, 2},
-			{PhaseCorruptCounter, 2},
-			{PhaseCrashRestart, 1},
-		},
-	}
-}
-
-// LiveDetectorScenario concentrates the live soak on the adaptive failure
-// detector: flapping links that must be damped, gray failures that must be
-// reconciled symmetrically, and just enough clean partitions and traffic to
-// prove the detector still converges the easy cases. Runs of this scenario
-// additionally hold the trace to the bounded-churn property
-// (spec.CheckChurn) over the run's chaos transitions.
-func LiveDetectorScenario() *Scenario {
-	return &Scenario{
-		Name: "live-detector",
-		Weights: []Weight{
-			{PhaseTraffic, 2},
-			{PhaseFlappingLink, 4},
-			{PhaseGrayFailure, 4},
-			{PhasePartitionHeal, 1},
-		},
-	}
-}
-
-// ScenarioByName resolves a named scenario ("live-default", "live-arbitrary",
-// "live-detector"), for the -scenario CLI flag.
-func ScenarioByName(name string) (*Scenario, error) {
-	for _, sc := range []*Scenario{LiveScenario(), LiveArbitraryScenario(), LiveDetectorScenario()} {
-		if sc.Name == name {
-			return sc, nil
-		}
-	}
-	return nil, fmt.Errorf("soak: unknown scenario %q", name)
 }
 
 // Step is one executed phase of a soak run's chaos schedule.
