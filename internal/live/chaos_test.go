@@ -73,7 +73,14 @@ func linkCounts(f *fabric, peer types.ProcID) map[string]int64 {
 // mid-multicast, each side reconfigures down to its own component and keeps
 // multicasting, the partition heals, and the group reconverges on the
 // merged view — with the full spec suite checking every event throughout.
+// The degraded case runs the same reconfigurations with latency and partial
+// writes on every link, so view changes cross fragmented, delayed frames.
 func TestLiveChaosPartitionAndHeal(t *testing.T) {
+	t.Run("clean", func(t *testing.T) { partitionAndHeal(t, false) })
+	t.Run("degraded", func(t *testing.T) { partitionAndHeal(t, true) })
+}
+
+func partitionAndHeal(t *testing.T, degraded bool) {
 	w := deploy(t, DeploymentConfig{Servers: 2, Clients: 4})
 	defer w.close()
 	w.StartHeartbeats(15*time.Millisecond, 120*time.Millisecond)
@@ -87,6 +94,17 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 		}
 		return true
 	})
+	// Heal clears the degradation, so it is applied again after the heal.
+	degrade := func() {
+		if !degraded {
+			return
+		}
+		for _, c := range w.chaosOf() {
+			c.SetLatency(0, 2*time.Millisecond)
+			c.SetPartialWrites(true)
+		}
+	}
+	degrade()
 
 	// Pre-partition round: everyone hears everyone.
 	base := w.Delivered()
@@ -165,6 +183,7 @@ func TestLiveChaosPartitionAndHeal(t *testing.T) {
 	})
 
 	w.Heal()
+	degrade()
 	w.waitFor("clients to reconverge on the merged view", func() bool {
 		for _, node := range w.Clients() {
 			if !node.CurrentView().Members.Equal(all) {

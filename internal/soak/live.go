@@ -28,8 +28,6 @@ type LiveConfig struct {
 	// StateRoot is where per-server file stores live; default a temp dir
 	// (removed on success, kept on violation for post-mortems).
 	StateRoot string
-	// Scenario is the phase mix; default LiveScenario().
-	Scenario *Scenario
 	// ForceViolation injects a fabricated violation at the end of the run.
 	ForceViolation bool
 	// Log receives progress lines; nil discards them.
@@ -74,9 +72,10 @@ const defaultDuration = 20 * time.Second
 
 type liveRun struct {
 	cfg LiveConfig
-	// rng is the run's one PRNG stream: the loop picks phases from it and
-	// the phases draw their parameters from it. sched is the schedule the
-	// phases note themselves on.
+	// rng is the run's one PRNG stream: the loop picks phases from mix with
+	// it and the phases draw their parameters from it. sched is the
+	// schedule the phases note themselves on.
+	mix       *Scenario
 	rng       *rand.Rand
 	sched     *Schedule
 	start     time.Time
@@ -93,7 +92,7 @@ type liveRun struct {
 	transitions int
 }
 
-// phases is the live soak's phase table: every kind a scenario may name and
+// phases is the live soak's phase table: every kind the mix may draw and
 // the method that executes it.
 var phases = map[PhaseKind]func(*liveRun, time.Duration) error{
 	PhaseTraffic:        (*liveRun).traffic,
@@ -117,14 +116,8 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = defaultDuration
 	}
-	if cfg.Scenario == nil {
-		cfg.Scenario = LiveScenario()
-	}
 	if cfg.Log == nil {
 		cfg.Log = func(string, ...any) {}
-	}
-	if err := cfg.Scenario.validate(); err != nil {
-		return nil, err
 	}
 	removeState := false
 	if cfg.StateRoot == "" {
@@ -135,10 +128,12 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 		cfg.StateRoot = dir
 		removeState = true
 	}
+	mix := LiveScenario()
 	r := &liveRun{
 		cfg:   cfg,
+		mix:   mix,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		sched: &Schedule{Scenario: cfg.Scenario.Name, Seed: cfg.Seed},
+		sched: &Schedule{Scenario: mix.Name, Seed: cfg.Seed},
 		reg:   obs.NewRegistry(),
 	}
 	r.tracer = obs.NewTracer(r.reg)
@@ -166,7 +161,7 @@ func (r *liveRun) run() (*Report, error) {
 	}
 	var err error
 	for err == nil && r.now() < r.cfg.Duration {
-		kind := r.cfg.Scenario.pick(r.rng)
+		kind := r.mix.pick(r.rng)
 		if err = r.phase(kind); err == nil {
 			r.cfg.Log("soak: step %d (%s) done at %v", len(r.sched.Steps), kind, r.now().Round(time.Millisecond))
 		}

@@ -86,34 +86,16 @@ type Scenario struct {
 func (sc *Scenario) pick(rng *rand.Rand) PhaseKind {
 	total := 0
 	for _, w := range sc.Weights {
-		if w.Weight > 0 {
-			total += w.Weight
-		}
-	}
-	if total == 0 {
-		return PhaseTraffic
+		total += w.Weight
 	}
 	n := rng.Intn(total)
 	for _, w := range sc.Weights {
-		if w.Weight <= 0 {
-			continue
-		}
 		if n < w.Weight {
 			return w.Kind
 		}
 		n -= w.Weight
 	}
-	return sc.Weights[len(sc.Weights)-1].Kind
-}
-
-// validate checks that every kind the mix weighs is in the phase table.
-func (sc *Scenario) validate() error {
-	for _, w := range sc.Weights {
-		if phases[w.Kind] == nil {
-			return fmt.Errorf("soak: scenario %q: unknown phase %q", sc.Name, w.Kind)
-		}
-	}
-	return nil
+	panic("soak: pick drew past the mix's total weight")
 }
 
 // LiveScenario is the default mix for the live TCP deployment soak.

@@ -41,10 +41,24 @@ func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestScenarioValidateRejectsUnsupportedPhase holds the mix and the phase
+// table to each other: every kind the mix weighs has a body, and every body
+// is drawn.
 func TestScenarioValidateRejectsUnsupportedPhase(t *testing.T) {
-	sc := &Scenario{Name: "bogus", Weights: []Weight{{PhaseTraffic, 1}, {PhaseKind("no-such-phase"), 1}}}
-	if _, err := RunLive(LiveConfig{Seed: 1, Scenario: sc}); err == nil {
-		t.Fatal("the soak accepted a scenario naming a phase it has no body for")
+	weighed := make(map[PhaseKind]bool)
+	for _, w := range LiveScenario().Weights {
+		if phases[w.Kind] == nil {
+			t.Errorf("the mix weighs phase %q, which has no body", w.Kind)
+		}
+		if w.Weight <= 0 {
+			t.Errorf("the mix weighs phase %q at %d, so it is never drawn", w.Kind, w.Weight)
+		}
+		weighed[w.Kind] = true
+	}
+	for kind := range phases {
+		if !weighed[kind] {
+			t.Errorf("phase %q has a body the mix never draws", kind)
+		}
 	}
 }
 
