@@ -60,17 +60,17 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var lvl core.Level
-	var suite *spec.Suite
 	switch *level {
 	case "wv":
-		lvl, suite = core.LevelWV, spec.WVSuite(spec.WithTrace())
+		lvl = core.LevelWV
 	case "vs":
-		lvl, suite = core.LevelVS, spec.VSSuite(spec.WithTrace())
+		lvl = core.LevelVS
 	case "gcs":
-		lvl, suite = core.LevelGCS, spec.FullSuite(spec.WithTrace())
+		lvl = core.LevelGCS
 	default:
 		return fmt.Errorf("unknown level %q (want wv, vs, or gcs)", *level)
 	}
+	suite := spec.SuiteFor(lvl, spec.WithTrace())
 
 	total := *n + *churn
 	cfg := sim.Config{

@@ -242,16 +242,48 @@ func TestCrashAndRecovery(t *testing.T) {
 	assertSpec(t, suite)
 }
 
+// TestCrashDropsInFlightNotification crashes p while its view notification
+// is in flight and recovers it before the notification lands. The
+// notification must die with the crash: delivered to the recovered
+// end-point, which starts from its initial state, it is a view without a
+// preceding start_change.
+func TestCrashDropsInFlightNotification(t *testing.T) {
+	c, suite := newTestCluster(t, 3, func(cfg *Config) { cfg.Latency = FixedLatency(10 * time.Millisecond) })
+	all := types.NewProcSet(c.Procs()...)
+	p := c.Procs()[1]
+	if err := c.StartChange(all); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunFor(15 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DeliverView(all); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Crash(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Recover(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	assertSpec(t, suite)
+	v := mustReconfigure(t, c, all)
+	for _, q := range c.Procs() {
+		if got := c.Endpoint(q).CurrentView(); !got.Equal(v) {
+			t.Errorf("%s current view = %s, want %s", q, got, v)
+		}
+	}
+	assertSpec(t, suite)
+}
+
 func TestLevelsWVAndVS(t *testing.T) {
 	for _, level := range []core.Level{core.LevelWV, core.LevelVS} {
 		level := level
 		t.Run(level.String(), func(t *testing.T) {
-			var suite *spec.Suite
-			if level == core.LevelWV {
-				suite = spec.WVSuite(spec.WithTrace())
-			} else {
-				suite = spec.VSSuite(spec.WithTrace())
-			}
+			suite := spec.SuiteFor(level, spec.WithTrace())
 			c, err := NewCluster(Config{
 				Procs:           ProcIDs(3),
 				Level:           level,
@@ -681,13 +713,10 @@ func TestHandlerSendsKeepTheBatchInHand(t *testing.T) {
 // delivers a non-nil transitional set with every view, and a WV_RFIFO
 // end-point delivers none.
 func TestViewEventTransitionalSetIsNilOnlyBelowVS(t *testing.T) {
-	suites := map[core.Level]func(...spec.SuiteOption) *spec.Suite{
-		core.LevelWV: spec.WVSuite, core.LevelVS: spec.VSSuite, core.LevelGCS: spec.FullSuite,
-	}
 	for _, level := range []core.Level{core.LevelWV, core.LevelVS, core.LevelGCS} {
 		t.Run(level.String(), func(t *testing.T) {
 			views := 0
-			suite := suites[level]()
+			suite := spec.SuiteFor(level)
 			c, _ := newTestCluster(t, 4, func(cfg *Config) {
 				cfg.Level = level
 				cfg.Suite = suite

@@ -63,30 +63,34 @@ type ExploreResult struct {
 // Exhaustive explores the scenario's schedule tree depth-first, replaying
 // from a fresh cluster built from cfg on every branch, until the tree is
 // exhausted or maxSchedules have run. cfg.Suite is replaced by a fresh
-// spec.FullSuite per schedule. It returns an error, prefixed with the
-// schedule's choices, for the first schedule that violates a specification,
-// fails the scenario's own assertions, or — when the scenario reported the
-// view it settled in — leaves that view short of Property 4.2.
+// suite for cfg.Level (spec.SuiteFor) per schedule. It returns an error,
+// prefixed with the schedule's choices, for the first schedule that
+// violates a specification, fails the scenario's own assertions, or — when
+// the scenario reported the view it settled in — leaves that view short of
+// Property 4.2.
 func Exhaustive(cfg Config, scenario Scenario, maxSchedules int) (ExploreResult, error) {
-	return exhaustive(clusterSchedule(cfg, scenario), maxSchedules)
+	return exhaustive(clusterSchedule(cfg, false, scenario), maxSchedules)
 }
 
 // Swarm explores `runs` random schedules of the scenario drawn from the
 // given seed, each on a fresh cluster checked as in Exhaustive.
 func Swarm(cfg Config, scenario Scenario, runs int, seed int64) (ExploreResult, error) {
-	return swarm(clusterSchedule(cfg, scenario), runs, seed)
+	return swarm(clusterSchedule(cfg, false, scenario), runs, seed)
 }
 
-// clusterSchedule runs one schedule of a cluster scenario under choose.
-func clusterSchedule(cfg Config, scenario Scenario) func(choose func(int) int) error {
+// clusterSchedule runs one schedule of a cluster scenario under choose or,
+// clocked, on the cluster's virtual clock.
+func clusterSchedule(cfg Config, clocked bool, scenario Scenario) func(choose func(int) int) error {
 	return func(choose func(int) int) error {
-		suite := spec.FullSuite(spec.WithTrace())
+		suite := spec.SuiteFor(cfg.Level, spec.WithTrace())
 		cfg.Suite = suite
 		c, err := NewCluster(cfg)
 		if err != nil {
 			return err
 		}
-		c.choose = choose
+		if !clocked {
+			c.choose = choose
+		}
 		if err := scenario(c); err != nil {
 			return err
 		}

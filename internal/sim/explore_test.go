@@ -82,72 +82,6 @@ func TestExhaustiveMemberLeaves(t *testing.T) {
 	t.Logf("explored %d schedules (exhausted=%v)", res.Schedules, res.Exhausted)
 }
 
-func TestSwarmThreeProcesses(t *testing.T) {
-	members := types.NewProcSet("a", "b", "c")
-	runs := 300
-	if testing.Short() {
-		runs = 50
-	}
-	res, err := Swarm(Config{Procs: []types.ProcID{"a", "b", "c"}},
-		reconfigScenario(members, members), runs, 1)
-	if err != nil {
-		t.Fatalf("after %d schedules: %v", res.Schedules, err)
-	}
-}
-
-func TestSwarmCascadingChange(t *testing.T) {
-	// Two changes committed back to back: schedules where the second
-	// start_change overtakes the first view exercise the obsolete-view
-	// skipping logic under every interleaving.
-	procs := []types.ProcID{"a", "b", "c"}
-	all := types.NewProcSet(procs...)
-	pair := types.NewProcSet("a", "b")
-	scenario := func(c *Cluster) error {
-		if err := c.StartChange(pair); err != nil {
-			return err
-		}
-		if _, err := c.DeliverView(pair); err != nil {
-			return err
-		}
-		if err := c.Run(); err != nil {
-			return err
-		}
-		if _, err := c.Send("a", []byte("x")); err != nil {
-			return err
-		}
-		if err := c.StartChange(all); err != nil {
-			return err
-		}
-		if _, err := c.DeliverView(all); err != nil {
-			return err
-		}
-		// Cascade before anyone can settle.
-		if err := c.StartChange(all); err != nil {
-			return err
-		}
-		v, err := c.DeliverView(all)
-		if err != nil {
-			return err
-		}
-		if err := c.Run(); err != nil {
-			return err
-		}
-		for _, p := range procs {
-			if got := c.Endpoint(p).CurrentView(); !got.Equal(v) {
-				return fmt.Errorf("%s stabilized in %s, want %s", p, got, v)
-			}
-		}
-		return nil
-	}
-	runs := 300
-	if testing.Short() {
-		runs = 50
-	}
-	if _, err := Swarm(Config{Procs: procs}, scenario, runs, 7); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestExplorerDetectsInjectedViolation(t *testing.T) {
 	// Sanity: the explorer actually fails when the scenario's assertions
 	// fail — a scenario that claims a wrong final view must be reported.
@@ -170,28 +104,6 @@ func TestExplorerDetectsInjectedViolation(t *testing.T) {
 	}
 }
 
-func TestSwarmHierarchyAndOptimizations(t *testing.T) {
-	// Model-check the extensions together: the two-tier hierarchy, the
-	// §5.2.4 small/elided syncs, and stability acks, under every explored
-	// interleaving of a reconfiguration with in-flight traffic.
-	procs := []types.ProcID{"a", "b", "c", "d"}
-	members := types.NewProcSet(procs...)
-	survivors := types.NewProcSet("a", "b", "c")
-	runs := 250
-	if testing.Short() {
-		runs = 40
-	}
-	cfg := Config{
-		Procs:              procs,
-		SmallSync:          true,
-		AckInterval:        1,
-		HierarchyGroupSize: 2,
-	}
-	if _, err := Swarm(cfg, reconfigScenario(members, survivors), runs, 11); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestExhaustiveHierarchyThreeMembers(t *testing.T) {
 	budget := 4_000
 	if testing.Short() {
@@ -205,120 +117,6 @@ func TestExhaustiveHierarchyThreeMembers(t *testing.T) {
 		t.Fatalf("after %d schedules: %v", res.Schedules, err)
 	}
 	t.Logf("explored %d hierarchy schedules (exhausted=%v)", res.Schedules, res.Exhausted)
-}
-
-func TestSwarmCrashDuringReconfiguration(t *testing.T) {
-	// A member crashes while the change that would have included it is in
-	// flight; the membership then excludes it. Every interleaving of the
-	// doomed change's traffic with the corrective change must stay safe
-	// and converge.
-	procs := []types.ProcID{"a", "b", "c"}
-	all := types.NewProcSet(procs...)
-	survivors := types.NewProcSet("a", "b")
-	scenario := func(c *Cluster) error {
-		if err := c.StartChange(all); err != nil {
-			return err
-		}
-		if _, err := c.DeliverView(all); err != nil {
-			return err
-		}
-		if err := c.Run(); err != nil {
-			return err
-		}
-		if _, err := c.Send("a", []byte("x")); err != nil {
-			return err
-		}
-		if _, err := c.Send("c", []byte("doomed")); err != nil {
-			return err
-		}
-		if err := c.StartChange(all); err != nil {
-			return err
-		}
-		// c dies mid-change; the membership corrects to the survivors.
-		if err := c.Crash("c"); err != nil {
-			return err
-		}
-		if err := c.StartChange(survivors); err != nil {
-			return err
-		}
-		v, err := c.DeliverView(survivors)
-		if err != nil {
-			return err
-		}
-		if err := c.Run(); err != nil {
-			return err
-		}
-		for _, p := range survivors.Sorted() {
-			if got := c.Endpoint(p).CurrentView(); !got.Equal(v) {
-				return fmt.Errorf("%s stabilized in %s, want %s", p, got, v)
-			}
-		}
-		return nil
-	}
-	runs := 300
-	if testing.Short() {
-		runs = 50
-	}
-	if _, err := Swarm(Config{Procs: procs}, scenario, runs, 13); err != nil {
-		t.Fatal(err)
-	}
-	// The same churn with within-view collection on: the survivors must
-	// still be able to forward what the crashed member's peers lack.
-	if _, err := Swarm(Config{Procs: procs, AckInterval: 1}, scenario, runs, 17); err != nil {
-		t.Fatalf("with stability acks: %v", err)
-	}
-}
-
-func TestSwarmRecoveryRejoin(t *testing.T) {
-	procs := []types.ProcID{"a", "b"}
-	all := types.NewProcSet(procs...)
-	scenario := func(c *Cluster) error {
-		if err := c.StartChange(all); err != nil {
-			return err
-		}
-		if _, err := c.DeliverView(all); err != nil {
-			return err
-		}
-		if err := c.Run(); err != nil {
-			return err
-		}
-		if err := c.Crash("b"); err != nil {
-			return err
-		}
-		if err := c.StartChange(types.NewProcSet("a")); err != nil {
-			return err
-		}
-		if _, err := c.DeliverView(types.NewProcSet("a")); err != nil {
-			return err
-		}
-		if err := c.Run(); err != nil {
-			return err
-		}
-		if err := c.Recover("b"); err != nil {
-			return err
-		}
-		if err := c.StartChange(all); err != nil {
-			return err
-		}
-		v, err := c.DeliverView(all)
-		if err != nil {
-			return err
-		}
-		if err := c.Run(); err != nil {
-			return err
-		}
-		for _, p := range procs {
-			if got := c.Endpoint(p).CurrentView(); !got.Equal(v) {
-				return fmt.Errorf("%s stabilized in %s, want %s", p, got, v)
-			}
-		}
-		return nil
-	}
-	res, err := Exhaustive(Config{Procs: procs}, scenario, 3000)
-	if err != nil {
-		t.Fatalf("after %d schedules: %v", res.Schedules, err)
-	}
-	t.Logf("explored %d crash/recovery schedules (exhausted=%v)", res.Schedules, res.Exhausted)
 }
 
 // TestExhaustiveFormationTreeSize pins the size of the smallest complete
@@ -368,49 +166,6 @@ func serverWorldSchedule(cfg ServerWorldConfig, clocked bool, script func(w *Ser
 			return err
 		}
 		return suite.Err()
-	}
-}
-
-// TestSwarmServerWorld explores the membership servers' own protocol with
-// the end-points above it: server-to-server proposals, server-to-client
-// notifications and client traffic interleave freely through a boot, a view
-// change with multicasts in flight, a partition and a heal. Every schedule
-// must satisfy the full suite and end in one shared view of both clients.
-func TestSwarmServerWorld(t *testing.T) {
-	runs := 200
-	if testing.Short() {
-		runs = 40
-	}
-	res, err := swarm(serverWorldSchedule(ServerWorldConfig{Servers: 2, ClientsPerServer: 1}, false, func(w *ServerWorld, _ func(int) int) error {
-		if err := w.Boot(); err != nil {
-			return err
-		}
-		for _, cid := range w.Clients() {
-			if _, err := w.Send(cid, []byte("m-"+string(cid))); err != nil {
-				return err
-			}
-		}
-		if err := w.TriggerChange(); err != nil {
-			return err
-		}
-		s := w.Servers()
-		if err := w.PartitionServers(types.NewProcSet(s[0]), types.NewProcSet(s[1])); err != nil {
-			return err
-		}
-		if err := w.HealServers(); err != nil {
-			return err
-		}
-		all := types.NewProcSet(w.Clients()...)
-		first := w.Endpoint(w.Clients()[0]).CurrentView()
-		for _, cid := range w.Clients() {
-			if got := w.Endpoint(cid).CurrentView(); !got.Members.Equal(all) || !got.Equal(first) {
-				return fmt.Errorf("%s stabilized in %s, want one shared view of %s", cid, got, all)
-			}
-		}
-		return nil
-	}), runs, 3)
-	if err != nil {
-		t.Fatalf("after %d schedules: %v", res.Schedules, err)
 	}
 }
 

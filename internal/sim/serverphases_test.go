@@ -298,12 +298,17 @@ func TestSwarmServerWorldPhases(t *testing.T) {
 	if testing.Short() {
 		runs = 10
 	}
-	cfg := ServerWorldConfig{Servers: 3, ClientsPerServer: 2}
 	for _, tc := range []struct {
 		clocked bool
 		runs    int
 	}{{false, runs}, {true, runs / 4}} {
-		res, err := swarm(serverWorldSchedule(cfg, tc.clocked, serverPhases(6)), tc.runs, seed)
+		res, err := swarm(func(choose func(int) int) error {
+			cfg := ServerWorldConfig{Servers: 3, ClientsPerServer: 2}
+			if choose(4) == 0 {
+				cfg = ServerWorldConfig{Servers: 2, ClientsPerServer: 1}
+			}
+			return serverWorldSchedule(cfg, tc.clocked, serverPhases(6))(choose)
+		}, tc.runs, seed)
 		if err != nil {
 			t.Fatalf("clocked %v, after %d schedules: %v", tc.clocked, res.Schedules, err)
 		}

@@ -483,15 +483,17 @@ func TestServerWorldDetachedClientLeavesTheTrace(t *testing.T) {
 }
 
 // TestServerWorldReplaysItsSeed: a ServerWorld execution is a function of
-// its seed, with several clients per server whose notifications draw their
-// latencies from the world's stream, through sends, a partition, a heal and
-// a heartbeat-driven stretch.
+// its seed, with six servers whose reactions and clients whose notifications
+// draw their latencies from the world's stream, through sends, three
+// partitions each healed, and a heartbeat-driven stretch. Every partition
+// puts two to four servers on a side, so reactions taken in Go's map order
+// would differ between two runs of a seed almost every time.
 func TestServerWorldReplaysItsSeed(t *testing.T) {
 	run := func(seed int64) string {
 		suite := spec.FullSuite(spec.WithTrace())
 		w, err := NewServerWorld(ServerWorldConfig{
-			Servers:          3,
-			ClientsPerServer: 2,
+			Servers:          6,
+			ClientsPerServer: 1,
 			Seed:             seed,
 			Suite:            suite,
 			WithEndpoints:    true,
@@ -510,15 +512,21 @@ func TestServerWorldReplaysItsSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		send("boot")
-		srv := w.Servers()
-		if err := w.PartitionServers(types.NewProcSet(srv[0]), types.NewProcSet(srv[1:]...)); err != nil {
-			t.Fatal(err)
+		s := w.Servers()
+		for _, split := range [][2]types.ProcSet{
+			{types.NewProcSet(s[0], s[1]), types.NewProcSet(s[2:]...)},
+			{types.NewProcSet(s[0], s[2], s[4]), types.NewProcSet(s[1], s[3], s[5])},
+			{types.NewProcSet(s[:4]...), types.NewProcSet(s[4:]...)},
+		} {
+			if err := w.PartitionServers(split[0], split[1]); err != nil {
+				t.Fatal(err)
+			}
+			send("split")
+			if err := w.HealServers(); err != nil {
+				t.Fatal(err)
+			}
+			send("healed")
 		}
-		send("split")
-		if err := w.HealServers(); err != nil {
-			t.Fatal(err)
-		}
-		send("healed")
 		if err := w.RunWithHeartbeats(200*time.Millisecond, 20*time.Millisecond, 50*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}

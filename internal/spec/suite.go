@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"vsgm/internal/core"
 	"vsgm/internal/types"
 )
 
@@ -65,6 +66,20 @@ func WVSuite(opts ...SuiteOption) *Suite {
 		NewMembership(),
 		NewWVRFIFO(),
 	}, opts...)
+}
+
+// SuiteFor returns the checkers valid for a run at the given automaton
+// level: WVSuite, VSSuite, or FullSuite for LevelGCS and for the zero level,
+// which end-points read as LevelGCS.
+func SuiteFor(level core.Level, opts ...SuiteOption) *Suite {
+	switch level {
+	case core.LevelWV:
+		return WVSuite(opts...)
+	case core.LevelVS:
+		return VSSuite(opts...)
+	default:
+		return FullSuite(opts...)
+	}
 }
 
 // OnEvent feeds one trace event to every checker.
