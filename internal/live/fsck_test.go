@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -289,5 +290,30 @@ func TestFileStoreFsyncPolicies(t *testing.T) {
 				t.Fatalf("policy %s lost appends: %+v", tc.name, state["c"])
 			}
 		})
+	}
+}
+
+// TestServerNodeKeepsTheStoresSyncRule checks that a server leaves a
+// FileStore's fsync rule as its owner set it: a store handed over with
+// SetSyncEvery(1) must still fsync every append. The rule lives unexported
+// in wal.Log and an fsync leaves no trace a test can read, so the test reads
+// the field by reflection.
+func TestServerNodeKeepsTheStoresSyncRule(t *testing.T) {
+	store, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetSyncEvery(1)
+	srv, err := NewServerNode(ServerConfig{ID: "srv0", Addr: "127.0.0.1:0", Servers: types.NewProcSet("srv0"), Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	every := reflect.ValueOf(store.Log).Elem().FieldByName("syncEvery")
+	if !every.IsValid() {
+		t.Fatal("wal.Log has no syncEvery field; update this test to the Log's fsync rule")
+	}
+	if got := every.Int(); got != 1 {
+		t.Fatalf("the server reset the store's fsync rule from every 1 append to %d", got)
 	}
 }

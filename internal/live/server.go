@@ -23,6 +23,7 @@ type ServerConfig struct {
 	// attach epoch): every mutation is appended to it and its contents are
 	// replayed on construction, so a restarted server resumes above
 	// everything it issued before the crash. Nil runs without durability.
+	// A FileStore keeps the fsync rule it was given (SetSyncEvery).
 	Store Store
 	// SnapshotEvery compacts the WAL into a snapshot after this many
 	// appends. Zero or negative selects the default (64).
@@ -45,12 +46,6 @@ type ServerConfig struct {
 	// hold no lease and are never swept. Zero or negative selects the
 	// default (membership.DefaultAttachLease, 10s).
 	AttachLease time.Duration
-	// WALFsyncEvery makes a FileStore fsync its log on every Nth append (1
-	// syncs each one), bounding what a machine crash can lose to N-1
-	// identifier mutations. 0 (the default) and negative values never sync:
-	// appends are OS-buffered, which the protocol tolerates — attach claims
-	// re-float any identifier a client actually observed.
-	WALFsyncEvery int
 	// Obs, when set, is the metrics registry the server publishes into — the
 	// only place its numbers are read from: counters labeled with the server
 	// id, and a scrape-time collector for the membership core's and the
@@ -147,7 +142,6 @@ func NewServerNode(cfg ServerConfig) (*ServerNode, error) {
 	var restored map[types.ProcID]membership.ClientRecord
 	if n.store != nil {
 		if fs, ok := n.store.(*FileStore); ok {
-			fs.SetSyncEvery(cfg.WALFsyncEvery)
 			fs.RepairReport().Publish(cfg.Obs, serverLabel)
 		}
 		var err error

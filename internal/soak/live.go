@@ -72,10 +72,9 @@ const defaultDuration = 20 * time.Second
 
 type liveRun struct {
 	cfg LiveConfig
-	// rng is the run's one PRNG stream: the loop picks phases from mix with
-	// it and the phases draw their parameters from it. sched is the
-	// schedule the phases note themselves on.
-	mix       *Scenario
+	// rng is the run's one PRNG stream: the loop picks phases from
+	// livePhases with it and the phases draw their parameters from it.
+	// sched is the schedule the phases note themselves on.
 	rng       *rand.Rand
 	sched     *Schedule
 	start     time.Time
@@ -92,21 +91,48 @@ type liveRun struct {
 	transitions int
 }
 
-// phases is the live soak's phase table: every kind the mix may draw and
-// the method that executes it.
-var phases = map[PhaseKind]func(*liveRun, time.Duration) error{
-	PhaseTraffic:        (*liveRun).traffic,
-	PhasePartitionHeal:  (*liveRun).partitionHeal,
-	PhaseOscillate:      (*liveRun).oscillate,
-	PhaseFlappingLink:   (*liveRun).flappingLink,
-	PhaseGrayFailure:    (*liveRun).grayFailure,
-	PhaseCrashRestart:   (*liveRun).crashRestart,
-	PhaseFlashCrowd:     (*liveRun).flashCrowd,
-	PhaseStaleResurrect: (*liveRun).staleResurrect,
-	PhaseCorruptCounter: (*liveRun).corruptCounter,
-	PhaseWALScramble:    (*liveRun).walScramble,
-	PhaseStateScramble:  (*liveRun).stateScramble,
-	PhaseClientScramble: (*liveRun).clientScramble,
+// noter records a phase's step on the schedule, under the phase's kind and
+// start time, with the parameters it drew.
+type noter func(format string, args ...any)
+
+// livePhase is one row of the live soak's phase mix: the kind its step
+// records, its relative weight, and the method that runs it.
+type livePhase struct {
+	kind   string
+	weight int
+	run    func(*liveRun, noter) error
+}
+
+// livePhases is the live soak's one weighted phase mix.
+var livePhases = []livePhase{
+	{"traffic", 4, (*liveRun).traffic},
+	{"partition-heal", 3, (*liveRun).partitionHeal},
+	{"oscillate", 2, (*liveRun).oscillate},
+	{"flapping-link", 2, (*liveRun).flappingLink},
+	{"gray-failure", 2, (*liveRun).grayFailure},
+	{"crash-restart", 3, (*liveRun).crashRestart},
+	{"flash-crowd", 2, (*liveRun).flashCrowd},
+	{"stale-resurrect", 2, (*liveRun).staleResurrect},
+	{"corrupt-counter", 2, (*liveRun).corruptCounter},
+	{"wal-scramble", 2, (*liveRun).walScramble},
+	{"state-scramble", 2, (*liveRun).stateScramble},
+	{"client-scramble", 2, (*liveRun).clientScramble},
+}
+
+// pickPhase draws the next phase from livePhases by weight.
+func pickPhase(rng *rand.Rand) livePhase {
+	total := 0
+	for _, ph := range livePhases {
+		total += ph.weight
+	}
+	n := rng.Intn(total)
+	for _, ph := range livePhases {
+		if n < ph.weight {
+			return ph
+		}
+		n -= ph.weight
+	}
+	panic("soak: pick drew past the mix's total weight")
 }
 
 // RunLive executes the live-cluster soak and returns its report. A violation
@@ -128,12 +154,10 @@ func RunLive(cfg LiveConfig) (*Report, error) {
 		cfg.StateRoot = dir
 		removeState = true
 	}
-	mix := LiveScenario()
 	r := &liveRun{
 		cfg:   cfg,
-		mix:   mix,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		sched: &Schedule{Scenario: mix.Name, Seed: cfg.Seed},
+		sched: &Schedule{Seed: cfg.Seed},
 		reg:   obs.NewRegistry(),
 	}
 	r.tracer = obs.NewTracer(r.reg)
@@ -161,9 +185,9 @@ func (r *liveRun) run() (*Report, error) {
 	}
 	var err error
 	for err == nil && r.now() < r.cfg.Duration {
-		kind := r.mix.pick(r.rng)
-		if err = r.phase(kind); err == nil {
-			r.cfg.Log("soak: step %d (%s) done at %v", len(r.sched.Steps), kind, r.now().Round(time.Millisecond))
+		ph := pickPhase(r.rng)
+		if err = r.phase(ph); err == nil {
+			r.cfg.Log("soak: step %d (%s) done at %v", len(r.sched.Steps), ph.kind, r.now().Round(time.Millisecond))
 		}
 	}
 	if err == nil {
@@ -180,7 +204,7 @@ func (r *liveRun) run() (*Report, error) {
 		// A membership view with a regressing identifier: a guaranteed Local
 		// Monotonicity violation that exercises the report path end to end.
 		victim := r.d.ClientIDs()[0]
-		r.sched.Note(r.now(), PhaseKind("forced-violation"), "injected regressing membership view at %s", victim)
+		r.sched.Note(r.now(), "forced-violation", "injected regressing membership view at %s", victim)
 		r.d.Record(spec.EMView{P: victim, View: types.NewView(
 			0, types.NewProcSet(victim), map[types.ProcID]types.StartChangeID{victim: 1},
 		)})
@@ -200,14 +224,17 @@ func (r *liveRun) run() (*Report, error) {
 // is stamped with it.
 func (r *liveRun) now() time.Duration { return time.Since(r.start) }
 
-// phase runs one phase of the given kind, then takes the spec suite's verdict
-// so far: a violation stops the run at the phase that caused it.
-func (r *liveRun) phase(kind PhaseKind) error {
-	if err := phases[kind](r, r.now()); err != nil {
+// phase runs one phase, then takes the spec suite's verdict so far: a
+// violation stops the run at the phase that caused it.
+func (r *liveRun) phase(ph livePhase) error {
+	at := r.now()
+	if err := ph.run(r, func(format string, args ...any) {
+		r.sched.Note(at, ph.kind, format, args...)
+	}); err != nil {
 		return err
 	}
 	if verr := r.d.SpecErr(); verr != nil {
-		return violationf("spec violation after %s phase: %v", kind, verr)
+		return violationf("spec violation after %s phase: %v", ph.kind, verr)
 	}
 	return nil
 }
@@ -410,14 +437,17 @@ func (r *liveRun) settle(what string) error {
 	return r.waitFullView(what, floor)
 }
 
-func (r *liveRun) traffic(at time.Duration) error {
-	r.sched.Note(at, PhaseTraffic, "full multicast round from all %d clients", len(r.d.ClientIDs()))
+// traffic runs plain application multicast rounds.
+func (r *liveRun) traffic(note noter) error {
+	note("full multicast round from all %d clients", len(r.d.ClientIDs()))
 	return r.trafficRound(fmt.Sprintf("t%d", len(r.sched.Steps)))
 }
 
-func (r *liveRun) partitionHeal(at time.Duration) error {
+// partitionHeal splits the deployment in two, lets each side stabilize,
+// then heals and re-merges.
+func (r *liveRun) partitionHeal(note noter) error {
 	left, right := r.serverSplit()
-	r.sched.Note(at, PhasePartitionHeal, "split %s | %s, stabilize both sides, heal", left, right)
+	note("split %s | %s, stabilize both sides, heal", left, right)
 	r.transitions += 2 // the split and the heal
 	comps := r.d.Partition(left, right)
 	// Each side settles on a view over exactly its own clients.
@@ -442,10 +472,12 @@ func (r *liveRun) partitionHeal(at time.Duration) error {
 	return r.waitFullView("merged view after heal", 0)
 }
 
-func (r *liveRun) oscillate(at time.Duration) error {
+// oscillate flips a partition open and closed several times faster than
+// the system stabilizes, then heals.
+func (r *liveRun) oscillate(note noter) error {
 	left, right := r.serverSplit()
 	flips := 2 + r.rng.Intn(3)
-	r.sched.Note(at, PhaseOscillate, "%d rapid flips of %s | %s", flips, left, right)
+	note("%d rapid flips of %s | %s", flips, left, right)
 	r.transitions += 2 * flips
 	for i := 0; i < flips; i++ {
 		r.d.Partition(left, right)
@@ -456,7 +488,8 @@ func (r *liveRun) oscillate(at time.Duration) error {
 	return r.waitFullView("full view after oscillation", 0)
 }
 
-func (r *liveRun) crashRestart(at time.Duration) error {
+// crashRestart kills a server and restarts it from its durable state.
+func (r *liveRun) crashRestart(note noter) error {
 	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
 	// The kill only owes the survivors a new view if the victim was
 	// integrated when it died.
@@ -464,7 +497,7 @@ func (r *liveRun) crashRestart(at time.Duration) error {
 		return err
 	}
 	floor := r.d.MaxViewID()
-	r.sched.Note(at, PhaseCrashRestart, "kill %s, converge on survivors, restart it from its store", sid)
+	note("kill %s, converge on survivors, restart it from its store", sid)
 	r.transitions += 2 // the kill and the restart
 	r.d.Server(sid).Close()
 	if err := r.waitFor("orphans of "+string(sid)+" re-home at survivors", func() bool {
@@ -483,14 +516,15 @@ func (r *liveRun) crashRestart(at time.Duration) error {
 	return r.revive(sid, "the restart")
 }
 
-func (r *liveRun) flashCrowd(at time.Duration) error {
+// flashCrowd joins a large batch of new clients in one instant.
+func (r *liveRun) flashCrowd(note noter) error {
 	n := 3 + r.rng.Intn(3)
 	fresh := make([]types.ProcID, n)
 	for i := range fresh {
 		fresh[i] = types.ProcID(fmt.Sprintf("flash%d", r.crowdSeq))
 		r.crowdSeq++
 	}
-	r.sched.Note(at, PhaseFlashCrowd, "%d clients join in one burst, one round of traffic, then leave", n)
+	note("%d clients join in one burst, one round of traffic, then leave", n)
 	r.transitions += 2 // the burst admission and the departure
 	// The whole phase leans on floor-based waits, and its reconfigurations
 	// (burst admission, departure shrink) may be triggered at any one
@@ -538,11 +572,13 @@ func (r *liveRun) flashCrowd(at time.Duration) error {
 	return r.waitFullView("view shrinks after the crowd departs", floor)
 }
 
-func (r *liveRun) staleResurrect(at time.Duration) error {
+// staleResurrect restarts a server from an old snapshot/WAL generation,
+// resurrecting stale identifier state.
+func (r *liveRun) staleResurrect(note noter) error {
 	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
 	sn := r.d.Server(sid)
 	backup := filepath.Join(r.cfg.StateRoot, string(sid)+".stale")
-	r.sched.Note(at, PhaseStaleResurrect, "snapshot %s's store, advance identifiers, resurrect it from the stale generation", sid)
+	note("snapshot %s's store, advance identifiers, resurrect it from the stale generation", sid)
 	r.transitions += 3 // the advance, the kill, the resurrection
 	// Point-in-time backup of the current (soon to be stale) generation.
 	if err := wal.CloneDir(r.stateDir(sid), backup); err != nil {
@@ -569,7 +605,9 @@ func (r *liveRun) staleResurrect(at time.Duration) error {
 	return r.revive(sid, "the stale generation")
 }
 
-func (r *liveRun) corruptCounter(at time.Duration) error {
+// corruptCounter injects a corrupted (huge or epoch-wrapped) identifier
+// record and lets the protocol absorb it.
+func (r *liveRun) corruptCounter(note noter) error {
 	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
 	locals := r.d.Server(sid).Clients()
 	ids := r.d.ClientIDs()
@@ -583,7 +621,7 @@ func (r *liveRun) corruptCounter(at time.Duration) error {
 		rec = wire.WALRecord{Client: victim, CID: 7, Vid: 3, Epoch: 1 << 33}
 		flavour = "wrapped epoch"
 	}
-	r.sched.Note(at, PhaseCorruptCounter, "kill %s, append %s for %s (cid=%d vid=%d epoch=%d) to its WAL, restart",
+	note("kill %s, append %s for %s (cid=%d vid=%d epoch=%d) to its WAL, restart",
 		sid, flavour, victim, rec.CID, rec.Vid, rec.Epoch)
 	r.transitions += 2 // the kill and the restart
 	r.d.Server(sid).Close()
@@ -605,7 +643,10 @@ func (r *liveRun) corruptCounter(at time.Duration) error {
 	return r.revive(sid, "the corrupted record")
 }
 
-func (r *liveRun) walScramble(at time.Duration) error {
+// walScramble kills a server, rewrites its durable state with adversarially
+// random bytes — record-boundary-aware or blind — and restarts it through
+// the fsck/repair path.
+func (r *liveRun) walScramble(note noter) error {
 	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
 	// The restart only re-integrates cleanly if the victim was integrated
 	// when it died (same reasoning as the crash-restart phase).
@@ -617,7 +658,7 @@ func (r *liveRun) walScramble(at time.Duration) error {
 	if err != nil {
 		return err
 	}
-	r.sched.Note(at, PhaseWALScramble, "kill %s, %s, restart through fsck/repair", sid, detail)
+	note("kill %s, %s, restart through fsck/repair", sid, detail)
 	r.transitions += 2 // the kill and the restart
 	// The fsck pass quarantined whatever the scramble destroyed; any
 	// identifier state it lost must be re-floated by attach claims, and
@@ -625,7 +666,10 @@ func (r *liveRun) walScramble(at time.Duration) error {
 	return r.revive(sid, "the scrambled store")
 }
 
-func (r *liveRun) stateScramble(at time.Duration) error {
+// stateScramble injects adversarially random identifier records straight
+// into a running server's retained state, exercising the sanitizer's
+// arbitrary-state convergence without a restart.
+func (r *liveRun) stateScramble(note noter) error {
 	sid := r.serverIDs[r.rng.Intn(len(r.serverIDs))]
 	sn := r.d.Server(sid)
 	// The injection forces a reconfiguration at sid; it reaches clients
@@ -644,13 +688,17 @@ func (r *liveRun) stateScramble(at time.Duration) error {
 			Epoch: int64(r.rng.Uint64()),
 		}
 	}
-	r.sched.Note(at, PhaseStateScramble, "inject %d adversarially random records into %s's retained state", len(recs), sid)
+	note("inject %d adversarially random records into %s's retained state", len(recs), sid)
 	r.transitions++
 	sn.InjectRecords(recs)
 	return r.waitFullView("cluster converged past the scrambled records", 0)
 }
 
-func (r *liveRun) clientScramble(at time.Duration) error {
+// clientScramble scrambles a live client's in-memory identifier watermarks
+// (cid, view id, last start-change) with adversarially random values,
+// exercising the client half of arbitrary-state convergence: self-clamping,
+// the attach-claim re-float, and the notification filter.
+func (r *liveRun) clientScramble(note noter) error {
 	ids := r.d.ClientIDs()
 	victim := ids[r.rng.Intn(len(ids))]
 	node := r.d.Client(victim)
@@ -671,7 +719,7 @@ func (r *liveRun) clientScramble(at time.Duration) error {
 		vid = types.ViewID(r.rng.Uint64())
 		sc = types.StartChangeID(r.rng.Uint64())
 	}
-	r.sched.Note(at, PhaseClientScramble, "scramble %s's in-memory identifiers with %s values (cid=%d vid=%d sc=%d)",
+	note("scramble %s's in-memory identifiers with %s values (cid=%d vid=%d sc=%d)",
 		victim, flavour, cid, vid, sc)
 	r.transitions += 2 // the scramble and the forced reconfiguration
 	// The scramble lands on a settled cluster (servers mutually
@@ -700,10 +748,13 @@ func (r *liveRun) clientScramble(at time.Duration) error {
 	return r.waitFullView("cluster converged past the scrambled client", floor)
 }
 
-func (r *liveRun) flappingLink(at time.Duration) error {
+// flappingLink rapidly blocks and unblocks one server-server link, faster
+// than an undamped detector stabilizes; flap damping must converge the
+// verdict instead of installing a view per flip.
+func (r *liveRun) flappingLink(note noter) error {
 	a, b := r.serverPair()
 	flips := 3 + r.rng.Intn(3)
-	r.sched.Note(at, PhaseFlappingLink, "flap the %s<->%s link %d times (block past detection, briefly heal)", a, b, flips)
+	note("flap the %s<->%s link %d times (block past detection, briefly heal)", a, b, flips)
 	r.transitions += 2 * flips
 	// Start integrated so the first flip is a genuine verdict crossing.
 	if err := r.waitServersIntegrated(); err != nil {
@@ -731,11 +782,15 @@ func (r *liveRun) flappingLink(at time.Duration) error {
 	return r.waitFullView("full view after link flapping", 0)
 }
 
-func (r *liveRun) grayFailure(at time.Duration) error {
+// grayFailure blocks exactly one direction of a server-server link — a gray
+// failure one side cannot see directly. Reachability-bitmap reconciliation
+// must converge both sides (and every third party) on one symmetric
+// reconfiguration.
+func (r *liveRun) grayFailure(note noter) error {
 	a, b := r.serverPair()
 	// Break exactly one direction: b stops hearing a, while a still
 	// hears b and every third party hears both.
-	r.sched.Note(at, PhaseGrayFailure, "gray failure: block %s's outbound to %s, converge symmetrically, heal", a, b)
+	note("gray failure: block %s's outbound to %s, converge symmetrically, heal", a, b)
 	r.transitions += 2 // the break and the heal
 	if err := r.waitServersIntegrated(); err != nil {
 		return err

@@ -17,47 +17,25 @@ func logReplay(t *testing.T, seed int64) {
 }
 
 func TestScenarioPickIsWeightedAndDeterministic(t *testing.T) {
-	sc := LiveScenario()
-	counts := make(map[PhaseKind]int)
+	counts := make(map[string]int)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
-		counts[sc.pick(rng)]++
+		counts[pickPhase(rng).kind]++
 	}
-	for _, w := range sc.Weights {
-		if counts[w.Kind] == 0 {
-			t.Errorf("phase %s (weight %d) never drawn in 2000 picks", w.Kind, w.Weight)
+	for _, ph := range livePhases {
+		if counts[ph.kind] == 0 {
+			t.Errorf("phase %s (weight %d) never drawn in 2000 picks", ph.kind, ph.weight)
 		}
 	}
-	if counts[PhaseTraffic] <= counts[PhaseFlashCrowd] {
+	if counts["traffic"] <= counts["flash-crowd"] {
 		t.Errorf("weight 4 phase drawn %d times, weight 2 phase %d times — weighting inverted",
-			counts[PhaseTraffic], counts[PhaseFlashCrowd])
+			counts["traffic"], counts["flash-crowd"])
 	}
 	// Same seed, same stream.
 	a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
-		if sc.pick(a) != sc.pick(b) {
+		if pickPhase(a).kind != pickPhase(b).kind {
 			t.Fatal("same seed produced different phase streams")
-		}
-	}
-}
-
-// TestScenarioValidateRejectsUnsupportedPhase holds the mix and the phase
-// table to each other: every kind the mix weighs has a body, and every body
-// is drawn.
-func TestScenarioValidateRejectsUnsupportedPhase(t *testing.T) {
-	weighed := make(map[PhaseKind]bool)
-	for _, w := range LiveScenario().Weights {
-		if phases[w.Kind] == nil {
-			t.Errorf("the mix weighs phase %q, which has no body", w.Kind)
-		}
-		if w.Weight <= 0 {
-			t.Errorf("the mix weighs phase %q at %d, so it is never drawn", w.Kind, w.Weight)
-		}
-		weighed[w.Kind] = true
-	}
-	for kind := range phases {
-		if !weighed[kind] {
-			t.Errorf("phase %q has a body the mix never draws", kind)
 		}
 	}
 }
